@@ -1477,6 +1477,61 @@ let cegis_bench ~smoke () =
       (fun (c : Api.candidate) -> (c.Api.signature, c.Api.reward, c.Api.quarantined))
       r.Api.candidates
   in
+  (* 3) Crash tolerance: killed + restarted sharded run vs inline
+     reference — identical merged top-k AND identical merged corpus.
+     It runs first: OCaml refuses [Unix.fork] in a process that has
+     ever spawned a domain, and every in-process validated search below
+     (the inline reference included) runs einsum on the default pool. *)
+  let base = Filename.temp_file "syno_cegis_shard" ".ckpt" in
+  Sys.remove base;
+  let shard_corpus = base ^ ".corpus" in
+  let shards = 2 in
+  let clear () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      (shard_corpus
+      :: List.concat
+           (List.init shards (fun i ->
+                [
+                  Search.Shard.checkpoint_path ~base ~shard_id:i;
+                  Validate.Corpus.shard_path ~base:shard_corpus ~shard_id:i;
+                ])))
+  in
+  let sharded ?kill_after ~inline label =
+    clear ();
+    let r, t =
+      time (fun () ->
+          Api.search_conv_operators_sharded_run ~iterations ~max_prims ~shards ?kill_after
+            ~inline ~validate:true
+            ~validate_config:(Validate.Differential.config ~fault:(miscompile ()) ())
+            ~corpus:shard_corpus ~checkpoint_base:base ~seed
+            ~valuations:Api.default_search_valuations ())
+    in
+    let idents =
+      match r.Api.sh_corpus with
+      | Some m -> List.map Validate.Corpus.ident m.Validate.Corpus.mr_entries
+      | None -> []
+    in
+    note "%-28s %3d operators, %d restarts, %d corpus entries, %5.2fs" label
+      (List.length r.Api.sh_candidates)
+      r.Api.sh_report.Search.Coordinator.rp_restarts (List.length idents) t;
+    (r, idents)
+  in
+  let ssigs (r : Api.sharded_run) =
+    List.map
+      (fun (c : Api.candidate) -> (c.Api.signature, c.Api.reward, c.Api.quarantined))
+      r.Api.sh_candidates
+  in
+  let killed_r, killed_idents = sharded ~kill_after:3 ~inline:false "sharded + kill/restart" in
+  let inline_r, inline_idents = sharded ~inline:true "sharded inline reference" in
+  let restarts = killed_r.Api.sh_report.Search.Coordinator.rp_restarts in
+  let shard_topk_ok = ssigs inline_r = ssigs killed_r in
+  let shard_corpus_ok = inline_idents <> [] && inline_idents = killed_idents in
+  note "killed run: top-k %s, merged corpus %s the inline reference (%d restarts)"
+    (if shard_topk_ok then "matches" else "DIVERGED from")
+    (if shard_corpus_ok then "identical to" else "DIVERGED from")
+    restarts;
+  clear ();
   (* 1) Hardening: first encounter distills, re-encounter replays. *)
   let fault1 = miscompile () in
   let r1, s1, _ = run ~fault:fault1 "first encounter (faulted)" in
@@ -1529,58 +1584,6 @@ let cegis_bench ~smoke () =
     (1000.0 *. t_replay) (1000.0 *. t_diff) (List.length zoo_ops) repeats
     (100.0 *. replay_ratio)
     (if replay_cheap then "<= 25% gate" else "OVER the 25% gate");
-  (* 3) Crash tolerance: killed + restarted sharded run vs inline
-     reference — identical merged top-k AND identical merged corpus. *)
-  let base = Filename.temp_file "syno_cegis_shard" ".ckpt" in
-  Sys.remove base;
-  let shard_corpus = base ^ ".corpus" in
-  let shards = 2 in
-  let clear () =
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      (shard_corpus
-      :: List.concat
-           (List.init shards (fun i ->
-                [
-                  Search.Shard.checkpoint_path ~base ~shard_id:i;
-                  Validate.Corpus.shard_path ~base:shard_corpus ~shard_id:i;
-                ])))
-  in
-  let sharded ?kill_after ~inline label =
-    clear ();
-    let r, t =
-      time (fun () ->
-          Api.search_conv_operators_sharded_run ~iterations ~max_prims ~shards ?kill_after
-            ~inline ~validate:true
-            ~validate_config:(Validate.Differential.config ~fault:(miscompile ()) ())
-            ~corpus:shard_corpus ~checkpoint_base:base ~seed
-            ~valuations:Api.default_search_valuations ())
-    in
-    let idents =
-      match r.Api.sh_corpus with
-      | Some m -> List.map Validate.Corpus.ident m.Validate.Corpus.mr_entries
-      | None -> []
-    in
-    note "%-28s %3d operators, %d restarts, %d corpus entries, %5.2fs" label
-      (List.length r.Api.sh_candidates)
-      r.Api.sh_report.Search.Coordinator.rp_restarts (List.length idents) t;
-    (r, idents)
-  in
-  let ssigs (r : Api.sharded_run) =
-    List.map
-      (fun (c : Api.candidate) -> (c.Api.signature, c.Api.reward, c.Api.quarantined))
-      r.Api.sh_candidates
-  in
-  let inline_r, inline_idents = sharded ~inline:true "sharded inline reference" in
-  let killed_r, killed_idents = sharded ~kill_after:3 ~inline:false "sharded + kill/restart" in
-  let restarts = killed_r.Api.sh_report.Search.Coordinator.rp_restarts in
-  let shard_topk_ok = ssigs inline_r = ssigs killed_r in
-  let shard_corpus_ok = inline_idents <> [] && inline_idents = killed_idents in
-  note "killed run: top-k %s, merged corpus %s the inline reference (%d restarts)"
-    (if shard_topk_ok then "matches" else "DIVERGED from")
-    (if shard_corpus_ok then "identical to" else "DIVERGED from")
-    restarts;
-  clear ();
   Sys.remove corpus_path;
   (* Trajectory file. *)
   let oc = open_out "BENCH_cegis.json" in

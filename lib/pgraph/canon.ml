@@ -16,7 +16,6 @@ let default_config simplify_ctx =
   { simplify_ctx; max_expand = 1; max_stride = 1; max_shift = 2; max_reduce = 4; max_frontier = 8 }
 
 let ( let* ) r f = Result.bind r f
-let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt
 
 (* For-all-valuations size comparison (footnote 4 of the paper). *)
 let size_le ctx a b =
@@ -33,14 +32,14 @@ let size_le ctx a b =
 (* --- Occurrence budgets ------------------------------------------------ *)
 
 let check_budgets cfg g prim =
-  let over kind limit name =
-    if Graph.counts g ~kind + 1 > limit then fail "%s budget exceeded" name else Ok ()
+  let over kind limit reason =
+    if Graph.counts g ~kind + 1 > limit then Error reason else Ok ()
   in
   match Prim.kind prim with
-  | Prim.K_expand -> over Prim.K_expand cfg.max_expand "Expand"
-  | Prim.K_stride -> over Prim.K_stride cfg.max_stride "Stride"
-  | Prim.K_shift -> over Prim.K_shift cfg.max_shift "Shift"
-  | Prim.K_reduce -> over Prim.K_reduce cfg.max_reduce "Reduce"
+  | Prim.K_expand -> over Prim.K_expand cfg.max_expand "Expand budget exceeded"
+  | Prim.K_stride -> over Prim.K_stride cfg.max_stride "Stride budget exceeded"
+  | Prim.K_shift -> over Prim.K_shift cfg.max_shift "Shift budget exceeded"
+  | Prim.K_reduce -> over Prim.K_reduce cfg.max_reduce "Reduce budget exceeded"
   | Prim.K_split | Prim.K_merge | Prim.K_unfold | Prim.K_share | Prim.K_match -> Ok ()
 
 (* --- Futile-contraction rules ------------------------------------------ *)
@@ -53,16 +52,16 @@ let check_contraction_rules cfg g prim =
   match prim with
   | Prim.Expand p ->
       if (dim p).Graph.origin = Some Prim.K_reduce then
-        fail "Expand of a Reduce dim only scales the result"
-      else if dim_has_reduction (dim p) then fail "Expand of a reduced coordinate"
+        Error "Expand of a Reduce dim only scales the result"
+      else if dim_has_reduction (dim p) then Error "Expand of a reduced coordinate"
       else Ok ()
   | Prim.Unfold (p, w) ->
       if dim_has_reduction (dim p) && dim_has_reduction (dim w) then
-        fail "Unfold allows at most one reduced coordinate"
+        Error "Unfold allows at most one reduced coordinate"
       else if not (size_le cfg.simplify_ctx (dim w).Graph.size (dim p).Graph.size) then
-        fail "Unfold window exceeds the main dimension"
+        Error "Unfold window exceeds the main dimension"
       else Ok ()
-  | Prim.Reduce n -> if Size.is_constant n && Size.constant n = 1 then fail "Reduce(1)" else Ok ()
+  | Prim.Reduce n -> if Size.is_constant n && Size.constant n = 1 then Error "Reduce(1)" else Ok ()
   | Prim.Match p -> (
       let d = dim p in
       match d.Graph.expr with
@@ -82,7 +81,7 @@ let check_contraction_rules cfg g prim =
           (* After the Match the iterator must still connect at least two
              tensors, otherwise the reduction is a constant factor. *)
           if in_groups >= 1 || elsewhere_in_frontier then Ok ()
-          else fail "Match would strand a reduction iterator in one weight group"
+          else Error "Match would strand a reduction iterator in one weight group"
       | Ast.Iter _ -> Ok ()
       | Ast.Const _ | Ast.Size_const _ | Ast.Add _ | Ast.Sub _ | Ast.Mul _ | Ast.Div _
       | Ast.Mod _ ->
@@ -97,21 +96,14 @@ let check_contraction_rules cfg g prim =
 let check_expr_normal_form cfg g g' prim =
   if not (Prim.is_view (Prim.kind prim)) then Ok ()
   else
-    let before = Graph.frontier g and after = Graph.frontier g' in
-    let fresh =
-      List.filter (fun (d : Graph.dim) -> not (List.memq d before)) after
+    let before = Graph.frontier g in
+    let unnormalized (d : Graph.dim) =
+      (not (List.memq d before))
+      && not (Ast.equal (Simplify.simplify cfg.simplify_ctx d.Graph.expr) d.Graph.expr)
     in
-    let bad (d : Graph.dim) =
-      let simplified = Simplify.simplify cfg.simplify_ctx d.Graph.expr in
-      if not (Ast.equal simplified d.Graph.expr) then
-        Some
-          (Format.asprintf "%a is not in normal form (= %a)" Ast.pp d.Graph.expr Ast.pp
-             simplified)
-      else None
-    in
-    match List.filter_map bad fresh with
-    | [] -> Ok ()
-    | msg :: _ -> Error msg
+    if List.exists unnormalized (Graph.frontier g') then
+      Error "a fresh coordinate expression is not in normal form"
+    else Ok ()
 
 (* --- Commuting-action ordering ----------------------------------------- *)
 
@@ -165,7 +157,7 @@ let check_ordering g prim =
         && not (weight_action last && weight_action prim)
       in
       if (not commute) || key_le (action_key last) (action_key prim) then Ok ()
-      else fail "uncanonical ordering: %s then %s" (Prim.to_string last) (Prim.to_string prim)
+      else Error "uncanonical ordering of commuting actions"
 
 (* --- Entry points ------------------------------------------------------- *)
 
@@ -179,14 +171,14 @@ let check_concrete_sizes cfg g' =
     | vs -> List.for_all (fun v -> Valuation.size_opt v size <> None) vs
   in
   if List.for_all (fun (d : Graph.dim) -> ok d.Graph.size) (Graph.frontier g') then Ok ()
-  else fail "a dimension size is not integral under some valuation"
+  else Error "a dimension size is not integral under some valuation"
 
 let check cfg g prim =
   let* () = check_budgets cfg g prim in
   let* () = check_contraction_rules cfg g prim in
   let* () = check_ordering g prim in
   let* g' = Graph.apply g prim in
-  if List.length (Graph.frontier g') > cfg.max_frontier then fail "frontier too wide"
+  if List.length (Graph.frontier g') > cfg.max_frontier then Error "frontier too wide"
   else
     let* () = check_concrete_sizes cfg g' in
     let* () = check_expr_normal_form cfg g g' prim in

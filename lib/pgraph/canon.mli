@@ -36,7 +36,12 @@ val default_config : Coord.Simplify.ctx -> config
 
 val check : config -> Graph.t -> Prim.t -> (Graph.t, string) result
 (** [check cfg g prim] applies [prim] and validates canonicality;
-    [Error reason] if the action is inapplicable or uncanonical. *)
+    [Error reason] if the action is inapplicable or uncanonical.
+    [reason] is a fixed string naming the rule that rejected the
+    action (or {!Graph.apply}'s structural reason); it does not name the
+    actions involved, so a rejection formats nothing.  The search
+    rejects a large share of the actions it tries and discards the
+    reason. *)
 
 val is_canonical : config -> Graph.t -> Prim.t -> bool
 

@@ -44,12 +44,14 @@ let group_cost lhs rhs =
             in
             Some (max reshapes elim))
 
-(* --- Grouping enumeration ---------------------------------------------- *)
+(* --- Grouping ------------------------------------------------------------ *)
 
 (* Dimensions sharing a primary variable must live in the same group;
-   we union-find primary variables, turning the dims into "units", then
-   enumerate set partitions of the units and attachments of the
-   coefficient-only dims. *)
+   we union-find primary variables, turning the dims into "units".  A
+   grouping scheme is a set partition of the units and the
+   coefficient-only dims in which every block holds a unit or only
+   current-side coefficient dims (which an elimination can consume); a
+   desired coefficient dim must join a unit's group. *)
 
 let primary_vars size = List.filter Var.is_primary (Size.vars size)
 
@@ -89,44 +91,12 @@ let units_of dims =
   let units = Hashtbl.fold (fun _ dims acc -> dims :: acc) buckets [] in
   (units, coeff_only)
 
-(* All set partitions of [items], capped. *)
-let rec partitions items =
-  match items with
-  | [] -> [ [] ]
-  | x :: rest ->
-      List.concat_map
-        (fun parts ->
-          (* x joins each existing block, or starts a new one. *)
-          let joined =
-            List.mapi
-              (fun i _ -> List.mapi (fun j b -> if i = j then x :: b else b) parts)
-              parts
-          in
-          ([ x ] :: parts) :: joined)
-        (partitions rest)
-
-(* Attach each coefficient-only dim to one of the blocks, or (for
-   current-side dims) to a fresh elimination block. *)
-let rec attachments coeff_dims blocks =
-  match coeff_dims with
-  | [] -> [ blocks ]
-  | ((side, _) as dim) :: rest ->
-      let with_join =
-        List.concat_map
-          (fun blocks' ->
-            List.mapi
-              (fun i _ -> List.mapi (fun j b -> if i = j then dim :: b else b) blocks')
-              blocks')
-          (attachments rest blocks)
-      in
-      let with_own =
-        match side with
-        | Current -> List.map (fun blocks' -> [ dim ] :: blocks') (attachments rest blocks)
-        | Desired -> []
-      in
-      with_own @ with_join
-
-let max_schemes = 20_000
+(* Block costs add up, so the cheapest scheme is a DP over bitmasks of
+   the items (units, then coefficient-only dims): the cheapest partition
+   of [mask] is the cheapest block holding its lowest item plus the
+   cheapest partition of the rest.  Costs are [infeasible]-capped ints. *)
+let infeasible = max_int
+let unknown = -1
 
 let raw_distance ~current ~desired =
   if multiset_equal current desired then Some 0
@@ -135,68 +105,72 @@ let raw_distance ~current ~desired =
       List.map (fun s -> (Current, s)) current @ List.map (fun s -> (Desired, s)) desired
     in
     let units, coeff_only = units_of dims in
-    let unit_partitions = partitions (List.map (fun u -> u) units) in
-    let best = ref None in
-    let count = ref 0 in
-    (try
-       List.iter
-         (fun unit_part ->
-           (* Each block of the unit partition is a list of units; flatten
-              to dims, then attach coefficient-only dims. *)
-           let blocks = List.map List.concat unit_part in
-           List.iter
-             (fun blocks' ->
-               incr count;
-               if !count > max_schemes then raise Exit;
-               let cost =
-                 List.fold_left
-                   (fun acc block ->
-                     match acc with
-                     | None -> None
-                     | Some acc ->
-                         let lhs =
-                           List.filter_map
-                             (fun (side, s) -> if side = Current then Some s else None)
-                             block
-                         in
-                         let rhs =
-                           List.filter_map
-                             (fun (side, s) -> if side = Desired then Some s else None)
-                             block
-                         in
-                         Option.map (fun c -> acc + c) (group_cost lhs rhs))
-                   (Some 0) blocks'
-               in
-               match cost with
-               | None -> ()
-               | Some total -> (
-                   match !best with
-                   | Some b when b <= total -> ()
-                   | Some _ | None -> best := Some total))
-             (attachments coeff_only blocks))
-         unit_partitions
-     with Exit -> ());
-    !best
+    let items = Array.of_list (units @ List.map (fun dim -> [ dim ]) coeff_only) in
+    let n_units = List.length units and full = (1 lsl Array.length items) - 1 in
+    let unit_mask = (1 lsl n_units) - 1 in
+    let desired_coeffs = ref 0 in
+    List.iteri
+      (fun i (side, _) ->
+        if side = Desired then desired_coeffs := !desired_coeffs lor (1 lsl (n_units + i)))
+      coeff_only;
+    let costs = Array.make (full + 1) unknown in
+    let block_cost b =
+      if costs.(b) = unknown then
+        costs.(b) <-
+          (if b land unit_mask = 0 && b land !desired_coeffs <> 0 then infeasible
+           else
+             let lhs = ref [] and rhs = ref [] in
+             Array.iteri
+               (fun i item ->
+                 if b land (1 lsl i) <> 0 then
+                   List.iter
+                     (fun (side, s) ->
+                       match side with Current -> lhs := s :: !lhs | Desired -> rhs := s :: !rhs)
+                     item)
+               items;
+             Option.value (group_cost !lhs !rhs) ~default:infeasible);
+      costs.(b)
+    in
+    let best = Array.make (full + 1) infeasible in
+    best.(0) <- 0;
+    for mask = 1 to full do
+      let low = mask land -mask in
+      let others = mask lxor low in
+      (* [sub] runs over every subset of [others], down to the empty one. *)
+      let rec blocks sub =
+        let b = sub lor low in
+        let rest = best.(mask lxor b) in
+        (if rest < infeasible then
+           let c = block_cost b in
+           if c < infeasible && c + rest < best.(mask) then best.(mask) <- c + rest);
+        if sub > 0 then blocks ((sub - 1) land others)
+      in
+      blocks others
+    done;
+    if best.(full) = infeasible then None else Some best.(full)
 
 (* --- Memoization -------------------------------------------------------- *)
 
-type t = (string, int option) Hashtbl.t
+(* Keyed by the sorted current and desired multisets. *)
+module Memo = Hashtbl.Make (struct
+  type t = Size.t list * Size.t list
 
-let create () = Hashtbl.create 1024
+  let equal (c1, d1) (c2, d2) = List.equal Size.equal c1 c2 && List.equal Size.equal d1 d2
+  let hash_list = List.fold_left (fun h s -> (h * 31) + Size.hash s)
+  let hash (c, d) = hash_list (hash_list 17 c + 1) d
+end)
 
-let key ~current ~desired =
-  let part dims =
-    String.concat ";" (List.map Size.to_string (List.sort Size.compare dims))
-  in
-  part current ^ "|" ^ part desired
+type t = int option Memo.t
+
+let create () = Memo.create 1024
 
 let distance t ~current ~desired =
-  let k = key ~current ~desired in
-  match Hashtbl.find_opt t k with
+  let k = (List.sort Size.compare current, List.sort Size.compare desired) in
+  match Memo.find_opt t k with
   | Some d -> d
   | None ->
       let d = raw_distance ~current ~desired in
-      Hashtbl.add t k d;
+      Memo.add t k d;
       d
 
 let within t ~current ~desired ~budget =

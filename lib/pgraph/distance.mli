@@ -4,15 +4,19 @@
 
     The metric partitions the current and desired dimensions into
     {e reshape groups} — future primitives only act within a group —
-    and charges each group [#lhs + #rhs - 2] regrouping steps
-    (Merge/Split), plus one global step when the total domains differ
-    (at least one 1-to-many primitive is then required).  Groupings are
-    enumerated (dimensions sharing a primary variable are forced
-    together; coefficient-only dimensions float) and the minimum bound
-    is returned.
+    and charges each group {!group_cost}.  Dimensions sharing a primary
+    variable are forced into one group; coefficient-only dimensions
+    float, and a current-side one may form a group of its own (an
+    elimination consumes it).  Group costs add up, so the minimum over
+    all groupings is computed exactly by a DP over bitmasks of the
+    units and coefficient-only dimensions: [O(3^n)] for [n] of them,
+    with no cap on the groupings considered.
 
-    The bound never overestimates, so pruning with it (Algorithm 1,
-    line 20) cannot discard a reachable completion. *)
+    The result is the true minimum over groupings, so it never
+    overestimates and pruning with it (Algorithm 1, line 20) cannot
+    discard a reachable completion.  A search over groupings that stops
+    after a fixed number of them can return more than the minimum, and
+    so prune states that are soundly reachable. *)
 
 type t
 
@@ -28,3 +32,11 @@ val distance :
 val within :
   t -> current:Shape.Size.t list -> desired:Shape.Size.t list -> budget:int -> bool
 (** [within ~budget] iff the distance exists and is [<= budget]. *)
+
+val group_cost : Shape.Size.t list -> Shape.Size.t list -> int option
+(** [group_cost lhs rhs]: the steps charged to one reshape group that
+    turns the current dimensions [lhs] into the desired dimensions
+    [rhs] — [#lhs + #rhs - 2] regroupings (Merge/Split), at least one
+    elimination when the group's product shrinks, one Reduce when
+    [lhs] is empty.  [None] when the group's product cannot shrink to
+    [rhs]'s by eliminations. *)

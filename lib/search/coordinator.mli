@@ -13,6 +13,12 @@
     [max_restarts] budget is exhausted, at which point it is reported
     [Failed] and whatever checkpoint it managed still merges.
 
+    OCaml 5 refuses [Unix.fork] in a process that has ever spawned a
+    domain, even after joining it, so call {!run} before anything in
+    the process starts a {!Par.Pool} of more than one domain (the
+    default pool is started by the first parallel einsum or staged
+    forward).
+
     Shutdown: when [cancel] trips (the CLI's SIGINT/SIGTERM handlers),
     the coordinator cascades SIGTERM to every live worker; each worker's
     own handler trips its in-process token, the search returns at the

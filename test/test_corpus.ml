@@ -188,22 +188,40 @@ let test_shard_merge_dedup () =
 (* SIGKILL mid-append: a child process appends entries one at a time
    (cadence 1 — one atomic rewrite per add) and is killed at a random
    point.  Whatever the timing, the file on disk must load cleanly and
-   hold a prefix of the adds — the atomic-rename recipe's guarantee. *)
+   hold a prefix of the adds — the atomic-rename recipe's guarantee.
+
+   The child is this binary re-executed as [append_writer]: OCaml
+   refuses [Unix.fork] in a process that has ever spawned a domain, and
+   the earlier tests ran einsum on the default pool. *)
+let writer_flag = "--append-writer"
+let adds = 40
+
+let append_writer path =
+  let base = differential_entry () in
+  let t, _ = Corpus.open_file ~every:1 path in
+  print_endline "ready";
+  for i = 1 to adds do
+    ignore (Corpus.add t { base with Corpus.ce_seed = i })
+  done;
+  exit 0
+
 let test_kill_mid_append_never_tears () =
   with_temp_path (fun path ->
       let base = differential_entry () in
-      let adds = 40 in
-      (match Unix.fork () with
-      | 0 ->
-          let t, _ = Corpus.open_file ~every:1 path in
-          for i = 1 to adds do
-            ignore (Corpus.add t { base with Corpus.ce_seed = i })
-          done;
-          Unix._exit 0
-      | pid ->
-          Unix.sleepf 0.02;
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid));
+      let ready, ready_w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; writer_flag; path |]
+          Unix.stdin ready_w Unix.stderr
+      in
+      Unix.close ready_w;
+      let ready = Unix.in_channel_of_descr ready in
+      (* Kill 20 ms into the appends, not into the writer's start-up. *)
+      ignore (input_line ready);
+      Unix.sleepf 0.02;
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      close_in ready;
       if Sys.file_exists path then
         match Corpus.load_result ~path with
         | Ok entries ->
@@ -309,6 +327,9 @@ let test_admit_replay_stage () =
     (Guard.permanent (Guard.Counterexample "x"))
 
 let () =
+  match Sys.argv with
+  | [| _; flag; path |] when flag = writer_flag -> append_writer path
+  | _ ->
   Alcotest.run "corpus"
     [
       ( "serialization",

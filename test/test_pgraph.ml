@@ -291,6 +291,125 @@ let test_distance_conv_prefix () =
   | Some d -> Alcotest.(check bool) "reachable and small" true (d <= 2)
   | None -> Alcotest.fail "conv prefix must be reachable"
 
+(* Brute-force oracle: every grouping scheme, listed.  Units are the
+   dims linked by shared primary variables; each set partition of the
+   units is extended by each attachment of the coefficient-only dims,
+   where a current-side one may also start a block of its own.  Returns
+   the cheapest scheme's cost and the number of schemes. *)
+let primaries (_, size) = List.filter Var.is_primary (Size.vars size)
+
+let units_of dims =
+  List.fold_left
+    (fun units d ->
+      let shares unit =
+        List.exists (fun d' -> List.exists (fun v -> List.mem v (primaries d')) (primaries d)) unit
+      in
+      let linked, rest = List.partition shares units in
+      (d :: List.concat linked) :: rest)
+    [] dims
+
+let join_each x blocks = List.mapi (fun i _ -> List.mapi (fun j b -> if i = j then x :: b else b) blocks) blocks
+
+let rec partitions = function
+  | [] -> [ [] ]
+  | x :: rest -> List.concat_map (fun parts -> ([ x ] :: parts) :: join_each x parts) (partitions rest)
+
+let rec attachments coeff blocks =
+  match coeff with
+  | [] -> [ blocks ]
+  | ((is_current, _) as dim) :: rest ->
+      List.concat_map
+        (fun blocks' -> (if is_current then [ [ dim ] :: blocks' ] else []) @ join_each dim blocks')
+        (attachments rest blocks)
+
+let oracle_distance ~current ~desired =
+  if List.equal Size.equal (List.sort Size.compare current) (List.sort Size.compare desired) then
+    (Some 0, 1)
+  else
+    let dims = List.map (fun s -> (true, s)) current @ List.map (fun s -> (false, s)) desired in
+    let with_primary, coeff = List.partition (fun d -> primaries d <> []) dims in
+    let schemes =
+      List.concat_map
+        (fun part -> attachments coeff (List.map List.concat part))
+        (partitions (units_of with_primary))
+    in
+    let side keep block = List.filter_map (fun (c, s) -> if c = keep then Some s else None) block in
+    let cost scheme =
+      List.fold_left
+        (fun acc block ->
+          match (acc, Pgraph.Distance.group_cost (side true block) (side false block)) with
+          | Some a, Some c -> Some (a + c)
+          | _, _ -> None)
+        (Some 0) scheme
+    in
+    let cheaper best scheme =
+      match (best, cost scheme) with
+      | Some b, Some c -> Some (min b c)
+      | None, c -> c
+      | b, None -> b
+    in
+    (List.fold_left cheaper None schemes, List.length schemes)
+
+let fresh_distance ~current ~desired =
+  Pgraph.Distance.distance (Pgraph.Distance.create ()) ~current ~desired
+
+let coeff_sizes = [ sz k; sz s; Size.mul (sz k) (sz s) ]
+
+let dim_sizes =
+  coeff_sizes
+  @ [
+      sz n;
+      sz c_in;
+      sz h;
+      sz w;
+      Size.mul (sz h) (sz w);
+      Size.mul (Size.var_pow s (-1)) (sz h);
+      Size.mul (sz s) (sz w);
+      Size.mul (sz c_in) (sz k);
+    ]
+
+(* Random current/desired multisets over the conv variables; one case in
+   five has coefficient-only dims alone, so no unit at all. *)
+let arb_frontiers =
+  let open QCheck.Gen in
+  let dims pool most = list_size (int_range 0 most) (oneofl pool) in
+  let show dims = "[" ^ String.concat "; " (List.map Size.to_string dims) ^ "]" in
+  QCheck.make
+    ~print:(fun (current, desired) -> show current ^ " -> " ^ show desired)
+    (frequency
+       [
+         (4, pair (dims dim_sizes 5) (dims dim_sizes 3));
+         (1, pair (dims coeff_sizes 4) (dims coeff_sizes 2));
+       ])
+
+let prop_distance_is_oracle_minimum =
+  QCheck.Test.make ~name:"distance = brute-force minimum over groupings" ~count:500 arb_frontiers
+    (fun (current, desired) ->
+      fresh_distance ~current ~desired = fst (oracle_distance ~current ~desired))
+
+let test_distance_oracle_cases () =
+  let agree label ~current ~desired expected =
+    Alcotest.(check (option int)) (label ^ " (oracle)") expected
+      (fst (oracle_distance ~current ~desired));
+    Alcotest.(check (option int)) label expected (fresh_distance ~current ~desired)
+  in
+  agree "no unit: two current coefficients, one elimination" ~current:[ sz k; sz s ] ~desired:[]
+    (Some 1);
+  agree "coefficients on both sides" ~current:[ Size.mul (sz c_in) (sz k); sz k ]
+    ~desired:[ sz c_in; sz k ] (Some 2);
+  agree "a desired coefficient without a unit is unreachable" ~current:[ sz s ] ~desired:[ sz k ]
+    None
+
+let test_distance_wide_frontier () =
+  (* Five units and four current coefficient dims: all 21,147 set
+     partitions of the nine are schemes, more than the 20,000 a capped
+     enumeration would visit. *)
+  let current = [ sz n; sz c_out; sz h; sz w; sz k; sz k; sz s; sz s ] in
+  let desired = [ sz n; sz c_in; sz h; sz w ] in
+  let expected, schemes = oracle_distance ~current ~desired in
+  Alcotest.(check int) "schemes" 21_147 schemes;
+  Alcotest.(check (option int)) "exact minimum" expected (fresh_distance ~current ~desired)
+
 (* --- FLOPs ---------------------------------------------------------------- *)
 
 let test_flops_matmul () =
@@ -353,6 +472,9 @@ let () =
           Alcotest.test_case "window elimination" `Quick test_distance_window_elimination;
           Alcotest.test_case "unreachable" `Quick test_distance_unreachable;
           Alcotest.test_case "conv prefix" `Quick test_distance_conv_prefix;
+          Alcotest.test_case "oracle cases" `Quick test_distance_oracle_cases;
+          Alcotest.test_case "wide frontier" `Quick test_distance_wide_frontier;
+          QCheck_alcotest.to_alcotest prop_distance_is_oracle_minimum;
         ] );
       ( "flops",
         [

@@ -155,6 +155,27 @@ let test_search_end_to_end () =
       Alcotest.(check bool) "positive flops" true (c.Api.flops > 0))
     candidates
 
+(* A fixed search's top-k, pinned bit for bit: a change to enumeration,
+   canonicalization or the shape distance that alters what the search
+   finds fails here. *)
+let search_digest seed =
+  let run =
+    Api.search_conv_operators_run ~iterations:200 ~max_prims:7 ~domains:1
+      ~rng:(Nd.Rng.create ~seed) ~valuations:Api.default_search_valuations ()
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map
+             (fun (c : Api.candidate) ->
+               Printf.sprintf "%s %Lx %b" c.Api.signature (Int64.bits_of_float c.Api.reward)
+                 c.Api.quarantined)
+             run.Api.candidates)))
+
+let test_search_golden () =
+  Alcotest.(check string) "seed 7" "4f40a598ed7fa73a1ec427260eea5872" (search_digest 7);
+  Alcotest.(check string) "seed 2024" "212505321e1dc89ca64ec14044119979" (search_digest 2024)
+
 let () =
   Alcotest.run "syno"
     [
@@ -174,5 +195,6 @@ let () =
           Alcotest.test_case "fallback" `Quick test_substitution_fallback;
           Alcotest.test_case "speedups" `Quick test_speedup_directions;
           Alcotest.test_case "search" `Slow test_search_end_to_end;
+          Alcotest.test_case "search top-k digest" `Quick test_search_golden;
         ] );
     ]
