@@ -1,0 +1,205 @@
+let ( let* ) r f = Result.bind r f
+
+type error =
+  | Io of string
+  | Bad_header of string
+  | Truncated of { expected : int; found : int }
+  | Corrupt of string
+
+type 'a codec = {
+  header : string;
+  noun : string;
+  render : Buffer.t -> 'a -> unit;
+  parse : string -> string list -> ('a, error) result;
+  order : ('a -> 'a -> int) option;
+}
+
+let codec ~header ~noun ~render ~parse ?order () = { header; noun; render; parse; order }
+
+let string_of_error c = function
+  | Io msg -> Printf.sprintf "cannot read %s: %s" c.noun msg
+  | Bad_header line -> Printf.sprintf "bad %s header %S (expected %S)" c.noun line c.header
+  | Truncated { expected; found } ->
+      Printf.sprintf "truncated %s: header declares %d entries, found %d" c.noun expected found
+  | Corrupt msg -> Printf.sprintf "corrupt %s: %s" c.noun msg
+
+(* --- Framing ---------------------------------------------------------------- *)
+
+let to_string c entries =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf c.header;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (Printf.sprintf "entries: %d\n" (List.length entries));
+  List.iter (c.render buf) entries;
+  Buffer.contents buf
+
+let is_entry line =
+  let l = String.trim line in
+  String.length l >= 6 && String.sub l 0 6 = "entry:"
+
+let count_line line =
+  match String.split_on_char ' ' (String.trim line) with
+  | [ "entries:"; n ] -> int_of_string_opt n
+  | _ -> None
+
+(* Group lines into (entry line, continuation lines) blocks; lines
+   before the first [entry:] (the count, blanks) belong to no entry. *)
+let blocks lines =
+  let close acc = function None -> acc | Some (head, rev) -> (head, List.rev rev) :: acc in
+  let rec go acc current = function
+    | [] -> List.rev (close acc current)
+    | line :: rest when is_entry line -> go (close acc current) (Some (line, [])) rest
+    | line :: rest -> (
+        match current with
+        | None -> go acc None rest
+        | Some (head, rev) -> go acc (Some (head, line :: rev)) rest)
+  in
+  go [] None lines
+
+let of_string c text =
+  match String.split_on_char '\n' text with
+  | [] | [ "" ] -> Error (Corrupt ("empty " ^ c.noun))
+  | first :: rest -> (
+      if String.trim first <> c.header then Error (Bad_header first)
+      else
+        let* entries =
+          List.fold_left
+            (fun acc (head, block) ->
+              let* acc = acc in
+              let* e = c.parse head block in
+              Ok (e :: acc))
+            (Ok []) (blocks rest)
+        in
+        let found = List.length entries in
+        (* A snapshot is written atomically, so any mismatch means the
+           file was cut or edited after the fact: refuse it rather than
+           resume from silently different data.  Writers always emit
+           the count line and a final newline, so a cut anywhere lands
+           in one of these checks. *)
+        match List.find_map count_line rest with
+        | Some expected when expected <> found -> Error (Truncated { expected; found })
+        | _ when text.[String.length text - 1] <> '\n' ->
+            Error (Corrupt "no final newline (file cut short)")
+        | None -> Error (Corrupt "no \"entries:\" count line")
+        | Some _ -> (
+            let entries = List.rev entries in
+            match c.order with None -> Ok entries | Some cmp -> Ok (List.sort cmp entries)))
+
+(* --- Files ------------------------------------------------------------------- *)
+
+(* Without the fsync before the rename, a crash between rename and
+   writeback could leave the new name pointing at truncated data.  The
+   directory fsync (making the rename itself durable) is best-effort:
+   some filesystems refuse fsync on a directory fd. *)
+let write_atomic ~path data =
+  let tmp = path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let n = String.length data in
+      let written = ref 0 in
+      while !written < n do
+        written := !written + Unix.write_substring fd data !written (n - !written)
+      done;
+      Unix.fsync fd);
+  Sys.rename tmp path;
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | dirfd ->
+      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
+      (try Unix.close dirfd with Unix.Unix_error _ -> ())
+
+let save c ~path entries = write_atomic ~path (to_string c entries)
+
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error (Io msg)
+  | ic -> (
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic (in_channel_length ic) with
+          | text -> Ok text
+          | exception (Sys_error msg) -> Error (Io msg)
+          | exception End_of_file -> Error (Io "file shrank while being read")))
+
+let load c ~path = Result.bind (read_file path) (of_string c)
+
+type open_report = { or_loaded : int; or_quarantined : (string * error) option }
+
+let open_file ?(readonly = false) c path =
+  if not (Sys.file_exists path) then ([], { or_loaded = 0; or_quarantined = None })
+  else
+    match load c ~path with
+    | Ok entries -> (entries, { or_loaded = List.length entries; or_quarantined = None })
+    | Error err ->
+        (* Quarantine, never die: a damaged file costs its contents, not
+           the run that would regrow them.  If the move is skipped or
+           fails, the report names where the file really is. *)
+        let quarantine = path ^ ".corrupt" in
+        let where =
+          if readonly then path
+          else
+            match Sys.rename path quarantine with
+            | () -> quarantine
+            | exception Sys_error _ -> path
+        in
+        ([], { or_loaded = 0; or_quarantined = Some (where, err) })
+
+let describe_quarantine c ~path (where, err) =
+  Printf.sprintf "damaged %s %s %s (%s)" c.noun path
+    (if where = path then "left in place" else "quarantined to " ^ where)
+    (string_of_error c err)
+
+type 'a shards = {
+  sh_loaded : (int * 'a list) list;
+  sh_missing : int list;
+  sh_quarantined : (int * error) list;
+}
+
+let load_shards c paths =
+  let loaded, missing, quarantined =
+    List.fold_left
+      (fun (loaded, missing, quarantined) (id, path) ->
+        if not (Sys.file_exists path) then (loaded, id :: missing, quarantined)
+        else
+          match load c ~path with
+          | Ok entries -> ((id, entries) :: loaded, missing, quarantined)
+          | Error err -> (loaded, missing, (id, err) :: quarantined))
+      ([], [], []) paths
+  in
+  {
+    sh_loaded = List.rev loaded;
+    sh_missing = List.rev missing;
+    sh_quarantined = List.rev quarantined;
+  }
+
+(* --- Write cadence ----------------------------------------------------------- *)
+
+type 'a writer = {
+  w_codec : 'a codec;
+  w_path : string;
+  w_every : int;
+  mutable w_pending : int;
+  mutable w_writes : int;
+}
+
+let writer c ~path ~every =
+  { w_codec = c; w_path = path; w_every = max 1 every; w_pending = 0; w_writes = 0 }
+
+let commit w snapshot =
+  save w.w_codec ~path:w.w_path (snapshot ());
+  w.w_writes <- w.w_writes + 1;
+  w.w_pending <- 0
+
+let mark w = w.w_pending <- w.w_pending + 1
+
+let note w snapshot =
+  mark w;
+  if w.w_pending >= w.w_every then commit w snapshot
+
+let sync w snapshot = if w.w_pending > 0 then commit w snapshot
+let flush w snapshot = if w.w_pending > 0 || w.w_writes = 0 then commit w snapshot
+let writes w = w.w_writes
+let path w = w.w_path

@@ -1,0 +1,123 @@
+(** One durable-file store for every snapshot the system persists: the
+    search checkpoint, the counterexample corpus and the serve cache.
+
+    A store file is text:
+    {v
+    <header>
+    entries: N
+    entry: ...          one line per entry,
+    ...                 then that entry's continuation lines
+    entry: ...
+    v}
+    Clients supply only the entry codec (render one entry; parse one
+    [entry:] line with its continuation lines).  This module owns the
+    framing, the crash-safe write, the typed load, quarantine of a
+    damaged file, the per-shard load loop and the write cadence.
+
+    {b Writes} are atomic and durable: one render into a buffer, one
+    write loop to [path ^ ".tmp"], fsync, rename over [path], and a
+    best-effort fsync of the directory.  A kill at any instant leaves
+    either the previous snapshot or the new one.
+
+    {b Loads} are typed and refuse any file that is not exactly what
+    a writer produced, checked in this order: empty file ([Corrupt]),
+    wrong first line ([Bad_header]), an entry that fails to parse
+    ([Corrupt]), an [entries:] count that disagrees with the entries
+    present ([Truncated]), a file that does not end in a newline
+    ([Corrupt]), a file with no [entries:] line ([Corrupt]).  Every
+    writer emits both of the last two, so a snapshot cut at any byte
+    offset either loads the identical entries or is refused. *)
+
+type error =
+  | Io of string  (** the file cannot be opened or read *)
+  | Bad_header of string  (** the first line is not the format's header *)
+  | Truncated of { expected : int; found : int }
+      (** the [entries:] count disagrees with the entries present *)
+  | Corrupt of string  (** anything else that is not a writer's output *)
+
+type 'a codec
+(** One file format: its header line, its noun for messages, and how
+    one entry is rendered and parsed. *)
+
+val codec :
+  header:string ->
+  noun:string ->
+  render:(Buffer.t -> 'a -> unit) ->
+  parse:(string -> string list -> ('a, error) result) ->
+  ?order:('a -> 'a -> int) ->
+  unit ->
+  'a codec
+(** [render buf e] appends [e]'s [entry:] line and its continuation
+    lines, each ending in ['\n'].  [parse line block] rebuilds an
+    entry from its [entry:] line and its continuation lines (without
+    newlines).  Loads return entries sorted by [order], or in file
+    order when it is absent.  [noun] names the format in messages
+    ("checkpoint", "corpus", ...). *)
+
+val string_of_error : 'a codec -> error -> string
+(** One line, e.g. ["truncated corpus: header declares 3 entries, found 2"]. *)
+
+val to_string : 'a codec -> 'a list -> string
+val of_string : 'a codec -> string -> ('a list, error) result
+val save : 'a codec -> path:string -> 'a list -> unit
+val load : 'a codec -> path:string -> ('a list, error) result
+
+(** {1 Opening with quarantine} *)
+
+type open_report = {
+  or_loaded : int;  (** entries restored from an existing file *)
+  or_quarantined : (string * error) option;
+      (** set when the existing file was damaged: where it now is (its
+          [<path>.corrupt] name, or the original path when it was not
+          moved) and why it failed to load *)
+}
+
+val open_file : ?readonly:bool -> 'a codec -> string -> 'a list * open_report
+(** Load [path] for a store that will keep writing it.  A missing file
+    is empty.  A damaged file is renamed to [<path>.corrupt] and the
+    store starts empty — never fatal.  [readonly] (default [false])
+    leaves a damaged file in place. *)
+
+val describe_quarantine : 'a codec -> path:string -> string * error -> string
+(** One warning line for an [or_quarantined] report on [path]: where
+    the damaged file went (or that it was left in place) and why. *)
+
+(** {1 Sharded files} *)
+
+type 'a shards = {
+  sh_loaded : (int * 'a list) list;  (** shards that loaded, in input order *)
+  sh_missing : int list;  (** shards with no file *)
+  sh_quarantined : (int * error) list;
+      (** shards whose file failed the typed load; left in place *)
+}
+
+val load_shards : 'a codec -> (int * string) list -> 'a shards
+(** Load each [(shard_id, path)].  Never raises on damaged files. *)
+
+(** {1 Write cadence} *)
+
+type 'a writer
+(** A file-backed store's write schedule.  Not synchronized: call it
+    under the owning store's lock. *)
+
+val writer : 'a codec -> path:string -> every:int -> 'a writer
+(** Rewrite [path] after every [every] changes (clamped to >= 1). *)
+
+val note : 'a writer -> (unit -> 'a list) -> unit
+(** Count one change; when [every] changes are pending, save the
+    snapshot the thunk returns. *)
+
+val mark : 'a writer -> unit
+(** Count one change without writing; see {!sync}. *)
+
+val sync : 'a writer -> (unit -> 'a list) -> unit
+(** Save if any change is pending. *)
+
+val flush : 'a writer -> (unit -> 'a list) -> unit
+(** Save if any change is pending or nothing was ever written, so the
+    file always exists after a flush. *)
+
+val writes : 'a writer -> int
+(** Snapshots saved so far. *)
+
+val path : 'a writer -> string

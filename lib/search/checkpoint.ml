@@ -21,64 +21,20 @@ let header = "syno-checkpoint v1"
 let sanitize_reason r =
   String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' || c = '\r' then '-' else c) r
 
-let to_string entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" (List.length entries));
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "entry: reward %h visits %d quarantined %b%s\n" e.reward e.visits
-           e.quarantined
-           (match e.reason with
-           | None -> ""
-           | Some r -> " reason " ^ sanitize_reason r));
-      Buffer.add_string buf (Trace_io.to_string e.operator))
-    entries;
-  Buffer.contents buf
+let render buf e =
+  Buffer.add_string buf
+    (Printf.sprintf "entry: reward %h visits %d quarantined %b%s\n" e.reward e.visits
+       e.quarantined
+       (match e.reason with
+       | None -> ""
+       | Some r -> " reason " ^ sanitize_reason r));
+  Buffer.add_string buf (Trace_io.to_string e.operator)
 
-(* Atomic + durable: write the snapshot to a temp file, fsync it, and
-   only then rename it into place.  Without the fsync a crash between
-   rename and writeback could leave the *new* name pointing at
-   truncated data — surfacing as [Corrupt] on resume, defeating the
-   whole point of atomic replacement.  The directory fsync (making the
-   rename itself durable) is best-effort: some filesystems refuse
-   fsync on a directory fd. *)
-let save ~path entries =
-  let tmp = path ^ ".tmp" in
-  let data = to_string entries in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let bytes = Bytes.of_string data in
-      let n = Bytes.length bytes in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd bytes !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
-      (try Unix.close dirfd with Unix.Unix_error _ -> ())
-
-type error =
+type error = Robust.Durable.error =
   | Io of string
   | Bad_header of string
   | Truncated of { expected : int; found : int }
   | Corrupt of string
-
-let string_of_error = function
-  | Io msg -> "cannot read checkpoint: " ^ msg
-  | Bad_header line -> Printf.sprintf "bad checkpoint header %S (expected %S)" line header
-  | Truncated { expected; found } ->
-      Printf.sprintf "truncated checkpoint: header declares %d entries, found %d" expected
-        found
-  | Corrupt msg -> "corrupt checkpoint: " ^ msg
 
 (* The [reason] suffix is optional so v1 snapshots written before the
    field existed still load. *)
@@ -95,123 +51,47 @@ let parse_entry_header line =
       | _ -> bad ())
   | _ -> bad ()
 
-(* "entries: N" written right under the header; [None] for hand-edited
-   files that dropped it (then the count cannot be cross-checked). *)
-let declared_count lines =
-  List.find_map
-    (fun line ->
-      match String.split_on_char ' ' (String.trim line) with
-      | [ "entries:"; n ] -> int_of_string_opt n
-      | _ -> None)
-    lines
+let parse head block =
+  let* reward, visits, quarantined, reason = parse_entry_header head in
+  (* [allow_strided]: a snapshot records whatever the search evaluated —
+     quality filtering happened at enumeration time, and resume must
+     accept its own history. *)
+  let* operator =
+    Result.map_error
+      (fun msg -> Corrupt msg)
+      (Trace_io.of_string ~allow_strided:true (String.concat "\n" block))
+  in
+  let signature = Graph.operator_signature operator in
+  Ok { signature; operator; reward; visits; quarantined; reason }
 
-let of_string_result text =
-  match String.split_on_char '\n' text with
-  | [] -> Error (Corrupt "empty checkpoint")
-  | [ "" ] -> Error (Corrupt "empty checkpoint")
-  | first :: rest ->
-      if String.trim first <> header then Error (Bad_header first)
-      else
-        (* Group the remaining lines into (entry-header, operator-block)
-           pairs; lines before the first "entry:" (the count, comments,
-           blanks) are ignored. *)
-        let is_entry l =
-          String.length (String.trim l) >= 6 && String.sub (String.trim l) 0 6 = "entry:"
-        in
-        let rec groups acc current = function
-          | [] -> List.rev (match current with None -> acc | Some g -> g :: acc)
-          | line :: rest ->
-              if is_entry line then
-                let acc = match current with None -> acc | Some g -> g :: acc in
-                groups acc (Some (line, [])) rest
-              else (
-                match current with
-                | None -> groups acc None rest
-                | Some (h, block) -> groups acc (Some (h, line :: block)) rest)
-        in
-        let rebuild (head, block_rev) =
-          let* reward, visits, quarantined, reason = parse_entry_header head in
-          let block = String.concat "\n" (List.rev block_rev) in
-          (* [allow_strided]: a snapshot records whatever the search
-             evaluated — quality filtering happened at enumeration
-             time, and resume must accept its own history. *)
-          let* operator =
-            Result.map_error
-              (fun msg -> Corrupt msg)
-              (Trace_io.of_string ~allow_strided:true block)
-          in
-          Ok
-            {
-              signature = Graph.operator_signature operator;
-              operator;
-              reward;
-              visits;
-              quarantined;
-              reason;
-            }
-        in
-        let grouped = groups [] None rest in
-        let* entries =
-          List.fold_left
-            (fun acc g ->
-              let* acc = acc in
-              let* e = rebuild g in
-              Ok (e :: acc))
-            (Ok []) grouped
-        in
-        let* () =
-          (* A snapshot is written atomically, so a short read means the
-             file was cut after the fact: fail loudly instead of
-             resuming from a silently smaller memo. *)
-          match declared_count rest with
-          | Some expected when expected <> List.length grouped ->
-              Error (Truncated { expected; found = List.length grouped })
-          | Some _ | None -> Ok ()
-        in
-        Ok (List.sort (fun a b -> compare a.signature b.signature) entries)
+let codec =
+  Robust.Durable.codec ~header ~noun:"checkpoint" ~render ~parse
+    ~order:(fun a b -> compare a.signature b.signature)
+    ()
 
-let load_result ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Io msg)
-  | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      of_string_result text
-
+let save ~path entries = Robust.Durable.save codec ~path entries
+let string_of_error = Robust.Durable.string_of_error codec
+let load_result ~path = Robust.Durable.load codec ~path
 let load ~path = Result.map_error string_of_error (load_result ~path)
 
 (* --- Cadence-driven sink --------------------------------------------------- *)
 
 type sink = {
-  sk_path : string;
-  sk_every : int;
   sk_mutex : Mutex.t;
   sk_table : (string, entry) Hashtbl.t;
-  mutable sk_pending : int;
-  mutable sk_writes : int;
+  sk_writer : entry Robust.Durable.writer;
 }
 
 let sink ~path ?(every = 50) () =
   {
-    sk_path = path;
-    sk_every = max 1 every;
     sk_mutex = Mutex.create ();
     sk_table = Hashtbl.create 64;
-    sk_pending = 0;
-    sk_writes = 0;
+    sk_writer = Robust.Durable.writer codec ~path ~every;
   }
 
-let snapshot_locked s =
+let snapshot_locked s () =
   Hashtbl.fold (fun _ e acc -> e :: acc) s.sk_table []
   |> List.sort (fun a b -> compare a.signature b.signature)
-
-let write_locked s =
-  save ~path:s.sk_path (snapshot_locked s);
-  s.sk_writes <- s.sk_writes + 1;
-  s.sk_pending <- 0
 
 let locked s f =
   Mutex.lock s.sk_mutex;
@@ -231,9 +111,8 @@ let preload s entries =
 let note s e =
   locked s (fun () ->
       Hashtbl.replace s.sk_table e.signature e;
-      s.sk_pending <- s.sk_pending + 1;
-      if s.sk_pending >= s.sk_every then write_locked s)
+      Robust.Durable.note s.sk_writer (snapshot_locked s))
 
-let flush s = locked s (fun () -> if s.sk_pending > 0 || s.sk_writes = 0 then write_locked s)
-let writes s = locked s (fun () -> s.sk_writes)
-let path s = s.sk_path
+let flush s = locked s (fun () -> Robust.Durable.flush s.sk_writer (snapshot_locked s))
+let writes s = locked s (fun () -> Robust.Durable.writes s.sk_writer)
+let path s = Robust.Durable.path s.sk_writer

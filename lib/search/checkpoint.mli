@@ -24,8 +24,8 @@
     entry: ...
     v}
     Rewards are printed as hexadecimal floats so they round-trip
-    exactly.  Files are written atomically (temp file + rename), so a
-    kill during a write never corrupts the previous snapshot. *)
+    exactly.  Writing, typed loading and the write cadence are
+    {!Robust.Durable}'s. *)
 
 type entry = {
   signature : string;
@@ -39,20 +39,22 @@ type entry = {
           in the file format so pre-[reason] snapshots still load *)
 }
 
+val codec : entry Robust.Durable.codec
+(** The entry codec; loads sort entries by signature. *)
+
 val save : path:string -> entry list -> unit
 (** Atomic write of a snapshot. *)
 
-(** Why a snapshot failed to load.  Snapshots are written atomically,
-    so any of these means the file was damaged {e after} a successful
-    write (or is not a checkpoint at all) — resuming from it would
-    silently drop completed evaluations, hence the typed refusal. *)
-type error =
-  | Io of string  (** the file cannot be opened/read *)
-  | Bad_header of string  (** first line is not the checkpoint magic *)
+(** Why a snapshot failed to load (see {!Robust.Durable} for the
+    rules).  Snapshots are written atomically, so any of these means
+    the file was damaged {e after} a successful write (or is not a
+    checkpoint at all) — resuming from it would silently drop
+    completed evaluations, hence the typed refusal. *)
+type error = Robust.Durable.error =
+  | Io of string
+  | Bad_header of string
   | Truncated of { expected : int; found : int }
-      (** the [entries:] count in the header disagrees with the number
-          of entry blocks actually present *)
-  | Corrupt of string  (** an entry header or trace block fails to parse *)
+  | Corrupt of string
 
 val string_of_error : error -> string
 

@@ -86,30 +86,16 @@ type merge_report = {
 }
 
 let load_and_merge assignments =
-  let loaded = ref [] and missing = ref [] and quarantined = ref [] in
-  let lists =
-    List.filter_map
-      (fun a ->
-        if not (Sys.file_exists a.path) then begin
-          missing := a.shard_id :: !missing;
-          None
-        end
-        else
-          match Checkpoint.load_result ~path:a.path with
-          | Ok entries ->
-              loaded := a.shard_id :: !loaded;
-              Some entries
-          | Error err ->
-              quarantined := (a.shard_id, err) :: !quarantined;
-              None)
-      assignments
+  let sh =
+    Robust.Durable.load_shards Checkpoint.codec
+      (List.map (fun a -> (a.shard_id, a.path)) assignments)
   in
-  let entries, conflicts = merge_entries lists in
+  let entries, conflicts = merge_entries (List.map snd sh.Robust.Durable.sh_loaded) in
   {
     mr_entries = entries;
-    mr_loaded = List.rev !loaded;
-    mr_missing = List.rev !missing;
-    mr_quarantined = List.rev !quarantined;
+    mr_loaded = List.map fst sh.Robust.Durable.sh_loaded;
+    mr_missing = sh.Robust.Durable.sh_missing;
+    mr_quarantined = sh.Robust.Durable.sh_quarantined;
     mr_conflicts = conflicts;
   }
 

@@ -25,152 +25,29 @@ type t = {
   mutable hit_count : int;
   mutable miss_count : int;
   mutable evict_count : int;
-  (* persistence *)
-  backing : string option;
-  every : int;
-  mutable pending : int;
-  mutable write_count : int;
+  writer : entry Robust.Durable.writer option;
 }
-
-let make ?(capacity = 1024) ?backing ?(every = 16) () =
-  {
-    mutex = Mutex.create ();
-    table = Hashtbl.create 64;
-    cap = max 1 capacity;
-    clock = 0;
-    hit_count = 0;
-    miss_count = 0;
-    evict_count = 0;
-    backing;
-    every = max 1 every;
-    pending = 0;
-    write_count = 0;
-  }
-
-let create ?capacity () = make ?capacity ()
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let size t = locked t (fun () -> Hashtbl.length t.table)
-let capacity t = t.cap
-let hits t = locked t (fun () -> t.hit_count)
-let misses t = locked t (fun () -> t.miss_count)
-let evictions t = locked t (fun () -> t.evict_count)
-let writes t = locked t (fun () -> t.write_count)
-let path t = t.backing
-
-let find t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some slot ->
-          t.clock <- t.clock + 1;
-          slot.s_stamp <- t.clock;
-          t.hit_count <- t.hit_count + 1;
-          Some slot.s_entry
-      | None ->
-          t.miss_count <- t.miss_count + 1;
-          None)
-
-let evict_lru_locked t =
-  let victim =
-    Hashtbl.fold
-      (fun key slot acc ->
-        match acc with
-        | Some (_, best) when best <= slot.s_stamp -> acc
-        | _ -> Some (key, slot.s_stamp))
-      t.table None
-  in
-  match victim with
-  | Some (key, _) ->
-      Hashtbl.remove t.table key;
-      t.evict_count <- t.evict_count + 1
-  | None -> ()
-
-(* Least-recent-first, so a loader replaying [put]s ends with the same
-   recency order the snapshot was taken at. *)
-let snapshot_locked t =
-  Hashtbl.fold (fun _ slot acc -> slot :: acc) t.table []
-  |> List.sort (fun a b -> compare a.s_stamp b.s_stamp)
-  |> List.map (fun s -> s.s_entry)
 
 (* --- Snapshot format ------------------------------------------------------- *)
 
-let header = "syno-serve-cache v1"
-
-let entry_line e =
-  (* The key travels percent-encoded: signatures contain characters the
-     space-separated line format cannot carry raw. *)
-  if e.e_spec_seconds < 0.0 then
-    Printf.sprintf
-      "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h"
-      (Protocol.encode e.e_key) e.e_verdict e.e_flops e.e_params e.e_elements e.e_checksum
-      e.e_cold_seconds
-  else
-    Printf.sprintf
-      "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h spec %h"
-      (Protocol.encode e.e_key) e.e_verdict e.e_flops e.e_params e.e_elements e.e_checksum
-      e.e_cold_seconds e.e_spec_seconds
-
-let render entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" (List.length entries));
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (entry_line e);
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.contents buf
-
-let to_string t = locked t (fun () -> render (snapshot_locked t))
-
-type error =
+type error = Robust.Durable.error =
   | Io of string
   | Bad_header of string
   | Truncated of { expected : int; found : int }
   | Corrupt of string
 
-let string_of_error = function
-  | Io msg -> "cannot read cache snapshot: " ^ msg
-  | Bad_header line ->
-      Printf.sprintf "bad cache snapshot header %S (expected %S)" line header
-  | Truncated { expected; found } ->
-      Printf.sprintf "truncated cache snapshot: header declares %d entries, found %d" expected
-        found
-  | Corrupt msg -> "corrupt cache snapshot: " ^ msg
+let render buf e =
+  (* The key travels percent-encoded: signatures contain characters the
+     space-separated line format cannot carry raw. *)
+  Buffer.add_string buf
+    (Printf.sprintf "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h"
+       (Protocol.encode e.e_key) e.e_verdict e.e_flops e.e_params e.e_elements e.e_checksum
+       e.e_cold_seconds);
+  if not (e.e_spec_seconds < 0.0) then
+    Buffer.add_string buf (Printf.sprintf " spec %h" e.e_spec_seconds);
+  Buffer.add_char buf '\n'
 
-(* Atomic + durable, same recipe as [Search.Checkpoint.save]: a crash
-   at any instant leaves either the old snapshot or the new one, both
-   fully fsynced. *)
-let save_entries ~path entries =
-  let tmp = path ^ ".tmp" in
-  let data = render entries in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let bytes = Bytes.of_string data in
-      let n = Bytes.length bytes in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd bytes !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
-      (try Unix.close dirfd with Unix.Unix_error _ -> ())
-
-let save ~path t = locked t (fun () -> save_entries ~path (snapshot_locked t))
-
-let ( let* ) r f = Result.bind r f
-
-let parse_entry line =
+let parse line _continuation =
   let bad () = Error (Corrupt (Printf.sprintf "bad entry line %S" line)) in
   (* [spec] is optional for backward compatibility: snapshots written
      before specialization existed parse with [e_spec_seconds = -1.0]
@@ -209,6 +86,73 @@ let parse_entry line =
       build k v f p el c cold (float_of_string_opt spec)
   | _ -> bad ()
 
+let codec =
+  Robust.Durable.codec ~header:"syno-serve-cache v1" ~noun:"cache snapshot" ~render ~parse ()
+
+let make ?(capacity = 1024) ?backing ?(every = 16) () =
+  {
+    mutex = Mutex.create ();
+    table = Hashtbl.create 64;
+    cap = max 1 capacity;
+    clock = 0;
+    hit_count = 0;
+    miss_count = 0;
+    evict_count = 0;
+    writer = Option.map (fun path -> Robust.Durable.writer codec ~path ~every) backing;
+  }
+
+let create ?capacity () = make ?capacity ()
+
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let size t = locked t (fun () -> Hashtbl.length t.table)
+let capacity t = t.cap
+let hits t = locked t (fun () -> t.hit_count)
+let misses t = locked t (fun () -> t.miss_count)
+let evictions t = locked t (fun () -> t.evict_count)
+let writes t = locked t (fun () -> Option.fold ~none:0 ~some:Robust.Durable.writes t.writer)
+let path t = Option.map Robust.Durable.path t.writer
+
+let find t key =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some slot ->
+          t.clock <- t.clock + 1;
+          slot.s_stamp <- t.clock;
+          t.hit_count <- t.hit_count + 1;
+          Some slot.s_entry
+      | None ->
+          t.miss_count <- t.miss_count + 1;
+          None)
+
+let evict_lru_locked t =
+  let victim =
+    Hashtbl.fold
+      (fun key slot acc ->
+        match acc with
+        | Some (_, best) when best <= slot.s_stamp -> acc
+        | _ -> Some (key, slot.s_stamp))
+      t.table None
+  in
+  match victim with
+  | Some (key, _) ->
+      Hashtbl.remove t.table key;
+      t.evict_count <- t.evict_count + 1
+  | None -> ()
+
+(* Least-recent-first, so a loader replaying [put]s ends with the same
+   recency order the snapshot was taken at. *)
+let snapshot_locked t =
+  Hashtbl.fold (fun _ slot acc -> slot :: acc) t.table []
+  |> List.sort (fun a b -> compare a.s_stamp b.s_stamp)
+  |> List.map (fun s -> s.s_entry)
+
+let to_string t = locked t (fun () -> Robust.Durable.to_string codec (snapshot_locked t))
+let string_of_error = Robust.Durable.string_of_error codec
+let save ~path t = locked t (fun () -> Robust.Durable.save codec ~path (snapshot_locked t))
+
 let put_locked t e =
   t.clock <- t.clock + 1;
   (match Hashtbl.find_opt t.table e.e_key with
@@ -217,97 +161,31 @@ let put_locked t e =
       if Hashtbl.length t.table >= t.cap then evict_lru_locked t;
       Hashtbl.add t.table e.e_key { s_entry = e; s_stamp = t.clock })
 
-let write_locked t =
-  match t.backing with
-  | None -> ()
-  | Some path ->
-      save_entries ~path (snapshot_locked t);
-      t.write_count <- t.write_count + 1;
-      t.pending <- 0
-
 let put t e =
   locked t (fun () ->
       put_locked t e;
-      match t.backing with
-      | None -> ()
-      | Some _ ->
-          t.pending <- t.pending + 1;
-          if t.pending >= t.every then write_locked t)
+      Option.iter (fun w -> Robust.Durable.note w (fun () -> snapshot_locked t)) t.writer)
 
 let flush t =
   locked t (fun () ->
-      match t.backing with
-      | None -> ()
-      | Some _ -> if t.pending > 0 || t.write_count = 0 then write_locked t)
+      Option.iter (fun w -> Robust.Durable.flush w (fun () -> snapshot_locked t)) t.writer)
+
+let of_entries ?capacity ?backing ?every entries =
+  let t = make ?capacity ?backing ?every () in
+  List.iter (put_locked t) entries;
+  t
 
 let of_string_result ?capacity text =
-  match String.split_on_char '\n' text with
-  | [] | [ "" ] -> Error (Corrupt "empty cache snapshot")
-  | first :: rest ->
-      if String.trim first <> header then Error (Bad_header first)
-      else
-        let declared =
-          List.find_map
-            (fun line ->
-              match String.split_on_char ' ' (String.trim line) with
-              | [ "entries:"; n ] -> int_of_string_opt n
-              | _ -> None)
-            rest
-        in
-        let entry_lines =
-          List.filter
-            (fun l ->
-              let l = String.trim l in
-              String.length l >= 6 && String.sub l 0 6 = "entry:")
-            rest
-        in
-        let* entries =
-          List.fold_left
-            (fun acc line ->
-              let* acc = acc in
-              let* e = parse_entry line in
-              Ok (e :: acc))
-            (Ok []) entry_lines
-          |> Result.map List.rev
-        in
-        let* () =
-          match declared with
-          | Some expected when expected <> List.length entries ->
-              Error (Truncated { expected; found = List.length entries })
-          | Some _ | None -> Ok ()
-        in
-        let t = make ?capacity () in
-        List.iter (fun e -> put_locked t e) entries;
-        Ok t
+  Result.map (of_entries ?capacity) (Robust.Durable.of_string codec text)
 
-type open_report = { or_loaded : int; or_quarantined : (string * error) option }
+type open_report = Robust.Durable.open_report = {
+  or_loaded : int;
+  or_quarantined : (string * error) option;
+}
 
 let open_file ?capacity ?every path =
-  let fresh report = (make ?capacity ~backing:path ?every (), report) in
-  if not (Sys.file_exists path) then fresh { or_loaded = 0; or_quarantined = None }
-  else
-    let text =
-      match open_in_bin path with
-      | exception Sys_error msg -> Error (Io msg)
-      | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    in
-    match Result.bind text (of_string_result ?capacity) with
-    | Ok loaded ->
-        let t = make ?capacity ~backing:path ?every () in
-        List.iter (fun e -> put_locked t e) (locked loaded (fun () -> snapshot_locked loaded));
-        (t, { or_loaded = Hashtbl.length t.table; or_quarantined = None })
-    | Error err ->
-        (* Quarantine, never die: a damaged snapshot costs warmth, not
-           availability.  Best-effort — if even the rename fails the
-           file is simply left behind and overwritten by the next
-           flush. *)
-        let quarantine = path ^ ".corrupt" in
-        let moved =
-          match Sys.rename path quarantine with
-          | () -> Some (quarantine, err)
-          | exception Sys_error _ -> Some (path, err)
-        in
-        fresh { or_loaded = 0; or_quarantined = moved }
+  let entries, report = Robust.Durable.open_file codec path in
+  let t = of_entries ?capacity ~backing:path ?every entries in
+  (* Restoring a snapshot larger than [capacity] is not eviction traffic. *)
+  t.evict_count <- 0;
+  (t, { report with or_loaded = Hashtbl.length t.table })

@@ -8,13 +8,10 @@
     by [(operator signature, valuation)], so a repeated request never
     re-runs tensor work.
 
-    Persistence follows the Checkpoint/Corpus durability recipe: a
-    text snapshot with a declared entry count, hex-float exact values,
-    written atomically (temp file, fsync, rename, best-effort
-    directory fsync) on a write cadence and at flush.  Load errors are
-    typed; a damaged file is quarantined to [path ^ ".corrupt"] and
-    the cache starts empty — {e never fatal}.  A SIGKILLed daemon
-    restarts warm from its last snapshot.
+    The cache persists as a {!Robust.Durable} store (hex-float exact
+    values, written on a cadence and at flush); a damaged snapshot is
+    quarantined and the cache starts empty — {e never fatal}.  A
+    SIGKILLed daemon restarts warm from its last snapshot.
 
     All operations are thread-safe (one mutex); worker domains hit the
     cache concurrently. *)
@@ -56,7 +53,10 @@ val evictions : t -> int
 
 (** {1 Persistence} *)
 
-type error =
+val codec : entry Robust.Durable.codec
+(** The entry codec; file order is least-recent-first. *)
+
+type error = Robust.Durable.error =
   | Io of string
   | Bad_header of string
   | Truncated of { expected : int; found : int }
@@ -71,12 +71,11 @@ val to_string : t -> string
 val of_string_result : ?capacity:int -> string -> (t, error) result
 
 val save : path:string -> t -> unit
-(** Atomic + durable (temp, fsync, rename, directory fsync). *)
+(** Atomic + durable ({!Robust.Durable.save}). *)
 
-type open_report = {
-  or_loaded : int;  (** entries restored from an existing snapshot *)
+type open_report = Robust.Durable.open_report = {
+  or_loaded : int;
   or_quarantined : (string * error) option;
-      (** where a damaged snapshot was moved and why it failed *)
 }
 
 val open_file : ?capacity:int -> ?every:int -> string -> t * open_report

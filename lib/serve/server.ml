@@ -410,11 +410,11 @@ let run ?cancel ?(signals = true) ?on_ready cfg =
         | None ->
             (Cache.create ~capacity:cfg.cache_capacity (), Cache.{ or_loaded = 0; or_quarantined = None })
       in
-      (match cache_report.Cache.or_quarantined with
-      | Some (where, err) ->
-          Printf.eprintf "syno serve: damaged cache snapshot quarantined to %s (%s)\n%!" where
-            (Cache.string_of_error err)
-      | None -> ());
+      (match (cfg.cache_path, cache_report.Cache.or_quarantined) with
+      | Some path, Some q ->
+          prerr_endline
+            ("syno serve: " ^ Robust.Durable.describe_quarantine Cache.codec ~path q)
+      | _ -> ());
       let corpus =
         Option.map (fun path -> fst (Corpus.open_file ~every:1 path)) cfg.corpus_path
       in

@@ -264,11 +264,11 @@ let conv_gate ?corpus ~validate ~validate_config ~validation_valuations ~static_
    that on stderr — the run itself must never die for it. *)
 let open_corpus ?(readonly = false) path =
   let t, report = Validate.Corpus.open_file ~readonly path in
-  (match report.Validate.Corpus.or_quarantined with
-  | Some (qpath, err) ->
-      Printf.eprintf "syno: warning: damaged corpus %s quarantined to %s (%s)\n%!" path qpath
-        (Validate.Corpus.string_of_error err)
-  | None -> ());
+  Option.iter
+    (fun q ->
+      prerr_endline
+        ("syno: warning: " ^ Robust.Durable.describe_quarantine Validate.Corpus.codec ~path q))
+    report.Validate.Corpus.or_quarantined;
   t
 
 let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
@@ -474,14 +474,12 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
     match corpus with
     | Some base when not corpus_readonly ->
         let mr = Validate.Corpus.load_and_merge ~base ~shards in
-        let acc = Validate.Corpus.in_memory () in
-        (match Validate.Corpus.load_result ~path:base with
-        | Ok entries -> Validate.Corpus.preload acc entries
-        | Error _ -> ());
-        ignore (Validate.Corpus.merge_into acc mr.Validate.Corpus.mr_entries : int);
-        let merged = Validate.Corpus.entries acc in
-        Validate.Corpus.save ~path:base merged;
-        Some { mr with Validate.Corpus.mr_entries = merged }
+        (* Opened like any writer's corpus, so a damaged main file is
+           quarantined and warned about rather than overwritten. *)
+        let main = open_corpus base in
+        ignore (Validate.Corpus.merge_into main mr.Validate.Corpus.mr_entries : int);
+        Validate.Corpus.flush main;
+        Some { mr with Validate.Corpus.mr_entries = Validate.Corpus.entries main }
     | Some _ | None -> None
   in
   let v0 = List.hd valuations in

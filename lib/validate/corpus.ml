@@ -111,10 +111,7 @@ let of_static op valuation (d : Analysis.Verify.diagnostic) =
 
 (* --- Snapshot files ---------------------------------------------------------- *)
 
-let header = "syno-corpus v1"
-
-let entry_to_string e =
-  let buf = Buffer.create 256 in
+let render buf e =
   Buffer.add_string buf
     (Printf.sprintf "entry: origin %s seed %d tolerance %h abs %h%s\n"
        (origin_label e.ce_origin) e.ce_seed e.ce_tolerance e.ce_abs_err
@@ -128,54 +125,13 @@ let entry_to_string e =
   Buffer.add_string buf
     (Printf.sprintf "valuation: %s\n" (String.concat " " (valuation_tokens e.ce_valuation)));
   Buffer.add_string buf (Printf.sprintf "detail: %s\n" (sanitize_line e.ce_detail));
-  Buffer.add_string buf (Trace_io.to_string e.ce_operator);
-  Buffer.contents buf
+  Buffer.add_string buf (Trace_io.to_string e.ce_operator)
 
-let to_string entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" (List.length entries));
-  List.iter (fun e -> Buffer.add_string buf (entry_to_string e)) entries;
-  Buffer.contents buf
-
-(* Atomic + durable, the [Search.Checkpoint] recipe: write to a temp
-   file, fsync, rename into place, best-effort directory fsync.  A
-   mid-append kill therefore leaves either the previous corpus or the
-   new one — never a torn file. *)
-let save ~path entries =
-  let tmp = path ^ ".tmp" in
-  let data = to_string entries in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let bytes = Bytes.of_string data in
-      let n = Bytes.length bytes in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd bytes !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
-      (try Unix.close dirfd with Unix.Unix_error _ -> ())
-
-type error =
+type error = Robust.Durable.error =
   | Io of string
   | Bad_header of string
   | Truncated of { expected : int; found : int }
   | Corrupt of string
-
-let string_of_error = function
-  | Io msg -> "cannot read corpus: " ^ msg
-  | Bad_header line -> Printf.sprintf "bad corpus header %S (expected %S)" line header
-  | Truncated { expected; found } ->
-      Printf.sprintf "truncated corpus: header declares %d entries, found %d" expected found
-  | Corrupt msg -> "corrupt corpus: " ^ msg
 
 let parse_entry_header line =
   let bad () = Error (Corrupt (Printf.sprintf "bad entry header %S" line)) in
@@ -232,108 +188,64 @@ let starts_with ~prefix line =
   let line = String.trim line in
   String.length line >= String.length prefix && String.sub line 0 (String.length prefix) = prefix
 
-let declared_count lines =
-  List.find_map
-    (fun line ->
-      match String.split_on_char ' ' (String.trim line) with
-      | [ "entries:"; n ] -> int_of_string_opt n
-      | _ -> None)
-    lines
+let parse head block =
+  let* origin, seed, tolerance, abs, backend = parse_entry_header head in
+  let* fail =
+    match List.find_opt (starts_with ~prefix:"fail:") block with
+    | None -> Ok None
+    | Some line -> parse_fail line
+  in
+  let* valuation =
+    match List.find_opt (starts_with ~prefix:"valuation:") block with
+    | None -> Error (Corrupt "entry without a valuation line")
+    | Some line -> parse_valuation line
+  in
+  let detail =
+    match List.find_opt (starts_with ~prefix:"detail:") block with
+    | None -> ""
+    | Some line ->
+        let line = String.trim line in
+        String.trim (String.sub line 7 (String.length line - 7))
+  in
+  let op_block =
+    block
+    |> List.filter (fun l ->
+           not
+             (starts_with ~prefix:"fail:" l
+             || starts_with ~prefix:"valuation:" l
+             || starts_with ~prefix:"detail:" l))
+    |> String.concat "\n"
+  in
+  let* operator =
+    Result.map_error
+      (fun msg -> Corrupt msg)
+      (Trace_io.of_string ~allow_strided:true op_block)
+  in
+  Ok
+    {
+      ce_operator = operator;
+      ce_signature = Graph.operator_signature operator;
+      ce_fingerprint = fingerprint operator;
+      ce_origin = origin;
+      ce_valuation = valuation;
+      ce_seed = seed;
+      ce_tolerance = tolerance;
+      ce_backend = backend;
+      ce_detail = detail;
+      ce_abs_err = abs;
+      ce_fail = fail;
+    }
 
-let of_string_result text =
-  match String.split_on_char '\n' text with
-  | [] | [ "" ] -> Error (Corrupt "empty corpus")
-  | first :: rest ->
-      if String.trim first <> header then Error (Bad_header first)
-      else
-        let is_entry l = starts_with ~prefix:"entry:" l in
-        let rec groups acc current = function
-          | [] -> List.rev (match current with None -> acc | Some g -> g :: acc)
-          | line :: rest ->
-              if is_entry line then
-                let acc = match current with None -> acc | Some g -> g :: acc in
-                groups acc (Some (line, [])) rest
-              else (
-                match current with
-                | None -> groups acc None rest
-                | Some (h, block) -> groups acc (Some (h, line :: block)) rest)
-        in
-        let rebuild (head, block_rev) =
-          let* origin, seed, tolerance, abs, backend = parse_entry_header head in
-          let block = List.rev block_rev in
-          let* fail =
-            match List.find_opt (starts_with ~prefix:"fail:") block with
-            | None -> Ok None
-            | Some line -> parse_fail line
-          in
-          let* valuation =
-            match List.find_opt (starts_with ~prefix:"valuation:") block with
-            | None -> Error (Corrupt "entry without a valuation line")
-            | Some line -> parse_valuation line
-          in
-          let detail =
-            match List.find_opt (starts_with ~prefix:"detail:") block with
-            | None -> ""
-            | Some line ->
-                let line = String.trim line in
-                String.trim (String.sub line 7 (String.length line - 7))
-          in
-          let op_block =
-            block
-            |> List.filter (fun l ->
-                   not
-                     (starts_with ~prefix:"fail:" l
-                     || starts_with ~prefix:"valuation:" l
-                     || starts_with ~prefix:"detail:" l))
-            |> String.concat "\n"
-          in
-          let* operator =
-            Result.map_error
-              (fun msg -> Corrupt msg)
-              (Trace_io.of_string ~allow_strided:true op_block)
-          in
-          Ok
-            {
-              ce_operator = operator;
-              ce_signature = Graph.operator_signature operator;
-              ce_fingerprint = fingerprint operator;
-              ce_origin = origin;
-              ce_valuation = valuation;
-              ce_seed = seed;
-              ce_tolerance = tolerance;
-              ce_backend = backend;
-              ce_detail = detail;
-              ce_abs_err = abs;
-              ce_fail = fail;
-            }
-        in
-        let grouped = groups [] None rest in
-        let* entries =
-          List.fold_left
-            (fun acc g ->
-              let* acc = acc in
-              let* e = rebuild g in
-              Ok (e :: acc))
-            (Ok []) grouped
-        in
-        let* () =
-          match declared_count rest with
-          | Some expected when expected <> List.length grouped ->
-              Error (Truncated { expected; found = List.length grouped })
-          | Some _ | None -> Ok ()
-        in
-        Ok (List.sort (fun a b -> compare (ident a) (ident b)) entries)
+let codec =
+  Robust.Durable.codec ~header:"syno-corpus v1" ~noun:"corpus" ~render ~parse
+    ~order:(fun a b -> compare (ident a) (ident b))
+    ()
 
-let load_result ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Io msg)
-  | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      of_string_result text
+let string_of_error = Robust.Durable.string_of_error codec
+let to_string entries = Robust.Durable.to_string codec entries
+let of_string_result text = Robust.Durable.of_string codec text
+let save ~path entries = Robust.Durable.save codec ~path entries
+let load_result ~path = Robust.Durable.load codec ~path
 
 (* --- The live corpus --------------------------------------------------------- *)
 
@@ -350,14 +262,12 @@ type stats = {
 type t = {
   path : string option;
   readonly : bool;
-  every : int;
+  writer : entry Robust.Durable.writer option;  (* [None] when in memory or readonly *)
   mutex : Mutex.t;
   idents : (string, unit) Hashtbl.t;
   by_fingerprint : (string, entry list) Hashtbl.t;
   mutable count : int;
   mutable added : int;
-  mutable pending : int;
-  mutable writes : int;
   mutable checked : int;
   mutable matched : int;
   mutable executed : int;
@@ -372,14 +282,15 @@ let make ?path ?(readonly = false) ?(every = 1) () =
   {
     path;
     readonly;
-    every = max 1 every;
+    writer =
+      (match path with
+      | Some path when not readonly -> Some (Robust.Durable.writer codec ~path ~every)
+      | Some _ | None -> None);
     mutex = Mutex.create ();
     idents = Hashtbl.create 64;
     by_fingerprint = Hashtbl.create 64;
     count = 0;
     added = 0;
-    pending = 0;
-    writes = 0;
     checked = 0;
     matched = 0;
     executed = 0;
@@ -408,13 +319,8 @@ let size t = locked t (fun () -> t.count)
 let path t = t.path
 let readonly t = t.readonly
 
-let write_locked t =
-  match t.path with
-  | None -> t.pending <- 0
-  | Some path ->
-      save ~path (entries_locked t);
-      t.writes <- t.writes + 1;
-      t.pending <- 0
+let persist_locked t step =
+  Option.iter (fun w -> step w (fun () -> entries_locked t)) t.writer
 
 (* Preloaded entries (a resumed corpus, a seeding corpus) populate the
    index without counting as additions or triggering writes. *)
@@ -427,8 +333,7 @@ let add t e =
     locked t (fun () ->
         if insert_locked t e then begin
           t.added <- t.added + 1;
-          t.pending <- t.pending + 1;
-          if t.pending >= t.every then write_locked t;
+          persist_locked t Robust.Durable.note;
           true
         end
         else false)
@@ -442,20 +347,18 @@ let merge_into t entries =
             (fun n e ->
               if insert_locked t e then begin
                 t.added <- t.added + 1;
-                t.pending <- t.pending + 1;
+                Option.iter Robust.Durable.mark t.writer;
                 n + 1
               end
               else n)
             0 entries
         in
-        if t.pending > 0 then write_locked t;
+        persist_locked t Robust.Durable.sync;
         added)
 
-let flush t =
-  if not t.readonly then
-    locked t (fun () -> if t.pending > 0 || (t.writes = 0 && t.path <> None) then write_locked t)
-
-let writes t = locked t (fun () -> t.writes)
+let flush t = locked t (fun () -> persist_locked t Robust.Durable.flush)
+let writes_locked t = Option.fold ~none:0 ~some:Robust.Durable.writes t.writer
+let writes t = locked t (fun () -> writes_locked t)
 
 let stats t =
   locked t (fun () ->
@@ -466,33 +369,21 @@ let stats t =
         st_matched = t.matched;
         st_executed = t.executed;
         st_rejected = t.rejected;
-        st_writes = t.writes;
+        st_writes = writes_locked t;
       })
 
 (* --- Opening (crash tolerance) ----------------------------------------------- *)
 
-type open_report = {
+type open_report = Robust.Durable.open_report = {
   or_loaded : int;
   or_quarantined : (string * error) option;
 }
 
-(* A damaged corpus must never kill the search that would regrow it:
-   quarantine the file aside (best-effort, skipped in readonly mode)
-   and start empty, reporting what happened. *)
 let open_file ?readonly ?every path =
-  if not (Sys.file_exists path) then
-    (make ~path ?readonly ?every (), { or_loaded = 0; or_quarantined = None })
-  else
-    match load_result ~path with
-    | Ok entries ->
-        let t = make ~path ?readonly ?every () in
-        preload t entries;
-        (t, { or_loaded = List.length entries; or_quarantined = None })
-    | Error err ->
-        let quarantine_path = path ^ ".corrupt" in
-        let t = make ~path ?readonly ?every () in
-        if not t.readonly then (try Sys.rename path quarantine_path with Sys_error _ -> ());
-        (t, { or_loaded = 0; or_quarantined = Some (quarantine_path, err) })
+  let entries, report = Robust.Durable.open_file ?readonly codec path in
+  let t = make ~path ?readonly ?every () in
+  preload t entries;
+  (t, report)
 
 (* --- Replay ------------------------------------------------------------------ *)
 
@@ -576,25 +467,18 @@ type merge_report = {
 }
 
 let load_and_merge ~base ~shards =
+  let sh =
+    Robust.Durable.load_shards codec
+      (List.init shards (fun shard_id -> (shard_id, shard_path ~base ~shard_id)))
+  in
   let acc = in_memory () in
-  let loaded = ref [] in
-  let missing = ref [] in
-  let quarantined = ref [] in
-  let added = ref 0 in
-  for shard_id = 0 to shards - 1 do
-    let path = shard_path ~base ~shard_id in
-    if not (Sys.file_exists path) then missing := shard_id :: !missing
-    else
-      match load_result ~path with
-      | Ok entries ->
-          loaded := shard_id :: !loaded;
-          added := !added + merge_into acc entries
-      | Error err -> quarantined := (shard_id, err) :: !quarantined
-  done;
+  let added =
+    List.fold_left (fun n (_, entries) -> n + merge_into acc entries) 0 sh.Robust.Durable.sh_loaded
+  in
   {
     mr_entries = entries acc;
-    mr_loaded = List.rev !loaded;
-    mr_missing = List.rev !missing;
-    mr_quarantined = List.rev !quarantined;
-    mr_added = !added;
+    mr_loaded = List.map fst sh.Robust.Durable.sh_loaded;
+    mr_missing = sh.Robust.Durable.sh_missing;
+    mr_quarantined = sh.Robust.Durable.sh_quarantined;
+    mr_added = added;
   }

@@ -6,10 +6,9 @@
     obligation ({!Analysis.Verify}) — is {e distilled} into a minimal
     concrete record: the offending operator, the valuation and derived
     tensor seed it failed at, the diverging backend pair, and an
-    expected-vs-got summary.  The corpus persists those records with
-    the {!Search.Checkpoint} durability recipe (hex-float exactness,
-    write-temp + fsync + atomic rename, typed load errors, damaged
-    files quarantined — never fatal) and {e replays} them against
+    expected-vs-got summary.  The corpus persists those records as a
+    {!Robust.Durable} store (hex-float exact; damaged files quarantined
+    — never fatal) and {e replays} them against
     future candidates as the cheapest admission stage of all: the
     longer the search runs, the sharper the gate.
 
@@ -62,12 +61,14 @@ val of_static :
 
 (** {1 Serialization} *)
 
-type error =
-  | Io of string  (** the file cannot be read *)
-  | Bad_header of string  (** wrong or missing format header *)
+val codec : entry Robust.Durable.codec
+(** The entry codec; loads sort entries by {!ident}. *)
+
+type error = Robust.Durable.error =
+  | Io of string
+  | Bad_header of string
   | Truncated of { expected : int; found : int }
-      (** the declared entry count does not match the entries present *)
-  | Corrupt of string  (** an entry failed to parse *)
+  | Corrupt of string
 
 val string_of_error : error -> string
 
@@ -76,8 +77,7 @@ val of_string_result : string -> (entry list, error) result
 (** Entries are rendered with hex floats, so a round trip is exact. *)
 
 val save : path:string -> entry list -> unit
-(** Atomic + durable: temp file, fsync, rename, best-effort directory
-    fsync — a kill mid-save leaves the previous corpus intact. *)
+(** Atomic + durable ({!Robust.Durable.save}). *)
 
 val load_result : path:string -> (entry list, error) result
 
@@ -87,19 +87,17 @@ type t
 (** An in-memory corpus optionally bound to a file, with thread-safe
     add/replay and cadence-driven atomic persistence. *)
 
-type open_report = {
-  or_loaded : int;  (** entries loaded from an existing file *)
+type open_report = Robust.Durable.open_report = {
+  or_loaded : int;
   or_quarantined : (string * error) option;
-      (** set when the existing file was damaged: where it was moved
-          (best-effort, [path ^ ".corrupt"]) and why it failed *)
 }
 
 val open_file : ?readonly:bool -> ?every:int -> string -> t * open_report
-(** Bind a corpus to [path].  A missing file is an empty corpus; a
-    damaged file is quarantined aside and the corpus starts empty —
-    {e never fatal}.  [readonly] loads without ever writing (adds
-    become no-ops); [every] (default 1) is the add cadence between
-    atomic rewrites. *)
+(** Bind a corpus to [path] ({!Robust.Durable.open_file}: a missing
+    file is empty, a damaged one is quarantined and the corpus starts
+    empty).  [readonly] loads without ever writing or moving the file
+    (adds become no-ops); [every] (default 1) is the add cadence
+    between atomic rewrites. *)
 
 val in_memory : unit -> t
 (** A corpus with no backing file (replay and dedup only). *)

@@ -158,6 +158,19 @@ let test_readonly_never_writes () =
         (report.Corpus.or_quarantined <> None);
       Alcotest.(check bool) "readonly file left in place" true (Sys.file_exists path))
 
+(* A readonly open moves nothing, so its report must say where the
+   damaged file really is — the original path, not a ".corrupt" name. *)
+let test_readonly_report_names_file () =
+  with_temp_path (fun path ->
+      write_file path "garbage\n";
+      let _, report = Corpus.open_file ~readonly:true path in
+      (match report.Corpus.or_quarantined with
+      | Some (where, Corpus.Bad_header _) ->
+          Alcotest.(check string) "report names the original path" path where
+      | _ -> Alcotest.fail "damaged readonly corpus not reported");
+      Alcotest.(check bool) "file left in place" true (Sys.file_exists path);
+      Alcotest.(check bool) "nothing moved" false (Sys.file_exists (path ^ ".corrupt")))
+
 let test_shard_merge_dedup () =
   with_temp_path (fun base ->
       let e = differential_entry () in
@@ -185,57 +198,125 @@ let test_shard_merge_dedup () =
             (List.map fst m.Corpus.mr_quarantined);
           Alcotest.(check int) "entries surviving dedup" 2 m.Corpus.mr_added))
 
-(* SIGKILL mid-append: a child process appends entries one at a time
-   (cadence 1 — one atomic rewrite per add) and is killed at a random
-   point.  Whatever the timing, the file on disk must load cleanly and
-   hold a prefix of the adds — the atomic-rename recipe's guarantee.
+(* SIGKILL mid-save: a child process adds entries one at a time to a
+   store written at cadence 1 (one atomic rewrite per add) and is
+   killed at a random point.  Whatever the timing, the file on disk
+   must load cleanly and hold exactly the first [n] adds for some [n] —
+   the atomic-rename guarantee.  One input per durable store.
 
    The child is this binary re-executed as [append_writer]: OCaml
    refuses [Unix.fork] in a process that has ever spawned a domain, and
    the earlier tests ran einsum on the default pool. *)
 let writer_flag = "--append-writer"
-let adds = 40
+let adds = 200
 
-let append_writer path =
-  let base = differential_entry () in
-  let t, _ = Corpus.open_file ~every:1 path in
+(* A store under test: [start path] opens it and returns "add entry i";
+   [index] recovers [i] from a loaded entry (or -1 if it is damaged). *)
+type kill_store =
+  | Kill_store : {
+      codec : 'a Robust.Durable.codec;
+      start : string -> int -> unit;
+      index : 'a -> int;
+    }
+      -> kill_store
+
+let kill_store = function
+  | "corpus" ->
+      let base = differential_entry () in
+      Kill_store
+        {
+          codec = Corpus.codec;
+          start =
+            (fun path ->
+              let t, _ = Corpus.open_file ~every:1 path in
+              fun i -> ignore (Corpus.add t { base with Corpus.ce_seed = i }));
+          index =
+            (fun e ->
+              if e.Corpus.ce_signature = base.Corpus.ce_signature then e.Corpus.ce_seed else -1);
+        }
+  | "checkpoint" ->
+      let module Checkpoint = Search.Checkpoint in
+      Kill_store
+        {
+          codec = Checkpoint.codec;
+          start =
+            (fun path ->
+              let sink = Checkpoint.sink ~path ~every:1 () in
+              fun i ->
+                Checkpoint.note sink
+                  {
+                    Checkpoint.signature = string_of_int i;
+                    operator = conv;
+                    reward = 0.5;
+                    visits = i;
+                    quarantined = false;
+                    reason = None;
+                  });
+          index = (fun e -> e.Checkpoint.visits);
+        }
+  | "cache" ->
+      let module Cache = Serve.Cache in
+      Kill_store
+        {
+          codec = Cache.codec;
+          start =
+            (fun path ->
+              let c, _ = Cache.open_file ~every:1 path in
+              fun i ->
+                Cache.put c
+                  {
+                    Cache.e_key = string_of_int i;
+                    e_verdict = "proved";
+                    e_flops = i;
+                    e_params = 1;
+                    e_elements = 1;
+                    e_checksum = 0.5;
+                    e_cold_seconds = 0.25;
+                    e_spec_seconds = -1.0;
+                  });
+          index = (fun e -> e.Cache.e_flops);
+        }
+  | kind -> invalid_arg kind
+
+let append_writer kind path =
+  let (Kill_store { start; _ }) = kill_store kind in
+  let add = start path in
   print_endline "ready";
   for i = 1 to adds do
-    ignore (Corpus.add t { base with Corpus.ce_seed = i })
+    add i
   done;
   exit 0
 
-let test_kill_mid_append_never_tears () =
+let test_kill_mid_append_never_tears kind () =
   with_temp_path (fun path ->
-      let base = differential_entry () in
+      let (Kill_store { codec; index; _ }) = kill_store kind in
       let ready, ready_w = Unix.pipe ~cloexec:true () in
       let pid =
         Unix.create_process Sys.executable_name
-          [| Sys.executable_name; writer_flag; path |]
+          [| Sys.executable_name; writer_flag; kind; path |]
           Unix.stdin ready_w Unix.stderr
       in
       Unix.close ready_w;
       let ready = Unix.in_channel_of_descr ready in
-      (* Kill 20 ms into the appends, not into the writer's start-up. *)
+      (* Kill 20 ms into the adds, not into the writer's start-up. *)
       ignore (input_line ready);
       Unix.sleepf 0.02;
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] pid);
       close_in ready;
       if Sys.file_exists path then
-        match Corpus.load_result ~path with
+        match Robust.Durable.load codec ~path with
         | Ok entries ->
             let n = List.length entries in
             Alcotest.(check bool)
               (Printf.sprintf "prefix of adds on disk (%d of %d)" n adds)
-              true
-              (n >= 0 && n <= adds);
-            List.iter
-              (fun e ->
-                Alcotest.(check string) "entry signature intact" base.Corpus.ce_signature
-                  e.Corpus.ce_signature)
-              entries
-        | Error err -> Alcotest.failf "killed writer tore the file: %s" (Corpus.string_of_error err))
+              true (n <= adds);
+            Alcotest.(check (list int)) "exactly the first n adds, intact"
+              (List.init n (fun i -> i + 1))
+              (List.sort compare (List.map index entries))
+        | Error err ->
+            Alcotest.failf "killed writer tore the file: %s"
+              (Robust.Durable.string_of_error codec err))
 
 let test_replay_semantics () =
   let e = differential_entry () in
@@ -328,7 +409,7 @@ let test_admit_replay_stage () =
 
 let () =
   match Sys.argv with
-  | [| _; flag; path |] when flag = writer_flag -> append_writer path
+  | [| _; flag; kind; path |] when flag = writer_flag -> append_writer kind path
   | _ ->
   Alcotest.run "corpus"
     [
@@ -345,7 +426,13 @@ let () =
           Alcotest.test_case "readonly mode never writes or renames" `Quick
             test_readonly_never_writes;
           Alcotest.test_case "SIGKILL mid-append never tears the file" `Quick
-            test_kill_mid_append_never_tears;
+            (test_kill_mid_append_never_tears "corpus");
+          Alcotest.test_case "checkpoint: SIGKILL mid-save never tears" `Quick
+            (test_kill_mid_append_never_tears "checkpoint");
+          Alcotest.test_case "cache: SIGKILL mid-save never tears" `Quick
+            (test_kill_mid_append_never_tears "cache");
+          Alcotest.test_case "readonly damage report names the file" `Quick
+            test_readonly_report_names_file;
         ] );
       ( "sharding",
         [

@@ -473,6 +473,31 @@ let test_api_sharded_determinism () =
       Alcotest.(check bool) "killed+restarted merge equals the inline reference" true
         (sigs killed = sigs inline_r))
 
+(* A damaged main corpus must be quarantined by the sharded merge, not
+   overwritten: the original bytes survive in [base ^ ".corrupt"] and
+   the merged corpus is written fresh. *)
+let test_api_sharded_damaged_corpus () =
+  with_tmp_base (fun base ->
+      let corpus = base ^ ".corpus" in
+      let garbage = "not a corpus\n" in
+      Out_channel.with_open_bin corpus (fun oc -> output_string oc garbage);
+      let files =
+        corpus :: (corpus ^ ".corrupt")
+        :: List.init 2 (fun shard_id -> Validate.Corpus.shard_path ~base:corpus ~shard_id)
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)
+        (fun () ->
+          let (_ : Api.candidate list) =
+            Api.search_conv_operators_sharded ~iterations:40 ~max_prims:5 ~shards:2 ~inline:true
+              ~corpus ~checkpoint_base:base ~seed:7 ~valuations:Api.default_search_valuations ()
+          in
+          Alcotest.(check string) "original bytes quarantined" garbage
+            (In_channel.with_open_bin (corpus ^ ".corrupt") In_channel.input_all);
+          match Validate.Corpus.load_result ~path:corpus with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Validate.Corpus.string_of_error e)))
+
 let () =
   Alcotest.run "shard"
     [
@@ -517,5 +542,7 @@ let () =
         [
           Alcotest.test_case "kills + restarts = inline reference" `Quick
             test_api_sharded_determinism;
+          Alcotest.test_case "damaged main corpus quarantined" `Quick
+            test_api_sharded_damaged_corpus;
         ] );
     ]
