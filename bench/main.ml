@@ -483,8 +483,8 @@ let micro () =
 
 (* Throughput of the two hot paths at 1 domain vs N domains, verifying
    that the parallel einsum results are exactly the sequential ones and
-   that single-tree parallel MCTS reaches a best reward no worse than
-   the sequential search on the same budget, and emitting the
+   that root-parallel MCTS is deterministic and reduces to the
+   sequential search on a pool of one, and emitting the
    measurements as a BENCH_par.json trajectory file.  Timing is
    interleaved best-of-k so a background hiccup cannot fake a slowdown.
    The speedup gate is hardware-aware: with >= 2 hardware threads every
@@ -563,39 +563,32 @@ let par_bench ~smoke () =
         (name, spec, t1, tn, identical))
       einsum_cases
   in
-  (* MCTS: sequential search vs single-tree parallel search on the
-     same total iteration budget and the same seed.  Two properties
-     gate: (a) single-tree search with one worker reproduces the
-     sequential search bit-for-bit — same operators, same rewards,
-     same visit counts — so sharing the tree preserves the search
-     semantics exactly; (b) with [n_domains] workers the same total
-     budget must not run slower than sequential (gated on real
-     parallel hardware only — interleaving makes the *explored set*
-     scheduling-dependent, so its best reward is recorded, not
-     gated; every reward is still the deterministic memoized score). *)
+  (* MCTS: sequential search vs root-parallel search on the same total
+     iteration budget and the same seed.  Two determinism gates: (a) a
+     pool of size 1 reproduces the poolless search bit for bit — same
+     operators, same rewards, same visit counts; (b) two runs with the
+     same number of trees are identical, because the trees and their
+     merge depend only on the seed and the tree count.  Each side runs
+     twice anyway, so each side's time is the better of its two runs.
+     The best rewards are recorded, not gated. *)
   let mcts_iterations = if smoke then 200 else 400 in
-  (* Unlike the einsum rows (whose granularity tuner falls back to a
-     sequential run when parallelism cannot win), MCTS workers always
-     contend for the tree lock — so never run more of them than there
-     are hardware threads.  On a 1-core host this times 1 worker, a
-     meaningful overhead measurement rather than a fake slowdown. *)
-  let mcts_workers = max 1 (min n_domains hw) in
+  (* Never run more trees than hardware threads: on a 1-core host this
+     times one tree, an overhead measurement rather than a fake
+     slowdown. *)
+  let mcts_trees = max 1 (min n_domains hw) in
   let cfg = search_space_cfg ~max_prims:6 () in
   let mcts_cfg = Search.Mcts.default_config ~iterations:mcts_iterations () in
   let reward ~cancel:_ op = Search.Reward.score op (List.hd Api.default_search_valuations) in
-  let res1, mt1 =
+  let search ?pool () =
     time (fun () ->
-        Search.Mcts.search ~config:mcts_cfg cfg ~reward ~rng:(Nd.Rng.create ~seed:41) ())
+        Search.Mcts.search ~config:mcts_cfg ?pool cfg ~reward ~rng:(Nd.Rng.create ~seed:41) ())
   in
-  let resw1 =
-    Search.Mcts.search_single_tree ~config:mcts_cfg ~pool:pooln ~workers:1 cfg ~reward
-      ~rng:(Nd.Rng.create ~seed:41) ()
+  let res1, mt1 = search () in
+  let resp1, mtp1 = search ~pool:pool1 () in
+  let (resn, mtn), (resn', mtn') =
+    Par.Pool.with_pool ~domains:mcts_trees (fun pool -> (search ~pool (), search ~pool ()))
   in
-  let resn, mtn =
-    time (fun () ->
-        Search.Mcts.search_single_tree ~config:mcts_cfg ~pool:pooln ~workers:mcts_workers
-          cfg ~reward ~rng:(Nd.Rng.create ~seed:41) ())
-  in
+  let mt1 = Float.min mt1 mtp1 and mtn = Float.min mtn mtn' in
   let fingerprint rs =
     List.map
       (fun (r : Search.Mcts.result) ->
@@ -604,7 +597,8 @@ let par_bench ~smoke () =
           r.Search.Mcts.visits ))
       rs
   in
-  let mcts_identical = fingerprint res1 = fingerprint resw1 in
+  let pool1_identical = fingerprint res1 = fingerprint resp1 in
+  let trees_deterministic = fingerprint resn = fingerprint resn' in
   let best rs =
     List.fold_left
       (fun acc (r : Search.Mcts.result) ->
@@ -612,10 +606,12 @@ let par_bench ~smoke () =
       neg_infinity rs
   in
   let best1 = best res1 and bestn = best resn in
-  note "mcts   %d iters (single tree)  sequential %5.2fs best %.4f   1-worker %s   %d-worker %5.2fs best %.4f  %5.2fx"
+  note "mcts   %d iters (root-parallel)  sequential %5.2fs best %.4f   pool of 1 %s   %d trees %5.2fs best %.4f %s  %5.2fx"
     mcts_iterations mt1 best1
-    (if mcts_identical then "identical" else "MISMATCH")
-    mcts_workers mtn bestn (mt1 /. mtn);
+    (if pool1_identical then "identical" else "MISMATCH")
+    mcts_trees mtn bestn
+    (if trees_deterministic then "deterministic" else "NONDETERMINISTIC")
+    (mt1 /. mtn);
   Par.Pool.shutdown pool1;
   Par.Pool.shutdown pooln;
   (* Trajectory file. *)
@@ -638,26 +634,26 @@ let par_bench ~smoke () =
     einsum_rows;
   out "  ],\n";
   out
-    "  \"mcts\": {\"mode\": \"single-tree\", \"iterations\": %d, \"workers\": %d, \
-     \"workers_clamped_to_hw\": %b, \
+    "  \"mcts\": {\"mode\": \"root-parallel\", \"iterations\": %d, \"trees\": %d, \
+     \"trees_clamped_to_hw\": %b, \
      \"operators_sequential\": %d, \"operators_parallel\": %d, \
      \"best_reward_sequential\": %.6f, \"best_reward_parallel\": %.6f, \
      \"seconds_1domain\": %.6f, \"seconds_ndomain\": %.6f, \"speedup\": %.3f, \
-     \"single_worker_identical\": %b}\n"
-    mcts_iterations mcts_workers
-    (mcts_workers < n_domains)
+     \"pool1_identical\": %b, \"trees_deterministic\": %b}\n"
+    mcts_iterations mcts_trees
+    (mcts_trees < n_domains)
     (List.length res1) (List.length resn) best1 bestn mt1 mtn
-    (mt1 /. mtn) mcts_identical;
+    (mt1 /. mtn) pool1_identical trees_deterministic;
   out "}\n";
   close_out oc;
   note "wrote BENCH_par.json";
   let einsum_identical = List.for_all (fun (_, _, _, _, id) -> id) einsum_rows in
-  if not (einsum_identical && mcts_identical) then begin
-    prerr_endline "parallel results diverged from sequential results";
+  if not (einsum_identical && pool1_identical && trees_deterministic) then begin
+    prerr_endline "parallel results diverged from sequential or repeated results";
     exit 1
   end;
   (* The MCTS gate only makes sense on real parallel hardware: with one
-     hardware thread the clamp above runs a single worker, whose timing
+     hardware thread the clamp above runs a single tree, whose timing
      is an overhead measurement, not a speedup claim — it is recorded in
      the JSON but informational (the einsum paths fall back to the
      tuner's sequential run instead, so they still gate). *)

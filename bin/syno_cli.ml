@@ -102,7 +102,7 @@ let specialize_conv ~what =
             Error (`Msg (Printf.sprintf "%s: expected on, off or auto, got %S" what s))),
       fun ppf m -> Format.pp_print_string ppf (Api.specialize_mode_to_string m) )
 
-(* Shared --domains flag: sizes the search's worker pool and the
+(* Shared --domains flag: the search's root-parallel tree count and the
    default pool used by the einsum/staged executors (0 = auto-detect). *)
 let domains_arg =
   let doc = "Worker domains for parallel evaluation (0 = auto-detect)." in
@@ -293,11 +293,26 @@ let run_sharded ~iterations ~max_prims ~budget_ratio ~top ~save ~seed ~guard ~in
           else 0)
 
 let search_cmd =
-  let run iterations max_prims budget_ratio top save seed domains trees retries timeout
+  let run iterations max_prims budget_ratio top save seed domains retries timeout
       fault_rate fault_seed checkpoint checkpoint_every resume resume_ignore_corrupt max_bytes
       max_flops validate no_static_gate no_graceful (corpus, corpus_readonly, no_corpus)
       (shards, workers, max_restarts, heartbeat_timeout, shard_deadline, kill_after, inline) =
     let domains = resolve_domains domains in
+    (* The sharded path resumes and searches each shard on its own
+       terms; refuse the flags it would otherwise drop without a word. *)
+    let sharded_conflict =
+      if shards <= 1 then None
+      else if resume <> None then Some "--resume (each shard resumes from its own checkpoint)"
+      else if resume_ignore_corrupt then
+        Some "--resume-ignore-corrupt (a damaged shard checkpoint always restarts that shard)"
+      else if domains > 1 then Some "--domains > 1 (each shard searches on one domain)"
+      else None
+    in
+    match sharded_conflict with
+    | Some what ->
+        prerr_endline ("search: --shards > 1 cannot be combined with " ^ what);
+        1
+    | None ->
     (* The corpus defaults on next to the checkpoint whenever an
        admission gate is configured: the flags exist to move it
        (--corpus), freeze it (--corpus-readonly), or kill it
@@ -332,7 +347,7 @@ let search_cmd =
     let t0 = Unix.gettimeofday () in
     match
       Api.search_conv_operators_run ~iterations ~max_prims ~flops_budget_ratio:budget_ratio
-        ~domains ?trees ~guard ~inject ?checkpoint ~checkpoint_every ?resume ~on_corrupt
+        ~domains ~guard ~inject ?checkpoint ~checkpoint_every ?resume ~on_corrupt
         ?max_bytes
         ?max_flops ~validate ~static_gate:(not no_static_gate) ?corpus ~corpus_readonly
         ~cancel:root ~rng ~valuations:Api.default_search_valuations ()
@@ -392,7 +407,8 @@ let search_cmd =
     end
   in
   let iterations =
-    Arg.(value & opt int 2000 & info [ "iterations" ] ~doc:"MCTS iterations.")
+    Arg.(value & opt int 2000
+         & info [ "iterations" ] ~doc:"MCTS iterations, split across the --domains trees.")
   in
   let max_prims = Arg.(value & opt int 8 & info [ "max-prims" ] ~doc:"Maximum pGraph size.") in
   let budget =
@@ -403,13 +419,6 @@ let search_cmd =
     Arg.(value & opt (some dir) None & info [ "save" ] ~doc:"Directory for .syno files.")
   in
   let seed = Arg.(value & opt int 2024 & info [ "seed" ] ~doc:"Search RNG seed.") in
-  let trees =
-    Arg.(value & opt (some (bounded_int ~what:"--trees" ~min:1)) None
-         & info [ "trees" ]
-             ~doc:"Root-parallel search with this many independent trees (iterations split \
-                   across them); without it, --domains > 1 runs single-tree parallel search \
-                   sharing one tree and the full iteration budget.")
-  in
   let retries =
     Arg.(value & opt (bounded_int ~what:"--retries" ~min:0) 2
          & info [ "retries" ] ~doc:"Retries per failed candidate evaluation (>= 0).")
@@ -560,7 +569,7 @@ let search_cmd =
                                 checkpoint and reporting partial results)." exit_interrupted
          :: Cmd.Exit.defaults))
     Term.(const run $ iterations $ max_prims $ budget $ top $ save $ seed $ domains_arg
-          $ trees $ retries $ timeout $ fault_rate $ fault_seed $ checkpoint $ checkpoint_every
+          $ retries $ timeout $ fault_rate $ fault_seed $ checkpoint $ checkpoint_every
           $ resume $ resume_ignore_corrupt $ max_bytes $ max_flops $ validate $ no_static_gate
           $ no_graceful $ corpus_args $ shard_args)
 

@@ -12,8 +12,8 @@ let () =
   let rng = Nd.Rng.create ~seed:2024 in
   Format.printf "=== Searching for conv replacements (Algorithm 1 + MCTS) ===@.";
   let t0 = Unix.gettimeofday () in
-  let candidates =
-    Api.search_conv_operators ~iterations:2000 ~max_prims:8 ~flops_budget_ratio:1.0 ~rng
+  let { Api.candidates; _ } =
+    Api.search_conv_operators_run ~iterations:2000 ~max_prims:8 ~flops_budget_ratio:1.0 ~rng
       ~valuations:Api.default_search_valuations ()
   in
   Format.printf "found %d distinct canonical operators in %.1fs@.@."

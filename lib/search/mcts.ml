@@ -91,9 +91,9 @@ let stats_of_collectors ?checkpoint collectors =
    Quarantined entries carry the penalty reward and are never retried. *)
 type entry = {
   ent_op : Graph.operator;
-  mutable ent_reward : float;
+  ent_reward : float;
   mutable ent_visits : int;
-  mutable ent_quarantined : bool;
+  ent_quarantined : bool;
 }
 
 type node = {
@@ -113,116 +113,19 @@ let bump_kind collector label =
   Hashtbl.replace collector.c_kinds label
     (1 + Option.value ~default:0 (Hashtbl.find_opt collector.c_kinds label))
 
-let note_sink sink key entry reason =
-  match sink with
-  | Some s ->
-      Checkpoint.note s
-        {
-          Checkpoint.signature = key;
-          operator = entry.ent_op;
-          reward = entry.ent_reward;
-          visits = 1;
-          quarantined = entry.ent_quarantined;
-          reason;
-        }
-  | None -> ()
-
-(* Score one never-seen-before candidate: the admission gate, then the
-   guarded reward thunk.  Pure of any memo table — the caller decides
-   where the entry lands — but charges the (caller-private) collector.
-   A rejection by [admit] is deterministic (budget or validation
-   verdict), so it is quarantined directly: one attempt, no retries,
-   and the reward thunk never runs. *)
-let guarded_entry ~policy ~inject ~penalty ~collector ~admit ~cancel ~reward ~key op =
-  match admit op with
-  | Error k ->
-      let label = Guard.kind_label k in
-      collector.c_attempts <- collector.c_attempts + 1;
-      bump_kind collector label;
-      collector.c_quarantined <- collector.c_quarantined + 1;
-      ( { ent_op = op; ent_reward = penalty; ent_visits = 1; ent_quarantined = true },
-        Some label )
-  | Ok () ->
-      let out = Guard.run ~policy ~inject ?cancel ~key (fun token -> reward ~cancel:token op) in
-      collector.c_attempts <- collector.c_attempts + out.Guard.attempts;
-      collector.c_retries <- collector.c_retries + (out.Guard.attempts - 1);
-      List.iter (fun k -> bump_kind collector (Guard.kind_label k)) out.Guard.failures;
-      collector.c_backoff <- collector.c_backoff +. out.Guard.slept;
-      let r, quarantined, reason =
-        match out.Guard.result with
-        | Ok r ->
-            collector.c_evaluations <- collector.c_evaluations + 1;
-            (r, false, None)
-        | Error k ->
-            collector.c_quarantined <- collector.c_quarantined + 1;
-            (penalty, true, Some (Guard.kind_label k))
-      in
-      ({ ent_op = op; ent_reward = r; ent_visits = 1; ent_quarantined = quarantined }, reason)
-
-(* Rollout: random guided walk from the node's state.  Every complete
-   state along the way is evaluated and recorded (Algorithm 1 keeps
-   enumerating past a match); the rollout's value is the best reward
-   seen.  The walk stops after [rollout_depth] actions or at the
-   global primitive cap, whichever comes first. *)
-let rollout_walk ~config ~enum_cfg ~dist ~rng ~evaluate node =
-  let horizon = min enum_cfg.Enumerate.max_prims (node.depth + config.rollout_depth) in
-  let rec go depth g best =
-    let best =
-      match Enumerate.try_complete enum_cfg g with
-      | Some op -> fmax best (evaluate op)
-      | None -> best
-    in
-    if depth >= horizon then best
-    else
-      match
-        Enumerate.guided_children enum_cfg dist g
-          ~budget:(enum_cfg.Enumerate.max_prims - depth - 1)
-      with
-      | [] -> best
-      | options -> go (depth + 1) (Enumerate.pick_guided rng options) best
-  in
-  go node.depth node.state 0.0
-
-(* Enumerate and distance-prune a node's children (without installing
-   them — expansion policy differs between the sequential and the
-   shared tree).  [root_filter] restricts the {e root} action set only:
-   sharded searches partition the space by root action, and every
-   deeper level stays complete within the owned subtrees. *)
-let accept_all_roots (_ : Pgraph.Prim.t) = true
-
-let node_children ?(root_filter = accept_all_roots) ~enum_cfg ~dist node =
-  let children = Enumerate.children enum_cfg node.state in
-  let children =
-    if node.depth = 0 then List.filter (fun (p, _) -> root_filter p) children else children
-  in
-  let kids =
-    List.filter
-      (fun (_, g') ->
-        Distance.within dist
-          ~current:(Graph.frontier_sizes g')
-          ~desired:enum_cfg.Enumerate.desired_shape
-          ~budget:(enum_cfg.Enumerate.max_prims - node.depth - 1))
-      children
-  in
-  Array.of_list (List.map (fun (p, g') -> (p, make_node g' (node.depth + 1))) kids)
-
-let ucb config parent_visits child =
-  if child.visits = 0 then infinity
-  else
-    (child.total /. float_of_int child.visits)
-    +. (config.exploration
-        *. sqrt (log (float_of_int (max 1 parent_visits)) /. float_of_int child.visits))
-
-(* Graceful-stop marker for the iteration loops; never escapes. *)
+(* Graceful-stop marker for the iteration loop; never escapes. *)
 exception Stop
 
 (* One tree, one domain.  All mutable state (the tree, the distance
    memo, the found/reward table, the failure collector) is private to
    the call, so trees can run on separate domains as long as [reward]
    itself is safe to call from any domain.  The checkpoint sink is the
-   one shared structure; it serializes internally. *)
-let run_tree ?root_filter ~config ~enum_cfg ~reward ~rng ~policy ~inject ~penalty ~sink
-    ~preload ~collector ~admit ~cancel () =
+   one shared structure; it serializes internally.  [root_filter]
+   restricts the {e root} action set only: sharded searches partition
+   the space by root action, and every deeper level stays complete
+   within the owned subtrees. *)
+let run_tree ?(root_filter = fun (_ : Pgraph.Prim.t) -> true) ~config ~enum_cfg ~reward ~rng
+    ~policy ~inject ~penalty ~sink ~preload ~collector ~admit ~cancel () =
   let dist = Distance.create () in
   let found : (string, entry) Hashtbl.t = Hashtbl.create 64 in
   (* Resumed entries enter with zero visits: the replayed trajectory
@@ -238,6 +141,32 @@ let run_tree ?root_filter ~config ~enum_cfg ~reward ~rng ~policy ~inject ~penalt
           ent_quarantined = e.Checkpoint.quarantined;
         })
     preload;
+  (* Score one never-seen-before candidate: the admission gate, then
+     the guarded reward thunk.  A rejection by [admit] is deterministic
+     (budget or validation verdict), so it is quarantined directly: one
+     attempt, no retries, and the reward thunk never runs. *)
+  let score key op =
+    match admit op with
+    | Error k ->
+        let label = Guard.kind_label k in
+        collector.c_attempts <- collector.c_attempts + 1;
+        bump_kind collector label;
+        collector.c_quarantined <- collector.c_quarantined + 1;
+        (penalty, true, Some label)
+    | Ok () -> (
+        let out = Guard.run ~policy ~inject ?cancel ~key (fun token -> reward ~cancel:token op) in
+        collector.c_attempts <- collector.c_attempts + out.Guard.attempts;
+        collector.c_retries <- collector.c_retries + (out.Guard.attempts - 1);
+        List.iter (fun k -> bump_kind collector (Guard.kind_label k)) out.Guard.failures;
+        collector.c_backoff <- collector.c_backoff +. out.Guard.slept;
+        match out.Guard.result with
+        | Ok r ->
+            collector.c_evaluations <- collector.c_evaluations + 1;
+            (r, false, None)
+        | Error k ->
+            collector.c_quarantined <- collector.c_quarantined + 1;
+            (penalty, true, Some (Guard.kind_label k)))
+  in
   let evaluate op =
     let key = Graph.operator_signature op in
     match Hashtbl.find_opt found key with
@@ -245,23 +174,79 @@ let run_tree ?root_filter ~config ~enum_cfg ~reward ~rng ~policy ~inject ~penalt
         e.ent_visits <- e.ent_visits + 1;
         e.ent_reward
     | None ->
-        let entry, reason =
-          guarded_entry ~policy ~inject ~penalty ~collector ~admit ~cancel ~reward ~key op
-        in
-        Hashtbl.add found key entry;
-        note_sink sink key entry reason;
-        entry.ent_reward
+        let r, quarantined, reason = score key op in
+        Hashtbl.add found key
+          { ent_op = op; ent_reward = r; ent_visits = 1; ent_quarantined = quarantined };
+        Option.iter
+          (fun s ->
+            Checkpoint.note s
+              {
+                Checkpoint.signature = key;
+                operator = op;
+                reward = r;
+                visits = 1;
+                quarantined;
+                reason;
+              })
+          sink;
+        r
   in
-  let rollout node = rollout_walk ~config ~enum_cfg ~dist ~rng ~evaluate node in
+  (* Rollout: random guided walk from the node's state.  Every complete
+     state along the way is evaluated and recorded (Algorithm 1 keeps
+     enumerating past a match); the rollout's value is the best reward
+     seen.  The walk stops after [rollout_depth] actions or at the
+     global primitive cap, whichever comes first. *)
+  let rollout node =
+    let horizon = min enum_cfg.Enumerate.max_prims (node.depth + config.rollout_depth) in
+    let rec go depth g best =
+      let best =
+        match Enumerate.try_complete enum_cfg g with
+        | Some op -> fmax best (evaluate op)
+        | None -> best
+      in
+      if depth >= horizon then best
+      else
+        match
+          Enumerate.guided_children enum_cfg dist g
+            ~budget:(enum_cfg.Enumerate.max_prims - depth - 1)
+        with
+        | [] -> best
+        | options -> go (depth + 1) (Enumerate.pick_guided rng options) best
+    in
+    go node.depth node.state 0.0
+  in
+  (* Enumerate and distance-prune a node's children on first visit. *)
   let expand node =
     match node.children with
     | Some c -> c
     | None ->
-        let arr = node_children ?root_filter ~enum_cfg ~dist node in
+        let children = Enumerate.children enum_cfg node.state in
+        let children =
+          if node.depth = 0 then List.filter (fun (p, _) -> root_filter p) children
+          else children
+        in
+        let kids =
+          List.filter
+            (fun (_, g') ->
+              Distance.within dist
+                ~current:(Graph.frontier_sizes g')
+                ~desired:enum_cfg.Enumerate.desired_shape
+                ~budget:(enum_cfg.Enumerate.max_prims - node.depth - 1))
+            children
+        in
+        let arr =
+          Array.of_list (List.map (fun (p, g') -> (p, make_node g' (node.depth + 1))) kids)
+        in
         node.children <- Some arr;
         arr
   in
-  let ucb = ucb config in
+  let ucb parent_visits child =
+    if child.visits = 0 then infinity
+    else
+      (child.total /. float_of_int child.visits)
+      +. (config.exploration
+          *. sqrt (log (float_of_int (max 1 parent_visits)) /. float_of_int child.visits))
+  in
   let rec simulate node =
     node.visits <- node.visits + 1;
     (* Terminal reward opportunity at this node. *)
@@ -341,289 +326,64 @@ let to_results found =
 
 let admit_all _ = Ok ()
 
-let search_run ?(config = default_config ()) ?(guard = Guard.default_policy)
+(* Whether [e] beats [m], two trees' entries for one signature: a
+   healthy evaluation beats any quarantine verdict (the guard is
+   deterministic per key, so trees disagree only when their policies saw
+   different transient faults), and among healthy entries the higher
+   reward wins, a NaN never. *)
+let beats e m =
+  (not e.ent_quarantined)
+  && (m.ent_quarantined
+     || ((not (Float.is_nan e.ent_reward))
+        && (Float.is_nan m.ent_reward || e.ent_reward > m.ent_reward)))
+
+(* Fold [src]'s entries into [dst], summing visits.  The winner's
+   operator comes with its reward: two operators can share a signature
+   and still score differently. *)
+let merge_into dst src =
+  Hashtbl.iter
+    (fun key e ->
+      match Hashtbl.find_opt dst key with
+      | None -> Hashtbl.add dst key e
+      | Some m ->
+          Hashtbl.replace dst key
+            { (if beats e m then e else m) with ent_visits = m.ent_visits + e.ent_visits })
+    src
+
+let search_run ?(config = default_config ()) ?pool ?(guard = Guard.default_policy)
     ?(inject = Inject.none) ?(quarantine_reward = 0.0) ?checkpoint ?(resume = [])
     ?(admit = admit_all) ?cancel ?root_filter enum_cfg ~reward ~rng () =
-  let collector = new_collector () in
+  let k = match pool with Some p -> Par.Pool.size p | None -> 1 in
+  (* Tree 0 keeps [rng]; the others split theirs off it up front, in
+     order, so the set of trees (and hence the merged result) depends
+     only on [rng] and [k], never on how the pool schedules them. *)
+  let rngs = Array.init k (fun i -> if i = 0 then rng else Nd.Rng.split rng) in
+  let collectors = Array.init k (fun _ -> new_collector ()) in
+  (* [config.iterations] is the total budget, dealt out as evenly as
+     possible.  Each tree polls the token itself and self-terminates
+     with partial results, so the pool-level map is left uncancelled
+     and always returns every table. *)
+  let run i =
+    let iterations = (config.iterations / k) + if i < config.iterations mod k then 1 else 0 in
+    run_tree ?root_filter ~config:{ config with iterations } ~enum_cfg ~reward ~rng:rngs.(i)
+      ~policy:guard ~inject ~penalty:quarantine_reward ~sink:checkpoint ~preload:resume
+      ~collector:collectors.(i) ~admit ~cancel ()
+  in
   let found =
-    run_tree ?root_filter ~config ~enum_cfg ~reward ~rng ~policy:guard ~inject
-      ~penalty:quarantine_reward ~sink:checkpoint ~preload:resume ~collector ~admit ~cancel ()
-  in
-  (match checkpoint with Some s -> Checkpoint.flush s | None -> ());
-  { results = to_results found; stats = stats_of_collectors ?checkpoint [| collector |] }
-
-let search ?config ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit ?cancel
-    ?root_filter enum_cfg ~reward ~rng () =
-  (search_run ?config ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit ?cancel
-     ?root_filter enum_cfg ~reward ~rng ())
-    .results
-
-let search_parallel_run ?(config = default_config ()) ?pool ?(guard = Guard.default_policy)
-    ?(inject = Inject.none) ?(quarantine_reward = 0.0) ?checkpoint ?(resume = [])
-    ?(admit = admit_all) ?cancel ~trees enum_cfg ~reward ~rng () =
-  let trees = max 1 trees in
-  (* Derive the per-tree generators up front, sequentially, so the set
-     of trees (and hence the merged result) depends only on [rng] and
-     [trees], never on how the pool schedules them. *)
-  let rngs = Array.make trees rng in
-  for i = 0 to trees - 1 do
-    rngs.(i) <- Nd.Rng.split rng
-  done;
-  let collectors = Array.init trees (fun _ -> new_collector ()) in
-  (* Each tree polls the token itself and self-terminates with partial
-     results; the pool-level loop is left uncancelled so [Pool.map]
-     always returns a full array of tables. *)
-  let run (rng, collector) =
-    run_tree ~config ~enum_cfg ~reward ~rng ~policy:guard ~inject ~penalty:quarantine_reward
-      ~sink:checkpoint ~preload:resume ~collector ~admit ~cancel ()
-  in
-  let jobs = Array.init trees (fun i -> (rngs.(i), collectors.(i))) in
-  let tables =
     match pool with
-    | Some pool -> Par.Pool.map pool run jobs
-    | None -> Par.Pool.map (Par.Pool.get_default ()) run jobs
+    | Some pool when k > 1 ->
+        let tables = Par.Pool.map pool run (Array.init k Fun.id) in
+        for i = 1 to k - 1 do
+          merge_into tables.(0) tables.(i)
+        done;
+        tables.(0)
+    | Some _ | None -> run 0
   in
-  let merged : (string, entry) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun key e ->
-          match Hashtbl.find_opt merged key with
-          | None ->
-              Hashtbl.add merged key
-                {
-                  ent_op = e.ent_op;
-                  ent_reward = e.ent_reward;
-                  ent_visits = e.ent_visits;
-                  ent_quarantined = e.ent_quarantined;
-                }
-          | Some m ->
-              m.ent_visits <- m.ent_visits + e.ent_visits;
-              (* A healthy evaluation beats any quarantine verdict (the
-                 guard is deterministic per key, so trees disagree only
-                 when their policies saw different transient faults). *)
-              if m.ent_quarantined && not e.ent_quarantined then begin
-                m.ent_quarantined <- false;
-                m.ent_reward <- e.ent_reward
-              end
-              else if not m.ent_quarantined && not e.ent_quarantined then
-                m.ent_reward <- fmax m.ent_reward e.ent_reward)
-        tbl)
-    tables;
   (match checkpoint with Some s -> Checkpoint.flush s | None -> ());
-  { results = to_results merged; stats = stats_of_collectors ?checkpoint collectors }
+  { results = to_results found; stats = stats_of_collectors ?checkpoint collectors }
 
-let search_parallel ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume
-    ?admit ?cancel ~trees enum_cfg ~reward ~rng () =
-  (search_parallel_run ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume
-     ?admit ?cancel ~trees enum_cfg ~reward ~rng ())
-    .results
-
-(* --- Single-tree parallel search ------------------------------------------ *)
-
-(* The shared reward memo, lock-striped by signature hash so workers
-   evaluating different candidates never contend on one mutex.  A
-   [Pending] slot marks a signature some worker is scoring right now:
-   later arrivals park on the stripe's condition instead of paying for
-   a duplicate evaluation, preserving the at-most-once-per-signature
-   contract of the sequential search. *)
-module Shared_memo = struct
-  type slot = Pending | Ready of entry
-
-  let stripes = 64 (* power of two; the stripe index is a hash mask *)
-
-  type t = {
-    locks : Mutex.t array;
-    conds : Condition.t array;
-    tables : (string, slot) Hashtbl.t array;
-  }
-
-  let stripe key = Hashtbl.hash key land (stripes - 1)
-
-  let create preload =
-    let t =
-      {
-        locks = Array.init stripes (fun _ -> Mutex.create ());
-        conds = Array.init stripes (fun _ -> Condition.create ());
-        tables = Array.init stripes (fun _ -> Hashtbl.create 16);
-      }
-    in
-    List.iter
-      (fun e ->
-        let key = e.Checkpoint.signature in
-        Hashtbl.replace t.tables.(stripe key) key
-          (Ready
-             {
-               ent_op = e.Checkpoint.operator;
-               ent_reward = e.Checkpoint.reward;
-               ent_visits = 0;
-               ent_quarantined = e.Checkpoint.quarantined;
-             }))
-      preload;
-    t
-
-  (* Snapshot every decided entry into a plain table for [to_results].
-     Call only after the workers have joined; a [Pending] at that point
-     can only be the leftover of a cancelled evaluation and is dead. *)
-  let to_table t =
-    let out = Hashtbl.create 64 in
-    Array.iter
-      (fun tbl ->
-        Hashtbl.iter
-          (fun k s -> match s with Ready e -> Hashtbl.replace out k e | Pending -> ())
-          tbl)
-      t.tables;
-    out
-end
-
-let evaluate_shared memo ~policy ~inject ~penalty ~sink ~admit ~cancel ~reward ~collector op =
-  let key = Graph.operator_signature op in
-  let i = Shared_memo.stripe key in
-  let lock = memo.Shared_memo.locks.(i)
-  and cond = memo.Shared_memo.conds.(i)
-  and tbl = memo.Shared_memo.tables.(i) in
-  Mutex.lock lock;
-  let rec claim () =
-    match Hashtbl.find_opt tbl key with
-    | Some (Shared_memo.Ready e) ->
-        e.ent_visits <- e.ent_visits + 1;
-        let r = e.ent_reward in
-        Mutex.unlock lock;
-        r
-    | Some Shared_memo.Pending ->
-        (* another worker is scoring this signature; wait for its verdict *)
-        Condition.wait cond lock;
-        claim ()
-    | None -> (
-        Hashtbl.replace tbl key Shared_memo.Pending;
-        Mutex.unlock lock;
-        match guarded_entry ~policy ~inject ~penalty ~collector ~admit ~cancel ~reward ~key op with
-        | entry, reason ->
-            Mutex.lock lock;
-            Hashtbl.replace tbl key (Shared_memo.Ready entry);
-            Condition.broadcast cond;
-            Mutex.unlock lock;
-            note_sink sink key entry reason;
-            entry.ent_reward
-        | exception e ->
-            (* external cancellation mid-evaluation: withdraw the
-               Pending marker so parked waiters become owners (and then
-               observe the trip themselves) instead of deadlocking *)
-            Mutex.lock lock;
-            Hashtbl.remove tbl key;
-            Condition.broadcast cond;
-            Mutex.unlock lock;
-            raise e)
-  in
-  claim ()
-
-(* One iteration of the shared tree.  Selection runs under the tree
-   mutex and increments [visits] along the path *before* any reward
-   lands — that is the virtual loss: concurrent workers see the
-   in-flight path as visited-but-valueless, its UCB score drops, and
-   they are steered toward different subtrees.  Expansion (child
-   enumeration plus distance pruning) and the rollout/evaluation are
-   too expensive for the lock, so they run outside it; backpropagation
-   re-acquires it to add the reward along the recorded path. *)
-let simulate_shared ~tree_mutex ~config ~enum_cfg ~dist ~rng ~evaluate root =
-  Mutex.lock tree_mutex;
-  let path = ref [] in
-  let rec descend node =
-    node.visits <- node.visits + 1;
-    path := node :: !path;
-    let kids =
-      match node.children with
-      | Some c -> c
-      | None -> (
-          Mutex.unlock tree_mutex;
-          let arr = node_children ~enum_cfg ~dist node in
-          Mutex.lock tree_mutex;
-          match node.children with
-          | Some c -> c (* lost the expansion race; use the winner's *)
-          | None ->
-              node.children <- Some arr;
-              arr)
-    in
-    if Array.length kids = 0 then `Terminal node
-    else begin
-      let best = ref 0 in
-      for i = 1 to Array.length kids - 1 do
-        let _, ci = kids.(i) and _, cb = kids.(!best) in
-        if ucb config node.visits ci > ucb config node.visits cb then best := i
-      done;
-      let _, child = kids.(!best) in
-      if child.visits = 0 then begin
-        child.visits <- 1;
-        path := child :: !path;
-        `Rollout child
-      end
-      else descend child
-    end
-  in
-  let target = descend root in
-  Mutex.unlock tree_mutex;
-  let r =
-    match target with
-    | `Terminal node -> (
-        match Enumerate.try_complete enum_cfg node.state with
-        | Some op -> evaluate op
-        | None -> 0.0)
-    | `Rollout child -> rollout_walk ~config ~enum_cfg ~dist ~rng ~evaluate child
-  in
-  Mutex.lock tree_mutex;
-  List.iter (fun nd -> nd.total <- nd.total +. r) !path;
-  Mutex.unlock tree_mutex
-
-let search_single_tree_run ?(config = default_config ()) ?pool ?(guard = Guard.default_policy)
-    ?(inject = Inject.none) ?(quarantine_reward = 0.0) ?checkpoint ?(resume = [])
-    ?(admit = admit_all) ?cancel ?workers enum_cfg ~reward ~rng () =
-  let pool = match pool with Some p -> p | None -> Par.Pool.get_default () in
-  let workers = max 1 (match workers with Some w -> w | None -> Par.Pool.size pool) in
-  let memo = Shared_memo.create resume in
-  let tree_mutex = Mutex.create () in
-  let root = make_node (Graph.init enum_cfg.Enumerate.output_shape) 0 in
-  (* The whole iteration budget is one shared pot the workers drain —
-     unlike root-parallel, worker count changes wall-clock, not search
-     effort. *)
-  let next_iter = Atomic.make 0 in
-  (* Per-worker generators split off [rng] up front, sequentially, so
-     the trajectory set depends on scheduling only through iteration
-     interleaving, never through shared generator state.  Worker 0
-     keeps [rng] itself: with one worker the selection policy below is
-     exactly the sequential one, so [workers = 1] reproduces
-     {!search_run} bit-for-bit. *)
-  let rngs = Array.make workers rng in
-  for i = 1 to workers - 1 do
-    rngs.(i) <- Nd.Rng.split rng
-  done;
-  let collectors = Array.init workers (fun _ -> new_collector ()) in
-  let worker (wrng, collector) =
-    let dist = Distance.create () in
-    let evaluate op =
-      evaluate_shared memo ~policy:guard ~inject ~penalty:quarantine_reward ~sink:checkpoint
-        ~admit ~cancel ~reward ~collector op
-    in
-    try
-      while Atomic.fetch_and_add next_iter 1 < config.iterations do
-        (match cancel with
-        | Some c when Robust.Cancel.is_cancelled c -> raise_notrace Stop
-        | Some _ | None -> ());
-        simulate_shared ~tree_mutex ~config ~enum_cfg ~dist ~rng:wrng ~evaluate root
-      done
-    with Stop | Robust.Cancel.Cancelled _ -> ()
-  in
-  let jobs = Array.init workers (fun i -> (rngs.(i), collectors.(i))) in
-  (* Workers self-terminate on cancellation, so the pool-level map is
-     left uncancelled and always returns. *)
-  let (_ : unit array) = Par.Pool.map pool worker jobs in
-  (match checkpoint with Some s -> Checkpoint.flush s | None -> ());
-  {
-    results = to_results (Shared_memo.to_table memo);
-    stats = stats_of_collectors ?checkpoint collectors;
-  }
-
-let search_single_tree ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume
-    ?admit ?cancel ?workers enum_cfg ~reward ~rng () =
-  (search_single_tree_run ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume
-     ?admit ?cancel ?workers enum_cfg ~reward ~rng ())
+let search ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit ?cancel
+    ?root_filter enum_cfg ~reward ~rng () =
+  (search_run ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit
+     ?cancel ?root_filter enum_cfg ~reward ~rng ())
     .results

@@ -14,13 +14,22 @@
     the policy, and — if every attempt fails — the candidate is
     {e quarantined}: recorded with a configurable penalty reward, never
     re-evaluated, ranked after every healthy candidate, and accounted
-    for in the {!failure_stats} returned by the [_run] variants.  A
+    for in the {!failure_stats} returned by {!search_run}.  A
     {!Checkpoint.sink} persists the reward memo at a configurable
     cadence, and [resume] pre-seeds it so a killed search replays to the
-    same results without repeating completed evaluations. *)
+    same results without repeating completed evaluations.
+
+    {b Parallelism.}  Search is root-parallel: given a pool of size [k],
+    [k] independent trees split the iteration budget, run one per
+    domain, and their found tables are merged by operator signature.
+    Tree 0 is driven by the caller's generator and the others by
+    generators split off it up front, so the result is a deterministic
+    function of the generator and [k].  Without a pool (or with a pool
+    of size 1) the search is a single tree on the calling domain: no
+    domain is spawned and nothing is merged. *)
 
 type config = {
-  iterations : int;  (** per tree *)
+  iterations : int;  (** total, across every tree *)
   exploration : float;  (** UCB1 constant, default sqrt 2 *)
   rollout_depth : int;
       (** maximum actions per rollout: the walk is cut off after this
@@ -58,6 +67,7 @@ type run = { results : result list; stats : failure_stats }
 
 val search_run :
   ?config:config ->
+  ?pool:Par.Pool.t ->
   ?guard:Robust.Guard.policy ->
   ?inject:Robust.Inject.t ->
   ?quarantine_reward:float ->
@@ -102,12 +112,32 @@ val search_run :
     worker processes by seeded root-action signature — each shard
     explores exactly the subtrees under the root actions it owns.
 
+    [pool] of size [k > 1] runs [k] root-parallel trees on it.  Tree
+    [i] runs [config.iterations / k] iterations, plus one when
+    [i < config.iterations mod k]; tree 0 keeps [rng] and trees
+    [1..k-1] take [Nd.Rng.split rng] in order, before any tree starts.
+    Every tree gets the same [resume], [admit], [cancel] and
+    [root_filter].  The per-tree tables are merged by signature: best
+    reward (NaN-safe), summed visits, and a healthy evaluation overrides
+    a quarantine verdict; a merged result carries the operator its
+    reward was scored on.  Failure statistics are summed over trees.
+    The at-most-once [reward] contract then holds per tree: two trees
+    that meet the same signature each score it once.  [reward] and
+    [admit] must be safe to call from several domains (the analytic
+    proxy of {!Reward} and {!Validate.Admit.gate} are); the checkpoint
+    sink may be shared, it serializes internally.  On cancellation
+    each tree stops at its own next iteration boundary, and the partial
+    tables still merge.  Without [pool], or with a pool of size 1, the
+    search is exactly one tree on the calling domain, driven by [rng]
+    itself.
+
     Defaults: [guard = Robust.Guard.default_policy] (2 retries, no
     backoff, no timeout), no injection, [quarantine_reward = 0.0], no
     checkpointing, admit-everything gate. *)
 
 val search :
   ?config:config ->
+  ?pool:Par.Pool.t ->
   ?guard:Robust.Guard.policy ->
   ?inject:Robust.Inject.t ->
   ?quarantine_reward:float ->
@@ -122,112 +152,3 @@ val search :
   unit ->
   result list
 (** [search_run] without the statistics. *)
-
-val search_parallel_run :
-  ?config:config ->
-  ?pool:Par.Pool.t ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.entry list ->
-  ?admit:(Pgraph.Graph.operator -> (unit, Robust.Guard.kind) Stdlib.result) ->
-  ?cancel:Robust.Cancel.t ->
-  trees:int ->
-  Enumerate.config ->
-  reward:(cancel:Robust.Cancel.t -> Pgraph.Graph.operator -> float) ->
-  rng:Nd.Rng.t ->
-  unit ->
-  run
-(** Root-parallel MCTS: [trees] independent trees, each running
-    [config.iterations] iterations with its own generator split off
-    [rng] up front, scheduled across [pool] (default:
-    [Par.Pool.get_default ()]).  The per-tree found tables are merged
-    by operator signature (best reward NaN-safely, summed visits, a
-    healthy evaluation overriding a quarantine verdict), so for a fixed
-    [rng] and [trees] the result is identical at any pool size.
-    [reward] must be safe to call from multiple domains — the analytic
-    proxy of {!Reward} is.  Failure statistics are collected per tree
-    and summed; the checkpoint sink may be shared across trees (it
-    serializes internally).  [cancel] is polled by every tree at its
-    own iteration boundary; each tree self-terminates with partial
-    results, so a shutdown still merges and returns what all trees
-    found. *)
-
-val search_parallel :
-  ?config:config ->
-  ?pool:Par.Pool.t ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.entry list ->
-  ?admit:(Pgraph.Graph.operator -> (unit, Robust.Guard.kind) Stdlib.result) ->
-  ?cancel:Robust.Cancel.t ->
-  trees:int ->
-  Enumerate.config ->
-  reward:(cancel:Robust.Cancel.t -> Pgraph.Graph.operator -> float) ->
-  rng:Nd.Rng.t ->
-  unit ->
-  result list
-(** [search_parallel_run] without the statistics. *)
-
-val search_single_tree_run :
-  ?config:config ->
-  ?pool:Par.Pool.t ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.entry list ->
-  ?admit:(Pgraph.Graph.operator -> (unit, Robust.Guard.kind) Stdlib.result) ->
-  ?cancel:Robust.Cancel.t ->
-  ?workers:int ->
-  Enumerate.config ->
-  reward:(cancel:Robust.Cancel.t -> Pgraph.Graph.operator -> float) ->
-  rng:Nd.Rng.t ->
-  unit ->
-  run
-(** Single-tree parallel MCTS with virtual loss: [workers] jobs
-    (default: the pool size) share {e one} tree's statistics and one
-    signature-keyed reward memo, instead of building [workers] shallow
-    independent trees.  [config.iterations] is the {e total} budget,
-    claimed from a shared counter — more workers means faster, not
-    more, search.
-
-    Selection runs under a tree mutex and applies virtual loss: path
-    visit counts are incremented on the way down, before the reward
-    lands, so concurrent workers see in-flight paths as
-    visited-but-valueless and diversify.  Expansion, rollouts, and
-    reward evaluation run outside the lock; backpropagation re-acquires
-    it.  The reward memo is a lock-striped table whose in-flight slots
-    park duplicate requests on a condition variable, preserving the
-    at-most-once-reward-per-signature contract (and the single
-    checkpoint note per signature) across workers.  Statistics
-    accumulate in per-worker collectors and are summed.
-
-    Unlike {!search_parallel_run}, the result {e set} may vary between
-    runs with more than one worker — iteration interleaving is
-    scheduling-dependent — but every returned reward is still the
-    memoized, deterministic score of its operator, and with [workers =
-    1] the search is fully deterministic in [rng].  [cancel] is polled
-    at every iteration claim; workers self-terminate and the partial
-    memo is still merged, flushed, and returned. *)
-
-val search_single_tree :
-  ?config:config ->
-  ?pool:Par.Pool.t ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.entry list ->
-  ?admit:(Pgraph.Graph.operator -> (unit, Robust.Guard.kind) Stdlib.result) ->
-  ?cancel:Robust.Cancel.t ->
-  ?workers:int ->
-  Enumerate.config ->
-  reward:(cancel:Robust.Cancel.t -> Pgraph.Graph.operator -> float) ->
-  rng:Nd.Rng.t ->
-  unit ->
-  result list
-(** [search_single_tree_run] without the statistics. *)

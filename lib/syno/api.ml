@@ -272,12 +272,11 @@ let open_corpus ?(readonly = false) path =
   t
 
 let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
-    ?(flops_budget_ratio = 1.0) ?(domains = 1) ?trees ?guard ?inject ?quarantine_reward
+    ?(flops_budget_ratio = 1.0) ?(domains = 1) ?guard ?inject ?quarantine_reward
     ?checkpoint ?(checkpoint_every = 50) ?resume ?(on_corrupt = `Fail) ?max_bytes ?max_flops
     ?(validate = false) ?(validate_config = Validate.Differential.default_config)
-    ?(validation_valuations = default_validation_valuations) ?(static_gate = true)
-    ?(specialize_gate = false) ?corpus ?(corpus_readonly = false) ?cancel ~rng ~valuations
-    () =
+    ?(validation_valuations = default_validation_valuations) ?(static_gate = true) ?corpus
+    ?(corpus_readonly = false) ?cancel ~rng ~valuations () =
   let cfg, reward = conv_search_space ~max_prims ~flops_budget_ratio ~valuations in
   let sink =
     Option.map (fun path -> Search.Checkpoint.sink ~path ~every:checkpoint_every ()) checkpoint
@@ -293,37 +292,15 @@ let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
       ~max_bytes ~max_flops ~valuations ()
   in
   let admit = Option.map (fun g op -> Validate.Admit.gate g op) gate in
+  let search pool =
+    Search.Mcts.search_run ~config:(Search.Mcts.default_config ~iterations ()) ?pool ?guard
+      ?inject ?quarantine_reward ?checkpoint:sink ~resume ?admit ?cancel cfg ~reward ~rng ()
+  in
+  (* One domain builds no pool at all, so the sequential search spawns
+     nothing and leaves the process free to fork afterwards. *)
   let run =
-    match trees with
-    | None when domains > 1 ->
-        (* Single-tree parallel: [domains] workers share one tree (with
-           virtual loss) and one reward memo, draining the full
-           iteration budget together — more domains means faster, not
-           more, search. *)
-        let mcts_cfg = Search.Mcts.default_config ~iterations () in
-        Par.Pool.with_pool ~domains (fun pool ->
-            Search.Mcts.search_single_tree_run ~config:mcts_cfg ~pool ?guard ?inject
-              ?quarantine_reward ?checkpoint:sink ~resume ?admit ?cancel cfg ~reward ~rng ())
-    | None ->
-        let mcts_cfg = Search.Mcts.default_config ~iterations () in
-        Search.Mcts.search_run ~config:mcts_cfg ?guard ?inject ?quarantine_reward
-          ?checkpoint:sink ~resume ?admit ?cancel cfg ~reward ~rng ()
-    | Some t when max 1 t = 1 && domains <= 1 ->
-        let mcts_cfg = Search.Mcts.default_config ~iterations () in
-        Search.Mcts.search_run ~config:mcts_cfg ?guard ?inject ?quarantine_reward
-          ?checkpoint:sink ~resume ?admit ?cancel cfg ~reward ~rng ()
-    | Some t ->
-        (* Root-parallel (explicit [trees]): the iteration budget is
-           split across the trees so the candidate set depends only on
-           [trees] and [rng], never on [domains]. *)
-        let trees = max 1 t in
-        let mcts_cfg =
-          Search.Mcts.default_config ~iterations:(max 1 (iterations / trees)) ()
-        in
-        Par.Pool.with_pool ~domains (fun pool ->
-            Search.Mcts.search_parallel_run ~config:mcts_cfg ~pool ?guard ?inject
-              ?quarantine_reward ?checkpoint:sink ~resume ?admit ?cancel ~trees cfg ~reward
-              ~rng ())
+    if domains > 1 then Par.Pool.with_pool ~domains (fun pool -> search (Some pool))
+    else search None
   in
   let v0 = List.hd valuations in
   let candidates =
@@ -339,23 +316,6 @@ let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
         })
       run.Search.Mcts.results
   in
-  (* With the specialize gate on, every returned candidate must also
-     yield a certified kernel plan (pure arithmetic — no tensor work):
-     a candidate whose certificate fails translation validation is
-     quarantined rather than handed to a consumer that would specialize
-     it later. *)
-  let candidates =
-    if not specialize_gate then candidates
-    else
-      List.map
-        (fun c ->
-          if c.quarantined then c
-          else
-            match specialize_operator ~mode:`On c.operator v0 with
-            | Ok _ -> c
-            | Error _ | (exception Failure _) -> { c with quarantined = true })
-        candidates
-  in
   (* Flush so short runs that never hit the add cadence still persist
      their distilled counterexamples. *)
   Option.iter Validate.Corpus.flush corpus_t;
@@ -365,16 +325,6 @@ let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
     admission = Option.map Validate.Admit.stats gate;
     corpus_stats = Option.map Validate.Corpus.stats corpus_t;
   }
-
-let search_conv_operators ?iterations ?max_prims ?flops_budget_ratio ?domains ?trees ?guard
-    ?inject ?quarantine_reward ?checkpoint ?checkpoint_every ?resume ?on_corrupt ?max_bytes
-    ?max_flops ?validate ?validate_config ?validation_valuations ?static_gate
-    ?specialize_gate ?corpus ?corpus_readonly ?cancel ~rng ~valuations () =
-  (search_conv_operators_run ?iterations ?max_prims ?flops_budget_ratio ?domains ?trees
-     ?guard ?inject ?quarantine_reward ?checkpoint ?checkpoint_every ?resume ?on_corrupt
-     ?max_bytes ?max_flops ?validate ?validate_config ?validation_valuations ?static_gate
-     ?specialize_gate ?corpus ?corpus_readonly ?cancel ~rng ~valuations ())
-    .candidates
 
 (* --- Sharded multi-process search ----------------------------------------- *)
 
@@ -497,15 +447,3 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
       (Search.Shard.rank report.Search.Coordinator.rp_merge.Search.Shard.mr_entries)
   in
   { sh_candidates = candidates; sh_report = report; sh_corpus = corpus_merge }
-
-let search_conv_operators_sharded ?iterations ?max_prims ?flops_budget_ratio ?shards
-    ?workers ?max_restarts ?backoff ?heartbeat_timeout ?shard_deadline ?grace ?guard ?inject
-    ?quarantine_reward ?checkpoint_every ?max_bytes ?max_flops ?validate ?validate_config
-    ?validation_valuations ?static_gate ?corpus ?corpus_readonly ?kill_after ?inline ?cancel
-    ~checkpoint_base ~seed ~valuations () =
-  (search_conv_operators_sharded_run ?iterations ?max_prims ?flops_budget_ratio ?shards
-     ?workers ?max_restarts ?backoff ?heartbeat_timeout ?shard_deadline ?grace ?guard
-     ?inject ?quarantine_reward ?checkpoint_every ?max_bytes ?max_flops ?validate
-     ?validate_config ?validation_valuations ?static_gate ?corpus ?corpus_readonly
-     ?kill_after ?inline ?cancel ~checkpoint_base ~seed ~valuations ())
-    .sh_candidates

@@ -125,7 +125,6 @@ val search_conv_operators_run :
   ?max_prims:int ->
   ?flops_budget_ratio:float ->
   ?domains:int ->
-  ?trees:int ->
   ?guard:Robust.Guard.policy ->
   ?inject:Robust.Inject.t ->
   ?quarantine_reward:float ->
@@ -139,7 +138,6 @@ val search_conv_operators_run :
   ?validate_config:Validate.Differential.config ->
   ?validation_valuations:Shape.Valuation.t list ->
   ?static_gate:bool ->
-  ?specialize_gate:bool ->
   ?corpus:string ->
   ?corpus_readonly:bool ->
   ?cancel:Robust.Cancel.t ->
@@ -154,16 +152,12 @@ val search_conv_operators_run :
     (quarantined candidates last) together with per-run failure
     statistics.
 
-    [domains] (default 1) sizes a private domain pool.  With
-    [domains > 1] and no [trees], the search is single-tree parallel
-    ({!Search.Mcts.search_single_tree_run}): the workers share one
-    tree's statistics (virtual loss) and one reward memo, and the full
-    [iterations] budget is drained jointly — more domains means faster,
-    not more, search.  Passing [trees] explicitly selects root-parallel
-    search with that many independent trees instead, splitting
-    [iterations] evenly across them; for fixed [trees] and [rng] that
-    candidate set does not depend on [domains].  With [domains = 1] and
-    no (or one) tree this is the original sequential search.
+    [domains] (default 1) sizes a private domain pool, and the search
+    runs that many root-parallel trees on it
+    ({!Search.Mcts.search_run} with [~pool]): [iterations] is the total
+    budget, split across the trees, and the candidates are a
+    deterministic function of [rng] and [domains].  With [domains = 1]
+    no domain is spawned and this is the sequential search.
 
     Fault tolerance: every reward call runs under [guard] (default
     {!Robust.Guard.default_policy}); [inject] enables deterministic
@@ -188,11 +182,6 @@ val search_conv_operators_run :
     ({!Analysis.Verify}) runs first — interval arithmetic only, no
     tensor allocation — quarantining provably out-of-bounds gathers as
     [static_violation]; [static_gate:false] disables that stage.
-    [specialize_gate] (default false) additionally requires every
-    returned candidate to yield a certified specialized kernel plan
-    ({!specialize_operator} with mode [`On] — pure arithmetic, no
-    tensor work); candidates whose certificates fail translation
-    validation are quarantined.
     Admission rejections appear in [failures.failed_attempts]; gate
     cost and per-stage rejection counts in [admission].
 
@@ -295,67 +284,5 @@ val search_conv_operators_sharded_run :
     ([sh_report.rp_merge.mr_quarantined]); the run never aborts for it.
     [cancel] cascades shutdown to every worker: each flushes its
     checkpoint and exits 130, and the partial shards still merge. *)
-
-val search_conv_operators_sharded :
-  ?iterations:int ->
-  ?max_prims:int ->
-  ?flops_budget_ratio:float ->
-  ?shards:int ->
-  ?workers:int ->
-  ?max_restarts:int ->
-  ?backoff:float ->
-  ?heartbeat_timeout:float ->
-  ?shard_deadline:float ->
-  ?grace:float ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint_every:int ->
-  ?max_bytes:int ->
-  ?max_flops:int ->
-  ?validate:bool ->
-  ?validate_config:Validate.Differential.config ->
-  ?validation_valuations:Shape.Valuation.t list ->
-  ?static_gate:bool ->
-  ?corpus:string ->
-  ?corpus_readonly:bool ->
-  ?kill_after:int ->
-  ?inline:bool ->
-  ?cancel:Robust.Cancel.t ->
-  checkpoint_base:string ->
-  seed:int ->
-  valuations:Shape.Valuation.t list ->
-  unit ->
-  candidate list
-(** [search_conv_operators_sharded_run] without the report. *)
-
-val search_conv_operators :
-  ?iterations:int ->
-  ?max_prims:int ->
-  ?flops_budget_ratio:float ->
-  ?domains:int ->
-  ?trees:int ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:string ->
-  ?on_corrupt:[ `Fail | `Restart ] ->
-  ?max_bytes:int ->
-  ?max_flops:int ->
-  ?validate:bool ->
-  ?validate_config:Validate.Differential.config ->
-  ?validation_valuations:Shape.Valuation.t list ->
-  ?static_gate:bool ->
-  ?specialize_gate:bool ->
-  ?corpus:string ->
-  ?corpus_readonly:bool ->
-  ?cancel:Robust.Cancel.t ->
-  rng:Nd.Rng.t ->
-  valuations:Shape.Valuation.t list ->
-  unit ->
-  candidate list
-(** [search_conv_operators_run] without the statistics. *)
 
 val default_search_valuations : Shape.Valuation.t list

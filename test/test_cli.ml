@@ -98,7 +98,21 @@ let test_sharding_flag_validation () =
   rejects "--heartbeat-timeout" "0" "must be > 0";
   rejects "--heartbeat-timeout" "nan" "must be > 0";
   rejects "--heartbeat-timeout" "junk" "expected a number";
-  rejects "--shard-deadline" "-2.5" "must be > 0"
+  rejects "--shard-deadline" "-2.5" "must be > 0";
+  (* Flags the sharded path has no use for are refused, not dropped. *)
+  let rejects_sharded args flag =
+    let code, _, err = run_cli ([ "search"; "--iterations"; "1"; "--shards=2" ] @ args) in
+    Alcotest.(check int) (Printf.sprintf "%s with --shards 2 exits 1" flag) 1 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s with --shards 2: one-line reason naming both flags" flag)
+      true
+      (Astring.String.is_infix ~affix:flag err
+      && Astring.String.is_infix ~affix:"--shards > 1" err
+      && List.length (String.split_on_char '\n' (String.trim err)) = 1)
+  in
+  rejects_sharded [ "--resume=r.ckpt" ] "--resume";
+  rejects_sharded [ "--resume-ignore-corrupt" ] "--resume-ignore-corrupt";
+  rejects_sharded [ "--domains=2" ] "--domains"
 
 (* The remaining search flags are validated the same way: the fault
    rate is a probability, the fault seed an integer, and every path

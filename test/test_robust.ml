@@ -506,17 +506,16 @@ let test_quarantined_rank_last_and_nan_safe () =
   decreasing healthy
 
 let test_parallel_search_under_faults () =
-  let trees = 3 in
+  (* Three root-parallel trees of 120 iterations each. *)
+  let config = { config with Mcts.iterations = 3 * config.Mcts.iterations } in
   let rng () = Nd.Rng.create ~seed:21 in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      let clean =
-        Mcts.search_parallel ~config ~pool ~trees (matmul_cfg ()) ~reward ~rng:(rng ()) ()
-      in
+  Par.Pool.with_pool ~domains:3 (fun pool ->
+      let clean = Mcts.search ~config ~pool (matmul_cfg ()) ~reward ~rng:(rng ()) () in
       Alcotest.(check bool) "parallel baseline finds operators" true (clean <> []);
       let inject = Inject.create ~seed:9 ~rate:0.5 ~max_failures:2 () in
       let faulted =
-        Mcts.search_parallel_run ~config ~pool ~guard:(Guard.policy ~retries:2 ()) ~inject
-          ~trees (matmul_cfg ()) ~reward ~rng:(rng ()) ()
+        Mcts.search_run ~config ~pool ~guard:(Guard.policy ~retries:2 ()) ~inject
+          (matmul_cfg ()) ~reward ~rng:(rng ()) ()
       in
       Alcotest.(check bool) "same top-K under faults" true
         (top clean = top faulted.Mcts.results);
@@ -524,7 +523,41 @@ let test_parallel_search_under_faults () =
         Option.value ~default:0
           (List.assoc_opt "injected" faulted.Mcts.stats.Mcts.failed_attempts)
       in
-      Alcotest.(check int) "all faults accounted" (Inject.injected_count inject) recorded)
+      Alcotest.(check int) "all faults accounted" (Inject.injected_count inject) recorded;
+      (* The first call for each signature fails, whichever tree makes
+         it, and without retries that tree quarantines it; a second tree
+         meeting the signature scores it healthy.  So a merged entry is
+         quarantined exactly when one call was made for it, and a
+         healthy verdict from any tree overrides a quarantine, even one
+         whose penalty outscores it. *)
+      let calls = Hashtbl.create 64 and lock = Mutex.create () in
+      let fails_first ~cancel op =
+        let key = Graph.operator_signature op in
+        let n =
+          Mutex.protect lock (fun () ->
+              let n = 1 + Option.value ~default:0 (Hashtbl.find_opt calls key) in
+              Hashtbl.replace calls key n;
+              n)
+        in
+        if n = 1 then failwith "first call" else reward ~cancel op
+      in
+      let merged =
+        Mcts.search ~config ~pool ~guard:(Guard.policy ~retries:0 ()) ~quarantine_reward:2.0
+          (matmul_cfg ()) ~reward:fails_first ~rng:(rng ()) ()
+      in
+      Alcotest.(check bool) "some candidates quarantined" true
+        (List.exists (fun (x : Mcts.result) -> x.Mcts.quarantined) merged);
+      List.iter
+        (fun (x : Mcts.result) ->
+          let key = Graph.operator_signature x.Mcts.operator in
+          Alcotest.(check bool)
+            (key ^ ": quarantined iff only one tree scored it")
+            (Hashtbl.find calls key = 1) x.Mcts.quarantined;
+          if not x.Mcts.quarantined then
+            Alcotest.(check (float 0.0)) "healthy reward"
+              (Reward.score x.Mcts.operator (List.hd matmul_valuations))
+              x.Mcts.reward)
+        merged)
 
 (* --- Checkpointing --------------------------------------------------------- *)
 

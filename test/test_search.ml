@@ -172,130 +172,181 @@ let test_mcts_reward_memoized () =
     (Printf.sprintf "duplicates occurred (%d visits, %d distinct)" revisits !calls)
     true (revisits > !calls)
 
-let test_mcts_parallel_matches_sequential_pool () =
-  (* Root-parallel with fixed per-tree seeds: the merged result must not
-     depend on the pool size. *)
+let fingerprint rs =
+  List.map
+    (fun r ->
+      ( Graph.operator_signature r.Mcts.operator,
+        Int64.bits_of_float r.Mcts.reward,
+        r.Mcts.visits,
+        r.Mcts.quarantined ))
+    rs
+
+let test_mcts_pool_of_one_is_poolless () =
+  (* A pool of size 1 is one tree on the calling domain driven by the
+     caller's generator: bit for bit the poolless search, statistics
+     included. *)
   let cfg = matmul_cfg () in
   let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
-  let run pool_size =
-    Par.Pool.with_pool ~domains:pool_size (fun pool ->
-        Mcts.search_parallel
-          ~config:(Mcts.default_config ~iterations:60 ())
-          ~pool ~trees:3 cfg ~reward ~rng:(Nd.Rng.create ~seed:17) ())
-  in
-  let seq = run 1 and par = run 3 in
-  Alcotest.(check int) "same count" (List.length seq) (List.length par);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "same operator"
-        (Graph.operator_signature a.Mcts.operator)
-        (Graph.operator_signature b.Mcts.operator);
-      Alcotest.(check (float 0.0)) "same reward" a.Mcts.reward b.Mcts.reward;
-      Alcotest.(check int) "same visits" a.Mcts.visits b.Mcts.visits)
-    seq par
+  let config = Mcts.default_config ~iterations:120 () in
+  List.iter
+    (fun seed ->
+      let seq = Mcts.search_run ~config cfg ~reward ~rng:(Nd.Rng.create ~seed) () in
+      let pooled =
+        Par.Pool.with_pool ~domains:1 (fun pool ->
+            Mcts.search_run ~config ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: pool of 1 = no pool" seed)
+        true
+        (fingerprint seq.Mcts.results = fingerprint pooled.Mcts.results
+        && seq.Mcts.stats = pooled.Mcts.stats))
+    [ 13; 17; 29 ]
+
+(* The [k] trees a pool of size [k] runs, replayed one after another
+   without a pool: tree 0 keeps the generator, trees 1..k-1 split theirs
+   off it in order, and tree [i] gets its share of [iterations]. *)
+let replay_trees ~k ~iterations ~seed cfg ~reward =
+  let rng = Nd.Rng.create ~seed in
+  let rngs = Array.init k (fun i -> if i = 0 then rng else Nd.Rng.split rng) in
+  Array.mapi
+    (fun i rng ->
+      let iterations = (iterations / k) + if i < iterations mod k then 1 else 0 in
+      Mcts.search ~config:(Mcts.default_config ~iterations ()) cfg ~reward ~rng ())
+    rngs
+
+let test_mcts_parallel_matches_sequential_pool () =
+  (* Running the [k] trees concurrently on a pool changes nothing: the
+     merged result is the trees replayed one after another without a
+     pool and merged by signature (best reward, summed visits, a
+     quarantine only when every tree quarantined), rewards bit for bit. *)
+  let cfg = matmul_cfg () in
+  let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
+  let by_signature rs = List.sort compare (fingerprint rs) in
+  List.iter
+    (fun (k, seed) ->
+      let iterations = 100 in
+      let pooled =
+        Par.Pool.with_pool ~domains:k (fun pool ->
+            Mcts.search
+              ~config:(Mcts.default_config ~iterations ())
+              ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ())
+      in
+      let merged = Hashtbl.create 64 in
+      Array.iter
+        (List.iter (fun r ->
+             let key = Graph.operator_signature r.Mcts.operator in
+             let entry = (r.Mcts.reward, r.Mcts.visits, r.Mcts.quarantined) in
+             Hashtbl.replace merged key
+               (match Hashtbl.find_opt merged key with
+               | None -> entry
+               | Some (reward, visits, quarantined) ->
+                   ( Float.max reward r.Mcts.reward,
+                     visits + r.Mcts.visits,
+                     quarantined && r.Mcts.quarantined ))))
+        (replay_trees ~k ~iterations ~seed cfg ~reward);
+      let sequential =
+        List.sort compare
+          (Hashtbl.fold
+             (fun key (reward, visits, quarantined) acc ->
+               (key, Int64.bits_of_float reward, visits, quarantined) :: acc)
+             merged [])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d seed %d: pool = trees in sequence" k seed)
+        true
+        (by_signature pooled = sequential))
+    [ (2, 13); (3, 17); (3, 29) ]
 
 let test_mcts_parallel_merges_trees () =
-  (* More trees never lose operators relative to any single tree. *)
+  (* A pool of size 4 runs exactly the four trees the contract names and
+     merges them by signature: the union of their operators, visits
+     summed, each reward the operator's score.  242 iterations do not
+     divide evenly, so trees 0 and 1 run one more than trees 2 and 3. *)
   let cfg = matmul_cfg () in
   let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
+  let k = 4 and iterations = 242 in
   let merged =
-    Par.Pool.with_pool ~domains:2 (fun pool ->
-        Mcts.search_parallel
-          ~config:(Mcts.default_config ~iterations:60 ())
-          ~pool ~trees:4 cfg ~reward ~rng:(Nd.Rng.create ~seed:29) ())
+    Par.Pool.with_pool ~domains:k (fun pool ->
+        Mcts.search
+          ~config:(Mcts.default_config ~iterations ())
+          ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed:29) ())
   in
   Alcotest.(check bool) "found operators" true (merged <> []);
   let sigs = List.map (fun r -> Graph.operator_signature r.Mcts.operator) merged in
   Alcotest.(check int) "deduplicated" (List.length sigs)
-    (List.length (List.sort_uniq compare sigs))
-
-(* --- Single-tree parallel MCTS -------------------------------------------- *)
-
-let test_single_tree_matches_sequential () =
-  (* With one worker the shared-tree selection policy and the caller's
-     generator are exactly the sequential search's, so the result must
-     be bit-for-bit identical: same operators, same rewards, same visit
-     counts. *)
-  let cfg = matmul_cfg () in
-  let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
-  let fingerprint rs =
-    List.map
-      (fun r -> (Graph.operator_signature r.Mcts.operator, r.Mcts.reward, r.Mcts.visits))
-      rs
-  in
+    (List.length (List.sort_uniq compare sigs));
+  let expected = Hashtbl.create 64 in
+  Array.iter
+    (List.iter (fun r ->
+         let key = Graph.operator_signature r.Mcts.operator in
+         let visits = Option.value ~default:0 (Hashtbl.find_opt expected key) in
+         Hashtbl.replace expected key (visits + r.Mcts.visits)))
+    (replay_trees ~k ~iterations ~seed:29 cfg ~reward);
+  Alcotest.(check int) "union of the trees" (Hashtbl.length expected) (List.length merged);
   List.iter
-    (fun seed ->
-      let config = Mcts.default_config ~iterations:120 () in
-      let seq = Mcts.search ~config cfg ~reward ~rng:(Nd.Rng.create ~seed) () in
-      let st =
-        Par.Pool.with_pool ~domains:2 (fun pool ->
-            Mcts.search_single_tree ~config ~pool ~workers:1 cfg ~reward
-              ~rng:(Nd.Rng.create ~seed) ())
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: single tree (1 worker) = sequential" seed)
-        true
-        (fingerprint seq = fingerprint st))
-    [ 13; 17; 29 ]
+    (fun r ->
+      let key = Graph.operator_signature r.Mcts.operator in
+      Alcotest.(check (option int)) "visits summed over trees" (Hashtbl.find_opt expected key)
+        (Some r.Mcts.visits);
+      Alcotest.(check (float 0.0)) "reward is the operator's score"
+        (Reward.score r.Mcts.operator (List.hd matmul_valuations))
+        r.Mcts.reward)
+    merged
 
-let test_single_tree_parallel_workers () =
-  (* Several workers share one tree and one reward memo: the search
-     still finds operators, deduplicates by signature, calls the reward
-     thunk at most once per distinct signature across all workers, and
-     every returned reward is the deterministic memoized score. *)
+let test_mcts_parallel_memo_per_tree () =
+  (* Each tree memoizes its own rewards: the thunk runs at most once per
+     signature per tree, so the total number of calls is exactly the sum
+     of the trees' distinct operators, every call is accounted in the
+     statistics, and two runs with the same generator are identical. *)
   let cfg = matmul_cfg () in
   let calls = Atomic.make 0 in
   let reward ~cancel:_ op =
     Atomic.incr calls;
     Reward.score op (List.hd matmul_valuations)
   in
-  let results =
-    Par.Pool.with_pool ~domains:3 (fun pool ->
-        Mcts.search_single_tree
-          ~config:(Mcts.default_config ~iterations:150 ())
+  let k = 3 and iterations = 150 in
+  let run () =
+    Par.Pool.with_pool ~domains:k (fun pool ->
+        Mcts.search_run
+          ~config:(Mcts.default_config ~iterations ())
           ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed:13) ())
   in
-  Alcotest.(check bool) "found operators" true (results <> []);
-  let sigs = List.map (fun r -> Graph.operator_signature r.Mcts.operator) results in
-  Alcotest.(check int) "deduplicated" (List.length sigs)
-    (List.length (List.sort_uniq compare sigs));
-  Alcotest.(check int) "at most one reward call per distinct signature"
-    (List.length results) (Atomic.get calls);
-  List.iter
-    (fun r ->
-      Alcotest.(check (float 0.0)) "memoized deterministic reward"
-        (Reward.score r.Mcts.operator (List.hd matmul_valuations))
-        r.Mcts.reward)
-    results
+  let first = run () in
+  let parallel_calls = Atomic.get calls in
+  Alcotest.(check int) "every call is an evaluation" parallel_calls
+    first.Mcts.stats.Mcts.evaluations;
+  Atomic.set calls 0;
+  let trees = replay_trees ~k ~iterations ~seed:13 cfg ~reward in
+  Alcotest.(check int) "at most one reward call per signature per tree"
+    (Array.fold_left (fun acc t -> acc + List.length t) 0 trees)
+    parallel_calls;
+  Alcotest.(check bool) "same generator, same results" true
+    (fingerprint first.Mcts.results = fingerprint (run ()).Mcts.results)
 
-let test_single_tree_cancellation_partial () =
-  (* A token tripped mid-search makes the workers return the partial
-     memo instead of raising; evaluation stops well short of what the
-     uncancelled search performs. *)
+let test_mcts_parallel_cancellation_partial () =
+  (* A token tripped mid-search makes every tree return its partial
+     table, and the merge still runs: results, not an exception, and
+     evaluation stops well short of what the uncancelled search does. *)
   let cfg = matmul_cfg () in
   let config = Mcts.default_config ~iterations:2_000 () in
+  let search ?cancel reward =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        Mcts.search ~config ~pool ?cancel cfg ~reward ~rng:(Nd.Rng.create ~seed:7) ())
+  in
   let baseline = Atomic.make 0 in
   let (_ : Mcts.result list) =
-    Par.Pool.with_pool ~domains:2 (fun pool ->
-        Mcts.search_single_tree ~config ~pool cfg
-          ~reward:(fun ~cancel:_ op ->
-            Atomic.incr baseline;
-            Reward.score op (List.hd matmul_valuations))
-          ~rng:(Nd.Rng.create ~seed:7) ())
+    search (fun ~cancel:_ op ->
+        Atomic.incr baseline;
+        Reward.score op (List.hd matmul_valuations))
   in
   let tok = Robust.Cancel.create () in
   let evals = Atomic.make 0 in
-  let run =
-    Par.Pool.with_pool ~domains:2 (fun pool ->
-        Mcts.search_single_tree_run ~config ~pool ~cancel:tok cfg
-          ~reward:(fun ~cancel:_ op ->
-            if Atomic.fetch_and_add evals 1 >= 2 then
-              Robust.Cancel.cancel ~reason:"test" tok;
-            Reward.score op (List.hd matmul_valuations))
-          ~rng:(Nd.Rng.create ~seed:7) ())
+  let partial =
+    search ~cancel:tok (fun ~cancel:_ op ->
+        if Atomic.fetch_and_add evals 1 >= 2 then Robust.Cancel.cancel ~reason:"test" tok;
+        Reward.score op (List.hd matmul_valuations))
   in
-  Alcotest.(check bool) "returns partial results, does not raise" true
-    (run.Mcts.results <> []);
+  Alcotest.(check bool) "returns partial results, does not raise" true (partial <> []);
   Alcotest.(check bool)
     (Printf.sprintf "stopped early (%d evals vs %d uncancelled)" (Atomic.get evals)
        (Atomic.get baseline))
@@ -306,12 +357,9 @@ let test_single_tree_cancellation_partial () =
   Robust.Cancel.cancel dead;
   let untouched = Atomic.make 0 in
   let empty =
-    Par.Pool.with_pool ~domains:2 (fun pool ->
-        Mcts.search_single_tree ~config ~pool ~cancel:dead cfg
-          ~reward:(fun ~cancel:_ _ ->
-            Atomic.incr untouched;
-            1.0)
-          ~rng:(Nd.Rng.create ~seed:7) ())
+    search ~cancel:dead (fun ~cancel:_ _ ->
+        Atomic.incr untouched;
+        1.0)
   in
   Alcotest.(check int) "pre-tripped: no results" 0 (List.length empty);
   Alcotest.(check int) "pre-tripped: no evaluations" 0 (Atomic.get untouched)
@@ -361,16 +409,11 @@ let () =
           Alcotest.test_case "reward memoized" `Quick test_mcts_reward_memoized;
           Alcotest.test_case "parallel = sequential" `Quick
             test_mcts_parallel_matches_sequential_pool;
+          Alcotest.test_case "one-domain pool = no pool" `Quick test_mcts_pool_of_one_is_poolless;
           Alcotest.test_case "parallel merges trees" `Quick test_mcts_parallel_merges_trees;
-        ] );
-      ( "single-tree",
-        [
-          Alcotest.test_case "1 worker = sequential" `Quick
-            test_single_tree_matches_sequential;
-          Alcotest.test_case "shared tree and memo" `Quick
-            test_single_tree_parallel_workers;
-          Alcotest.test_case "cancellation partial" `Quick
-            test_single_tree_cancellation_partial;
+          Alcotest.test_case "parallel memo per tree" `Quick test_mcts_parallel_memo_per_tree;
+          Alcotest.test_case "parallel cancellation partial" `Quick
+            test_mcts_parallel_cancellation_partial;
         ] );
       ( "reward",
         [

@@ -488,9 +488,10 @@ let test_api_sharded_damaged_corpus () =
       Fun.protect
         ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)
         (fun () ->
-          let (_ : Api.candidate list) =
-            Api.search_conv_operators_sharded ~iterations:40 ~max_prims:5 ~shards:2 ~inline:true
-              ~corpus ~checkpoint_base:base ~seed:7 ~valuations:Api.default_search_valuations ()
+          let (_ : Api.sharded_run) =
+            Api.search_conv_operators_sharded_run ~iterations:40 ~max_prims:5 ~shards:2
+              ~inline:true ~corpus ~checkpoint_base:base ~seed:7
+              ~valuations:Api.default_search_valuations ()
           in
           Alcotest.(check string) "original bytes quarantined" garbage
             (In_channel.with_open_bin (corpus ^ ".corrupt") In_channel.input_all);

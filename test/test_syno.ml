@@ -144,8 +144,8 @@ let test_speedup_directions () =
 
 let test_search_end_to_end () =
   let rng = Nd.Rng.create ~seed:41 in
-  let candidates =
-    Api.search_conv_operators ~iterations:400 ~max_prims:7 ~rng
+  let { Api.candidates; _ } =
+    Api.search_conv_operators_run ~iterations:400 ~max_prims:7 ~rng
       ~valuations:Api.default_search_valuations ()
   in
   Alcotest.(check bool) "finds candidates" true (candidates <> []);
@@ -172,6 +172,26 @@ let search_digest seed =
                  c.Api.quarantined)
              run.Api.candidates)))
 
+(* [domains] root-parallel trees are a deterministic function of the
+   seed and the domain count: two runs agree on every candidate, reward
+   bit and verdict, and on the summed statistics. *)
+let test_search_domains_deterministic () =
+  let run () =
+    Api.search_conv_operators_run ~iterations:200 ~max_prims:7 ~domains:2
+      ~rng:(Nd.Rng.create ~seed:7) ~valuations:Api.default_search_valuations ()
+  in
+  let key (r : Api.search_run) =
+    ( List.map
+        (fun (c : Api.candidate) ->
+          (c.Api.signature, Int64.bits_of_float c.Api.reward, c.Api.quarantined))
+        r.Api.candidates,
+      r.Api.failures.Search.Mcts.evaluations,
+      r.Api.failures.Search.Mcts.attempts )
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "finds candidates" true (a.Api.candidates <> []);
+  Alcotest.(check bool) "identical runs" true (key a = key b)
+
 let test_search_golden () =
   Alcotest.(check string) "seed 7" "4f40a598ed7fa73a1ec427260eea5872" (search_digest 7);
   Alcotest.(check string) "seed 2024" "212505321e1dc89ca64ec14044119979" (search_digest 2024)
@@ -196,5 +216,7 @@ let () =
           Alcotest.test_case "speedups" `Quick test_speedup_directions;
           Alcotest.test_case "search" `Slow test_search_end_to_end;
           Alcotest.test_case "search top-k digest" `Quick test_search_golden;
+          Alcotest.test_case "search 2 domains deterministic" `Quick
+            test_search_domains_deterministic;
         ] );
     ]
