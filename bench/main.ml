@@ -1431,7 +1431,8 @@ let cegis_bench ~smoke () =
    open-loop overload must be shed with typed [overloaded] responses
    while accepted requests hold their deadlines and queue gauges stay
    within their bounds; a SIGKILLed daemon must restart warm from its
-   persisted cache; a poisoned operator must produce a typed error,
+   persisted cache; a poisoned operator — an interpreter backend or the
+   specialized kernel the daemon serves — must produce a typed error,
    then a replay rejection on re-encounter, with the daemon still
    serving; and SIGTERM must drain to exit 0 with every in-flight
    request answered before EOF.  The smoke variant runs inside
@@ -1694,6 +1695,27 @@ let serve_bench ~smoke () =
   note "poison: typed %s, daemon alive %b, re-encounter rejected as %s (gate: %s)" poison_kind
     alive replay_kind
     (if poison_gate then "ok" else "FAIL");
+  (* The served kernel itself, miscompiled: operator1 certifies at the
+     default valuation, so the specialized backend runs and is
+     cross-checked.  Not conv2d: phase 5 drains real conv2d work, which
+     a corpus entry would turn into instant replay rejections. *)
+  let spec_kind =
+    err_kind
+      (call !conn
+         ~params:
+           [ ("op", "operator1"); ("cache", "0"); ("fault_backend", "specialize");
+             ("fault_rate", "1") ]
+         P.Eval)
+  in
+  let spec_replay_kind =
+    err_kind (call !conn ~params:[ ("op", "operator1"); ("cache", "0") ] P.Eval)
+  in
+  let spec_poison_gate =
+    spec_kind = "backend_mismatch" && spec_replay_kind = "counterexample"
+  in
+  note "poison: served kernel typed %s, re-encounter rejected as %s (gate: %s)" spec_kind
+    spec_replay_kind
+    (if spec_poison_gate then "ok" else "FAIL");
   (* --- Phase 5: SIGTERM graceful drain ----------------------------------- *)
   let k_drain = if smoke then 4 else 10 in
   let drain_ids = List.init k_drain (fun i -> Printf.sprintf "d%d" i) in
@@ -1745,6 +1767,7 @@ let serve_bench ~smoke () =
       ("2x overload shed within deadline and queue bounds", overload_gate);
       ("SIGKILLed daemon restarts warm", restart_gate);
       ("poisoned operator contained and replayed", poison_gate);
+      ("miscompiled served kernel caught and replayed", spec_poison_gate);
       ("SIGTERM drains every in-flight request to exit 0", drain_gate);
     ]
 

@@ -91,7 +91,7 @@ let file_path ~what =
         else Ok s),
       Format.pp_print_string )
 
-(* The --specialize mode: exactly the three values the proof-guided
+(* train's --specialize mode: exactly the three values the proof-guided
    specialization pipeline accepts; junk fails at parse time. *)
 let specialize_conv ~what =
   Arg.conv
@@ -472,8 +472,9 @@ let search_cmd =
   let validate =
     Arg.(value & flag
          & info [ "validate" ]
-             ~doc:"Differentially validate every candidate across the three lowering backends \
-                   on small seeded inputs; disagreeing candidates are quarantined.")
+             ~doc:"Differentially validate every candidate across the four lowering backends \
+                   (reference, einsum, staged, certified specialized kernel) on small seeded \
+                   inputs; disagreeing candidates are quarantined.")
   in
   let no_static_gate =
     Arg.(value & flag
@@ -792,8 +793,7 @@ let train_cmd =
 
 let serve_cmd =
   let run socket cache cache_capacity cache_every corpus max_queue max_inflight_bytes
-      deadline max_deadline retry_after workers max_connections drain_grace retries
-      specialize =
+      deadline max_deadline retry_after workers max_connections drain_grace retries =
     let cfg =
       {
         (Serve.Server.default_config ~socket) with
@@ -810,7 +810,6 @@ let serve_cmd =
         max_connections;
         drain_grace;
         guard = Robust.Guard.policy ~retries ~backoff:0.005 ~jitter:0.5 ();
-        specialize;
       }
     in
     Serve.Server.run
@@ -881,14 +880,6 @@ let serve_cmd =
     Arg.(value & opt (bounded_int ~what:"--retries" ~min:0) 1
          & info [ "retries" ] ~doc:"Retries per failed request evaluation (>= 0).")
   in
-  let specialize_arg =
-    Arg.(value & opt (specialize_conv ~what:"--specialize") `Auto
-         & info [ "specialize" ] ~docv:"MODE"
-             ~doc:"Whether cold evaluations also time the certified specialized kernel: \
-                   $(b,on) (a certification failure is a typed reject), $(b,off), or \
-                   $(b,auto) (skip silently when certification declines).  The measured \
-                   time lands in the cache and the $(b,spec) response parameter.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -903,7 +894,7 @@ let serve_cmd =
          :: Cmd.Exit.defaults))
     Term.(const run $ socket $ cache $ cache_capacity $ cache_every $ corpus $ max_queue
           $ max_inflight_bytes $ deadline $ max_deadline $ retry_after $ workers
-          $ max_connections $ drain_grace $ retries $ specialize_arg)
+          $ max_connections $ drain_grace $ retries)
 
 (* --- client -------------------------------------------------------------------- *)
 

@@ -204,3 +204,20 @@ let validate staged plan =
 let compile staged plan =
   let* _stats = validate staged plan in
   Ok (Specialize.compile staged plan)
+
+let specialize ?(mode = `Auto) staged =
+  let cert = Regions.of_staged staged in
+  let auto_skip =
+    mode = `Auto
+    && (cert.Regions.rc_interior_fraction = 0.0
+       ||
+       match cert.Regions.rc_verdict with
+       | Verify.Violation _ -> true
+       | Verify.Proved | Verify.Padded _ -> false)
+  in
+  if auto_skip then Ok None
+  else
+    match compile staged cert.Regions.rc_plan with
+    | Ok sp -> Ok (Some sp)
+    | Error _ when mode = `Auto -> Ok None
+    | Error _ as e -> e

@@ -44,3 +44,14 @@ val compile :
 (** [validate] then {!Lower.Specialize.compile}: the only path the
     rest of the tree should use to obtain a runnable specialized
     kernel. *)
+
+val specialize :
+  ?mode:[ `Auto | `On ] ->
+  Lower.Staged_exec.t ->
+  (Lower.Specialize.t option, Robust.Guard.kind) result
+(** The profitability rule, in one place: certify the staged
+    executor's {!Regions} certificate and {!compile} the specialized
+    kernel.  [`Auto] (the default) declines quietly with [Ok None] when
+    the certificate has no interior, its verdict is a [Violation], or
+    translation validation rejects the plan; [`On] always tries and
+    returns the rejection. *)

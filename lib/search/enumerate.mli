@@ -76,7 +76,8 @@ val random_completion :
   config -> Nd.Rng.t -> use_distance:bool -> Pgraph.Graph.operator option
 (** One randomized synthesis trial: sample canonical actions uniformly
     (with or without shape-distance backtracking) until completion or a
-    dead end.  Used by the \u{00a7}9.4 shape-distance ablation and as the
-    MCTS rollout policy. *)
+    dead end.  Used by the \u{00a7}9.4 shape-distance ablation, the
+    tests and the benchmark's replay; MCTS does not call it (its
+    rollout, in {!Mcts}, follows {!pick_guided}). *)
 
 val make_stats : unit -> stats

@@ -20,7 +20,6 @@ type config = {
   max_connections : int;
   drain_grace : float;
   guard : Robust.Guard.policy;
-  specialize : Syno.Api.specialize_mode;
 }
 
 let default_config ~socket =
@@ -41,7 +40,6 @@ let default_config ~socket =
     (* One quick retry with seeded-jittered backoff: transient failures
        get a second chance without workers retrying in lockstep. *)
     guard = Guard.policy ~retries:1 ~backoff:0.005 ~jitter:0.5 ();
-    specialize = `Auto;
   }
 
 (* --- Request handling (runs on worker domains) ----------------------------- *)
@@ -50,7 +48,6 @@ type deps = {
   d_cache : Cache.t;
   d_corpus : Corpus.t option;
   d_guard : Guard.policy;
-  d_specialize : Syno.Api.specialize_mode;
 }
 
 type job = {
@@ -131,9 +128,10 @@ let resolve_fault rq =
           let* seed = Protocol.int_param rq "fault_seed" ~default:0 in
           Ok (Some (Differential.fault ~seed ~rate backend)))
 
-(* The cold pipeline: static bounds -> differential cross-check ->
-   reference forward checksum.  Any typed rejection is distilled into
-   the corpus (when one is attached) before being reported, so the
+(* The cold pipeline: static bounds -> the differential cross-check,
+   whose reference output is the checksum and whose specialized backend
+   is the kernel served and timed.  Any typed rejection is distilled
+   into the corpus (when one is attached) before being reported, so the
    *next* request for the same operator is rejected by cheap replay. *)
 let eval_cold deps op valuation ~signature ~fault ~token ~remaining =
   let stash = ref None in
@@ -153,8 +151,8 @@ let eval_cold deps op valuation ~signature ~fault ~token ~remaining =
         in
         Cancel.check gtoken;
         let dconfig = Differential.config ?fault () in
-        let elements =
-          match Differential.check_full ~config:dconfig op [ valuation ] with
+        let report =
+          match Differential.check_full ~config:dconfig ~cancel:gtoken op [ valuation ] with
           | Error failure ->
               Option.iter
                 (fun c ->
@@ -164,42 +162,30 @@ let eval_cold deps op valuation ~signature ~fault ~token ~remaining =
                           failure)))
                 deps.d_corpus;
               raise (Guard.Reject failure.Differential.fl_kind)
-          | Ok report -> report.Differential.rep_elements
+          | Ok report -> report
         in
-        Cancel.check gtoken;
-        let compiled = Lower.Reference.compile op valuation in
-        let rng = Nd.Rng.create ~seed:(Differential.derive_seed ~seed:0 signature) in
-        let weights = Lower.Reference.init_weights compiled rng in
-        let input =
-          Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+        let checksum =
+          match report.Differential.rep_sums with
+          | [ sum ] -> sum
+          | _ -> raise (Guard.Reject (Guard.Eval_error "not instantiable under valuation"))
         in
-        let out = Lower.Reference.forward compiled ~input ~weights in
-        let checksum = Nd.Tensor.sum out in
-        Cancel.check gtoken;
-        (* The proof-to-speed pipeline: certificate, translation
-           validation, one timed specialized forward pass on the same
-           data.  [`Auto] declines quietly; [`On] turns a certification
-           failure into a typed rejection. *)
+        (* Negative when certification declined and the specialized
+           kernel was skipped. *)
         let spec_seconds =
-          match deps.d_specialize with
-          | `Off -> -1.0
-          | (`Auto | `On) as mode -> (
-              match Syno.Api.specialize_operator ~mode op valuation with
-              | Ok None -> -1.0
-              | Error k -> raise (Guard.Reject k)
-              | Ok (Some sp) ->
-                  let t0 = Unix.gettimeofday () in
-                  let _specialized =
-                    Lower.Specialize.forward ~cancel:gtoken sp ~input ~weights
-                  in
-                  Unix.gettimeofday () -. t0)
+          match
+            List.find_opt
+              (fun p -> p.Differential.ps_backend = Differential.Specialized)
+              report.Differential.rep_pairs
+          with
+          | Some p -> p.Differential.ps_seconds
+          | None -> -1.0
         in
         stash :=
           Some
             ( verdict,
               Pgraph.Flops.naive_flops op valuation,
               Pgraph.Flops.params op valuation,
-              elements,
+              report.Differential.rep_elements,
               checksum,
               spec_seconds );
         checksum)
@@ -423,7 +409,6 @@ let run ?cancel ?(signals = true) ?on_ready cfg =
           d_cache = cache;
           d_corpus = corpus;
           d_guard = cfg.guard;
-          d_specialize = cfg.specialize;
         }
       in
       (* Three trip-wires: [work_root] preempts in-flight evaluation,

@@ -11,6 +11,12 @@
     - a bounded {!Admission} queue sheds excess load with an explicit
       [overloaded] + retry-after response once depth or in-flight
       bytes cross the limit — backpressure instead of OOM;
+    - a cold [eval] runs the static verifier and then one
+      {!Validate.Differential.check_full} and nothing else: the
+      reference output's sum is the answered [checksum], and the
+      specialized kernel the daemon serves is the check's fourth
+      backend, cross-checked against the reference with its forward
+      time answered as [spec] (negative when certification declined);
     - each request body runs under {!Robust.Guard}: a poisoned
       operator yields a typed error (and is distilled into the
       counterexample corpus, so replay rejects it next time) while the
@@ -43,11 +49,6 @@ type config = {
       (** seconds after drain starts before in-flight work is
           force-cancelled (it still gets a typed response) *)
   guard : Robust.Guard.policy;  (** per-request containment policy *)
-  specialize : Syno.Api.specialize_mode;
-      (** whether cold evaluations also time a certified specialized
-          kernel ({!Syno.Api.specialize_operator}); default [`Auto].
-          The measured time lands in [Cache.entry.e_spec_seconds] and
-          the [spec] response parameter (negative = not specialized). *)
 }
 
 val default_config : socket:string -> config

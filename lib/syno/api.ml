@@ -103,23 +103,8 @@ let specialize_mode_of_string = function
 let specialize_operator ?(mode = `Auto) op valuation =
   match mode with
   | `Off -> Ok None
-  | (`Auto | `On) as mode -> (
-      let staged = Lower.Staged_exec.compile op valuation in
-      let cert = Analysis.Regions.of_staged staged in
-      let auto_skip =
-        mode = `Auto
-        && (cert.Analysis.Regions.rc_interior_fraction = 0.0
-           ||
-           match cert.Analysis.Regions.rc_verdict with
-           | Analysis.Verify.Violation _ -> true
-           | Analysis.Verify.Proved | Analysis.Verify.Padded _ -> false)
-      in
-      if auto_skip then Ok None
-      else
-        match Analysis.Certify.compile staged cert.Analysis.Regions.rc_plan with
-        | Ok sp -> Ok (Some sp)
-        | Error _ when mode = `Auto -> Ok None
-        | Error e -> Error e)
+  | (`Auto | `On) as mode ->
+      Analysis.Certify.specialize ~mode (Lower.Staged_exec.compile op valuation)
 
 let specialized_forward ?mode op valuation =
   match specialize_operator ?mode op valuation with

@@ -35,11 +35,10 @@ val speedup :
 
 type specialize_mode = [ `Auto | `Off | `On ]
 (** Whether eval paths run the certified specialized kernel
-    ({!Lower.Specialize}) instead of the interpreters: [`On] always
-    (certification failure is an error), [`Off] never, [`Auto]
-    specializes when a certificate exists, its verdict is not a
-    violation, and its interior fraction is positive — falling back to
-    the interpreters otherwise. *)
+    ({!Lower.Specialize}) instead of the interpreters: [`Off] never;
+    [`Auto] and [`On] follow {!Analysis.Certify.specialize}'s
+    profitability rule ([`Auto] falls back to the interpreters when
+    certification declines, [`On] makes the rejection an error). *)
 
 val specialize_mode_to_string : specialize_mode -> string
 val specialize_mode_of_string : string -> specialize_mode option
@@ -50,8 +49,9 @@ val specialize_operator :
   Shape.Valuation.t ->
   (Lower.Specialize.t option, Robust.Guard.kind) result
 (** The full proof-to-speed pipeline for one operator: compile the
-    staged program, build the {!Analysis.Regions} certificate, validate
-    it with {!Analysis.Certify}, and compile the specialized executor.
+    staged program, then {!Analysis.Certify.specialize} it (build the
+    {!Analysis.Regions} certificate, validate it, and compile the
+    specialized executor).
     [Ok None] means specialization was declined (mode [`Off], or
     [`Auto] and not profitable); [Error] carries the typed
     certification rejection (mode [`On] only — [`Auto] falls back). *)
@@ -116,7 +116,7 @@ type search_run = {
 }
 
 val default_validation_valuations : Shape.Valuation.t list
-(** The tiny shape differential validation runs at by default (three
+(** The tiny shape differential validation runs at by default (four
     small forward passes per candidate instead of one search-sized
     one). *)
 
@@ -175,8 +175,10 @@ val search_conv_operators_run :
     each candidate's estimated peak intermediate bytes and FLOPs under
     [valuations] — over-budget candidates are quarantined as
     [over_budget] {e before any tensor allocation}.  [validate] runs
-    every admitted candidate through all three lowering backends on
-    seeded inputs at [validation_valuations]; disagreement beyond
+    every admitted candidate through all four lowering backends
+    ({!Validate.Differential}: reference, einsum, staged and the
+    certified specialized kernel) on seeded inputs at
+    [validation_valuations]; disagreement beyond
     [validate_config]'s tolerance quarantines it as [backend_mismatch].
     Whenever a gate is configured, static bounds verification
     ({!Analysis.Verify}) runs first — interval arithmetic only, no

@@ -8,21 +8,25 @@ module Inject = Robust.Inject
 module Reference = Lower.Reference
 module Einsum_program = Lower.Einsum_program
 module Staged_exec = Lower.Staged_exec
+module Specialize = Lower.Specialize
+module Cancel = Robust.Cancel
 
-type backend = Reference | Einsum | Staged
+type backend = Reference | Einsum | Staged | Specialized
 
 let backend_label = function
   | Reference -> "reference"
   | Einsum -> "einsum"
   | Staged -> "staged"
+  | Specialized -> "specialize"
 
 let backend_of_label = function
   | "reference" -> Some Reference
   | "einsum" -> Some Einsum
   | "staged" -> Some Staged
+  | "specialize" -> Some Specialized
   | _ -> None
 
-let backends = [ Reference; Einsum; Staged ]
+let backends = [ Reference; Einsum; Staged; Specialized ]
 
 type fault_mode = Corrupt_output | Corrupt_expr
 
@@ -36,7 +40,7 @@ let fault_count f = Inject.injected_count f.f_inject
 (* A seeded out-of-bounds gather: shift the first input coordinate
    expression two extents past its window, so its range can never
    intersect [0, extent).  Every backend zero-clips out-of-window
-   reads (see [Reference.iter_points]), so all three agree on an
+   reads (see [Reference.iter_points]), so all backends agree on an
    all-zero gather and differential comparison alone cannot see the
    fault — the static verifier rejects it as a bounds [Violation]. *)
 let corrupt_operator (op : Graph.operator) =
@@ -66,6 +70,7 @@ type pair_stats = {
   ps_max_abs_err : float;
   ps_max_rel_err : float;
   ps_first_fail : (int * float * float) option;
+  ps_seconds : float;
 }
 
 type report = {
@@ -73,10 +78,17 @@ type report = {
   rep_elements : int;
   rep_max_rel_err : float;
   rep_pairs : pair_stats list;
+  rep_sums : float list;
 }
 
 let empty_report =
-  { rep_valuations = 0; rep_elements = 0; rep_max_rel_err = 0.0; rep_pairs = [] }
+  {
+    rep_valuations = 0;
+    rep_elements = 0;
+    rep_max_rel_err = 0.0;
+    rep_pairs = [];
+    rep_sums = [];
+  }
 
 type failure = {
   fl_kind : Guard.kind;
@@ -106,25 +118,41 @@ let maybe_corrupt config ~key backend out =
       end
   | Some _ | None -> ()
 
-let compile_and_forward op valuation ~input ~weights backend =
-  match backend with
-  | Reference ->
-      let t = Reference.compile op valuation in
-      Reference.forward t ~input ~weights
-  | Einsum ->
-      let t = Einsum_program.compile op valuation in
-      Einsum_program.forward t ~input ~weights
-  | Staged ->
-      let t = Staged_exec.compile op valuation in
-      Staged_exec.forward t ~input ~weights
+(* Weights first, then the input: one seeded draw for the cross-check,
+   a replayed counterexample and the checksum the daemon serves. *)
+let draw compiled seed =
+  let rng = Nd.Rng.create ~seed in
+  let weights = Reference.init_weights compiled rng in
+  let input = Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape compiled) in
+  (input, weights)
 
-let run_backend config ~key op valuation ~input ~weights backend =
-  match compile_and_forward op valuation ~input ~weights backend with
-  | exception Failure msg ->
-      Error (Guard.Eval_error (Printf.sprintf "validate(%s): %s" (backend_label backend) msg))
-  | out ->
-      maybe_corrupt config ~key backend out;
-      Ok out
+(* One backend's forward pass, or [None] when it declines the
+   operator: only the specialized kernel can, when certification
+   declines under the [`Auto] rule.  It reuses the staged backend's
+   compile, hence the shared [staged]. *)
+let compile_backend ?cancel op valuation ~reference ~staged = function
+  | Reference -> Some (Reference.forward reference)
+  | Einsum -> Some (Einsum_program.forward (Einsum_program.compile op valuation))
+  | Staged -> Some (Staged_exec.forward ?cancel (Lazy.force staged))
+  | Specialized -> (
+      match Analysis.Certify.specialize (Lazy.force staged) with
+      | Ok (Some sp) -> Some (Specialize.forward ?cancel sp)
+      | Ok None | Error _ -> None)
+
+(* [Ok None]: the backend declined.  The seconds are the forward pass
+   alone, compile excluded. *)
+let run_backend ?cancel op valuation ~reference ~staged ~input ~weights backend =
+  let fail msg =
+    Error (Guard.Eval_error (Printf.sprintf "validate(%s): %s" (backend_label backend) msg))
+  in
+  match compile_backend ?cancel op valuation ~reference ~staged backend with
+  | exception Failure msg -> fail msg
+  | None -> Ok None
+  | Some forward -> (
+      let t0 = Unix.gettimeofday () in
+      match forward ~input ~weights with
+      | exception Failure msg -> fail msg
+      | out -> Ok (Some (out, Unix.gettimeofday () -. t0)))
 
 let first_non_finite t =
   let data = Tensor.unsafe_data t in
@@ -133,8 +161,6 @@ let first_non_finite t =
     if i >= n then None else if Float.is_finite data.(i) then go (i + 1) else Some i
   in
   go 0
-
-let all_finite t = first_non_finite t = None
 
 (* Hybrid absolute/relative comparison against the reference value:
    |a - r| <= tol * (1 + |r|), so tiny outputs are compared absolutely
@@ -183,6 +209,7 @@ let compare_against config ~backend reference candidate =
             ps_max_abs_err = max_abs;
             ps_max_rel_err = max_rel;
             ps_first_fail = None;
+            ps_seconds = 0.0;
           }
   end
 
@@ -190,9 +217,11 @@ let compare_against config ~backend reference candidate =
    there is nothing to execute, so nothing to cross-check.  Skipping
    (rather than erroring) keeps the gate's verdict independent of which
    tiny validation shapes the caller picked: admission must never
-   quarantine a candidate the un-validated search would have scored. *)
-let check_valuation config ~key op valuation =
-  let seed = derive_seed ~seed:config.seed key in
+   quarantine a candidate the un-validated search would have scored.
+   The reference runs on the tensors drawn from [seed] and each of
+   [against] is compared with it; [cancel] is polled between backends
+   and inside the staged and specialized forward passes. *)
+let check_valuation ?cancel config ~key ~seed ~against op valuation =
   let fail ?backend ?index ?expected ?got ?(abs_err = 0.0) kind =
     Error
       {
@@ -209,9 +238,7 @@ let check_valuation config ~key op valuation =
   match Reference.compile op valuation with
   | exception Failure _ -> Ok None
   | compiled -> (
-      let rng = Nd.Rng.create ~seed in
-      let input = Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape compiled) in
-      let weights = Reference.init_weights compiled rng in
+      let input, weights = draw compiled seed in
       match Reference.forward compiled ~input ~weights with
       | exception Failure msg -> fail (Guard.Eval_error ("validate(reference): " ^ msg))
       | reference -> (
@@ -222,10 +249,17 @@ let check_valuation config ~key op valuation =
                 ~got:(Tensor.flat_get reference i)
                 (Guard.Backend_mismatch "reference: non-finite output on finite inputs")
           | None ->
+              let staged = lazy (Staged_exec.compile op valuation) in
               let check_one backend =
-                match run_backend config ~key op valuation ~input ~weights backend with
+                Option.iter Cancel.check cancel;
+                match
+                  run_backend ?cancel op valuation ~reference:compiled ~staged ~input ~weights
+                    backend
+                with
                 | Error kind -> fail ~backend kind
-                | Ok out -> (
+                | Ok None -> Ok None
+                | Ok (Some (out, seconds)) -> (
+                    maybe_corrupt config ~key backend out;
                     match first_non_finite out with
                     | Some i ->
                         fail ~backend ~index:i
@@ -236,15 +270,20 @@ let check_valuation config ~key op valuation =
                                 (backend_label backend)))
                     | None -> (
                         match compare_against config ~backend reference out with
-                        | Ok stats -> Ok stats
+                        | Ok stats -> Ok (Some { stats with ps_seconds = seconds })
                         | Error (kind, Some (i, rv, cv, abs)) ->
                             fail ~backend ~index:i ~expected:rv ~got:cv ~abs_err:abs kind
                         | Error (kind, None) -> fail ~backend kind))
               in
-              let ( let* ) = Result.bind in
-              let* stats_e = check_one Einsum in
-              let* stats_s = check_one Staged in
-              Ok (Some (Tensor.numel reference, [ stats_e; stats_s ]))))
+              let rec all acc = function
+                | [] -> Ok (Some (Tensor.numel reference, Tensor.sum reference, List.rev acc))
+                | backend :: rest -> (
+                    match check_one backend with
+                    | Error _ as e -> e
+                    | Ok None -> all acc rest
+                    | Ok (Some stats) -> all (stats :: acc) rest)
+              in
+              all [] against))
 
 (* Fold the per-valuation pair statistics into one worst-case entry per
    backend, so the report stays small no matter how many valuations
@@ -260,11 +299,12 @@ let merge_pairs acc stats =
             ps_max_abs_err = Float.max p.ps_max_abs_err s.ps_max_abs_err;
             ps_max_rel_err = Float.max p.ps_max_rel_err s.ps_max_rel_err;
             ps_first_fail = (if p.ps_first_fail <> None then p.ps_first_fail else s.ps_first_fail);
+            ps_seconds = p.ps_seconds +. s.ps_seconds;
           }
           :: rest)
     acc stats
 
-let check_full ?(config = default_config) op valuations =
+let check_full ?(config = default_config) ?cancel op valuations =
   let key = Graph.operator_signature op in
   let op =
     match config.fault with
@@ -273,12 +313,14 @@ let check_full ?(config = default_config) op valuations =
         corrupt_operator op
     | Some _ | None -> op
   in
+  let seed = derive_seed ~seed:config.seed key in
+  let against = List.filter (( <> ) Reference) backends in
   let rec go acc = function
     | [] -> Ok acc
     | v :: rest -> (
-        match check_valuation config ~key op v with
+        match check_valuation ?cancel config ~key ~seed ~against op v with
         | Ok None -> go acc rest
-        | Ok (Some (elems, stats)) ->
+        | Ok (Some (elems, sum, stats)) ->
             let rel =
               List.fold_left (fun m s -> Float.max m s.ps_max_rel_err) acc.rep_max_rel_err
                 stats
@@ -289,6 +331,7 @@ let check_full ?(config = default_config) op valuations =
                 rep_elements = acc.rep_elements + elems;
                 rep_max_rel_err = rel;
                 rep_pairs = merge_pairs acc.rep_pairs stats;
+                rep_sums = acc.rep_sums @ [ sum ];
               }
               rest
         | Error _ as e -> e)
@@ -302,42 +345,15 @@ let admit ?config op valuations = Result.map (fun _ -> ()) (check ?config op val
 
 (* Replay one recorded (valuation, seed, backend) counterexample
    against a fresh candidate: the exact tensors the original failure
-   ran on, but only the single backend pair that diverged — roughly
-   half the tensor work of a full three-backend cross-check at one
-   valuation, with no fault injection in the loop.  A candidate that is
-   not instantiable at the recorded valuation passes vacuously, for the
-   same reason [check] skips such valuations. *)
+   ran on, but only the single backend pair that diverged, on the same
+   path as [check_full] with no fault injection in the loop.  A
+   candidate that is not instantiable at the recorded valuation, or
+   whose specialized kernel no longer certifies, passes vacuously, for
+   the same reason [check] skips such valuations. *)
 let replay_pair ~tolerance ~seed ~backend op valuation =
-  match Reference.compile op valuation with
-  | exception Failure _ -> Ok ()
-  | compiled -> (
-      let rng = Nd.Rng.create ~seed in
-      let input = Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape compiled) in
-      let weights = Reference.init_weights compiled rng in
-      match Reference.forward compiled ~input ~weights with
-      | exception Failure msg -> Error (Guard.Eval_error ("replay(reference): " ^ msg))
-      | reference -> (
-          if not (all_finite reference) then
-            Error (Guard.Backend_mismatch "reference: non-finite output on finite inputs")
-          else
-            match backend with
-            | Reference -> Ok ()
-            | _ -> (
-                match compile_and_forward op valuation ~input ~weights backend with
-                | exception Failure msg ->
-                    Error
-                      (Guard.Eval_error
-                         (Printf.sprintf "replay(%s): %s" (backend_label backend) msg))
-                | out ->
-                    if not (all_finite out) then
-                      Error
-                        (Guard.Backend_mismatch
-                           (Printf.sprintf "%s: non-finite output on finite inputs"
-                              (backend_label backend)))
-                    else
-                      Result.map
-                        (fun (_ : pair_stats) -> ())
-                        (Result.map_error fst
-                           (compare_against
-                              { tolerance; seed = 0; fault = None }
-                              ~backend reference out)))))
+  let against = if backend = Reference then [] else [ backend ] in
+  match
+    check_valuation { tolerance; seed = 0; fault = None } ~key:"" ~seed ~against op valuation
+  with
+  | Ok _ -> Ok ()
+  | Error f -> Error f.fl_kind

@@ -1,15 +1,18 @@
 (** Differential validation of candidate lowerings.
 
-    Every admitted candidate is compiled by all three execution
+    Every admitted candidate is compiled by all four execution
     backends — {!Lower.Reference} (the loop-nest ground truth),
-    {!Lower.Einsum_program} (gather + einsum) and {!Lower.Staged_exec}
-    (materialized reductions) — and run on small seeded random inputs
-    with shared weights.  A candidate is quarantined when any backend
-    disagrees with the reference beyond a hybrid absolute/relative
-    tolerance ([|a - r| <= tol * (1 + |r|)]), or produces NaN/Inf on
-    finite inputs.  Inputs and weights are derived from
-    [(seed, operator signature)], so verdicts are reproducible and
-    independent of evaluation order.
+    {!Lower.Einsum_program} (gather + einsum), {!Lower.Staged_exec}
+    (materialized reductions) and {!Lower.Specialize} (the certified
+    kernel [syno serve] serves, built from the staged compile by
+    {!Analysis.Certify.specialize}) — and run on small seeded random
+    inputs with shared weights.  The specialized kernel is skipped when
+    certification declines under the [`Auto] rule.  A candidate is
+    quarantined when any backend disagrees with the reference beyond a
+    hybrid absolute/relative tolerance ([|a - r| <= tol * (1 + |r|)]),
+    or produces NaN/Inf on finite inputs.  Weights and then the input
+    are drawn from one RNG seeded by [(seed, operator signature)], so
+    verdicts are reproducible and independent of evaluation order.
 
     A seeded {!fault} deterministically corrupts one output element of
     a chosen backend for a rate-controlled fraction of candidates — a
@@ -17,9 +20,10 @@
     bench) that real miscompiles would be caught as
     [Backend_mismatch]. *)
 
-type backend = Reference | Einsum | Staged
+type backend = Reference | Einsum | Staged | Specialized
 
 val backend_label : backend -> string
+(** ["reference"], ["einsum"], ["staged"] or ["specialize"]. *)
 
 val backend_of_label : string -> backend option
 (** Inverse of {!backend_label} (used by the corpus parser). *)
@@ -76,6 +80,9 @@ type pair_stats = {
   ps_first_fail : (int * float * float) option;
       (** first element beyond tolerance as [(flat index, reference,
           got)] — always [None] in a successful report *)
+  ps_seconds : float;
+      (** wall seconds of the backend's forward passes, compile
+          excluded, summed over the checked valuations *)
 }
 
 type report = {
@@ -84,7 +91,11 @@ type report = {
   rep_max_rel_err : float;  (** worst observed [|a - r| / (1 + |r|)] *)
   rep_pairs : pair_stats list;
       (** per-backend-pair worst-case statistics, folded over all
-          checked valuations *)
+          checked valuations; no [Specialized] entry when
+          certification declined at every valuation *)
+  rep_sums : float list;
+      (** [Nd.Tensor.sum] of the reference output, one per checked
+          valuation in order — the checksum [syno serve] answers *)
 }
 
 type failure = {
@@ -105,10 +116,13 @@ type failure = {
 
 val check_full :
   ?config:config ->
+  ?cancel:Robust.Cancel.t ->
   Pgraph.Graph.operator ->
   Shape.Valuation.t list ->
   (report, failure) result
-(** Cross-check the operator under every valuation.  Valuations where
+(** Cross-check the operator under every valuation.  [cancel] is
+    polled between backends and inside the staged and specialized
+    forward passes ({!Robust.Cancel.Cancelled} escapes).  Valuations where
     the operator is not instantiable are skipped (not counted in
     [rep_valuations]) — the gate must never quarantine a candidate the
     un-validated search would have scored.  Failure kinds:
@@ -141,8 +155,9 @@ val replay_pair :
     reference backend and the single recorded [backend] are run on the
     exact tensors regenerated from the {e derived} [seed]
     ({!derive_seed} output, used verbatim) at the recorded valuation
-    and compared under [tolerance] — roughly half the tensor work of a
-    full three-backend cross-check at one valuation.  [backend =
+    and compared under [tolerance] — a fraction of the tensor work of a
+    full four-backend cross-check at one valuation.  [backend =
     Reference] checks only reference finiteness (the recorded failure
     was on the reference side).  A candidate that is not instantiable
-    at the valuation passes vacuously. *)
+    at the valuation, or whose specialized kernel does not certify when
+    [backend = Specialized], passes vacuously. *)

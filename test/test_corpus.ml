@@ -13,9 +13,10 @@ let vs = Syno.Api.default_validation_valuations
 let conv = Syno.Zoo.conv2d.Syno.Zoo.operator
 
 (* A real differential counterexample: a rate-1.0 output corruption of
-   the einsum backend makes conv2d disagree with the reference. *)
-let differential_entry () =
-  let fault = Differential.fault ~rate:1.0 Differential.Einsum in
+   one backend (default einsum) makes conv2d disagree with the
+   reference. *)
+let differential_entry ?(backend = Differential.Einsum) () =
+  let fault = Differential.fault ~rate:1.0 backend in
   let config = Differential.config ~fault () in
   match Differential.check_full ~config conv vs with
   | Error f -> Corpus.of_differential ~tolerance:1e-6 conv f
@@ -57,8 +58,8 @@ let roundtripped es =
   | Ok l -> l
   | Error err -> Alcotest.fail (Corpus.string_of_error err)
 
-let test_roundtrip_exact () =
-  let e = differential_entry () in
+let roundtrip_exact backend =
+  let e = differential_entry ~backend () in
   let _, s = static_entry () in
   let text = Corpus.to_string [ e; s ] in
   match Corpus.of_string_result text with
@@ -90,7 +91,13 @@ let test_roundtrip_exact () =
       | None, None -> ()
       | _ -> Alcotest.fail "fail record lost in the round trip");
       Alcotest.(check string) "operator signature preserved" e.Corpus.ce_signature
-        e'.Corpus.ce_signature
+        e'.Corpus.ce_signature;
+      Alcotest.(check (option string)) "backend preserved"
+        (Some (Differential.backend_label backend))
+        (Option.map Differential.backend_label e'.Corpus.ce_backend)
+
+let test_roundtrip_exact () =
+  List.iter roundtrip_exact [ Differential.Einsum; Differential.Specialized ]
 
 let test_corrupt_file_quarantined () =
   with_temp_path (fun path ->
@@ -318,8 +325,12 @@ let test_kill_mid_append_never_tears kind () =
             Alcotest.failf "killed writer tore the file: %s"
               (Robust.Durable.string_of_error codec err))
 
-let test_replay_semantics () =
-  let e = differential_entry () in
+(* Run once per recorded backend: the sibling re-execution replays
+   [Differential.replay_pair ~backend] on the recorded tensors. *)
+let replay_semantics backend =
+  let e = differential_entry ~backend () in
+  Alcotest.(check bool) "entry records the faulted backend" true
+    (e.Corpus.ce_backend = Some backend);
   let t = Corpus.in_memory () in
   Alcotest.(check bool) "add" true (Corpus.add t e);
   (* Exact signature: rejected with zero tensor work. *)
@@ -359,6 +370,9 @@ let test_replay_semantics () =
   | Error k -> Alcotest.failf "unrelated operator rejected: %s" (Guard.kind_label k));
   let st = Corpus.stats unrelated in
   Alcotest.(check int) "unrelated: no matches" 0 st.Corpus.st_matched
+
+let test_replay_semantics () =
+  List.iter replay_semantics [ Differential.Einsum; Differential.Specialized ]
 
 (* The gate: differential failure distilled on first sight, replay
    rejection (not differential) on the second — and replay outranks

@@ -1,9 +1,10 @@
 (* Tests for the serving subsystem: wire-protocol round-trips, the LRU
    result cache and its crash-tolerant snapshots, bounded admission,
    and an embedded end-to-end daemon (in-process, signals disabled)
-   covering cold/cached eval, deadline timeouts, poison containment
-   with corpus replay, warm restart from a persisted cache, and
-   graceful drain. *)
+   covering cold/cached eval, the cold checksum's wire contract,
+   deadline timeouts, poison containment with corpus replay (including
+   a miscompiled served kernel), warm restart from a persisted cache,
+   and graceful drain. *)
 
 module P = Serve.Protocol
 module Cache = Serve.Cache
@@ -377,6 +378,126 @@ let test_daemon_poison_and_replay () =
           let replay = call conn ~params:[ ("op", "conv1x1"); ("cache", "0") ] "p3" P.Eval in
           Alcotest.(check string) "replay rejects" "counterexample" (err_kind replay)))
 
+(* The served kernel is one of the cross-checked backends: a
+   miscompiled specialized forward is a typed mismatch, distilled into
+   the corpus under the [specialize] label, and the operator's next
+   request is rejected by replay.  conv2d certifies at the default
+   valuation, so the specialized backend runs. *)
+let test_daemon_specialize_cross_checked () =
+  with_temp_dir (fun dir ->
+      let cfg = daemon_config dir in
+      with_daemon cfg (fun conn ->
+          let poisoned =
+            call conn
+              ~params:
+                [ ("op", "conv2d"); ("cache", "0"); ("fault_backend", "specialize");
+                  ("fault_rate", "1") ]
+              "s1" P.Eval
+          in
+          Alcotest.(check string) "typed mismatch" "backend_mismatch" (err_kind poisoned);
+          (match Validate.Corpus.load_result ~path:(Option.get cfg.Server.corpus_path) with
+          | Ok entries ->
+              Alcotest.(check bool) "corpus entry names the specialize backend" true
+                (List.exists
+                   (fun e ->
+                     e.Validate.Corpus.ce_backend = Some Validate.Differential.Specialized)
+                   entries)
+          | Error e -> Alcotest.failf "corpus: %s" (Validate.Corpus.string_of_error e));
+          let replay = call conn ~params:[ ("op", "conv2d"); ("cache", "0") ] "s2" P.Eval in
+          Alcotest.(check string) "replay rejects" "counterexample" (err_kind replay)))
+
+(* The cold checksum's wire contract: the sum of the reference forward
+   pass on the [derive_seed ~seed:0 signature] draw, weights first. *)
+let reference_checksum name valuation =
+  let op = (List.find (fun e -> e.Syno.Zoo.name = name) Syno.Zoo.all).Syno.Zoo.operator in
+  let compiled = Lower.Reference.compile op valuation in
+  let seed = Validate.Differential.derive_seed ~seed:0 (Pgraph.Graph.operator_signature op) in
+  let rng = Nd.Rng.create ~seed in
+  let weights = Lower.Reference.init_weights compiled rng in
+  let input =
+    Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+  in
+  Nd.Tensor.sum (Lower.Reference.forward compiled ~input ~weights)
+
+(* Catalog operators at two or more valuations each, as
+   (name, c_in, c_out, hw, k); n, g and s keep the daemon's defaults. *)
+let checksum_cases =
+  [
+    ("conv2d", 8, 8, 8, 3);
+    ("conv2d", 4, 8, 5, 1);
+    ("operator1", 8, 4, 6, 3);
+    ("operator1", 8, 8, 8, 3);
+    ("conv1x1", 8, 8, 5, 3);
+  ]
+
+let checksum_of resp =
+  match ok_param resp "checksum" with
+  | Some c -> float_of_string c
+  | None -> Alcotest.fail "response without checksum"
+
+let test_daemon_checksum_contract () =
+  with_temp_dir (fun dir ->
+      with_daemon (daemon_config dir) (fun conn ->
+          List.iter
+            (fun (name, c_in, c_out, hw, k) ->
+              let params =
+                [ ("op", name); ("cache", "0"); ("c_in", string_of_int c_in);
+                  ("c_out", string_of_int c_out); ("hw", string_of_int hw);
+                  ("k", string_of_int k) ]
+              in
+              let valuation =
+                Syno.Zoo.Vars.conv_valuation ~n:1 ~c_in ~c_out ~hw ~k ~g:2 ~s:2 ()
+              in
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s c_in=%d c_out=%d hw=%d k=%d checksum" name c_in c_out hw k)
+                (reference_checksum name valuation)
+                (checksum_of (call conn ~params "c" P.Eval)))
+            checksum_cases))
+
+(* A snapshot as written by a daemon before the differential check
+   became the only cold pipeline: four cold evals of conv2d, operator1,
+   conv1x1 and conv2d again at another shape.  It still loads, its
+   entries answer as cache hits with their stored checksums, and a cold
+   re-evaluation of each key answers the bit-identical checksum. *)
+let legacy_snapshot =
+  {|syno-serve-cache v1
+entries: 4
+entry: key out[i0:N,%20i1:C_out,%20i2:H,%20i3:W]%20(+)=%20in[i0,%20r4,%20((i2%20+%20r5)%20-%20(k%20/%202)),%20((i3%20+%20r6)%20-%20(k%20/%202))]%20*%20w[r4:C_in,%20r5:k,%20r6:k,%20i1:C_out]@n1.ci8.co8.hw8.k3.g2.s2 verdict padded flops 73728 params 576 elements 512 checksum -0x1.04bdfa387affap+3 cold 0x1.2e5d8p-5 spec 0x1.a1acp-8
+entry: key out[i0:N,%20i1:C_out,%20i2:H,%20i3:W]%20(+)=%20in[i0,%20(r6%20+%20C_in*g^-1*r5),%20((i2%20+%20r7)%20-%20(k%20/%202)),%20((i3%20+%20r8)%20-%20(k%20/%202))]%20*%20w[r4:C_out*g^-1*s^-1,%20r5:g,%20r6:C_in*g^-1,%20r8:k]%20*%20w[r7:k,%20i1:C_out,%20r4:C_out*g^-1*s^-1,%20r5:g,%20r8:k]@n1.ci8.co4.hw6.k3.g2.s2 verdict padded flops 20736 params 96 elements 144 checksum 0x1.4d38bb5681de9p+3 cold 0x1.0518p-7 spec 0x1.69cp-11
+entry: key out[i0:N,%20i1:C_out,%20i2:H,%20i3:W]%20(+)=%20in[i0,%20r4,%20i2,%20i3]%20*%20w[r4:C_in,%20i1:C_out]@n1.ci8.co8.hw5.k3.g2.s2 verdict proved flops 3200 params 64 elements 200 checksum 0x1.e7aa2f66246f1p+2 cold 0x1.302p-11 spec 0x1.6p-16
+entry: key out[i0:N,%20i1:C_out,%20i2:H,%20i3:W]%20(+)=%20in[i0,%20r4,%20((i2%20+%20r5)%20-%20(k%20/%202)),%20((i3%20+%20r6)%20-%20(k%20/%202))]%20*%20w[r4:C_in,%20r5:k,%20r6:k,%20i1:C_out]@n1.ci4.co8.hw5.k1.g2.s2 verdict proved flops 1600 params 32 elements 200 checksum -0x1.c09542342e2ap+3 cold 0x1.124p-10 spec 0x1.8f8p-12
+|}
+
+let legacy_requests =
+  [
+    ([ ("op", "conv2d") ], -0x1.04bdfa387affap+3);
+    ([ ("op", "operator1"); ("c_out", "4"); ("hw", "6") ], 0x1.4d38bb5681de9p+3);
+    ([ ("op", "conv1x1"); ("hw", "5") ], 0x1.e7aa2f66246f1p+2);
+    ([ ("op", "conv2d"); ("c_in", "4"); ("hw", "5"); ("k", "1") ], -0x1.c09542342e2ap+3);
+  ]
+
+let test_daemon_legacy_snapshot () =
+  with_temp_dir (fun dir ->
+      let cfg = daemon_config dir in
+      let oc = open_out (Option.get cfg.Server.cache_path) in
+      output_string oc legacy_snapshot;
+      close_out oc;
+      with_daemon cfg (fun conn ->
+          Alcotest.(check (option string)) "snapshot loads" (Some "4")
+            (ok_param (call conn "l0" P.Status) "cache_loaded");
+          List.iter
+            (fun (params, checksum) ->
+              let warm = call conn ~params "l1" P.Eval in
+              Alcotest.(check (option string)) "answered from the snapshot" (Some "1")
+                (ok_param warm "cached");
+              Alcotest.(check (float 0.0)) "stored checksum" checksum (checksum_of warm);
+              let cold = call conn ~params:(("cache", "0") :: params) "l2" P.Eval in
+              Alcotest.(check (option string)) "re-evaluated" (Some "0")
+                (ok_param cold "cached");
+              Alcotest.(check (float 0.0)) "cold checksum bit-identical" checksum
+                (checksum_of cold))
+            legacy_requests))
+
 let test_daemon_warm_restart () =
   with_temp_dir (fun dir ->
       let cfg = daemon_config dir in
@@ -441,6 +562,12 @@ let () =
             test_daemon_eval_cache_and_errors;
           Alcotest.test_case "poison containment + replay" `Quick
             test_daemon_poison_and_replay;
+          Alcotest.test_case "served kernel cross-checked" `Quick
+            test_daemon_specialize_cross_checked;
+          Alcotest.test_case "cold checksum wire contract" `Quick
+            test_daemon_checksum_contract;
+          Alcotest.test_case "older snapshot answers the same checksum" `Quick
+            test_daemon_legacy_snapshot;
           Alcotest.test_case "warm restart from snapshot" `Quick test_daemon_warm_restart;
           Alcotest.test_case "external cancel drains" `Quick
             test_daemon_external_cancel_drains;

@@ -1,5 +1,5 @@
 (* Tests for the admission layer: resource budgets (rejection before
-   any allocation), differential validation across the three lowering
+   any allocation), differential validation across the four lowering
    backends, the composed gate, and its integration with the search. *)
 
 module Var = Shape.Var
@@ -86,6 +86,12 @@ let test_differential_skips_non_instantiable () =
   | Error k -> Alcotest.failf "skip expected, got %s" (Guard.kind_label k)
 
 let test_differential_catches_fault () =
+  (* The specialized backend runs only when certification accepts, so
+     the operator must certify at this valuation for its fault to be
+     delivered at all. *)
+  (match Analysis.Certify.specialize (Lower.Staged_exec.compile conv tiny) with
+  | Ok (Some _) -> ()
+  | Ok None | Error _ -> Alcotest.fail "conv must certify at the tiny valuation");
   List.iter
     (fun backend ->
       let fault = Differential.fault ~seed:4 ~rate:1.0 backend in
