@@ -50,8 +50,8 @@ let positive_float ~what =
     ( (fun s ->
         match float_of_string_opt s with
         | None -> Error (`Msg (Printf.sprintf "%s: expected a number, got %S" what s))
-        | Some v when not (v > 0.0) ->
-            Error (`Msg (Printf.sprintf "%s must be > 0 (got %g)" what v))
+        | Some v when not (v > 0.0 && Float.is_finite v) ->
+            Error (`Msg (Printf.sprintf "%s must be > 0 and finite (got %g)" what v))
         | Some v -> Ok v),
       (fun ppf v -> Format.fprintf ppf "%g" v) )
 
@@ -407,12 +407,16 @@ let search_cmd =
     end
   in
   let iterations =
-    Arg.(value & opt int 2000
+    Arg.(value & opt (bounded_int ~what:"--iterations" ~min:1) 2000
          & info [ "iterations" ] ~doc:"MCTS iterations, split across the --domains trees.")
   in
-  let max_prims = Arg.(value & opt int 8 & info [ "max-prims" ] ~doc:"Maximum pGraph size.") in
+  let max_prims =
+    Arg.(value & opt (bounded_int ~what:"--max-prims" ~min:1) 8
+         & info [ "max-prims" ] ~doc:"Maximum pGraph size.")
+  in
   let budget =
-    Arg.(value & opt float 1.0 & info [ "budget-ratio" ] ~doc:"FLOPs budget vs conv2d.")
+    Arg.(value & opt (positive_float ~what:"--budget-ratio") 1.0
+         & info [ "budget-ratio" ] ~doc:"FLOPs budget vs conv2d (finite, > 0).")
   in
   let top = Arg.(value & opt int 10 & info [ "top" ] ~doc:"Candidates to print.") in
   let save =

@@ -147,10 +147,13 @@ let open_file ?(readonly = false) c path =
         in
         ([], { or_loaded = 0; or_quarantined = Some (where, err) })
 
-let describe_quarantine c ~path (where, err) =
-  Printf.sprintf "damaged %s %s %s (%s)" c.noun path
-    (if where = path then "left in place" else "quarantined to " ^ where)
-    (string_of_error c err)
+let warn_quarantine c ~prefix ~path report =
+  Option.iter
+    (fun (where, err) ->
+      Printf.eprintf "%sdamaged %s %s %s (%s)\n%!" prefix c.noun path
+        (if where = path then "left in place" else "quarantined to " ^ where)
+        (string_of_error c err))
+    report.or_quarantined
 
 type 'a shards = {
   sh_loaded : (int * 'a list) list;

@@ -78,9 +78,10 @@ val open_file : ?readonly:bool -> 'a codec -> string -> 'a list * open_report
     store starts empty — never fatal.  [readonly] (default [false])
     leaves a damaged file in place. *)
 
-val describe_quarantine : 'a codec -> path:string -> string * error -> string
-(** One warning line for an [or_quarantined] report on [path]: where
-    the damaged file went (or that it was left in place) and why. *)
+val warn_quarantine : 'a codec -> prefix:string -> path:string -> open_report -> unit
+(** When [report] quarantined the file at [path], print one line on
+    stderr, [prefix] first: where the damaged file went (or that it was
+    left in place) and why.  Silent for a clean open. *)
 
 (** {1 Sharded files} *)
 

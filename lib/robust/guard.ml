@@ -20,6 +20,14 @@ let kind_label = function
   | Static_violation _ -> "static_violation"
   | Counterexample _ -> "counterexample"
 
+let kind_detail = function
+  | Eval_error m | Over_budget m | Backend_mismatch m | Diverged m | Static_violation m
+  | Counterexample m ->
+      m
+  | Non_finite -> "non-finite result"
+  | Timeout -> "evaluation budget exceeded"
+  | Injected -> "injected fault"
+
 (* Failures that are a deterministic function of the candidate itself:
    a candidate over its resource budget, a miscompiling backend, a
    diverging training run, or a statically disproven bounds obligation

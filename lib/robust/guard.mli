@@ -41,6 +41,10 @@ val kind_label : kind -> string
     [static_violation], [counterexample]) for aggregation and
     serialization. *)
 
+val kind_detail : kind -> string
+(** The human-readable half of a kind: the carried message, or a fixed
+    phrase for the kinds that carry none. *)
+
 val permanent : kind -> bool
 (** Whether the failure is a deterministic property of the candidate
     ([Over_budget], [Backend_mismatch], [Diverged], [Static_violation],

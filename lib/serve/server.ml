@@ -1,9 +1,9 @@
 module Cancel = Robust.Cancel
 module Guard = Robust.Guard
 module Graph = Pgraph.Graph
+module Admit = Validate.Admit
 module Differential = Validate.Differential
 module Corpus = Validate.Corpus
-module Verify = Analysis.Verify
 
 type config = {
   socket_path : string;
@@ -63,15 +63,7 @@ let error ?retry_after kind detail =
 
 let bad_request detail = error "bad_request" detail
 
-let kind_detail = function
-  | Guard.Eval_error m | Guard.Over_budget m | Guard.Backend_mismatch m | Guard.Diverged m
-  | Guard.Static_violation m | Guard.Counterexample m ->
-      m
-  | Guard.Non_finite -> "non-finite result"
-  | Guard.Timeout -> "evaluation budget exceeded"
-  | Guard.Injected -> "injected fault"
-
-let kind_error k = error (Guard.kind_label k) (kind_detail k)
+let kind_error k = error (Guard.kind_label k) (Guard.kind_detail k)
 
 let timeout_error deadline =
   error "timeout" (Printf.sprintf "deadline %h exceeded" deadline)
@@ -128,72 +120,52 @@ let resolve_fault rq =
           let* seed = Protocol.int_param rq "fault_seed" ~default:0 in
           Ok (Some (Differential.fault ~seed ~rate backend)))
 
-(* The cold pipeline: static bounds -> the differential cross-check,
-   whose reference output is the checksum and whose specialized backend
-   is the kernel served and timed.  Any typed rejection is distilled
-   into the corpus (when one is attached) before being reported, so the
-   *next* request for the same operator is rejected by cheap replay. *)
+(* The cold pipeline is the admission gate search uses: counterexample
+   replay, static bounds at the request's valuation, then the
+   differential cross-check, whose reference output is the checksum and
+   whose specialized backend is the kernel served and timed.  The gate
+   distills a rejection into the corpus (when one is attached), so the
+   *next* request for the same operator is rejected by cheap replay.
+   It all runs under the request's deadline.  A gate rejection is a
+   verdict: it is answered from the first attempt, never retried into
+   the corpus entry it has just distilled. *)
 let eval_cold deps op valuation ~signature ~fault ~token ~remaining =
-  let stash = ref None in
+  let gate =
+    Admit.create ?corpus:deps.d_corpus ~static:[ valuation ]
+      ~differential:(Differential.config ?fault ()) ~check_valuations:[ valuation ] ()
+  in
+  let checked = ref None in
   let policy = { deps.d_guard with timeout = Some remaining } in
   let outcome =
     Guard.run ~policy ~cancel:token ~key:signature (fun gtoken ->
-        let verdict =
-          match Verify.program_opt op valuation with
-          | None -> raise (Guard.Reject (Guard.Eval_error "not instantiable under valuation"))
-          | Some (Verify.Violation d) ->
-              Option.iter
-                (fun c -> ignore (Corpus.add c (Corpus.of_static op valuation d)))
-                deps.d_corpus;
-              raise (Guard.Reject (Guard.Static_violation (Verify.diagnostic_to_string d)))
-          | Some Verify.Proved -> "proved"
-          | Some (Verify.Padded _) -> "padded"
-        in
-        Cancel.check gtoken;
-        let dconfig = Differential.config ?fault () in
-        let report =
-          match Differential.check_full ~config:dconfig ~cancel:gtoken op [ valuation ] with
-          | Error failure ->
-              Option.iter
-                (fun c ->
-                  ignore
-                    (Corpus.add c
-                       (Corpus.of_differential ~tolerance:dconfig.Differential.tolerance op
-                          failure)))
-                deps.d_corpus;
-              raise (Guard.Reject failure.Differential.fl_kind)
-          | Ok report -> report
-        in
-        let checksum =
-          match report.Differential.rep_sums with
-          | [ sum ] -> sum
-          | _ -> raise (Guard.Reject (Guard.Eval_error "not instantiable under valuation"))
-        in
-        (* Negative when certification declined and the specialized
-           kernel was skipped. *)
-        let spec_seconds =
-          match
-            List.find_opt
-              (fun p -> p.Differential.ps_backend = Differential.Specialized)
-              report.Differential.rep_pairs
-          with
-          | Some p -> p.Differential.ps_seconds
-          | None -> -1.0
-        in
-        stash :=
-          Some
-            ( verdict,
+        if Option.is_none !checked then checked := Some (Admit.check ~cancel:gtoken gate op);
+        0.0)
+  in
+  match (!checked, outcome.Guard.result) with
+  | Some (Error k), _ | (Some (Ok _) | None), Error k -> Error k
+  | None, Ok _ -> Error (Guard.Eval_error "evaluation produced no result")
+  | Some (Ok { Admit.verdicts; report }), Ok _ -> (
+      match (verdicts, report) with
+      | [ (_, verdict) ], Some ({ Differential.rep_sums = [ checksum ]; _ } as report) ->
+          (* Negative when certification declined and the specialized
+             kernel was skipped. *)
+          let spec_seconds =
+            match
+              List.find_opt
+                (fun p -> p.Differential.ps_backend = Differential.Specialized)
+                report.Differential.rep_pairs
+            with
+            | Some p -> p.Differential.ps_seconds
+            | None -> -1.0
+          in
+          Ok
+            ( (if verdict = Analysis.Verify.Proved then "proved" else "padded"),
               Pgraph.Flops.naive_flops op valuation,
               Pgraph.Flops.params op valuation,
               report.Differential.rep_elements,
               checksum,
-              spec_seconds );
-        checksum)
-  in
-  match (outcome.Guard.result, !stash) with
-  | Ok _, Some r -> Ok r
-  | Ok _, None -> Error (Guard.Eval_error "evaluation produced no result")
-  | Error k, _ -> Error k
+              spec_seconds )
+      | _ -> Error (Guard.Eval_error "not instantiable under valuation"))
 
 let float_value v = Printf.sprintf "%h" v
 
@@ -230,38 +202,28 @@ let handle_eval deps job =
       match if use_cache then Cache.find deps.d_cache key else None with
       | Some e -> finish (entry_params e true)
       | None -> (
-          (* Replay against the counterexample corpus first: a known-bad
-             operator is rejected in O(1) with no tensor work at all. *)
-          let replayed =
-            match deps.d_corpus with
-            | Some c -> Corpus.replay c op
-            | None -> Ok ()
-          in
-          match replayed with
-          | Error k -> kind_error k
-          | Ok () -> (
-              let remaining = job.j_deadline -. Unix.gettimeofday () in
-              if remaining <= 0.0 then timeout_error job.j_deadline
-              else
-                match
-                  eval_cold deps op valuation ~signature ~fault ~token:job.j_token ~remaining
-                with
-                | Error k -> kind_error k
-                | Ok (verdict, flops, params, elements, checksum, spec_seconds) ->
-                    let entry =
-                      {
-                        Cache.e_key = key;
-                        e_verdict = verdict;
-                        e_flops = flops;
-                        e_params = params;
-                        e_elements = elements;
-                        e_checksum = checksum;
-                        e_cold_seconds = Unix.gettimeofday () -. started;
-                        e_spec_seconds = spec_seconds;
-                      }
-                    in
-                    if use_cache then Cache.put deps.d_cache entry;
-                    finish (entry_params entry false))))
+          let remaining = job.j_deadline -. Unix.gettimeofday () in
+          if remaining <= 0.0 then timeout_error job.j_deadline
+          else
+            match
+              eval_cold deps op valuation ~signature ~fault ~token:job.j_token ~remaining
+            with
+            | Error k -> kind_error k
+            | Ok (verdict, flops, params, elements, checksum, spec_seconds) ->
+                let entry =
+                  {
+                    Cache.e_key = key;
+                    e_verdict = verdict;
+                    e_flops = flops;
+                    e_params = params;
+                    e_elements = elements;
+                    e_checksum = checksum;
+                    e_cold_seconds = Unix.gettimeofday () -. started;
+                    e_spec_seconds = spec_seconds;
+                  }
+                in
+                if use_cache then Cache.put deps.d_cache entry;
+                finish (entry_params entry false)))
 
 let handle_lint _deps job =
   let rq = job.j_request in
@@ -396,13 +358,17 @@ let run ?cancel ?(signals = true) ?on_ready cfg =
         | None ->
             (Cache.create ~capacity:cfg.cache_capacity (), Cache.{ or_loaded = 0; or_quarantined = None })
       in
-      (match (cfg.cache_path, cache_report.Cache.or_quarantined) with
-      | Some path, Some q ->
-          prerr_endline
-            ("syno serve: " ^ Robust.Durable.describe_quarantine Cache.codec ~path q)
-      | _ -> ());
+      let warn codec path report =
+        Robust.Durable.warn_quarantine codec ~prefix:"syno serve: " ~path report
+      in
+      Option.iter (fun path -> warn Cache.codec path cache_report) cfg.cache_path;
       let corpus =
-        Option.map (fun path -> fst (Corpus.open_file ~every:1 path)) cfg.corpus_path
+        Option.map
+          (fun path ->
+            let corpus, report = Corpus.open_file ~every:1 path in
+            warn Corpus.codec path report;
+            corpus)
+          cfg.corpus_path
       in
       let deps =
         {

@@ -11,16 +11,20 @@
     - a bounded {!Admission} queue sheds excess load with an explicit
       [overloaded] + retry-after response once depth or in-flight
       bytes cross the limit — backpressure instead of OOM;
-    - a cold [eval] runs the static verifier and then one
-      {!Validate.Differential.check_full} and nothing else: the
-      reference output's sum is the answered [checksum], and the
-      specialized kernel the daemon serves is the check's fourth
-      backend, cross-checked against the reference with its forward
-      time answered as [spec] (negative when certification declined);
-    - each request body runs under {!Robust.Guard}: a poisoned
-      operator yields a typed error (and is distilled into the
-      counterexample corpus, so replay rejects it next time) while the
-      process keeps serving;
+    - a cold [eval] is admitted by {!Validate.Admit.check}, the gate
+      search uses: counterexample replay, the static verifier and one
+      {!Validate.Differential.check_full} at the request's valuation,
+      and nothing else.  The reference output's sum is the answered
+      [checksum]; the specialized kernel the daemon serves is the
+      check's fourth backend, cross-checked against the reference
+      with its forward time answered as [spec] (negative when
+      certification declined);
+    - each cold request, replay included, runs under {!Robust.Guard}
+      and the request's deadline: a poisoned operator yields a typed
+      error (and the gate distills it into the counterexample corpus,
+      so replay rejects it next time) while the process keeps serving.
+      A gate rejection is answered from its first attempt; only an
+      exception or an overrun is retried;
     - the result {!Cache} persists with the atomic-fsync-rename
       recipe, so a SIGKILLed daemon restarts warm;
     - SIGTERM drains gracefully (stop accepting, finish or cancel

@@ -196,7 +196,9 @@ let conv_search_space ~max_prims ~flops_budget_ratio ~valuations =
       (fun acc v -> max acc (Flops.naive_flops Zoo.conv2d.Zoo.operator v))
       0 valuations
   in
-  let budget = int_of_float (flops_budget_ratio *. float_of_int conv_flops) in
+  (* Saturate: [int_of_float] of a float past [max_int] is unspecified. *)
+  let budget = flops_budget_ratio *. float_of_int conv_flops in
+  let budget = if budget >= float_of_int max_int then max_int else int_of_float budget in
   let base = Search.Enumerate.default_config ~output_shape ~desired_shape ~valuations () in
   let cfg =
     {
@@ -249,11 +251,7 @@ let conv_gate ?corpus ~validate ~validate_config ~validation_valuations ~static_
    that on stderr — the run itself must never die for it. *)
 let open_corpus ?(readonly = false) path =
   let t, report = Validate.Corpus.open_file ~readonly path in
-  Option.iter
-    (fun q ->
-      prerr_endline
-        ("syno: warning: " ^ Robust.Durable.describe_quarantine Validate.Corpus.codec ~path q))
-    report.Validate.Corpus.or_quarantined;
+  Robust.Durable.warn_quarantine Validate.Corpus.codec ~prefix:"syno: warning: " ~path report;
   t
 
 let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)

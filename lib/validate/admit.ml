@@ -26,17 +26,7 @@ type t = {
   differential : Differential.config option;
   check_valuations : Valuation.t list;
   mutex : Mutex.t;
-  mutable calls : int;
-  mutable rejected_replay : int;
-  mutable rejected_static : int;
-  mutable rejected_budget : int;
-  mutable rejected_differential : int;
-  mutable distilled : int;
-  mutable seconds : float;
-  mutable replay_seconds : float;
-  mutable static_seconds : float;
-  mutable budget_seconds : float;
-  mutable differential_seconds : float;
+  mutable stats : stats;
 }
 
 let create ?corpus ?(static = []) ?max_bytes ?max_flops ?(valuations = []) ?differential
@@ -50,38 +40,46 @@ let create ?corpus ?(static = []) ?max_bytes ?max_flops ?(valuations = []) ?diff
     differential;
     check_valuations = Option.value check_valuations ~default:valuations;
     mutex = Mutex.create ();
-    calls = 0;
-    rejected_replay = 0;
-    rejected_static = 0;
-    rejected_budget = 0;
-    rejected_differential = 0;
-    distilled = 0;
-    seconds = 0.0;
-    replay_seconds = 0.0;
-    static_seconds = 0.0;
-    budget_seconds = 0.0;
-    differential_seconds = 0.0;
+    stats =
+      {
+        calls = 0;
+        rejected = 0;
+        rejected_replay = 0;
+        rejected_static = 0;
+        rejected_budget = 0;
+        rejected_differential = 0;
+        distilled = 0;
+        seconds = 0.0;
+        replay_seconds = 0.0;
+        static_seconds = 0.0;
+        budget_seconds = 0.0;
+        differential_seconds = 0.0;
+      };
   }
-
-let corpus t = t.corpus
 
 let active t =
   t.corpus <> None || t.static_valuations <> []
   || ((t.max_bytes <> None || t.max_flops <> None) && t.budget_valuations <> [])
   || (t.differential <> None && t.check_valuations <> [])
 
+type outcome = {
+  verdicts : (Valuation.t * Analysis.Verify.verdict) list;
+  report : Differential.report option;
+}
+
 (* The static stage inlined (rather than [Analysis.Verify.admit]) so a
    violation surfaces with the valuation it was proven at — exactly
    what a distilled counterexample must record. *)
 let static_check t op =
-  let rec go = function
-    | [] -> Ok ()
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
     | v :: rest -> (
         match Analysis.Verify.program_opt op v with
-        | None | Some Analysis.Verify.Proved | Some (Analysis.Verify.Padded _) -> go rest
-        | Some (Analysis.Verify.Violation d) -> Error (v, d))
+        | None -> go acc rest
+        | Some (Analysis.Verify.Violation d) -> Error (v, d)
+        | Some verdict -> go ((v, verdict) :: acc) rest)
   in
-  go t.static_valuations
+  go [] t.static_valuations
 
 (* Stage order is load-bearing: corpus replay touches a tensor only
    for family siblings (and nothing at all on the exact-signature fast
@@ -90,7 +88,7 @@ let static_check t op =
    run the candidate on real tensors.  Failures the two expensive
    provers find are distilled back into the corpus, so the cheapest
    stage hardens as the search runs. *)
-let gate t op =
+let check ?cancel t op =
   let t0 = Unix.gettimeofday () in
   let replay_dt = ref 0.0 in
   let static_dt = ref 0.0 in
@@ -98,6 +96,7 @@ let gate t op =
   let diff_dt = ref 0.0 in
   let distilled = ref 0 in
   let timed acc f =
+    Option.iter Robust.Cancel.check cancel;
     let s = Unix.gettimeofday () in
     let r = f () in
     acc := !acc +. (Unix.gettimeofday () -. s);
@@ -120,7 +119,7 @@ let gate t op =
             distill (Corpus.of_static op v d);
             ( Error (Guard.Static_violation (Analysis.Verify.diagnostic_to_string d)),
               `Static )
-        | Ok () -> (
+        | Ok verdicts -> (
             match
               timed budget_dt (fun () ->
                   Budget.admit ?max_bytes:t.max_bytes ?max_flops:t.max_flops op
@@ -129,53 +128,39 @@ let gate t op =
             | Error _ as e -> (e, `Budget)
             | Ok () -> (
                 match t.differential with
-                | None -> (Ok (), `Differential)
+                | None -> (Ok { verdicts; report = None }, `Differential)
                 | Some config -> (
                     match
                       timed diff_dt (fun () ->
-                          Differential.check_full ~config op t.check_valuations)
+                          Differential.check_full ~config ?cancel op t.check_valuations)
                     with
-                    | Ok _ -> (Ok (), `Differential)
+                    | Ok report -> (Ok { verdicts; report = Some report }, `Differential)
                     | Error f ->
                         distill (Corpus.of_differential ~tolerance:config.tolerance op f);
                         (Error f.Differential.fl_kind, `Differential)))))
   in
   let dt = Unix.gettimeofday () -. t0 in
-  Mutex.lock t.mutex;
-  t.calls <- t.calls + 1;
-  (match (result, stage) with
-  | Ok (), _ -> ()
-  | Error _, `Replay -> t.rejected_replay <- t.rejected_replay + 1
-  | Error _, `Static -> t.rejected_static <- t.rejected_static + 1
-  | Error _, `Budget -> t.rejected_budget <- t.rejected_budget + 1
-  | Error _, `Differential -> t.rejected_differential <- t.rejected_differential + 1);
-  t.distilled <- t.distilled + !distilled;
-  t.seconds <- t.seconds +. dt;
-  t.replay_seconds <- t.replay_seconds +. !replay_dt;
-  t.static_seconds <- t.static_seconds +. !static_dt;
-  t.budget_seconds <- t.budget_seconds +. !budget_dt;
-  t.differential_seconds <- t.differential_seconds +. !diff_dt;
-  Mutex.unlock t.mutex;
+  let rejected = Result.is_error result in
+  let bump st n = if rejected && stage = st then n + 1 else n in
+  Mutex.protect t.mutex (fun () ->
+      let s = t.stats in
+      t.stats <-
+        {
+          calls = s.calls + 1;
+          rejected = (if rejected then s.rejected + 1 else s.rejected);
+          rejected_replay = bump `Replay s.rejected_replay;
+          rejected_static = bump `Static s.rejected_static;
+          rejected_budget = bump `Budget s.rejected_budget;
+          rejected_differential = bump `Differential s.rejected_differential;
+          distilled = s.distilled + !distilled;
+          seconds = s.seconds +. dt;
+          replay_seconds = s.replay_seconds +. !replay_dt;
+          static_seconds = s.static_seconds +. !static_dt;
+          budget_seconds = s.budget_seconds +. !budget_dt;
+          differential_seconds = s.differential_seconds +. !diff_dt;
+        });
   result
 
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      calls = t.calls;
-      rejected =
-        t.rejected_replay + t.rejected_static + t.rejected_budget + t.rejected_differential;
-      rejected_replay = t.rejected_replay;
-      rejected_static = t.rejected_static;
-      rejected_budget = t.rejected_budget;
-      rejected_differential = t.rejected_differential;
-      distilled = t.distilled;
-      seconds = t.seconds;
-      replay_seconds = t.replay_seconds;
-      static_seconds = t.static_seconds;
-      budget_seconds = t.budget_seconds;
-      differential_seconds = t.differential_seconds;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
+let gate t op = Result.map ignore (check t op)
+
+let stats t = Mutex.protect t.mutex (fun () -> t.stats)

@@ -11,10 +11,13 @@
     corpus (when one is attached and writable), so the replay stage
     hardens as the search runs: the CEGIS loop.
 
-    The gate has the exact shape [Search.Mcts] expects for its [?admit]
-    hook, and keeps thread-safe running statistics (calls, rejections
-    and wall-clock per stage, counterexamples distilled) so benches can
-    report validator overhead. *)
+    This is the only place that sequence is written, and it has two
+    users.  Search passes {!gate} as [Search.Mcts]'s [?admit] hook;
+    [syno serve] builds one gate per cold [eval] request and reads the
+    verdict, checksum and served-kernel timing from {!check}'s
+    {!outcome}.  The gate keeps thread-safe running statistics (calls,
+    rejections and wall-clock per stage, counterexamples distilled) so
+    benches can report validator overhead. *)
 
 type t
 
@@ -54,17 +57,33 @@ val create :
     [check_valuations] (defaulting to [valuations] — pass a smaller
     valuation list to keep the validator cheap). *)
 
-val corpus : t -> Corpus.t option
-(** The attached corpus, if any (so callers can flush/report it). *)
-
 val active : t -> bool
 (** Whether the gate can ever reject (a corpus is attached, or the
     static verifier, some budget, or the differential validator is
     configured with a non-empty valuation list). *)
 
-val gate : t -> Pgraph.Graph.operator -> (unit, Robust.Guard.kind) result
+type outcome = {
+  verdicts : (Shape.Valuation.t * Analysis.Verify.verdict) list;
+      (** the static verdict ([Proved] or [Padded]) at each [static]
+          valuation where the operator is instantiable, in order *)
+  report : Differential.report option;
+      (** the differential report; [None] without [differential] *)
+}
+(** What an admitted candidate was proven to satisfy. *)
+
+val check :
+  ?cancel:Robust.Cancel.t ->
+  t ->
+  Pgraph.Graph.operator ->
+  (outcome, Robust.Guard.kind) result
 (** Run the gate on one candidate, recording stats.  Thread-safe.
     Replay rejections surface as [Guard.Counterexample], static
-    violations as [Guard.Static_violation]. *)
+    violations as [Guard.Static_violation].  [cancel] is polled
+    between stages and handed to {!Differential.check_full}
+    ({!Robust.Cancel.Cancelled} escapes, and the call is not counted). *)
+
+val gate : t -> Pgraph.Graph.operator -> (unit, Robust.Guard.kind) result
+(** {!check} with the outcome dropped — the shape [Search.Mcts]
+    expects for its [?admit] hook. *)
 
 val stats : t -> stats

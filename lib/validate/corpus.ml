@@ -62,14 +62,6 @@ let ident e =
 let sanitize_line s =
   String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) s
 
-let kind_detail = function
-  | Guard.Eval_error m | Guard.Over_budget m | Guard.Backend_mismatch m | Guard.Diverged m
-  | Guard.Static_violation m | Guard.Counterexample m ->
-      m
-  | Guard.Non_finite -> "non-finite"
-  | Guard.Timeout -> "timeout"
-  | Guard.Injected -> "injected"
-
 (* --- Distillation ----------------------------------------------------------- *)
 
 let of_differential ~tolerance op (f : Differential.failure) =
@@ -82,7 +74,7 @@ let of_differential ~tolerance op (f : Differential.failure) =
     ce_seed = f.Differential.fl_seed;
     ce_tolerance = tolerance;
     ce_backend = f.Differential.fl_backend;
-    ce_detail = sanitize_line (kind_detail f.Differential.fl_kind);
+    ce_detail = sanitize_line (Guard.kind_detail f.Differential.fl_kind);
     ce_abs_err = f.Differential.fl_abs_err;
     ce_fail =
       (match f.Differential.fl_index with
@@ -415,7 +407,7 @@ let replay_entry op ~signature e =
         | Ok () -> Ok true
         | Error kind ->
             Error
-              (Guard.Counterexample ("counterexample replay: " ^ kind_detail kind)))
+              (Guard.Counterexample ("counterexample replay: " ^ Guard.kind_detail kind)))
 
 let replay t op =
   let fp = fingerprint op in

@@ -341,8 +341,6 @@ let check_full ?(config = default_config) ?cancel op valuations =
 let check ?config op valuations =
   Result.map_error (fun f -> f.fl_kind) (check_full ?config op valuations)
 
-let admit ?config op valuations = Result.map (fun _ -> ()) (check ?config op valuations)
-
 (* Replay one recorded (valuation, seed, backend) counterexample
    against a fresh candidate: the exact tensors the original failure
    ran on, but only the single backend pair that diverged, on the same

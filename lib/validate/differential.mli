@@ -137,13 +137,6 @@ val check :
   (report, Robust.Guard.kind) result
 (** {!check_full} with the failure collapsed to its kind. *)
 
-val admit :
-  ?config:config ->
-  Pgraph.Graph.operator ->
-  Shape.Valuation.t list ->
-  (unit, Robust.Guard.kind) result
-(** {!check} with the report dropped — the admission-gate shape. *)
-
 val replay_pair :
   tolerance:float ->
   seed:int ->

@@ -156,6 +156,38 @@ let test_fault_and_path_flag_validation () =
             (Astring.String.is_infix ~affix:"is a directory" (flatten err)))
         [ "--checkpoint"; "--resume"; "--corpus" ])
 
+(* The search budgets are validated the same way: a non-positive
+   iteration count or pGraph size, and a FLOPs budget ratio that is not
+   a finite positive number, die at parse time (exit 124) instead of
+   running a search that finds nothing and exits 0.  A huge but finite
+   ratio saturates the FLOPs budget rather than overflowing it. *)
+let test_search_budget_validation () =
+  let flatten s = String.concat " " (Astring.String.fields ~empty:false s) in
+  let rejects args flag constraint_hint =
+    let code, _, err = run_cli ("search" :: args) in
+    let err = flatten err in
+    let what = String.concat " " args in
+    Alcotest.(check int) (Printf.sprintf "%s exits 124" what) 124 code;
+    Alcotest.(check bool) (Printf.sprintf "%s error names the flag" what) true
+      (Astring.String.is_infix ~affix:flag err);
+    Alcotest.(check bool) (Printf.sprintf "%s error states the constraint" what) true
+      (Astring.String.is_infix ~affix:constraint_hint err)
+  in
+  rejects [ "--iterations=-3" ] "--iterations" "must be >= 1";
+  rejects [ "--iterations=0" ] "--iterations" "must be >= 1";
+  rejects [ "--iterations=1"; "--max-prims=0" ] "--max-prims" "must be >= 1";
+  List.iter
+    (fun ratio ->
+      rejects [ "--iterations=1"; "--budget-ratio=" ^ ratio ] "--budget-ratio" "must be > 0")
+    [ "nan"; "-1"; "0"; "inf" ];
+  let code, out, _ =
+    run_cli
+      [ "search"; "--iterations=40"; "--max-prims=4"; "--seed=5"; "--budget-ratio=1e300" ]
+  in
+  Alcotest.(check int) "--budget-ratio=1e300 exits 0" 0 code;
+  Alcotest.(check bool) "--budget-ratio=1e300 finds operators" false
+    (Astring.String.is_infix ~affix:"found 0 distinct" out)
+
 (* train's --specialize parses through the validated-converter
    discipline: junk dies at parse time with a one-line error naming the
    flag and the accepted values (exit 124).  serve has no such flag: its
@@ -329,6 +361,8 @@ let () =
             test_sharding_flag_validation;
           Alcotest.test_case "fault + path flags reject nonsense at parse time" `Quick
             test_fault_and_path_flag_validation;
+          Alcotest.test_case "search budgets reject nonsense at parse time" `Quick
+            test_search_budget_validation;
           Alcotest.test_case "--specialize rejects junk at parse time" `Quick
             test_specialize_flag_validation;
         ] );

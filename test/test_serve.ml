@@ -406,6 +406,95 @@ let test_daemon_specialize_cross_checked () =
           let replay = call conn ~params:[ ("op", "conv2d"); ("cache", "0") ] "s2" P.Eval in
           Alcotest.(check string) "replay rejects" "counterexample" (err_kind replay)))
 
+(* Answers the cold pipeline must keep: a valuation the operator does
+   not instantiate at (8 channels in 3 groups) is a typed eval_error
+   with a fixed detail, and nothing is distilled for it. *)
+let test_daemon_not_instantiable () =
+  with_temp_dir (fun dir ->
+      with_daemon (daemon_config dir) (fun conn ->
+          (match
+             call conn
+               ~params:[ ("op", "grouped_conv"); ("c_in", "8"); ("g", "3"); ("cache", "0") ]
+               "n1" P.Eval
+           with
+          | P.Resp_error { err_kind; err_detail; _ } ->
+              Alcotest.(check string) "kind" "eval_error" err_kind;
+              Alcotest.(check string) "detail" "not instantiable under valuation" err_detail
+          | P.Resp_ok _ -> Alcotest.fail "8 channels in 3 groups must not evaluate");
+          Alcotest.(check (option string)) "nothing distilled" (Some "0")
+            (ok_param (call conn "n2" P.Status) "corpus_size")))
+
+(* The daemon and search distill through the same gate: a poisoned
+   request leaves exactly the corpus entry [Admit.gate] distills
+   in-process for the same operator, valuation and fault. *)
+let test_daemon_distills_like_search () =
+  with_temp_dir (fun dir ->
+      let cfg = daemon_config dir in
+      with_daemon cfg (fun conn ->
+          Alcotest.(check string) "typed poison" "backend_mismatch"
+            (err_kind
+               (call conn
+                  ~params:
+                    [ ("op", "conv1x1"); ("cache", "0"); ("fault_backend", "einsum");
+                      ("fault_rate", "1"); ("fault_seed", "3") ]
+                  "d1" P.Eval)));
+      let served =
+        match Validate.Corpus.load_result ~path:(Option.get cfg.Server.corpus_path) with
+        | Ok entries -> List.map Validate.Corpus.ident entries
+        | Error e -> Alcotest.failf "corpus: %s" (Validate.Corpus.string_of_error e)
+      in
+      let corpus = Validate.Corpus.in_memory () in
+      let valuation = Syno.Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:8 ~k:3 ~g:2 ~s:2 () in
+      let fault = Validate.Differential.fault ~seed:3 ~rate:1.0 Validate.Differential.Einsum in
+      let gate =
+        Validate.Admit.create ~corpus ~static:[ valuation ]
+          ~differential:(Validate.Differential.config ~fault ())
+          ~check_valuations:[ valuation ] ()
+      in
+      (match Validate.Admit.gate gate Syno.Zoo.conv1x1.Syno.Zoo.operator with
+      | Error (Robust.Guard.Backend_mismatch _) -> ()
+      | Error k -> Alcotest.failf "in-process gate: %s" (Robust.Guard.kind_label k)
+      | Ok () -> Alcotest.fail "in-process gate admitted the poisoned operator");
+      Alcotest.(check (list string)) "same corpus identity"
+        (List.map Validate.Corpus.ident (Validate.Corpus.entries corpus))
+        served)
+
+(* A damaged corpus is quarantined like a damaged cache, and said so on
+   stderr in the same words. *)
+let test_daemon_reports_corpus_quarantine () =
+  with_temp_dir (fun dir ->
+      let cfg = { (daemon_config dir) with Server.cache_path = None } in
+      let corpus_path = Option.get cfg.Server.corpus_path in
+      let oc = open_out corpus_path in
+      output_string oc "syno-corpus v1\nentries: 3\ntruncated";
+      close_out oc;
+      let err_path = Filename.concat dir "stderr" in
+      let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+      let saved = Unix.dup Unix.stderr in
+      Unix.dup2 err_fd Unix.stderr;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.dup2 saved Unix.stderr;
+          Unix.close saved;
+          Unix.close err_fd)
+        (fun () ->
+          with_daemon cfg (fun conn ->
+              Alcotest.(check (option string)) "starts empty" (Some "0")
+                (ok_param (call conn "q1" P.Status) "corpus_size")));
+      let ic = open_in_bin err_path in
+      let err = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check bool) "quarantine file exists" true
+        (Sys.file_exists (corpus_path ^ ".corrupt"));
+      Alcotest.(check bool)
+        (Printf.sprintf "stderr reports the quarantine: %S" err)
+        true
+        (Astring.String.is_infix
+           ~affix:
+             (Printf.sprintf "syno serve: damaged corpus %s quarantined to %s.corrupt ("
+                corpus_path corpus_path)
+           err))
+
 (* The cold checksum's wire contract: the sum of the reference forward
    pass on the [derive_seed ~seed:0 signature] draw, weights first. *)
 let reference_checksum name valuation =
@@ -564,6 +653,12 @@ let () =
             test_daemon_poison_and_replay;
           Alcotest.test_case "served kernel cross-checked" `Quick
             test_daemon_specialize_cross_checked;
+          Alcotest.test_case "not-instantiable valuation answered" `Quick
+            test_daemon_not_instantiable;
+          Alcotest.test_case "distills the entry the search gate does" `Quick
+            test_daemon_distills_like_search;
+          Alcotest.test_case "damaged corpus quarantine reported" `Quick
+            test_daemon_reports_corpus_quarantine;
           Alcotest.test_case "cold checksum wire contract" `Quick
             test_daemon_checksum_contract;
           Alcotest.test_case "older snapshot answers the same checksum" `Quick

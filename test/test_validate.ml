@@ -135,6 +135,81 @@ let test_admit_gate_inactive () =
   | Ok () -> ()
   | Error k -> Alcotest.failf "inactive gate rejected: %s" (Guard.kind_label k))
 
+(* [check] is what [syno serve] answers a cold request from: the static
+   verdict at each instantiable [static] valuation (a foreign one is
+   skipped), and the differential report, whose reference sum is the
+   served checksum — the reference forward on the weights-then-input
+   draw from [derive_seed ~seed:0 signature]. *)
+let test_admit_check_outcome () =
+  let g =
+    Admit.create ~static:[ foreign; tiny ] ~differential:Differential.default_config
+      ~check_valuations:[ tiny ] ()
+  in
+  (match Admit.check g conv with
+  | Error k -> Alcotest.failf "healthy conv rejected: %s" (Guard.kind_label k)
+  | Ok o ->
+      Alcotest.(check bool) "one verdict, the verifier's at the instantiable valuation" true
+        (List.map snd o.Admit.verdicts = [ Analysis.Verify.program conv tiny ]);
+      let report =
+        match o.Admit.report with Some r -> r | None -> Alcotest.fail "no differential report"
+      in
+      let compiled = Lower.Reference.compile conv tiny in
+      let rng =
+        Nd.Rng.create ~seed:(Differential.derive_seed ~seed:0 (Graph.operator_signature conv))
+      in
+      let weights = Lower.Reference.init_weights compiled rng in
+      let input =
+        Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+      in
+      Alcotest.(check (list (float 0.0))) "rep_sums is the reference sum"
+        [ Tensor.sum (Lower.Reference.forward compiled ~input ~weights) ]
+        report.Differential.rep_sums);
+  (* Without a differential config there is no report; the verdicts
+     stay. *)
+  (match Admit.check (Admit.create ~static:[ tiny ] ()) conv with
+  | Ok o ->
+      Alcotest.(check bool) "no report without differential" true (o.Admit.report = None);
+      Alcotest.(check int) "verdict kept" 1 (List.length o.Admit.verdicts)
+  | Error k -> Alcotest.failf "static-only gate rejected: %s" (Guard.kind_label k));
+  let s = Admit.stats g in
+  Alcotest.(check int) "the call is counted" 1 s.Admit.calls;
+  Alcotest.(check int) "and admitted" 0 s.Admit.rejected;
+  (* A cancelled token stops the gate between stages; the call is not
+     counted. *)
+  let cancel = Robust.Cancel.create () in
+  Robust.Cancel.cancel ~reason:"test" cancel;
+  (match Admit.check ~cancel g conv with
+  | exception Robust.Cancel.Cancelled _ -> ()
+  | _ -> Alcotest.fail "a cancelled gate must raise Cancelled");
+  Alcotest.(check int) "cancelled call not counted" 1 (Admit.stats g).Admit.calls
+
+(* The gate a cold [syno serve] request is admitted by — replay,
+   static and differential at one valuation, with a corpus.  No wire
+   request can carry a corrupted expression, so its static rejection
+   and distillation are pinned here: the violation is the answer, and
+   the corpus gains a static entry at that valuation. *)
+let test_admit_serve_shaped_static_violation () =
+  let corpus = Validate.Corpus.in_memory () in
+  let g =
+    Admit.create ~corpus ~static:[ tiny ] ~differential:Differential.default_config
+      ~check_valuations:[ tiny ] ()
+  in
+  let bad = Differential.corrupt_operator conv in
+  (match Admit.check g bad with
+  | Error (Guard.Static_violation _) -> ()
+  | Error k -> Alcotest.failf "wrong kind %s" (Guard.kind_label k)
+  | Ok _ -> Alcotest.fail "the corrupt expr must be a static violation");
+  (match Validate.Corpus.entries corpus with
+  | [ e ] ->
+      Alcotest.(check string) "static origin" "static"
+        (Validate.Corpus.origin_label e.Validate.Corpus.ce_origin);
+      Alcotest.(check bool) "at the checked valuation" true
+        (e.Validate.Corpus.ce_valuation == tiny)
+  | es -> Alcotest.failf "expected one distilled entry, got %d" (List.length es));
+  let s = Admit.stats g in
+  Alcotest.(check int) "static rejection" 1 s.Admit.rejected_static;
+  Alcotest.(check int) "distilled" 1 s.Admit.distilled
+
 (* A corrupt-expr candidate reads consistently out of window, so every
    backend zero-clips it and differential validation alone passes it:
    only the static stage can reject, and without any tensor work. *)
@@ -316,6 +391,9 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_admit_gate_stats;
           Alcotest.test_case "inactive" `Quick test_admit_gate_inactive;
+          Alcotest.test_case "check: verdicts, report, stats" `Quick test_admit_check_outcome;
+          Alcotest.test_case "serve-shaped gate: static violation distilled" `Quick
+            test_admit_serve_shaped_static_violation;
           Alcotest.test_case "static catches corrupt expr, no allocation" `Quick
             test_admit_static_catches_corrupt_expr;
           Alcotest.test_case "stage order static > budget > differential" `Quick
