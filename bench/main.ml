@@ -592,7 +592,8 @@ let par_bench ~smoke () =
   let reward ~cancel:_ op = Search.Reward.score op (List.hd Api.default_search_valuations) in
   let search ?pool () =
     time (fun () ->
-        Search.Mcts.search ~config:mcts_cfg ?pool cfg ~reward ~rng:(Nd.Rng.create ~seed:41) ())
+        (Search.Mcts.search_run ~config:mcts_cfg ?pool cfg ~reward
+           ~rng:(Nd.Rng.create ~seed:41) ()).Search.Mcts.results)
   in
   let (res1, mt1), (resn, mtn), (resp1, mtp1), (resn', mtn') =
     Par.Pool.with_pool ~domains:mcts_trees (fun pool ->
@@ -1113,7 +1114,8 @@ let cancel_bench ~smoke () =
   in
   let clean, t_clean =
     time (fun () ->
-        Search.Mcts.search ~config:mcts_cfg cfg ~reward ~rng:(Nd.Rng.create ~seed:17) ())
+        (Search.Mcts.search_run ~config:mcts_cfg cfg ~reward
+           ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
   in
   let root = Robust.Cancel.create () in
   let evals = ref 0 in
@@ -1127,8 +1129,8 @@ let cancel_bench ~smoke () =
   let sink = Search.Checkpoint.sink ~path:ckpt ~every:5 () in
   let partial, t_partial =
     time (fun () ->
-        Search.Mcts.search ~config:mcts_cfg ~checkpoint:sink ~cancel:root cfg
-          ~reward:tripping ~rng:(Nd.Rng.create ~seed:17) ())
+        (Search.Mcts.search_run ~config:mcts_cfg ~checkpoint:sink ~cancel:root cfg
+          ~reward:tripping ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
   in
   let entries =
     match Search.Checkpoint.load ~path:ckpt with
@@ -1137,8 +1139,8 @@ let cancel_bench ~smoke () =
   in
   let resumed, t_resumed =
     time (fun () ->
-        Search.Mcts.search ~config:mcts_cfg ~resume:entries cfg ~reward
-          ~rng:(Nd.Rng.create ~seed:17) ())
+        (Search.Mcts.search_run ~config:mcts_cfg ~resume:entries cfg ~reward
+          ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
   in
   Sys.remove ckpt;
   let identical = sigs clean = sigs resumed in
@@ -1182,7 +1184,7 @@ let shard_bench ~smoke () =
   Sys.remove base;
   let clear_shards n =
     for i = 0 to n - 1 do
-      let p = Search.Shard.checkpoint_path ~base ~shard_id:i in
+      let p = Robust.Durable.shard_path ~base ~shard_id:i in
       if Sys.file_exists p then Sys.remove p
     done
   in
@@ -1219,22 +1221,19 @@ let shard_bench ~smoke () =
      The merge must quarantine exactly that file and keep going, and a
      re-run (whose damaged shard restarts fresh while the others resume
      fully memoized) must still reproduce the inline results. *)
-  let shard0 = Search.Shard.checkpoint_path ~base ~shard_id:0 in
+  let shard0 = Robust.Durable.shard_path ~base ~shard_id:0 in
   let size = (Unix.stat shard0).Unix.st_size in
   Unix.truncate shard0 (max 1 (size / 2));
-  let assignments =
-    List.init shards (fun i -> Search.Shard.make ~base ~seed ~shards ~shard_id:i)
-  in
-  let m = Search.Shard.load_and_merge assignments in
-  let quarantined_ids = List.map fst m.Search.Shard.mr_quarantined in
+  let m = Search.Shard.load_and_merge ~base ~shards in
+  let quarantined_ids = List.map fst m.Robust.Durable.mg_quarantined in
   let corrupt_quarantined =
-    quarantined_ids = [ 0 ] && List.length m.Search.Shard.mr_loaded = shards - 1
+    quarantined_ids = [ 0 ] && List.length m.Robust.Durable.mg_loaded = shards - 1
   in
   note "truncated shard 0 checkpoint: merge quarantined %s, kept %d clean shard(s), %d \
         entries"
     (String.concat "," (List.map string_of_int quarantined_ids))
-    (List.length m.Search.Shard.mr_loaded)
-    (List.length m.Search.Shard.mr_entries);
+    (List.length m.Robust.Durable.mg_loaded)
+    (List.length m.Robust.Durable.mg_entries);
   let corrupt_rerun, _ = run ~clean:false "re-run over corrupt shard" in
   let corrupt_ok = sigs inline_r = sigs corrupt_rerun in
   note "re-run over the corrupt shard %s the inline reference"
@@ -1321,8 +1320,8 @@ let cegis_bench ~smoke () =
       :: List.concat
            (List.init shards (fun i ->
                 [
-                  Search.Shard.checkpoint_path ~base ~shard_id:i;
-                  Validate.Corpus.shard_path ~base:shard_corpus ~shard_id:i;
+                  Robust.Durable.shard_path ~base ~shard_id:i;
+                  Robust.Durable.shard_path ~base:shard_corpus ~shard_id:i;
                 ])))
   in
   let sharded ?kill_after ~inline label =
@@ -1337,7 +1336,7 @@ let cegis_bench ~smoke () =
     in
     let idents =
       match r.Api.sh_corpus with
-      | Some m -> List.map Validate.Corpus.ident m.Validate.Corpus.mr_entries
+      | Some m -> List.map Validate.Corpus.ident m.Robust.Durable.mg_entries
       | None -> []
     in
     note "%-28s %3d operators, %d restarts, %d corpus entries, %5.2fs" label

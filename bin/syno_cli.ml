@@ -234,7 +234,7 @@ let run_sharded ~iterations ~max_prims ~budget_ratio ~top ~save ~seed ~guard ~in
       | exception Failure msg ->
           prerr_endline msg;
           2
-      | { Api.sh_candidates; sh_report = r; sh_corpus } ->
+      | { Api.sh_candidates; sh_report = r; sh_merge = m; sh_corpus } ->
           let open Search.Coordinator in
           (match Robust.Cancel.status root with
           | Some reason ->
@@ -260,26 +260,24 @@ let run_sharded ~iterations ~max_prims ~budget_ratio ~top ~save ~seed ~guard ~in
                 (if s.sh_kills > 0 then Printf.sprintf ", %d supervisor kill(s)" s.sh_kills
                  else ""))
             r.rp_shards;
-          let m = r.rp_merge in
-          if m.Search.Shard.mr_quarantined <> [] then
-            List.iter
-              (fun (id, err) ->
-                Format.printf "shard %d checkpoint quarantined: %s@." id
-                  (Search.Checkpoint.string_of_error err))
-              m.Search.Shard.mr_quarantined;
-          if m.Search.Shard.mr_conflicts > 0 then
+          List.iter
+            (fun (id, err) ->
+              Format.printf "shard %d checkpoint quarantined: %s@." id
+                (Search.Checkpoint.string_of_error err))
+            m.Robust.Durable.mg_quarantined;
+          if m.Robust.Durable.mg_duplicates > 0 then
             Format.printf "merge: %d signature conflict(s) resolved@."
-              m.Search.Shard.mr_conflicts;
+              m.Robust.Durable.mg_duplicates;
           (match sh_corpus with
           | Some cm ->
               Format.printf "corpus: %d counterexamples merged from %d shard corpora@."
-                (List.length cm.Validate.Corpus.mr_entries)
-                (List.length cm.Validate.Corpus.mr_loaded);
+                (List.length cm.Robust.Durable.mg_entries)
+                (List.length cm.Robust.Durable.mg_loaded);
               List.iter
                 (fun (id, err) ->
                   Format.printf "shard %d corpus quarantined: %s@." id
                     (Validate.Corpus.string_of_error err))
-                cm.Validate.Corpus.mr_quarantined
+                cm.Robust.Durable.mg_quarantined
           | None -> ());
           Format.printf "@.";
           print_candidates ~top ~save sh_candidates;

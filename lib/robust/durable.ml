@@ -155,27 +155,37 @@ let warn_quarantine c ~prefix ~path report =
         (string_of_error c err))
     report.or_quarantined
 
-type 'a shards = {
-  sh_loaded : (int * 'a list) list;
-  sh_missing : int list;
-  sh_quarantined : (int * error) list;
+let shard_path ~base ~shard_id = Printf.sprintf "%s.shard%d" base shard_id
+
+type 'a merged = {
+  mg_entries : 'a list;
+  mg_duplicates : int;
+  mg_loaded : int list;
+  mg_missing : int list;
+  mg_quarantined : (int * error) list;
 }
 
-let load_shards c paths =
+let merge_shards c ~merge ~base ~shards =
   let loaded, missing, quarantined =
     List.fold_left
-      (fun (loaded, missing, quarantined) (id, path) ->
+      (fun (loaded, missing, quarantined) id ->
+        let path = shard_path ~base ~shard_id:id in
         if not (Sys.file_exists path) then (loaded, id :: missing, quarantined)
         else
           match load c ~path with
           | Ok entries -> ((id, entries) :: loaded, missing, quarantined)
           | Error err -> (loaded, missing, (id, err) :: quarantined))
-      ([], [], []) paths
+      ([], [], []) (List.init shards Fun.id)
   in
+  let lists = List.rev_map snd loaded in
+  let entries = merge lists in
   {
-    sh_loaded = List.rev loaded;
-    sh_missing = List.rev missing;
-    sh_quarantined = List.rev quarantined;
+    mg_entries = entries;
+    mg_duplicates =
+      List.fold_left (fun n l -> n + List.length l) 0 lists - List.length entries;
+    mg_loaded = List.rev_map fst loaded;
+    mg_missing = List.rev missing;
+    mg_quarantined = List.rev quarantined;
   }
 
 (* --- Write cadence ----------------------------------------------------------- *)
@@ -205,4 +215,3 @@ let note w snapshot =
 let sync w snapshot = if w.w_pending > 0 then commit w snapshot
 let flush w snapshot = if w.w_pending > 0 || w.w_writes = 0 then commit w snapshot
 let writes w = w.w_writes
-let path w = w.w_path

@@ -12,7 +12,8 @@
     Clients supply only the entry codec (render one entry; parse one
     [entry:] line with its continuation lines).  This module owns the
     framing, the crash-safe write, the typed load, quarantine of a
-    damaged file, the per-shard load loop and the write cadence.
+    damaged file, the per-shard file name, load and merge report, and
+    the write cadence.
 
     {b Writes} are atomic and durable: one render into a buffer, one
     write loop to [path ^ ".tmp"], fsync, rename over [path], and a
@@ -85,15 +86,26 @@ val warn_quarantine : 'a codec -> prefix:string -> path:string -> open_report ->
 
 (** {1 Sharded files} *)
 
-type 'a shards = {
-  sh_loaded : (int * 'a list) list;  (** shards that loaded, in input order *)
-  sh_missing : int list;  (** shards with no file *)
-  sh_quarantined : (int * error) list;
-      (** shards whose file failed the typed load; left in place *)
+val shard_path : base:string -> shard_id:int -> string
+(** [base ^ ".shard<i>"]: every shard of a sharded run writes its
+    private file of each format next to the merged file's [base]. *)
+
+type 'a merged = {
+  mg_entries : 'a list;  (** what [merge] made of the loaded shards *)
+  mg_duplicates : int;  (** entries loaded minus entries merged *)
+  mg_loaded : int list;  (** shards whose file loaded, in shard order *)
+  mg_missing : int list;  (** shards with no file *)
+  mg_quarantined : (int * error) list;
+      (** shards whose file failed the typed load; skipped and left in
+          place *)
 }
 
-val load_shards : 'a codec -> (int * string) list -> 'a shards
-(** Load each [(shard_id, path)].  Never raises on damaged files. *)
+val merge_shards :
+  'a codec -> merge:('a list list -> 'a list) -> base:string -> shards:int -> 'a merged
+(** Load {!shard_path}[ ~base ~shard_id] for every shard id in
+    [[0, shards)] and hand the entry lists that loaded, in shard order,
+    to [merge] (the format's dedup policy).  Never raises on damaged
+    files. *)
 
 (** {1 Write cadence} *)
 
@@ -120,5 +132,3 @@ val flush : 'a writer -> (unit -> 'a list) -> unit
 
 val writes : 'a writer -> int
 (** Snapshots saved so far. *)
-
-val path : 'a writer -> string

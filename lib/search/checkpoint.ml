@@ -115,4 +115,3 @@ let note s e =
 
 let flush s = locked s (fun () -> Robust.Durable.flush s.sk_writer (snapshot_locked s))
 let writes s = locked s (fun () -> Robust.Durable.writes s.sk_writer)
-let path s = Robust.Durable.path s.sk_writer

@@ -96,5 +96,3 @@ val flush : sink -> unit
 
 val writes : sink -> int
 (** Snapshots written so far. *)
-
-val path : sink -> string

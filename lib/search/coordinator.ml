@@ -33,13 +33,7 @@ type status = Done | Interrupted | Failed of string
 
 type shard_report = { sh_id : int; sh_status : status; sh_attempts : int; sh_kills : int }
 
-type report = {
-  rp_merge : Shard.merge_report;
-  rp_shards : shard_report list;
-  rp_restarts : int;
-  rp_interrupted : bool;
-  rp_wall : float;
-}
+type report = { rp_shards : shard_report list; rp_restarts : int; rp_interrupted : bool }
 
 (* A shard waiting (again) for a worker slot. *)
 type task = { t_shard : int; t_attempt : int; t_not_before : float }
@@ -104,11 +98,9 @@ let child_main ~assignment ~attempt ~body ~write_fd =
 
 let run ?(config = default_config ()) ?cancel ~base ~seed ~body () =
   let cancel = match cancel with Some c -> c | None -> Cancel.create () in
-  let t0 = Unix.gettimeofday () in
   let shards = max 1 config.shards in
   let workers_max = max 1 config.workers in
-  let assignments = List.init shards (fun i -> Shard.make ~base ~seed ~shards ~shard_id:i) in
-  let assignment = Array.of_list assignments in
+  let assignment = Array.init shards (fun i -> Shard.make ~base ~seed ~shards ~shard_id:i) in
   let attempts = Array.make shards 0 in
   let kills = Array.make shards 0 in
   let final : status option array = Array.make shards None in
@@ -263,7 +255,7 @@ let run ?(config = default_config ()) ?cancel ~base ~seed ~body () =
       reap ()
     done;
     (* Anything not reaped in time, and every shard that never resolved,
-       is interrupted: its checkpoint (if any) still merges below. *)
+       is interrupted: its checkpoint (if any) still merges afterwards. *)
     List.iter (fun wk -> retire wk `Interrupted) (List.filter (fun _ -> true) !running);
     Array.iteri (fun i f -> if f = None then final.(i) <- Some Interrupted) final
   in
@@ -282,9 +274,7 @@ let run ?(config = default_config ()) ?cancel ~base ~seed ~body () =
     end
   done;
 
-  let merge = Shard.load_and_merge assignments in
   {
-    rp_merge = merge;
     rp_shards =
       List.init shards (fun i ->
           {
@@ -295,12 +285,10 @@ let run ?(config = default_config ()) ?cancel ~base ~seed ~body () =
           });
     rp_restarts = !restarts;
     rp_interrupted = !interrupted;
-    rp_wall = Unix.gettimeofday () -. t0;
   }
 
 let run_inline ?(config = default_config ()) ?cancel ~base ~seed ~body () =
   let cancel = match cancel with Some c -> c | None -> Cancel.create () in
-  let t0 = Unix.gettimeofday () in
   let shards = max 1 config.shards in
   let assignments = List.init shards (fun i -> Shard.make ~base ~seed ~shards ~shard_id:i) in
   let shard_reports =
@@ -328,10 +316,4 @@ let run_inline ?(config = default_config ()) ?cancel ~base ~seed ~body () =
           { sh_id = a.Shard.shard_id; sh_status = status; sh_attempts = 1; sh_kills = 0 })
       assignments
   in
-  {
-    rp_merge = Shard.load_and_merge assignments;
-    rp_shards = shard_reports;
-    rp_restarts = 0;
-    rp_interrupted = Cancel.is_cancelled cancel;
-    rp_wall = Unix.gettimeofday () -. t0;
-  }
+  { rp_shards = shard_reports; rp_restarts = 0; rp_interrupted = Cancel.is_cancelled cancel }

@@ -1,8 +1,10 @@
 (** Crash-tolerant coordinator for sharded multi-process search.
 
     {!Shard} decides what each worker owns and how results merge; this
-    module owns the processes.  {!run} forks up to [workers] children,
-    hands each a {!Shard.assignment}, and supervises them over pipes:
+    module only runs and supervises the processes.  It merges nothing:
+    the caller merges the per-shard files once {!run} or {!run_inline}
+    returns ({!Shard.load_and_merge}).  {!run} forks up to [workers]
+    children, hands each a {!Shard.assignment}, and supervises them over pipes:
     every worker heartbeats through an inherited pipe, and the
     coordinator SIGKILLs a worker whose heartbeat goes silent for
     [heartbeat_timeout] seconds or whose attempt outlives
@@ -11,7 +13,7 @@
     worker slot — its unfinished partition is redistributed to the
     survivors, resumed from its own atomic checkpoint — until its
     [max_restarts] budget is exhausted, at which point it is reported
-    [Failed] and whatever checkpoint it managed still merges.
+    [Failed] and whatever checkpoint it managed is left for the merge.
 
     OCaml 5 refuses [Unix.fork] in a process that has ever spawned a
     domain, even after joining it, so call {!run} before anything in
@@ -27,10 +29,10 @@
 
     Determinism: {!run_inline} executes the {e same} shard bodies
     sequentially in-process — identical assignments, identical derived
-    seeds, no forks — and merges identically.  Because each shard's
-    trajectory is deterministic in (seed, partition, memoized rewards)
-    and checkpoint resume replays exactly, a forked run with kills and
-    restarts merges to the same result as [run_inline].  [bench shard]
+    seeds, no forks.  Because each shard's trajectory is deterministic
+    in (seed, partition, memoized rewards) and checkpoint resume
+    replays exactly, the shard files of a forked run with kills and
+    restarts merge to the same result as those of [run_inline].  [bench shard]
     and the test suite assert this end to end. *)
 
 (** What a shard body sees.  The body runs once per attempt — in a
@@ -83,11 +85,9 @@ type shard_report = {
 }
 
 type report = {
-  rp_merge : Shard.merge_report;  (** merged from {e all} shard files *)
   rp_shards : shard_report list;  (** in shard order *)
   rp_restarts : int;  (** total re-queues across shards *)
   rp_interrupted : bool;  (** [cancel] tripped during the run *)
-  rp_wall : float;  (** coordinator wall-clock seconds *)
 }
 
 val run :
@@ -98,11 +98,11 @@ val run :
   body:(ctx -> unit) ->
   unit ->
   report
-(** Fork, supervise, restart, merge.  [base] and [seed] fix the
-    assignments ({!Shard.make}); [body] runs in each child.  Exceptions
-    escaping [body] in a child become exit code 70 and count as a
-    failure (restartable); the coordinator itself never raises on
-    worker failure or damaged checkpoints. *)
+(** Fork, supervise, restart.  [base] and [seed] fix the assignments
+    ({!Shard.make}); [body] runs in each child.  Exceptions escaping
+    [body] in a child become exit code 70 and count as a failure
+    (restartable); the coordinator itself never raises on worker
+    failure. *)
 
 val run_inline :
   ?config:config ->
@@ -114,6 +114,6 @@ val run_inline :
   report
 (** The fork-free reference execution: the same shard bodies, run
     sequentially in this process ([forked = false], one attempt each,
-    no supervision), merged identically.  An exception from [body]
+    no supervision).  An exception from [body]
     marks that shard [Failed] and the run continues; a tripped [cancel]
     marks the remaining shards [Interrupted]. *)

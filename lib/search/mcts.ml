@@ -381,9 +381,3 @@ let search_run ?(config = default_config ()) ?pool ?(guard = Guard.default_polic
   in
   (match checkpoint with Some s -> Checkpoint.flush s | None -> ());
   { results = to_results found; stats = stats_of_collectors ?checkpoint collectors }
-
-let search ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit ?cancel
-    ?root_filter enum_cfg ~reward ~rng () =
-  (search_run ?config ?pool ?guard ?inject ?quarantine_reward ?checkpoint ?resume ?admit
-     ?cancel ?root_filter enum_cfg ~reward ~rng ())
-    .results

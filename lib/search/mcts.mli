@@ -61,8 +61,6 @@ type failure_stats = {
   checkpoint_writes : int;
 }
 
-val no_failures : failure_stats
-
 type run = { results : result list; stats : failure_stats }
 
 val search_run :
@@ -134,21 +132,3 @@ val search_run :
     Defaults: [guard = Robust.Guard.default_policy] (2 retries, no
     backoff, no timeout), no injection, [quarantine_reward = 0.0], no
     checkpointing, admit-everything gate. *)
-
-val search :
-  ?config:config ->
-  ?pool:Par.Pool.t ->
-  ?guard:Robust.Guard.policy ->
-  ?inject:Robust.Inject.t ->
-  ?quarantine_reward:float ->
-  ?checkpoint:Checkpoint.sink ->
-  ?resume:Checkpoint.entry list ->
-  ?admit:(Pgraph.Graph.operator -> (unit, Robust.Guard.kind) Stdlib.result) ->
-  ?cancel:Robust.Cancel.t ->
-  ?root_filter:(Pgraph.Prim.t -> bool) ->
-  Enumerate.config ->
-  reward:(cancel:Robust.Cancel.t -> Pgraph.Graph.operator -> float) ->
-  rng:Nd.Rng.t ->
-  unit ->
-  result list
-(** [search_run] without the statistics. *)

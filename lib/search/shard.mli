@@ -15,15 +15,17 @@
     re-execution — computes the same partition.
 
     {b Merging.}  Workers publish atomic per-shard checkpoints
-    ({!Checkpoint}); the coordinator merges them into one reward memo.
-    Entries are deduplicated by operator signature (distinct root
-    actions can reach the same canonical operator).  On a conflict the
-    rule is {e quarantine wins}: a quarantine verdict from any shard is
-    a refusal of the candidate and survives the merge, while two clean
-    entries keep the NaN-safe best reward; visit counts are summed.
-    Corrupt, truncated, or missing shard files are {e quarantined as
-    files} — reported, skipped, never fatal — via the typed
-    {!Checkpoint.load_result}.
+    ({!Checkpoint}); once the processes are done, {!load_and_merge}
+    folds them into one reward memo through
+    {!Robust.Durable.merge_shards}, which owns the per-shard file name,
+    the load and the merge report.  This module supplies only the
+    policy.  Entries are deduplicated by operator signature (distinct
+    root actions can reach the same canonical operator).  On a conflict
+    the rule is {e quarantine wins}: a quarantine verdict from any shard
+    is a refusal of the candidate and survives the merge, while of two
+    clean entries the one with the NaN-safe best reward survives whole;
+    visit counts are summed.  Corrupt, truncated, or missing shard
+    files are {e quarantined as files}: reported, skipped, never fatal.
 
     {b Determinism.}  A shard's trajectory is a deterministic function
     of its derived seed, its partition, and its (deterministic) reward
@@ -41,13 +43,9 @@ type assignment = {
 }
 
 val make : base:string -> seed:int -> shards:int -> shard_id:int -> assignment
-(** Assignment for one shard; [path] is {!checkpoint_path}[ ~base
-    ~shard_id].  Raises [Invalid_argument] unless
-    [0 <= shard_id < shards]. *)
-
-val checkpoint_path : base:string -> shard_id:int -> string
-(** [base ^ ".shard" ^ id] — every shard writes next to the merged
-    run's base path. *)
+(** Assignment for one shard; [path] is
+    {!Robust.Durable.shard_path}[ ~base ~shard_id].  Raises
+    [Invalid_argument] unless [0 <= shard_id < shards]. *)
 
 val derive_seed : seed:int -> shard_id:int -> int
 (** The RNG seed for shard [shard_id]'s search: a splitmix64 mix of
@@ -64,27 +62,16 @@ val root_filter : assignment -> Pgraph.Prim.t -> bool
 
 (** {1 Merging shard checkpoints} *)
 
-val merge_entries : Checkpoint.entry list list -> Checkpoint.entry list * int
-(** Merge per-shard entry lists (in shard order) into one memo, with
-    the number of signature conflicts resolved.  Dedup by signature;
-    quarantine-wins; clean/clean conflicts keep the NaN-safe best
-    reward; visits summed.  Result sorted by signature. *)
+val merge_entries : Checkpoint.entry list list -> Checkpoint.entry list
+(** Merge per-shard entry lists (in shard order) into one memo.  Dedup
+    by signature; quarantine-wins; a clean/clean conflict keeps the
+    entry with the best reward whole (a NaN never wins, a tie keeps the
+    earlier shard's); visits summed.  Result sorted by signature. *)
 
-type merge_report = {
-  mr_entries : Checkpoint.entry list;  (** merged memo, sorted by signature *)
-  mr_loaded : int list;  (** shards whose checkpoint loaded cleanly *)
-  mr_missing : int list;  (** shards with no checkpoint file at all *)
-  mr_quarantined : (int * Checkpoint.error) list;
-      (** shards whose file existed but failed the typed load — damaged
-          after a successful write (e.g. a mid-write SIGKILL of some
-          external truncation); their entries are skipped, the merge
-          proceeds *)
-  mr_conflicts : int;  (** duplicate signatures resolved *)
-}
-
-val load_and_merge : assignment list -> merge_report
-(** Load every shard's checkpoint with {!Checkpoint.load_result} and
-    merge what loads.  Never raises on damaged files. *)
+val load_and_merge : base:string -> shards:int -> Checkpoint.entry Robust.Durable.merged
+(** {!Robust.Durable.merge_shards} with the checkpoint codec and
+    {!merge_entries}: [mg_duplicates] counts the signature conflicts
+    resolved.  Never raises on damaged files. *)
 
 val rank : Checkpoint.entry list -> Checkpoint.entry list
 (** Result ordering for a merged memo, matching {!Mcts} ranking:

@@ -108,12 +108,10 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let size t = locked t (fun () -> Hashtbl.length t.table)
-let capacity t = t.cap
 let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)
 let evictions t = locked t (fun () -> t.evict_count)
 let writes t = locked t (fun () -> Option.fold ~none:0 ~some:Robust.Durable.writes t.writer)
-let path t = Option.map Robust.Durable.path t.writer
 
 let find t key =
   locked t (fun () ->
@@ -149,7 +147,6 @@ let snapshot_locked t =
   |> List.sort (fun a b -> compare a.s_stamp b.s_stamp)
   |> List.map (fun s -> s.s_entry)
 
-let to_string t = locked t (fun () -> Robust.Durable.to_string codec (snapshot_locked t))
 let string_of_error = Robust.Durable.string_of_error codec
 let save ~path t = locked t (fun () -> Robust.Durable.save codec ~path (snapshot_locked t))
 

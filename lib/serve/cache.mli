@@ -46,7 +46,6 @@ val put : t -> entry -> unit
     is file-backed. *)
 
 val size : t -> int
-val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
@@ -63,10 +62,6 @@ type error = Robust.Durable.error =
   | Corrupt of string
 
 val string_of_error : error -> string
-
-val to_string : t -> string
-(** Snapshot in least-recent-first order, so replaying [put]s at load
-    time reconstructs the recency order exactly. *)
 
 val of_string_result : ?capacity:int -> string -> (t, error) result
 
@@ -88,4 +83,3 @@ val flush : t -> unit
     file-backed cache).  No-op for in-memory caches. *)
 
 val writes : t -> int
-val path : t -> string option

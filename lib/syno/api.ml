@@ -314,12 +314,13 @@ let search_conv_operators_run ?(iterations = 2000) ?(max_prims = 9)
 type sharded_run = {
   sh_candidates : candidate list;
   sh_report : Search.Coordinator.report;
-  sh_corpus : Validate.Corpus.merge_report option;
+  sh_merge : Search.Checkpoint.entry Robust.Durable.merged;
+  sh_corpus : Validate.Corpus.entry Robust.Durable.merged option;
 }
 
 let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
     ?(flops_budget_ratio = 1.0) ?(shards = 2) ?workers ?max_restarts ?backoff
-    ?heartbeat_timeout ?shard_deadline ?grace ?guard ?inject ?quarantine_reward
+    ?heartbeat_timeout ?shard_deadline ?guard ?inject ?quarantine_reward
     ?(checkpoint_every = 1) ?max_bytes ?max_flops ?(validate = false)
     ?(validate_config = Validate.Differential.default_config)
     ?(validation_valuations = default_validation_valuations) ?(static_gate = true) ?corpus
@@ -338,7 +339,6 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
       heartbeat_timeout =
         Option.value ~default:base_cc.Search.Coordinator.heartbeat_timeout heartbeat_timeout;
       shard_deadline;
-      grace = Option.value ~default:base_cc.Search.Coordinator.grace grace;
     }
   in
   let body (ctx : Search.Coordinator.ctx) =
@@ -353,7 +353,7 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
     in
     let sink = Search.Checkpoint.sink ~path:a.Search.Shard.path ~every:checkpoint_every () in
     (* A damaged shard checkpoint restarts that shard from scratch; the
-       coordinator-side merge separately quarantines damaged files. *)
+       merge below separately quarantines damaged files. *)
     let resume = load_resume ~on_corrupt:`Restart a.Search.Shard.path in
     Search.Checkpoint.preload sink resume;
     (* Each shard owns a private corpus file (resumed across restarts,
@@ -368,7 +368,7 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
       | Some base ->
           let t =
             open_corpus
-              (Validate.Corpus.shard_path ~base ~shard_id:a.Search.Shard.shard_id)
+              (Robust.Durable.shard_path ~base ~shard_id:a.Search.Shard.shard_id)
           in
           (match Validate.Corpus.load_result ~path:base with
           | Ok entries -> Validate.Corpus.preload t entries
@@ -400,19 +400,21 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
   in
   let runner = if inline then Search.Coordinator.run_inline else Search.Coordinator.run in
   let report = runner ~config:coord_config ?cancel ~base:checkpoint_base ~seed ~body () in
-  (* Merge the per-shard corpora into the main corpus file: dedup by
-     entry identity, damaged shard files quarantined — the same recipe
-     as the checkpoint merge.  Pre-existing main entries survive. *)
+  (* Once every process is done, merge the per-shard checkpoints and
+     corpora the same way: one Durable.merge_shards call each, damaged
+     shard files quarantined.  The merged corpus goes into the main
+     corpus file, where pre-existing entries survive. *)
+  let merge = Search.Shard.load_and_merge ~base:checkpoint_base ~shards in
   let corpus_merge =
     match corpus with
     | Some base when not corpus_readonly ->
-        let mr = Validate.Corpus.load_and_merge ~base ~shards in
+        let mg = Validate.Corpus.load_and_merge ~base ~shards in
         (* Opened like any writer's corpus, so a damaged main file is
            quarantined and warned about rather than overwritten. *)
         let main = open_corpus base in
-        ignore (Validate.Corpus.merge_into main mr.Validate.Corpus.mr_entries : int);
+        ignore (Validate.Corpus.merge_into main mg.Robust.Durable.mg_entries : int);
         Validate.Corpus.flush main;
-        Some { mr with Validate.Corpus.mr_entries = Validate.Corpus.entries main }
+        Some { mg with Robust.Durable.mg_entries = Validate.Corpus.entries main }
     | Some _ | None -> None
   in
   let v0 = List.hd valuations in
@@ -427,6 +429,6 @@ let search_conv_operators_sharded_run ?(iterations = 2000) ?(max_prims = 9)
           params = Flops.params e.Search.Checkpoint.operator v0;
           quarantined = e.Search.Checkpoint.quarantined;
         })
-      (Search.Shard.rank report.Search.Coordinator.rp_merge.Search.Shard.mr_entries)
+      (Search.Shard.rank merge.Robust.Durable.mg_entries)
   in
-  { sh_candidates = candidates; sh_report = report; sh_corpus = corpus_merge }
+  { sh_candidates = candidates; sh_report = report; sh_merge = merge; sh_corpus = corpus_merge }

@@ -208,18 +208,24 @@ val search_conv_operators_run :
     reproduce that with OS processes on one host.  The space is
     partitioned by seeded root-action signature ({!Search.Shard}), each
     shard searched by a forked worker under a crash-tolerant supervisor
-    ({!Search.Coordinator}), and the per-shard checkpoints merged into
-    one ranked candidate list (dedup by signature, quarantine-wins). *)
+    ({!Search.Coordinator}), and, once the coordinator returns, the
+    per-shard checkpoints merged into one ranked candidate list (dedup
+    by signature, quarantine-wins) and the per-shard corpora into the
+    main corpus, both through {!Robust.Durable.merge_shards}. *)
 
 type sharded_run = {
   sh_candidates : candidate list;
       (** merged from every shard's checkpoint, ranked like
           {!search_conv_operators_run} output *)
   sh_report : Search.Coordinator.report;
-      (** per-shard statuses, restart counts, merge provenance *)
-  sh_corpus : Validate.Corpus.merge_report option;
-      (** the per-shard corpus merge (entry dedup, damaged-file
-          quarantine); [None] without a writable corpus *)
+      (** per-shard statuses and restart counts *)
+  sh_merge : Search.Checkpoint.entry Robust.Durable.merged;
+      (** the per-shard checkpoint merge: which shard files loaded,
+          were missing or were quarantined, and the signature conflicts
+          resolved ([mg_duplicates]) *)
+  sh_corpus : Validate.Corpus.entry Robust.Durable.merged option;
+      (** the per-shard corpus merge, its [mg_entries] being the main
+          corpus after the merge; [None] without a writable corpus *)
 }
 
 val search_conv_operators_sharded_run :
@@ -232,7 +238,6 @@ val search_conv_operators_sharded_run :
   ?backoff:float ->
   ?heartbeat_timeout:float ->
   ?shard_deadline:float ->
-  ?grace:float ->
   ?guard:Robust.Guard.policy ->
   ?inject:Robust.Inject.t ->
   ?quarantine_reward:float ->
@@ -267,8 +272,8 @@ val search_conv_operators_sharded_run :
     [workers] concurrent processes (default [shards]),
     [heartbeat_timeout] seconds of silence before a kill,
     [shard_deadline] per-attempt wall clock, [max_restarts] per shard
-    with exponential [backoff], [grace] between the shutdown SIGTERM
-    cascade and SIGKILL.
+    with exponential [backoff]; the shutdown cascade waits the default
+    [grace] between SIGTERM and SIGKILL.
 
     [inline] (default false) runs the fork-free reference execution
     instead ({!Search.Coordinator.run_inline}): same shards, same
@@ -283,7 +288,7 @@ val search_conv_operators_sharded_run :
 
     A shard whose checkpoint file is damaged is restarted fresh by its
     worker and quarantined-but-skipped by the merge
-    ([sh_report.rp_merge.mr_quarantined]); the run never aborts for it.
+    ([sh_merge.mg_quarantined]); the run never aborts for it.
     [cancel] cascades shutdown to every worker: each flushes its
     checkpoint and exits 130, and the partial shards still merge. *)
 

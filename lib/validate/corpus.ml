@@ -252,7 +252,6 @@ type stats = {
 }
 
 type t = {
-  path : string option;
   readonly : bool;
   writer : entry Robust.Durable.writer option;  (* [None] when in memory or readonly *)
   mutex : Mutex.t;
@@ -272,7 +271,6 @@ let locked t f =
 
 let make ?path ?(readonly = false) ?(every = 1) () =
   {
-    path;
     readonly;
     writer =
       (match path with
@@ -308,8 +306,6 @@ let entries_locked t =
 
 let entries t = locked t (fun () -> entries_locked t)
 let size t = locked t (fun () -> t.count)
-let path t = t.path
-let readonly t = t.readonly
 
 let persist_locked t step =
   Option.iter (fun w -> step w (fun () -> entries_locked t)) t.writer
@@ -448,29 +444,10 @@ let replay t op =
 
 (* --- Sharding ----------------------------------------------------------------- *)
 
-let shard_path ~base ~shard_id = Printf.sprintf "%s.shard%d" base shard_id
-
-type merge_report = {
-  mr_entries : entry list;
-  mr_loaded : int list;
-  mr_missing : int list;
-  mr_quarantined : (int * error) list;
-  mr_added : int;
-}
-
+(* First shard wins on a duplicate [ident]; the result is sorted by
+   [ident] like every corpus snapshot. *)
 let load_and_merge ~base ~shards =
-  let sh =
-    Robust.Durable.load_shards codec
-      (List.init shards (fun shard_id -> (shard_id, shard_path ~base ~shard_id)))
-  in
-  let acc = in_memory () in
-  let added =
-    List.fold_left (fun n (_, entries) -> n + merge_into acc entries) 0 sh.Robust.Durable.sh_loaded
-  in
-  {
-    mr_entries = entries acc;
-    mr_loaded = List.map fst sh.Robust.Durable.sh_loaded;
-    mr_missing = sh.Robust.Durable.sh_missing;
-    mr_quarantined = sh.Robust.Durable.sh_quarantined;
-    mr_added = added;
-  }
+  Robust.Durable.merge_shards codec ~base ~shards ~merge:(fun lists ->
+      let acc = in_memory () in
+      List.iter (preload acc) lists;
+      entries acc)

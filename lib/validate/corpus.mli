@@ -124,8 +124,6 @@ val entries : t -> entry list
 (** Sorted by {!ident}. *)
 
 val size : t -> int
-val path : t -> string option
-val readonly : t -> bool
 
 val flush : t -> unit
 (** Write pending entries now (also writes an initial empty snapshot
@@ -147,21 +145,9 @@ val stats : t -> stats
 
 (** {1 Sharding} *)
 
-val shard_path : base:string -> shard_id:int -> string
-(** [base ^ ".shard<i>"] — the same naming recipe as
-    {!Search.Shard.checkpoint_path}, so each shard's private corpus
-    sits next to its checkpoint. *)
-
-type merge_report = {
-  mr_entries : entry list;  (** merged corpus, sorted by {!ident} *)
-  mr_loaded : int list;  (** shards whose corpus loaded cleanly *)
-  mr_missing : int list;  (** shards with no corpus file *)
-  mr_quarantined : (int * error) list;
-      (** shards whose file existed but failed the typed load — their
-          entries are skipped, the merge proceeds *)
-  mr_added : int;  (** entries surviving dedup *)
-}
-
-val load_and_merge : base:string -> shards:int -> merge_report
-(** Load every shard's corpus and merge what loads (dedup by
-    {!ident}).  Never raises on damaged files. *)
+val load_and_merge : base:string -> shards:int -> entry Robust.Durable.merged
+(** {!Robust.Durable.merge_shards} with the corpus codec: each shard's
+    private corpus sits at {!Robust.Durable.shard_path}[ ~base
+    ~shard_id], next to its checkpoint.  Dedup by {!ident}, the
+    earliest shard's entry kept; the result is sorted by {!ident}.
+    Never raises on damaged files. *)

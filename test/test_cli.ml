@@ -282,6 +282,45 @@ let test_corpus_flag_roundtrip () =
           Alcotest.(check int) "re-encounter adds no new entries" n (List.length entries2)
       | Error e -> Alcotest.fail (Validate.Corpus.string_of_error e))
 
+(* The sharded report: an inline 2-shard validated run exits 0 and
+   prints the merge line, one status line per shard and the corpus
+   merge line, with counts that match the files it left behind. *)
+let test_sharded_report () =
+  with_temp_dir (fun dir ->
+      let ckpt = Filename.concat dir "run.ckpt" in
+      let code, out, err =
+        run_cli
+          [ "search"; "--shards"; "2"; "--shard-inline"; "--checkpoint"; ckpt; "--validate";
+            "--iterations"; "240"; "--max-prims"; "6"; "--seed"; "2024"; "--top"; "0" ]
+      in
+      Alcotest.(check int) ("sharded CLI run exits 0: " ^ err) 0 code;
+      let signatures =
+        List.concat_map
+          (fun i ->
+            match Search.Checkpoint.load_result ~path:(Printf.sprintf "%s.shard%d" ckpt i) with
+            | Ok es -> List.map (fun (e : Search.Checkpoint.entry) -> e.Search.Checkpoint.signature) es
+            | Error e -> Alcotest.fail (Search.Checkpoint.string_of_error e))
+          [ 0; 1 ]
+        |> List.sort_uniq compare
+      in
+      let corpus =
+        match Validate.Corpus.load_result ~path:(ckpt ^ ".corpus") with
+        | Ok es -> es
+        | Error e -> Alcotest.fail (Validate.Corpus.string_of_error e)
+      in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) ("prints: " ^ line) true
+            (Astring.String.is_infix ~affix:line out))
+        [
+          Printf.sprintf "merged %d distinct canonical operators from 2 shards"
+            (List.length signatures);
+          "shard 0: done";
+          "shard 1: done";
+          Printf.sprintf "corpus: %d counterexamples merged from 2 shard corpora"
+            (List.length corpus);
+        ])
+
 (* The "#k reward ... <signature>" result lines, the part of the output
    that must replay identically. *)
 let result_lines out =
@@ -374,4 +413,7 @@ let () =
           Alcotest.test_case "--corpus: replay on re-encounter, no re-adds" `Quick
             test_corpus_flag_roundtrip;
         ] );
+      ( "shards",
+        [ Alcotest.test_case "sharded run reports merge and shards" `Quick test_sharded_report ]
+      );
     ]

@@ -182,28 +182,36 @@ let test_shard_merge_dedup () =
   with_temp_path (fun base ->
       let e = differential_entry () in
       let _, s = static_entry () in
-      (* Shard 0 and shard 1 overlap on [e]; shard 2 is missing; shard 3
-         is damaged.  The merge keeps going and dedups by ident. *)
-      Corpus.save ~path:(Corpus.shard_path ~base ~shard_id:0) [ e; s ];
-      Corpus.save ~path:(Corpus.shard_path ~base ~shard_id:1) [ e ];
-      write_file (Corpus.shard_path ~base ~shard_id:3) "not a corpus\n";
+      (* Shard 0 and shard 1 overlap on [e]'s ident with different
+         details; shard 2 is missing; shard 3 is damaged.  The merge
+         keeps going, dedups by ident and keeps shard 0's entry. *)
+      Corpus.save ~path:(Robust.Durable.shard_path ~base ~shard_id:0) [ e; s ];
+      Corpus.save ~path:(Robust.Durable.shard_path ~base ~shard_id:1)
+        [ { e with Corpus.ce_detail = "found by shard 1" } ];
+      write_file (Robust.Durable.shard_path ~base ~shard_id:3) "not a corpus\n";
       Fun.protect
         ~finally:(fun () ->
           List.iter
             (fun i ->
-              let p = Corpus.shard_path ~base ~shard_id:i in
+              let p = Robust.Durable.shard_path ~base ~shard_id:i in
               if Sys.file_exists p then Sys.remove p)
             [ 0; 1; 2; 3 ])
         (fun () ->
           let m = Corpus.load_and_merge ~base ~shards:4 in
           Alcotest.(check (list string)) "merged entries dedup by ident"
             (List.sort compare (idents (roundtripped [ e; s ])))
-            (idents m.Corpus.mr_entries);
-          Alcotest.(check (list int)) "clean shards" [ 0; 1 ] m.Corpus.mr_loaded;
-          Alcotest.(check (list int)) "missing shards" [ 2 ] m.Corpus.mr_missing;
+            (idents m.Robust.Durable.mg_entries);
+          let details = List.map (fun x -> x.Corpus.ce_detail) in
+          Alcotest.(check (list string)) "shard 0's entry kept"
+            (details (roundtripped [ e; s ]))
+            (details m.Robust.Durable.mg_entries);
+          Alcotest.(check (list int)) "clean shards" [ 0; 1 ] m.Robust.Durable.mg_loaded;
+          Alcotest.(check (list int)) "missing shards" [ 2 ] m.Robust.Durable.mg_missing;
           Alcotest.(check (list int)) "damaged shards quarantined" [ 3 ]
-            (List.map fst m.Corpus.mr_quarantined);
-          Alcotest.(check int) "entries surviving dedup" 2 m.Corpus.mr_added))
+            (List.map fst m.Robust.Durable.mg_quarantined);
+          Alcotest.(check int) "entries surviving dedup" 2
+            (List.length m.Robust.Durable.mg_entries);
+          Alcotest.(check int) "duplicates dropped" 1 m.Robust.Durable.mg_duplicates))
 
 (* SIGKILL mid-save: a child process adds entries one at a time to a
    store written at cadence 1 (one atomic rewrite per add) and is

@@ -433,7 +433,8 @@ let config = Mcts.default_config ~iterations:120 ()
 let top r = List.map (fun (x : Mcts.result) -> (Graph.operator_signature x.operator, x.reward)) r
 
 let test_injected_search_matches_fault_free () =
-  let clean = Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) () in
+  let clean = (Mcts.search_run ~config (matmul_cfg ()) ~reward
+                 ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results in
   Alcotest.(check bool) "baseline finds operators" true (clean <> []);
   (* max_failures <= retries, so every candidate recovers and the run
      must reproduce the fault-free results exactly. *)
@@ -510,7 +511,8 @@ let test_parallel_search_under_faults () =
   let config = { config with Mcts.iterations = 3 * config.Mcts.iterations } in
   let rng () = Nd.Rng.create ~seed:21 in
   Par.Pool.with_pool ~domains:3 (fun pool ->
-      let clean = Mcts.search ~config ~pool (matmul_cfg ()) ~reward ~rng:(rng ()) () in
+      let clean = (Mcts.search_run ~config ~pool (matmul_cfg ()) ~reward
+                     ~rng:(rng ()) ()).Mcts.results in
       Alcotest.(check bool) "parallel baseline finds operators" true (clean <> []);
       let inject = Inject.create ~seed:9 ~rate:0.5 ~max_failures:2 () in
       let faulted =
@@ -542,8 +544,8 @@ let test_parallel_search_under_faults () =
         if n = 1 then failwith "first call" else reward ~cancel op
       in
       let merged =
-        Mcts.search ~config ~pool ~guard:(Guard.policy ~retries:0 ()) ~quarantine_reward:2.0
-          (matmul_cfg ()) ~reward:fails_first ~rng:(rng ()) ()
+        (Mcts.search_run ~config ~pool ~guard:(Guard.policy ~retries:0 ()) ~quarantine_reward:2.0
+          (matmul_cfg ()) ~reward:fails_first ~rng:(rng ()) ()).Mcts.results
       in
       Alcotest.(check bool) "some candidates quarantined" true
         (List.exists (fun (x : Mcts.result) -> x.Mcts.quarantined) merged);
@@ -570,7 +572,8 @@ let test_checkpoint_roundtrip () =
       let ops =
         List.map
           (fun (x : Mcts.result) -> x.Mcts.operator)
-          (Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) ())
+          ((Mcts.search_run ~config (matmul_cfg ()) ~reward
+              ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results)
       in
       Alcotest.(check bool) "have operators" true (List.length ops >= 2);
       let entries =
@@ -727,7 +730,8 @@ let test_checkpoint_truncated () =
       let ops =
         List.map
           (fun (x : Mcts.result) -> x.Mcts.operator)
-          (Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) ())
+          ((Mcts.search_run ~config (matmul_cfg ()) ~reward
+              ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results)
       in
       Alcotest.(check bool) "have operators" true (List.length ops >= 2);
       let entries =
@@ -782,7 +786,8 @@ let test_sink_cadence () =
       let ops =
         List.map
           (fun (x : Mcts.result) -> x.Mcts.operator)
-          (Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) ())
+          ((Mcts.search_run ~config (matmul_cfg ()) ~reward
+              ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results)
       in
       let entry op =
         {
@@ -807,7 +812,8 @@ let test_cancelled_search_partial_and_resume () =
   with_temp (fun path ->
       (* Uninterrupted baseline. *)
       let clean =
-        Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config (matmul_cfg ()) ~reward
+           ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       Alcotest.(check bool) "baseline finds operators" true (clean <> []);
       (* "SIGINT": trip the root token after K reward evaluations.  The
@@ -822,8 +828,8 @@ let test_cancelled_search_partial_and_resume () =
       in
       let sink = Checkpoint.sink ~path ~every:2 () in
       let partial =
-        Mcts.search ~config ~checkpoint:sink ~cancel:root (matmul_cfg ()) ~reward:tripping
-          ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config ~checkpoint:sink ~cancel:root (matmul_cfg ()) ~reward:tripping
+          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       Alcotest.(check bool) "partial results returned" true (partial <> []);
       Alcotest.(check bool)
@@ -837,8 +843,8 @@ let test_cancelled_search_partial_and_resume () =
       in
       Alcotest.(check bool) "flushed checkpoint has entries" true (entries <> []);
       let resumed =
-        Mcts.search ~config ~resume:entries (matmul_cfg ()) ~reward
-          ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config ~resume:entries (matmul_cfg ()) ~reward
+          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       Alcotest.(check bool) "resumed replays to identical top-K" true
         (top clean = top resumed))
@@ -852,7 +858,8 @@ let test_kill_resume_equivalence () =
         reward ~cancel op
       in
       let clean =
-        Mcts.search ~config (matmul_cfg ()) ~reward:counting ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config (matmul_cfg ()) ~reward:counting
+           ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       let clean_calls = !calls in
       Alcotest.(check bool) "baseline finds operators" true (clean <> []);
@@ -860,8 +867,8 @@ let test_kill_resume_equivalence () =
       let truncated = Mcts.default_config ~iterations:(config.Mcts.iterations / 3) () in
       let sink = Checkpoint.sink ~path ~every:2 () in
       let (_ : Mcts.result list) =
-        Mcts.search ~config:truncated ~checkpoint:sink (matmul_cfg ()) ~reward
-          ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config:truncated ~checkpoint:sink (matmul_cfg ()) ~reward
+          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       let entries =
         match Checkpoint.load ~path with Ok e -> e | Error msg -> Alcotest.fail msg
@@ -870,8 +877,8 @@ let test_kill_resume_equivalence () =
       (* Resume: same seed, full iteration budget, preloaded memo. *)
       calls := 0;
       let resumed =
-        Mcts.search ~config ~resume:entries (matmul_cfg ()) ~reward:counting
-          ~rng:(Nd.Rng.create ~seed:7) ()
+        (Mcts.search_run ~config ~resume:entries (matmul_cfg ()) ~reward:counting
+          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
       in
       Alcotest.(check bool) "resumed top-K identical" true (top clean = top resumed);
       Alcotest.(check bool)

@@ -117,7 +117,8 @@ let test_mcts_finds_operators () =
   let rng = Nd.Rng.create ~seed:13 in
   let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
   let results =
-    Mcts.search ~config:(Mcts.default_config ~iterations:120 ()) cfg ~reward ~rng ()
+    (Mcts.search_run ~config:(Mcts.default_config ~iterations:120 ()) cfg ~reward
+       ~rng ()).Mcts.results
   in
   Alcotest.(check bool) "found some" true (results <> []);
   (* sorted by decreasing reward *)
@@ -139,9 +140,9 @@ let test_mcts_rollout_depth_honored () =
   let run rollout_depth =
     let base = Mcts.default_config ~iterations:80 () in
     let results =
-      Mcts.search
+      (Mcts.search_run
         ~config:{ base with Mcts.rollout_depth }
-        cfg ~reward ~rng:(Nd.Rng.create ~seed:21) ()
+        cfg ~reward ~rng:(Nd.Rng.create ~seed:21) ()).Mcts.results
     in
     List.map (fun r -> Graph.operator_signature r.Mcts.operator) results
   in
@@ -163,8 +164,8 @@ let test_mcts_reward_memoized () =
     Reward.score op (List.hd matmul_valuations)
   in
   let results =
-    Mcts.search ~config:(Mcts.default_config ~iterations:150 ()) cfg ~reward
-      ~rng:(Nd.Rng.create ~seed:13) ()
+    (Mcts.search_run ~config:(Mcts.default_config ~iterations:150 ()) cfg ~reward
+      ~rng:(Nd.Rng.create ~seed:13) ()).Mcts.results
   in
   let revisits = List.fold_left (fun acc r -> acc + r.Mcts.visits) 0 results in
   Alcotest.(check int) "one reward call per distinct operator" (List.length results) !calls;
@@ -211,7 +212,8 @@ let replay_trees ~k ~iterations ~seed cfg ~reward =
   Array.mapi
     (fun i rng ->
       let iterations = (iterations / k) + if i < iterations mod k then 1 else 0 in
-      Mcts.search ~config:(Mcts.default_config ~iterations ()) cfg ~reward ~rng ())
+      (Mcts.search_run ~config:(Mcts.default_config ~iterations ()) cfg ~reward
+         ~rng ()).Mcts.results)
     rngs
 
 let test_mcts_parallel_matches_sequential_pool () =
@@ -227,9 +229,9 @@ let test_mcts_parallel_matches_sequential_pool () =
       let iterations = 100 in
       let pooled =
         Par.Pool.with_pool ~domains:k (fun pool ->
-            Mcts.search
+            (Mcts.search_run
               ~config:(Mcts.default_config ~iterations ())
-              ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ())
+              ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ()).Mcts.results)
       in
       let merged = Hashtbl.create 64 in
       Array.iter
@@ -267,9 +269,9 @@ let test_mcts_parallel_merges_trees () =
   let k = 4 and iterations = 242 in
   let merged =
     Par.Pool.with_pool ~domains:k (fun pool ->
-        Mcts.search
+        (Mcts.search_run
           ~config:(Mcts.default_config ~iterations ())
-          ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed:29) ())
+          ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed:29) ()).Mcts.results)
   in
   Alcotest.(check bool) "found operators" true (merged <> []);
   let sigs = List.map (fun r -> Graph.operator_signature r.Mcts.operator) merged in
@@ -331,7 +333,8 @@ let test_mcts_parallel_cancellation_partial () =
   let config = Mcts.default_config ~iterations:2_000 () in
   let search ?cancel reward =
     Par.Pool.with_pool ~domains:2 (fun pool ->
-        Mcts.search ~config ~pool ?cancel cfg ~reward ~rng:(Nd.Rng.create ~seed:7) ())
+        (Mcts.search_run ~config ~pool ?cancel cfg ~reward
+           ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results)
   in
   let baseline = Atomic.make 0 in
   let (_ : Mcts.result list) =

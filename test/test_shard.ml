@@ -15,6 +15,7 @@ module Shard = Search.Shard
 module Coordinator = Search.Coordinator
 module Checkpoint = Search.Checkpoint
 module Cancel = Robust.Cancel
+module Durable = Robust.Durable
 module Inject = Robust.Inject
 module Zoo = Syno.Zoo
 module Api = Syno.Api
@@ -37,7 +38,7 @@ let with_tmp_base f =
   Sys.remove base;
   let cleanup () =
     for i = 0 to 7 do
-      let p = Shard.checkpoint_path ~base ~shard_id:i in
+      let p = Durable.shard_path ~base ~shard_id:i in
       if Sys.file_exists p then Sys.remove p
     done;
     if Sys.file_exists base then Sys.remove base
@@ -108,15 +109,17 @@ let test_mcts_root_filter () =
   let config = Mcts.default_config ~iterations:50 () in
   let reward ~cancel:_ _ = 0.5 in
   let none =
-    Mcts.search ~config ~root_filter:(fun _ -> false) cfg ~reward
-      ~rng:(Nd.Rng.create ~seed:3) ()
+    (Mcts.search_run ~config ~root_filter:(fun _ -> false) cfg ~reward
+      ~rng:(Nd.Rng.create ~seed:3) ()).Mcts.results
   in
   Alcotest.(check int) "empty root partition finds nothing" 0 (List.length none);
   let all =
-    Mcts.search ~config ~root_filter:(fun _ -> true) cfg ~reward
-      ~rng:(Nd.Rng.create ~seed:3) ()
+    (Mcts.search_run ~config ~root_filter:(fun _ -> true) cfg ~reward
+      ~rng:(Nd.Rng.create ~seed:3) ()).Mcts.results
   in
-  let plain = Mcts.search ~config cfg ~reward ~rng:(Nd.Rng.create ~seed:3) () in
+  let plain =
+    (Mcts.search_run ~config cfg ~reward ~rng:(Nd.Rng.create ~seed:3) ()).Mcts.results
+  in
   Alcotest.(check int) "accept-all filter is the unfiltered search" (List.length plain)
     (List.length all)
 
@@ -154,24 +157,37 @@ let test_inject_split () =
 
 (* --- Merge semantics ------------------------------------------------------- *)
 
+(* The merged memo with its conflict count: entries in minus entries out. *)
+let merge lists =
+  let merged = Shard.merge_entries lists in
+  (merged, List.length (List.concat lists) - List.length merged)
+
+(* Two operators can share a signature and still score differently:
+   the merged entry is the winner whole, its operator next to its
+   reward, whichever shard found it. *)
 let test_merge_clean_conflict () =
+  let signature = Graph.operator_signature op1 in
   let a = entry ~reward:0.3 ~visits:2 op1 in
-  let b = entry ~reward:0.7 ~visits:3 op1 in
-  let merged, conflicts = Shard.merge_entries [ [ a ]; [ b ] ] in
-  Alcotest.(check int) "one conflict" 1 conflicts;
-  match merged with
-  | [ e ] ->
-      Alcotest.(check (float 0.0)) "best reward wins" 0.7 e.Checkpoint.reward;
-      Alcotest.(check int) "visits summed" 5 e.Checkpoint.visits;
-      Alcotest.(check bool) "stays clean" false e.Checkpoint.quarantined
-  | es -> Alcotest.failf "expected 1 merged entry, got %d" (List.length es)
+  let b = { (entry ~reward:0.7 ~visits:3 op2) with Checkpoint.signature } in
+  List.iter
+    (fun lists ->
+      let merged, conflicts = merge lists in
+      Alcotest.(check int) "one conflict" 1 conflicts;
+      match merged with
+      | [ e ] ->
+          Alcotest.(check (float 0.0)) "best reward wins" 0.7 e.Checkpoint.reward;
+          Alcotest.(check bool) "winner's operator kept" true (e.Checkpoint.operator == op2);
+          Alcotest.(check int) "visits summed" 5 e.Checkpoint.visits;
+          Alcotest.(check bool) "stays clean" false e.Checkpoint.quarantined
+      | es -> Alcotest.failf "expected 1 merged entry, got %d" (List.length es))
+    [ [ [ a ]; [ b ] ]; [ [ b ]; [ a ] ] ]
 
 let test_merge_quarantine_wins () =
   let q = entry ~quarantined:true ~reason:"static_violation" ~reward:(-1.0) ~visits:1 op1 in
   let c = entry ~reward:0.9 ~visits:2 op1 in
   List.iter
     (fun lists ->
-      match Shard.merge_entries lists with
+      match merge lists with
       | [ e ], 1 ->
           Alcotest.(check bool) "quarantine survives the merge" true e.Checkpoint.quarantined;
           Alcotest.(check (float 0.0)) "quarantine reward kept" (-1.0) e.Checkpoint.reward;
@@ -184,13 +200,13 @@ let test_merge_quarantine_wins () =
 let test_merge_nan_safe () =
   let a = entry ~reward:Float.nan ~visits:1 op1 in
   let b = entry ~reward:0.5 ~visits:1 op1 in
-  let merged, _ = Shard.merge_entries [ [ a ]; [ b ] ] in
+  let merged, _ = merge [ [ a ]; [ b ] ] in
   (match merged with
   | [ e ] -> Alcotest.(check (float 0.0)) "NaN never wins" 0.5 e.Checkpoint.reward
   | _ -> Alcotest.fail "expected one entry");
   (* Distinct signatures never conflict. *)
   let merged, conflicts =
-    Shard.merge_entries [ [ entry ~reward:0.1 ~visits:1 op1 ]; [ entry ~reward:0.2 ~visits:1 op2 ] ]
+    merge [ [ entry ~reward:0.1 ~visits:1 op1 ]; [ entry ~reward:0.2 ~visits:1 op2 ] ]
   in
   Alcotest.(check int) "no conflicts" 0 conflicts;
   Alcotest.(check int) "both kept" 2 (List.length merged)
@@ -217,23 +233,22 @@ let test_load_and_merge_truncated () =
          must quarantine the file and keep going. *)
       let size = (Unix.stat a1.Shard.path).Unix.st_size in
       Unix.truncate a1.Shard.path (size / 2);
-      let m = Shard.load_and_merge [ a0; a1 ] in
-      Alcotest.(check (list int)) "clean shard loaded" [ 0 ] m.Shard.mr_loaded;
+      let m = Shard.load_and_merge ~base ~shards:2 in
+      Alcotest.(check (list int)) "clean shard loaded" [ 0 ] m.Durable.mg_loaded;
       Alcotest.(check (list int)) "damaged shard quarantined" [ 1 ]
-        (List.map fst m.Shard.mr_quarantined);
-      Alcotest.(check int) "clean entries survive" 1 (List.length m.Shard.mr_entries);
-      Alcotest.(check (list int)) "nothing missing" [] m.Shard.mr_missing)
+        (List.map fst m.Durable.mg_quarantined);
+      Alcotest.(check int) "clean entries survive" 1 (List.length m.Durable.mg_entries);
+      Alcotest.(check (list int)) "nothing missing" [] m.Durable.mg_missing)
 
 let test_load_and_merge_missing () =
   with_tmp_base (fun base ->
       let a0 = Shard.make ~base ~seed:1 ~shards:2 ~shard_id:0 in
-      let a1 = Shard.make ~base ~seed:1 ~shards:2 ~shard_id:1 in
       Checkpoint.save ~path:a0.Shard.path [ entry ~reward:0.5 ~visits:1 op1 ];
-      let m = Shard.load_and_merge [ a0; a1 ] in
-      Alcotest.(check (list int)) "missing shard reported" [ 1 ] m.Shard.mr_missing;
+      let m = Shard.load_and_merge ~base ~shards:2 in
+      Alcotest.(check (list int)) "missing shard reported" [ 1 ] m.Durable.mg_missing;
       Alcotest.(check (list int)) "no quarantine for missing" []
-        (List.map fst m.Shard.mr_quarantined);
-      Alcotest.(check int) "merge proceeds" 1 (List.length m.Shard.mr_entries))
+        (List.map fst m.Durable.mg_quarantined);
+      Alcotest.(check int) "merge proceeds" 1 (List.length m.Durable.mg_entries))
 
 (* --- Checkpoint.preload ---------------------------------------------------- *)
 
@@ -242,7 +257,7 @@ let test_load_and_merge_missing () =
    the memo. *)
 let test_checkpoint_preload () =
   with_tmp_base (fun base ->
-      let path = Shard.checkpoint_path ~base ~shard_id:0 in
+      let path = Durable.shard_path ~base ~shard_id:0 in
       let sink = Checkpoint.sink ~path ~every:1000 () in
       Checkpoint.preload sink [ entry ~reward:0.5 ~visits:3 op1 ];
       Checkpoint.note sink (entry ~reward:0.25 ~visits:1 op2);
@@ -281,6 +296,10 @@ let save_shard (a : Shard.assignment) reward =
 
 let is_done = function Coordinator.Done -> true | _ -> false
 
+(* What the shard files under [base] merge to once the coordinator returns. *)
+let merged_entries ?(shards = 2) base =
+  (Shard.load_and_merge ~base ~shards).Durable.mg_entries
+
 let test_coordinator_crash_restart () =
   with_tmp_base (fun base ->
       (* Every shard's first forked attempt crashes; the restart resumes
@@ -296,8 +315,7 @@ let test_coordinator_crash_restart () =
           Alcotest.(check bool) "shard done" true (is_done s.Coordinator.sh_status);
           Alcotest.(check int) "two attempts" 2 s.Coordinator.sh_attempts)
         r.Coordinator.rp_shards;
-      Alcotest.(check int) "both shards merged" 2
-        (List.length r.Coordinator.rp_merge.Shard.mr_entries);
+      Alcotest.(check int) "both shards merged" 2 (List.length (merged_entries base));
       Alcotest.(check bool) "not interrupted" false r.Coordinator.rp_interrupted)
 
 (* The coordinator opens a heartbeat pipe per forked attempt; across
@@ -423,7 +441,7 @@ let test_coordinator_cancel_cascade () =
             (s.Coordinator.sh_status = Coordinator.Interrupted))
         r.Coordinator.rp_shards;
       Alcotest.(check int) "both workers flushed before exiting" 2
-        (List.length r.Coordinator.rp_merge.Shard.mr_entries))
+        (List.length (merged_entries base)))
 
 let test_coordinator_inline_matches_forked () =
   with_tmp_base (fun base ->
@@ -433,18 +451,22 @@ let test_coordinator_inline_matches_forked () =
         save_shard ctx.Coordinator.assignment
           (0.1 *. float_of_int (ctx.Coordinator.assignment.Shard.shard_id + 1))
       in
-      let inline = Coordinator.run_inline ~config:(quick_config ()) ~base ~seed:3 ~body () in
+      let (_ : Coordinator.report) =
+        Coordinator.run_inline ~config:(quick_config ()) ~base ~seed:3 ~body ()
+      in
       Alcotest.(check (list bool)) "inline bodies see forked=false" [ false; false ]
         !forked_seen;
-      let pick (r : Coordinator.report) =
+      let pick () =
         List.map
           (fun (e : Checkpoint.entry) -> (e.Checkpoint.signature, e.Checkpoint.reward))
-          r.Coordinator.rp_merge.Shard.mr_entries
+          (merged_entries base)
       in
-      let inline_entries = pick inline in
-      let forked = Coordinator.run ~config:(quick_config ()) ~base ~seed:3 ~body () in
+      let inline_entries = pick () in
+      let (_ : Coordinator.report) =
+        Coordinator.run ~config:(quick_config ()) ~base ~seed:3 ~body ()
+      in
       Alcotest.(check bool) "forked merge equals inline merge" true
-        (pick forked = inline_entries))
+        (pick () = inline_entries))
 
 (* --- End-to-end API determinism -------------------------------------------- *)
 
@@ -452,7 +474,7 @@ let test_api_sharded_determinism () =
   with_tmp_base (fun base ->
       let clear () =
         for i = 0 to 1 do
-          let p = Shard.checkpoint_path ~base ~shard_id:i in
+          let p = Durable.shard_path ~base ~shard_id:i in
           if Sys.file_exists p then Sys.remove p
         done
       in
@@ -483,7 +505,7 @@ let test_api_sharded_damaged_corpus () =
       Out_channel.with_open_bin corpus (fun oc -> output_string oc garbage);
       let files =
         corpus :: (corpus ^ ".corrupt")
-        :: List.init 2 (fun shard_id -> Validate.Corpus.shard_path ~base:corpus ~shard_id)
+        :: List.init 2 (fun shard_id -> Durable.shard_path ~base:corpus ~shard_id)
       in
       Fun.protect
         ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)

@@ -336,10 +336,11 @@ let test_search_admit_reject_all () =
     r.Mcts.stats.Mcts.attempts over_budget
 
 let test_search_admit_passthrough () =
-  let clean = Mcts.search ~config (matmul_cfg ()) ~reward ~rng:(Nd.Rng.create ~seed:7) () in
+  let clean = (Mcts.search_run ~config (matmul_cfg ()) ~reward
+                 ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results in
   let gated =
-    Mcts.search ~config ~admit:(fun _ -> Ok ()) (matmul_cfg ()) ~reward
-      ~rng:(Nd.Rng.create ~seed:7) ()
+    (Mcts.search_run ~config ~admit:(fun _ -> Ok ()) (matmul_cfg ()) ~reward
+      ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
   in
   Alcotest.(check bool) "admit Ok is invisible" true (top clean = top gated)
 
