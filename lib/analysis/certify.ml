@@ -183,22 +183,13 @@ let validate staged plan =
       (fun n nest -> n + Array.fold_left ( * ) 1 (Regions.nest_axes nest))
       0 nests
   in
-  let interior_cells =
-    Array.fold_left
-      (fun n ps ->
-        List.fold_left
-          (fun n p ->
-            if p.Specialize.pc_interior then n + Specialize.piece_volume p else n)
-          n ps)
-      0 plan
-  in
   Ok
     {
       ct_nests = n_nests;
       ct_pieces = pieces;
       ct_interior_pieces = interior_pieces;
       ct_cells = cells;
-      ct_interior_cells = interior_cells;
+      ct_interior_cells = Specialize.interior_volume plan;
     }
 
 let compile staged plan =

@@ -30,7 +30,9 @@ type stats = {
   ct_pieces : int;
   ct_interior_pieces : int;
   ct_cells : int;  (** total positional cells across nests *)
-  ct_interior_cells : int;  (** cells on the checkless path *)
+  ct_interior_cells : int;
+      (** cells the certificate proves interior; the cells that actually
+          run checkless are [Lower.Specialize.checkless_volume] *)
 }
 
 val validate :

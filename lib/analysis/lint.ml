@@ -224,24 +224,44 @@ let check_degenerate_reductions ~valuations (op : Graph.operator) =
       else None)
     op.Graph.op_reductions
 
-(* A certificate whose interior fraction is 0 means the specializer
-   has no checkless region at all: every element of every loop nest
-   runs the guarded border path, so specialization degenerates to the
-   interpreter plus partitioning overhead.  Legal, but a sign the
-   candidate is all padding (or that the interval analysis lost it). *)
-let check_all_border ~valuations (op : Graph.operator) =
-  List.filter_map
+(* Two findings from one certificate per valuation.  [all-border]: the
+   interior fraction is 0, so the specializer has no checkless region at
+   all — every element of every loop nest runs the guarded border path
+   and specialization degenerates to the interpreter plus partitioning
+   overhead.  Legal, but a sign the candidate is all padding (or that
+   the interval analysis lost it).  [guarded-interior]: the certificate
+   has an interior, but the compiled kernel runs less of it checkless
+   than it proves — some final access is non-affine in a reduction
+   iterator, so the whole final nest takes the guarded path. *)
+let check_certificate ~valuations (op : Graph.operator) =
+  List.concat_map
     (fun v ->
-      match Regions.of_staged (Lower.Staged_exec.compile op v) with
-      | exception _ -> None
-      | cert ->
-          if cert.Regions.rc_interior_fraction = 0.0 then
-            Some
-              (finding "all-border" Warning
-                 (Printf.sprintf
-                    "certificate has interior fraction 0 (%s): every element takes the guarded border path; specialization cannot help"
-                    (Regions.summary_to_string cert)))
-          else None)
+      match
+        let staged = Lower.Staged_exec.compile op v in
+        let cert = Regions.of_staged staged in
+        (cert, Lower.Specialize.compile staged cert.Regions.rc_plan)
+      with
+      | exception _ -> []
+      | cert, sp ->
+          let interior = Lower.Specialize.interior_volume cert.Regions.rc_plan in
+          let checkless = Lower.Specialize.checkless_volume sp in
+          List.filter_map Fun.id
+            [
+              (if cert.Regions.rc_interior_fraction = 0.0 then
+                 Some
+                   (finding "all-border" Warning
+                      (Printf.sprintf
+                         "certificate has interior fraction 0 (%s): every element takes the guarded border path; specialization cannot help"
+                         (Regions.summary_to_string cert)))
+               else None);
+              (if interior > 0 && checkless < interior then
+                 Some
+                   (finding "guarded-interior" Warning
+                      (Printf.sprintf
+                         "certificate proves %d interior cells but only %d run checkless: a final access is non-affine in a reduction iterator"
+                         interior checkless))
+               else None);
+            ])
     valuations
 
 let check_cost_drift ~valuations (op : Graph.operator) =
@@ -271,5 +291,5 @@ let check ?(valuations = []) (op : Graph.operator) =
   check_unknown_iterators op @ check_dead_axes op @ check_futile_reductions op
   @ check_trace ~valuations op
   @ check_degenerate_reductions ~valuations op
-  @ check_all_border ~valuations op
+  @ check_certificate ~valuations op
   @ check_cost_drift ~valuations op

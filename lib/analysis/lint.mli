@@ -23,6 +23,10 @@
       under some valuation — every element of every loop nest takes
       the guarded border path, so proof-guided specialization
       degenerates to the interpreter plus partitioning overhead;
+    - [guarded-interior]: the certificate has a non-empty interior but
+      [Lower.Specialize.checkless_volume] of the compiled kernel is
+      smaller — some final access has a non-affine term in a reduction
+      iterator, so certified interior cells run the guarded path;
     - [trace-mismatch]: the recorded trace does not replay;
     - [cost-drift]: the lint pass's own independent FLOPs/elements
       recomputation disagrees with [Pgraph.Flops] (cross-checking the

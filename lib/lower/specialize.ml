@@ -31,6 +31,11 @@ let piece_volume p =
   Array.iteri (fun i lo -> v := !v * (p.pc_hi.(i) - lo + 1)) p.pc_lo;
   !v
 
+let interior_volume plan =
+  Array.fold_left
+    (List.fold_left (fun v p -> if p.pc_interior then v + piece_volume p else v))
+    0 plan
+
 (* --- Compiled form -------------------------------------------------------- *)
 
 (* Row-major strides for a dims array. *)
@@ -54,13 +59,13 @@ type stage_meta = {
 }
 
 type ffac = {
-  ff_const : int;  (* affine dims: constant offset part *)
-  ff_out : int array;  (* affine dims: offset per unit of each output axis *)
-  ff_red : int array;  (* affine dims: offset per unit of each reduction axis *)
+  ff_const : int;  (* affine terms: constant offset part, window lows folded in *)
+  ff_out : int array;  (* affine terms: offset per unit of each output axis *)
+  ff_red : int array;  (* affine terms: offset per unit of each reduction axis *)
   ff_red_step : int;  (* offset per unit of the innermost reduction axis *)
-  ff_dyn : ((int array -> int) * int * int) array;
-      (* non-affine dims over output iterators only: (eval, lo, stride) *)
-  ff_red_dyn : bool;  (* some non-affine dim mentions a reduction iterator *)
+  ff_dyn : ((int array -> int) * int) array;
+      (* non-affine terms over output iterators only: (eval, offset per unit) *)
+  ff_red_dyn : bool;  (* some non-affine term mentions a reduction iterator *)
   ff_dims : ((int array -> int) * int * int * int) array;
       (* every dim, staged order: (eval, window lo, window extent, stride) *)
 }
@@ -84,6 +89,10 @@ type t = {
 
 let staged t = t.sp_staged
 let plan t = t.sp_plan
+
+let checkless_volume t =
+  let n = Array.length t.sp_plan in
+  interior_volume (if t.sp_final.fm_dyn then Array.sub t.sp_plan 0 (n - 1) else t.sp_plan)
 
 (* Translate a piece's flat clip set into per-(factor, use) check
    flags, given the per-factor use counts. *)
@@ -111,11 +120,20 @@ let validate_partition ~what ~axes pieces =
         p.pc_lo)
     pieces
 
+(* An iterator-free [Div]/[Mod] is a constant; any other is not affine. *)
 let rec affine = function
-  | Ast.Div _ | Ast.Mod _ -> false
+  | Ast.Div (e, _) | Ast.Mod (e, _) -> Ast.iters e = []
   | Ast.Add (a, b) | Ast.Sub (a, b) -> affine a && affine b
   | Ast.Mul (_, e) -> affine e
   | Ast.Iter _ | Ast.Const _ | Ast.Size_const _ -> true
+
+(* [e] as a signed sum of additive terms: split at [Add]/[Sub], with
+   [Mul] distributed over the split.  Exact in integer arithmetic. *)
+let rec terms = function
+  | Ast.Add (a, b) -> terms a @ terms b
+  | Ast.Sub (a, b) -> terms a @ List.map (fun (c, t) -> (-c, t)) (terms b)
+  | Ast.Mul (n, e) -> List.map (fun (c, t) -> (c, Ast.Mul (n, t))) (terms e)
+  | e -> [ (1, e) ]
 
 let compile staged plan =
   let syms, fsym = Staged.symbolic_plan staged in
@@ -183,33 +201,38 @@ let compile staged plan =
         let ff_dims =
           Array.mapi
             (fun j (expr, lo, extent) ->
-              let eval = Reference.compile_expr lookup expr in
               let s = fstrides.(j) in
-              if affine expr then begin
-                Array.fill probe 0 env_size 0;
-                let c0 = eval probe in
-                ff_const := !ff_const + ((c0 - lo) * s);
-                List.iter
-                  (fun (it : Ast.iter) ->
-                    probe.(it.Ast.id) <- 1;
-                    let c = eval probe - c0 in
-                    probe.(it.Ast.id) <- 0;
-                    Array.iteri (fun a id -> if id = it.Ast.id then ff_out.(a) <- ff_out.(a) + (c * s)) out_ids;
-                    Array.iteri (fun a id -> if id = it.Ast.id then ff_red.(a) <- ff_red.(a) + (c * s)) red_ids)
-                  (List.sort_uniq
-                     (fun (a : Ast.iter) b -> compare a.Ast.id b.Ast.id)
-                     (Ast.iters expr))
-              end
-              else begin
-                let mentions_red =
-                  List.exists
-                    (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
-                    (Ast.iters expr)
-                in
-                if mentions_red then ff_red_dyn := true
-                else ff_dyn := (eval, lo, s) :: !ff_dyn
-              end;
-              (eval, lo, extent, s))
+              ff_const := !ff_const - (lo * s);
+              List.iter
+                (fun (c, term) ->
+                  let eval = Reference.compile_expr lookup term in
+                  let iters = Ast.iters term in
+                  if affine term then begin
+                    Array.fill probe 0 env_size 0;
+                    let c0 = eval probe in
+                    ff_const := !ff_const + (c * c0 * s);
+                    List.iter
+                      (fun (it : Ast.iter) ->
+                        probe.(it.Ast.id) <- 1;
+                        let d = c * (eval probe - c0) * s in
+                        probe.(it.Ast.id) <- 0;
+                        let add coefs ids =
+                          Array.iteri
+                            (fun a id -> if id = it.Ast.id then coefs.(a) <- coefs.(a) + d)
+                            ids
+                        in
+                        add ff_out out_ids;
+                        add ff_red red_ids)
+                      iters
+                  end
+                  else if
+                    List.exists
+                      (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
+                      iters
+                  then ff_red_dyn := true
+                  else ff_dyn := (eval, c * s) :: !ff_dyn)
+                (terms expr);
+              (Reference.compile_expr lookup expr, lo, extent, s))
             dims
         in
         {
@@ -430,6 +453,25 @@ let run_final ~poll ?cancel meta factors out =
   let red_total = meta.fm_red_total in
   let red_last = if k = 0 then 1 else sym.Staged.fs_red_doms.(k - 1) in
   let red_outer = red_total / red_last in
+  let red_doms = sym.Staged.fs_red_doms in
+  let rsteps = Array.map (fun f -> f.ff_red_step) meta.fm_factors in
+  let red_cols =
+    Array.init (max 0 (k - 1)) (fun a -> Array.map (fun f -> f.ff_red.(a)) meta.fm_factors)
+  in
+  let red_wraps = Array.mapi (fun a cols -> Array.map (fun c -> red_doms.(a) * c) cols) red_cols in
+  (* One innermost reduction run from the running offsets [offs];
+     [scratch] is [inner_n]'s private copy, which it advances. *)
+  let inner offs scratch acc =
+    match nf with
+    | 1 -> inner1 acc red_last datas.(0) offs.(0) rsteps.(0)
+    | 2 -> inner2 acc red_last datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1)
+    | 3 ->
+        inner3 acc red_last datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1)
+          datas.(2) offs.(2) rsteps.(2)
+    | _ ->
+        Array.blit offs 0 scratch 0 nf;
+        inner_n acc red_last datas scratch rsteps
+  in
   Array.iteri
     (fun pi piece ->
       poll ();
@@ -437,10 +479,12 @@ let run_final ~poll ?cancel meta factors out =
       let volume = Array.fold_left ( * ) 1 pdims in
       let checks = meta.fm_checks.(pi) in
       (* Checkless path: per output point, per-factor base offsets from
-         the affine decomposition (plus any output-only non-affine dims
-         evaluated once), then nested reduction loops with constant
-         strides. *)
-      let interior_element env pos flat =
+         the affine terms plus the output-only residue, then the
+         innermost reduction with constant strides.  The outer
+         reduction axes step an odometer over the running offsets
+         [offs]: each step adds the axis's stride, a carry takes back
+         [dom * stride]. *)
+      let interior_element env pos offs scratch rv flat =
         let rem = ref flat in
         for i = m - 1 downto 0 do
           pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
@@ -451,63 +495,41 @@ let run_final ~poll ?cancel meta factors out =
           env.(sym.Staged.fs_out_ids.(i)) <- pos.(i);
           w := !w + (pos.(i) * meta.fm_wstrides.(i))
         done;
-        let base fi =
+        for fi = 0 to nf - 1 do
           let f = meta.fm_factors.(fi) in
           let b = ref f.ff_const in
           for i = 0 to m - 1 do
             b := !b + (f.ff_out.(i) * pos.(i))
           done;
-          Array.iter (fun (eval, lo, s) -> b := !b + ((eval env - lo) * s)) f.ff_dyn;
-          !b
-        in
+          for d = 0 to Array.length f.ff_dyn - 1 do
+            let eval, c = f.ff_dyn.(d) in
+            b := !b + (c * eval env)
+          done;
+          offs.(fi) <- !b
+        done;
+        Array.fill rv 0 (Array.length rv) 0;
         let acc = ref 0.0 in
-        if k <= 1 then
-          acc :=
-            (match nf with
-            | 1 -> inner1 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-            | 2 ->
-                inner2 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-                  datas.(1) (base 1) meta.fm_factors.(1).ff_red_step
-            | 3 ->
-                inner3 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-                  datas.(1) (base 1) meta.fm_factors.(1).ff_red_step datas.(2) (base 2)
-                  meta.fm_factors.(2).ff_red_step
-            | _ ->
-                let offs = Array.init nf base in
-                inner_n 0.0 red_last datas offs
-                  (Array.map (fun f -> f.ff_red_step) meta.fm_factors))
-        else begin
-          let bases = Array.init nf base in
-          let rsteps = Array.map (fun f -> f.ff_red_step) meta.fm_factors in
-          let rv = Array.make (k - 1) 0 in
-          for outer = 0 to red_outer - 1 do
-            let rem = ref outer in
-            for i = k - 2 downto 0 do
-              rv.(i) <- !rem mod sym.Staged.fs_red_doms.(i);
-              rem := !rem / sym.Staged.fs_red_doms.(i)
+        for _ = 1 to red_outer do
+          acc := inner offs scratch !acc;
+          let a = ref (k - 2) in
+          while !a >= 0 do
+            let ax = !a in
+            let cols = red_cols.(ax) in
+            rv.(ax) <- rv.(ax) + 1;
+            for fi = 0 to nf - 1 do
+              offs.(fi) <- offs.(fi) + cols.(fi)
             done;
-            let off fi =
-              let f = meta.fm_factors.(fi) in
-              let o = ref bases.(fi) in
-              for i = 0 to k - 2 do
-                o := !o + (f.ff_red.(i) * rv.(i))
+            if rv.(ax) < red_doms.(ax) then a := -1
+            else begin
+              rv.(ax) <- 0;
+              let wrap = red_wraps.(ax) in
+              for fi = 0 to nf - 1 do
+                offs.(fi) <- offs.(fi) - wrap.(fi)
               done;
-              !o
-            in
-            acc :=
-              (match nf with
-              | 1 -> inner1 !acc red_last datas.(0) (off 0) rsteps.(0)
-              | 2 ->
-                  inner2 !acc red_last datas.(0) (off 0) rsteps.(0) datas.(1) (off 1)
-                    rsteps.(1)
-              | 3 ->
-                  inner3 !acc red_last datas.(0) (off 0) rsteps.(0) datas.(1) (off 1)
-                    rsteps.(1) datas.(2) (off 2) rsteps.(2)
-              | _ ->
-                  let offs = Array.init nf off in
-                  inner_n !acc red_last datas offs rsteps)
+              decr a
+            end
           done
-        end;
+        done;
         out_data.(!w) <- !acc
       in
       (* Guarded path (border strips, and every piece when some access
@@ -556,21 +578,27 @@ let run_final ~poll ?cancel meta factors out =
         out_data.(!w) <- !acc
       in
       let element =
-        if piece.pc_interior && not meta.fm_dyn then interior_element else guarded_element
+        if piece.pc_interior && not meta.fm_dyn then interior_element
+        else fun env pos _ _ _ flat -> guarded_element env pos flat
+      in
+      let scratch () =
+        ( Array.make sym.Staged.fs_env_size 0,
+          Array.make (max 1 m) 0,
+          Array.make nf 0,
+          Array.make nf 0,
+          Array.make (max 1 k) 0 )
       in
       let body lo hi =
-        let env = Array.make sym.Staged.fs_env_size 0 in
-        let pos = Array.make (max 1 m) 0 in
+        let env, pos, offs, tmp, rv = scratch () in
         for flat = lo to hi - 1 do
-          element env pos flat
+          element env pos offs tmp rv flat
         done
       in
       let seq () =
-        let env = Array.make sym.Staged.fs_env_size 0 in
-        let pos = Array.make (max 1 m) 0 in
+        let env, pos, offs, tmp, rv = scratch () in
         for flat = 0 to volume - 1 do
           if flat land poll_mask = 0 then poll ();
-          element env pos flat
+          element env pos offs tmp rv flat
         done
       in
       run_flat ?cancel ~work:(volume * (red_total + 1)) ~n:volume body seq)

@@ -14,6 +14,17 @@
       strip, window-testing exactly the accesses the certificate lists
       as may-clip and nothing else.
 
+    Each final-contraction dim is split at [Add]/[Sub] into additive
+    terms.  Affine terms (an iterator-free [Div]/[Mod], such as
+    [Unfold]'s [k / 2] centring offset, counts as a constant) become
+    constant strides; a non-affine term over output iterators only
+    (the grouped [C_in*g^-1*(i1 / C_out*g^-1)]) is a residue evaluated
+    once per output element.  Only a non-affine term that mentions a
+    reduction iterator stays guarded, and it sends the whole final
+    nest, interior included, down the guarded loop;
+    {!checkless_volume} shows how much of the certified interior
+    escaped that.  Stage nests are always affine.
+
     The output is bit-identical to {!Staged_exec.forward}: pieces
     partition only positional axes, so every output element is computed
     whole by exactly one piece, with products formed in factor order
@@ -46,6 +57,10 @@ type plan = partition array
 
 val piece_volume : piece -> int
 
+val interior_volume : plan -> int
+(** The volume the plan certifies interior: [piece_volume] summed over
+    the [pc_interior] pieces of every nest. *)
+
 type t
 
 val compile : Staged_exec.t -> plan -> t
@@ -56,6 +71,13 @@ val compile : Staged_exec.t -> plan -> t
 
 val staged : t -> Staged_exec.t
 val plan : t -> plan
+
+val checkless_volume : t -> int
+(** The positional volume that runs the checkless loops: every stage
+    interior piece, plus the final interior pieces unless some final
+    access is non-affine in a reduction iterator (then the whole final
+    nest runs guarded).  Equals {!interior_volume} of the plan exactly
+    when every interior piece takes the fast path. *)
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t

@@ -274,6 +274,31 @@ let test_lint_dead_axis () =
   Alcotest.(check bool) "dead-axis reported" true
     (List.exists (fun f -> f.Lint.lint_rule = "dead-axis") (Lint.errors findings))
 
+let test_lint_guarded_interior () =
+  (* [(2 * r) / 2] takes the same values as [r], so every access stays in
+     window and the certificate keeps its interior; but a [Div] over a
+     reduction iterator has no constant stride, so the compiled kernel
+     runs the whole final nest guarded. *)
+  let guarded findings =
+    List.exists (fun f -> f.Lint.lint_rule = "guarded-interior") findings
+  in
+  Alcotest.(check bool) "conv2d: silent" false (guarded (Lint.check ~valuations:[ tiny ] conv));
+  let two = Size.of_int 2 in
+  let rec hide = function
+    | Ast.Iter it when it.Ast.role = Ast.Reduction -> Ast.div (Ast.mul two (Ast.iter it)) two
+    | Ast.Add (a, b) -> Ast.Add (hide a, hide b)
+    | Ast.Sub (a, b) -> Ast.Sub (hide a, hide b)
+    | Ast.Mul (n, e) -> Ast.Mul (n, hide e)
+    | Ast.Div (e, n) -> Ast.Div (hide e, n)
+    | Ast.Mod (e, n) -> Ast.Mod (hide e, n)
+    | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
+  in
+  let bad = { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs } in
+  let findings = Lint.check ~valuations:[ tiny ] bad in
+  Alcotest.(check bool) "guarded-interior reported" true (guarded findings);
+  Alcotest.(check bool) "only a warning" false
+    (List.exists (fun f -> f.Lint.lint_rule = "guarded-interior") (Lint.errors findings))
+
 let test_lint_cost_cross_check () =
   List.iter
     (fun (entry : Zoo.entry) ->
@@ -326,6 +351,7 @@ let () =
           Alcotest.test_case "futile reduction" `Quick test_lint_futile_reduction;
           Alcotest.test_case "unknown iterator" `Quick test_lint_unknown_iterator;
           Alcotest.test_case "dead axis" `Quick test_lint_dead_axis;
+          Alcotest.test_case "guarded interior" `Quick test_lint_guarded_interior;
           Alcotest.test_case "cost cross-check" `Quick test_lint_cost_cross_check;
         ] );
     ]

@@ -97,6 +97,29 @@ let test_pool_sizes_bit_identical () =
             [ 1; 2; 4 ])
         [ Zoo.conv2d; Zoo.operator1 ])
 
+(* --- The path the plan runs ------------------------------------------------ *)
+
+(* Guarded execution is bit-identical by design, so only the volume the
+   plan sends down the checkless loops shows whether the certified
+   interior actually runs there. *)
+let test_checkless_volume () =
+  let conv_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
+  let matmul_v = Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64 in
+  List.iter
+    (fun (e, v) ->
+      let st = Staged.compile e.Zoo.operator v in
+      let cert = Regions.of_staged st in
+      match Certify.validate st cert.Regions.rc_plan with
+      | Error _ -> Alcotest.failf "%s: sound certificate rejected" e.Zoo.name
+      | Ok stats ->
+          let sp = Specialize.compile st cert.Regions.rc_plan in
+          Alcotest.(check bool) (e.Zoo.name ^ ": has an interior") true
+            (stats.Certify.ct_interior_cells > 0);
+          Alcotest.(check int)
+            (e.Zoo.name ^ ": checkless volume = certified interior")
+            stats.Certify.ct_interior_cells (Specialize.checkless_volume sp))
+    (List.map (fun e -> (e, conv_v)) Zoo.conv_like @ [ (Zoo.matmul, matmul_v) ])
+
 (* --- Cancellation --------------------------------------------------------- *)
 
 let test_mid_loop_cancellation () =
@@ -298,7 +321,7 @@ let random_specialized_agreement =
           let cert = Regions.of_staged st in
           (match Certify.validate st cert.Regions.rc_plan with
           | Error _ -> false
-          | Ok _ ->
+          | Ok stats ->
               let sp = Specialize.compile st cert.Regions.rc_plan in
               let r = Staged.reference st in
               let data_rng = Rng.create ~seed:(seed + 1) in
@@ -306,7 +329,8 @@ let random_specialized_agreement =
               let w = Reference.init_weights r data_rng in
               let a = Staged.forward st ~input:x ~weights:w in
               let b = Specialize.forward sp ~input:x ~weights:w in
-              bits a = bits b))
+              bits a = bits b
+              && Specialize.checkless_volume sp <= stats.Certify.ct_interior_cells))
 
 let () =
   Alcotest.run "kernel"
@@ -330,6 +354,8 @@ let () =
           Alcotest.test_case "scalar output" `Quick test_scalar_output;
           Alcotest.test_case "all-padded program" `Quick test_all_padded_program;
           Alcotest.test_case "proved program" `Quick test_proved_program_single_interior;
+          Alcotest.test_case "checkless volume = certified interior" `Quick
+            test_checkless_volume;
         ] );
       ( "certification",
         [
