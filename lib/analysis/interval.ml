@@ -26,10 +26,8 @@ let emod i n =
   else { lo = 0; hi = n - 1 }
 
 let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-let mem x i = i.lo <= x && x <= i.hi
 let within i ~lo ~hi = lo <= i.lo && i.hi <= hi
 let disjoint i ~lo ~hi = i.hi < lo || hi < i.lo
-let width i = i.hi - i.lo + 1
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf i = Format.fprintf ppf "[%d, %d]" i.lo i.hi
 let to_string i = Format.asprintf "%a" pp i

@@ -24,8 +24,6 @@ type t = private { lo : int; hi : int }
 val make : int -> int -> t
 (** [make lo hi]; raises [Invalid_argument] when [lo > hi]. *)
 
-val of_const : int -> t
-
 val add : t -> t -> t
 val sub : t -> t -> t
 
@@ -43,16 +41,11 @@ val emod : t -> int -> t
 val join : t -> t -> t
 (** Smallest interval containing both. *)
 
-val mem : int -> t -> bool
-
 val within : t -> lo:int -> hi:int -> bool
 (** The whole interval lies inside the inclusive window. *)
 
 val disjoint : t -> lo:int -> hi:int -> bool
 (** No point of the interval lies inside the inclusive window. *)
-
-val width : t -> int
-(** [hi - lo + 1]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -44,13 +44,6 @@ val access_within :
     procedure is shared with {!Certify}, which re-derives every piece
     of a plan against it. *)
 
-val decompose :
-  lookup:(Shape.Var.t -> int) -> nest_sym -> Lower.Specialize.partition
-(** The certified partition of one nest: interior box (when
-    non-empty), onion border strips with per-strip clip sets, exact
-    cover of the box.  A strip where no access can clip is promoted to
-    interior. *)
-
 type nest_summary = {
   ns_what : string;  (** ["stage k"] or ["final"] *)
   ns_axes : int array;

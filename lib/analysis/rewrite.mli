@@ -43,10 +43,7 @@ val check_rewrite :
 (** Verify one fired application against every valuation (skipping
     valuations it does not evaluate under). *)
 
-val check_expr : Coord.Simplify.ctx -> Coord.Ast.t -> report
-(** Re-simplify [e] with tracing and verify every fired application. *)
-
 val check_operator : Coord.Simplify.ctx -> Pgraph.Graph.operator -> report
-(** {!check_expr} over every input coordinate expression of the
-    operator — exactly the expressions the canonical-form check of
+(** Re-simplifies every input coordinate expression of the operator
+    with tracing and verifies every fired application — exactly the expressions the canonical-form check of
     {!Pgraph.Canon} fires the TRS on. *)

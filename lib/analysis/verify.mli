@@ -43,7 +43,6 @@ type verdict =
   | Padded of region list
   | Violation of diagnostic
 
-val region_to_string : region -> string
 val diagnostic_to_string : diagnostic -> string
 (** One-line, machine-readable renderings used by [syno lint] and the
     [static_violation] guard payload. *)

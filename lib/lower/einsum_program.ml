@@ -38,8 +38,6 @@ let compile (op : Graph.operator) valuation =
   in
   { reference; op; gather_shape; spec; plan; weight_shapes }
 
-let spec t = t.spec
-let gather_shape t = Array.copy t.gather_shape
 
 (* The gather step: evaluate every input coordinate expression over the
    full (output x reduction) iteration space. *)

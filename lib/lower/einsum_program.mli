@@ -16,9 +16,5 @@ type t
 
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-val spec : t -> string
-(** The einsum specification string, e.g. ["abcde,ce->abc"]. *)
-
-val gather_shape : t -> int array
 val to_pytorch : t -> string
 val to_te : t -> string

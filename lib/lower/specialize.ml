@@ -49,8 +49,6 @@ let strides_of extents =
 
 type stage_meta = {
   sm_sym : Staged.stage_sym;
-  sm_total : int;
-  sm_wstrides : int array;
   sm_consts : int array;  (* per participating factor: constant offset part *)
   sm_axis_coefs : int array array;  (* per factor, per axis: offset per unit position *)
   sm_rcoefs : int array;  (* per factor: offset per unit reduction step *)
@@ -66,14 +64,11 @@ type ffac = {
   ff_dyn : ((int array -> int) * int) array;
       (* non-affine terms over output iterators only: (eval, offset per unit) *)
   ff_red_dyn : bool;  (* some non-affine term mentions a reduction iterator *)
-  ff_dims : ((int array -> int) * int * int * int) array;
-      (* every dim, staged order: (eval, window lo, window extent, stride) *)
 }
 
 type final_meta = {
   fm_sym : Staged.final_sym;
-  fm_red_total : int;
-  fm_wstrides : int array;
+  fm_accs : Staged.final_access array array;
   fm_pieces : piece array;
   fm_checks : bool array array array;
   fm_factors : ffac array;
@@ -101,24 +96,32 @@ let checks_of_clips counts clips =
   List.iter
     (fun idx ->
       let rec place f idx =
-        if f < Array.length counts then
-          if idx < counts.(f) then flags.(f).(idx) <- true else place (f + 1) (idx - counts.(f))
+        if idx < counts.(f) then flags.(f).(idx) <- true else place (f + 1) (idx - counts.(f))
       in
       place 0 idx)
     clips;
   flags
 
-let validate_partition ~what ~axes pieces =
+(* Shape-check one nest's partition against its box [axes] and its
+   per-factor access counts, and return each piece's check flags. *)
+let partition_checks ~what ~axes ~counts pieces =
+  let fail msg = invalid_arg (Printf.sprintf "Specialize.compile: %s: %s" what msg) in
+  let accesses = Array.fold_left ( + ) 0 counts in
   List.iter
     (fun p ->
       if Array.length p.pc_lo <> Array.length axes || Array.length p.pc_hi <> Array.length axes
-      then invalid_arg (Printf.sprintf "Specialize.compile: %s: piece rank mismatch" what);
+      then fail "piece rank mismatch";
       Array.iteri
         (fun i lo ->
-          if lo < 0 || p.pc_hi.(i) >= axes.(i) || lo > p.pc_hi.(i) then
-            invalid_arg (Printf.sprintf "Specialize.compile: %s: piece out of box" what))
-        p.pc_lo)
-    pieces
+          if lo < 0 || p.pc_hi.(i) >= axes.(i) || lo > p.pc_hi.(i) then fail "piece out of box")
+        p.pc_lo;
+      List.iter
+        (fun c ->
+          if c < 0 || c >= accesses then
+            fail (Printf.sprintf "clip index %d outside the nest's %d accesses" c accesses))
+        p.pc_clips)
+    pieces;
+  Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) pieces)
 
 (* An iterator-free [Div]/[Mod] is a constant; any other is not affine. *)
 let rec affine = function
@@ -147,9 +150,10 @@ let compile staged plan =
     List.mapi
       (fun k sym ->
         let pieces = plan.(k) in
-        validate_partition ~what:(Printf.sprintf "stage %d" k) ~axes:sym.Staged.ss_extents
-          pieces;
-        let counts = Array.map Array.length sym.Staged.ss_uses in
+        let checks =
+          partition_checks ~what:(Printf.sprintf "stage %d" k) ~axes:sym.Staged.ss_extents
+            ~counts:(Array.map Array.length sym.Staged.ss_uses) pieces
+        in
         let n_axes = Array.length sym.Staged.ss_extents in
         let consts = Array.map (fun _ -> 0) sym.Staged.ss_uses in
         let axis_coefs = Array.map (fun _ -> Array.make n_axes 0) sym.Staged.ss_uses in
@@ -172,19 +176,19 @@ let compile staged plan =
           sym.Staged.ss_uses;
         {
           sm_sym = sym;
-          sm_total = Array.fold_left ( * ) 1 sym.Staged.ss_extents;
-          sm_wstrides = strides_of sym.Staged.ss_extents;
           sm_consts = consts;
           sm_axis_coefs = axis_coefs;
           sm_rcoefs = rcoefs;
           sm_pieces = Array.of_list pieces;
-          sm_checks =
-            Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) pieces);
+          sm_checks = checks;
         })
       syms
   in
   let fpieces = plan.(n_nests - 1) in
-  validate_partition ~what:"final" ~axes:fsym.Staged.fs_out_doms fpieces;
+  let fchecks =
+    partition_checks ~what:"final" ~axes:fsym.Staged.fs_out_doms
+      ~counts:(Array.map Array.length fsym.Staged.fs_factors) fpieces
+  in
   let out_ids = fsym.Staged.fs_out_ids and red_ids = fsym.Staged.fs_red_ids in
   let m = Array.length out_ids and k = Array.length red_ids in
   let env_size = fsym.Staged.fs_env_size in
@@ -198,43 +202,40 @@ let compile staged plan =
         let ff_red = Array.make k 0 in
         let ff_dyn = ref [] in
         let ff_red_dyn = ref false in
-        let ff_dims =
-          Array.mapi
-            (fun j (expr, lo, extent) ->
-              let s = fstrides.(j) in
-              ff_const := !ff_const - (lo * s);
-              List.iter
-                (fun (c, term) ->
-                  let eval = Reference.compile_expr lookup term in
-                  let iters = Ast.iters term in
-                  if affine term then begin
-                    Array.fill probe 0 env_size 0;
-                    let c0 = eval probe in
-                    ff_const := !ff_const + (c * c0 * s);
-                    List.iter
-                      (fun (it : Ast.iter) ->
-                        probe.(it.Ast.id) <- 1;
-                        let d = c * (eval probe - c0) * s in
-                        probe.(it.Ast.id) <- 0;
-                        let add coefs ids =
-                          Array.iteri
-                            (fun a id -> if id = it.Ast.id then coefs.(a) <- coefs.(a) + d)
-                            ids
-                        in
-                        add ff_out out_ids;
-                        add ff_red red_ids)
-                      iters
-                  end
-                  else if
-                    List.exists
-                      (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
-                      iters
-                  then ff_red_dyn := true
-                  else ff_dyn := (eval, c * s) :: !ff_dyn)
-                (terms expr);
-              (Reference.compile_expr lookup expr, lo, extent, s))
-            dims
-        in
+        Array.iteri
+          (fun j (expr, lo, _) ->
+            let s = fstrides.(j) in
+            ff_const := !ff_const - (lo * s);
+            List.iter
+              (fun (c, term) ->
+                let eval = Reference.compile_expr lookup term in
+                let iters = Ast.iters term in
+                if affine term then begin
+                  Array.fill probe 0 env_size 0;
+                  let c0 = eval probe in
+                  ff_const := !ff_const + (c * c0 * s);
+                  List.iter
+                    (fun (it : Ast.iter) ->
+                      probe.(it.Ast.id) <- 1;
+                      let d = c * (eval probe - c0) * s in
+                      probe.(it.Ast.id) <- 0;
+                      let add coefs ids =
+                        Array.iteri
+                          (fun a id -> if id = it.Ast.id then coefs.(a) <- coefs.(a) + d)
+                          ids
+                      in
+                      add ff_out out_ids;
+                      add ff_red red_ids)
+                    iters
+                end
+                else if
+                  List.exists
+                    (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
+                    iters
+                then ff_red_dyn := true
+                else ff_dyn := (eval, c * s) :: !ff_dyn)
+              (terms expr))
+          dims;
         {
           ff_const = !ff_const;
           ff_out;
@@ -242,11 +243,9 @@ let compile staged plan =
           ff_red_step = (if k = 0 then 0 else ff_red.(k - 1));
           ff_dyn = Array.of_list (List.rev !ff_dyn);
           ff_red_dyn = !ff_red_dyn;
-          ff_dims;
         })
       fsym.Staged.fs_factors
   in
-  let counts = Array.map Array.length fsym.Staged.fs_factors in
   {
     sp_staged = staged;
     sp_plan = plan;
@@ -254,26 +253,15 @@ let compile staged plan =
     sp_final =
       {
         fm_sym = fsym;
-        fm_red_total = Array.fold_left ( * ) 1 fsym.Staged.fs_red_doms;
-        fm_wstrides = strides_of fsym.Staged.fs_out_doms;
+        fm_accs = Staged.final_accesses staged fsym;
         fm_pieces = Array.of_list fpieces;
-        fm_checks =
-          Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) fpieces);
+        fm_checks = fchecks;
         fm_factors = factors;
         fm_dyn = Array.exists (fun f -> f.ff_red_dyn) factors;
       };
   }
 
 (* --- Execution ------------------------------------------------------------ *)
-
-let poll_mask = Staged.poll_mask
-let par_threshold = Staged.par_threshold
-
-let run_flat ?cancel ~work ~n body seq =
-  let pool = Par.Pool.get_default () in
-  if work >= par_threshold && Par.Pool.size pool > 1 && n > 1 then
-    Par.Pool.parallel_for pool ?cancel ~n body
-  else seq ()
 
 (* The checkless reduction loop: [n] steps of multiply-accumulate with
    constant per-factor strides.  Accumulation is [acc +. product] with
@@ -322,138 +310,56 @@ let inner_n acc0 n (datas : float array array) (offs : int array) (steps : int a
   done;
   !acc
 
-(* One materialization stage over its certified partition. *)
-let run_stage ~poll ?cancel meta factors =
+(* One materialization stage over its certified partition: interior
+   pieces run the checkless reduction loops above, border pieces the
+   interpreter's own loop guarding exactly their may-clip accesses. *)
+let run_stage ?cancel meta factors =
   let sym = meta.sm_sym in
-  let arr = Array.of_list factors in
-  let others = List.map (fun i -> arr.(i)) (Array.to_list sym.Staged.ss_others) in
-  let datas =
-    Array.map
-      (fun i -> Tensor.unsafe_data arr.(i).Staged.data)
-      sym.Staged.ss_participating
-  in
-  let nf = Array.length datas in
-  let extents = sym.Staged.ss_extents in
-  let lows = sym.Staged.ss_lows in
-  let dom = sym.Staged.ss_dom in
+  let extents = sym.Staged.ss_extents and dom = sym.Staged.ss_dom in
   let n_axes = Array.length extents in
-  let tensor = Tensor.create (Array.copy extents) in
-  let data = Tensor.unsafe_data tensor in
-  Array.iteri
-    (fun pi piece ->
-      poll ();
-      let pdims = Array.init n_axes (fun i -> piece.pc_hi.(i) - piece.pc_lo.(i) + 1) in
-      let volume = Array.fold_left ( * ) 1 pdims in
-      let checks = meta.sm_checks.(pi) in
-      let interior_element pos flat =
-        let rem = ref flat in
-        for i = n_axes - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to n_axes - 1 do
-          w := !w + (pos.(i) * meta.sm_wstrides.(i))
-        done;
-        let base fi =
-          let b = ref meta.sm_consts.(fi) in
-          let coefs = meta.sm_axis_coefs.(fi) in
-          for i = 0 to n_axes - 1 do
-            b := !b + (coefs.(i) * pos.(i))
-          done;
-          !b
-        in
-        let acc =
-          match nf with
-          | 1 -> inner1 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0)
-          | 2 ->
-              inner2 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0) datas.(1) (base 1)
-                meta.sm_rcoefs.(1)
-          | 3 ->
-              inner3 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0) datas.(1) (base 1)
-                meta.sm_rcoefs.(1) datas.(2) (base 2) meta.sm_rcoefs.(2)
-          | _ ->
-              let offs = Array.init nf base in
-              inner_n 0.0 dom datas offs meta.sm_rcoefs
-        in
-        data.(!w) <- acc
-      in
-      (* Border: the interpreter's loop restricted to the strip, with a
-         window test on exactly the accesses the certificate says may
-         clip; everything else indexes unchecked. *)
-      let border_element pos flat =
-        let rem = ref flat in
-        for i = n_axes - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to n_axes - 1 do
-          w := !w + (pos.(i) * meta.sm_wstrides.(i))
-        done;
-        let acc = ref 0.0 in
-        for r = 0 to dom - 1 do
-          let product = ref 1.0 in
-          (try
-             for fi = 0 to nf - 1 do
-               let fdata = datas.(fi) in
-               let fuses = sym.Staged.ss_uses.(fi) in
-               let fchecks = checks.(fi) in
-               let off = ref 0 in
-               for j = 0 to Array.length fuses - 1 do
-                 let u = fuses.(j) in
-                 let value =
-                   (if u.Staged.u_slot >= 0 then
-                      pos.(u.Staged.u_slot) + lows.(u.Staged.u_slot)
-                    else u.Staged.u_base)
-                   + (u.Staged.u_coef * r)
-                 in
-                 let idx = value - u.Staged.u_lo in
-                 if fchecks.(j) && (idx < 0 || idx >= u.Staged.u_extent) then begin
-                   product := 0.0;
-                   raise Exit
-                 end;
-                 off := (!off * u.Staged.u_extent) + idx
-               done;
-               product := !product *. fdata.(!off)
-             done
-           with Exit -> ());
-          acc := !acc +. !product
-        done;
-        data.(!w) <- !acc
-      in
-      let element = if piece.pc_interior then interior_element else border_element in
-      let body lo hi =
-        let pos = Array.make (max 1 n_axes) 0 in
-        for flat = lo to hi - 1 do
-          element pos flat
-        done
-      in
-      let seq () =
-        let pos = Array.make (max 1 n_axes) 0 in
-        for flat = 0 to volume - 1 do
-          if flat land poll_mask = 0 then poll ();
-          element pos flat
-        done
-      in
-      run_flat ?cancel ~work:(volume * (dom + 1)) ~n:volume body seq)
-    meta.sm_pieces;
-  { Staged.dims = sym.Staged.ss_new_dims; data = tensor } :: others
+  Staged.materialize sym factors (fun datas out ->
+      let nf = Array.length datas in
+      let rcoefs = meta.sm_rcoefs in
+      Array.iteri
+        (fun pi piece ->
+          let lo = piece.pc_lo and hi = piece.pc_hi in
+          if not piece.pc_interior then
+            Staged.stage_loop ?cancel sym datas out ~lo ~hi ~checks:meta.sm_checks.(pi)
+          else
+            Staged.run_box ?cancel ~cost:(dom + 1) ~extents ~lo ~hi (fun () pos w ->
+                let base fi =
+                  let b = ref meta.sm_consts.(fi) in
+                  let coefs = meta.sm_axis_coefs.(fi) in
+                  for i = 0 to n_axes - 1 do
+                    b := !b + (coefs.(i) * pos.(i))
+                  done;
+                  !b
+                in
+                out.(w) <-
+                  (match nf with
+                  | 1 -> inner1 0.0 dom datas.(0) (base 0) rcoefs.(0)
+                  | 2 -> inner2 0.0 dom datas.(0) (base 0) rcoefs.(0) datas.(1) (base 1) rcoefs.(1)
+                  | 3 ->
+                      inner3 0.0 dom datas.(0) (base 0) rcoefs.(0) datas.(1) (base 1) rcoefs.(1)
+                        datas.(2) (base 2) rcoefs.(2)
+                  | _ -> inner_n 0.0 dom datas (Array.init nf base) rcoefs)))
+        meta.sm_pieces)
 
-(* The final contraction over its certified partition. *)
-let run_final ~poll ?cancel meta factors out =
+(* The final contraction over its certified partition.  Border pieces,
+   and every piece when some access is non-affine in a remaining
+   reduction iterator, run the interpreter's own guarded loop. *)
+let run_final ?cancel meta factors out =
   let sym = meta.fm_sym in
-  let out_data = Tensor.unsafe_data out in
   let datas =
     Array.of_list (List.map (fun f -> Tensor.unsafe_data f.Staged.data) factors)
   in
   let nf = Array.length datas in
   let m = Array.length sym.Staged.fs_out_doms in
-  let k = Array.length sym.Staged.fs_red_doms in
-  let red_total = meta.fm_red_total in
-  let red_last = if k = 0 then 1 else sym.Staged.fs_red_doms.(k - 1) in
-  let red_outer = red_total / red_last in
   let red_doms = sym.Staged.fs_red_doms in
+  let k = Array.length red_doms in
+  let red_total = Array.fold_left ( * ) 1 red_doms in
+  let red_last = if k = 0 then 1 else red_doms.(k - 1) in
+  let red_outer = red_total / red_last in
   let rsteps = Array.map (fun f -> f.ff_red_step) meta.fm_factors in
   let red_cols =
     Array.init (max 0 (k - 1)) (fun a -> Array.map (fun f -> f.ff_red.(a)) meta.fm_factors)
@@ -472,155 +378,75 @@ let run_final ~poll ?cancel meta factors out =
         Array.blit offs 0 scratch 0 nf;
         inner_n acc red_last datas scratch rsteps
   in
+  (* Checkless path: per output point, per-factor base offsets from the
+     affine terms plus the output-only residue, then the innermost
+     reduction with constant strides.  The outer reduction axes step an
+     odometer over the running offsets [offs]: each step adds the
+     axis's stride, a carry takes back [dom * stride]. *)
+  let interior () =
+    let env = Array.make sym.Staged.fs_env_size 0 in
+    let offs = Array.make nf 0 and scratch = Array.make nf 0 in
+    let rv = Array.make (max 1 k) 0 in
+    fun pos w ->
+      for i = 0 to m - 1 do
+        env.(sym.Staged.fs_out_ids.(i)) <- pos.(i)
+      done;
+      for fi = 0 to nf - 1 do
+        let f = meta.fm_factors.(fi) in
+        let b = ref f.ff_const in
+        for i = 0 to m - 1 do
+          b := !b + (f.ff_out.(i) * pos.(i))
+        done;
+        for d = 0 to Array.length f.ff_dyn - 1 do
+          let eval, c = f.ff_dyn.(d) in
+          b := !b + (c * eval env)
+        done;
+        offs.(fi) <- !b
+      done;
+      Array.fill rv 0 (Array.length rv) 0;
+      let acc = ref 0.0 in
+      for _ = 1 to red_outer do
+        acc := inner offs scratch !acc;
+        let a = ref (k - 2) in
+        while !a >= 0 do
+          let ax = !a in
+          let cols = red_cols.(ax) in
+          rv.(ax) <- rv.(ax) + 1;
+          for fi = 0 to nf - 1 do
+            offs.(fi) <- offs.(fi) + cols.(fi)
+          done;
+          if rv.(ax) < red_doms.(ax) then a := -1
+          else begin
+            rv.(ax) <- 0;
+            let wrap = red_wraps.(ax) in
+            for fi = 0 to nf - 1 do
+              offs.(fi) <- offs.(fi) - wrap.(fi)
+            done;
+            decr a
+          end
+        done
+      done;
+      out.(w) <- !acc
+  in
   Array.iteri
     (fun pi piece ->
-      poll ();
-      let pdims = Array.init m (fun i -> piece.pc_hi.(i) - piece.pc_lo.(i) + 1) in
-      let volume = Array.fold_left ( * ) 1 pdims in
-      let checks = meta.fm_checks.(pi) in
-      (* Checkless path: per output point, per-factor base offsets from
-         the affine terms plus the output-only residue, then the
-         innermost reduction with constant strides.  The outer
-         reduction axes step an odometer over the running offsets
-         [offs]: each step adds the axis's stride, a carry takes back
-         [dom * stride]. *)
-      let interior_element env pos offs scratch rv flat =
-        let rem = ref flat in
-        for i = m - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to m - 1 do
-          env.(sym.Staged.fs_out_ids.(i)) <- pos.(i);
-          w := !w + (pos.(i) * meta.fm_wstrides.(i))
-        done;
-        for fi = 0 to nf - 1 do
-          let f = meta.fm_factors.(fi) in
-          let b = ref f.ff_const in
-          for i = 0 to m - 1 do
-            b := !b + (f.ff_out.(i) * pos.(i))
-          done;
-          for d = 0 to Array.length f.ff_dyn - 1 do
-            let eval, c = f.ff_dyn.(d) in
-            b := !b + (c * eval env)
-          done;
-          offs.(fi) <- !b
-        done;
-        Array.fill rv 0 (Array.length rv) 0;
-        let acc = ref 0.0 in
-        for _ = 1 to red_outer do
-          acc := inner offs scratch !acc;
-          let a = ref (k - 2) in
-          while !a >= 0 do
-            let ax = !a in
-            let cols = red_cols.(ax) in
-            rv.(ax) <- rv.(ax) + 1;
-            for fi = 0 to nf - 1 do
-              offs.(fi) <- offs.(fi) + cols.(fi)
-            done;
-            if rv.(ax) < red_doms.(ax) then a := -1
-            else begin
-              rv.(ax) <- 0;
-              let wrap = red_wraps.(ax) in
-              for fi = 0 to nf - 1 do
-                offs.(fi) <- offs.(fi) - wrap.(fi)
-              done;
-              decr a
-            end
-          done
-        done;
-        out_data.(!w) <- !acc
-      in
-      (* Guarded path (border strips, and every piece when some access
-         is non-affine in a remaining reduction iterator): the
-         interpreter's evaluation loop, with window tests on exactly
-         the certified may-clip accesses. *)
-      let guarded_element env pos flat =
-        let rem = ref flat in
-        for i = m - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to m - 1 do
-          env.(sym.Staged.fs_out_ids.(i)) <- pos.(i);
-          w := !w + (pos.(i) * meta.fm_wstrides.(i))
-        done;
-        let acc = ref 0.0 in
-        for flat_red = 0 to red_total - 1 do
-          let rem = ref flat_red in
-          for i = k - 1 downto 0 do
-            env.(sym.Staged.fs_red_ids.(i)) <- !rem mod sym.Staged.fs_red_doms.(i);
-            rem := !rem / sym.Staged.fs_red_doms.(i)
-          done;
-          let product = ref 1.0 in
-          for fi = 0 to nf - 1 do
-            let f = meta.fm_factors.(fi) in
-            let fchecks = checks.(fi) in
-            let off = ref 0 in
-            let ok = ref true in
-            (try
-               Array.iteri
-                 (fun j (eval, lo, extent, _) ->
-                   let idx = eval env - lo in
-                   if fchecks.(j) && (idx < 0 || idx >= extent) then begin
-                     ok := false;
-                     raise Exit
-                   end;
-                   off := (!off * extent) + idx)
-                 f.ff_dims
-             with Exit -> ());
-            product := !product *. (if !ok then datas.(fi).(!off) else 0.0)
-          done;
-          acc := !acc +. !product
-        done;
-        out_data.(!w) <- !acc
-      in
-      let element =
-        if piece.pc_interior && not meta.fm_dyn then interior_element
-        else fun env pos _ _ _ flat -> guarded_element env pos flat
-      in
-      let scratch () =
-        ( Array.make sym.Staged.fs_env_size 0,
-          Array.make (max 1 m) 0,
-          Array.make nf 0,
-          Array.make nf 0,
-          Array.make (max 1 k) 0 )
-      in
-      let body lo hi =
-        let env, pos, offs, tmp, rv = scratch () in
-        for flat = lo to hi - 1 do
-          element env pos offs tmp rv flat
-        done
-      in
-      let seq () =
-        let env, pos, offs, tmp, rv = scratch () in
-        for flat = 0 to volume - 1 do
-          if flat land poll_mask = 0 then poll ();
-          element env pos offs tmp rv flat
-        done
-      in
-      run_flat ?cancel ~work:(volume * (red_total + 1)) ~n:volume body seq)
+      let lo = piece.pc_lo and hi = piece.pc_hi in
+      if piece.pc_interior && not meta.fm_dyn then
+        Staged.run_box ?cancel ~cost:(red_total + 1) ~extents:sym.Staged.fs_out_doms ~lo ~hi
+          interior
+      else Staged.final_loop ?cancel sym meta.fm_accs datas out ~lo ~hi ~checks:meta.fm_checks.(pi))
     meta.fm_pieces
 
 let forward ?cancel t ~input ~weights =
   let staged = t.sp_staged in
-  if Tensor.shape input <> Reference.input_shape (Staged.reference staged) then
-    invalid_arg "Specialize.forward: input shape";
-  let poll =
-    match cancel with
-    | None -> fun () -> ()
-    | Some c -> fun () -> Robust.Cancel.check c
-  in
   let factors =
     Array.fold_left
-      (fun factors meta -> run_stage ~poll ?cancel meta factors)
+      (fun factors meta -> run_stage ?cancel meta factors)
       (Staged.initial_factors staged ~input ~weights)
       t.sp_stages
   in
   let out = Tensor.create (Reference.output_shape (Staged.reference staged)) in
-  run_final ~poll ?cancel t.sp_final factors out;
+  run_final ?cancel t.sp_final factors (Tensor.unsafe_data out);
   out
 
 (* --- Seeded plan corruption ----------------------------------------------- *)

@@ -10,9 +10,13 @@
     - {e interior} pieces — where every access is proved in-bounds —
       run checkless inner loops with constant-stride offset arithmetic
       and unchecked array reads;
-    - {e border} pieces run the interpreter's loop restricted to the
-      strip, window-testing exactly the accesses the certificate lists
-      as may-clip and nothing else.
+    - {e border} pieces run the interpreter's own guarded loops,
+      {!Staged_exec.stage_loop} and {!Staged_exec.final_loop},
+      restricted to the strip and window-testing exactly the accesses
+      the certificate lists as may-clip and nothing else.
+
+    Both kinds of piece are driven by {!Staged_exec.run_box}, so pool
+    use and cancellation polling are the interpreter's own.
 
     Each final-contraction dim is split at [Add]/[Sub] into additive
     terms.  Affine terms (an iterator-free [Div]/[Mod], such as
@@ -21,7 +25,8 @@
     (the grouped [C_in*g^-1*(i1 / C_out*g^-1)]) is a residue evaluated
     once per output element.  Only a non-affine term that mentions a
     reduction iterator stays guarded, and it sends the whole final
-    nest, interior included, down the guarded loop;
+    nest, interior included, down {!Staged_exec.final_loop} (interior
+    pieces with nothing checked);
     {!checkless_volume} shows how much of the certified interior
     escaped that.  Stage nests are always affine.
 
@@ -66,7 +71,8 @@ type t
 val compile : Staged_exec.t -> plan -> t
 (** Precomputes the per-piece offset algebra.  Raises [Invalid_argument]
     if the plan's shape does not match the executor (wrong number of
-    partitions, piece rank mismatch, piece outside its nest's box) —
+    partitions, piece rank mismatch, piece outside its nest's box, clip
+    index outside its nest's accesses) —
     semantic soundness is [Analysis.Certify]'s job. *)
 
 val staged : t -> Staged_exec.t
@@ -81,11 +87,12 @@ val checkless_volume : t -> int
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Bit-identical to {!Staged_exec.forward} on the same operator.
-    Pieces whose estimated work clears {!Staged_exec.par_threshold} run
-    on the default pool; [cancel] is polled at piece boundaries, every
-    few thousand elements sequentially, and at every pool range claim,
-    exactly like the interpreter. *)
+(** Bit-identical to {!Staged_exec.forward} on the same operator, and
+    checks its arguments the same way ({!Staged_exec.initial_factors}).
+    Every piece runs through {!Staged_exec.run_box}: large pieces on the
+    default pool, with [cancel] polled every few thousand elements
+    sequentially and at every pool range claim, exactly like the
+    interpreter. *)
 
 (** {2 Seeded plan corruption}
 

@@ -163,103 +163,155 @@ let stage_sym lookup it dom (dims_list : fdim list list) =
     ss_new_dims = dims;
   }
 
-(* Cancellation poll cadence in the flat element loops: coarse enough
-   to stay off the per-element profile, fine enough to bound preemption
+(* --- Guarded element loops -------------------------------------------- *)
+
+(* Cancellation poll cadence of a sequential box run: coarse enough to
+   stay off the per-element profile, fine enough to bound preemption
    latency to a few thousand accumulations. *)
 let poll_mask = 4095
 
-(* Minimum estimated scalar operations (output elements times reduction
-   extent) before a flat loop is worth offering to the default pool;
-   below this the submission overhead dominates.  The pool's own
-   granularity tuner still gets the final say — it probes the body and
-   falls back to a sequential polled run when the measured per-element
-   cost cannot amortize parallel claim overhead. *)
+(* Minimum estimated scalar operations (box volume times per-element
+   cost) before a box is worth offering to the default pool; below this
+   the submission overhead dominates.  The pool's own granularity tuner
+   still gets the final say — it probes the body and falls back to a
+   sequential polled run when the measured per-element cost cannot
+   amortize parallel claim overhead. *)
 let par_threshold = 1 lsl 12
 
-(* Offer [body] over [0, n) to the default pool when the estimated
-   [work] clears the threshold and the pool actually has workers;
-   otherwise run [seq ()], the caller's sequential loop with its
-   original poll cadence.  Each body invocation must allocate its own
-   scratch (index arrays), write only its own output range, and keep
-   per-element work self-contained, so results are bit-identical to the
-   sequential loop at any pool size. *)
-let run_flat ?cancel ~work ~n body seq =
-  let pool = Par.Pool.get_default () in
-  if work >= par_threshold && Par.Pool.size pool > 1 && n > 1 then
-    Par.Pool.parallel_for pool ?cancel ~n body
-  else seq ()
+let poll cancel = Option.iter Robust.Cancel.check cancel
 
-(* Materialize the sum over the stage's reduced iterator of the product
-   of the participating factors into a new tensor factor, driven by the
-   stage's symbolic bookkeeping.  [poll] is called every
-   [poll_mask + 1] output elements on the sequential path; the parallel
-   path polls [cancel] at every range claim inside the pool. *)
-let materialize ~poll ?cancel sym factors =
+(* The one box driver: [element pos w] for every position [pos] of the
+   inclusive box [lo, hi] of a nest with the given [extents], where [w]
+   is [pos]'s row-major offset in the nest.  [make] builds one element
+   closure, with its own private scratch, per range run; each element
+   writes only its own output cell, so results are bit-identical at any
+   pool size.  Sequential runs poll [cancel] every [poll_mask + 1]
+   elements; pool runs poll it at every range claim. *)
+let run_box ?cancel ~cost ~extents ~lo ~hi make =
+  let n = Array.length extents in
+  let dims = Array.init n (fun i -> hi.(i) - lo.(i) + 1) in
+  let strides = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    strides.(i) <- strides.(i + 1) * extents.(i + 1)
+  done;
+  let volume = Array.fold_left ( * ) 1 dims in
+  let range ~polled first last =
+    let element = make () in
+    let pos = Array.make (max 1 n) 0 in
+    for flat = first to last - 1 do
+      if polled && flat land poll_mask = 0 then poll cancel;
+      let rem = ref flat and w = ref 0 in
+      for i = n - 1 downto 0 do
+        let p = lo.(i) + (!rem mod dims.(i)) in
+        pos.(i) <- p;
+        w := !w + (p * strides.(i));
+        rem := !rem / dims.(i)
+      done;
+      element pos !w
+    done
+  in
+  let pool = Par.Pool.get_default () in
+  if volume * cost >= par_threshold && Par.Pool.size pool > 1 && volume > 1 then
+    Par.Pool.parallel_for pool ?cancel ~n:volume (range ~polled:false)
+  else range ~polled:true 0 volume
+
+let whole_box extents = (Array.map (fun _ -> 0) extents, Array.map pred extents)
+let check_all per_factor = Array.map (fun a -> Array.make (Array.length a) true) per_factor
+
+(* A stage's guarded loop over a box of its materialized tensor: the
+   sum over the reduced iterator of the product of the participating
+   factors [datas], written into [out].  An access whose flag in
+   [checks] (per factor, per use) is set is window-tested and a miss
+   zeroes the product; an unflagged access indexes unchecked. *)
+let stage_loop ?cancel sym datas out ~lo ~hi ~checks =
+  let uses = sym.ss_uses and lows = sym.ss_lows and dom = sym.ss_dom in
+  let nf = Array.length datas in
+  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents ~lo ~hi (fun () pos w ->
+      let acc = ref 0.0 in
+      for r = 0 to dom - 1 do
+        let product = ref 1.0 in
+        (try
+           for fi = 0 to nf - 1 do
+             let fuses = uses.(fi) and fchecks = checks.(fi) in
+             let off = ref 0 in
+             for j = 0 to Array.length fuses - 1 do
+               let u = fuses.(j) in
+               let idx =
+                 (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
+                 + (u.u_coef * r) - u.u_lo
+               in
+               if fchecks.(j) && (idx < 0 || idx >= u.u_extent) then begin
+                 product := 0.0;
+                 raise Exit
+               end;
+               off := (!off * u.u_extent) + idx
+             done;
+             product := !product *. datas.(fi).(!off)
+           done
+         with Exit -> ());
+        acc := !acc +. !product
+      done;
+      out.(w) <- !acc)
+
+(* Run one materialization stage: [fill datas out] computes the new
+   tensor's data [out] from the participating factors' data [datas]. *)
+let materialize sym factors fill =
   let arr = Array.of_list factors in
-  let others = List.map (fun i -> arr.(i)) (Array.to_list sym.ss_others) in
-  let mapped =
-    Array.map
-      (fun i -> Tensor.unsafe_data arr.(i).data)
-      sym.ss_participating
-  in
-  let uses = sym.ss_uses in
-  let dom = sym.ss_dom in
-  let extents = sym.ss_extents in
-  let lows = sym.ss_lows in
-  let tensor = Tensor.create (if extents = [||] then [||] else Array.copy extents) in
-  let data = Tensor.unsafe_data tensor in
-  let n_dims = Array.length extents in
-  let total = Array.fold_left ( * ) 1 extents in
-  let nf = Array.length mapped in
-  let element pos flat =
-    let rem = ref flat in
-    for i = n_dims - 1 downto 0 do
-      pos.(i) <- !rem mod extents.(i);
-      rem := !rem / extents.(i)
-    done;
-    let acc = ref 0.0 in
-    for r = 0 to dom - 1 do
-      let product = ref 1.0 in
-      (try
-         for fi = 0 to nf - 1 do
-           let fdata = mapped.(fi) in
-           let fuses = uses.(fi) in
-           let off = ref 0 in
-           for j = 0 to Array.length fuses - 1 do
-             let u = fuses.(j) in
-             let value =
-               (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
-               + (u.u_coef * r)
-             in
-             let idx = value - u.u_lo in
-             if idx < 0 || idx >= u.u_extent then begin
-               product := 0.0;
-               raise Exit
-             end;
-             off := (!off * u.u_extent) + idx
-           done;
-           product := !product *. fdata.(!off)
-         done
-       with Exit -> ());
-      acc := !acc +. !product
-    done;
-    data.(flat) <- !acc
-  in
-  let body lo hi =
-    let pos = Array.make (max 1 n_dims) 0 in
-    for flat = lo to hi - 1 do
-      element pos flat
-    done
-  in
-  let seq () =
-    let pos = Array.make (max 1 n_dims) 0 in
-    for flat = 0 to total - 1 do
-      if flat land poll_mask = 0 then poll ();
-      element pos flat
-    done
-  in
-  run_flat ?cancel ~work:(total * (dom + 1)) ~n:total body seq;
-  ({ dims = sym.ss_new_dims; data = tensor }, others)
+  let tensor = Tensor.create (Array.copy sym.ss_extents) in
+  fill
+    (Array.map (fun i -> Tensor.unsafe_data arr.(i).data) sym.ss_participating)
+    (Tensor.unsafe_data tensor);
+  { dims = sym.ss_new_dims; data = tensor }
+  :: List.map (fun i -> arr.(i)) (Array.to_list sym.ss_others)
+
+type final_access = { fa_eval : int array -> int; fa_lo : int; fa_extent : int }
+
+let final_accesses t fsym =
+  let lookup = Valuation.lookup t.valuation in
+  Array.map
+    (Array.map (fun (expr, lo, extent) ->
+         { fa_eval = Reference.compile_expr lookup expr; fa_lo = lo; fa_extent = extent }))
+    fsym.fs_factors
+
+(* The final contraction's guarded loop over a box of output positions:
+   per output element, the sum over the remaining reductions of the
+   product of the factors [datas], each indexed through its compiled
+   accessors [accs].  A flagged access that leaves its window makes
+   its factor contribute zero. *)
+let final_loop ?cancel fsym accs datas out ~lo ~hi ~checks =
+  let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
+  let red_doms = fsym.fs_red_doms in
+  let red_total = Array.fold_left ( * ) 1 red_doms in
+  let nf = Array.length datas in
+  run_box ?cancel ~cost:(red_total + 1) ~extents:fsym.fs_out_doms ~lo ~hi (fun () ->
+      let env = Array.make fsym.fs_env_size 0 in
+      fun pos w ->
+        Array.iteri (fun i id -> env.(id) <- pos.(i)) out_ids;
+        let acc = ref 0.0 in
+        for flat_red = 0 to red_total - 1 do
+          let rem = ref flat_red in
+          for i = Array.length red_doms - 1 downto 0 do
+            env.(red_ids.(i)) <- !rem mod red_doms.(i);
+            rem := !rem / red_doms.(i)
+          done;
+          let product = ref 1.0 in
+          for fi = 0 to nf - 1 do
+            let fa = accs.(fi) and fchecks = checks.(fi) in
+            let off = ref 0 and j = ref 0 in
+            while !j < Array.length fa do
+              let a = fa.(!j) in
+              let idx = a.fa_eval env - a.fa_lo in
+              if fchecks.(!j) && (idx < 0 || idx >= a.fa_extent) then j := max_int
+              else begin
+                off := (!off * a.fa_extent) + idx;
+                incr j
+              end
+            done;
+            product := !product *. (if !j = max_int then 0.0 else datas.(fi).(!off))
+          done;
+          acc := !acc +. !product
+        done;
+        out.(w) <- !acc)
 
 (* --- Static access structure ------------------------------------------ *)
 
@@ -378,133 +430,51 @@ let access_plan t =
   in
   List.map stage_sym_accesses syms @ [ final_accesses ]
 
+let shape_to_string sh =
+  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int sh)) ^ "]"
+
+(* The one place both forwards check their arguments: a tensor of the
+   wrong shape would otherwise be indexed unchecked by the certified
+   interior loops. *)
 let initial_factors t ~input ~weights =
-  let lookup = Valuation.lookup t.valuation in
-  let input_factor =
-    {
-      dims =
-        List.map2
-          (fun e s -> { expr = e; extent = Size.eval s lookup; lo = 0 })
-          t.op.Graph.op_input_exprs t.op.Graph.op_input_shape;
-      data = input;
-    }
+  let r = t.reference in
+  let expect what actual expected =
+    if actual <> expected then
+      invalid_arg
+        (Printf.sprintf "forward: %s has shape %s, expected %s" what (shape_to_string actual)
+           (shape_to_string expected))
   in
-  let weight_factors =
-    List.map2
-      (fun grp w ->
-        {
-          dims =
-            List.map
-              (fun it -> { expr = Ast.iter it; extent = Size.eval it.Ast.dom lookup; lo = 0 })
-              grp;
-          data = w;
-        })
-      t.op.Graph.op_weights weights
-  in
-  input_factor :: weight_factors
+  expect "input" (Tensor.shape input) (Reference.input_shape r);
+  let shapes = Reference.weight_shapes r in
+  if List.length weights <> List.length shapes then
+    invalid_arg
+      (Printf.sprintf "forward: %d weights given, expected %d" (List.length weights)
+         (List.length shapes));
+  List.iteri
+    (fun i (w, sh) -> expect (Printf.sprintf "weight %d" i) (Tensor.shape w) sh)
+    (List.combine weights shapes);
+  List.map2
+    (fun dims data -> { dims; data })
+    (initial_dims t.op (Valuation.lookup t.valuation))
+    (input :: weights)
 
 let forward ?cancel t ~input ~weights =
-  if Tensor.shape input <> Reference.input_shape t.reference then
-    invalid_arg "Staged_exec.forward: input shape";
-  let poll =
-    match cancel with
-    | None -> fun () -> ()
-    | Some c -> fun () -> Robust.Cancel.check c
-  in
-  let lookup = Valuation.lookup t.valuation in
-  let syms, _final = symbolic_plan t in
+  let syms, fsym = symbolic_plan t in
   (* Early stages in plan order; each stage boundary is a safe point. *)
   let factors =
     List.fold_left
       (fun factors sym ->
-        poll ();
-        let t', others = materialize ~poll ?cancel sym factors in
-        t' :: others)
+        poll cancel;
+        materialize sym factors (fun datas out ->
+            let lo, hi = whole_box sym.ss_extents in
+            stage_loop ?cancel sym datas out ~lo ~hi ~checks:(check_all sym.ss_uses)))
       (initial_factors t ~input ~weights)
       syms
   in
   (* Final stage: loop over outputs and the remaining reductions. *)
-  let reduced_ids =
-    List.map (fun s -> s.Staging.reduced.Ast.id) t.plan.Staging.stages
-  in
-  let remaining =
-    List.filter (fun it -> not (List.mem it.Ast.id reduced_ids)) t.op.Graph.op_reductions
-  in
-  let out_shape = Reference.output_shape t.reference in
-  let out = Tensor.create out_shape in
-  let out_data = Tensor.unsafe_data out in
-  let spatial = t.op.Graph.op_output_iters in
-  let n_env =
-    1
-    + List.fold_left max (-1)
-        (List.map (fun it -> it.Ast.id) (spatial @ t.op.Graph.op_reductions))
-  in
-  (* Pre-compile factor accesses. *)
-  let compiled_factors =
-    List.map
-      (fun f ->
-        let fdata = Tensor.unsafe_data f.data in
-        let accessors =
-          List.map
-            (fun d ->
-              let eval = Reference.compile_expr lookup d.expr in
-              (eval, d.lo, d.extent))
-            f.dims
-        in
-        fun env ->
-          let off = ref 0 in
-          let ok = ref true in
-          (try
-             List.iter
-               (fun (eval, lo, extent) ->
-                 let idx = eval env - lo in
-                 if idx < 0 || idx >= extent then begin
-                   ok := false;
-                   raise Exit
-                 end;
-                 off := (!off * extent) + idx)
-               accessors
-           with Exit -> ());
-          if !ok then fdata.(!off) else 0.0)
-      factors
-  in
-  let out_dims = Array.of_list (List.map (fun it -> Size.eval it.Ast.dom lookup) spatial) in
-  let spatial_ids = Array.of_list (List.map (fun it -> it.Ast.id) spatial) in
-  let red_dims = Array.of_list (List.map (fun it -> Size.eval it.Ast.dom lookup) remaining) in
-  let red_ids = Array.of_list (List.map (fun it -> it.Ast.id) remaining) in
-  let out_total = Array.fold_left ( * ) 1 out_dims in
-  let red_total = Array.fold_left ( * ) 1 red_dims in
-  let element env flat_out =
-    let rem = ref flat_out in
-    for i = Array.length out_dims - 1 downto 0 do
-      env.(spatial_ids.(i)) <- !rem mod out_dims.(i);
-      rem := !rem / out_dims.(i)
-    done;
-    let acc = ref 0.0 in
-    for flat_red = 0 to red_total - 1 do
-      let rem = ref flat_red in
-      for i = Array.length red_dims - 1 downto 0 do
-        env.(red_ids.(i)) <- !rem mod red_dims.(i);
-        rem := !rem / red_dims.(i)
-      done;
-      let product = ref 1.0 in
-      List.iter (fun access -> product := !product *. access env) compiled_factors;
-      acc := !acc +. !product
-    done;
-    out_data.(flat_out) <- !acc
-  in
-  let body lo hi =
-    let env = Array.make (max 1 n_env) 0 in
-    for flat_out = lo to hi - 1 do
-      element env flat_out
-    done
-  in
-  let seq () =
-    let env = Array.make (max 1 n_env) 0 in
-    for flat_out = 0 to out_total - 1 do
-      if flat_out land poll_mask = 0 then poll ();
-      element env flat_out
-    done
-  in
-  run_flat ?cancel ~work:(out_total * (red_total + 1)) ~n:out_total body seq;
+  let out = Tensor.create (Reference.output_shape t.reference) in
+  let lo, hi = whole_box fsym.fs_out_doms in
+  final_loop ?cancel fsym (final_accesses t fsym)
+    (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
+    (Tensor.unsafe_data out) ~lo ~hi ~checks:(check_all fsym.fs_factors);
   out

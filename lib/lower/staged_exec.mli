@@ -6,6 +6,12 @@
     the residual coordinate expressions, and the final stage contracts
     what remains over the output/remaining-reduction loops.
 
+    Its guarded element loops ({!stage_loop}, {!final_loop}, both
+    driven by {!run_box}) are the only ones in the tree: {!forward}
+    runs them over whole nests with every access checked, and
+    {!Specialize} runs the same loops over the border strips of a
+    certified partition with only the may-clip accesses checked.
+
     The result is numerically identical to {!Reference.forward} (up to
     floating-point association) and is differential-tested against it —
     the staging cost model is thereby validated semantically, not just
@@ -34,7 +40,11 @@ type factor = { dims : fdim list; data : Nd.Tensor.t }
 
 val initial_factors : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> factor list
 (** The factor list the first stage starts from: the input gather
-    followed by one factor per weight group, in operator order. *)
+    followed by one factor per weight group, in operator order.  This is
+    where both {!forward} and [Specialize.forward] check their
+    arguments: raises [Invalid_argument] naming the input or the weight
+    whose shape differs from {!Reference.input_shape} /
+    {!Reference.weight_shapes}, or when the weight count is wrong. *)
 
 (** {2 Symbolic plan}
 
@@ -82,13 +92,75 @@ val symbolic_plan : t -> stage_sym list * final_sym
     [ss_others] factors in order), then the final contraction.  Pure
     arithmetic: allocates no tensor. *)
 
-val poll_mask : int
-(** Cancellation poll cadence of the flat element loops (poll every
-    [poll_mask + 1] elements); shared with {!Specialize}. *)
+(** {2 Guarded element loops}
 
-val par_threshold : int
-(** Minimum estimated scalar work before a flat loop is offered to the
-    default pool; shared with {!Specialize}. *)
+    The only copies of the interpreter's element loops.  {!forward}
+    runs them over each nest's whole box with every access checked;
+    {!Specialize} runs them over border pieces with only the
+    certificate's may-clip accesses checked, and drives its checkless
+    interior bodies through the same {!run_box}. *)
+
+val run_box :
+  ?cancel:Robust.Cancel.t ->
+  cost:int ->
+  extents:int array ->
+  lo:int array ->
+  hi:int array ->
+  (unit -> int array -> int -> unit) ->
+  unit
+(** [run_box ~cost ~extents ~lo ~hi make] calls [element pos w] for
+    every position [pos] of the inclusive box [[lo, hi]] inside a nest
+    of dims [extents], where [w] is [pos]'s row-major offset in the
+    nest; [make ()] builds one [element], with private scratch, per
+    range run.  Boxes whose volume times [cost] (estimated scalar work
+    per element) is large enough run on the default pool, others
+    sequentially on the caller; each element must write only its own
+    output cell, so results are bit-identical at any pool size.
+    [cancel] is polled every few thousand elements of a sequential run
+    and at every pool range claim. *)
+
+val stage_loop :
+  ?cancel:Robust.Cancel.t ->
+  stage_sym ->
+  float array array ->
+  float array ->
+  lo:int array ->
+  hi:int array ->
+  checks:bool array array ->
+  unit
+(** [stage_loop sym datas out ~lo ~hi ~checks] writes into [out] (the
+    materialized tensor's data), over a box of its positions, the sum
+    over the reduced iterator of the product of the participating
+    factors' data [datas].  An access flagged in [checks] (per
+    participating factor, per use) is window-tested and a miss zeroes
+    the product; an unflagged access indexes unchecked. *)
+
+val materialize :
+  stage_sym -> factor list -> (float array array -> float array -> unit) -> factor list
+(** [materialize sym factors fill] allocates the stage's new tensor,
+    has [fill datas out] compute its data from the participating
+    factors' data, and returns the next factor list. *)
+
+type final_access
+(** One final-nest factor dim, compiled: its evaluator and window. *)
+
+val final_accesses : t -> final_sym -> final_access array array
+(** The final nest's accessors, per factor, per dim. *)
+
+val final_loop :
+  ?cancel:Robust.Cancel.t ->
+  final_sym ->
+  final_access array array ->
+  float array array ->
+  float array ->
+  lo:int array ->
+  hi:int array ->
+  checks:bool array array ->
+  unit
+(** [final_loop fsym accs datas out ~lo ~hi ~checks] writes into [out],
+    over a box of output positions, the sum over the remaining
+    reductions of the product of the factors [datas].  A flagged access
+    that leaves its window makes its factor contribute zero. *)
 
 type access = {
   acc_expr : Coord.Ast.t;  (** the indexing expression *)
@@ -113,16 +185,14 @@ val access_plan : t -> access list list
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Stages whose estimated work (output elements times reduction
-    extent) is large enough run their flat element loop on the default
-    pool ({!Par.Pool.get_default}): each output element is computed
-    independently with domain-private scratch, so the result is
-    bit-identical to the sequential loop at any pool size.  Small
-    stages, size-1 pools, and nested or contended submissions run
-    sequentially on the caller as before.
+(** Runs {!stage_loop} over each stage's whole box and then
+    {!final_loop} over the whole output, every access checked.  Nests
+    whose estimated work is large enough run on the default pool
+    ({!Par.Pool.get_default}) through {!run_box}, bit-identically to
+    the sequential loop at any pool size.
 
     [cancel] makes the executor a cancellation safe point: the token is
     polled at every stage boundary, every few thousand elements inside
-    each sequential element loop, and at every range claim when a stage
+    each sequential element loop, and at every range claim when a nest
     runs on the pool, raising [Robust.Cancel.Cancelled] promptly when
     it trips. *)

@@ -16,6 +16,7 @@ module Regions = Analysis.Regions
 module Certify = Analysis.Certify
 module Verify = Analysis.Verify
 module Cancel = Robust.Cancel
+module Ast = Coord.Ast
 
 let valuation = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 ()
 
@@ -67,8 +68,27 @@ let check_identical name op v =
 
 (* --- Bit-identity over the zoo -------------------------------------------- *)
 
+(* conv2d with each reduction iterator of the input gather hidden as
+   [(2 * r) / 2]: the same values, so the certificate keeps its interior,
+   but the [Div] has no constant stride, so the certified interior
+   pieces of the final nest run the guarded loop with nothing checked. *)
+let guarded_interior_conv =
+  let two = Size.of_int 2 in
+  let rec hide = function
+    | Ast.Iter it when it.Ast.role = Ast.Reduction -> Ast.div (Ast.mul two (Ast.iter it)) two
+    | Ast.Add (a, b) -> Ast.Add (hide a, hide b)
+    | Ast.Sub (a, b) -> Ast.Sub (hide a, hide b)
+    | Ast.Mul (n, e) -> Ast.Mul (n, hide e)
+    | Ast.Div (e, n) -> Ast.Div (hide e, n)
+    | Ast.Mod (e, n) -> Ast.Mod (hide e, n)
+    | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
+  in
+  let conv = Zoo.conv2d.Zoo.operator in
+  { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs }
+
 let test_zoo_bit_identity () =
-  List.iter (fun e -> check_identical e.Zoo.name e.Zoo.operator valuation) zoo_cases
+  List.iter (fun e -> check_identical e.Zoo.name e.Zoo.operator valuation) zoo_cases;
+  check_identical "conv2d/guarded-interior" guarded_interior_conv valuation
 
 let test_matmul_bit_identity () =
   let v = Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7 in
@@ -118,7 +138,12 @@ let test_checkless_volume () =
           Alcotest.(check int)
             (e.Zoo.name ^ ": checkless volume = certified interior")
             stats.Certify.ct_interior_cells (Specialize.checkless_volume sp))
-    (List.map (fun e -> (e, conv_v)) Zoo.conv_like @ [ (Zoo.matmul, matmul_v) ])
+    (List.map (fun e -> (e, conv_v)) Zoo.conv_like @ [ (Zoo.matmul, matmul_v) ]);
+  let st, cert = certified "conv2d/guarded-interior" guarded_interior_conv valuation in
+  let sp = Specialize.compile st cert.Regions.rc_plan in
+  Alcotest.(check bool)
+    "conv2d/guarded-interior: part of the certified interior runs guarded" true
+    (Specialize.checkless_volume sp < Specialize.interior_volume cert.Regions.rc_plan)
 
 (* --- Cancellation --------------------------------------------------------- *)
 
@@ -279,13 +304,69 @@ let test_faults_available () =
 
 let test_plan_shape_mismatch_rejected () =
   let st, cert = certified "conv2d" Zoo.conv2d.Zoo.operator valuation in
-  let truncated = Array.sub cert.Regions.rc_plan 0 (Array.length cert.Regions.rc_plan - 1) in
-  (match Certify.validate st truncated with
-  | Error (Robust.Guard.Static_violation _) -> ()
-  | _ -> Alcotest.fail "truncated plan accepted");
-  match Specialize.compile st truncated with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Specialize.compile accepted truncated plan"
+  let plan = cert.Regions.rc_plan in
+  let last = Array.length plan - 1 in
+  let final_accesses = List.length (List.nth (Staged.access_plan st) last) in
+  let with_clip idx =
+    Array.mapi
+      (fun i pieces ->
+        match pieces with
+        | p :: rest when i = last ->
+            { p with Specialize.pc_clips = idx :: p.Specialize.pc_clips } :: rest
+        | pieces -> pieces)
+      plan
+  in
+  List.iter
+    (fun (what, bad) ->
+      (match Certify.validate st bad with
+      | Error (Robust.Guard.Static_violation _) -> ()
+      | _ -> Alcotest.failf "%s accepted" what);
+      match Specialize.compile st bad with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Specialize.compile accepted %s" what)
+    [
+      ("truncated plan", Array.sub plan 0 last);
+      ("clip index past the nest's accesses", with_clip final_accesses);
+      ("negative clip index", with_clip (-1));
+    ]
+
+(* --- Argument checks ------------------------------------------------------ *)
+
+(* A tensor of the wrong shape would be indexed unchecked by the
+   certified interior, so both forwards must refuse it up front, naming
+   the offending weight. *)
+let test_bad_weights_rejected () =
+  let v = Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7 in
+  let st, cert = certified "matmul" Zoo.matmul.Zoo.operator v in
+  let sp = Specialize.compile st cert.Regions.rc_plan in
+  let r = Staged.reference st in
+  let rng = Rng.create ~seed:3 in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
+  let grown =
+    List.map (fun t -> Tensor.create (Array.map (fun d -> d + 1) (Tensor.shape t))) w
+  in
+  List.iter
+    (fun (what, weights) ->
+      List.iter
+        (fun (fwd, run) ->
+          match run weights with
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s names the weight (%s)" fwd what msg)
+                true
+                (Astring.String.is_infix ~affix:"weight" msg)
+          | _ -> Alcotest.failf "%s accepted %s" fwd what)
+        [
+          ("Staged_exec.forward", fun weights -> Staged.forward st ~input:x ~weights);
+          ("Specialize.forward", fun weights -> Specialize.forward sp ~input:x ~weights);
+        ])
+    [
+      ("a weight with every dim one too long", grown);
+      ("a 2-element weight", [ Tensor.create [| 2 |] ]);
+      ("no weights", []);
+      ("an extra weight", w @ w);
+    ]
 
 (* --- Random programs ------------------------------------------------------ *)
 
@@ -366,4 +447,5 @@ let () =
           Alcotest.test_case "faults applicable" `Quick test_faults_available;
           Alcotest.test_case "plan shape mismatch" `Quick test_plan_shape_mismatch_rejected;
         ] );
+      ("arguments", [ Alcotest.test_case "bad weights rejected" `Quick test_bad_weights_rejected ]);
     ]
