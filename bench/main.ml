@@ -1969,6 +1969,61 @@ let kernel_bench ~smoke () =
   note "seeded plan corruptions: %d/%d rejected by Certify; %d/%d invisible faults \
         executed bit-identically"
     !rejected !seeded !invisible_identical !invisible_checked;
+  (* 4) The train path's reference backward.  The operator is linear in
+     the input and in each weight group, so [<grad_in, x>] and every
+     [<grad_w, w>] must equal [<grad_out, out>]; then the backward's
+     time at the two proxy-layer shapes [Api.proxy_layer] trains. *)
+  let dot a b =
+    let b = Nd.Tensor.unsafe_data b and s = ref 0.0 in
+    Array.iteri (fun i v -> s := !s +. (v *. b.(i))) (Nd.Tensor.unsafe_data a);
+    !s
+  in
+  let backward_args compiled =
+    let rng = Nd.Rng.create ~seed:29 in
+    let input =
+      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+    in
+    let weights = Lower.Reference.init_weights compiled rng in
+    let grad_out =
+      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.output_shape compiled)
+    in
+    (input, weights, grad_out)
+  in
+  let adjoint_failures =
+    List.filter
+      (fun (name, staged, _, _) ->
+        let compiled = Staged.reference staged in
+        let input, weights, grad_out = backward_args compiled in
+        let expected = dot grad_out (Lower.Reference.forward compiled ~input ~weights) in
+        let grad_in, grad_ws = Lower.Reference.backward compiled ~input ~weights ~grad_out in
+        let close got = Float.abs (got -. expected) <= 1e-9 *. Float.abs expected in
+        let ok =
+          close (dot grad_in input) && List.for_all2 (fun g w -> close (dot g w)) grad_ws weights
+        in
+        if not ok then note "%-28s adjoint identity violated" name;
+        not ok)
+      cases
+  in
+  note "adjoint identity <grad, arg> = <grad_out, out> holds on %d/%d catalog operators"
+    (List.length cases - List.length adjoint_failures)
+    (List.length cases);
+  List.iter
+    (fun (e : Zoo.entry) ->
+      List.iter
+        (fun c_in ->
+          let compiled =
+            Lower.Reference.compile e.Zoo.operator
+              (Zoo.Vars.conv_valuation ~n:Syno.Api.proxy_batch_size ~c_in ~c_out:8 ~hw:10 ~k:3
+                 ~g:2 ~s:2 ())
+          in
+          let input, weights, grad_out = backward_args compiled in
+          note "%-28s proxy backward c%d->8 hw10 n%d: %8.3f ms" e.Zoo.name c_in
+            Syno.Api.proxy_batch_size
+            (1000.0
+            *. mean_seconds (fun () ->
+                   Lower.Reference.backward compiled ~input ~weights ~grad_out)))
+        [ 4; 8 ])
+    [ Zoo.conv2d; Zoo.operator1 ];
   gates
     [
       ("specialized kernels bit-identical to the staged interpreter", all_identical);
@@ -1979,6 +2034,7 @@ let kernel_bench ~smoke () =
       (Printf.sprintf "geomean speedup >= %.1fx" speedup_gate, speedup_ok);
       ("every seeded plan corruption rejected by Certify", faults_ok);
       ("invisible faults execute bit-identically", invisible_ok);
+      ("the backward's adjoint identity holds on every catalog operator", adjoint_failures = []);
     ]
 
 (* --- Driver ------------------------------------------------------------------ *)

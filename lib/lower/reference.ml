@@ -34,6 +34,49 @@ let rec compile_expr lookup (e : Ast.t) : int array -> int =
       let fa = compile_expr lookup a in
       fun env -> Ast.emod (fa env) n
 
+(* --- Affine splitting -------------------------------------------------------- *)
+
+(* [e] as a signed sum of additive terms: split at [Add]/[Sub], with
+   [Mul] distributed over the split.  Exact in integer arithmetic. *)
+let rec terms = function
+  | Ast.Add (a, b) -> terms a @ terms b
+  | Ast.Sub (a, b) -> terms a @ List.map (fun (c, t) -> (-c, t)) (terms b)
+  | Ast.Mul (n, e) -> List.map (fun (c, t) -> (c, Ast.Mul (n, t))) (terms e)
+  | e -> [ (1, e) ]
+
+(* An iterator-free [Div]/[Mod] is a constant; any other is not affine. *)
+let rec affine = function
+  | Ast.Div (e, _) | Ast.Mod (e, _) -> Ast.iters e = []
+  | Ast.Add (a, b) | Ast.Sub (a, b) -> affine a && affine b
+  | Ast.Mul (_, e) -> affine e
+  | Ast.Iter _ | Ast.Const _ | Ast.Size_const _ -> true
+
+type split = {
+  affine : (int * Ast.t) list;
+  residue : (int * Ast.t) list;
+  dynamic : bool;
+}
+
+let split ~reductions e =
+  let affine, rest = List.partition (fun (_, term) -> affine term) (terms e) in
+  let mentions_reduction (_, term) =
+    List.exists (fun (it : Ast.iter) -> Array.mem it.Ast.id reductions) (Ast.iters term)
+  in
+  let dynamic, residue = List.partition mentions_reduction rest in
+  { affine; residue; dynamic = dynamic <> [] }
+
+let strides eval ~env_size ids =
+  let probe = Array.make (max 1 env_size) 0 in
+  let c0 = eval probe in
+  ( c0,
+    Array.map
+      (fun id ->
+        probe.(id) <- 1;
+        let d = eval probe - c0 in
+        probe.(id) <- 0;
+        d)
+      ids )
+
 type t = {
   op : Graph.operator;
   out_shape : int array;
@@ -151,8 +194,26 @@ let weight_offset ids shape env =
 
 let iter_points t f = loop_nest t (fun _ env -> f (input_offset t env))
 
+let shape_to_string sh =
+  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int sh)) ^ "]"
+
+let check_shape fn what actual expected =
+  if actual <> expected then
+    invalid_arg
+      (Printf.sprintf "%s: %s has shape %s, expected %s" fn what (shape_to_string actual)
+         (shape_to_string expected))
+
+let check_arguments fn t ~input ~weights =
+  check_shape fn "input" (Tensor.shape input) t.in_shape;
+  let given = List.length weights and expected = List.length t.weight_shapes in
+  if given <> expected then
+    invalid_arg (Printf.sprintf "%s: %d weights given, expected %d" fn given expected);
+  List.iteri
+    (fun i (w, sh) -> check_shape fn (Printf.sprintf "weight %d" i) (Tensor.shape w) sh)
+    (List.combine weights t.weight_shapes)
+
 let forward t ~input ~weights =
-  if Tensor.shape input <> t.in_shape then invalid_arg "Reference.forward: input shape";
+  check_arguments "Reference.forward" t ~input ~weights;
   let w_datas = Array.of_list (List.map Tensor.unsafe_data weights) in
   let w_shapes = Array.of_list t.weight_shapes in
   let w_ids = t.weight_indexers in
@@ -171,41 +232,357 @@ let forward t ~input ~weights =
       end);
   out
 
+(* --- Backward ------------------------------------------------------------------ *)
+
+(* Row-major strides of a shape. *)
+let row_major shape =
+  let n = Array.length shape in
+  let s = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    s.(i) <- s.(i + 1) * shape.(i + 1)
+  done;
+  s
+
+(* The unchecked inner runs of the backward: the two innermost
+   reduction axes of a box, [n1] rows of [n0] points in row-major order,
+   from input offset [xo] and weight offsets [o0], [o1].  A point steps
+   the input by [xs0] and weight 0 by [s00] (weight 1 by [s10]), a row
+   by [xs1] and [s01] ([s11]).  Each point does exactly what the
+   per-point semantics does, product for product ([w_prod] starts from
+   1.0). *)
+let back1 gi xd g ~n1 ~xs1 ~n0 ~xs0 xo w0 gw0 o0 ~s01 ~s00 =
+  for r1 = 0 to n1 - 1 do
+    let x = ref (xo + (r1 * xs1)) and a = ref (o0 + (r1 * s01)) in
+    for _ = 1 to n0 do
+      let xi = !x and ai = !a in
+      Array.unsafe_set gi xi (Array.unsafe_get gi xi +. (g *. (1.0 *. Array.unsafe_get w0 ai)));
+      Array.unsafe_set gw0 ai (Array.unsafe_get gw0 ai +. (g *. Array.unsafe_get xd xi));
+      x := xi + xs0;
+      a := ai + s00
+    done
+  done
+
+let back2 gi xd g ~n1 ~xs1 ~n0 ~xs0 xo w0 gw0 o0 ~s01 ~s00 w1 gw1 o1 ~s11 ~s10 =
+  for r1 = 0 to n1 - 1 do
+    let x = ref (xo + (r1 * xs1)) and a = ref (o0 + (r1 * s01)) and b = ref (o1 + (r1 * s11)) in
+    for _ = 1 to n0 do
+      let xi = !x and ai = !a and bi = !b in
+      let v0 = Array.unsafe_get w0 ai and v1 = Array.unsafe_get w1 bi in
+      Array.unsafe_set gi xi (Array.unsafe_get gi xi +. (g *. (1.0 *. v0 *. v1)));
+      let gx = g *. Array.unsafe_get xd xi in
+      Array.unsafe_set gw0 ai (Array.unsafe_get gw0 ai +. (gx *. v1));
+      Array.unsafe_set gw1 bi (Array.unsafe_get gw1 bi +. (gx *. v0));
+      x := xi + xs0;
+      a := ai + s00;
+      b := bi + s10
+    done
+  done
+
+(* One point of any weight-group count, at input offset [x] and weight
+   offsets [offs], with checked reads and writes: [w_prod] from 1.0 in
+   group order into the input gradient, then [(g * x) * w_g'] over
+   [g' <> g] in ascending order into each weight gradient. *)
+let back_point gi xd g x (wd : float array array) (gw : float array array) offs =
+  let n_w = Array.length wd in
+  let w_prod = ref 1.0 in
+  for q = 0 to n_w - 1 do
+    w_prod := !w_prod *. wd.(q).(offs.(q))
+  done;
+  gi.(x) <- gi.(x) +. (g *. !w_prod);
+  let gx = g *. xd.(x) in
+  for q = 0 to n_w - 1 do
+    let others = ref gx in
+    for q' = 0 to n_w - 1 do
+      if q' <> q then others := !others *. wd.(q').(offs.(q'))
+    done;
+    gw.(q).(offs.(q)) <- gw.(q).(offs.(q)) +. !others
+  done
+
+(* [back_point] over the same two axes, for any other group count;
+   [offs] is advanced in place and restored. *)
+let back_n gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd gw offs ~st1 ~st0 =
+  let n_w = Array.length offs in
+  for r1 = 0 to n1 - 1 do
+    let x = ref (xo + (r1 * xs1)) in
+    for _ = 1 to n0 do
+      back_point gi xd g !x wd gw offs;
+      x := !x + xs0;
+      for q = 0 to n_w - 1 do
+        offs.(q) <- offs.(q) + st0.(q)
+      done
+    done;
+    for q = 0 to n_w - 1 do
+      offs.(q) <- offs.(q) + st1.(q) - (n0 * st0.(q))
+    done
+  done;
+  for q = 0 to n_w - 1 do
+    offs.(q) <- offs.(q) - (n1 * st1.(q))
+  done
+
+(* How [backward] computes one input coordinate per output: an affine
+   dim from a constant and a stride per output axis, a residue dim (a
+   non-affine term over output iterators only) from its closure; both
+   then move by a constant stride per reduction axis.  A closure dim
+   evaluates its closure at every point. *)
+type dim_kind = Affine | Residue | Closure
+
+(* Compiled per call; see the interface for the contract.  A dim that
+   moves with exactly one reduction axis clips that axis to an exact
+   sub-range, so the points that survive form a box and run unchecked
+   in their original order; the clipped-away points would have added
+   nothing. *)
 let backward t ~input ~weights ~grad_out =
-  if Tensor.shape grad_out <> t.out_shape then invalid_arg "Reference.backward: grad shape";
-  let w_datas = Array.of_list (List.map Tensor.unsafe_data weights) in
-  let w_shapes = Array.of_list t.weight_shapes in
-  let w_ids = t.weight_indexers in
-  let n_w = Array.length w_ids in
-  let in_data = Tensor.unsafe_data input in
-  let go_data = Tensor.unsafe_data grad_out in
+  check_arguments "Reference.backward" t ~input ~weights;
+  check_shape "Reference.backward" "grad_out" (Tensor.shape grad_out) t.out_shape;
+  let wd = Array.of_list (List.map Tensor.unsafe_data weights) in
+  let xd = Tensor.unsafe_data input in
+  let go = Tensor.unsafe_data grad_out in
   let grad_in = Tensor.create t.in_shape in
-  let gi_data = Tensor.unsafe_data grad_in in
+  let gi = Tensor.unsafe_data grad_in in
   let grad_ws = List.map Tensor.create t.weight_shapes in
-  let gw_datas = Array.of_list (List.map Tensor.unsafe_data grad_ws) in
-  let w_offs = Array.make n_w 0 in
-  loop_nest t (fun flat_out env ->
-      let off = input_offset t env in
-      if off >= 0 then begin
-        let g_out = go_data.(flat_out) in
-        if g_out <> 0.0 then begin
-          let w_prod = ref 1.0 in
-          for g = 0 to n_w - 1 do
-            w_offs.(g) <- weight_offset w_ids.(g) w_shapes.(g) env;
-            w_prod := !w_prod *. w_datas.(g).(w_offs.(g))
+  let gw = Array.of_list (List.map Tensor.unsafe_data grad_ws) in
+  (* Compile. *)
+  let out_ids = t.spatial_ids and red_ids = t.reduction_ids and doms = t.reduction_doms in
+  let m = Array.length out_ids and k = Array.length red_ids in
+  let n_in = Array.length t.in_shape and n_w = Array.length t.weight_indexers in
+  let in_strides = row_major t.in_shape in
+  let kind =
+    Array.of_list
+      (List.map
+         (fun e ->
+           match split ~reductions:red_ids e with
+           | { dynamic = true; _ } -> Closure
+           | { residue = []; _ } -> Affine
+           | _ -> Residue)
+         t.op.Graph.op_input_exprs)
+  in
+  let any_closure = Array.mem Closure kind in
+  let dim_const = Array.make n_in 0 in
+  let dim_out = Array.make n_in [||] and dim_red = Array.make n_in (Array.make k 0) in
+  Array.iteri
+    (fun i f ->
+      match kind.(i) with
+      | Affine ->
+          let c0, d = strides f ~env_size:t.n_env (Array.append out_ids red_ids) in
+          dim_const.(i) <- c0;
+          dim_out.(i) <- Array.sub d 0 m;
+          dim_red.(i) <- Array.sub d m k
+      | Residue -> dim_red.(i) <- snd (strides f ~env_size:t.n_env red_ids)
+      | Closure -> ())
+    t.input_indexers;
+  (* Each non-closure dim moves with one reduction axis ([singles]) or
+     with none or several ([others]). *)
+  let axis i =
+    match List.filter (fun j -> dim_red.(i).(j) <> 0) (List.init k Fun.id) with
+    | [ j ] when kind.(i) <> Closure -> j
+    | _ -> -1
+  in
+  let dim_axis = Array.init n_in axis in
+  let indices p = Array.of_list (List.filter p (List.init n_in Fun.id)) in
+  let singles = indices (fun i -> dim_axis.(i) >= 0) in
+  let others = indices (fun i -> dim_axis.(i) < 0 && kind.(i) <> Closure) in
+  let x_steps =
+    Array.init k (fun j ->
+        let s = ref 0 in
+        Array.iteri (fun i st -> s := !s + (st.(j) * in_strides.(i))) dim_red;
+        !s)
+  in
+  let w_step q id =
+    let ws = row_major (List.nth t.weight_shapes q) and s = ref 0 in
+    Array.iteri (fun p id' -> if id' = id then s := !s + ws.(p)) t.weight_indexers.(q);
+    !s
+  in
+  let w_out = Array.init n_w (fun q -> Array.map (w_step q) out_ids) in
+  let w_steps = Array.init k (fun j -> Array.init n_w (fun q -> w_step q red_ids.(j))) in
+  let w_span =
+    Array.init n_w (fun q ->
+        let s = ref 0 in
+        Array.iteri (fun j ws -> s := !s + (ws.(q) * (doms.(j) - 1))) w_steps;
+        !s)
+  in
+  (* Run. *)
+  let out_total = Array.fold_left ( * ) 1 t.out_shape in
+  let red_total = Array.fold_left ( * ) 1 doms in
+  let env = Array.make (max 1 t.n_env) 0 and pos = Array.make m 0 in
+  let base = Array.make n_in 0 and coord = Array.make n_in 0 in
+  let w_base = Array.make n_w 0 and woffs = Array.make n_w 0 in
+  let rv = Array.make (max 1 k) 0 in
+  let rlo = Array.make k 0 and rext = Array.make k 0 in
+  (* The unchecked nest over the box [rlo, rlo + rext): the axes outside
+     the inner two step an odometer over the running offsets, a carry
+     takes back [extent * stride]. *)
+  let zeros = Array.make n_w 0 in
+  let ax_ext j = if j >= 0 then rext.(j) else 1 in
+  let ax_xs j = if j >= 0 then x_steps.(j) else 0 in
+  let ax_ws j = if j >= 0 then w_steps.(j) else zeros in
+  let interior g =
+    let xo = ref 0 in
+    for i = 0 to n_in - 1 do
+      xo := !xo + (base.(i) * in_strides.(i))
+    done;
+    Array.blit w_base 0 woffs 0 n_w;
+    for j = 0 to k - 1 do
+      xo := !xo + (rlo.(j) * x_steps.(j));
+      for q = 0 to n_w - 1 do
+        woffs.(q) <- woffs.(q) + (rlo.(j) * w_steps.(j).(q))
+      done
+    done;
+    let n0 = ax_ext (k - 1) and xs0 = ax_xs (k - 1) and st0 = ax_ws (k - 1) in
+    let n1 = ax_ext (k - 2) and xs1 = ax_xs (k - 2) and st1 = ax_ws (k - 2) in
+    let outer = ref 1 in
+    for j = 0 to k - 3 do
+      outer := !outer * rext.(j)
+    done;
+    for _ = 1 to !outer do
+      (match n_w with
+      | 1 -> back1 gi xd g ~n1 ~xs1 ~n0 ~xs0 !xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
+      | 2 ->
+          back2 gi xd g ~n1 ~xs1 ~n0 ~xs0 !xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
+            wd.(1) gw.(1) woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
+      | _ -> back_n gi xd g ~n1 ~xs1 ~n0 ~xs0 !xo wd gw woffs ~st1 ~st0);
+      let a = ref (k - 3) in
+      while !a >= 0 do
+        let ax = !a in
+        let ws = w_steps.(ax) in
+        rv.(ax) <- rv.(ax) + 1;
+        xo := !xo + x_steps.(ax);
+        for q = 0 to n_w - 1 do
+          woffs.(q) <- woffs.(q) + ws.(q)
+        done;
+        if rv.(ax) < rext.(ax) then a := -1
+        else begin
+          rv.(ax) <- 0;
+          xo := !xo - (rext.(ax) * x_steps.(ax));
+          for q = 0 to n_w - 1 do
+            woffs.(q) <- woffs.(q) - (rext.(ax) * ws.(q))
           done;
-          (* d input *)
-          gi_data.(off) <- gi_data.(off) +. (g_out *. !w_prod);
-          (* d weights: product of all factors except the one being
-             differentiated *)
-          let x = in_data.(off) in
-          for g = 0 to n_w - 1 do
-            let others = ref (g_out *. x) in
-            for g' = 0 to n_w - 1 do
-              if g' <> g then others := !others *. w_datas.(g').(w_offs.(g'))
-            done;
-            gw_datas.(g).(w_offs.(g)) <- gw_datas.(g).(w_offs.(g)) +. !others
-          done
+          decr a
         end
-      end);
+      done
+    done
+  in
+  (* The guarded nest over the whole box: every reduction axis steps the
+     odometer, which keeps the reduction iterators in [env] for the
+     closure dims and returns them to 0 when it wraps. *)
+  let guarded g =
+    Array.blit base 0 coord 0 n_in;
+    Array.blit w_base 0 woffs 0 n_w;
+    for _ = 1 to red_total do
+      let x = ref 0 and inside = ref true and i = ref 0 in
+      while !inside && !i < n_in do
+        let d = !i in
+        let v = if kind.(d) = Closure then t.input_indexers.(d) env else coord.(d) in
+        if v < 0 || v >= t.in_shape.(d) then inside := false
+        else x := !x + (v * in_strides.(d));
+        incr i
+      done;
+      if !inside then back_point gi xd g !x wd gw woffs;
+      let a = ref (k - 1) in
+      while !a >= 0 do
+        let ax = !a in
+        let ws = w_steps.(ax) in
+        rv.(ax) <- rv.(ax) + 1;
+        env.(red_ids.(ax)) <- rv.(ax);
+        for d = 0 to n_in - 1 do
+          coord.(d) <- coord.(d) + dim_red.(d).(ax)
+        done;
+        for q = 0 to n_w - 1 do
+          woffs.(q) <- woffs.(q) + ws.(q)
+        done;
+        if rv.(ax) < doms.(ax) then a := -1
+        else begin
+          rv.(ax) <- 0;
+          env.(red_ids.(ax)) <- 0;
+          for d = 0 to n_in - 1 do
+            coord.(d) <- coord.(d) - (doms.(ax) * dim_red.(d).(ax))
+          done;
+          for q = 0 to n_w - 1 do
+            woffs.(q) <- woffs.(q) - (doms.(ax) * ws.(q))
+          done;
+          decr a
+        end
+      done
+    done
+  in
+  (* Per output: clip each axis to the [r] with [0 <= b + c * r <= top]
+     for every dim that moves with it alone, then test the other dims
+     over the clipped box and the weight windows over the whole box. *)
+  let ceil_div a b = -Ast.fdiv (-a) b in
+  let clip g =
+    let empty = ref false and unchecked = ref (not any_closure) in
+    for j = 0 to k - 1 do
+      rlo.(j) <- 0;
+      rext.(j) <- doms.(j)
+    done;
+    Array.iter
+      (fun i ->
+        let j = dim_axis.(i) in
+        let c = dim_red.(i).(j) and b = base.(i) and top = t.in_shape.(i) - 1 in
+        let lo =
+          if c = 1 then -b else if c > 0 then ceil_div (-b) c else ceil_div (b - top) (-c)
+        in
+        let hi =
+          if c = 1 then top - b else if c > 0 then Ast.fdiv (top - b) c else Ast.fdiv b (-c)
+        in
+        let lo = max lo rlo.(j) and hi = min hi (rlo.(j) + rext.(j) - 1) in
+        if lo > hi then empty := true
+        else begin
+          rlo.(j) <- lo;
+          rext.(j) <- hi - lo + 1
+        end)
+      singles;
+    Array.iter
+      (fun i ->
+        let lo = ref base.(i) and hi = ref base.(i) in
+        for j = 0 to k - 1 do
+          let c = dim_red.(i).(j) in
+          let a = c * rlo.(j) and z = c * (rlo.(j) + rext.(j) - 1) in
+          lo := !lo + min a z;
+          hi := !hi + max a z
+        done;
+        if !hi < 0 || !lo >= t.in_shape.(i) then empty := true
+        else if !lo < 0 || !hi >= t.in_shape.(i) then unchecked := false)
+      others;
+    for q = 0 to n_w - 1 do
+      if w_base.(q) + w_span.(q) >= Array.length wd.(q) then unchecked := false
+    done;
+    if not !empty then if !unchecked then interior g else guarded g
+  in
+  if red_total > 0 then
+    for flat_out = 0 to out_total - 1 do
+      let g = go.(flat_out) in
+      if g <> 0.0 then begin
+        for i = 0 to n_in - 1 do
+          match kind.(i) with
+          | Affine ->
+              let b = ref dim_const.(i) and st = dim_out.(i) in
+              for a = 0 to m - 1 do
+                b := !b + (st.(a) * pos.(a))
+              done;
+              base.(i) <- !b
+          | Residue -> base.(i) <- t.input_indexers.(i) env
+          | Closure -> ()
+        done;
+        for q = 0 to n_w - 1 do
+          let o = ref 0 and st = w_out.(q) in
+          for a = 0 to m - 1 do
+            o := !o + (st.(a) * pos.(a))
+          done;
+          w_base.(q) <- !o
+        done;
+        clip g
+      end;
+      (* The next output position, row-major, mirrored into [env]. *)
+      let a = ref (m - 1) in
+      while !a >= 0 do
+        let ax = !a in
+        pos.(ax) <- pos.(ax) + 1;
+        if pos.(ax) < t.out_shape.(ax) then a := -1
+        else begin
+          pos.(ax) <- 0;
+          decr a
+        end;
+        env.(out_ids.(ax)) <- pos.(ax)
+      done
+    done;
   (grad_in, grad_ws)

@@ -16,6 +16,34 @@ val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
     environment (indexed by iterator id), with sizes resolved through
     the lookup.  Shared with {!Staged_exec}. *)
 
+(** {2 Affine splitting}
+
+    The one splitter behind {!Specialize.compile}'s final-factor strides
+    and {!backward}'s compiled nest. *)
+
+type split = {
+  affine : (int * Coord.Ast.t) list;
+      (** the affine terms; an iterator-free [Div]/[Mod], such as
+          [Unfold]'s [k / 2] centring offset, is a constant *)
+  residue : (int * Coord.Ast.t) list;  (** the other terms that mention no reduction iterator *)
+  dynamic : bool;  (** some non-affine term mentions a reduction iterator *)
+}
+
+val split : reductions:int array -> Coord.Ast.t -> split
+(** The expression as a signed sum of additive terms (split at
+    [Add]/[Sub], with [Mul] distributed over the split, exact in
+    integers): the affine terms, which {!strides} turns into constant
+    strides; the non-affine terms over no iterator in [reductions],
+    which take one value per output; and whether any other term is
+    left. *)
+
+val strides : (int array -> int) -> env_size:int -> int array -> int * int array
+(** [strides eval ~env_size ids] probes a compiled expression: its value
+    at the all-zero environment, and for each iterator id in [ids] its
+    change per unit of that iterator.  Exact when [eval] is affine in
+    [ids] with the other iterators held fixed — an affine term, or a
+    whole dim whose non-affine terms mention none of [ids]. *)
+
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 
 val output_shape : t -> int array
@@ -28,6 +56,14 @@ val init_weights : t -> Nd.Rng.t -> Nd.Tensor.t list
     variance budget [2 / reduction extent] is split evenly across the
     weight groups so the accumulated output keeps unit-order scale. *)
 
+val check_arguments : string -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> unit
+(** [check_arguments fn t ~input ~weights] raises [Invalid_argument]
+    prefixed with [fn] and naming the bad argument when the input's
+    shape differs from {!input_shape}, the weight count from
+    {!weight_shapes}, or a weight's shape from its group's.  The one
+    argument check of {!forward}, {!backward} and
+    [Staged_exec.initial_factors]. *)
+
 val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
 
 val backward :
@@ -36,7 +72,36 @@ val backward :
   weights:Nd.Tensor.t list ->
   grad_out:Nd.Tensor.t ->
   Nd.Tensor.t * Nd.Tensor.t list
-(** [(grad_input, grad_weights)]. *)
+(** [(grad_input, grad_weights)] of [out = forward input weights] under
+    the upstream gradient [grad_out]: per (output, reduction) point that
+    is not clipped and whose [grad_out] [g] is not 0,
+    [grad_in[f(o, r)] += g * w_prod] with [w_prod] built from 1.0 in
+    group order, and [grad_w_g[idx_g] += (g * x) * w_g'] over [g' <> g]
+    in ascending order.  Arguments are checked by {!check_arguments},
+    and [grad_out] must have {!output_shape}.
+
+    The body is a loop nest compiled per call (microseconds).  Each
+    input dim is split by {!split}: an affine dim becomes a
+    constant plus a {!strides} stride per output and per reduction
+    axis; a dim whose non-affine terms mention output iterators only
+    evaluates its closure once per output and then moves by reduction
+    strides; any other dim keeps its {!compile_expr} closure.  Weight
+    groups are bare iterators, so their offsets are strides too.
+
+    Per output, the strides decide which reduction points read inside
+    the input: each dim that moves with one reduction axis clips that
+    axis to an exact sub-range, and the other dims are range-tested over
+    the clipped box.  When no dim needs a closure and every test passes,
+    the box runs with unchecked reads and writes — an odometer over the
+    outer axes and a tight loop over the inner two, specialized for 1
+    and 2 weight groups with a general fallback.  Otherwise a guarded
+    odometer window-tests every point of the whole box.  The clipped-away
+    points are exactly the ones that would have added nothing.
+
+    The points are visited in the per-point order — outputs outermost in
+    row-major order, then the reductions in row-major order — and each
+    forms the same products, so the gradients are bit-identical to the
+    per-point semantics above.  It runs sequentially. *)
 
 val flops : t -> int
 (** Naive loop-nest FLOPs (no staging). *)

@@ -123,21 +123,6 @@ let partition_checks ~what ~axes ~counts pieces =
     pieces;
   Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) pieces)
 
-(* An iterator-free [Div]/[Mod] is a constant; any other is not affine. *)
-let rec affine = function
-  | Ast.Div (e, _) | Ast.Mod (e, _) -> Ast.iters e = []
-  | Ast.Add (a, b) | Ast.Sub (a, b) -> affine a && affine b
-  | Ast.Mul (_, e) -> affine e
-  | Ast.Iter _ | Ast.Const _ | Ast.Size_const _ -> true
-
-(* [e] as a signed sum of additive terms: split at [Add]/[Sub], with
-   [Mul] distributed over the split.  Exact in integer arithmetic. *)
-let rec terms = function
-  | Ast.Add (a, b) -> terms a @ terms b
-  | Ast.Sub (a, b) -> terms a @ List.map (fun (c, t) -> (-c, t)) (terms b)
-  | Ast.Mul (n, e) -> List.map (fun (c, t) -> (c, Ast.Mul (n, t))) (terms e)
-  | e -> [ (1, e) ]
-
 let compile staged plan =
   let syms, fsym = Staged.symbolic_plan staged in
   let n_nests = List.length syms + 1 in
@@ -192,7 +177,7 @@ let compile staged plan =
   let out_ids = fsym.Staged.fs_out_ids and red_ids = fsym.Staged.fs_red_ids in
   let m = Array.length out_ids and k = Array.length red_ids in
   let env_size = fsym.Staged.fs_env_size in
-  let probe = Array.make env_size 0 in
+  let iter_ids = Array.append out_ids red_ids in
   let factors =
     Array.map
       (fun dims ->
@@ -206,35 +191,24 @@ let compile staged plan =
           (fun j (expr, lo, _) ->
             let s = fstrides.(j) in
             ff_const := !ff_const - (lo * s);
+            let sp = Reference.split ~reductions:red_ids expr in
             List.iter
               (fun (c, term) ->
-                let eval = Reference.compile_expr lookup term in
-                let iters = Ast.iters term in
-                if affine term then begin
-                  Array.fill probe 0 env_size 0;
-                  let c0 = eval probe in
-                  ff_const := !ff_const + (c * c0 * s);
-                  List.iter
-                    (fun (it : Ast.iter) ->
-                      probe.(it.Ast.id) <- 1;
-                      let d = c * (eval probe - c0) * s in
-                      probe.(it.Ast.id) <- 0;
-                      let add coefs ids =
-                        Array.iteri
-                          (fun a id -> if id = it.Ast.id then coefs.(a) <- coefs.(a) + d)
-                          ids
-                      in
-                      add ff_out out_ids;
-                      add ff_red red_ids)
-                    iters
-                end
-                else if
-                  List.exists
-                    (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
-                    iters
-                then ff_red_dyn := true
-                else ff_dyn := (eval, c * s) :: !ff_dyn)
-              (terms expr))
+                let c0, d =
+                  Reference.strides (Reference.compile_expr lookup term) ~env_size iter_ids
+                in
+                ff_const := !ff_const + (c * c0 * s);
+                for a = 0 to m - 1 do
+                  ff_out.(a) <- ff_out.(a) + (c * d.(a) * s)
+                done;
+                for a = 0 to k - 1 do
+                  ff_red.(a) <- ff_red.(a) + (c * d.(m + a) * s)
+                done)
+              sp.Reference.affine;
+            List.iter
+              (fun (c, term) -> ff_dyn := (Reference.compile_expr lookup term, c * s) :: !ff_dyn)
+              sp.Reference.residue;
+            if sp.Reference.dynamic then ff_red_dyn := true)
           dims;
         {
           ff_const = !ff_const;

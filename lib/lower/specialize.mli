@@ -19,7 +19,8 @@
     use and cancellation polling are the interpreter's own.
 
     Each final-contraction dim is split at [Add]/[Sub] into additive
-    terms.  Affine terms (an iterator-free [Div]/[Mod], such as
+    terms by {!Reference.split}, the splitter the reference
+    backward shares.  Affine terms (an iterator-free [Div]/[Mod], such as
     [Unfold]'s [k / 2] centring offset, counts as a constant) become
     constant strides; a non-affine term over output iterators only
     (the grouped [C_in*g^-1*(i1 / C_out*g^-1)]) is a residue evaluated

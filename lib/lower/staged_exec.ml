@@ -430,29 +430,11 @@ let access_plan t =
   in
   List.map stage_sym_accesses syms @ [ final_accesses ]
 
-let shape_to_string sh =
-  "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int sh)) ^ "]"
-
-(* The one place both forwards check their arguments: a tensor of the
-   wrong shape would otherwise be indexed unchecked by the certified
-   interior loops. *)
+(* Both forwards check their arguments here, through
+   {!Reference.check_arguments}: a tensor of the wrong shape would
+   otherwise be indexed unchecked by the certified interior loops. *)
 let initial_factors t ~input ~weights =
-  let r = t.reference in
-  let expect what actual expected =
-    if actual <> expected then
-      invalid_arg
-        (Printf.sprintf "forward: %s has shape %s, expected %s" what (shape_to_string actual)
-           (shape_to_string expected))
-  in
-  expect "input" (Tensor.shape input) (Reference.input_shape r);
-  let shapes = Reference.weight_shapes r in
-  if List.length weights <> List.length shapes then
-    invalid_arg
-      (Printf.sprintf "forward: %d weights given, expected %d" (List.length weights)
-         (List.length shapes));
-  List.iteri
-    (fun i (w, sh) -> expect (Printf.sprintf "weight %d" i) (Tensor.shape w) sh)
-    (List.combine weights shapes);
+  Reference.check_arguments "forward" t.reference ~input ~weights;
   List.map2
     (fun dims data -> { dims; data })
     (initial_dims t.op (Valuation.lookup t.valuation))

@@ -42,9 +42,10 @@ val initial_factors : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> fact
 (** The factor list the first stage starts from: the input gather
     followed by one factor per weight group, in operator order.  This is
     where both {!forward} and [Specialize.forward] check their
-    arguments: raises [Invalid_argument] naming the input or the weight
-    whose shape differs from {!Reference.input_shape} /
-    {!Reference.weight_shapes}, or when the weight count is wrong. *)
+    arguments, through {!Reference.check_arguments}: raises
+    [Invalid_argument] naming the input or the weight whose shape
+    differs from {!Reference.input_shape} / {!Reference.weight_shapes},
+    or when the weight count is wrong. *)
 
 (** {2 Symbolic plan}
 

@@ -67,6 +67,9 @@ val specialized_forward :
 
 (** {1 Accuracy evaluation on the synthetic proxy task} *)
 
+val proxy_batch_size : int
+(** The batch size {!proxy_layer} compiles its operators for. *)
+
 val proxy_layer :
   ?specialize:specialize_mode ->
   Zoo.entry ->

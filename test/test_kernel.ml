@@ -68,23 +68,28 @@ let check_identical name op v =
 
 (* --- Bit-identity over the zoo -------------------------------------------- *)
 
+(* conv2d with each reduction iterator [r] of the input gather replaced
+   by [f r]. *)
+let conv2d_with_reductions f =
+  let rec rewrite = function
+    | Ast.Iter it when it.Ast.role = Ast.Reduction -> f (Ast.iter it)
+    | Ast.Add (a, b) -> Ast.Add (rewrite a, rewrite b)
+    | Ast.Sub (a, b) -> Ast.Sub (rewrite a, rewrite b)
+    | Ast.Mul (n, e) -> Ast.Mul (n, rewrite e)
+    | Ast.Div (e, n) -> Ast.Div (rewrite e, n)
+    | Ast.Mod (e, n) -> Ast.Mod (rewrite e, n)
+    | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
+  in
+  let conv = Zoo.conv2d.Zoo.operator in
+  { conv with Graph.op_input_exprs = List.map rewrite conv.Graph.op_input_exprs }
+
 (* conv2d with each reduction iterator of the input gather hidden as
    [(2 * r) / 2]: the same values, so the certificate keeps its interior,
    but the [Div] has no constant stride, so the certified interior
    pieces of the final nest run the guarded loop with nothing checked. *)
 let guarded_interior_conv =
   let two = Size.of_int 2 in
-  let rec hide = function
-    | Ast.Iter it when it.Ast.role = Ast.Reduction -> Ast.div (Ast.mul two (Ast.iter it)) two
-    | Ast.Add (a, b) -> Ast.Add (hide a, hide b)
-    | Ast.Sub (a, b) -> Ast.Sub (hide a, hide b)
-    | Ast.Mul (n, e) -> Ast.Mul (n, hide e)
-    | Ast.Div (e, n) -> Ast.Div (hide e, n)
-    | Ast.Mod (e, n) -> Ast.Mod (hide e, n)
-    | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
-  in
-  let conv = Zoo.conv2d.Zoo.operator in
-  { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs }
+  conv2d_with_reductions (fun r -> Ast.div (Ast.mul two r) two)
 
 let test_zoo_bit_identity () =
   List.iter (fun e -> check_identical e.Zoo.name e.Zoo.operator valuation) zoo_cases;
@@ -413,6 +418,152 @@ let random_specialized_agreement =
               bits a = bits b
               && Specialize.checkless_volume sp <= stats.Certify.ct_interior_cells))
 
+(* --- Backward: the compiled nest against the per-point oracle ---------------- *)
+
+(* A ReLU-style upstream gradient: about half of it is exactly 0, so the
+   skipped outputs are exercised too. *)
+let relu_grad rng shape =
+  Tensor.map (fun v -> Float.max 0.0 v) (Tensor.rand_normal rng ~scale:1.0 shape)
+
+(* [Reference.backward] and {!Naive_backward} on the same seeded
+   arguments; [Some mismatch] names the first gradient whose bits differ. *)
+let backward_mismatch ~seed op v =
+  let r = Reference.compile op v in
+  let rng = Rng.create ~seed in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
+  let grad_out = relu_grad rng (Reference.output_shape r) in
+  let gi, gws = Reference.backward r ~input:x ~weights:w ~grad_out in
+  let gi', gws' = Naive_backward.backward op v ~input:x ~weights:w ~grad_out in
+  if bits gi <> bits gi' then Some "grad_input"
+  else
+    List.find_map
+      (fun (i, (a, b)) ->
+        if bits a <> bits b then Some (Printf.sprintf "grad_weight %d" i) else None)
+      (List.mapi (fun i p -> (i, p)) (List.combine gws gws'))
+
+let check_backward ?(seed = 19) name op v =
+  match backward_mismatch ~seed op v with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: %s differs from the per-point oracle" name what
+
+(* conv2d with its last input coordinate moved 4 to the right: every
+   output near the right edge reads a window that lies wholly outside
+   the input. *)
+let offset_window_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  let exprs = conv.Graph.op_input_exprs in
+  let last = List.length exprs - 1 in
+  {
+    conv with
+    Graph.op_input_exprs =
+      List.mapi (fun i e -> if i = last then Ast.Add (e, Ast.Const 4) else e) exprs;
+  }
+
+(* conv2d with each reduction iterator of the input gather folded as
+   [r mod 2]: a term no stride describes, so those dims keep their
+   closures and every output runs the guarded nest. *)
+let folded_window_conv = conv2d_with_reductions (fun r -> Ast.Mod (r, Size.of_int 2))
+
+(* Windows that step by 2 and windows that run backwards: the per-axis
+   clip divides by the stride and flips for a negative one. *)
+let strided_window_conv = conv2d_with_reductions (fun r -> Ast.mul (Size.of_int 2) r)
+let reversed_window_conv = conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 0, r))
+
+let reversed_strided_window_conv =
+  conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 1, Ast.mul (Size.of_int 3) r))
+
+(* conv2d whose row coordinate moves with both window axes,
+   [i_h + r_h + r_w - 2 * (k / 2)]: a dim no single axis clips, so a
+   border output is tested over the whole window. *)
+let diagonal_window_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
+  | [ n; c; h; w ], [ _; _; r_w ] ->
+      let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
+      {
+        conv with
+        Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ];
+      }
+  | _ -> Alcotest.fail "conv2d: unexpected gather"
+
+(* conv2d with two more weight groups, one over the window row and one
+   over the output channel: four factors per point, the general inner
+   run. *)
+let three_group_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  match (conv.Graph.op_output_iters, conv.Graph.op_reductions) with
+  | [ _; co; _; _ ], [ _; r_h; _ ] ->
+      { conv with Graph.op_weights = conv.Graph.op_weights @ [ [ r_h ]; [ co ] ] }
+  | _ -> Alcotest.fail "conv2d: unexpected iterators"
+
+(* Every zoo operator at the proxy-layer shapes of [Api.proxy_layer]. *)
+let test_backward_zoo_proxy_shapes () =
+  List.iter
+    (fun c_in ->
+      let v = Zoo.Vars.conv_valuation ~n:16 ~c_in ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 () in
+      List.iter
+        (fun e -> check_backward (Printf.sprintf "%s c%d->8" e.Zoo.name c_in) e.Zoo.operator v)
+        zoo_cases)
+    [ 4; 8 ]
+
+let test_backward_closure_and_padding () =
+  check_backward "conv2d/guarded-interior" guarded_interior_conv valuation;
+  check_backward "conv2d/folded-window" folded_window_conv valuation;
+  check_backward "conv2d/strided-window" strided_window_conv valuation;
+  check_backward "conv2d/reversed-window" reversed_window_conv valuation;
+  check_backward "conv2d/reversed-strided-window" reversed_strided_window_conv valuation;
+  check_backward "conv2d/diagonal-window" diagonal_window_conv valuation;
+  check_backward "conv2d/three-groups" three_group_conv valuation;
+  check_backward "conv2d/offset-window" offset_window_conv valuation;
+  check_backward "matmul" Zoo.matmul.Zoo.operator (Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20);
+  List.iter
+    (fun e ->
+      check_backward (e.Zoo.name ^ "/ones") e.Zoo.operator
+        (Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:1 ~k:1 ~g:1 ~s:1 ()))
+    [ Zoo.conv2d; Zoo.conv1x1; Zoo.depthwise_conv ];
+  check_backward "conv2d/hw1 k3" Zoo.conv2d.Zoo.operator
+    (Zoo.Vars.conv_valuation ~n:2 ~c_in:2 ~c_out:2 ~hw:1 ~k:3 ~g:1 ~s:1 ())
+
+(* Random synthesized operators at random valuations, size-1 axes and
+   windows wider than the input included; a valuation the operator
+   cannot be instantiated at proves nothing. *)
+let random_backward_agreement =
+  QCheck.Test.make ~name:"random operators: compiled backward = per-point oracle" ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, vseed) ->
+      let open Zoo.Vars in
+      let sz = Size.of_var in
+      let search_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () in
+      let base =
+        Search.Enumerate.default_config
+          ~output_shape:[ sz n; sz c_out; sz h; sz w ]
+          ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
+          ~valuations:[ search_v ] ()
+      in
+      let cfg =
+        {
+          base with
+          Search.Enumerate.max_prims = 7;
+          coefficient_candidates = [ sz k; sz s ];
+          reduce_candidates = [ sz c_in; sz k ];
+          frozen_sizes = [ sz n ];
+        }
+      in
+      match Search.Enumerate.random_completion cfg (Rng.create ~seed) ~use_distance:true with
+      | None -> true
+      | Some op -> (
+          let vr = Rng.create ~seed:vseed in
+          let pick l = List.nth l (Rng.int vr (List.length l)) in
+          let v =
+            Zoo.Vars.conv_valuation ~n:(pick [ 1; 2 ]) ~c_in:(pick [ 1; 2; 4 ])
+              ~c_out:(pick [ 1; 2; 4 ]) ~hw:(pick [ 1; 2; 3; 4; 6 ]) ~k:(pick [ 1; 3; 5 ])
+              ~g:(pick [ 1; 2 ]) ~s:(pick [ 1; 2 ]) ()
+          in
+          match Reference.compile op v with
+          | exception Failure _ -> true
+          | _ -> backward_mismatch ~seed:(seed + 1) op v = None))
+
 let () =
   Alcotest.run "kernel"
     [
@@ -448,4 +599,10 @@ let () =
           Alcotest.test_case "plan shape mismatch" `Quick test_plan_shape_mismatch_rejected;
         ] );
       ("arguments", [ Alcotest.test_case "bad weights rejected" `Quick test_bad_weights_rejected ]);
+      ( "backward",
+        [
+          Alcotest.test_case "zoo at proxy shapes" `Quick test_backward_zoo_proxy_shapes;
+          Alcotest.test_case "closure, padding, size-1" `Quick test_backward_closure_and_padding;
+          QCheck_alcotest.to_alcotest random_backward_agreement;
+        ] );
     ]

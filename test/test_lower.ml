@@ -11,6 +11,7 @@ module Rng = Nd.Rng
 module Reference = Lower.Reference
 module Einsum_program = Lower.Einsum_program
 module Staging = Lower.Staging
+module Zoo = Syno.Zoo
 
 let n = Var.primary "N"
 let c_in = Var.primary "C_in"
@@ -138,7 +139,7 @@ let loss r ~input ~weights =
   (* sum of squares / 2 so that dL/dout = out *)
   0.5 *. Tensor.sum (Tensor.mul out out)
 
-let finite_difference op name =
+let finite_difference ?(valuation = valuation) op name =
   let r = Reference.compile op valuation in
   let rng = Rng.create ~seed:5 in
   let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
@@ -172,6 +173,77 @@ let test_gradients () =
 
 let test_gradients_views () =
   finite_difference (avgpool_op ()) "avgpool"
+
+(* conv2d (clipped windows), grouped_conv (an output-only [Div] in the
+   input gather) and operator1 (two weight groups). *)
+let test_gradients_zoo () =
+  let valuation = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () in
+  List.iter
+    (fun e -> finite_difference ~valuation e.Zoo.operator e.Zoo.name)
+    [ Zoo.conv2d; Zoo.grouped_conv; Zoo.operator1 ]
+
+let dot a b =
+  let a = Tensor.unsafe_data a and b = Tensor.unsafe_data b in
+  let s = ref 0.0 in
+  Array.iteri (fun i v -> s := !s +. (v *. b.(i))) a;
+  !s
+
+(* The operator is linear in the input and in each weight group, so
+   [<grad_in, x>] and every [<grad_w_g, w_g>] equal [<grad_out, out>]:
+   a check of the gradients that neither backward implementation
+   enters into. *)
+let test_adjoint_identity () =
+  let conv_v = Zoo.Vars.conv_valuation ~n:2 ~c_in:4 ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 () in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let v = if e == Zoo.matmul then Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20 else conv_v in
+      let r = Reference.compile e.Zoo.operator v in
+      let rng = Rng.create ~seed:23 in
+      let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+      let w = Reference.init_weights r rng in
+      let grad_out =
+        Tensor.map (Float.max 0.0) (Tensor.rand_normal rng ~scale:1.0 (Reference.output_shape r))
+      in
+      let expected = dot grad_out (Reference.forward r ~input:x ~weights:w) in
+      let grad_in, grad_ws = Reference.backward r ~input:x ~weights:w ~grad_out in
+      let check what got =
+        if Float.abs (got -. expected) > 1e-9 *. Float.abs expected then
+          Alcotest.failf "%s: <%s> = %.17g, <grad_out, out> = %.17g" e.Zoo.name what got expected
+      in
+      check "grad_in, x" (dot grad_in x);
+      List.iteri (fun i (gw, wt) -> check (Printf.sprintf "grad_w%d, w%d" i i) (dot gw wt))
+        (List.combine grad_ws w))
+    Zoo.all
+
+(* --- Argument checks ------------------------------------------------------- *)
+
+(* Both Reference entry points refuse a bad argument up front, naming
+   it: the compiled backward reads and writes unchecked. *)
+let test_bad_arguments_rejected () =
+  let r = Reference.compile Zoo.matmul.Zoo.operator (Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7) in
+  let rng = Rng.create ~seed:3 in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
+  let grad_out = Tensor.rand_normal rng ~scale:1.0 (Reference.output_shape r) in
+  let expect_rejected fn names run =
+    match run () with
+    | exception Invalid_argument msg ->
+        if not (Astring.String.is_infix ~affix:names msg) then
+          Alcotest.failf "%s: %S does not name the %s" fn msg names
+    | _ -> Alcotest.failf "%s accepted a bad %s" fn names
+  in
+  let both names ~input ~weights =
+    expect_rejected "Reference.forward" names (fun () ->
+        ignore (Reference.forward r ~input ~weights));
+    expect_rejected "Reference.backward" names (fun () ->
+        ignore (Reference.backward r ~input ~weights ~grad_out))
+  in
+  both "input" ~input:(Tensor.create [| 7; 6 |]) ~weights:w;
+  both "weight 0" ~input:x ~weights:[ Tensor.create [| 8; 9 |] ];
+  both "weights given" ~input:x ~weights:[];
+  both "weights given" ~input:x ~weights:(w @ w);
+  expect_rejected "Reference.backward" "grad_out" (fun () ->
+      ignore (Reference.backward r ~input:x ~weights:w ~grad_out:(Tensor.create [| 5; 6 |])))
 
 (* --- Staging (materialized reduction, Fig. 4) --------------------------- *)
 
@@ -230,7 +302,11 @@ let () =
         [
           Alcotest.test_case "contractions" `Quick test_gradients;
           Alcotest.test_case "views" `Quick test_gradients_views;
+          Alcotest.test_case "zoo" `Quick test_gradients_zoo;
+          Alcotest.test_case "adjoint identity" `Quick test_adjoint_identity;
         ] );
+      ( "arguments",
+        [ Alcotest.test_case "bad arguments rejected" `Quick test_bad_arguments_rejected ] );
       ( "staging",
         [
           Alcotest.test_case "fig4" `Quick test_staging_fig4;

@@ -196,6 +196,43 @@ let test_search_golden () =
   Alcotest.(check string) "seed 7" "4f40a598ed7fa73a1ec427260eea5872" (search_digest 7);
   Alcotest.(check string) "seed 2024" "212505321e1dc89ca64ec14044119979" (search_digest 2024)
 
+(* Four proxy train steps of the specialized conv2d and operator1
+   models, pinned bit for bit: every loss depends on the operator's
+   gradient, so a backward that changes one bit of a gradient fails
+   here. *)
+let train_loss_digest () =
+  let data =
+    Dataset.Synth_vision.generate (Nd.Rng.create ~seed:11) ~classes:4 ~channels:4 ~size:10
+      ~train_batches:2 ~eval_batches:1 ~batch_size:Api.proxy_batch_size ()
+  in
+  let batches = Array.of_list data.Dataset.Synth_vision.train in
+  let losses (entry : Zoo.entry) =
+    let model =
+      Backbones.Proxy.vision_model (Nd.Rng.create ~seed:13)
+        ~make_op:(fun rng stage -> Api.proxy_layer ~specialize:`Auto entry rng stage)
+        ~in_channels:data.Dataset.Synth_vision.channels ~channels:8
+        ~classes:data.Dataset.Synth_vision.classes ~size:data.Dataset.Synth_vision.size ()
+    in
+    let opt = Nn.Optimizer.sgd ~momentum:0.9 ~weight_decay:1e-4 ~lr:0.1 () in
+    List.init 4 (fun i ->
+        let b = batches.(i mod Array.length batches) in
+        (Nn.Model.train_step model opt ~images:b.Nn.Train.images ~labels:b.Nn.Train.labels)
+          .Nn.Model.loss)
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.concat_map
+             (fun (e : Zoo.entry) ->
+               List.map
+                 (fun l -> Printf.sprintf "%s %Lx" e.Zoo.name (Int64.bits_of_float l))
+                 (losses e))
+             [ Zoo.conv2d; Zoo.operator1 ])))
+
+let test_train_loss_golden () =
+  Alcotest.(check string)
+    "conv2d + operator1" "d5ab8bd75c84404dc358df89ae443604" (train_loss_digest ())
+
 let () =
   Alcotest.run "syno"
     [
@@ -218,5 +255,6 @@ let () =
           Alcotest.test_case "search top-k digest" `Quick test_search_golden;
           Alcotest.test_case "search 2 domains deterministic" `Quick
             test_search_domains_deterministic;
+          Alcotest.test_case "train loss digest" `Quick test_train_loss_golden;
         ] );
     ]
