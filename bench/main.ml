@@ -1780,8 +1780,10 @@ let serve_bench ~smoke () =
    every certified interior cell must run the checkless loops
    ([Specialize.checkless_volume] equals the certificate's interior
    volume — guarded execution is bit-identical, so only this gate sees
-   the fast path go unused); certificate construction plus translation
-   validation allocates zero tensors; and 100% of seeded plan
+   the fast path go unused); every catalog final nest must clip its
+   border outputs exactly ([Specialize.clips_exactly]); certificate
+   construction plus translation validation allocates zero tensors;
+   and 100% of seeded plan
    corruptions are rejected by Certify, including the three
    execution-invisible ones that still compute bit-identical outputs
    when run.  The smoke variant runs inside `dune runtest` via the
@@ -1854,6 +1856,22 @@ let kernel_bench ~smoke () =
   in
   note "checkless volume = certified interior on %d/%d catalog operators"
     (List.length cases - List.length guarded_interiors)
+    (List.length cases);
+  (* Border outputs clip per output unless the final nest cannot be
+     clipped exactly; then some of them run guarded, again
+     bit-identically. *)
+  let unclipped =
+    List.filter_map
+      (fun (name, _, _, sp) ->
+        match sp with
+        | Some sp when Specialize.clips_exactly sp -> None
+        | _ ->
+            note "%-28s final nest does not clip exactly" name;
+            Some name)
+      cases
+  in
+  note "final nest clips exactly on %d/%d catalog operators"
+    (List.length cases - List.length unclipped)
     (List.length cases);
   let results =
     List.map
@@ -2030,6 +2048,7 @@ let kernel_bench ~smoke () =
       ("every catalog operator certified", all_specialized);
       ("checkless volume equals the certified interior on every catalog operator",
        guarded_interiors = []);
+      ("every catalog final nest clips exactly", unclipped = []);
       ("certification allocates no tensor", certify_allocs = 0);
       (Printf.sprintf "geomean speedup >= %.1fx" speedup_gate, speedup_ok);
       ("every seeded plan corruption rejected by Certify", faults_ok);

@@ -224,15 +224,17 @@ let check_degenerate_reductions ~valuations (op : Graph.operator) =
       else None)
     op.Graph.op_reductions
 
-(* Two findings from one certificate per valuation.  [all-border]: the
-   interior fraction is 0, so the specializer has no checkless region at
-   all — every element of every loop nest runs the guarded border path
-   and specialization degenerates to the interpreter plus partitioning
-   overhead.  Legal, but a sign the candidate is all padding (or that
-   the interval analysis lost it).  [guarded-interior]: the certificate
-   has an interior, but the compiled kernel runs less of it checkless
-   than it proves — some final access is non-affine in a reduction
-   iterator, so the whole final nest takes the guarded path. *)
+(* Three findings from one certificate per valuation.  [all-border]:
+   the interior fraction is 0, so no piece of any loop nest runs the
+   checkless interior loops: stage elements run the guarded loop, and
+   the final nest's outputs at best clip per output.  Legal, but a sign
+   the candidate is all padding (or that the interval analysis lost
+   it).  [guarded-interior]: the certificate has an interior, but the
+   compiled kernel runs less of it checkless than it proves — some final
+   access is non-affine in a reduction iterator, so the whole final nest
+   takes the guarded path.  [guarded-border]: the final nest does not
+   clip exactly ([Lower.Specialize.clips_exactly]), so some of its
+   border outputs can run the guarded loop. *)
 let check_certificate ~valuations (op : Graph.operator) =
   List.concat_map
     (fun v ->
@@ -251,7 +253,7 @@ let check_certificate ~valuations (op : Graph.operator) =
                  Some
                    (finding "all-border" Warning
                       (Printf.sprintf
-                         "certificate has interior fraction 0 (%s): every element takes the guarded border path; specialization cannot help"
+                         "certificate has interior fraction 0 (%s): no element runs the checkless interior loops; stage elements run guarded and final outputs at best clip per output"
                          (Regions.summary_to_string cert)))
                else None);
               (if interior > 0 && checkless < interior then
@@ -260,6 +262,11 @@ let check_certificate ~valuations (op : Graph.operator) =
                       (Printf.sprintf
                          "certificate proves %d interior cells but only %d run checkless: a final access is non-affine in a reduction iterator"
                          interior checkless))
+               else None);
+              (if not (Lower.Specialize.clips_exactly sp) then
+                 Some
+                   (finding "guarded-border" Warning
+                      "the final nest does not clip exactly: a final access is non-affine in a reduction iterator, or moves with two or more of them, so border outputs can run the guarded loop")
                else None);
             ])
     valuations

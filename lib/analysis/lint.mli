@@ -20,13 +20,17 @@
       iterators then never reach a weight (spatial) or a second tensor
       (reduction), so the expansion only replicates or scales;
     - [all-border]: the {!Regions} certificate has interior fraction 0
-      under some valuation — every element of every loop nest takes
-      the guarded border path, so proof-guided specialization
-      degenerates to the interpreter plus partitioning overhead;
+      under some valuation — no element runs the checkless interior
+      loops: stage elements take the guarded loop, and the final nest's
+      outputs at best clip their reduction boxes per output;
     - [guarded-interior]: the certificate has a non-empty interior but
       [Lower.Specialize.checkless_volume] of the compiled kernel is
       smaller — some final access has a non-affine term in a reduction
       iterator, so certified interior cells run the guarded path;
+    - [guarded-border]: [Lower.Specialize.clips_exactly] is false under
+      some valuation — a final access is non-affine in a reduction
+      iterator or moves with two or more of them, so some border
+      outputs of the final nest can run the guarded loop;
     - [trace-mismatch]: the recorded trace does not replay;
     - [cost-drift]: the lint pass's own independent FLOPs/elements
       recomputation disagrees with [Pgraph.Flops] (cross-checking the

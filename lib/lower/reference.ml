@@ -77,6 +77,82 @@ let strides eval ~env_size ids =
         d)
       ids )
 
+(* --- Per-output clipping ------------------------------------------------------ *)
+
+type clip = Empty | Inside | Partial
+
+type clipper = {
+  cl_doms : int array;
+  cl_red : int array array;  (* per dim: stride per reduction axis *)
+  cl_top : int array;  (* per dim: the last in-window index *)
+  cl_axis : int array;  (* per dim: the one reduction axis it moves with, or -1 *)
+  cl_singles : int array;  (* the dims that move with one axis *)
+  cl_others : int array;  (* the other dims the clip follows *)
+}
+
+let clipper ~doms ~extents red =
+  let n = Array.length red and k = Array.length doms in
+  let axis i =
+    match red.(i) with
+    | None -> -1
+    | Some r -> (
+        match List.filter (fun j -> r.(j) <> 0) (List.init k Fun.id) with [ j ] -> j | _ -> -1)
+  in
+  let cl_axis = Array.init n axis in
+  let indices p = Array.of_list (List.filter p (List.init n Fun.id)) in
+  {
+    cl_doms = doms;
+    cl_red = Array.map (function Some r -> r | None -> Array.make k 0) red;
+    cl_top = Array.map pred extents;
+    cl_axis;
+    cl_singles = indices (fun i -> cl_axis.(i) >= 0);
+    cl_others = indices (fun i -> cl_axis.(i) < 0 && red.(i) <> None);
+  }
+
+let exact c = Array.for_all (fun i -> Array.for_all (( = ) 0) c.cl_red.(i)) c.cl_others
+
+(* Each axis is clipped to the [r] with [0 <= b + c * r <= top] for every
+   dim that moves with it alone; the other dims are then range-tested
+   over the clipped box. *)
+let clip c base ~lo ~ext =
+  let ceil_div a b = -Ast.fdiv (-a) b in
+  let k = Array.length c.cl_doms in
+  for j = 0 to k - 1 do
+    lo.(j) <- 0;
+    ext.(j) <- c.cl_doms.(j)
+  done;
+  let empty = ref false and partial = ref false in
+  for s = 0 to Array.length c.cl_singles - 1 do
+    let i = c.cl_singles.(s) in
+    let j = c.cl_axis.(i) in
+    let st = c.cl_red.(i).(j) and b = base.(i) and top = c.cl_top.(i) in
+    let l =
+      if st = 1 then -b else if st > 0 then ceil_div (-b) st else ceil_div (b - top) (-st)
+    in
+    let h =
+      if st = 1 then top - b else if st > 0 then Ast.fdiv (top - b) st else Ast.fdiv b (-st)
+    in
+    let l = max l lo.(j) and h = min h (lo.(j) + ext.(j) - 1) in
+    if l > h then empty := true
+    else begin
+      lo.(j) <- l;
+      ext.(j) <- h - l + 1
+    end
+  done;
+  for s = 0 to Array.length c.cl_others - 1 do
+    let i = c.cl_others.(s) in
+    let l = ref base.(i) and h = ref base.(i) in
+    for j = 0 to k - 1 do
+      let st = c.cl_red.(i).(j) in
+      let a = st * lo.(j) and z = st * (lo.(j) + ext.(j) - 1) in
+      l := !l + min a z;
+      h := !h + max a z
+    done;
+    if !h < 0 || !l > c.cl_top.(i) then empty := true
+    else if !l < 0 || !h > c.cl_top.(i) then partial := true
+  done;
+  if !empty then Empty else if !partial then Partial else Inside
+
 type t = {
   op : Graph.operator;
   out_shape : int array;
@@ -370,17 +446,10 @@ let backward t ~input ~weights ~grad_out =
       | Residue -> dim_red.(i) <- snd (strides f ~env_size:t.n_env red_ids)
       | Closure -> ())
     t.input_indexers;
-  (* Each non-closure dim moves with one reduction axis ([singles]) or
-     with none or several ([others]). *)
-  let axis i =
-    match List.filter (fun j -> dim_red.(i).(j) <> 0) (List.init k Fun.id) with
-    | [ j ] when kind.(i) <> Closure -> j
-    | _ -> -1
+  let clipper =
+    clipper ~doms ~extents:t.in_shape
+      (Array.mapi (fun i r -> if kind.(i) = Closure then None else Some r) dim_red)
   in
-  let dim_axis = Array.init n_in axis in
-  let indices p = Array.of_list (List.filter p (List.init n_in Fun.id)) in
-  let singles = indices (fun i -> dim_axis.(i) >= 0) in
-  let others = indices (fun i -> dim_axis.(i) < 0 && kind.(i) <> Closure) in
   let x_steps =
     Array.init k (fun j ->
         let s = ref 0 in
@@ -504,49 +573,20 @@ let backward t ~input ~weights ~grad_out =
       done
     done
   in
-  (* Per output: clip each axis to the [r] with [0 <= b + c * r <= top]
-     for every dim that moves with it alone, then test the other dims
-     over the clipped box and the weight windows over the whole box. *)
-  let ceil_div a b = -Ast.fdiv (-a) b in
-  let clip g =
-    let empty = ref false and unchecked = ref (not any_closure) in
-    for j = 0 to k - 1 do
-      rlo.(j) <- 0;
-      rext.(j) <- doms.(j)
-    done;
-    Array.iter
-      (fun i ->
-        let j = dim_axis.(i) in
-        let c = dim_red.(i).(j) and b = base.(i) and top = t.in_shape.(i) - 1 in
-        let lo =
-          if c = 1 then -b else if c > 0 then ceil_div (-b) c else ceil_div (b - top) (-c)
-        in
-        let hi =
-          if c = 1 then top - b else if c > 0 then Ast.fdiv (top - b) c else Ast.fdiv b (-c)
-        in
-        let lo = max lo rlo.(j) and hi = min hi (rlo.(j) + rext.(j) - 1) in
-        if lo > hi then empty := true
-        else begin
-          rlo.(j) <- lo;
-          rext.(j) <- hi - lo + 1
-        end)
-      singles;
-    Array.iter
-      (fun i ->
-        let lo = ref base.(i) and hi = ref base.(i) in
-        for j = 0 to k - 1 do
-          let c = dim_red.(i).(j) in
-          let a = c * rlo.(j) and z = c * (rlo.(j) + rext.(j) - 1) in
-          lo := !lo + min a z;
-          hi := !hi + max a z
-        done;
-        if !hi < 0 || !lo >= t.in_shape.(i) then empty := true
-        else if !lo < 0 || !hi >= t.in_shape.(i) then unchecked := false)
-      others;
+  (* Per output: clip the box ({!clip}), then test the weight windows
+     over the whole box. *)
+  let unchecked () =
+    let ok = ref (not any_closure) in
     for q = 0 to n_w - 1 do
-      if w_base.(q) + w_span.(q) >= Array.length wd.(q) then unchecked := false
+      if w_base.(q) + w_span.(q) >= Array.length wd.(q) then ok := false
     done;
-    if not !empty then if !unchecked then interior g else guarded g
+    !ok
+  in
+  let run g =
+    match clip clipper base ~lo:rlo ~ext:rext with
+    | Empty -> ()
+    | Inside when unchecked () -> interior g
+    | Inside | Partial -> guarded g
   in
   if red_total > 0 then
     for flat_out = 0 to out_total - 1 do
@@ -570,7 +610,7 @@ let backward t ~input ~weights ~grad_out =
           done;
           w_base.(q) <- !o
         done;
-        clip g
+        run g
       end;
       (* The next output position, row-major, mirrored into [env]. *)
       let a = ref (m - 1) in

@@ -44,6 +44,40 @@ val strides : (int array -> int) -> env_size:int -> int array -> int * int array
     [ids] with the other iterators held fixed — an affine term, or a
     whole dim whose non-affine terms mention none of [ids]. *)
 
+(** {2 Per-output clipping}
+
+    The one clip routine behind {!backward}'s compiled nest and
+    [Specialize]'s border outputs.  A dim's index is
+    [base + sum_j red.(j) * r_j] over the reduction axes [r_j], and it
+    reads inside its window when [0 <= index < extent]. *)
+
+type clip =
+  | Empty  (** some dim reads outside its window at every point of the box *)
+  | Inside  (** every followed dim reads inside its window over the clipped box *)
+  | Partial  (** a dim moving with several axes leaves its window somewhere in the box *)
+
+type clipper
+
+val clipper : doms:int array -> extents:int array -> int array option array -> clipper
+(** [clipper ~doms ~extents red]: reduction axes of extents [doms], and
+    per dim its window extent and [Some] its stride per reduction axis,
+    or [None] for a dim the clip does not follow (one a closure
+    indexes). *)
+
+val exact : clipper -> bool
+(** No followed dim moves with two or more reduction axes, so {!clip}
+    never answers [Partial]. *)
+
+val clip : clipper -> int array -> lo:int array -> ext:int array -> clip
+(** [clip c base ~lo ~ext] for one output whose dims sit at [base]
+    (indices at the all-zero reduction point): each dim that moves with
+    one reduction axis clips that axis exactly to its in-window range
+    (floor/ceiling division, sign-aware); every other followed dim is
+    range-tested over the clipped box.  Writes the box, per axis its
+    first point [lo] and extent [ext], and allocates nothing.  On
+    [Inside], the box is exactly the points every followed dim reads
+    inside its window. *)
+
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 
 val output_shape : t -> int array
@@ -89,9 +123,10 @@ val backward :
     groups are bare iterators, so their offsets are strides too.
 
     Per output, the strides decide which reduction points read inside
-    the input: each dim that moves with one reduction axis clips that
-    axis to an exact sub-range, and the other dims are range-tested over
-    the clipped box.  When no dim needs a closure and every test passes,
+    the input ({!clip}): each dim that moves with one reduction axis
+    clips that axis to an exact sub-range, and the other dims are
+    range-tested over the clipped box.  When no dim needs a closure,
+    every test passes and the weight windows fit,
     the box runs with unchecked reads and writes — an odometer over the
     outer axes and a tight loop over the inner two, specialized for 1
     and 2 weight groups with a general fallback.  Otherwise a guarded

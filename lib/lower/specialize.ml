@@ -56,14 +56,27 @@ type stage_meta = {
   sm_checks : bool array array array;  (* per piece, per factor, per use *)
 }
 
+(* One final-factor dim, split once at compile time: its index
+   (window low subtracted) at output [pos] and reduction point [r] is
+   [fd_const + fd_out . pos + fd_dyn(pos) + fd_red . r]. *)
+type fdim = {
+  fd_factor : int;
+  fd_stride : int;  (* the factor's row-major stride of this dim *)
+  fd_const : int;
+  fd_out : int array;  (* per output axis *)
+  fd_red : int array;  (* per reduction axis *)
+  fd_dyn : ((int array -> int) * int) array;
+      (* non-affine terms over output iterators only: (eval, coefficient) *)
+  fd_extent : int;
+}
+
+(* A final factor's flat offset, summed over its dims. *)
 type ffac = {
-  ff_const : int;  (* affine terms: constant offset part, window lows folded in *)
-  ff_out : int array;  (* affine terms: offset per unit of each output axis *)
-  ff_red : int array;  (* affine terms: offset per unit of each reduction axis *)
+  ff_const : int;
+  ff_out : int array;
+  ff_red : int array;
   ff_red_step : int;  (* offset per unit of the innermost reduction axis *)
   ff_dyn : ((int array -> int) * int) array;
-      (* non-affine terms over output iterators only: (eval, offset per unit) *)
-  ff_red_dyn : bool;  (* some non-affine term mentions a reduction iterator *)
 }
 
 type final_meta = {
@@ -71,8 +84,10 @@ type final_meta = {
   fm_accs : Staged.final_access array array;
   fm_pieces : piece array;
   fm_checks : bool array array array;
+  fm_dims : fdim array;
   fm_factors : ffac array;
-  fm_dyn : bool;
+  fm_clip : Reference.clipper option;
+      (* [None] when some access is non-affine in a reduction iterator *)
 }
 
 type t = {
@@ -87,7 +102,9 @@ let plan t = t.sp_plan
 
 let checkless_volume t =
   let n = Array.length t.sp_plan in
-  interior_volume (if t.sp_final.fm_dyn then Array.sub t.sp_plan 0 (n - 1) else t.sp_plan)
+  interior_volume (if Option.is_none t.sp_final.fm_clip then Array.sub t.sp_plan 0 (n - 1) else t.sp_plan)
+
+let clips_exactly t = match t.sp_final.fm_clip with Some c -> Reference.exact c | None -> false
 
 (* Translate a piece's flat clip set into per-(factor, use) check
    flags, given the per-factor use counts. *)
@@ -178,47 +195,73 @@ let compile staged plan =
   let m = Array.length out_ids and k = Array.length red_ids in
   let env_size = fsym.Staged.fs_env_size in
   let iter_ids = Array.append out_ids red_ids in
+  let dynamic = ref false in
+  let dims =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun fi dims ->
+              let fstrides = strides_of (Array.map (fun (_, _, extent) -> extent) dims) in
+              Array.mapi
+                (fun j (expr, lo, extent) ->
+                  let sp = Reference.split ~reductions:red_ids expr in
+                  if sp.Reference.dynamic then dynamic := true;
+                  let const = ref (-lo) and out = Array.make m 0 and red = Array.make k 0 in
+                  List.iter
+                    (fun (c, term) ->
+                      let c0, d =
+                        Reference.strides (Reference.compile_expr lookup term) ~env_size iter_ids
+                      in
+                      const := !const + (c * c0);
+                      for a = 0 to m - 1 do
+                        out.(a) <- out.(a) + (c * d.(a))
+                      done;
+                      for a = 0 to k - 1 do
+                        red.(a) <- red.(a) + (c * d.(m + a))
+                      done)
+                    sp.Reference.affine;
+                  {
+                    fd_factor = fi;
+                    fd_stride = fstrides.(j);
+                    fd_const = !const;
+                    fd_out = out;
+                    fd_red = red;
+                    fd_dyn =
+                      Array.of_list
+                        (List.map
+                           (fun (c, term) -> (Reference.compile_expr lookup term, c))
+                           sp.Reference.residue);
+                    fd_extent = extent;
+                  })
+                dims)
+            fsym.Staged.fs_factors))
+  in
   let factors =
-    Array.map
-      (fun dims ->
-        let fstrides = strides_of (Array.map (fun (_, _, extent) -> extent) dims) in
-        let ff_const = ref 0 in
-        let ff_out = Array.make m 0 in
-        let ff_red = Array.make k 0 in
-        let ff_dyn = ref [] in
-        let ff_red_dyn = ref false in
-        Array.iteri
-          (fun j (expr, lo, _) ->
-            let s = fstrides.(j) in
-            ff_const := !ff_const - (lo * s);
-            let sp = Reference.split ~reductions:red_ids expr in
-            List.iter
-              (fun (c, term) ->
-                let c0, d =
-                  Reference.strides (Reference.compile_expr lookup term) ~env_size iter_ids
-                in
-                ff_const := !ff_const + (c * c0 * s);
-                for a = 0 to m - 1 do
-                  ff_out.(a) <- ff_out.(a) + (c * d.(a) * s)
-                done;
-                for a = 0 to k - 1 do
-                  ff_red.(a) <- ff_red.(a) + (c * d.(m + a) * s)
-                done)
-              sp.Reference.affine;
-            List.iter
-              (fun (c, term) -> ff_dyn := (Reference.compile_expr lookup term, c * s) :: !ff_dyn)
-              sp.Reference.residue;
-            if sp.Reference.dynamic then ff_red_dyn := true)
-          dims;
+    Array.mapi
+      (fun fi _ ->
+        let mine = List.filter (fun d -> d.fd_factor = fi) (Array.to_list dims) in
+        let sum f = List.fold_left (fun acc d -> acc + (f d * d.fd_stride)) 0 mine in
+        let ff_red = Array.init k (fun a -> sum (fun d -> d.fd_red.(a))) in
         {
-          ff_const = !ff_const;
-          ff_out;
+          ff_const = sum (fun d -> d.fd_const);
+          ff_out = Array.init m (fun a -> sum (fun d -> d.fd_out.(a)));
           ff_red;
           ff_red_step = (if k = 0 then 0 else ff_red.(k - 1));
-          ff_dyn = Array.of_list (List.rev !ff_dyn);
-          ff_red_dyn = !ff_red_dyn;
+          ff_dyn =
+            Array.concat
+              (List.map
+                 (fun d -> Array.map (fun (eval, c) -> (eval, c * d.fd_stride)) d.fd_dyn)
+                 mine);
         })
       fsym.Staged.fs_factors
+  in
+  let clip =
+    if !dynamic then None
+    else
+      Some
+        (Reference.clipper ~doms:fsym.Staged.fs_red_doms
+           ~extents:(Array.map (fun d -> d.fd_extent) dims)
+           (Array.map (fun d -> Some d.fd_red) dims))
   in
   {
     sp_staged = staged;
@@ -230,8 +273,9 @@ let compile staged plan =
         fm_accs = Staged.final_accesses staged fsym;
         fm_pieces = Array.of_list fpieces;
         fm_checks = fchecks;
+        fm_dims = dims;
         fm_factors = factors;
-        fm_dyn = Array.exists (fun f -> f.ff_red_dyn) factors;
+        fm_clip = clip;
       };
   }
 
@@ -319,52 +363,116 @@ let run_stage ?cancel meta factors =
                   | _ -> inner_n 0.0 dom datas (Array.init nf base) rcoefs)))
         meta.sm_pieces)
 
-(* The final contraction over its certified partition.  Border pieces,
-   and every piece when some access is non-affine in a remaining
-   reduction iterator, run the interpreter's own guarded loop. *)
+(* Skipping a clipped point is exact only when the interpreter's product
+   there is +-0.0, which then leaves its accumulator's bits alone (that
+   accumulator starts at +0.0, so it is never -0.0): no factor value may
+   be NaN, and no product of in-window values may overflow before the
+   clipped factor's 0.0 joins it.  The per-factor maxima multiplied in
+   factor order bound every partial product (rounding is monotone), so a
+   finite bound settles both. *)
+let products_bounded datas =
+  let bound = ref 1.0 in
+  match
+    Array.iter
+      (fun d ->
+        let m = ref 0.0 in
+        for i = 0 to Array.length d - 1 do
+          let a = Float.abs (Array.unsafe_get d i) in
+          if a > !m then m := a else if Float.is_nan a then raise Exit
+        done;
+        bound := !bound *. !m)
+      datas
+  with
+  | () -> Float.is_finite !bound
+  | exception Exit -> false
+
+(* The final contraction over its certified partition.  Interior pieces
+   run the checkless loops.  A border output clips its reduction box
+   per axis ({!Reference.clip}) and runs the clipped box through the same
+   checkless loops; only an output the clip cannot bound exactly, every
+   border output when {!products_bounded} fails, and every piece when
+   some access is non-affine in a remaining reduction iterator run the
+   interpreter's own guarded loop. *)
 let run_final ?cancel meta factors out =
   let sym = meta.fm_sym in
   let datas =
     Array.of_list (List.map (fun f -> Tensor.unsafe_data f.Staged.data) factors)
   in
   let nf = Array.length datas in
-  let m = Array.length sym.Staged.fs_out_doms in
+  let out_ids = sym.Staged.fs_out_ids in
+  let m = Array.length out_ids in
   let red_doms = sym.Staged.fs_red_doms in
   let k = Array.length red_doms in
   let red_total = Array.fold_left ( * ) 1 red_doms in
-  let red_last = if k = 0 then 1 else red_doms.(k - 1) in
-  let red_outer = red_total / red_last in
   let rsteps = Array.map (fun f -> f.ff_red_step) meta.fm_factors in
   let red_cols =
     Array.init (max 0 (k - 1)) (fun a -> Array.map (fun f -> f.ff_red.(a)) meta.fm_factors)
   in
-  let red_wraps = Array.mapi (fun a cols -> Array.map (fun c -> red_doms.(a) * c) cols) red_cols in
-  (* One innermost reduction run from the running offsets [offs];
-     [scratch] is [inner_n]'s private copy, which it advances. *)
-  let inner offs scratch acc =
+  (* One innermost reduction run of [n] steps from the running offsets
+     [offs]; [scratch] is [inner_n]'s private copy, which it advances. *)
+  let inner offs scratch n acc =
     match nf with
-    | 1 -> inner1 acc red_last datas.(0) offs.(0) rsteps.(0)
-    | 2 -> inner2 acc red_last datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1)
+    | 1 -> inner1 acc n datas.(0) offs.(0) rsteps.(0)
+    | 2 -> inner2 acc n datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1)
     | 3 ->
-        inner3 acc red_last datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1)
-          datas.(2) offs.(2) rsteps.(2)
+        inner3 acc n datas.(0) offs.(0) rsteps.(0) datas.(1) offs.(1) rsteps.(1) datas.(2)
+          offs.(2) rsteps.(2)
     | _ ->
         Array.blit offs 0 scratch 0 nf;
-        inner_n acc red_last datas scratch rsteps
+        inner_n acc n datas scratch rsteps
   in
-  (* Checkless path: per output point, per-factor base offsets from the
-     affine terms plus the output-only residue, then the innermost
-     reduction with constant strides.  The outer reduction axes step an
-     odometer over the running offsets [offs]: each step adds the
-     axis's stride, a carry takes back [dom * stride]. *)
-  let interior () =
+  (* The checkless reduction over a box of extents [exts], from the
+     offsets [offs] of its first point, in row-major order.  The
+     innermost axis is one [inner] run; the outer axes step an odometer
+     over [offs]: each step adds the axis's stride, a carry takes back
+     [extent * stride]. *)
+  let reduce offs scratch rv exts =
+    let last = if k = 0 then 1 else exts.(k - 1) in
+    let outer = ref 1 in
+    for a = 0 to k - 2 do
+      outer := !outer * exts.(a)
+    done;
+    Array.fill rv 0 (Array.length rv) 0;
+    let acc = ref 0.0 in
+    for _ = 1 to !outer do
+      acc := inner offs scratch last !acc;
+      let a = ref (k - 2) in
+      while !a >= 0 do
+        let ax = !a in
+        let cols = red_cols.(ax) in
+        rv.(ax) <- rv.(ax) + 1;
+        for fi = 0 to nf - 1 do
+          offs.(fi) <- offs.(fi) + cols.(fi)
+        done;
+        if rv.(ax) < exts.(ax) then a := -1
+        else begin
+          rv.(ax) <- 0;
+          let e = exts.(ax) in
+          for fi = 0 to nf - 1 do
+            offs.(fi) <- offs.(fi) - (e * cols.(fi))
+          done;
+          decr a
+        end
+      done
+    done;
+    !acc
+  in
+  (* Per-range scratch of both checkless elements. *)
+  let scratch () =
     let env = Array.make sym.Staged.fs_env_size 0 in
-    let offs = Array.make nf 0 and scratch = Array.make nf 0 in
-    let rv = Array.make (max 1 k) 0 in
+    (env, Array.make nf 0, Array.make nf 0, Array.make (max 1 k) 0)
+  in
+  let set_env env pos =
+    for i = 0 to m - 1 do
+      env.(out_ids.(i)) <- pos.(i)
+    done
+  in
+  (* Interior: per output point, per-factor base offsets from the affine
+     terms plus the output-only residue, then the whole reduction box. *)
+  let interior () =
+    let env, offs, scratch, rv = scratch () in
     fun pos w ->
-      for i = 0 to m - 1 do
-        env.(sym.Staged.fs_out_ids.(i)) <- pos.(i)
-      done;
+      set_env env pos;
       for fi = 0 to nf - 1 do
         let f = meta.fm_factors.(fi) in
         let b = ref f.ff_const in
@@ -377,38 +485,65 @@ let run_final ?cancel meta factors out =
         done;
         offs.(fi) <- !b
       done;
-      Array.fill rv 0 (Array.length rv) 0;
-      let acc = ref 0.0 in
-      for _ = 1 to red_outer do
-        acc := inner offs scratch !acc;
-        let a = ref (k - 2) in
-        while !a >= 0 do
-          let ax = !a in
-          let cols = red_cols.(ax) in
-          rv.(ax) <- rv.(ax) + 1;
-          for fi = 0 to nf - 1 do
-            offs.(fi) <- offs.(fi) + cols.(fi)
-          done;
-          if rv.(ax) < red_doms.(ax) then a := -1
-          else begin
-            rv.(ax) <- 0;
-            let wrap = red_wraps.(ax) in
-            for fi = 0 to nf - 1 do
-              offs.(fi) <- offs.(fi) - wrap.(fi)
-            done;
-            decr a
-          end
-        done
+      out.(w) <- reduce offs scratch rv red_doms
+  in
+  (* Border: per output point, each dim's index at the box's zero
+     corner, the clip, then the clipped box from its first point. *)
+  let border clip checks () =
+    let env, offs, scratch, rv = scratch () in
+    let dims = meta.fm_dims in
+    let base = Array.make (Array.length dims) 0 in
+    let rlo = Array.make k 0 and rext = Array.make k 0 in
+    fun pos w ->
+      set_env env pos;
+      for d = 0 to Array.length dims - 1 do
+        let dim = dims.(d) in
+        let b = ref dim.fd_const in
+        for i = 0 to m - 1 do
+          b := !b + (dim.fd_out.(i) * pos.(i))
+        done;
+        for e = 0 to Array.length dim.fd_dyn - 1 do
+          let eval, c = dim.fd_dyn.(e) in
+          b := !b + (c * eval env)
+        done;
+        base.(d) <- !b
       done;
-      out.(w) <- !acc
+      match Reference.clip clip base ~lo:rlo ~ext:rext with
+      | Reference.Empty -> out.(w) <- 0.0
+      | Reference.Inside ->
+          Array.fill offs 0 nf 0;
+          for d = 0 to Array.length dims - 1 do
+            let dim = dims.(d) in
+            offs.(dim.fd_factor) <- offs.(dim.fd_factor) + (base.(d) * dim.fd_stride)
+          done;
+          for fi = 0 to nf - 1 do
+            let f = meta.fm_factors.(fi) in
+            for a = 0 to k - 1 do
+              offs.(fi) <- offs.(fi) + (rlo.(a) * f.ff_red.(a))
+            done
+          done;
+          out.(w) <- reduce offs scratch rv rext
+      | Reference.Partial ->
+          Staged.final_loop sym meta.fm_accs datas out ~lo:pos ~hi:pos ~checks
+  in
+  let clip_borders =
+    match meta.fm_clip with
+    | Some c
+      when Array.exists (fun p -> not p.pc_interior) meta.fm_pieces && products_bounded datas
+      ->
+        Some c
+    | _ -> None
   in
   Array.iteri
     (fun pi piece ->
-      let lo = piece.pc_lo and hi = piece.pc_hi in
-      if piece.pc_interior && not meta.fm_dyn then
-        Staged.run_box ?cancel ~cost:(red_total + 1) ~extents:sym.Staged.fs_out_doms ~lo ~hi
-          interior
-      else Staged.final_loop ?cancel sym meta.fm_accs datas out ~lo ~hi ~checks:meta.fm_checks.(pi))
+      let lo = piece.pc_lo and hi = piece.pc_hi and checks = meta.fm_checks.(pi) in
+      let run make =
+        Staged.run_box ?cancel ~cost:(red_total + 1) ~extents:sym.Staged.fs_out_doms ~lo ~hi make
+      in
+      match clip_borders with
+      | _ when piece.pc_interior && Option.is_some meta.fm_clip -> run interior
+      | Some c when not piece.pc_interior -> run (border c checks)
+      | _ -> Staged.final_loop ?cancel sym meta.fm_accs datas out ~lo ~hi ~checks)
     meta.fm_pieces
 
 let forward ?cancel t ~input ~weights =

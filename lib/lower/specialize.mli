@@ -10,13 +10,24 @@
     - {e interior} pieces — where every access is proved in-bounds —
       run checkless inner loops with constant-stride offset arithmetic
       and unchecked array reads;
-    - {e border} pieces run the interpreter's own guarded loops,
+    - in the final contraction, each output of a {e border} piece clips
+      its own reduction box exactly per axis, by {!Reference.clip} (the
+      clip routine the reference backward uses), and runs the clipped
+      box through the same checkless loops; an output whose box is empty
+      is written [+0.0];
+    - the rest runs the interpreter's own guarded loops,
       {!Staged_exec.stage_loop} and {!Staged_exec.final_loop},
-      restricted to the strip and window-testing exactly the accesses
-      the certificate lists as may-clip and nothing else.
+      window-testing exactly the accesses the certificate lists as
+      may-clip and nothing else: stage border strips, a border output
+      with a dim that moves with two or more reduction axes and leaves
+      its window inside the clipped box ({!clips_exactly} says whether
+      that can happen), and every border output of a call whose final
+      factors hold a NaN or an infinity, or values whose products could
+      overflow (there, a clipped point's product is NaN, not [+-0.0],
+      and skipping it would change the sum).
 
-    Both kinds of piece are driven by {!Staged_exec.run_box}, so pool
-    use and cancellation polling are the interpreter's own.
+    Every piece is driven by {!Staged_exec.run_box}, so pool use and
+    cancellation polling are the interpreter's own.
 
     Each final-contraction dim is split at [Add]/[Sub] into additive
     terms by {!Reference.split}, the splitter the reference
@@ -31,10 +42,13 @@
     {!checkless_volume} shows how much of the certified interior
     escaped that.  Stage nests are always affine.
 
-    The output is bit-identical to {!Staged_exec.forward}: pieces
-    partition only positional axes, so every output element is computed
-    whole by exactly one piece, with products formed in factor order
-    and reductions accumulated in the interpreter's order.
+    The output is bit-identical to {!Staged_exec.forward} on every
+    input, non-finite values included: pieces partition only
+    positional axes, so every output element is computed whole by
+    exactly one piece, with products formed in factor order and
+    reductions accumulated in the interpreter's order; a clipped box
+    keeps that order and drops only points whose product is [+-0.0],
+    which leave the interpreter's sum unchanged.
 
     Certificates are produced by [Analysis.Regions] and validated by
     [Analysis.Certify]; {!compile} itself only shape-checks the plan.
@@ -86,10 +100,20 @@ val checkless_volume : t -> int
     nest runs guarded).  Equals {!interior_volume} of the plan exactly
     when every interior piece takes the fast path. *)
 
+val clips_exactly : t -> bool
+(** Every border output of the final nest clips exactly: no final access
+    is non-affine in a reduction iterator, and no final dim moves with
+    two or more reduction axes.  When [false], some border outputs (all
+    of them, for a non-affine access) may run the guarded loop. *)
+
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Bit-identical to {!Staged_exec.forward} on the same operator, and
-    checks its arguments the same way ({!Staged_exec.initial_factors}).
+(** Bit-identical to {!Staged_exec.forward} on the same operator, on
+    every input, and checks its arguments the same way
+    ({!Staged_exec.initial_factors}).  Once per call, before the final
+    nest, it scans the final factors' values (a NaN, an infinity, or a
+    product of per-factor maxima that overflows keeps the border
+    outputs on the guarded loop).
     Every piece runs through {!Staged_exec.run_box}: large pieces on the
     default pool, with [cancel] polled every few thousand elements
     sequentially and at every pool range claim, exactly like the

@@ -185,8 +185,10 @@ let poll cancel = Option.iter Robust.Cancel.check cancel
    is [pos]'s row-major offset in the nest.  [make] builds one element
    closure, with its own private scratch, per range run; each element
    writes only its own output cell, so results are bit-identical at any
-   pool size.  Sequential runs poll [cancel] every [poll_mask + 1]
-   elements; pool runs poll it at every range claim. *)
+   pool size.  A range decodes its first position once and then steps
+   [pos] and [w] with a carry, so an element must not write [pos].
+   Sequential runs poll [cancel] every [poll_mask + 1] elements; pool
+   runs poll it at every range claim. *)
 let run_box ?cancel ~cost ~extents ~lo ~hi make =
   let n = Array.length extents in
   let dims = Array.init n (fun i -> hi.(i) - lo.(i) + 1) in
@@ -197,17 +199,31 @@ let run_box ?cancel ~cost ~extents ~lo ~hi make =
   let volume = Array.fold_left ( * ) 1 dims in
   let range ~polled first last =
     let element = make () in
-    let pos = Array.make (max 1 n) 0 in
-    for flat = first to last - 1 do
-      if polled && flat land poll_mask = 0 then poll cancel;
-      let rem = ref flat and w = ref 0 in
+    let pos = Array.make (max 1 n) 0 and w = ref 0 in
+    if first < last then begin
+      let rem = ref first in
       for i = n - 1 downto 0 do
         let p = lo.(i) + (!rem mod dims.(i)) in
         pos.(i) <- p;
         w := !w + (p * strides.(i));
         rem := !rem / dims.(i)
-      done;
-      element pos !w
+      done
+    end;
+    for flat = first to last - 1 do
+      if polled && flat land poll_mask = 0 then poll cancel;
+      element pos !w;
+      let i = ref (n - 1) in
+      while !i >= 0 do
+        let a = !i in
+        pos.(a) <- pos.(a) + 1;
+        w := !w + strides.(a);
+        if pos.(a) <= hi.(a) then i := -1
+        else begin
+          pos.(a) <- lo.(a);
+          w := !w - (dims.(a) * strides.(a));
+          decr i
+        end
+      done
     done
   in
   let pool = Par.Pool.get_default () in

@@ -9,8 +9,9 @@
     Its guarded element loops ({!stage_loop}, {!final_loop}, both
     driven by {!run_box}) are the only ones in the tree: {!forward}
     runs them over whole nests with every access checked, and
-    {!Specialize} runs the same loops over the border strips of a
-    certified partition with only the may-clip accesses checked.
+    {!Specialize} runs the same loops over the stage border strips of a
+    certified partition, and over the final border outputs it cannot
+    clip exactly, with only the may-clip accesses checked.
 
     The result is numerically identical to {!Reference.forward} (up to
     floating-point association) and is differential-tested against it —
@@ -97,9 +98,10 @@ val symbolic_plan : t -> stage_sym list * final_sym
 
     The only copies of the interpreter's element loops.  {!forward}
     runs them over each nest's whole box with every access checked;
-    {!Specialize} runs them over border pieces with only the
-    certificate's may-clip accesses checked, and drives its checkless
-    interior bodies through the same {!run_box}. *)
+    {!Specialize} runs them over border pieces (final ones only where
+    its per-output clip falls back) with only the certificate's
+    may-clip accesses checked, and drives its checkless bodies through
+    the same {!run_box}. *)
 
 val run_box :
   ?cancel:Robust.Cancel.t ->
@@ -113,7 +115,9 @@ val run_box :
     every position [pos] of the inclusive box [[lo, hi]] inside a nest
     of dims [extents], where [w] is [pos]'s row-major offset in the
     nest; [make ()] builds one [element], with private scratch, per
-    range run.  Boxes whose volume times [cost] (estimated scalar work
+    range run; a range decodes its first position once and steps [pos]
+    and [w] with a carry, so [element] must not write [pos].  Boxes
+    whose volume times [cost] (estimated scalar work
     per element) is large enough run on the default pool, others
     sequentially on the caller; each element must write only its own
     output cell, so results are bit-identical at any pool size.

@@ -4,8 +4,9 @@
     partial pGraphs and whose actions are canonical primitive
     applications; terminal states are complete operators.  Selection
     uses UCB1; rollouts sample shape-distance-guided random completions;
-    rewards come from a caller-provided evaluator (the accuracy proxy or
-    real training).  All completed operators seen during the search are
+    rewards come from a caller-provided evaluator (every search in the
+    [syno] layer passes {!Reward}'s analytic accuracy proxy; none
+    trains).  All completed operators seen during the search are
     recorded and returned with their best observed reward.
 
     {b Fault tolerance.}  Every reward call is routed through

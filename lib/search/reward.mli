@@ -5,8 +5,10 @@
     termination); rollouts instead score an operator by cheap structural
     features that correlate with trainability: spatial information
     mixing (receptive field), channel mixing through weights, parameter
-    capacity, and staying within the FLOPs budget.  Final candidates are
-    ranked by real training in the [syno] layer. *)
+    capacity, and staying within the FLOPs budget.  Every search path in
+    the [syno] layer ranks its results by this proxy alone; none trains a
+    candidate.  Training a found operator is a separate, explicit step
+    ([Syno.Api.train_entry], [syno train]). *)
 
 type features = {
   spatial_mixing : bool;

@@ -299,6 +299,23 @@ let test_lint_guarded_interior () =
   Alcotest.(check bool) "only a warning" false
     (List.exists (fun f -> f.Lint.lint_rule = "guarded-interior") (Lint.errors findings))
 
+let test_lint_guarded_border () =
+  (* A row coordinate that moves with both window axes cannot be clipped
+     per axis, so a border output whose row leaves the input somewhere
+     in its window runs the guarded loop. *)
+  let rule findings = List.exists (fun f -> f.Lint.lint_rule = "guarded-border") findings in
+  Alcotest.(check bool) "conv2d: silent" false (rule (Lint.check ~valuations:[ tiny ] conv));
+  let diagonal =
+    match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
+    | [ n; c; h; w ], [ _; _; r_w ] ->
+        let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
+        { conv with Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ] }
+    | _ -> Alcotest.fail "conv2d: unexpected gather"
+  in
+  let findings = Lint.check ~valuations:[ tiny ] diagonal in
+  Alcotest.(check bool) "guarded-border reported" true (rule findings);
+  Alcotest.(check bool) "only a warning" false (rule (Lint.errors findings))
+
 let test_lint_cost_cross_check () =
   List.iter
     (fun (entry : Zoo.entry) ->
@@ -353,5 +370,6 @@ let () =
           Alcotest.test_case "dead axis" `Quick test_lint_dead_axis;
           Alcotest.test_case "guarded interior" `Quick test_lint_guarded_interior;
           Alcotest.test_case "cost cross-check" `Quick test_lint_cost_cross_check;
+          Alcotest.test_case "guarded border" `Quick test_lint_guarded_border;
         ] );
     ]

@@ -91,8 +91,72 @@ let guarded_interior_conv =
   let two = Size.of_int 2 in
   conv2d_with_reductions (fun r -> Ast.div (Ast.mul two r) two)
 
+(* conv2d with its last input coordinate moved 4 to the right: every
+   output near the right edge reads a window that lies wholly outside
+   the input. *)
+let offset_window_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  let exprs = conv.Graph.op_input_exprs in
+  let last = List.length exprs - 1 in
+  {
+    conv with
+    Graph.op_input_exprs =
+      List.mapi (fun i e -> if i = last then Ast.Add (e, Ast.Const 4) else e) exprs;
+  }
+
+(* conv2d with each reduction iterator of the input gather folded as
+   [r mod 2]: a term no stride describes, so those dims keep their
+   closures and every output runs the guarded nest. *)
+let folded_window_conv = conv2d_with_reductions (fun r -> Ast.Mod (r, Size.of_int 2))
+
+(* Windows that step by 2 and windows that run backwards: the per-axis
+   clip divides by the stride and flips for a negative one. *)
+let strided_window_conv = conv2d_with_reductions (fun r -> Ast.mul (Size.of_int 2) r)
+let reversed_window_conv = conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 0, r))
+
+let reversed_strided_window_conv =
+  conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 1, Ast.mul (Size.of_int 3) r))
+
+(* conv2d whose row coordinate moves with both window axes,
+   [i_h + r_h + r_w - 2 * (k / 2)]: a dim no single axis clips, so a
+   border output is tested over the whole window. *)
+let diagonal_window_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
+  | [ n; c; h; w ], [ _; _; r_w ] ->
+      let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
+      {
+        conv with
+        Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ];
+      }
+  | _ -> Alcotest.fail "conv2d: unexpected gather"
+
+(* conv2d with two more weight groups, one over the window row and one
+   over the output channel: four factors per point, the general inner
+   run. *)
+let three_group_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  match (conv.Graph.op_output_iters, conv.Graph.op_reductions) with
+  | [ _; co; _; _ ], [ _; r_h; _ ] ->
+      { conv with Graph.op_weights = conv.Graph.op_weights @ [ [ r_h ]; [ co ] ] }
+  | _ -> Alcotest.fail "conv2d: unexpected iterators"
+
+(* The shapes [Api.proxy_layer] trains at: n16, hw10, c4->8 and c8->8. *)
+let proxy_valuations =
+  List.map
+    (fun c_in ->
+      ( Printf.sprintf "c%d->8" c_in,
+        Zoo.Vars.conv_valuation ~n:16 ~c_in ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 () ))
+    [ 4; 8 ]
+
 let test_zoo_bit_identity () =
   List.iter (fun e -> check_identical e.Zoo.name e.Zoo.operator valuation) zoo_cases;
+  List.iter
+    (fun (shape, v) ->
+      List.iter
+        (fun e -> check_identical (Printf.sprintf "%s %s" e.Zoo.name shape) e.Zoo.operator v)
+        zoo_cases)
+    proxy_valuations;
   check_identical "conv2d/guarded-interior" guarded_interior_conv valuation
 
 let test_matmul_bit_identity () =
@@ -375,34 +439,46 @@ let test_bad_weights_rejected () =
 
 (* --- Random programs ------------------------------------------------------ *)
 
+(* A random synthesized conv-shaped operator, [None] when the draw
+   completes nothing. *)
+let random_operator seed =
+  let open Zoo.Vars in
+  let sz = Size.of_var in
+  let search_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () in
+  let base =
+    Search.Enumerate.default_config
+      ~output_shape:[ sz n; sz c_out; sz h; sz w ]
+      ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
+      ~valuations:[ search_v ] ()
+  in
+  let cfg =
+    {
+      base with
+      Search.Enumerate.max_prims = 7;
+      coefficient_candidates = [ sz k; sz s ];
+      reduce_candidates = [ sz c_in; sz k ];
+      frozen_sizes = [ sz n ];
+    }
+  in
+  Search.Enumerate.random_completion cfg (Rng.create ~seed) ~use_distance:true
+
+(* A random conv valuation: size-1 axes, and windows as wide as or wider
+   than the input ([hw < k]), included. *)
+let random_valuation vseed =
+  let vr = Rng.create ~seed:vseed in
+  let pick l = List.nth l (Rng.int vr (List.length l)) in
+  Zoo.Vars.conv_valuation ~n:(pick [ 1; 2 ]) ~c_in:(pick [ 1; 2; 4 ]) ~c_out:(pick [ 1; 2; 4 ])
+    ~hw:(pick [ 1; 2; 3; 4; 6 ]) ~k:(pick [ 1; 3; 5 ]) ~g:(pick [ 1; 2 ]) ~s:(pick [ 1; 2 ]) ()
+
 let random_specialized_agreement =
   QCheck.Test.make ~name:"random synthesized operators specialize bit-identically"
     ~count:25
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let open Zoo.Vars in
-      let sz = Size.of_var in
-      let valuations = [ Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () ] in
-      let base =
-        Search.Enumerate.default_config
-          ~output_shape:[ sz n; sz c_out; sz h; sz w ]
-          ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
-          ~valuations ()
-      in
-      let cfg =
-        {
-          base with
-          Search.Enumerate.max_prims = 7;
-          coefficient_candidates = [ sz k; sz s ];
-          reduce_candidates = [ sz c_in; sz k ];
-          frozen_sizes = [ sz n ];
-        }
-      in
-      let rng = Rng.create ~seed in
-      match Search.Enumerate.random_completion cfg rng ~use_distance:true with
+      match random_operator seed with
       | None -> true
       | Some op ->
-          let v = List.hd valuations in
+          let v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () in
           let st = Staged.compile op v in
           let cert = Regions.of_staged st in
           (match Certify.validate st cert.Regions.rc_plan with
@@ -417,6 +493,115 @@ let random_specialized_agreement =
               let b = Specialize.forward sp ~input:x ~weights:w in
               bits a = bits b
               && Specialize.checkless_volume sp <= stats.Certify.ct_interior_cells))
+
+(* --- Border outputs: per-output clipping ----------------------------------- *)
+
+(* A border output of the final nest ends in one of three cases: its
+   clipped box is empty, every dim reads inside over the box, or a dim
+   that moves with two window axes leaves its window somewhere in it
+   and the output runs guarded.  The offset windows reach the first,
+   the diagonal window the last; hw < k and size-1 axes shrink boxes
+   to a point. *)
+let border_fixtures =
+  [
+    ("offset-window", offset_window_conv);
+    ("diagonal-window", diagonal_window_conv);
+    ("strided-window", strided_window_conv);
+    ("reversed-window", reversed_window_conv);
+    ("reversed-strided-window", reversed_strided_window_conv);
+    ("three-groups", three_group_conv);
+  ]
+
+(* A valuation under which some access never meets its window (the
+   offset windows at hw < 4) is a verifier violation, which Certify
+   rightly refuses; it proves nothing here. *)
+let certifiable op v =
+  match Verify.program_opt op v with Some (Verify.Proved | Verify.Padded _) -> true | _ -> false
+
+let test_border_fixtures () =
+  List.iter
+    (fun (vname, v) ->
+      List.iter
+        (fun (name, op) ->
+          if certifiable op v || vname = "hw10" then
+            check_identical (Printf.sprintf "conv2d/%s %s" name vname) op v)
+        border_fixtures)
+    [
+      ("hw10", valuation);
+      ("hw2 k3", Zoo.Vars.conv_valuation ~n:1 ~c_in:2 ~c_out:2 ~hw:2 ~k:3 ~g:2 ~s:2 ());
+      ("hw1 k5", Zoo.Vars.conv_valuation ~n:2 ~c_in:2 ~c_out:2 ~hw:1 ~k:5 ~g:1 ~s:1 ());
+      ("ones", Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:1 ~k:1 ~g:1 ~s:1 ());
+    ]
+
+(* [clips_exactly] is what the guarded-border lint and the kernel bench
+   read: true on the zoo, false for a dim that moves with two window
+   axes and for a reduction hidden behind a [Div]. *)
+let test_clips_exactly () =
+  let clips name op v =
+    let st, cert = certified name op v in
+    Specialize.clips_exactly (Specialize.compile st cert.Regions.rc_plan)
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (e.Zoo.name ^ " clips exactly") true
+        (clips e.Zoo.name e.Zoo.operator valuation))
+    zoo_cases;
+  Alcotest.(check bool) "conv2d/diagonal-window does not" false
+    (clips "conv2d/diagonal-window" diagonal_window_conv valuation);
+  Alcotest.(check bool) "conv2d/guarded-interior does not" false
+    (clips "conv2d/guarded-interior" guarded_interior_conv valuation)
+
+(* One infinite weight: the interpreter multiplies a padded tap's 0.0
+   by it and gets NaN, where skipping the clipped point would not.  The
+   specialized kernel must return the interpreter's NaNs bit for bit. *)
+let test_non_finite_weight () =
+  let _, v = List.hd proxy_valuations in
+  let st, cert = certified "conv2d" Zoo.conv2d.Zoo.operator v in
+  let sp = Specialize.compile st cert.Regions.rc_plan in
+  let r = Staged.reference st in
+  let rng = Rng.create ~seed:41 in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
+  (* The first element is the corner tap of the window (both window
+     iterators 0), on padding at the top and left edges. *)
+  (Tensor.unsafe_data (List.hd w)).(0) <- Float.infinity;
+  let a = Staged.forward st ~input:x ~weights:w in
+  let b = Specialize.forward sp ~input:x ~weights:w in
+  Alcotest.(check bool) "the interpreter's padded corner outputs are NaN" true
+    (Array.exists Float.is_nan (Tensor.unsafe_data a));
+  Alcotest.(check (array int64)) "conv2d with an infinite weight: bit-identical" (bits a) (bits b)
+
+(* Random synthesized operators, and the border fixtures, at random
+   valuations. *)
+let random_border_agreement =
+  QCheck.Test.make ~name:"random operators at random valuations: specialized = staged"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, vseed) ->
+      let op =
+        if seed mod 3 = 0 then
+          Some (snd (List.nth border_fixtures (seed / 3 mod List.length border_fixtures)))
+        else random_operator seed
+      in
+      match op with
+      | None -> true
+      | Some op -> (
+          let v = random_valuation vseed in
+          match Staged.compile op v with
+          | exception Failure _ -> true
+          | _ when not (certifiable op v) -> true
+          | st -> (
+              let cert = Regions.of_staged st in
+              match Certify.validate st cert.Regions.rc_plan with
+              | Error _ -> false
+              | Ok _ ->
+                  let sp = Specialize.compile st cert.Regions.rc_plan in
+                  let r = Staged.reference st in
+                  let data_rng = Rng.create ~seed:(vseed + 1) in
+                  let x = Tensor.rand_normal data_rng ~scale:1.0 (Reference.input_shape r) in
+                  let w = Reference.init_weights r data_rng in
+                  bits (Staged.forward st ~input:x ~weights:w)
+                  = bits (Specialize.forward sp ~input:x ~weights:w))))
 
 (* --- Backward: the compiled nest against the per-point oracle ---------------- *)
 
@@ -447,65 +632,14 @@ let check_backward ?(seed = 19) name op v =
   | None -> ()
   | Some what -> Alcotest.failf "%s: %s differs from the per-point oracle" name what
 
-(* conv2d with its last input coordinate moved 4 to the right: every
-   output near the right edge reads a window that lies wholly outside
-   the input. *)
-let offset_window_conv =
-  let conv = Zoo.conv2d.Zoo.operator in
-  let exprs = conv.Graph.op_input_exprs in
-  let last = List.length exprs - 1 in
-  {
-    conv with
-    Graph.op_input_exprs =
-      List.mapi (fun i e -> if i = last then Ast.Add (e, Ast.Const 4) else e) exprs;
-  }
-
-(* conv2d with each reduction iterator of the input gather folded as
-   [r mod 2]: a term no stride describes, so those dims keep their
-   closures and every output runs the guarded nest. *)
-let folded_window_conv = conv2d_with_reductions (fun r -> Ast.Mod (r, Size.of_int 2))
-
-(* Windows that step by 2 and windows that run backwards: the per-axis
-   clip divides by the stride and flips for a negative one. *)
-let strided_window_conv = conv2d_with_reductions (fun r -> Ast.mul (Size.of_int 2) r)
-let reversed_window_conv = conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 0, r))
-
-let reversed_strided_window_conv =
-  conv2d_with_reductions (fun r -> Ast.Sub (Ast.Const 1, Ast.mul (Size.of_int 3) r))
-
-(* conv2d whose row coordinate moves with both window axes,
-   [i_h + r_h + r_w - 2 * (k / 2)]: a dim no single axis clips, so a
-   border output is tested over the whole window. *)
-let diagonal_window_conv =
-  let conv = Zoo.conv2d.Zoo.operator in
-  match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
-  | [ n; c; h; w ], [ _; _; r_w ] ->
-      let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
-      {
-        conv with
-        Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ];
-      }
-  | _ -> Alcotest.fail "conv2d: unexpected gather"
-
-(* conv2d with two more weight groups, one over the window row and one
-   over the output channel: four factors per point, the general inner
-   run. *)
-let three_group_conv =
-  let conv = Zoo.conv2d.Zoo.operator in
-  match (conv.Graph.op_output_iters, conv.Graph.op_reductions) with
-  | [ _; co; _; _ ], [ _; r_h; _ ] ->
-      { conv with Graph.op_weights = conv.Graph.op_weights @ [ [ r_h ]; [ co ] ] }
-  | _ -> Alcotest.fail "conv2d: unexpected iterators"
-
 (* Every zoo operator at the proxy-layer shapes of [Api.proxy_layer]. *)
 let test_backward_zoo_proxy_shapes () =
   List.iter
-    (fun c_in ->
-      let v = Zoo.Vars.conv_valuation ~n:16 ~c_in ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 () in
+    (fun (shape, v) ->
       List.iter
-        (fun e -> check_backward (Printf.sprintf "%s c%d->8" e.Zoo.name c_in) e.Zoo.operator v)
+        (fun e -> check_backward (Printf.sprintf "%s %s" e.Zoo.name shape) e.Zoo.operator v)
         zoo_cases)
-    [ 4; 8 ]
+    proxy_valuations
 
 let test_backward_closure_and_padding () =
   check_backward "conv2d/guarded-interior" guarded_interior_conv valuation;
@@ -532,34 +666,10 @@ let random_backward_agreement =
   QCheck.Test.make ~name:"random operators: compiled backward = per-point oracle" ~count:60
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
     (fun (seed, vseed) ->
-      let open Zoo.Vars in
-      let sz = Size.of_var in
-      let search_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:6 ~k:3 ~g:2 ~s:2 () in
-      let base =
-        Search.Enumerate.default_config
-          ~output_shape:[ sz n; sz c_out; sz h; sz w ]
-          ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
-          ~valuations:[ search_v ] ()
-      in
-      let cfg =
-        {
-          base with
-          Search.Enumerate.max_prims = 7;
-          coefficient_candidates = [ sz k; sz s ];
-          reduce_candidates = [ sz c_in; sz k ];
-          frozen_sizes = [ sz n ];
-        }
-      in
-      match Search.Enumerate.random_completion cfg (Rng.create ~seed) ~use_distance:true with
+      match random_operator seed with
       | None -> true
       | Some op -> (
-          let vr = Rng.create ~seed:vseed in
-          let pick l = List.nth l (Rng.int vr (List.length l)) in
-          let v =
-            Zoo.Vars.conv_valuation ~n:(pick [ 1; 2 ]) ~c_in:(pick [ 1; 2; 4 ])
-              ~c_out:(pick [ 1; 2; 4 ]) ~hw:(pick [ 1; 2; 3; 4; 6 ]) ~k:(pick [ 1; 3; 5 ])
-              ~g:(pick [ 1; 2 ]) ~s:(pick [ 1; 2 ]) ()
-          in
+          let v = random_valuation vseed in
           match Reference.compile op v with
           | exception Failure _ -> true
           | _ -> backward_mismatch ~seed:(seed + 1) op v = None))
@@ -599,6 +709,13 @@ let () =
           Alcotest.test_case "plan shape mismatch" `Quick test_plan_shape_mismatch_rejected;
         ] );
       ("arguments", [ Alcotest.test_case "bad weights rejected" `Quick test_bad_weights_rejected ]);
+      ( "border",
+        [
+          Alcotest.test_case "clip fixtures" `Quick test_border_fixtures;
+          Alcotest.test_case "clips exactly" `Quick test_clips_exactly;
+          Alcotest.test_case "non-finite weight" `Quick test_non_finite_weight;
+          QCheck_alcotest.to_alcotest random_border_agreement;
+        ] );
       ( "backward",
         [
           Alcotest.test_case "zoo at proxy shapes" `Quick test_backward_zoo_proxy_shapes;
