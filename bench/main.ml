@@ -836,10 +836,13 @@ let validate_bench ~smoke () =
   note "starved budget: %d over_budget rejections, %d reward evaluations (%s)" over_budget
     starved.Api.failures.Search.Mcts.evaluations
     (if starved_ok then "nothing evaluated" else "LEAKED");
-  (* 3) Validator overhead per candidate, against the cost of one
-     candidate evaluation (analytic reward + one einsum-program forward
-     at the search shape).  Validation runs three small forwards at the
-     tiny validation shape, so it must stay well under the 10% gate. *)
+  (* 3) Validator overhead per candidate, against a stand-in for the
+     cost of one candidate evaluation: the analytic reward plus one
+     einsum-program forward at the search shape.  The search itself
+     runs no forward (see reward.mli); the forward stands in for the
+     tensor work a candidate costs once it is used.  Validation runs
+     every backend's forward at the tiny validation shape, so it must
+     stay well under the 10% gate. *)
   let candidates =
     List.filteri (fun i _ -> i < if smoke then 4 else 8)
       (List.filter_map
@@ -2058,6 +2061,111 @@ let kernel_bench ~smoke () =
 
 (* --- Driver ------------------------------------------------------------------ *)
 
+(* --- Differential validation: per-backend forward cost ------------------------ *)
+
+(* What each backend of [Validate.Differential] costs on the keys a cold
+   [syno serve] request evaluates: the distinct conv-like zoo operators
+   at n1, c_in and c_out in {4, 6, 8}, hw 4..8 and k in {1, 3}, each
+   shape in four (g, s) variants, wherever the verifier finds no
+   violation.  Per key, the inputs are drawn as the daemon draws them
+   and each backend's forward is timed once, compile excluded.  Gates:
+   every backend agrees with the reference within the differential
+   tolerance, and the specialized kernel is bit-identical to the staged
+   interpreter.  The smoke runs every 40th key. *)
+let differential_bench ~smoke () =
+  section
+    (Printf.sprintf "Differential validation backends (forward ms per key)%s"
+       (if smoke then " [smoke]" else ""));
+  let module Reference = Lower.Reference in
+  let module Einsum_program = Lower.Einsum_program in
+  let module Staged = Lower.Staged_exec in
+  let module Specialize = Lower.Specialize in
+  let seen = Hashtbl.create 16 in
+  let ops =
+    List.filter
+      (fun (e : Zoo.entry) ->
+        let s = Graph.operator_signature e.Zoo.operator in
+        (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true))
+      Zoo.conv_like
+  in
+  let keys =
+    let ( let* ) l f = List.concat_map f l in
+    let* (e : Zoo.entry) = ops in
+    let* c_in = [ 4; 6; 8 ] in
+    let* c_out = [ 4; 6; 8 ] in
+    let* hw = [ 4; 5; 6; 7; 8 ] in
+    let* k = [ 1; 3 ] in
+    let* g, s = [ (1, 1); (1, 2); (2, 1); (2, 2) ] in
+    let v = Zoo.Vars.conv_valuation ~n:1 ~c_in ~c_out ~hw ~k ~g ~s () in
+    match Analysis.Verify.program_opt e.Zoo.operator v with
+    | None | Some (Analysis.Verify.Violation _) -> []
+    | Some _ ->
+        [ (e, v, Printf.sprintf "%s@ci%d.co%d.hw%d.k%d.g%d.s%d" e.Zoo.name c_in c_out hw k g s) ]
+  in
+  let keys = if smoke then List.filteri (fun i _ -> i mod 40 = 0) keys else keys in
+  let tolerance = Validate.Differential.default_config.Validate.Differential.tolerance in
+  let bits t = Array.map Int64.bits_of_float (Nd.Tensor.unsafe_data t) in
+  let agrees ~expected got =
+    Nd.Tensor.shape expected = Nd.Tensor.shape got
+    && Array.for_all2
+         (fun r c -> Float.abs (c -. r) <= tolerance *. (1.0 +. Float.abs r))
+         (Nd.Tensor.unsafe_data expected) (Nd.Tensor.unsafe_data got)
+  in
+  let t_ref = ref 0.0 and t_gather = ref 0.0 and t_einsum = ref 0.0 in
+  let t_staged = ref 0.0 and t_spec = ref 0.0 and n_spec = ref 0 in
+  let disagree = ref [] and not_identical = ref [] in
+  List.iter
+    (fun ((e : Zoo.entry), v, name) ->
+      let op = e.Zoo.operator in
+      let compiled = Reference.compile op v in
+      let rng =
+        Nd.Rng.create
+          ~seed:(Validate.Differential.derive_seed ~seed:0 (Graph.operator_signature op))
+      in
+      let weights = Reference.init_weights compiled rng in
+      let input =
+        Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape compiled)
+      in
+      let timed acc f =
+        let r, t = time f in
+        acc := !acc +. t;
+        r
+      in
+      let reference = timed t_ref (fun () -> Reference.forward compiled ~input ~weights) in
+      let ep = Einsum_program.compile op v in
+      ignore (timed t_gather (fun () -> Einsum_program.gather ep ~input));
+      let einsum = timed t_einsum (fun () -> Einsum_program.forward ep ~input ~weights) in
+      let st = Staged.compile op v in
+      let staged = timed t_staged (fun () -> Staged.forward st ~input ~weights) in
+      if not (agrees ~expected:reference einsum && agrees ~expected:reference staged) then
+        disagree := name :: !disagree;
+      match Analysis.Certify.specialize st with
+      | Ok (Some sp) ->
+          incr n_spec;
+          let spec = timed t_spec (fun () -> Specialize.forward sp ~input ~weights) in
+          if not (agrees ~expected:reference spec) then disagree := name :: !disagree;
+          if bits spec <> bits staged then not_identical := name :: !not_identical
+      | Ok None | Error _ -> ())
+    keys;
+  let n = List.length keys and disagree = List.sort_uniq compare !disagree in
+  let per_key t count = 1000.0 *. t /. float_of_int (max 1 count) in
+  note "%d keys over %d operators" n (List.length ops);
+  note "reference  %7.3f ms/key" (per_key !t_ref n);
+  note "einsum     %7.3f ms/key (gather %.3f ms/key)" (per_key !t_einsum n) (per_key !t_gather n);
+  note "staged     %7.3f ms/key" (per_key !t_staged n);
+  note "specialize %7.3f ms/key over the %d keys that certify" (per_key !t_spec !n_spec) !n_spec;
+  List.iter (fun name -> note "%s: a backend disagrees with the reference" name) disagree;
+  List.iter (fun name -> note "%s: specialize is not bit-identical to staged" name) !not_identical;
+  note "%d/%d keys agree within %.0e; specialize = staged bit for bit on %d/%d"
+    (n - List.length disagree) n tolerance
+    (!n_spec - List.length !not_identical) !n_spec;
+  gates
+    [
+      ("every backend agrees with the reference", disagree = []);
+      ("specialize bit-identical to staged", !not_identical = []);
+      ("some keys certify", !n_spec > 0);
+    ]
+
 (* A [Gated] experiment asserts its gates and also runs as [<name>-smoke],
    at sizes small enough for every `dune runtest`. *)
 type experiment = Paper of (unit -> unit) | Gated of (smoke:bool -> unit -> unit)
@@ -2081,6 +2189,7 @@ let experiments =
     ("cegis", Gated cegis_bench);
     ("serve", Gated serve_bench);
     ("kernel", Gated kernel_bench);
+    ("differential", Gated differential_bench);
   ]
 
 let runnable =

@@ -170,7 +170,7 @@ let validate staged plan =
       ()
       (List.init n_nests (fun k -> k))
   in
-  let verdict = Verify.staged (Staged.operator staged) (Staged.valuation staged) in
+  let verdict = Verify.staged_of staged in
   let* () = cross_check ~lookup nests plan verdict in
   let pieces = Array.fold_left (fun n ps -> n + List.length ps) 0 plan in
   let interior_pieces =

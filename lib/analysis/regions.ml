@@ -278,7 +278,7 @@ let of_staged staged =
   {
     rc_plan = plan;
     rc_nests = summaries;
-    rc_verdict = Verify.program (Staged.operator staged) (Staged.valuation staged);
+    rc_verdict = Verify.program_of staged;
     rc_interior_fraction =
       (if total = 0 then 0.0 else float_of_int interior /. float_of_int total);
   }

@@ -119,9 +119,8 @@ let operator (op : Graph.operator) valuation =
   in
   conclude (inputs @ weights)
 
-let staged (op : Graph.operator) valuation =
-  let lookup = Valuation.lookup valuation in
-  let compiled = Staged.compile op valuation in
+let staged_of compiled =
+  let lookup = Valuation.lookup (Staged.valuation compiled) in
   let stages = Staged.access_plan compiled in
   let n_stages = List.length stages in
   let results =
@@ -145,16 +144,25 @@ let staged (op : Graph.operator) valuation =
   in
   conclude results
 
-let program op valuation =
+let staged op valuation = staged_of (Staged.compile op valuation)
+
+(* [operator], then the staged verdict [staged ()] unless the direct
+   lowering already violates. *)
+let combine op valuation staged =
   match operator op valuation with
   | Violation _ as v -> v
   | direct -> (
-      match (direct, staged op valuation) with
+      match (direct, staged ()) with
       | _, (Violation _ as v) -> v
       | Proved, Proved -> Proved
       | Padded a, Proved | Proved, Padded a -> Padded a
       | Padded a, Padded b -> Padded (a @ b)
       | Violation _, _ -> assert false)
+
+let program op valuation = combine op valuation (fun () -> staged op valuation)
+
+let program_of compiled =
+  combine (Staged.operator compiled) (Staged.valuation compiled) (fun () -> staged_of compiled)
 
 let program_opt op valuation = try Some (program op valuation) with Failure _ -> None
 

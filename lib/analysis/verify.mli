@@ -62,9 +62,15 @@ val staged : Pgraph.Graph.operator -> Shape.Valuation.t -> verdict
     factor access of the compiled {!Lower.Staged_exec} plan.  Raises
     [Failure] when not instantiable. *)
 
+val staged_of : Lower.Staged_exec.t -> verdict
+(** [staged] for a plan already compiled by {!Lower.Staged_exec.compile}. *)
+
 val program : Pgraph.Graph.operator -> Shape.Valuation.t -> verdict
 (** [operator] and [staged] combined: [Proved] only if both prove,
     padded regions concatenated, first violation wins. *)
+
+val program_of : Lower.Staged_exec.t -> verdict
+(** [program] for a plan already compiled by {!Lower.Staged_exec.compile}. *)
 
 val program_opt : Pgraph.Graph.operator -> Shape.Valuation.t -> verdict option
 (** [program], with [None] for a valuation the operator is not

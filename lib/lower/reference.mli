@@ -19,7 +19,7 @@ val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
 (** {2 Affine splitting}
 
     The one splitter behind {!Specialize.compile}'s final-factor strides
-    and {!backward}'s compiled nest. *)
+    and the nest {!forward} and {!backward} compile. *)
 
 type split = {
   affine : (int * Coord.Ast.t) list;
@@ -46,8 +46,8 @@ val strides : (int array -> int) -> env_size:int -> int array -> int * int array
 
 (** {2 Per-output clipping}
 
-    The one clip routine behind {!backward}'s compiled nest and
-    [Specialize]'s border outputs.  A dim's index is
+    The one clip routine behind the nest {!forward} and {!backward}
+    compile and [Specialize]'s border outputs.  A dim's index is
     [base + sum_j red.(j) * r_j] over the reduction axes [r_j], and it
     reads inside its window when [0 <= index < extent]. *)
 
@@ -99,6 +99,18 @@ val check_arguments : string -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t li
     [Staged_exec.initial_factors]. *)
 
 val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
+(** [out] of the per-point semantics above: per output, from [+0.0],
+    the reduction points in row-major order that are not clipped each
+    add [x * w_0 * ... * w_last], the product built from the input value
+    in group order.  Arguments are checked by {!check_arguments}.
+
+    The body is the loop nest {!backward} compiles, with the forward's
+    inner runs: per output, {!clip} bounds the box; an [Empty] box
+    leaves [+0.0]; an [Inside] box whose dims need no closure and whose
+    weight windows fit runs unchecked strided runs under an odometer;
+    any other box runs the guarded odometer.  Points are visited in the
+    per-point order and form the same products, so the output is
+    bit-identical to the per-point semantics.  It runs sequentially. *)
 
 val backward :
   t ->
@@ -114,7 +126,8 @@ val backward :
     in ascending order.  Arguments are checked by {!check_arguments},
     and [grad_out] must have {!output_shape}.
 
-    The body is a loop nest compiled per call (microseconds).  Each
+    The body is a loop nest compiled per call (microseconds), the one
+    {!forward} runs with its own inner runs.  Each
     input dim is split by {!split}: an affine dim becomes a
     constant plus a {!strides} stride per output and per reduction
     axis; a dim whose non-affine terms mention output iterators only
@@ -128,8 +141,9 @@ val backward :
     range-tested over the clipped box.  When no dim needs a closure,
     every test passes and the weight windows fit,
     the box runs with unchecked reads and writes — an odometer over the
-    outer axes and a tight loop over the inner two, specialized for 1
-    and 2 weight groups with a general fallback.  Otherwise a guarded
+    outer axes and a tight loop over the inner two (axes of extent 1
+    skipped), specialized for 1 and 2 weight groups with a general
+    fallback.  Otherwise a guarded
     odometer window-tests every point of the whole box.  The clipped-away
     points are exactly the ones that would have added nothing.
 
@@ -140,9 +154,3 @@ val backward :
 
 val flops : t -> int
 (** Naive loop-nest FLOPs (no staging). *)
-
-val iter_points : t -> (int -> unit) -> unit
-(** Enumerate the (output, reduction) iteration space in row-major
-    order — outputs outermost — passing the flat input offset of each
-    point, or [-1] when the access is clipped out of bounds.  Used by
-    the gather step of {!Einsum_program}. *)

@@ -13,27 +13,6 @@ type fdim = { expr : Ast.t; extent : int; lo : int }
 
 type factor = { dims : fdim list; data : Tensor.t }
 
-type t = {
-  reference : Reference.t;  (* for shapes and the iterator layout *)
-  op : Graph.operator;
-  valuation : Valuation.t;
-  plan : Staging.plan;
-}
-
-let compile op valuation =
-  {
-    reference = Reference.compile op valuation;
-    op;
-    valuation;
-    plan = Staging.optimize op valuation;
-  }
-
-let plan t = t.plan
-let num_stages t = List.length t.plan.Staging.stages
-let operator t = t.op
-let valuation t = t.valuation
-let reference t = t.reference
-
 let iter_in it e = List.exists (fun j -> j.Ast.id = it.Ast.id) (Ast.iters e)
 
 let residual it e =
@@ -90,6 +69,14 @@ type final_sym = {
   fs_red_doms : int array;
   fs_env_size : int;
   fs_factors : (Ast.t * int * int) array array;
+}
+
+type t = {
+  reference : Reference.t;  (* for shapes and the iterator layout *)
+  op : Graph.operator;
+  valuation : Valuation.t;
+  plan : Staging.plan;
+  sym : stage_sym list * final_sym;  (* [symbolic_plan], built once *)
 }
 
 (* The complete symbolic bookkeeping of one materialization stage.
@@ -245,26 +232,31 @@ let stage_loop ?cancel sym datas out ~lo ~hi ~checks =
   run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents ~lo ~hi (fun () pos w ->
       let acc = ref 0.0 in
       for r = 0 to dom - 1 do
-        let product = ref 1.0 in
-        (try
-           for fi = 0 to nf - 1 do
-             let fuses = uses.(fi) and fchecks = checks.(fi) in
-             let off = ref 0 in
-             for j = 0 to Array.length fuses - 1 do
-               let u = fuses.(j) in
-               let idx =
-                 (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
-                 + (u.u_coef * r) - u.u_lo
-               in
-               if fchecks.(j) && (idx < 0 || idx >= u.u_extent) then begin
-                 product := 0.0;
-                 raise Exit
-               end;
-               off := (!off * u.u_extent) + idx
-             done;
-             product := !product *. datas.(fi).(!off)
-           done
-         with Exit -> ());
+        let product = ref 1.0 and fi = ref 0 in
+        while !fi < nf do
+          let fuses = uses.(!fi) and fchecks = checks.(!fi) in
+          let off = ref 0 and j = ref 0 in
+          while !j < Array.length fuses do
+            let u = fuses.(!j) in
+            let idx =
+              (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
+              + (u.u_coef * r) - u.u_lo
+            in
+            if fchecks.(!j) && (idx < 0 || idx >= u.u_extent) then j := max_int
+            else begin
+              off := (!off * u.u_extent) + idx;
+              incr j
+            end
+          done;
+          if !j = max_int then begin
+            product := 0.0;
+            fi := nf
+          end
+          else begin
+            product := !product *. datas.(!fi).(!off);
+            incr fi
+          end
+        done;
         acc := !acc +. !product
       done;
       out.(w) <- !acc)
@@ -293,23 +285,25 @@ let final_accesses t fsym =
    per output element, the sum over the remaining reductions of the
    product of the factors [datas], each indexed through its compiled
    accessors [accs].  A flagged access that leaves its window makes
-   its factor contribute zero. *)
+   its factor contribute zero.  The reduction iterators start at 0 in
+   [env] per output and step with a carry, row-major. *)
 let final_loop ?cancel fsym accs datas out ~lo ~hi ~checks =
   let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
   let red_doms = fsym.fs_red_doms in
   let red_total = Array.fold_left ( * ) 1 red_doms in
+  let n_out = Array.length out_ids and n_red = Array.length red_ids in
   let nf = Array.length datas in
   run_box ?cancel ~cost:(red_total + 1) ~extents:fsym.fs_out_doms ~lo ~hi (fun () ->
       let env = Array.make fsym.fs_env_size 0 in
       fun pos w ->
-        Array.iteri (fun i id -> env.(id) <- pos.(i)) out_ids;
+        for i = 0 to n_out - 1 do
+          env.(out_ids.(i)) <- pos.(i)
+        done;
+        for i = 0 to n_red - 1 do
+          env.(red_ids.(i)) <- 0
+        done;
         let acc = ref 0.0 in
-        for flat_red = 0 to red_total - 1 do
-          let rem = ref flat_red in
-          for i = Array.length red_doms - 1 downto 0 do
-            env.(red_ids.(i)) <- !rem mod red_doms.(i);
-            rem := !rem / red_doms.(i)
-          done;
+        for _ = 1 to red_total do
           let product = ref 1.0 in
           for fi = 0 to nf - 1 do
             let fa = accs.(fi) and fchecks = checks.(fi) in
@@ -325,7 +319,17 @@ let final_loop ?cancel fsym accs datas out ~lo ~hi ~checks =
             done;
             product := !product *. (if !j = max_int then 0.0 else datas.(fi).(!off))
           done;
-          acc := !acc +. !product
+          acc := !acc +. !product;
+          let a = ref (n_red - 1) in
+          while !a >= 0 do
+            let id = red_ids.(!a) in
+            env.(id) <- env.(id) + 1;
+            if env.(id) < red_doms.(!a) then a := -1
+            else begin
+              env.(id) <- 0;
+              decr a
+            end
+          done
         done;
         out.(w) <- !acc)
 
@@ -384,8 +388,8 @@ let stage_sym_accesses sym =
    lists (new tensor first, then the untouched factors in order —
    exactly the factor-list evolution of [forward]), plus the final
    contraction's iteration/access structure. *)
-let symbolic_plan t =
-  let lookup = Valuation.lookup t.valuation in
+let build_symbolic_plan op valuation plan =
+  let lookup = Valuation.lookup valuation in
   let syms_rev, dims_list =
     List.fold_left
       (fun (acc, dims_list) stage ->
@@ -397,20 +401,20 @@ let symbolic_plan t =
           sym.ss_new_dims :: List.map (fun i -> arr.(i)) (Array.to_list sym.ss_others)
         in
         (sym :: acc, dims_list'))
-      ([], initial_dims t.op lookup)
-      t.plan.Staging.stages
+      ([], initial_dims op lookup)
+      plan.Staging.stages
   in
   let reduced_ids =
-    List.map (fun s -> s.Staging.reduced.Ast.id) t.plan.Staging.stages
+    List.map (fun s -> s.Staging.reduced.Ast.id) plan.Staging.stages
   in
   let remaining =
-    List.filter (fun it -> not (List.mem it.Ast.id reduced_ids)) t.op.Graph.op_reductions
+    List.filter (fun it -> not (List.mem it.Ast.id reduced_ids)) op.Graph.op_reductions
   in
-  let spatial = t.op.Graph.op_output_iters in
+  let spatial = op.Graph.op_output_iters in
   let n_env =
     1
     + List.fold_left max (-1)
-        (List.map (fun it -> it.Ast.id) (spatial @ t.op.Graph.op_reductions))
+        (List.map (fun it -> it.Ast.id) (spatial @ op.Graph.op_reductions))
   in
   let final =
     {
@@ -430,6 +434,23 @@ let symbolic_plan t =
     }
   in
   (List.rev syms_rev, final)
+
+let compile op valuation =
+  let plan = Staging.optimize op valuation in
+  {
+    reference = Reference.compile op valuation;
+    op;
+    valuation;
+    plan;
+    sym = build_symbolic_plan op valuation plan;
+  }
+
+let plan t = t.plan
+let num_stages t = List.length t.plan.Staging.stages
+let operator t = t.op
+let valuation t = t.valuation
+let reference t = t.reference
+let symbolic_plan t = t.sym
 
 let access_plan t =
   let syms, final = symbolic_plan t in

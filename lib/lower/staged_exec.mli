@@ -92,7 +92,7 @@ val symbolic_plan : t -> stage_sym list * final_sym
 (** One {!stage_sym} per materialization stage in plan order (the next
     stage's factor list is the materialized tensor followed by the
     [ss_others] factors in order), then the final contraction.  Pure
-    arithmetic: allocates no tensor. *)
+    arithmetic, built once by {!compile}: allocates no tensor. *)
 
 (** {2 Guarded element loops}
 

@@ -89,6 +89,26 @@ let plan spec shapes =
    on a large pool: domain wakeup costs more than the contraction. *)
 let par_threshold = 1 lsl 14
 
+(* One odometer step over the axes [0..last] of extents [extents]: the
+   position [idx] moves to its row-major successor and each input's
+   offset in [offs] with it ([strides] per input, per axis); a carry
+   takes back [extent * stride]. *)
+let step idx extents strides offs last =
+  let a = ref last in
+  while !a >= 0 do
+    let ax = !a in
+    idx.(ax) <- idx.(ax) + 1;
+    let steps = if idx.(ax) < extents.(ax) then 1 else 1 - extents.(ax) in
+    if steps = 1 then a := -1
+    else begin
+      idx.(ax) <- 0;
+      decr a
+    end;
+    for k = 0 to Array.length offs - 1 do
+      offs.(k) <- offs.(k) + (steps * strides.(k).(ax))
+    done
+  done
+
 (* When cancellable, the body polls the token every [poll_quantum]
    output elements, so preemption latency is bounded by the work of one
    sub-chunk while keeping the poll off the inner accumulation loop. *)
@@ -113,43 +133,73 @@ let run ?pool ?cancel p tensors =
      bit-identical at any pool size. *)
   let body lo hi =
     let out_idx = Array.make n_out 0 in
-    let sum_idx = Array.make n_sum 0 in
-    let offsets = Array.make n_inputs 0 in
-    for flat_out = lo to hi - 1 do
-      (* decode output assignment *)
-      let rem = ref flat_out in
+    let base = Array.make n_inputs 0 in
+    let offs = Array.make n_inputs 0 in
+    let sum_idx = Array.make (max 1 n_sum) 0 in
+    (* The innermost summed label is a strided run; the others step an
+       odometer that carries each input's offset. *)
+    let n0 = if n_sum > 0 then p.sum_extents.(n_sum - 1) else 1 in
+    let st0 =
+      Array.init n_inputs (fun k -> if n_sum > 0 then p.in_sum_strides.(k).(n_sum - 1) else 0)
+    in
+    let outer = total_sum / n0 in
+    let d0 = datas.(0) and s0 = st0.(0) in
+    let input k = if n_inputs > k then (datas.(k), st0.(k)) else (d0, 0) in
+    let d1, s1 = input 1 and d2, s2 = input 2 in
+    if hi > lo then begin
+      (* decode the first output assignment; later ones step a carry *)
+      let rem = ref lo in
       for i = n_out - 1 downto 0 do
         out_idx.(i) <- !rem mod p.out_extents.(i);
         rem := !rem / p.out_extents.(i)
       done;
-      (* base offsets from output labels *)
       for k = 0 to n_inputs - 1 do
         let off = ref 0 in
         let strides = p.in_out_strides.(k) in
         for i = 0 to n_out - 1 do
           off := !off + (strides.(i) * out_idx.(i))
         done;
-        offsets.(k) <- !off
-      done;
+        base.(k) <- !off
+      done
+    end;
+    for flat_out = lo to hi - 1 do
+      Array.blit base 0 offs 0 n_inputs;
       let acc = ref 0.0 in
-      for flat_sum = 0 to total_sum - 1 do
-        let rem = ref flat_sum in
-        for i = n_sum - 1 downto 0 do
-          sum_idx.(i) <- !rem mod p.sum_extents.(i);
-          rem := !rem / p.sum_extents.(i)
-        done;
-        let product = ref 1.0 in
-        for k = 0 to n_inputs - 1 do
-          let off = ref offsets.(k) in
-          let strides = p.in_sum_strides.(k) in
-          for i = 0 to n_sum - 1 do
-            off := !off + (strides.(i) * sum_idx.(i))
-          done;
-          product := !product *. datas.(k).(!off)
-        done;
-        acc := !acc +. !product
+      for _ = 1 to outer do
+        (match n_inputs with
+        | 1 ->
+            let o0 = ref offs.(0) in
+            for _ = 1 to n0 do
+              acc := !acc +. (1.0 *. d0.(!o0));
+              o0 := !o0 + s0
+            done
+        | 2 ->
+            let o0 = ref offs.(0) and o1 = ref offs.(1) in
+            for _ = 1 to n0 do
+              acc := !acc +. (1.0 *. d0.(!o0) *. d1.(!o1));
+              o0 := !o0 + s0;
+              o1 := !o1 + s1
+            done
+        | 3 ->
+            let o0 = ref offs.(0) and o1 = ref offs.(1) and o2 = ref offs.(2) in
+            for _ = 1 to n0 do
+              acc := !acc +. (1.0 *. d0.(!o0) *. d1.(!o1) *. d2.(!o2));
+              o0 := !o0 + s0;
+              o1 := !o1 + s1;
+              o2 := !o2 + s2
+            done
+        | _ ->
+            for r = 0 to n0 - 1 do
+              let product = ref 1.0 in
+              for k = 0 to n_inputs - 1 do
+                product := !product *. datas.(k).(offs.(k) + (r * st0.(k)))
+              done;
+              acc := !acc +. !product
+            done);
+        step sum_idx p.sum_extents p.in_sum_strides offs (n_sum - 2)
       done;
-      out_data.(flat_out) <- !acc
+      out_data.(flat_out) <- !acc;
+      step out_idx p.out_extents p.in_out_strides base (n_out - 1)
     done
   in
   let polled_body =

@@ -40,9 +40,10 @@ let fault_count f = Inject.injected_count f.f_inject
 (* A seeded out-of-bounds gather: shift the first input coordinate
    expression two extents past its window, so its range can never
    intersect [0, extent).  Every backend zero-clips out-of-window
-   reads (see [Reference.iter_points]), so all backends agree on an
-   all-zero gather and differential comparison alone cannot see the
-   fault — the static verifier rejects it as a bounds [Violation]. *)
+   reads ([Reference.forward]'s per-output clip, the einsum gather's
+   clipped table entries), so all backends agree on an all-zero gather
+   and differential comparison alone cannot see the fault — the static
+   verifier rejects it as a bounds [Violation]. *)
 let corrupt_operator (op : Graph.operator) =
   match (op.Graph.op_input_exprs, op.Graph.op_input_shape) with
   | e :: es, s :: _ ->

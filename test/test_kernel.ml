@@ -571,6 +571,13 @@ let test_non_finite_weight () =
     (Array.exists Float.is_nan (Tensor.unsafe_data a));
   Alcotest.(check (array int64)) "conv2d with an infinite weight: bit-identical" (bits a) (bits b)
 
+(* One draw in three is a border fixture, the others random synthesized
+   operators; [None] when the draw completes nothing. *)
+let random_or_fixture seed =
+  if seed mod 3 = 0 then
+    Some (snd (List.nth border_fixtures (seed / 3 mod List.length border_fixtures)))
+  else random_operator seed
+
 (* Random synthesized operators, and the border fixtures, at random
    valuations. *)
 let random_border_agreement =
@@ -578,12 +585,7 @@ let random_border_agreement =
     ~count:60
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
     (fun (seed, vseed) ->
-      let op =
-        if seed mod 3 = 0 then
-          Some (snd (List.nth border_fixtures (seed / 3 mod List.length border_fixtures)))
-        else random_operator seed
-      in
-      match op with
+      match random_or_fixture seed with
       | None -> true
       | Some op -> (
           let v = random_valuation vseed in
@@ -641,23 +643,33 @@ let test_backward_zoo_proxy_shapes () =
         zoo_cases)
     proxy_valuations
 
+(* Dims that need a closure, windows that clip every way, extra weight
+   groups and size-1 axes: the fixtures both compiled nests must match
+   their oracles on. *)
+let closure_and_padding_fixtures () =
+  let ones = Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:1 ~k:1 ~g:1 ~s:1 () in
+  [
+    ("conv2d/guarded-interior", guarded_interior_conv, valuation);
+    ("conv2d/folded-window", folded_window_conv, valuation);
+    ("conv2d/strided-window", strided_window_conv, valuation);
+    ("conv2d/reversed-window", reversed_window_conv, valuation);
+    ("conv2d/reversed-strided-window", reversed_strided_window_conv, valuation);
+    ("conv2d/diagonal-window", diagonal_window_conv, valuation);
+    ("conv2d/three-groups", three_group_conv, valuation);
+    ("conv2d/offset-window", offset_window_conv, valuation);
+    ("matmul", Zoo.matmul.Zoo.operator, Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20);
+  ]
+  @ List.map
+      (fun e -> (e.Zoo.name ^ "/ones", e.Zoo.operator, ones))
+      [ Zoo.conv2d; Zoo.conv1x1; Zoo.depthwise_conv ]
+  @ [
+      ( "conv2d/hw1 k3",
+        Zoo.conv2d.Zoo.operator,
+        Zoo.Vars.conv_valuation ~n:2 ~c_in:2 ~c_out:2 ~hw:1 ~k:3 ~g:1 ~s:1 () );
+    ]
+
 let test_backward_closure_and_padding () =
-  check_backward "conv2d/guarded-interior" guarded_interior_conv valuation;
-  check_backward "conv2d/folded-window" folded_window_conv valuation;
-  check_backward "conv2d/strided-window" strided_window_conv valuation;
-  check_backward "conv2d/reversed-window" reversed_window_conv valuation;
-  check_backward "conv2d/reversed-strided-window" reversed_strided_window_conv valuation;
-  check_backward "conv2d/diagonal-window" diagonal_window_conv valuation;
-  check_backward "conv2d/three-groups" three_group_conv valuation;
-  check_backward "conv2d/offset-window" offset_window_conv valuation;
-  check_backward "matmul" Zoo.matmul.Zoo.operator (Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20);
-  List.iter
-    (fun e ->
-      check_backward (e.Zoo.name ^ "/ones") e.Zoo.operator
-        (Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:1 ~k:1 ~g:1 ~s:1 ()))
-    [ Zoo.conv2d; Zoo.conv1x1; Zoo.depthwise_conv ];
-  check_backward "conv2d/hw1 k3" Zoo.conv2d.Zoo.operator
-    (Zoo.Vars.conv_valuation ~n:2 ~c_in:2 ~c_out:2 ~hw:1 ~k:3 ~g:1 ~s:1 ())
+  List.iter (fun (name, op, v) -> check_backward name op v) (closure_and_padding_fixtures ())
 
 (* Random synthesized operators at random valuations, size-1 axes and
    windows wider than the input included; a valuation the operator
@@ -673,6 +685,93 @@ let random_backward_agreement =
           match Reference.compile op v with
           | exception Failure _ -> true
           | _ -> backward_mismatch ~seed:(seed + 1) op v = None))
+
+(* --- Forward: the compiled nest against the per-point oracle ----------------- *)
+
+(* [Reference.forward] and {!Naive_forward} on the same seeded
+   arguments: whether their output bits differ. *)
+let forward_differs ~seed op v =
+  let r = Reference.compile op v in
+  let rng = Rng.create ~seed in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
+  bits (Reference.forward r ~input:x ~weights:w)
+  <> bits (Naive_forward.forward op v ~input:x ~weights:w)
+
+let check_forward ?(seed = 23) name op v =
+  if forward_differs ~seed op v then
+    Alcotest.failf "%s: output differs from the per-point oracle" name
+
+let test_forward_zoo_proxy_shapes () =
+  List.iter
+    (fun (shape, v) ->
+      List.iter
+        (fun e -> check_forward (Printf.sprintf "%s %s" e.Zoo.name shape) e.Zoo.operator v)
+        zoo_cases)
+    proxy_valuations
+
+let test_forward_closure_and_padding () =
+  List.iter (fun (name, op, v) -> check_forward name op v) (closure_and_padding_fixtures ())
+
+let random_forward_agreement =
+  QCheck.Test.make ~name:"random operators: compiled forward = per-point oracle" ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, vseed) ->
+      match random_or_fixture seed with
+      | None -> true
+      | Some op -> (
+          let v = random_valuation vseed in
+          match Reference.compile op v with
+          | exception Failure _ -> true
+          | _ -> not (forward_differs ~seed:(seed + 1) op v)))
+
+(* --- Einsum program: the gather, and every forward against Staged_exec ------ *)
+
+let random_gather_agreement =
+  QCheck.Test.make ~name:"random operators: einsum gather = per-point gather" ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, vseed) ->
+      match random_or_fixture seed with
+      | None -> true
+      | Some op -> (
+          let v = random_valuation vseed in
+          match Lower.Einsum_program.compile op v with
+          | exception Failure _ -> true
+          | ep ->
+              let r = Reference.compile op v in
+              let x =
+                Tensor.rand_normal (Rng.create ~seed:(seed + 2)) ~scale:1.0 (Reference.input_shape r)
+              in
+              bits (Lower.Einsum_program.gather ep ~input:x)
+              = bits (Naive_forward.gather op v ~input:x)))
+
+(* [|a - s| <= tol * (1 + |s|)] everywhere, against the staged output
+   [s]: the three backends sum in different orders. *)
+let close ~expected got =
+  let e = Tensor.unsafe_data expected and g = Tensor.unsafe_data got in
+  Array.length e = Array.length g
+  && Array.for_all2 (fun s a -> Float.abs (a -. s) <= 1e-9 *. (1.0 +. Float.abs s)) e g
+
+let random_forwards_agree =
+  QCheck.Test.make
+    ~name:"random operators at random valuations: reference, einsum ~ staged" ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, vseed) ->
+      match random_or_fixture seed with
+      | None -> true
+      | Some op -> (
+          let v = random_valuation vseed in
+          match Staged.compile op v with
+          | exception Failure _ -> true
+          | st ->
+              let r = Staged.reference st in
+              let rng = Rng.create ~seed:(vseed + 3) in
+              let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+              let w = Reference.init_weights r rng in
+              let staged = Staged.forward st ~input:x ~weights:w in
+              let ep = Lower.Einsum_program.compile op v in
+              close ~expected:staged (Reference.forward r ~input:x ~weights:w)
+              && close ~expected:staged (Lower.Einsum_program.forward ep ~input:x ~weights:w)))
 
 let () =
   Alcotest.run "kernel"
@@ -721,5 +820,16 @@ let () =
           Alcotest.test_case "zoo at proxy shapes" `Quick test_backward_zoo_proxy_shapes;
           Alcotest.test_case "closure, padding, size-1" `Quick test_backward_closure_and_padding;
           QCheck_alcotest.to_alcotest random_backward_agreement;
+        ] );
+      ( "forward",
+        [
+          Alcotest.test_case "zoo at proxy shapes" `Quick test_forward_zoo_proxy_shapes;
+          Alcotest.test_case "closure, padding, size-1" `Quick test_forward_closure_and_padding;
+          QCheck_alcotest.to_alcotest random_forward_agreement;
+        ] );
+      ( "einsum",
+        [
+          QCheck_alcotest.to_alcotest random_gather_agreement;
+          QCheck_alcotest.to_alcotest random_forwards_agree;
         ] );
     ]

@@ -208,6 +208,84 @@ let prop_einsum_matmul_associative =
       let a_bc = Einsum.einsum "ik,kj->ij" [ a; Einsum.einsum "ik,kj->ij" [ b; c ] ] in
       Tensor.equal ~eps:1e-6 ab_c a_bc)
 
+(* The contraction per point, as the einsum semantics states it: per
+   output in row-major order, from [+0.0], every assignment of the
+   summed labels (sorted, row-major) adds the product, from 1.0, of one
+   element of each input in order. *)
+let naive_einsum spec tensors =
+  let inputs = Einsum.input_labels spec and out = Einsum.output_labels spec in
+  let extent = Array.make 256 0 and value = Array.make 256 0 in
+  List.iter2
+    (fun l t -> String.iteri (fun i c -> extent.(Char.code c) <- (Tensor.shape t).(i)) l)
+    inputs tensors;
+  let chars l = List.init (String.length l) (String.get l) in
+  let summed =
+    List.filter (fun c -> not (String.contains out c))
+      (List.sort_uniq Char.compare (List.concat_map chars inputs))
+  in
+  let total cs = List.fold_left (fun n c -> n * extent.(Char.code c)) 1 cs in
+  let assign cs flat =
+    List.fold_left
+      (fun rem c ->
+        let e = extent.(Char.code c) in
+        value.(Char.code c) <- rem mod e;
+        rem / e)
+      flat (List.rev cs)
+    |> ignore
+  in
+  let result = Tensor.create (Array.of_list (List.map (fun c -> extent.(Char.code c)) (chars out))) in
+  for fo = 0 to total (chars out) - 1 do
+    assign (chars out) fo;
+    let acc = ref 0.0 in
+    for fs = 0 to total summed - 1 do
+      assign summed fs;
+      let product = ref 1.0 in
+      List.iter2
+        (fun l t ->
+          let off =
+            List.fold_left (fun o c -> (o * extent.(Char.code c)) + value.(Char.code c)) 0 (chars l)
+          in
+          product := !product *. (Tensor.unsafe_data t).(off))
+        inputs tensors;
+      acc := !acc +. !product
+    done;
+    (Tensor.unsafe_data result).(fo) <- !acc
+  done;
+  result
+
+(* A random contraction: 1-4 inputs of rank 0-3 over up to four labels
+   of extent 1-3, repeated labels (traces) included, and an output that
+   keeps a random subset of the labels in random order, from none (a
+   scalar) to all (nothing summed).  No extent is 0: [Tensor.create]
+   refuses an empty dim, so no contraction can meet one. *)
+let random_contraction seed =
+  let rng = Rng.create ~seed in
+  let n_labels = 1 + Rng.int rng 4 in
+  let extents = Array.init n_labels (fun _ -> 1 + Rng.int rng 3) in
+  let label () = Rng.int rng n_labels in
+  let inputs = List.init (1 + Rng.int rng 4) (fun _ -> List.init (Rng.int rng 4) (fun _ -> label ())) in
+  let used = Array.of_list (List.sort_uniq compare (List.concat inputs)) in
+  Rng.shuffle rng used;
+  let out = Array.to_list (Array.sub used 0 (Rng.int rng (Array.length used + 1))) in
+  let letters l = String.concat "" (List.map (fun i -> String.make 1 (Char.chr (97 + i))) l) in
+  let spec = String.concat "," (List.map letters inputs) ^ "->" ^ letters out in
+  let tensors =
+    List.map
+      (fun l -> Tensor.rand_normal rng ~scale:1.0 (Array.of_list (List.map (Array.get extents) l)))
+      inputs
+  in
+  (spec, tensors)
+
+let prop_einsum_matches_naive =
+  QCheck.Test.make ~name:"einsum = per-point contraction, bit for bit" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let spec, tensors = random_contraction seed in
+      let bits t = Array.map Int64.bits_of_float (Tensor.unsafe_data t) in
+      let got = Einsum.einsum spec tensors and expected = naive_einsum spec tensors in
+      Tensor.shape got = Tensor.shape expected
+      && (bits got = bits expected || QCheck.Test.fail_reportf "%s differs" spec))
+
 let () =
   Alcotest.run "nd"
     [
@@ -240,5 +318,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_transpose_involutive; prop_sum_axis_preserves_total; prop_einsum_matmul_associative ] );
+          [
+            prop_transpose_involutive;
+            prop_sum_axis_preserves_total;
+            prop_einsum_matmul_associative;
+            prop_einsum_matches_naive;
+          ] );
     ]
