@@ -1780,17 +1780,14 @@ let serve_bench ~smoke () =
    outputs to the staged interpreter while beating the best interpreter
    (einsum program or staged) by >= 3.0x geomean in the full run
    (>= 1.4x in the smoke, whose small shapes are mostly border);
-   every certified interior cell must run the checkless loops
-   ([Specialize.checkless_volume] equals the certificate's interior
-   volume — guarded execution is bit-identical, so only this gate sees
-   the fast path go unused); every catalog final nest must clip its
-   border outputs exactly ([Specialize.clips_exactly]); certificate
+   every nest of every catalog operator must clip its outputs exactly
+   ([Specialize.clips_exactly] — guarded execution is bit-identical, so
+   only this gate sees the clipped nest go unused); certificate
    construction plus translation validation allocates zero tensors;
-   and 100% of seeded plan
-   corruptions are rejected by Certify, including the three
-   execution-invisible ones that still compute bit-identical outputs
-   when run.  The smoke variant runs inside `dune runtest` via the
-   kernel-smoke alias. *)
+   and 100% of seeded clip-set corruptions are rejected by Certify,
+   including the two execution-invisible ones that still compute
+   bit-identical outputs when run.  The smoke variant runs inside
+   `dune runtest` via the kernel-smoke alias. *)
 
 let kernel_bench ~smoke () =
   section
@@ -1843,37 +1840,20 @@ let kernel_bench ~smoke () =
         | Ok sp -> Some (e.Zoo.name, staged, cert, Some sp))
       Zoo.all
   in
-  (* The path each plan runs: every certified interior cell must take
-     the checkless loops. *)
-  let guarded_interiors =
-    List.filter_map
-      (fun (name, _, cert, sp) ->
-        let interior = Specialize.interior_volume cert.Regions.rc_plan in
-        match sp with
-        | Some sp when Specialize.checkless_volume sp <> interior ->
-            note "%-28s checkless volume %d <> certified interior %d" name
-              (Specialize.checkless_volume sp) interior;
-            Some name
-        | _ -> None)
-      cases
-  in
-  note "checkless volume = certified interior on %d/%d catalog operators"
-    (List.length cases - List.length guarded_interiors)
-    (List.length cases);
-  (* Border outputs clip per output unless the final nest cannot be
-     clipped exactly; then some of them run guarded, again
-     bit-identically. *)
+  (* Every nest clips every output exactly, so no output of a finite
+     call runs the guarded loop.  Guarded execution is bit-identical, so
+     only this gate sees the clipped nest go unused. *)
   let unclipped =
     List.filter_map
       (fun (name, _, _, sp) ->
         match sp with
         | Some sp when Specialize.clips_exactly sp -> None
         | _ ->
-            note "%-28s final nest does not clip exactly" name;
+            note "%-28s some nest does not clip exactly" name;
             Some name)
       cases
   in
-  note "final nest clips exactly on %d/%d catalog operators"
+  note "every nest clips exactly on %d/%d catalog operators"
     (List.length cases - List.length unclipped)
     (List.length cases);
   let results =
@@ -1945,16 +1925,12 @@ let kernel_bench ~smoke () =
     cases;
   let certify_allocs = Nd.Tensor.allocations () - alloc0 in
   note "certificate + validation over the catalog: %d tensor allocations" certify_allocs;
-  (* 3) Seeded plan corruption: every applicable fault on every
+  (* 3) Seeded clip-set corruption: every applicable fault on every
      operator must be rejected by translation validation; the
      execution-invisible ones must also run bit-identically, proving
-     Certify is the only line of defense. *)
-  let faults =
-    [
-      Specialize.Overlap_strip; Specialize.Duplicate_strip; Specialize.Spurious_clip;
-      Specialize.Cover_gap;
-    ]
-  in
+     Certify is the only line of defense.  [Dropped_clip] would read
+     out of bounds and is never run. *)
+  let faults = [ Specialize.Dropped_clip; Specialize.Spurious_clip; Specialize.Duplicate_clip ] in
   let seeded = ref 0 and rejected = ref 0 in
   let invisible_checked = ref 0 and invisible_identical = ref 0 in
   List.iter
@@ -1968,7 +1944,7 @@ let kernel_bench ~smoke () =
               (match Certify.validate staged bad with
               | Error (Robust.Guard.Static_violation _) -> incr rejected
               | Error _ | Ok _ -> ());
-              if sp <> None && fault <> Specialize.Cover_gap then begin
+              if sp <> None && fault <> Specialize.Dropped_clip then begin
                 incr invisible_checked;
                 let compiled = Staged.reference staged in
                 let rng = Nd.Rng.create ~seed:23 in
@@ -1987,7 +1963,7 @@ let kernel_bench ~smoke () =
     cases;
   let faults_ok = !seeded > 0 && !rejected = !seeded in
   let invisible_ok = !invisible_identical = !invisible_checked in
-  note "seeded plan corruptions: %d/%d rejected by Certify; %d/%d invisible faults \
+  note "seeded clip-set corruptions: %d/%d rejected by Certify; %d/%d invisible faults \
         executed bit-identically"
     !rejected !seeded !invisible_identical !invisible_checked;
   (* 4) The train path's reference backward.  The operator is linear in
@@ -2049,12 +2025,10 @@ let kernel_bench ~smoke () =
     [
       ("specialized kernels bit-identical to the staged interpreter", all_identical);
       ("every catalog operator certified", all_specialized);
-      ("checkless volume equals the certified interior on every catalog operator",
-       guarded_interiors = []);
-      ("every catalog final nest clips exactly", unclipped = []);
+      ("every catalog nest clips exactly", unclipped = []);
       ("certification allocates no tensor", certify_allocs = 0);
       (Printf.sprintf "geomean speedup >= %.1fx" speedup_gate, speedup_ok);
-      ("every seeded plan corruption rejected by Certify", faults_ok);
+      ("every seeded clip-set corruption rejected by Certify", faults_ok);
       ("invisible faults execute bit-identically", invisible_ok);
       ("the backward's adjoint identity holds on every catalog operator", adjoint_failures = []);
     ]
@@ -2070,8 +2044,10 @@ let kernel_bench ~smoke () =
    violation.  Per key, the inputs are drawn as the daemon draws them
    and each backend's forward is timed once, compile excluded.  Gates:
    every backend agrees with the reference within the differential
-   tolerance, and the specialized kernel is bit-identical to the staged
-   interpreter.  The smoke runs every 40th key. *)
+   tolerance, the specialized kernel is bit-identical to the staged
+   interpreter, and each seeded mutant of the compiled nest
+   ([Reference.mutants]) is caught as a backend mismatch on some key.
+   The smoke runs every 40th key. *)
 let differential_bench ~smoke () =
   section
     (Printf.sprintf "Differential validation backends (forward ms per key)%s"
@@ -2159,11 +2135,40 @@ let differential_bench ~smoke () =
   note "%d/%d keys agree within %.0e; specialize = staged bit for bit on %d/%d"
     (n - List.length disagree) n tolerance
     (!n_spec - List.length !not_identical) !n_spec;
+  (* Seeded mutants in the compiled nest's shared routines, which the
+     reference and the specialized kernel both run: each must surface
+     as a typed backend mismatch on some key, and the backend that first
+     disagrees with the reference names the pair that exposed it. *)
+  let uncaught =
+    List.filter
+      (fun m ->
+        let caught =
+          Reference.with_mutant m (fun () ->
+              List.find_map
+                (fun ((e : Zoo.entry), v, name) ->
+                  match Validate.Differential.check_full e.Zoo.operator [ v ] with
+                  | Error { Validate.Differential.fl_kind = Robust.Guard.Backend_mismatch _; fl_backend; _ }
+                    ->
+                      Some (name, fl_backend)
+                  | Ok _ | Error _ -> None)
+                keys)
+        in
+        (match caught with
+        | Some (name, backend) ->
+            note "mutant %-16s caught at %s: reference vs %s" (Reference.mutant_to_string m) name
+              (match backend with
+              | Some b -> Validate.Differential.backend_label b
+              | None -> "(none)")
+        | None -> note "mutant %-16s NOT caught on any key" (Reference.mutant_to_string m));
+        caught = None)
+      Reference.mutants
+  in
   gates
     [
       ("every backend agrees with the reference", disagree = []);
       ("specialize bit-identical to staged", !not_identical = []);
       ("some keys certify", !n_spec > 0);
+      ("every seeded nest mutant caught as a backend mismatch", uncaught = []);
     ]
 
 (* A [Gated] experiment asserts its gates and also runs as [<name>-smoke],

@@ -580,7 +580,7 @@ let search_cmd =
 
 (* One diagnostic per line, machine-readable:
      <operator> bounds proved | padded regions=N | violation: <detail>
-     <operator> regions verdict=... interior=... strips=N nests=N   (--regions)
+     <operator> regions verdict=... interior=... clips=N nests=N   (--regions)
      <operator> lint <rule> <severity>: <detail>
      <operator> rewrites checked=N approx=N unsound=N
      <operator> rewrite unsound: <detail>

@@ -1,19 +1,16 @@
 (** Translation validation for specialized kernel plans.
 
-    {!Regions} builds a partition certificate and {!Lower.Specialize}
-    executes it — with checkless unchecked reads over interior pieces,
-    so a miscompiled plan is not a performance bug but a soundness
-    bug.  This pass re-derives every claim a plan makes before it is
-    allowed to run:
+    {!Regions} builds a clip-set certificate and {!Lower.Specialize}
+    executes it — reading every unlisted access unchecked, so a
+    miscompiled plan is not a performance bug but a soundness bug.  This
+    pass re-derives every claim a plan makes before it is allowed to
+    run, nest by nest:
 
-    - the partition covers each nest's iteration space {e exactly
-      once}: piece volumes sum to the box and no two pieces overlap
-      (checked symbolically — no iteration-space enumeration);
-    - interior pieces re-verify every access Proved in-window via
+    - every clip index is in range and listed once;
+    - every unlisted access is proved in-window via
       {!Regions.access_within};
-    - border pieces guard exactly the accesses that may clip: an
-      unguarded may-clip access rejects, and so does a guard on an
-      access proved in-window (spurious guards signal miscompilation);
+    - no listed access is proved in-window (a guard that can never fire
+      signals miscompilation);
     - the clip sets are cross-checked against {!Verify.staged}'s
       independently recorded padded regions; a [Violation] verdict
       never certifies.
@@ -22,17 +19,14 @@
     [Robust.Guard.Static_violation], same as {!Verify.admit}.  The
     whole pass is arithmetic: zero tensor allocations (provable via
     [Nd.Tensor.allocations]).  The seeded {!Lower.Specialize.fault}
-    corruptions — overlap, duplicate, spurious clip — execute with
-    bit-identical outputs and are caught {e only} here. *)
+    corruptions [Spurious_clip] and [Duplicate_clip] execute with
+    bit-identical outputs and are caught {e only} here; [Dropped_clip]
+    would read out of bounds and is never run. *)
 
 type stats = {
   ct_nests : int;
-  ct_pieces : int;
-  ct_interior_pieces : int;
-  ct_cells : int;  (** total positional cells across nests *)
-  ct_interior_cells : int;
-      (** cells the certificate proves interior; the cells that actually
-          run checkless are [Lower.Specialize.checkless_volume] *)
+  ct_accesses : int;  (** accesses across all nests *)
+  ct_clips : int;  (** accesses the plan lists as may-clip *)
 }
 
 val validate :
@@ -54,6 +48,7 @@ val specialize :
 (** The profitability rule, in one place: certify the staged
     executor's {!Regions} certificate and {!compile} the specialized
     kernel.  [`Auto] (the default) declines quietly with [Ok None] when
-    the certificate has no interior, its verdict is a [Violation], or
-    translation validation rejects the plan; [`On] always tries and
-    returns the rejection. *)
+    the certificate's verdict is a [Violation] or translation
+    validation rejects the plan; [`On] always tries and returns the
+    rejection.  Every nest runs clipped whatever its clip set, so
+    neither mode declines on {!Regions.t.rc_interior_fraction}. *)

@@ -224,17 +224,14 @@ let check_degenerate_reductions ~valuations (op : Graph.operator) =
       else None)
     op.Graph.op_reductions
 
-(* Three findings from one certificate per valuation.  [all-border]:
-   the interior fraction is 0, so no piece of any loop nest runs the
-   checkless interior loops: stage elements run the guarded loop, and
-   the final nest's outputs at best clip per output.  Legal, but a sign
-   the candidate is all padding (or that the interval analysis lost
-   it).  [guarded-interior]: the certificate has an interior, but the
-   compiled kernel runs less of it checkless than it proves — some final
-   access is non-affine in a reduction iterator, so the whole final nest
-   takes the guarded path.  [guarded-border]: the final nest does not
-   clip exactly ([Lower.Specialize.clips_exactly]), so some of its
-   border outputs can run the guarded loop. *)
+(* Two findings from one certificate per valuation.  [all-border]: no
+   access of any nest is proved in-window, so every access is clipped
+   per output.  Legal, but a sign the candidate is all padding (or that
+   the interval analysis lost it).  [guarded-nest]: some nest does not
+   clip exactly ([Lower.Specialize.clips_exactly]) — a final dim is
+   non-affine in a reduction iterator, or a listed dim moves with two
+   or more of them — so some of its outputs can run the guarded
+   loop. *)
 let check_certificate ~valuations (op : Graph.operator) =
   List.concat_map
     (fun v ->
@@ -245,28 +242,19 @@ let check_certificate ~valuations (op : Graph.operator) =
       with
       | exception _ -> []
       | cert, sp ->
-          let interior = Lower.Specialize.interior_volume cert.Regions.rc_plan in
-          let checkless = Lower.Specialize.checkless_volume sp in
           List.filter_map Fun.id
             [
               (if cert.Regions.rc_interior_fraction = 0.0 then
                  Some
                    (finding "all-border" Warning
                       (Printf.sprintf
-                         "certificate has interior fraction 0 (%s): no element runs the checkless interior loops; stage elements run guarded and final outputs at best clip per output"
+                         "certificate proves no access in-window (%s): every access is clipped per output"
                          (Regions.summary_to_string cert)))
-               else None);
-              (if interior > 0 && checkless < interior then
-                 Some
-                   (finding "guarded-interior" Warning
-                      (Printf.sprintf
-                         "certificate proves %d interior cells but only %d run checkless: a final access is non-affine in a reduction iterator"
-                         interior checkless))
                else None);
               (if not (Lower.Specialize.clips_exactly sp) then
                  Some
-                   (finding "guarded-border" Warning
-                      "the final nest does not clip exactly: a final access is non-affine in a reduction iterator, or moves with two or more of them, so border outputs can run the guarded loop")
+                   (finding "guarded-nest" Warning
+                      "a nest does not clip exactly: a final dim is non-affine in a reduction iterator, or a listed dim moves with two or more of them, so some outputs can run the guarded loop")
                else None);
             ])
     valuations

@@ -19,18 +19,13 @@
     - [unreduced-expand]: an [Expand] deleted a dimension whose
       iterators then never reach a weight (spatial) or a second tensor
       (reduction), so the expansion only replicates or scales;
-    - [all-border]: the {!Regions} certificate has interior fraction 0
-      under some valuation — no element runs the checkless interior
-      loops: stage elements take the guarded loop, and the final nest's
-      outputs at best clip their reduction boxes per output;
-    - [guarded-interior]: the certificate has a non-empty interior but
-      [Lower.Specialize.checkless_volume] of the compiled kernel is
-      smaller — some final access has a non-affine term in a reduction
-      iterator, so certified interior cells run the guarded path;
-    - [guarded-border]: [Lower.Specialize.clips_exactly] is false under
-      some valuation — a final access is non-affine in a reduction
-      iterator or moves with two or more of them, so some border
-      outputs of the final nest can run the guarded loop;
+    - [all-border]: the {!Regions} certificate proves no access of any
+      nest in-window under some valuation (interior fraction 0), so
+      every access is clipped per output;
+    - [guarded-nest]: [Lower.Specialize.clips_exactly] is false under
+      some valuation — a final dim is non-affine in a reduction
+      iterator (a closure dim), or a listed dim moves with two or more
+      of them — so some outputs of that nest can run the guarded loop;
     - [trace-mismatch]: the recorded trace does not replay;
     - [cost-drift]: the lint pass's own independent FLOPs/elements
       recomputation disagrees with [Pgraph.Flops] (cross-checking the

@@ -339,4 +339,3 @@ let simplify_traced c e =
   let e' = simplify_with ~on_rewrite:(fun r -> fired := r :: !fired) c e in
   (e', List.rev !fired)
 
-let equivalent c a b = Ast.equal (simplify c a) (simplify c b)

@@ -51,12 +51,3 @@ val simplify_traced : ctx -> Ast.t -> Ast.t * rewrite list
 (** [simplify] that also returns every rule application it fired, in
     firing order.  [simplify c e = fst (simplify_traced c e)]. *)
 
-val equivalent : ctx -> Ast.t -> Ast.t -> bool
-(** Structural equality of the simplified forms. *)
-
-val proves_lt : ctx -> Ast.t -> Shape.Size.t -> bool
-(** [proves_lt ctx e s] iff [0 <= e < s] under every valuation. *)
-
-val proves_much_lt : ctx -> Ast.t -> Shape.Size.t -> bool
-(** The [range(e) * approx_factor <= s] test used by approximate
-    rules; always [false] when approximation is disabled. *)

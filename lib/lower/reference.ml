@@ -34,6 +34,26 @@ let rec compile_expr lookup (e : Ast.t) : int array -> int =
       let fa = compile_expr lookup a in
       fun env -> Ast.emod (fa env) n
 
+(* --- Seeded mutants ------------------------------------------------------------ *)
+
+type mutant = Clip_upper | Stride_sign | Dropped_residue | Short_run
+
+let mutants = [ Clip_upper; Stride_sign; Dropped_residue; Short_run ]
+
+let mutant_to_string = function
+  | Clip_upper -> "clip-upper"
+  | Stride_sign -> "stride-sign"
+  | Dropped_residue -> "dropped-residue"
+  | Short_run -> "short-run"
+
+(* The armed mutant: [None] outside {!with_mutant}, so each hook below
+   costs one branch. *)
+let armed : mutant option ref = ref None
+
+let with_mutant m f =
+  armed := Some m;
+  Fun.protect ~finally:(fun () -> armed := None) f
+
 (* --- Affine splitting -------------------------------------------------------- *)
 
 (* [e] as a signed sum of additive terms: split at [Add]/[Sub], with
@@ -63,19 +83,28 @@ let split ~reductions e =
     List.exists (fun (it : Ast.iter) -> Array.mem it.Ast.id reductions) (Ast.iters term)
   in
   let dynamic, residue = List.partition mentions_reduction rest in
+  let residue =
+    match (!armed, residue) with Some Dropped_residue, _ :: rest -> rest | _ -> residue
+  in
   { affine; residue; dynamic = dynamic <> [] }
 
 let strides eval ~env_size ids =
   let probe = Array.make (max 1 env_size) 0 in
   let c0 = eval probe in
-  ( c0,
+  let d =
     Array.map
       (fun id ->
         probe.(id) <- 1;
         let d = eval probe - c0 in
         probe.(id) <- 0;
         d)
-      ids )
+      ids
+  in
+  (match !armed with
+  | Some Stride_sign -> (
+      match Array.find_index (( <> ) 0) d with Some i -> d.(i) <- -d.(i) | None -> ())
+  | _ -> ());
+  (c0, d)
 
 (* --- Per-output clipping ------------------------------------------------------ *)
 
@@ -113,13 +142,12 @@ let clipper ~doms ~extents red =
           cl_axis.(i) < 0 && match red.(i) with Some r -> Array.exists (( <> ) 0) r | None -> false);
   }
 
-let exact c = c.cl_others = [||]
-
 (* Each axis is clipped to the [r] with [0 <= b + c * r <= top] for every
    dim that moves with it alone; the other dims are then range-tested
    over the clipped box. *)
 let clip c base ~lo ~ext =
   let ceil_div a b = -Ast.fdiv (-a) b in
+  let cut = match !armed with Some Clip_upper -> 1 | _ -> 0 in
   let k = Array.length c.cl_doms in
   for j = 0 to k - 1 do
     lo.(j) <- 0;
@@ -136,7 +164,7 @@ let clip c base ~lo ~ext =
     let h =
       if st = 1 then top - b else if st > 0 then Ast.fdiv (top - b) st else Ast.fdiv b (-st)
     in
-    let l = max l lo.(j) and h = min h (lo.(j) + ext.(j) - 1) in
+    let l = max l lo.(j) and h = min (h - cut) (lo.(j) + ext.(j) - 1) in
     if l > h then empty := true
     else begin
       lo.(j) <- l;
@@ -161,17 +189,446 @@ let clip c base ~lo ~ext =
   done;
   if !empty then Empty else if !partial then Partial else Inside
 
+(* --- The compiled nest ------------------------------------------------------- *)
+
+(* Row-major strides of a shape. *)
+let row_major shape =
+  let n = Array.length shape in
+  let s = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    s.(i) <- s.(i + 1) * shape.(i + 1)
+  done;
+  s
+
+(* How the nest computes one factor dim's index (window low subtracted)
+   per output: an affine dim from a constant and a stride per output
+   axis, a residue dim (non-affine terms over output iterators only)
+   from its closure; both then move by a constant stride per reduction
+   axis.  A closure dim evaluates its closure at every point. *)
+type dim_kind = Affine | Residue | Closure
+
+type dim = {
+  kind : dim_kind;
+  eval : int array -> int;  (* the index over the iterator environment *)
+  const : int;  (* affine: the index at all-zero iterators *)
+  out : int array;  (* affine: stride per output axis *)
+  red : int array;  (* affine, residue: stride per reduction axis *)
+  extent : int;
+}
+
+let affine_dim ~const ~out ~red ~extent =
+  { kind = Affine; eval = (fun _ -> const); const; out; red; extent }
+
+let expr_dim lookup ~out_ids ~red_ids ~env_size expr ~lo ~extent =
+  let f = compile_expr lookup expr in
+  let eval env = f env - lo in
+  let m = Array.length out_ids and k = Array.length red_ids in
+  match split ~reductions:red_ids expr with
+  | { dynamic = true; _ } ->
+      { kind = Closure; eval; const = 0; out = Array.make m 0; red = Array.make k 0; extent }
+  | { residue = []; _ } ->
+      let c0, d = strides eval ~env_size (Array.append out_ids red_ids) in
+      { kind = Affine; eval; const = c0; out = Array.sub d 0 m; red = Array.sub d m k; extent }
+  | _ ->
+      let red = snd (strides eval ~env_size red_ids) in
+      { kind = Residue; eval; const = 0; out = Array.make m 0; red; extent }
+
+(* One contraction compiled: its factors' dims, factor-major, and what
+   the per-output walk needs of them.  Factor 0 is summed against the
+   others as [x] against weights [w_0 .. w_last]. *)
+type nest = {
+  dims : dim array;
+  factor : int array;  (* per dim: its factor *)
+  fstride : int array;  (* per dim: its row-major stride in its factor *)
+  n_factors : int;
+  listed : bool array;  (* per dim: in the clip set *)
+  extents : int array;  (* per dim: its window extent *)
+  consts : int array;  (* per dim: its index at all-zero iterators *)
+  nz_dim : int array;  (* the non-zero output strides of the checked affine dims: *)
+  nz_axis : int array;  (*   dim, output axis and stride *)
+  nz_stride : int array;
+  f_const : int array;  (* per factor: its offset at all-zero iterators *)
+  fz_factor : int array;  (* the non-zero output strides of the factors' *)
+  fz_axis : int array;  (*   affine parts: factor, output axis and stride *)
+  fz_stride : int array;
+  env_dims : int array;  (* the residue dims *)
+  closures : int array;  (* the closure dims *)
+  checked : int array;  (* the listed dims that are not closure dims *)
+  any_closure : bool;
+  out_ids : int array;
+  red_ids : int array;
+  red_doms : int array;
+  red_total : int;
+  env_size : int;
+  clipper : clipper;
+  x_steps : int array;  (* per reduction axis: factor 0's offset step *)
+  w_steps : int array array;  (* per reduction axis: each other factor's offset step *)
+}
+
+let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
+  let dims = Array.concat (Array.to_list factors) in
+  let nd = Array.length dims and k = Array.length red_doms in
+  let factor =
+    Array.concat (Array.to_list (Array.mapi (fun f ds -> Array.map (fun _ -> f) ds) factors))
+  in
+  let fstride =
+    Array.concat
+      (Array.to_list (Array.map (fun ds -> row_major (Array.map (fun d -> d.extent) ds)) factors))
+  in
+  let listed = Array.concat (Array.to_list clips) in
+  if Array.length listed <> nd then invalid_arg "Reference.nest: one clip flag per dim";
+  let checked d = listed.(d) && dims.(d).kind <> Closure in
+  let affine d = dims.(d).kind = Affine in
+  let m = Array.fold_left (fun m d -> max m (Array.length d.out)) 0 dims in
+  let n_w = Array.length factors - 1 in
+  let sum_over f g =
+    let s = ref 0 in
+    Array.iteri (fun d dim -> if factor.(d) = f then s := !s + g d dim) dims;
+    !s
+  in
+  (* The non-zero entries (row, output axis, stride) of a table of
+     strides per output axis. *)
+  let nonzero table =
+    List.concat
+      (List.mapi
+         (fun g row ->
+           List.filter_map
+             (fun a -> if row.(a) = 0 then None else Some (g, a, row.(a)))
+             (List.init m Fun.id))
+         (Array.to_list table))
+  in
+  let nz =
+    List.filter (fun (d, _, _) -> checked d && affine d) (nonzero (Array.map (fun d -> d.out) dims))
+  in
+  let fz =
+    nonzero
+      (Array.init (Array.length factors) (fun f ->
+           Array.init m (fun a ->
+               sum_over f (fun d dim -> if affine d then dim.out.(a) * fstride.(d) else 0))))
+  in
+  let pick l f = Array.of_list (List.map f l) in
+  let indices p = Array.of_list (List.filter p (List.init nd Fun.id)) in
+  let step j f = sum_over f (fun d dim -> dim.red.(j) * fstride.(d)) in
+  {
+    dims;
+    factor;
+    fstride;
+    n_factors = Array.length factors;
+    listed;
+    extents = Array.map (fun d -> d.extent) dims;
+    consts = Array.map (fun d -> d.const) dims;
+    nz_dim = pick nz (fun (d, _, _) -> d);
+    nz_axis = pick nz (fun (_, a, _) -> a);
+    nz_stride = pick nz (fun (_, _, s) -> s);
+    f_const =
+      Array.init (Array.length factors) (fun f ->
+          sum_over f (fun d dim -> if affine d then dim.const * fstride.(d) else 0));
+    fz_factor = pick fz (fun (f, _, _) -> f);
+    fz_axis = pick fz (fun (_, a, _) -> a);
+    fz_stride = pick fz (fun (_, _, s) -> s);
+    env_dims = indices (fun d -> dims.(d).kind = Residue);
+    closures = indices (fun d -> dims.(d).kind = Closure);
+    checked = indices checked;
+    any_closure = Array.exists (fun d -> d.kind = Closure) dims;
+    out_ids;
+    red_ids;
+    red_doms;
+    red_total = Array.fold_left ( * ) 1 red_doms;
+    env_size;
+    clipper =
+      clipper ~doms:red_doms
+        ~extents:(Array.map (fun d -> d.extent) dims)
+        (Array.mapi (fun i d -> if listed.(i) && d.kind <> Closure then Some d.red else None) dims);
+    x_steps = Array.init k (fun j -> step j 0);
+    w_steps = Array.init k (fun j -> Array.init n_w (fun q -> step j (q + 1)));
+  }
+
+let exact n = (not n.any_closure) && Array.length n.clipper.cl_others = 0
+
+(* A walk's private scratch: per output, each checked or residue dim's
+   index and each factor's offset at the all-zero reduction point, and
+   the clipped box; the odometers' state. *)
+type state = {
+  env : int array;
+  base : int array;
+  rlo : int array;
+  rext : int array;
+  act : int array;
+  rv : int array;
+  coord : int array;
+  offs : int array;  (* per factor: its offset at the all-zero reduction point *)
+  woffs : int array;
+  zeros : int array;
+  last : int array;  (* per checked dim: its index at the last clip *)
+  mutable seen : bool;  (* [last], [rlo], [rext] and [verdict] are set *)
+  mutable verdict : clip;
+  mutable o : int;  (* the flat output being summed *)
+}
+
+let state n =
+  let nd = Array.length n.dims and k = Array.length n.red_doms and n_w = n.n_factors - 1 in
+  {
+    env = Array.make (max 1 n.env_size) 0;
+    base = Array.make nd 0;
+    rlo = Array.make k 0;
+    rext = Array.make k 0;
+    act = Array.make k 0;
+    rv = Array.make (max 1 k) 0;
+    coord = Array.make nd 0;
+    offs = Array.make n.n_factors 0;
+    woffs = Array.make (max 0 n_w) 0;
+    zeros = Array.make (max 0 n_w) 0;
+    last = Array.make (Array.length n.checked) 0;
+    seen = false;
+    verdict = Inside;
+    o = 0;
+  }
+
+(* The output at [pos]: each checked dim's index and each factor's
+   offset at the all-zero reduction point, then its box clipped
+   ({!clip}).  Only residue dims, and closure dims later, read [env]. *)
+let locate n s pos =
+  let base = s.base and offs = s.offs in
+  for f = 0 to Array.length offs - 1 do
+    offs.(f) <- n.f_const.(f)
+  done;
+  for t = 0 to Array.length n.fz_factor - 1 do
+    let f = n.fz_factor.(t) in
+    offs.(f) <- offs.(f) + (n.fz_stride.(t) * pos.(n.fz_axis.(t)))
+  done;
+  for i = 0 to Array.length n.checked - 1 do
+    let d = n.checked.(i) in
+    base.(d) <- n.consts.(d)
+  done;
+  for t = 0 to Array.length n.nz_dim - 1 do
+    let d = n.nz_dim.(t) in
+    base.(d) <- base.(d) + (n.nz_stride.(t) * pos.(n.nz_axis.(t)))
+  done;
+  if n.any_closure || Array.length n.env_dims > 0 then begin
+    for a = 0 to Array.length n.out_ids - 1 do
+      s.env.(n.out_ids.(a)) <- pos.(a)
+    done;
+    for e = 0 to Array.length n.env_dims - 1 do
+      let d = n.env_dims.(e) in
+      let v = n.dims.(d).eval s.env in
+      base.(d) <- v;
+      offs.(n.factor.(d)) <- offs.(n.factor.(d)) + (v * n.fstride.(d))
+    done
+  end;
+  (* The clip reads only the checked dims' indices: while they repeat,
+     so do the box and the verdict. *)
+  let same = ref s.seen in
+  for i = 0 to Array.length n.checked - 1 do
+    let d = n.checked.(i) in
+    if base.(d) <> s.last.(i) then begin
+      same := false;
+      s.last.(i) <- base.(d)
+    end
+  done;
+  if not !same then begin
+    s.verdict <- clip n.clipper base ~lo:s.rlo ~ext:s.rext;
+    s.seen <- true
+  end;
+  s.verdict
+
+(* Each factor's offset at the reduction point [rlo]: factor 0's
+   returned, the others' written to [woffs].  A closure dim adds nothing
+   here; [guarded] adds it per point. *)
+let origin n s rlo =
+  let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
+  let woffs = s.woffs in
+  let xo = ref s.offs.(0) in
+  for q = 0 to n_w - 1 do
+    woffs.(q) <- s.offs.(q + 1)
+  done;
+  for j = 0 to k - 1 do
+    let r = rlo.(j) in
+    if r <> 0 then begin
+      xo := !xo + (r * n.x_steps.(j));
+      for q = 0 to n_w - 1 do
+        woffs.(q) <- woffs.(q) + (r * n.w_steps.(j).(q))
+      done
+    end
+  done;
+  !xo
+
+(* The unchecked nest over the box [rlo, rlo + rext):
+   [inner xo n1 xs1 n0 xs0 st1 st0] runs the two innermost axes, [n1]
+   rows of [n0] points from factor 0's offset [xo] and the other
+   factors' offsets [woffs]; a point steps factor 0 by [xs0] and the
+   others by [st0], a row by [xs1] and [st1].  The axes outside them
+   step an odometer over the running offsets, a carry takes back
+   [extent * stride]. *)
+let interior n s inner =
+  let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
+  let rext = s.rext and rv = s.rv and woffs = s.woffs in
+  let xo = ref (origin n s s.rlo) in
+  (* An axis of extent 1 takes no step, so only the others are walked:
+     the inner two of them as the runs, the rest by the odometer. *)
+  let act = s.act and na = ref 0 in
+  for j = 0 to k - 1 do
+    if rext.(j) > 1 then begin
+      act.(!na) <- j;
+      incr na
+    end
+  done;
+  let na = !na in
+  let j0 = if na >= 1 then act.(na - 1) else -1 and j1 = if na >= 2 then act.(na - 2) else -1 in
+  let n0 = if j0 >= 0 then rext.(j0) else 1 and n1 = if j1 >= 0 then rext.(j1) else 1 in
+  let n0 = match !armed with Some Short_run -> n0 - 1 | _ -> n0 in
+  let xs0 = if j0 >= 0 then n.x_steps.(j0) else 0 and xs1 = if j1 >= 0 then n.x_steps.(j1) else 0 in
+  let st0 = if j0 >= 0 then n.w_steps.(j0) else s.zeros in
+  let st1 = if j1 >= 0 then n.w_steps.(j1) else s.zeros in
+  if na <= 2 then inner !xo n1 xs1 n0 xs0 st1 st0
+  else begin
+    let outer = ref 1 in
+    for i = 0 to na - 3 do
+      outer := !outer * rext.(act.(i))
+    done;
+    for _ = 1 to !outer do
+      inner !xo n1 xs1 n0 xs0 st1 st0;
+      let a = ref (na - 3) in
+      while !a >= 0 do
+        let ax = act.(!a) in
+        let ws = n.w_steps.(ax) in
+        rv.(ax) <- rv.(ax) + 1;
+        xo := !xo + n.x_steps.(ax);
+        for q = 0 to n_w - 1 do
+          woffs.(q) <- woffs.(q) + ws.(q)
+        done;
+        if rv.(ax) < rext.(ax) then a := -1
+        else begin
+          rv.(ax) <- 0;
+          xo := !xo - (rext.(ax) * n.x_steps.(ax));
+          for q = 0 to n_w - 1 do
+            woffs.(q) <- woffs.(q) - (rext.(ax) * ws.(q))
+          done;
+          decr a
+        end
+      done
+    done
+  end
+
+(* The guarded nest over the whole box: [point x] at every point where
+   each listed dim reads inside its window, with factor 0's offset [x]
+   and the others' in [woffs].  The offsets and the listed dims'
+   indices step with the odometer; a closure dim is evaluated at every
+   point, over the reduction iterators the odometer keeps in [env] and
+   returns to 0 when it wraps. *)
+let guarded n s point =
+  let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
+  let coord = s.coord and woffs = s.woffs and rv = s.rv and env = s.env in
+  let checked = n.checked and closures = n.closures in
+  Array.blit s.base 0 coord 0 (Array.length coord);
+  (* The odometer rests at the all-zero point between walks. *)
+  let xo = ref (origin n s rv) in
+  for _ = 1 to n.red_total do
+    let inside = ref true and i = ref 0 in
+    while !inside && !i < Array.length checked do
+      let d = checked.(!i) in
+      let v = coord.(d) in
+      if v < 0 || v >= n.extents.(d) then inside := false;
+      incr i
+    done;
+    if !inside then begin
+      if not n.any_closure then point !xo
+      else begin
+        (* Each closure dim's index joins its factor's offset for this
+           point only. *)
+        let x = ref !xo in
+        let i = ref 0 in
+        while !inside && !i < Array.length closures do
+          let d = closures.(!i) in
+          let v = n.dims.(d).eval env in
+          coord.(d) <- v;
+          if n.listed.(d) && (v < 0 || v >= n.extents.(d)) then inside := false;
+          incr i
+        done;
+        if !inside then begin
+          for i = 0 to Array.length closures - 1 do
+            let d = closures.(i) in
+            let c = coord.(d) * n.fstride.(d) and f = n.factor.(d) in
+            if f = 0 then x := !x + c else woffs.(f - 1) <- woffs.(f - 1) + c
+          done;
+          point !x;
+          for i = 0 to Array.length closures - 1 do
+            let d = closures.(i) and f = n.factor.(closures.(i)) in
+            if f > 0 then woffs.(f - 1) <- woffs.(f - 1) - (coord.(d) * n.fstride.(d))
+          done
+        end
+      end
+    end;
+    let a = ref (k - 1) in
+    while !a >= 0 do
+      let ax = !a in
+      let ws = n.w_steps.(ax) in
+      rv.(ax) <- rv.(ax) + 1;
+      if n.any_closure then env.(n.red_ids.(ax)) <- rv.(ax);
+      xo := !xo + n.x_steps.(ax);
+      for q = 0 to n_w - 1 do
+        woffs.(q) <- woffs.(q) + ws.(q)
+      done;
+      for i = 0 to Array.length checked - 1 do
+        let d = checked.(i) in
+        coord.(d) <- coord.(d) + n.dims.(d).red.(ax)
+      done;
+      if rv.(ax) < n.red_doms.(ax) then a := -1
+      else begin
+        rv.(ax) <- 0;
+        if n.any_closure then env.(n.red_ids.(ax)) <- 0;
+        let dom = n.red_doms.(ax) in
+        xo := !xo - (dom * n.x_steps.(ax));
+        for q = 0 to n_w - 1 do
+          woffs.(q) <- woffs.(q) - (dom * ws.(q))
+        done;
+        for i = 0 to Array.length checked - 1 do
+          let d = checked.(i) in
+          coord.(d) <- coord.(d) - (dom * n.dims.(d).red.(ax))
+        done;
+        decr a
+      end
+    done
+  done
+
+(* One output: clip its box; an [Inside] box of a nest with no closure
+   dim runs unchecked, anything else [partial pos w]. *)
+let run_output n s ~inner ~partial pos w =
+  s.o <- w;
+  match locate n s pos with
+  | Empty -> ()
+  | Inside when not n.any_closure -> interior n s inner
+  | Inside | Partial -> partial pos w
+
+(* [f pos w] for every position [pos] of a box of dims [shape], in
+   row-major order, [w] its flat offset. *)
+let each_position shape f =
+  let m = Array.length shape in
+  let pos = Array.make m 0 in
+  for w = 0 to Array.fold_left ( * ) 1 shape - 1 do
+    f pos w;
+    let a = ref (m - 1) in
+    while !a >= 0 do
+      let ax = !a in
+      pos.(ax) <- pos.(ax) + 1;
+      if pos.(ax) < shape.(ax) then a := -1
+      else begin
+        pos.(ax) <- 0;
+        decr a
+      end
+    done
+  done
+
+(* --- The operator -------------------------------------------------------------- *)
+
 type t = {
   op : Graph.operator;
   out_shape : int array;
   in_shape : int array;
   weight_shapes : int array list;
-  n_env : int;  (* environment size: max iterator id + 1 *)
-  spatial_ids : int array;
-  reduction_ids : int array;
-  reduction_doms : int array;
-  input_indexers : (int array -> int) array;  (* one per input dim *)
-  weight_indexers : int array array;  (* iterator ids per weight group *)
+  nest : nest;
+      (* The input, then each weight group.  Every input dim is listed: the
+         reference has no certificate.  A weight dim is a bare iterator
+         over its own domain, so it never leaves its window. *)
 }
 
 let compile (op : Graph.operator) valuation =
@@ -184,26 +641,28 @@ let compile (op : Graph.operator) valuation =
       (fun grp -> Array.of_list (List.map (fun it -> eval_size it.Ast.dom) grp))
       op.Graph.op_weights
   in
-  let all_ids =
-    List.map (fun it -> it.Ast.id) op.Graph.op_output_iters
-    @ List.map (fun it -> it.Ast.id) op.Graph.op_reductions
+  let ids = List.map (fun it -> it.Ast.id) in
+  let out_ids = Array.of_list (ids op.Graph.op_output_iters) in
+  let red_ids = Array.of_list (ids op.Graph.op_reductions) in
+  let env_size = 1 + Array.fold_left max (-1) (Array.append out_ids red_ids) in
+  let red_doms =
+    Array.of_list (List.map (fun it -> eval_size it.Ast.dom) op.Graph.op_reductions)
   in
-  let n_env = 1 + List.fold_left max (-1) all_ids in
+  let dim expr extent = expr_dim lookup ~out_ids ~red_ids ~env_size expr ~lo:0 ~extent in
+  let group exprs shape = Array.of_list (List.map2 dim exprs (Array.to_list shape)) in
+  let factors =
+    Array.of_list
+      (group op.Graph.op_input_exprs in_shape
+      :: List.map2 (fun grp -> group (List.map Ast.iter grp)) op.Graph.op_weights weight_shapes)
+  in
   {
     op;
     out_shape;
     in_shape;
     weight_shapes;
-    n_env;
-    spatial_ids = Array.of_list (List.map (fun it -> it.Ast.id) op.Graph.op_output_iters);
-    reduction_ids = Array.of_list (List.map (fun it -> it.Ast.id) op.Graph.op_reductions);
-    reduction_doms =
-      Array.of_list (List.map (fun it -> eval_size it.Ast.dom) op.Graph.op_reductions);
-    input_indexers = Array.of_list (List.map (compile_expr lookup) op.Graph.op_input_exprs);
-    weight_indexers =
-      Array.of_list
-        (List.map (fun grp -> Array.of_list (List.map (fun it -> it.Ast.id) grp))
-           op.Graph.op_weights);
+    nest =
+      nest ~out_ids ~red_ids ~red_doms ~env_size factors
+        ~clips:(Array.mapi (fun f dims -> Array.map (fun _ -> f = 0) dims) factors);
   }
 
 let output_shape t = Array.copy t.out_shape
@@ -215,7 +674,7 @@ let operator t = t.op
    spatial and reduction loop extents, two FLOPs per point. *)
 let flops t =
   let out = Array.fold_left ( * ) 1 t.out_shape in
-  let red = Array.fold_left ( * ) 1 t.reduction_doms in
+  let red = t.nest.red_total in
   2 * out * red
 
 (* Each accumulated term multiplies the input by one element of every
@@ -223,7 +682,7 @@ let flops t =
    the reduction-space extent) is split evenly across the groups:
    prod_g var(w_g) = 2 / red. *)
 let init_weights t rng =
-  let red = float_of_int (Array.fold_left ( * ) 1 t.reduction_doms) in
+  let red = float_of_int t.nest.red_total in
   let n_groups = List.length t.weight_shapes in
   if n_groups = 0 then []
   else
@@ -248,301 +707,11 @@ let check_arguments fn t ~input ~weights =
     (fun i (w, sh) -> check_shape fn (Printf.sprintf "weight %d" i) (Tensor.shape w) sh)
     (List.combine weights t.weight_shapes)
 
-(* --- The compiled nest ------------------------------------------------------- *)
-
-(* Row-major strides of a shape. *)
-let row_major shape =
-  let n = Array.length shape in
-  let s = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    s.(i) <- s.(i + 1) * shape.(i + 1)
-  done;
-  s
-
-(* How the nest computes one input coordinate per output: an affine dim
-   from a constant and a stride per output axis, a residue dim (a
-   non-affine term over output iterators only) from its closure; both
-   then move by a constant stride per reduction axis.  A closure dim
-   evaluates its closure at every point. *)
-type dim_kind = Affine | Residue | Closure
-
-(* The loop nest [forward] and [backward] compile per call, and its
-   per-output state. *)
-type nest = {
-  t : t;
-  kind : dim_kind array;
-  any_closure : bool;
-  dim_const : int array;  (* per affine dim: its index at all-zero iterators, else 0 *)
-  dim_out : int array array;  (* per affine dim: stride per output axis, else 0 *)
-  dim_red : int array array;  (* per non-closure dim: stride per reduction axis *)
-  clipper : clipper;
-  in_strides : int array;
-  x_steps : int array;  (* input offset step per reduction axis *)
-  w_out : int array array;  (* per group: offset step per output axis *)
-  w_steps : int array array;  (* per reduction axis: offset step per group *)
-  w_limit : int array;  (* per group: its size minus its offset span over the whole box *)
-  red_total : int;
-  (* Per output: its position (mirrored into [env], where the reduction
-     iterators rest at 0), each non-closure dim's index and each
-     group's offset at the all-zero reduction point, and the clipped
-     box. *)
-  env : int array;
-  pos : int array;
-  base : int array;
-  w_base : int array;
-  rlo : int array;
-  rext : int array;
-  (* Scratch of the two nests. *)
-  act : int array;
-  coord : int array;
-  woffs : int array;
-  rv : int array;
-  zeros : int array;
-}
-
-let nest t =
-  let out_ids = t.spatial_ids and red_ids = t.reduction_ids and doms = t.reduction_doms in
-  let m = Array.length out_ids and k = Array.length red_ids in
-  let n_in = Array.length t.in_shape and n_w = Array.length t.weight_indexers in
-  let in_strides = row_major t.in_shape in
-  let kind =
-    Array.of_list
-      (List.map
-         (fun e ->
-           match split ~reductions:red_ids e with
-           | { dynamic = true; _ } -> Closure
-           | { residue = []; _ } -> Affine
-           | _ -> Residue)
-         t.op.Graph.op_input_exprs)
-  in
-  let dim_const = Array.make n_in 0 in
-  let dim_out = Array.make n_in (Array.make m 0) and dim_red = Array.make n_in (Array.make k 0) in
-  Array.iteri
-    (fun i f ->
-      match kind.(i) with
-      | Affine ->
-          let c0, d = strides f ~env_size:t.n_env (Array.append out_ids red_ids) in
-          dim_const.(i) <- c0;
-          dim_out.(i) <- Array.sub d 0 m;
-          dim_red.(i) <- Array.sub d m k
-      | Residue -> dim_red.(i) <- snd (strides f ~env_size:t.n_env red_ids)
-      | Closure -> ())
-    t.input_indexers;
-  let x_steps =
-    Array.init k (fun j ->
-        let s = ref 0 in
-        Array.iteri (fun i st -> s := !s + (st.(j) * in_strides.(i))) dim_red;
-        !s)
-  in
-  let w_step q id =
-    let ws = row_major (List.nth t.weight_shapes q) and s = ref 0 in
-    Array.iteri (fun p id' -> if id' = id then s := !s + ws.(p)) t.weight_indexers.(q);
-    !s
-  in
-  let w_steps = Array.init k (fun j -> Array.init n_w (fun q -> w_step q red_ids.(j))) in
-  let w_limit =
-    Array.init n_w (fun q ->
-        let span = ref 0 in
-        Array.iteri (fun j ws -> span := !span + (ws.(q) * (doms.(j) - 1))) w_steps;
-        Array.fold_left ( * ) 1 (List.nth t.weight_shapes q) - !span)
-  in
-  {
-    t;
-    kind;
-    any_closure = Array.mem Closure kind;
-    dim_const;
-    dim_out;
-    dim_red;
-    clipper =
-      clipper ~doms ~extents:t.in_shape
-        (Array.mapi (fun i r -> if kind.(i) = Closure then None else Some r) dim_red);
-    in_strides;
-    x_steps;
-    w_out = Array.init n_w (fun q -> Array.map (w_step q) out_ids);
-    w_steps;
-    w_limit;
-    red_total = Array.fold_left ( * ) 1 doms;
-    env = Array.make (max 1 t.n_env) 0;
-    pos = Array.make m 0;
-    base = Array.make n_in 0;
-    w_base = Array.make n_w 0;
-    rlo = Array.make k 0;
-    rext = Array.make k 0;
-    act = Array.make k 0;
-    coord = Array.make n_in 0;
-    woffs = Array.make n_w 0;
-    rv = Array.make (max 1 k) 0;
-    zeros = Array.make n_w 0;
-  }
-
-(* [body flat_out] for every output in row-major order that [visit]
-   accepts, with [base] and [w_base] set for it. *)
-let each_output n ~visit body =
-  let t = n.t in
-  let m = Array.length n.pos and n_in = Array.length n.kind and n_w = Array.length n.w_base in
-  Array.blit n.dim_const 0 n.base 0 n_in;
-  Array.fill n.w_base 0 n_w 0;
-  for flat_out = 0 to Array.fold_left ( * ) 1 t.out_shape - 1 do
-    if visit flat_out then begin
-      for i = 0 to n_in - 1 do
-        if n.kind.(i) = Residue then n.base.(i) <- t.input_indexers.(i) n.env
-      done;
-      body flat_out
-    end;
-    (* The next output position, row-major, mirrored into [env]; the
-       affine dims' indices and the weight offsets move with it (a
-       carry takes back [extent * stride]). *)
-    let a = ref (m - 1) in
-    while !a >= 0 do
-      let ax = !a in
-      n.pos.(ax) <- n.pos.(ax) + 1;
-      let steps = if n.pos.(ax) < t.out_shape.(ax) then 1 else 1 - t.out_shape.(ax) in
-      if steps = 1 then a := -1
-      else begin
-        n.pos.(ax) <- 0;
-        decr a
-      end;
-      n.env.(t.spatial_ids.(ax)) <- n.pos.(ax);
-      for i = 0 to n_in - 1 do
-        n.base.(i) <- n.base.(i) + (steps * n.dim_out.(i).(ax))
-      done;
-      for q = 0 to n_w - 1 do
-        n.w_base.(q) <- n.w_base.(q) + (steps * n.w_out.(q).(ax))
-      done
-    done
-  done
-
-(* The unchecked nest over the box [rlo, rlo + rext):
-   [inner xo n1 xs1 n0 xs0 st1 st0] runs the two innermost axes, [n1]
-   rows of [n0] points from input offset [xo] and weight offsets
-   [woffs]; a point steps the input by [xs0] and the weights by [st0], a
-   row by [xs1] and [st1].  The axes outside them step an odometer over
-   the running offsets, a carry takes back [extent * stride]. *)
-let interior n inner =
-  let n_in = Array.length n.base and n_w = Array.length n.w_base and k = Array.length n.rlo in
-  let rext = n.rext and rv = n.rv and woffs = n.woffs in
-  let xo = ref 0 in
-  for i = 0 to n_in - 1 do
-    xo := !xo + (n.base.(i) * n.in_strides.(i))
-  done;
-  Array.blit n.w_base 0 woffs 0 n_w;
-  for j = 0 to k - 1 do
-    xo := !xo + (n.rlo.(j) * n.x_steps.(j));
-    for q = 0 to n_w - 1 do
-      woffs.(q) <- woffs.(q) + (n.rlo.(j) * n.w_steps.(j).(q))
-    done
-  done;
-  (* An axis of extent 1 takes no step, so only the others are walked:
-     the inner two of them as the runs, the rest by the odometer. *)
-  let act = n.act and na = ref 0 in
-  for j = 0 to k - 1 do
-    if rext.(j) > 1 then begin
-      act.(!na) <- j;
-      incr na
-    end
-  done;
-  let na = !na in
-  let j0 = if na >= 1 then act.(na - 1) else -1 and j1 = if na >= 2 then act.(na - 2) else -1 in
-  let n0 = if j0 >= 0 then rext.(j0) else 1 and n1 = if j1 >= 0 then rext.(j1) else 1 in
-  let xs0 = if j0 >= 0 then n.x_steps.(j0) else 0 and xs1 = if j1 >= 0 then n.x_steps.(j1) else 0 in
-  let st0 = if j0 >= 0 then n.w_steps.(j0) else n.zeros in
-  let st1 = if j1 >= 0 then n.w_steps.(j1) else n.zeros in
-  let outer = ref 1 in
-  for i = 0 to na - 3 do
-    outer := !outer * rext.(act.(i))
-  done;
-  for _ = 1 to !outer do
-    inner !xo n1 xs1 n0 xs0 st1 st0;
-    let a = ref (na - 3) in
-    while !a >= 0 do
-      let ax = act.(!a) in
-      let ws = n.w_steps.(ax) in
-      rv.(ax) <- rv.(ax) + 1;
-      xo := !xo + n.x_steps.(ax);
-      for q = 0 to n_w - 1 do
-        woffs.(q) <- woffs.(q) + ws.(q)
-      done;
-      if rv.(ax) < rext.(ax) then a := -1
-      else begin
-        rv.(ax) <- 0;
-        xo := !xo - (rext.(ax) * n.x_steps.(ax));
-        for q = 0 to n_w - 1 do
-          woffs.(q) <- woffs.(q) - (rext.(ax) * ws.(q))
-        done;
-        decr a
-      end
-    done
-  done
-
-(* The guarded nest over the whole box: [point x] at every point whose
-   input offset [x] reads inside, with the weight offsets in [woffs].
-   Every reduction axis steps the odometer, which keeps the reduction
-   iterators in [env] for the closure dims and returns them to 0 when
-   it wraps. *)
-let guarded n point =
-  let t = n.t in
-  let n_in = Array.length n.base and n_w = Array.length n.w_base and k = Array.length n.rlo in
-  let coord = n.coord and woffs = n.woffs and rv = n.rv in
-  let doms = t.reduction_doms in
-  Array.blit n.base 0 coord 0 n_in;
-  Array.blit n.w_base 0 woffs 0 n_w;
-  for _ = 1 to n.red_total do
-    let x = ref 0 and inside = ref true and i = ref 0 in
-    while !inside && !i < n_in do
-      let d = !i in
-      let v = if n.kind.(d) = Closure then t.input_indexers.(d) n.env else coord.(d) in
-      if v < 0 || v >= t.in_shape.(d) then inside := false else x := !x + (v * n.in_strides.(d));
-      incr i
-    done;
-    if !inside then point !x;
-    let a = ref (k - 1) in
-    while !a >= 0 do
-      let ax = !a in
-      let ws = n.w_steps.(ax) in
-      rv.(ax) <- rv.(ax) + 1;
-      n.env.(t.reduction_ids.(ax)) <- rv.(ax);
-      for d = 0 to n_in - 1 do
-        coord.(d) <- coord.(d) + n.dim_red.(d).(ax)
-      done;
-      for q = 0 to n_w - 1 do
-        woffs.(q) <- woffs.(q) + ws.(q)
-      done;
-      if rv.(ax) < doms.(ax) then a := -1
-      else begin
-        rv.(ax) <- 0;
-        n.env.(t.reduction_ids.(ax)) <- 0;
-        for d = 0 to n_in - 1 do
-          coord.(d) <- coord.(d) - (doms.(ax) * n.dim_red.(d).(ax))
-        done;
-        for q = 0 to n_w - 1 do
-          woffs.(q) <- woffs.(q) - (doms.(ax) * ws.(q))
-        done;
-        decr a
-      end
-    done
-  done
-
-(* One output's box: clip it ({!clip}); when no dim needs a closure and
-   the weight windows fit over the whole box, run the clipped box
-   unchecked, else the whole box guarded. *)
-let unchecked n =
-  let ok = ref (not n.any_closure) in
-  for q = 0 to Array.length n.w_base - 1 do
-    if n.w_base.(q) >= n.w_limit.(q) then ok := false
-  done;
-  !ok
-
-let run_output n ~inner ~point =
-  match clip n.clipper n.base ~lo:n.rlo ~ext:n.rext with
-  | Empty -> ()
-  | Inside when unchecked n -> interior n inner
-  | Inside | Partial -> guarded n point
-
 (* --- Forward ------------------------------------------------------------------- *)
 
 (* The unchecked inner runs of the forward, over the nest's two inner
    axes (see [interior]): each point adds [x * w_0 * ... * w_last],
-   the product built from the input value in group order, to output
+   the product built from factor 0's value in factor order, to output
    [o]'s running sum — what the per-point semantics does, sum for
    sum. *)
 let fwd1 od o xd ~n1 ~xs1 ~n0 ~xs0 xo w0 o0 ~s01 ~s00 =
@@ -570,8 +739,8 @@ let fwd2 od o xd ~n1 ~xs1 ~n0 ~xs0 xo w0 o0 ~s01 ~s00 w1 o1 ~s11 ~s10 =
   done;
   od.(o) <- !acc
 
-(* Any other group count, with checked weight reads; [offs] is advanced
-   in place and restored. *)
+(* Any other factor count, with checked reads of the other factors;
+   [offs] is advanced in place and restored. *)
 let fwd_n od o xd ~n1 ~xs1 ~n0 ~xs0 xo (wd : float array array) offs ~st1 ~st0 =
   let n_w = Array.length offs in
   let acc = ref od.(o) in
@@ -595,37 +764,46 @@ let fwd_n od o xd ~n1 ~xs1 ~n0 ~xs0 xo (wd : float array array) offs ~st1 ~st0 =
   done;
   od.(o) <- !acc
 
-(* Compiled per call; see the interface for the contract. *)
+let forward_element n datas out ~partial () =
+  let s = state n in
+  let xd = datas.(0) and wd = Array.sub datas 1 (Array.length datas - 1) in
+  let woffs = s.woffs in
+  let inner =
+    match Array.length wd with
+    | 1 ->
+        let w0 = wd.(0) in
+        fun xo n1 xs1 n0 xs0 st1 st0 ->
+          fwd1 out s.o xd ~n1 ~xs1 ~n0 ~xs0 xo w0 woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
+    | 2 ->
+        let w0 = wd.(0) and w1 = wd.(1) in
+        fun xo n1 xs1 n0 xs0 st1 st0 ->
+          fwd2 out s.o xd ~n1 ~xs1 ~n0 ~xs0 xo w0 woffs.(0) ~s01:st1.(0) ~s00:st0.(0) w1
+            woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
+    | _ -> fun xo n1 xs1 n0 xs0 st1 st0 -> fwd_n out s.o xd ~n1 ~xs1 ~n0 ~xs0 xo wd woffs ~st1 ~st0
+  in
+  let partial =
+    match partial with
+    | Some p -> p
+    | None ->
+        let point x =
+          let v = ref xd.(x) in
+          for q = 0 to Array.length wd - 1 do
+            v := !v *. wd.(q).(woffs.(q))
+          done;
+          out.(s.o) <- out.(s.o) +. !v
+        in
+        fun _ _ -> guarded n s point
+  in
+  fun pos w -> run_output n s ~inner ~partial pos w
+
+(* Compiled once by {!compile}; see the interface for the contract. *)
 let forward t ~input ~weights =
   check_arguments "Reference.forward" t ~input ~weights;
-  let wd = Array.of_list (List.map Tensor.unsafe_data weights) in
-  let xd = Tensor.unsafe_data input in
   let out = Tensor.create t.out_shape in
-  let od = Tensor.unsafe_data out in
-  let n = nest t in
-  let n_w = Array.length wd and woffs = n.woffs in
-  let o = ref 0 in
-  let inner xo n1 xs1 n0 xs0 st1 st0 =
-    match n_w with
-    | 1 -> fwd1 od !o xd ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
-    | 2 ->
-        fwd2 od !o xd ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0) wd.(1)
-          woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
-    | _ -> fwd_n od !o xd ~n1 ~xs1 ~n0 ~xs0 xo wd woffs ~st1 ~st0
-  in
-  let point x =
-    let v = ref xd.(x) in
-    for q = 0 to n_w - 1 do
-      v := !v *. wd.(q).(woffs.(q))
-    done;
-    od.(!o) <- od.(!o) +. !v
-  in
-  if n.red_total > 0 then
-    each_output n
-      ~visit:(fun _ -> true)
-      (fun flat_out ->
-        o := flat_out;
-        run_output n ~inner ~point);
+  let datas = Array.of_list (List.map Tensor.unsafe_data (input :: weights)) in
+  if t.nest.red_total > 0 then
+    each_position t.out_shape
+      (forward_element t.nest datas (Tensor.unsafe_data out) ~partial:None ());
   out
 
 (* --- Backward ------------------------------------------------------------------ *)
@@ -702,8 +880,8 @@ let back_n gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd gw offs ~st1 ~st0 =
     offs.(q) <- offs.(q) - (n1 * st1.(q))
   done
 
-(* Compiled per call; see the interface for the contract.  Outputs whose
-   [grad_out] is 0 are skipped. *)
+(* Compiled once by {!compile}; see the interface for the contract.
+   Outputs whose [grad_out] is 0 are skipped. *)
 let backward t ~input ~weights ~grad_out =
   check_arguments "Reference.backward" t ~input ~weights;
   check_shape "Reference.backward" "grad_out" (Tensor.shape grad_out) t.out_shape;
@@ -714,23 +892,26 @@ let backward t ~input ~weights ~grad_out =
   let gi = Tensor.unsafe_data grad_in in
   let grad_ws = List.map Tensor.create t.weight_shapes in
   let gw = Array.of_list (List.map Tensor.unsafe_data grad_ws) in
-  let n = nest t in
-  let n_w = Array.length wd and woffs = n.woffs in
-  let o = ref 0 in
-  let inner xo n1 xs1 n0 xs0 st1 st0 =
-    let g = go.(!o) in
-    match n_w with
-    | 1 -> back1 gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
+  let n = t.nest in
+  let s = state n in
+  let woffs = s.woffs in
+  let inner =
+    match Array.length wd with
+    | 1 ->
+        fun xo n1 xs1 n0 xs0 st1 st0 ->
+          back1 gi xd go.(s.o) ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0)
+            ~s00:st0.(0)
     | 2 ->
-        back2 gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0) ~s00:st0.(0)
-          wd.(1) gw.(1) woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
-    | _ -> back_n gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd gw woffs ~st1 ~st0
+        fun xo n1 xs1 n0 xs0 st1 st0 ->
+          back2 gi xd go.(s.o) ~n1 ~xs1 ~n0 ~xs0 xo wd.(0) gw.(0) woffs.(0) ~s01:st1.(0)
+            ~s00:st0.(0) wd.(1) gw.(1) woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
+    | _ ->
+        fun xo n1 xs1 n0 xs0 st1 st0 ->
+          back_n gi xd go.(s.o) ~n1 ~xs1 ~n0 ~xs0 xo wd gw woffs ~st1 ~st0
   in
-  let point x = back_point gi xd go.(!o) x wd gw woffs in
+  let point x = back_point gi xd go.(s.o) x wd gw woffs in
+  let partial _ _ = guarded n s point in
   if n.red_total > 0 then
-    each_output n
-      ~visit:(fun flat_out -> go.(flat_out) <> 0.0)
-      (fun flat_out ->
-        o := flat_out;
-        run_output n ~inner ~point);
+    each_position t.out_shape (fun pos w ->
+        if go.(w) <> 0.0 then run_output n s ~inner ~partial pos w);
   (grad_in, grad_ws)

@@ -16,67 +16,113 @@ val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
     environment (indexed by iterator id), with sizes resolved through
     the lookup.  Shared with {!Staged_exec}. *)
 
-(** {2 Affine splitting}
+(** {2 The compiled nest}
 
-    The one splitter behind {!Specialize.compile}'s final-factor strides
-    and the nest {!forward} and {!backward} compile. *)
+    The one contraction executor: {!forward}, {!backward} and every nest
+    of [Specialize] (each materialized stage and the final contraction)
+    run it.  A nest sums, per output, over a box of reduction points,
+    the product of N factors in factor order.  Each factor dim's index
+    (its window low subtracted) is split at [Add]/[Sub] into additive
+    terms: an affine dim (an iterator-free [Div]/[Mod], such as
+    [Unfold]'s [k / 2] centring offset, is a constant) becomes a
+    constant plus a stride per output and per reduction axis; a dim
+    whose non-affine terms mention output iterators only evaluates its
+    closure once per output and then moves by reduction strides; any
+    other dim, a {e closure dim}, keeps its closure.
 
-type split = {
-  affine : (int * Coord.Ast.t) list;
-      (** the affine terms; an iterator-free [Div]/[Mod], such as
-          [Unfold]'s [k / 2] centring offset, is a constant *)
-  residue : (int * Coord.Ast.t) list;  (** the other terms that mention no reduction iterator *)
-  dynamic : bool;  (** some non-affine term mentions a reduction iterator *)
-}
+    The nest takes a {e clip set}: the dims that may leave their window
+    and are clipped per output.  Per output, each listed dim that moves
+    with one reduction axis clips that axis exactly to its in-window
+    range (floor/ceiling division, sign-aware); every other listed dim
+    is range-tested over the clipped box.  An empty box leaves the
+    output at [+0.0]; a box every listed dim reads inside, in a nest
+    with no closure dim, runs unchecked strided runs under an odometer
+    (axes of extent 1 skipped, the inner two as rows of runs,
+    specialized for 2 and 3 factors with a general fallback).  An
+    unlisted dim is read unchecked, so a dim may be left out only where
+    it is proved in-window over the whole box. *)
 
-val split : reductions:int array -> Coord.Ast.t -> split
-(** The expression as a signed sum of additive terms (split at
-    [Add]/[Sub], with [Mul] distributed over the split, exact in
-    integers): the affine terms, which {!strides} turns into constant
-    strides; the non-affine terms over no iterator in [reductions],
-    which take one value per output; and whether any other term is
-    left. *)
+type dim
+(** One factor dim, compiled. *)
 
-val strides : (int array -> int) -> env_size:int -> int array -> int * int array
-(** [strides eval ~env_size ids] probes a compiled expression: its value
-    at the all-zero environment, and for each iterator id in [ids] its
-    change per unit of that iterator.  Exact when [eval] is affine in
-    [ids] with the other iterators held fixed — an affine term, or a
-    whole dim whose non-affine terms mention none of [ids]. *)
+val affine_dim : const:int -> out:int array -> red:int array -> extent:int -> dim
+(** An affine dim: index [const + out . pos + red . r] at output [pos]
+    and reduction point [r], in window when [0 <= index < extent]. *)
 
-(** {2 Per-output clipping}
+val expr_dim :
+  (Shape.Var.t -> int) ->
+  out_ids:int array ->
+  red_ids:int array ->
+  env_size:int ->
+  Coord.Ast.t ->
+  lo:int ->
+  extent:int ->
+  dim
+(** [expr_dim lookup ~out_ids ~red_ids ~env_size expr ~lo ~extent]: the
+    dim [expr] indexes, in window when [lo <= expr < lo + extent], over
+    output iterators [out_ids] and reduction iterators [red_ids] (ids
+    into an environment of [env_size] slots). *)
 
-    The one clip routine behind the nest {!forward} and {!backward}
-    compile and [Specialize]'s border outputs.  A dim's index is
-    [base + sum_j red.(j) * r_j] over the reduction axes [r_j], and it
-    reads inside its window when [0 <= index < extent]. *)
+type nest
 
-type clip =
-  | Empty  (** some dim reads outside its window at every point of the box *)
-  | Inside  (** every followed dim reads inside its window over the clipped box *)
-  | Partial  (** a dim moving with several axes leaves its window somewhere in the box *)
+val nest :
+  out_ids:int array ->
+  red_ids:int array ->
+  red_doms:int array ->
+  env_size:int ->
+  dim array array ->
+  clips:bool array array ->
+  nest
+(** [nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips]: the
+    contraction over reduction axes of extents [red_doms] of the
+    [factors] (per factor, its dims in row-major order), with [clips]
+    flagging, per factor and dim, the clip set.  The iterator ids are
+    read only by non-affine dims.  Raises [Invalid_argument] unless
+    [clips] has one flag per dim. *)
 
-type clipper
+val exact : nest -> bool
+(** Every output's clip is exact: the nest has no closure dim, and no
+    listed dim moves with two or more reduction axes.  Otherwise some
+    output may take its [partial] fallback. *)
 
-val clipper : doms:int array -> extents:int array -> int array option array -> clipper
-(** [clipper ~doms ~extents red]: reduction axes of extents [doms], and
-    per dim its window extent and [Some] its stride per reduction axis,
-    or [None] for a dim the clip does not follow (one a closure
-    indexes). *)
+val forward_element :
+  nest ->
+  float array array ->
+  float array ->
+  partial:(int array -> int -> unit) option ->
+  unit ->
+  int array ->
+  int ->
+  unit
+(** [forward_element n datas out ~partial ()] builds, with its own
+    scratch, the per-output body [element pos w] of the forward over
+    the factors' data [datas]: it adds, to [out.(w)] (which must hold
+    [+0.0]), each reduction point of output [pos]'s clipped box in
+    row-major order, the product built from factor 0's value in factor
+    order.  An output the clip cannot bound exactly, or any output of a
+    nest with a closure dim, runs [partial pos w] instead; [None] runs
+    the nest's own guarded odometer, which visits the whole box and
+    skips the points where a listed dim leaves its window.  Allocates
+    nothing per output. *)
 
-val exact : clipper -> bool
-(** No followed dim moves with two or more reduction axes, so {!clip}
-    never answers [Partial]. *)
+(** {2 Seeded mutants}
 
-val clip : clipper -> int array -> lo:int array -> ext:int array -> clip
-(** [clip c base ~lo ~ext] for one output whose dims sit at [base]
-    (indices at the all-zero reduction point): each dim that moves with
-    one reduction axis clips that axis exactly to its in-window range
-    (floor/ceiling division, sign-aware); every other followed dim is
-    range-tested over the clipped box.  Writes the box, per axis its
-    first point [lo] and extent [ext], and allocates nothing.  On
-    [Inside], the box is exactly the points every followed dim reads
-    inside its window. *)
+    Faults in the nest's shared routines, for showing that differential
+    validation catches a bug the compiled backends share.  Each is a
+    hook that costs one branch when no mutant is armed. *)
+
+type mutant =
+  | Clip_upper  (** each per-axis clip's upper bound one short *)
+  | Stride_sign  (** the first non-zero stride of each probe negated *)
+  | Dropped_residue  (** the splitter drops a dim's first residue term *)
+  | Short_run  (** each unchecked inner run one step short *)
+
+val mutants : mutant list
+val mutant_to_string : mutant -> string
+
+val with_mutant : mutant -> (unit -> 'a) -> 'a
+(** [with_mutant m f] runs [f] with [m] armed in every nest compiled or
+    run meanwhile, on any domain, and disarms it however [f] returns. *)
 
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 
@@ -104,13 +150,14 @@ val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
     add [x * w_0 * ... * w_last], the product built from the input value
     in group order.  Arguments are checked by {!check_arguments}.
 
-    The body is the loop nest {!backward} compiles, with the forward's
-    inner runs: per output, {!clip} bounds the box; an [Empty] box
-    leaves [+0.0]; an [Inside] box whose dims need no closure and whose
-    weight windows fit runs unchecked strided runs under an odometer;
-    any other box runs the guarded odometer.  Points are visited in the
-    per-point order and form the same products, so the output is
-    bit-identical to the per-point semantics.  It runs sequentially. *)
+    The body is the compiled nest ({!forward_element}) over the input
+    followed by the weight groups, with every input dim in the clip set
+    (a weight dim is a bare iterator over its own domain and never
+    leaves its window); outputs it cannot clip exactly run its guarded
+    odometer.  Points
+    are visited in the per-point order and form the same products, so
+    the output is bit-identical to the per-point semantics.  It runs
+    sequentially. *)
 
 val backward :
   t ->
@@ -126,31 +173,13 @@ val backward :
     in ascending order.  Arguments are checked by {!check_arguments},
     and [grad_out] must have {!output_shape}.
 
-    The body is a loop nest compiled per call (microseconds), the one
-    {!forward} runs with its own inner runs.  Each
-    input dim is split by {!split}: an affine dim becomes a
-    constant plus a {!strides} stride per output and per reduction
-    axis; a dim whose non-affine terms mention output iterators only
-    evaluates its closure once per output and then moves by reduction
-    strides; any other dim keeps its {!compile_expr} closure.  Weight
-    groups are bare iterators, so their offsets are strides too.
-
-    Per output, the strides decide which reduction points read inside
-    the input ({!clip}): each dim that moves with one reduction axis
-    clips that axis to an exact sub-range, and the other dims are
-    range-tested over the clipped box.  When no dim needs a closure,
-    every test passes and the weight windows fit,
-    the box runs with unchecked reads and writes — an odometer over the
-    outer axes and a tight loop over the inner two (axes of extent 1
-    skipped), specialized for 1 and 2 weight groups with a general
-    fallback.  Otherwise a guarded
-    odometer window-tests every point of the whole box.  The clipped-away
-    points are exactly the ones that would have added nothing.
-
-    The points are visited in the per-point order — outputs outermost in
-    row-major order, then the reductions in row-major order — and each
-    forms the same products, so the gradients are bit-identical to the
-    per-point semantics above.  It runs sequentially. *)
+    The body is the nest {!forward} runs, with the backward's own inner
+    runs (specialized for 1 and 2 weight groups with a general
+    fallback) and its own guarded point.  The points are visited in the
+    per-point order — outputs outermost in row-major order, then the
+    reductions in row-major order — and each forms the same products,
+    so the gradients are bit-identical to the per-point semantics
+    above.  It runs sequentially: it scatters into shared gradients. *)
 
 val flops : t -> int
 (** Naive loop-nest FLOPs (no staging). *)

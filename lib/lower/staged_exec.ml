@@ -167,47 +167,38 @@ let par_threshold = 1 lsl 12
 
 let poll cancel = Option.iter Robust.Cancel.check cancel
 
-(* The one box driver: [element pos w] for every position [pos] of the
-   inclusive box [lo, hi] of a nest with the given [extents], where [w]
-   is [pos]'s row-major offset in the nest.  [make] builds one element
-   closure, with its own private scratch, per range run; each element
-   writes only its own output cell, so results are bit-identical at any
-   pool size.  A range decodes its first position once and then steps
-   [pos] and [w] with a carry, so an element must not write [pos].
-   Sequential runs poll [cancel] every [poll_mask + 1] elements; pool
-   runs poll it at every range claim. *)
-let run_box ?cancel ~cost ~extents ~lo ~hi make =
+(* The one box driver: [element pos w] for every position [pos] of a
+   nest with the given [extents], where [w] is [pos]'s row-major
+   offset.  [make] builds one element closure, with its own private
+   scratch, per range run; each element writes only its own output
+   cell, so results are bit-identical at any pool size.  A range
+   decodes its first position once and then steps [pos] and [w] with a
+   carry, so an element must not write [pos].  Sequential runs poll
+   [cancel] every [poll_mask + 1] elements; pool runs poll it at every
+   range claim. *)
+let run_box ?cancel ~cost ~extents make =
   let n = Array.length extents in
-  let dims = Array.init n (fun i -> hi.(i) - lo.(i) + 1) in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * extents.(i + 1)
-  done;
-  let volume = Array.fold_left ( * ) 1 dims in
+  let volume = Array.fold_left ( * ) 1 extents in
   let range ~polled first last =
     let element = make () in
-    let pos = Array.make (max 1 n) 0 and w = ref 0 in
+    let pos = Array.make (max 1 n) 0 in
     if first < last then begin
       let rem = ref first in
       for i = n - 1 downto 0 do
-        let p = lo.(i) + (!rem mod dims.(i)) in
-        pos.(i) <- p;
-        w := !w + (p * strides.(i));
-        rem := !rem / dims.(i)
+        pos.(i) <- !rem mod extents.(i);
+        rem := !rem / extents.(i)
       done
     end;
-    for flat = first to last - 1 do
-      if polled && flat land poll_mask = 0 then poll cancel;
-      element pos !w;
+    for w = first to last - 1 do
+      if polled && w land poll_mask = 0 then poll cancel;
+      element pos w;
       let i = ref (n - 1) in
       while !i >= 0 do
         let a = !i in
         pos.(a) <- pos.(a) + 1;
-        w := !w + strides.(a);
-        if pos.(a) <= hi.(a) then i := -1
+        if pos.(a) < extents.(a) then i := -1
         else begin
-          pos.(a) <- lo.(a);
-          w := !w - (dims.(a) * strides.(a));
+          pos.(a) <- 0;
           decr i
         end
       done
@@ -218,23 +209,19 @@ let run_box ?cancel ~cost ~extents ~lo ~hi make =
     Par.Pool.parallel_for pool ?cancel ~n:volume (range ~polled:false)
   else range ~polled:true 0 volume
 
-let whole_box extents = (Array.map (fun _ -> 0) extents, Array.map pred extents)
-let check_all per_factor = Array.map (fun a -> Array.make (Array.length a) true) per_factor
-
-(* A stage's guarded loop over a box of its materialized tensor: the
-   sum over the reduced iterator of the product of the participating
-   factors [datas], written into [out].  An access whose flag in
-   [checks] (per factor, per use) is set is window-tested and a miss
-   zeroes the product; an unflagged access indexes unchecked. *)
-let stage_loop ?cancel sym datas out ~lo ~hi ~checks =
+(* A stage's guarded loop over its materialized tensor: the sum over the
+   reduced iterator of the product of the participating factors
+   [datas], written into [out].  Every access is window-tested, and a
+   miss zeroes the product. *)
+let stage_loop ?cancel sym datas out =
   let uses = sym.ss_uses and lows = sym.ss_lows and dom = sym.ss_dom in
   let nf = Array.length datas in
-  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents ~lo ~hi (fun () pos w ->
+  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents (fun () pos w ->
       let acc = ref 0.0 in
       for r = 0 to dom - 1 do
         let product = ref 1.0 and fi = ref 0 in
         while !fi < nf do
-          let fuses = uses.(!fi) and fchecks = checks.(!fi) in
+          let fuses = uses.(!fi) in
           let off = ref 0 and j = ref 0 in
           while !j < Array.length fuses do
             let u = fuses.(!j) in
@@ -242,7 +229,7 @@ let stage_loop ?cancel sym datas out ~lo ~hi ~checks =
               (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
               + (u.u_coef * r) - u.u_lo
             in
-            if fchecks.(!j) && (idx < 0 || idx >= u.u_extent) then j := max_int
+            if idx < 0 || idx >= u.u_extent then j := max_int
             else begin
               off := (!off * u.u_extent) + idx;
               incr j
@@ -281,57 +268,61 @@ let final_accesses t fsym =
          { fa_eval = Reference.compile_expr lookup expr; fa_lo = lo; fa_extent = extent }))
     fsym.fs_factors
 
-(* The final contraction's guarded loop over a box of output positions:
-   per output element, the sum over the remaining reductions of the
-   product of the factors [datas], each indexed through its compiled
-   accessors [accs].  A flagged access that leaves its window makes
-   its factor contribute zero.  The reduction iterators start at 0 in
-   [env] per output and step with a carry, row-major. *)
-let final_loop ?cancel fsym accs datas out ~lo ~hi ~checks =
+(* The final contraction's guarded element, with its own environment:
+   output [pos]'s sum over the remaining reductions of the product of
+   the factors [datas], each indexed through its compiled accessors
+   [accs], written into [out.(w)].  An access that leaves its window
+   makes its factor contribute zero.  The reduction iterators start at
+   0 in [env] and step with a carry, row-major. *)
+let final_element fsym accs datas out () =
   let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
   let red_doms = fsym.fs_red_doms in
   let red_total = Array.fold_left ( * ) 1 red_doms in
   let n_out = Array.length out_ids and n_red = Array.length red_ids in
   let nf = Array.length datas in
-  run_box ?cancel ~cost:(red_total + 1) ~extents:fsym.fs_out_doms ~lo ~hi (fun () ->
-      let env = Array.make fsym.fs_env_size 0 in
-      fun pos w ->
-        for i = 0 to n_out - 1 do
-          env.(out_ids.(i)) <- pos.(i)
+  let env = Array.make fsym.fs_env_size 0 in
+  fun pos w ->
+    for i = 0 to n_out - 1 do
+      env.(out_ids.(i)) <- pos.(i)
+    done;
+    for i = 0 to n_red - 1 do
+      env.(red_ids.(i)) <- 0
+    done;
+    let acc = ref 0.0 in
+    for _ = 1 to red_total do
+      let product = ref 1.0 in
+      for fi = 0 to nf - 1 do
+        let fa = accs.(fi) in
+        let off = ref 0 and j = ref 0 in
+        while !j < Array.length fa do
+          let a = fa.(!j) in
+          let idx = a.fa_eval env - a.fa_lo in
+          if idx < 0 || idx >= a.fa_extent then j := max_int
+          else begin
+            off := (!off * a.fa_extent) + idx;
+            incr j
+          end
         done;
-        for i = 0 to n_red - 1 do
-          env.(red_ids.(i)) <- 0
-        done;
-        let acc = ref 0.0 in
-        for _ = 1 to red_total do
-          let product = ref 1.0 in
-          for fi = 0 to nf - 1 do
-            let fa = accs.(fi) and fchecks = checks.(fi) in
-            let off = ref 0 and j = ref 0 in
-            while !j < Array.length fa do
-              let a = fa.(!j) in
-              let idx = a.fa_eval env - a.fa_lo in
-              if fchecks.(!j) && (idx < 0 || idx >= a.fa_extent) then j := max_int
-              else begin
-                off := (!off * a.fa_extent) + idx;
-                incr j
-              end
-            done;
-            product := !product *. (if !j = max_int then 0.0 else datas.(fi).(!off))
-          done;
-          acc := !acc +. !product;
-          let a = ref (n_red - 1) in
-          while !a >= 0 do
-            let id = red_ids.(!a) in
-            env.(id) <- env.(id) + 1;
-            if env.(id) < red_doms.(!a) then a := -1
-            else begin
-              env.(id) <- 0;
-              decr a
-            end
-          done
-        done;
-        out.(w) <- !acc)
+        product := !product *. (if !j = max_int then 0.0 else datas.(fi).(!off))
+      done;
+      acc := !acc +. !product;
+      let a = ref (n_red - 1) in
+      while !a >= 0 do
+        let id = red_ids.(!a) in
+        env.(id) <- env.(id) + 1;
+        if env.(id) < red_doms.(!a) then a := -1
+        else begin
+          env.(id) <- 0;
+          decr a
+        end
+      done
+    done;
+    out.(w) <- !acc
+
+let final_loop ?cancel fsym accs datas out =
+  let red_total = Array.fold_left ( * ) 1 fsym.fs_red_doms in
+  run_box ?cancel ~cost:(red_total + 1) ~extents:fsym.fs_out_doms
+    (final_element fsym accs datas out)
 
 (* --- Static access structure ------------------------------------------ *)
 
@@ -469,7 +460,7 @@ let access_plan t =
 
 (* Both forwards check their arguments here, through
    {!Reference.check_arguments}: a tensor of the wrong shape would
-   otherwise be indexed unchecked by the certified interior loops. *)
+   otherwise be read unchecked by the specialized nests. *)
 let initial_factors t ~input ~weights =
   Reference.check_arguments "forward" t.reference ~input ~weights;
   List.map2
@@ -484,16 +475,13 @@ let forward ?cancel t ~input ~weights =
     List.fold_left
       (fun factors sym ->
         poll cancel;
-        materialize sym factors (fun datas out ->
-            let lo, hi = whole_box sym.ss_extents in
-            stage_loop ?cancel sym datas out ~lo ~hi ~checks:(check_all sym.ss_uses)))
+        materialize sym factors (stage_loop ?cancel sym))
       (initial_factors t ~input ~weights)
       syms
   in
   (* Final stage: loop over outputs and the remaining reductions. *)
   let out = Tensor.create (Reference.output_shape t.reference) in
-  let lo, hi = whole_box fsym.fs_out_doms in
   final_loop ?cancel fsym (final_accesses t fsym)
     (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
-    (Tensor.unsafe_data out) ~lo ~hi ~checks:(check_all fsym.fs_factors);
+    (Tensor.unsafe_data out);
   out

@@ -6,12 +6,11 @@
     the residual coordinate expressions, and the final stage contracts
     what remains over the output/remaining-reduction loops.
 
-    Its guarded element loops ({!stage_loop}, {!final_loop}, both
-    driven by {!run_box}) are the only ones in the tree: {!forward}
-    runs them over whole nests with every access checked, and
-    {!Specialize} runs the same loops over the stage border strips of a
-    certified partition, and over the final border outputs it cannot
-    clip exactly, with only the may-clip accesses checked.
+    Its guarded element loops (a stage's, and the final nest's
+    {!final_element}, both driven by {!run_box}) are the only ones in
+    the tree: {!forward} runs them over whole nests, and {!Specialize}
+    falls back to the final one where its compiled nest cannot clip
+    exactly.
 
     The result is numerically identical to {!Reference.forward} (up to
     floating-point association) and is differential-tested against it —
@@ -96,49 +95,32 @@ val symbolic_plan : t -> stage_sym list * final_sym
 
 (** {2 Guarded element loops}
 
-    The only copies of the interpreter's element loops.  {!forward}
-    runs them over each nest's whole box with every access checked;
-    {!Specialize} runs them over border pieces (final ones only where
-    its per-output clip falls back) with only the certificate's
-    may-clip accesses checked, and drives its checkless bodies through
-    the same {!run_box}. *)
+    The only copies of the interpreter's element loops, every access
+    window-tested: a stage's (internal; an access that leaves its window
+    zeroes the product) and the final nest's.  {!forward} runs them over
+    each nest's whole box;
+    {!Specialize} runs {!final_element} for a final output its clip
+    cannot bound exactly, {!final_loop} for a final nest whose factor
+    values could make a clipped point's product other than [+-0.0], and
+    drives its compiled nests through the same {!run_box}. *)
 
 val run_box :
   ?cancel:Robust.Cancel.t ->
   cost:int ->
   extents:int array ->
-  lo:int array ->
-  hi:int array ->
   (unit -> int array -> int -> unit) ->
   unit
-(** [run_box ~cost ~extents ~lo ~hi make] calls [element pos w] for
-    every position [pos] of the inclusive box [[lo, hi]] inside a nest
-    of dims [extents], where [w] is [pos]'s row-major offset in the
-    nest; [make ()] builds one [element], with private scratch, per
-    range run; a range decodes its first position once and steps [pos]
-    and [w] with a carry, so [element] must not write [pos].  Boxes
-    whose volume times [cost] (estimated scalar work
-    per element) is large enough run on the default pool, others
+(** [run_box ~cost ~extents make] calls [element pos w] for every
+    position [pos] of a nest of dims [extents], where [w] is [pos]'s
+    row-major offset; [make ()] builds one [element], with private
+    scratch, per range run; a range decodes its first position once and
+    steps [pos] and [w] with a carry, so [element] must not write
+    [pos].  Nests whose volume times [cost] (estimated scalar work per
+    element) is large enough run on the default pool, others
     sequentially on the caller; each element must write only its own
     output cell, so results are bit-identical at any pool size.
     [cancel] is polled every few thousand elements of a sequential run
     and at every pool range claim. *)
-
-val stage_loop :
-  ?cancel:Robust.Cancel.t ->
-  stage_sym ->
-  float array array ->
-  float array ->
-  lo:int array ->
-  hi:int array ->
-  checks:bool array array ->
-  unit
-(** [stage_loop sym datas out ~lo ~hi ~checks] writes into [out] (the
-    materialized tensor's data), over a box of its positions, the sum
-    over the reduced iterator of the product of the participating
-    factors' data [datas].  An access flagged in [checks] (per
-    participating factor, per use) is window-tested and a miss zeroes
-    the product; an unflagged access indexes unchecked. *)
 
 val materialize :
   stage_sym -> factor list -> (float array array -> float array -> unit) -> factor list
@@ -152,20 +134,29 @@ type final_access
 val final_accesses : t -> final_sym -> final_access array array
 (** The final nest's accessors, per factor, per dim. *)
 
+val final_element :
+  final_sym ->
+  final_access array array ->
+  float array array ->
+  float array ->
+  unit ->
+  int array ->
+  int ->
+  unit
+(** [final_element fsym accs datas out ()] builds, with its own
+    scratch, the guarded body [element pos w]: it writes into [out.(w)]
+    output [pos]'s sum over the remaining reductions of the product of
+    the factors [datas].  An access that leaves its window makes its
+    factor contribute zero. *)
+
 val final_loop :
   ?cancel:Robust.Cancel.t ->
   final_sym ->
   final_access array array ->
   float array array ->
   float array ->
-  lo:int array ->
-  hi:int array ->
-  checks:bool array array ->
   unit
-(** [final_loop fsym accs datas out ~lo ~hi ~checks] writes into [out],
-    over a box of output positions, the sum over the remaining
-    reductions of the product of the factors [datas].  A flagged access
-    that leaves its window makes its factor contribute zero. *)
+(** {!final_element} over every output position, through {!run_box}. *)
 
 type access = {
   acc_expr : Coord.Ast.t;  (** the indexing expression *)
@@ -190,7 +181,7 @@ val access_plan : t -> access list list
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Runs {!stage_loop} over each stage's whole box and then
+(** Runs each stage's guarded loop over its whole box and then
     {!final_loop} over the whole output, every access checked.  Nests
     whose estimated work is large enough run on the default pool
     ({!Par.Pool.get_default}) through {!run_box}, bit-identically to

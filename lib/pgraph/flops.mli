@@ -15,22 +15,17 @@ val params : Graph.operator -> Shape.Valuation.t -> int
 val input_elems : Graph.operator -> Shape.Valuation.t -> int
 val output_elems : Graph.operator -> Shape.Valuation.t -> int
 
-val reduction_elems : Graph.operator -> Shape.Valuation.t -> int
-(** Product of the reduction iterator domains (1 when there are none). *)
-
-val memory_footprint : Graph.operator -> Shape.Valuation.t -> int
-(** input + output + parameter elements. *)
-
 val gather_elems : Graph.operator -> Shape.Valuation.t -> int
-(** Elements of the gathered einsum operand
-    ([output_elems * reduction_elems]), the dominant intermediate of
+(** Elements of the gathered einsum operand ([output_elems] times the
+    product of the reduction domains), the dominant intermediate of
     the einsum lowering. *)
 
 val peak_footprint : Graph.operator -> Shape.Valuation.t -> int
-(** [memory_footprint + gather_elems]: a conservative peak resident
-    element count valid for every lowering backend.  [Validate.Budget]
-    prices exactly this number (cross-checked by [Analysis.Lint] and
-    the test suite, so the two estimators cannot drift). *)
+(** Input, output and parameter elements plus [gather_elems]: a
+    conservative peak resident element count valid for every lowering
+    backend.  [Validate.Budget] prices exactly this number
+    (cross-checked by [Analysis.Lint] and the test suite, so the two
+    estimators cannot drift). *)
 
 val within_budgets :
   ?max_flops:int ->

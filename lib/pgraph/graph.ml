@@ -31,8 +31,6 @@ let init output_shape =
 let frontier g = g.frontier
 let frontier_sizes g = List.map (fun d -> d.size) g.frontier
 let weights g = g.weights
-let spatial_iters g = g.spatial
-let reduction_iters g = List.rev g.reductions
 let trace g = List.rev g.trace_rev
 let num_prims g = List.length g.trace_rev
 let counts g ~kind = List.length (List.filter (fun p -> Prim.kind p = kind) g.trace_rev)

@@ -31,8 +31,6 @@ val weights : t -> Coord.Ast.iter list list
 (** Weight groups, oldest first; each is the (bare) iterators indexing
     one weight tensor, in assignment order. *)
 
-val spatial_iters : t -> Coord.Ast.iter list
-val reduction_iters : t -> Coord.Ast.iter list
 val trace : t -> Prim.t list
 (** Applied primitives, oldest first. *)
 

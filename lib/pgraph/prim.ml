@@ -41,18 +41,6 @@ let is_view = function
   | K_split | K_merge | K_shift | K_unfold | K_expand | K_stride -> true
   | K_reduce | K_share | K_match -> false
 
-let is_one_to_one_view = function
-  | K_split | K_merge | K_shift -> true
-  | K_unfold | K_expand | K_stride | K_reduce | K_share | K_match -> false
-
-let is_one_to_many = function
-  | K_unfold | K_expand -> true
-  | K_split | K_merge | K_shift | K_stride | K_reduce | K_share | K_match -> false
-
-let is_contraction = function
-  | K_reduce | K_share | K_match -> true
-  | K_split | K_merge | K_shift | K_unfold | K_expand | K_stride -> false
-
 let positions = function
   | Split (p, q) -> [ p; q ]
   | Merge (p, _) | Shift p | Expand p | Stride (p, _) | Share (p, _) | Match p -> [ p ]
@@ -61,17 +49,6 @@ let positions = function
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
-
-let kind_name = function
-  | K_split -> "Split"
-  | K_merge -> "Merge"
-  | K_shift -> "Shift"
-  | K_unfold -> "Unfold"
-  | K_expand -> "Expand"
-  | K_stride -> "Stride"
-  | K_reduce -> "Reduce"
-  | K_share -> "Share"
-  | K_match -> "Match"
 
 let pp ppf = function
   | Split (p, q) -> Format.fprintf ppf "Split@(%d,%d)" p q

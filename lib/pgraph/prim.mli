@@ -57,15 +57,6 @@ val kind : t -> kind
 val is_view : kind -> bool
 (** Views (Table 1): Split, Merge, Shift, Unfold, Expand, Stride. *)
 
-val is_one_to_one_view : kind -> bool
-(** Split, Merge, Shift: neither discard nor replicate elements. *)
-
-val is_one_to_many : kind -> bool
-(** Unfold, Expand: eliminate a frontier dimension. *)
-
-val is_contraction : kind -> bool
-(** Reduce, Share (and the implicit Match). *)
-
 val positions : t -> int list
 (** Frontier positions the action touches (empty for [Reduce]). *)
 
@@ -73,4 +64,3 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val kind_name : kind -> string

@@ -34,11 +34,9 @@ type parsed = {
 
 val parse : string -> (parsed, string) result
 
-val rebuild : ?allow_strided:bool -> parsed -> (Graph.operator, string) result
-(** Replay the trace and complete against the input shape. *)
-
 val of_string : ?allow_strided:bool -> string -> (Graph.operator, string) result
-(** [parse] followed by [rebuild]. *)
+(** [parse], then replay the trace and complete against the input
+    shape. *)
 
 val roundtrip_exact : Graph.operator -> bool
 (** [of_string (to_string op)] yields an operator with the same

@@ -77,13 +77,6 @@ let model_flops ?substitute model =
     0
     (layer_instances ?substitute model)
 
-let model_params ?substitute model =
-  List.fold_left
-    (fun acc li ->
-      acc + (Flops.params li.Perf.Roofline.li_operator li.li_valuation * li.li_count))
-    0
-    (layer_instances ?substitute model)
-
 let speedup entry model compiler platform =
   model_latency_ms model compiler platform
   /. model_latency_ms ~substitute:entry model compiler platform

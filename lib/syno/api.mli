@@ -25,8 +25,6 @@ val model_latency_ms :
 val model_flops : ?substitute:Zoo.entry -> Backbones.Models.t -> int
 (** Staged (materialized-reduction) FLOPs over all layers. *)
 
-val model_params : ?substitute:Zoo.entry -> Backbones.Models.t -> int
-
 val speedup :
   Zoo.entry -> Backbones.Models.t -> Perf.Compiler_model.t -> Perf.Platform.t -> float
 (** Baseline latency / substituted latency. *)

@@ -274,15 +274,14 @@ let test_lint_dead_axis () =
   Alcotest.(check bool) "dead-axis reported" true
     (List.exists (fun f -> f.Lint.lint_rule = "dead-axis") (Lint.errors findings))
 
-let test_lint_guarded_interior () =
-  (* [(2 * r) / 2] takes the same values as [r], so every access stays in
-     window and the certificate keeps its interior; but a [Div] over a
-     reduction iterator has no constant stride, so the compiled kernel
-     runs the whole final nest guarded. *)
-  let guarded findings =
-    List.exists (fun f -> f.Lint.lint_rule = "guarded-interior") findings
-  in
-  Alcotest.(check bool) "conv2d: silent" false (guarded (Lint.check ~valuations:[ tiny ] conv));
+(* [guarded-nest] fires when some nest does not clip exactly, for either
+   reason; conv2d clips exactly and stays silent. *)
+let test_lint_guarded_nest () =
+  let rule findings = List.exists (fun f -> f.Lint.lint_rule = "guarded-nest") findings in
+  Alcotest.(check bool) "conv2d: silent" false (rule (Lint.check ~valuations:[ tiny ] conv));
+  (* [(2 * r) / 2] takes the same values as [r], but a [Div] over a
+     reduction iterator has no constant stride: a closure dim, so every
+     output of the final nest runs guarded. *)
   let two = Size.of_int 2 in
   let rec hide = function
     | Ast.Iter it when it.Ast.role = Ast.Reduction -> Ast.div (Ast.mul two (Ast.iter it)) two
@@ -293,18 +292,10 @@ let test_lint_guarded_interior () =
     | Ast.Mod (e, n) -> Ast.Mod (hide e, n)
     | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
   in
-  let bad = { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs } in
-  let findings = Lint.check ~valuations:[ tiny ] bad in
-  Alcotest.(check bool) "guarded-interior reported" true (guarded findings);
-  Alcotest.(check bool) "only a warning" false
-    (List.exists (fun f -> f.Lint.lint_rule = "guarded-interior") (Lint.errors findings))
-
-let test_lint_guarded_border () =
+  let closure = { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs } in
   (* A row coordinate that moves with both window axes cannot be clipped
-     per axis, so a border output whose row leaves the input somewhere
-     in its window runs the guarded loop. *)
-  let rule findings = List.exists (fun f -> f.Lint.lint_rule = "guarded-border") findings in
-  Alcotest.(check bool) "conv2d: silent" false (rule (Lint.check ~valuations:[ tiny ] conv));
+     per axis, so an output whose row leaves the input somewhere in its
+     window runs the guarded loop. *)
   let diagonal =
     match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
     | [ n; c; h; w ], [ _; _; r_w ] ->
@@ -312,9 +303,12 @@ let test_lint_guarded_border () =
         { conv with Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ] }
     | _ -> Alcotest.fail "conv2d: unexpected gather"
   in
-  let findings = Lint.check ~valuations:[ tiny ] diagonal in
-  Alcotest.(check bool) "guarded-border reported" true (rule findings);
-  Alcotest.(check bool) "only a warning" false (rule (Lint.errors findings))
+  List.iter
+    (fun (what, op) ->
+      let findings = Lint.check ~valuations:[ tiny ] op in
+      Alcotest.(check bool) (what ^ ": guarded-nest reported") true (rule findings);
+      Alcotest.(check bool) (what ^ ": only a warning") false (rule (Lint.errors findings)))
+    [ ("closure dim", closure); ("two-axis dim", diagonal) ]
 
 let test_lint_cost_cross_check () =
   List.iter
@@ -368,8 +362,7 @@ let () =
           Alcotest.test_case "futile reduction" `Quick test_lint_futile_reduction;
           Alcotest.test_case "unknown iterator" `Quick test_lint_unknown_iterator;
           Alcotest.test_case "dead axis" `Quick test_lint_dead_axis;
-          Alcotest.test_case "guarded interior" `Quick test_lint_guarded_interior;
+          Alcotest.test_case "guarded nest" `Quick test_lint_guarded_nest;
           Alcotest.test_case "cost cross-check" `Quick test_lint_cost_cross_check;
-          Alcotest.test_case "guarded border" `Quick test_lint_guarded_border;
         ] );
     ]

@@ -217,19 +217,19 @@ let test_lint_regions () =
   Alcotest.(check int) "lint --regions exits 0" 0 code;
   Alcotest.(check bool) "certificate line printed" true
     (Astring.String.is_infix ~affix:"conv2d regions verdict=padded interior=" out);
-  Alcotest.(check bool) "strip count printed" true
-    (Astring.String.is_infix ~affix:"strips=" out);
+  Alcotest.(check bool) "clip count printed" true
+    (Astring.String.is_infix ~affix:"clips=" out);
   (* Without the flag the line is absent. *)
   let code, out, _ = run_cli [ "lint"; "conv2d"; "--hw"; "10" ] in
   Alcotest.(check int) "plain lint exits 0" 0 code;
   Alcotest.(check bool) "no certificate line without --regions" false
     (Astring.String.is_infix ~affix:" regions " out);
   (* --all prints a certificate per catalog operator, including the
-     fully-interior proved ones. *)
+     proved ones that list no clip. *)
   let code, out, _ = run_cli [ "lint"; "--all"; "--regions"; "--hw"; "10" ] in
   Alcotest.(check int) "lint --all --regions exits 0" 0 code;
   Alcotest.(check bool) "proved operators report interior fraction 1" true
-    (Astring.String.is_infix ~affix:"conv1x1 regions verdict=proved interior=1.000 strips=0"
+    (Astring.String.is_infix ~affix:"conv1x1 regions verdict=proved interior=1.000 clips=0"
        out)
 
 (* --corpus end to end.  Distillation needs a real differential

@@ -1,5 +1,5 @@
-(* Proof-guided specialization: certificates, translation validation,
-   and bit-identity of the checkless executor. *)
+(* Proof-guided specialization: clip-set certificates, translation
+   validation, and bit-identity of the specialized executor. *)
 
 module Var = Shape.Var
 module Size = Shape.Size
@@ -84,9 +84,9 @@ let conv2d_with_reductions f =
   { conv with Graph.op_input_exprs = List.map rewrite conv.Graph.op_input_exprs }
 
 (* conv2d with each reduction iterator of the input gather hidden as
-   [(2 * r) / 2]: the same values, so the certificate keeps its interior,
-   but the [Div] has no constant stride, so the certified interior
-   pieces of the final nest run the guarded loop with nothing checked. *)
+   [(2 * r) / 2]: the same values, but the [Div] has no constant stride,
+   so those dims keep their closures and every output of the final nest
+   runs the guarded loop. *)
 let guarded_interior_conv =
   let two = Size.of_int 2 in
   conv2d_with_reductions (fun r -> Ast.div (Ast.mul two r) two)
@@ -163,6 +163,9 @@ let test_matmul_bit_identity () =
   let v = Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7 in
   check_identical "matmul" Zoo.matmul.Zoo.operator v
 
+(* At valuation's shapes every nest's work is above [Staged_exec.run_box]'s
+   parallel threshold, so at 2 and 4 domains the outputs are split into
+   ranges across the pool. *)
 let test_pool_sizes_bit_identical () =
   Fun.protect
     ~finally:(fun () -> Par.Pool.set_default_domains (Par.Pool.num_domains ()))
@@ -186,49 +189,35 @@ let test_pool_sizes_bit_identical () =
             [ 1; 2; 4 ])
         [ Zoo.conv2d; Zoo.operator1 ])
 
-(* --- The path the plan runs ------------------------------------------------ *)
-
-(* Guarded execution is bit-identical by design, so only the volume the
-   plan sends down the checkless loops shows whether the certified
-   interior actually runs there. *)
-let test_checkless_volume () =
-  let conv_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
-  let matmul_v = Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64 in
-  List.iter
-    (fun (e, v) ->
-      let st = Staged.compile e.Zoo.operator v in
-      let cert = Regions.of_staged st in
-      match Certify.validate st cert.Regions.rc_plan with
-      | Error _ -> Alcotest.failf "%s: sound certificate rejected" e.Zoo.name
-      | Ok stats ->
-          let sp = Specialize.compile st cert.Regions.rc_plan in
-          Alcotest.(check bool) (e.Zoo.name ^ ": has an interior") true
-            (stats.Certify.ct_interior_cells > 0);
-          Alcotest.(check int)
-            (e.Zoo.name ^ ": checkless volume = certified interior")
-            stats.Certify.ct_interior_cells (Specialize.checkless_volume sp))
-    (List.map (fun e -> (e, conv_v)) Zoo.conv_like @ [ (Zoo.matmul, matmul_v) ]);
-  let st, cert = certified "conv2d/guarded-interior" guarded_interior_conv valuation in
-  let sp = Specialize.compile st cert.Regions.rc_plan in
-  Alcotest.(check bool)
-    "conv2d/guarded-interior: part of the certified interior runs guarded" true
-    (Specialize.checkless_volume sp < Specialize.interior_volume cert.Regions.rc_plan)
-
 (* --- Cancellation --------------------------------------------------------- *)
 
+(* One large nest, conv1x1's final contraction over 32768 outputs, at
+   one domain: the sequential run polls every 4096 outputs, and a fake
+   clock that advances one tick per poll trips the deadline at the
+   fifth poll, before the nest is done. *)
 let test_mid_loop_cancellation () =
-  (* A fake clock that advances one tick per poll: the deadline token
-     trips mid-execution, deterministically, after a few safe points. *)
+  let v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:8 ~hw:64 ~k:1 ~g:1 ~s:1 () in
+  let st, cert = certified "conv1x1" Zoo.conv1x1.Zoo.operator v in
+  Alcotest.(check int) "a single nest" 1 (Array.length cert.Regions.rc_plan);
+  let sp = Specialize.compile st cert.Regions.rc_plan in
+  let r = Staged.reference st in
+  let rng = Rng.create ~seed:13 in
+  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+  let w = Reference.init_weights r rng in
   let ticks = ref 0 in
   let clock () =
     incr ticks;
     float_of_int !ticks
   in
   let cancel = Cancel.of_deadline ~clock 5.0 in
-  match forward_pair ~cancel "conv2d" Zoo.conv2d.Zoo.operator valuation with
-  | _ -> Alcotest.fail "expected mid-loop cancellation"
-  | exception Cancel.Cancelled (Cancel.Deadline_exceeded _) ->
-      Alcotest.(check bool) "polled more than once" true (!ticks >= 5)
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.set_default_domains (Par.Pool.num_domains ()))
+    (fun () ->
+      Par.Pool.set_default_domains 1;
+      match Specialize.forward ~cancel sp ~input:x ~weights:w with
+      | _ -> Alcotest.fail "expected mid-nest cancellation"
+      | exception Cancel.Cancelled (Cancel.Deadline_exceeded _) ->
+          Alcotest.(check bool) "stopped mid-nest" true (!ticks >= 5 && !ticks < 32768 / 4096))
 
 let test_precancelled () =
   let cancel = Cancel.create () in
@@ -237,12 +226,12 @@ let test_precancelled () =
   | _ -> Alcotest.fail "expected cancellation"
   | exception Cancel.Cancelled (Cancel.Cancelled_by "test") -> ()
 
-(* --- Partition edge cases ------------------------------------------------- *)
+(* --- Certificate edge cases ------------------------------------------------ *)
 
 let test_empty_interior () =
   (* hw = 2 with a 3-wide window: every spatial position may clip, so
-     the padded axes have no interior run, yet the partition still
-     covers everything and executes identically. *)
+     the padded accesses are listed, and the nest still executes
+     identically. *)
   let v = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:2 ~k:3 ~g:2 ~s:2 () in
   let st, cert = certified "conv2d/hw=2" Zoo.conv2d.Zoo.operator v in
   ignore st;
@@ -271,27 +260,27 @@ let test_scalar_output () =
 
 let test_all_padded_program () =
   (* conv2d's Unfold windows clip on both spatial axes: the verdict is
-     Padded, the certificate records border strips, and the interior
-     still dominates. *)
+     Padded, the certificate lists those accesses, and the proved ones
+     still dominate. *)
   let _, cert = certified "conv2d" Zoo.conv2d.Zoo.operator valuation in
   (match cert.Regions.rc_verdict with
   | Verify.Padded _ -> ()
   | verdict ->
       Alcotest.failf "expected Padded, got %s" (Verify.verdict_to_string verdict));
-  Alcotest.(check bool) "has border strips" true (Regions.strips cert > 0);
+  Alcotest.(check bool) "lists may-clip accesses" true (Regions.clips cert > 0);
   Alcotest.(check bool)
     "interior still dominates" true
     (cert.Regions.rc_interior_fraction > 0.5)
 
 let test_proved_program_single_interior () =
-  (* conv1x1 has no padding anywhere: every nest should be one interior
-     piece and the certificate verdict Proved. *)
+  (* conv1x1 has no padding anywhere: no nest lists an access and the
+     certificate verdict is Proved. *)
   let _, cert = certified "conv1x1" Zoo.conv1x1.Zoo.operator valuation in
   (match cert.Regions.rc_verdict with
   | Verify.Proved -> ()
   | verdict ->
       Alcotest.failf "expected Proved, got %s" (Verify.verdict_to_string verdict));
-  Alcotest.(check int) "no border strips" 0 (Regions.strips cert);
+  Alcotest.(check int) "no clips" 0 (Regions.clips cert);
   Alcotest.(check (float 1e-9)) "interior fraction 1" 1.0 cert.Regions.rc_interior_fraction
 
 (* --- Certificate soundness ------------------------------------------------ *)
@@ -306,18 +295,24 @@ let test_zero_tensor_allocations () =
     (Tensor.allocations () - before);
   match validated with
   | Ok stats ->
-      Alcotest.(check bool) "has cells" true (stats.Certify.ct_cells > 0);
+      Alcotest.(check bool) "has accesses" true (stats.Certify.ct_accesses > 0);
       Alcotest.(check bool)
-        "interior cells within total" true
-        (stats.Certify.ct_interior_cells <= stats.Certify.ct_cells)
+        "clips within accesses" true
+        (stats.Certify.ct_clips <= stats.Certify.ct_accesses)
   | Error _ -> Alcotest.fail "sound certificate rejected"
 
-let invisible_faults = [ Specialize.Overlap_strip; Specialize.Duplicate_strip; Specialize.Spurious_clip ]
+let invisible_faults = [ Specialize.Spurious_clip; Specialize.Duplicate_clip ]
+let faults = Specialize.Dropped_clip :: invisible_faults
+
+(* Every catalog operator, matmul at its own shapes. *)
+let catalog =
+  List.map (fun e -> (e, valuation)) zoo_cases
+  @ [ (Zoo.matmul, Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7) ]
 
 let test_corrupt_plans_rejected () =
   List.iter
-    (fun e ->
-      let st, cert = certified e.Zoo.name e.Zoo.operator valuation in
+    (fun (e, v) ->
+      let st, cert = certified e.Zoo.name e.Zoo.operator v in
       List.iter
         (fun fault ->
           match Specialize.corrupt fault st cert.Regions.rc_plan with
@@ -329,16 +324,16 @@ let test_corrupt_plans_rejected () =
               | Ok _ ->
                   Alcotest.failf "%s: %s not rejected" e.Zoo.name
                     (Specialize.fault_to_string fault)))
-        (Specialize.Cover_gap :: invisible_faults))
-    zoo_cases
+        faults)
+    catalog
 
 let test_corrupt_plans_execute_invisibly () =
   (* The whole point of translation validation: these faults produce a
      plan that runs to completion with bit-identical outputs — without
      Certify, nothing notices. *)
   List.iter
-    (fun e ->
-      let st, cert = certified e.Zoo.name e.Zoo.operator valuation in
+    (fun (e, v) ->
+      let st, cert = certified e.Zoo.name e.Zoo.operator v in
       let r = Staged.reference st in
       let rng = Rng.create ~seed:7 in
       let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
@@ -356,7 +351,7 @@ let test_corrupt_plans_execute_invisibly () =
                    (Specialize.fault_to_string fault))
                 (bits reference) (bits b))
         invisible_faults)
-    [ Zoo.conv2d; Zoo.operator1; Zoo.shift_conv ]
+    catalog
 
 let test_faults_available () =
   (* On a padded program every fault class must actually apply —
@@ -369,22 +364,14 @@ let test_faults_available () =
       | None ->
           Alcotest.failf "fault %s not applicable to conv2d"
             (Specialize.fault_to_string fault))
-    (Specialize.Cover_gap :: invisible_faults)
+    faults
 
 let test_plan_shape_mismatch_rejected () =
   let st, cert = certified "conv2d" Zoo.conv2d.Zoo.operator valuation in
   let plan = cert.Regions.rc_plan in
   let last = Array.length plan - 1 in
   let final_accesses = List.length (List.nth (Staged.access_plan st) last) in
-  let with_clip idx =
-    Array.mapi
-      (fun i pieces ->
-        match pieces with
-        | p :: rest when i = last ->
-            { p with Specialize.pc_clips = idx :: p.Specialize.pc_clips } :: rest
-        | pieces -> pieces)
-      plan
-  in
+  let with_clip idx = Array.mapi (fun i clips -> if i = last then idx :: clips else clips) plan in
   List.iter
     (fun (what, bad) ->
       (match Certify.validate st bad with
@@ -401,8 +388,8 @@ let test_plan_shape_mismatch_rejected () =
 
 (* --- Argument checks ------------------------------------------------------ *)
 
-(* A tensor of the wrong shape would be indexed unchecked by the
-   certified interior, so both forwards must refuse it up front, naming
+(* A tensor of the wrong shape would be read unchecked by the
+   specialized nests, so both forwards must refuse it up front, naming
    the offending weight. *)
 let test_bad_weights_rejected () =
   let v = Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7 in
@@ -483,7 +470,7 @@ let random_specialized_agreement =
           let cert = Regions.of_staged st in
           (match Certify.validate st cert.Regions.rc_plan with
           | Error _ -> false
-          | Ok stats ->
+          | Ok _ ->
               let sp = Specialize.compile st cert.Regions.rc_plan in
               let r = Staged.reference st in
               let data_rng = Rng.create ~seed:(seed + 1) in
@@ -491,8 +478,7 @@ let random_specialized_agreement =
               let w = Reference.init_weights r data_rng in
               let a = Staged.forward st ~input:x ~weights:w in
               let b = Specialize.forward sp ~input:x ~weights:w in
-              bits a = bits b
-              && Specialize.checkless_volume sp <= stats.Certify.ct_interior_cells))
+              bits a = bits b))
 
 (* --- Border outputs: per-output clipping ----------------------------------- *)
 
@@ -533,19 +519,23 @@ let test_border_fixtures () =
       ("ones", Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:1 ~k:1 ~g:1 ~s:1 ());
     ]
 
-(* [clips_exactly] is what the guarded-border lint and the kernel bench
-   read: true on the zoo, false for a dim that moves with two window
-   axes and for a reduction hidden behind a [Div]. *)
+(* [clips_exactly] is what the guarded-nest lint and the kernel bench
+   read: true for every nest of the catalog, at the test shapes and the
+   bench's full ones; false for a dim that moves with two window axes
+   and for a reduction hidden behind a [Div]. *)
 let test_clips_exactly () =
   let clips name op v =
     let st, cert = certified name op v in
     Specialize.clips_exactly (Specialize.compile st cert.Regions.rc_plan)
   in
+  let full = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
   List.iter
-    (fun e ->
-      Alcotest.(check bool) (e.Zoo.name ^ " clips exactly") true
-        (clips e.Zoo.name e.Zoo.operator valuation))
-    zoo_cases;
+    (fun (e, v, shape) ->
+      Alcotest.(check bool) (Printf.sprintf "%s %s clips exactly" e.Zoo.name shape) true
+        (clips e.Zoo.name e.Zoo.operator v))
+    (List.map (fun (e, v) -> (e, v, "hw10")) catalog
+    @ List.map (fun e -> (e, full, "c32/hw28")) Zoo.conv_like
+    @ [ (Zoo.matmul, Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64, "64^3") ]);
   Alcotest.(check bool) "conv2d/diagonal-window does not" false
     (clips "conv2d/diagonal-window" diagonal_window_conv valuation);
   Alcotest.(check bool) "conv2d/guarded-interior does not" false
@@ -571,6 +561,39 @@ let test_non_finite_weight () =
     (Array.exists Float.is_nan (Tensor.unsafe_data a));
   Alcotest.(check (array int64)) "conv2d with an infinite weight: bit-identical" (bits a) (bits b)
 
+(* The zoo operators whose staged plan materializes a stage at the test
+   shapes: operator1, operator2, stacked_conv, nas_pte_bottleneck and
+   nas_pte_depthwise_separable. *)
+let multi_stage =
+  List.filter
+    (fun e -> Staged.num_stages (Staged.compile e.Zoo.operator valuation) > 0)
+    zoo_cases
+
+(* A NaN and an infinity in the input reach the first stage's nest, whose
+   clipped points must leave them out exactly as the interpreter's
+   zeroed products do. *)
+let test_non_finite_stage_input () =
+  Alcotest.(check int) "five multi-stage zoo operators" 5 (List.length multi_stage);
+  List.iter
+    (fun e ->
+      let st, cert = certified e.Zoo.name e.Zoo.operator valuation in
+      let sp = Specialize.compile st cert.Regions.rc_plan in
+      let r = Staged.reference st in
+      let rng = Rng.create ~seed:43 in
+      let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
+      let w = Reference.init_weights r rng in
+      let xd = Tensor.unsafe_data x in
+      xd.(0) <- Float.nan;
+      xd.(Array.length xd - 1) <- Float.infinity;
+      let a = Staged.forward st ~input:x ~weights:w in
+      Alcotest.(check bool) (e.Zoo.name ^ ": the NaN reaches the output") true
+        (Array.exists Float.is_nan (Tensor.unsafe_data a));
+      Alcotest.(check (array int64))
+        (e.Zoo.name ^ " with a non-finite input: bit-identical")
+        (bits a)
+        (bits (Specialize.forward sp ~input:x ~weights:w)))
+    multi_stage
+
 (* One draw in three is a border fixture, the others random synthesized
    operators; [None] when the draw completes nothing. *)
 let random_or_fixture seed =
@@ -578,14 +601,20 @@ let random_or_fixture seed =
     Some (snd (List.nth border_fixtures (seed / 3 mod List.length border_fixtures)))
   else random_operator seed
 
-(* Random synthesized operators, and the border fixtures, at random
-   valuations. *)
+(* Random synthesized operators, the border fixtures and the multi-stage
+   zoo operators, at random valuations. *)
 let random_border_agreement =
   QCheck.Test.make ~name:"random operators at random valuations: specialized = staged"
-    ~count:60
+    ~count:80
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
     (fun (seed, vseed) ->
-      match random_or_fixture seed with
+      match
+        (* One draw in four is a multi-stage zoo operator, so its stage
+           nests meet windows wider than the input too. *)
+        if seed mod 4 = 1 then
+          Some (List.nth multi_stage (seed / 4 mod List.length multi_stage)).Zoo.operator
+        else random_or_fixture seed
+      with
       | None -> true
       | Some op -> (
           let v = random_valuation vseed in
@@ -795,8 +824,6 @@ let () =
           Alcotest.test_case "scalar output" `Quick test_scalar_output;
           Alcotest.test_case "all-padded program" `Quick test_all_padded_program;
           Alcotest.test_case "proved program" `Quick test_proved_program_single_interior;
-          Alcotest.test_case "checkless volume = certified interior" `Quick
-            test_checkless_volume;
         ] );
       ( "certification",
         [
@@ -813,6 +840,7 @@ let () =
           Alcotest.test_case "clip fixtures" `Quick test_border_fixtures;
           Alcotest.test_case "clips exactly" `Quick test_clips_exactly;
           Alcotest.test_case "non-finite weight" `Quick test_non_finite_weight;
+          Alcotest.test_case "non-finite stage input" `Quick test_non_finite_stage_input;
           QCheck_alcotest.to_alcotest random_border_agreement;
         ] );
       ( "backward",

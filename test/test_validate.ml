@@ -85,6 +85,29 @@ let test_differential_skips_non_instantiable () =
   | Ok r -> Alcotest.(check int) "skipped" 0 r.Differential.rep_valuations
   | Error k -> Alcotest.failf "skip expected, got %s" (Guard.kind_label k)
 
+(* Each seeded mutant of the compiled nest, which the reference and the
+   specialized kernel share, moves the reference away from the einsum
+   program and the staged interpreter, which share none of it: a typed
+   backend mismatch on some catalog operator at [tiny]. *)
+let test_differential_catches_nest_mutants () =
+  List.iter
+    (fun m ->
+      let caught =
+        Lower.Reference.with_mutant m (fun () ->
+            List.exists
+              (fun (e : Zoo.entry) ->
+                match Differential.check e.Zoo.operator [ tiny ] with
+                | Error (Guard.Backend_mismatch _) -> true
+                | Ok _ | Error _ -> false)
+              [ Zoo.conv2d; Zoo.grouped_conv; Zoo.shift_conv ])
+      in
+      Alcotest.(check bool) (Lower.Reference.mutant_to_string m ^ " caught") true caught;
+      (* Disarmed again: the same checks pass. *)
+      match Differential.check conv [ tiny ] with
+      | Ok _ -> ()
+      | Error k -> Alcotest.failf "after %s: %s" (Lower.Reference.mutant_to_string m) (Guard.kind_label k))
+    Lower.Reference.mutants
+
 let test_differential_catches_fault () =
   (* The specialized backend runs only when certification accepts, so
      the operator must certify at this valuation for its fault to be
@@ -387,6 +410,8 @@ let () =
           Alcotest.test_case "catches a seeded miscompile" `Quick
             test_differential_catches_fault;
           Alcotest.test_case "config validation" `Quick test_differential_config_validation;
+          Alcotest.test_case "catches seeded nest mutants" `Quick
+            test_differential_catches_nest_mutants;
         ] );
       ( "gate",
         [
