@@ -277,6 +277,9 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
   in
   let listed = Array.concat (Array.to_list clips) in
   if Array.length listed <> nd then invalid_arg "Reference.nest: one clip flag per dim";
+  (* Under a mutant every dim is clipped, so a mutated index is never
+     read unchecked. *)
+  let listed = match !armed with None -> listed | Some _ -> Array.map (fun _ -> true) listed in
   let checked d = listed.(d) && dims.(d).kind <> Closure in
   let affine d = dims.(d).kind = Affine in
   let m = Array.fold_left (fun m d -> max m (Array.length d.out)) 0 dims in

@@ -122,7 +122,9 @@ val mutant_to_string : mutant -> string
 
 val with_mutant : mutant -> (unit -> 'a) -> 'a
 (** [with_mutant m f] runs [f] with [m] armed in every nest compiled or
-    run meanwhile, on any domain, and disarms it however [f] returns. *)
+    run meanwhile, on any domain, and disarms it however [f] returns.
+    A nest compiled under a mutant clips every dim, listed or not, so
+    a mutated index is never read unchecked. *)
 
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 
