@@ -247,7 +247,10 @@ type nest = {
   nz_dim : int array;  (* the non-zero output strides of the checked affine dims: *)
   nz_axis : int array;  (*   dim, output axis and stride *)
   nz_stride : int array;
+  m : int;  (* output axes *)
   f_const : int array;  (* per factor: its offset at all-zero iterators *)
+  f_last : int array;  (* per factor: its offset step along the innermost output axis *)
+  c_last : int array;  (* per checked dim: its index step along that axis *)
   fz_factor : int array;  (* the non-zero output strides of the factors' *)
   fz_axis : int array;  (*   affine parts: factor, output axis and stride *)
   fz_stride : int array;
@@ -303,12 +306,12 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
   let nz =
     List.filter (fun (d, _, _) -> checked d && affine d) (nonzero (Array.map (fun d -> d.out) dims))
   in
-  let fz =
-    nonzero
-      (Array.init (Array.length factors) (fun f ->
-           Array.init m (fun a ->
-               sum_over f (fun d dim -> if affine d then dim.out.(a) * fstride.(d) else 0))))
+  let f_out =
+    Array.init (Array.length factors) (fun f ->
+        Array.init m (fun a ->
+            sum_over f (fun d dim -> if affine d then dim.out.(a) * fstride.(d) else 0)))
   in
+  let fz = nonzero f_out in
   let pick l f = Array.of_list (List.map f l) in
   let indices p = Array.of_list (List.filter p (List.init nd Fun.id)) in
   let step j f = sum_over f (fun d dim -> dim.red.(j) * fstride.(d)) in
@@ -323,9 +326,15 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
     nz_dim = pick nz (fun (d, _, _) -> d);
     nz_axis = pick nz (fun (_, a, _) -> a);
     nz_stride = pick nz (fun (_, _, s) -> s);
+    m;
     f_const =
       Array.init (Array.length factors) (fun f ->
           sum_over f (fun d dim -> if affine d then dim.const * fstride.(d) else 0));
+    f_last = Array.map (fun row -> if m = 0 then 0 else row.(m - 1)) f_out;
+    c_last =
+      Array.map
+        (fun d -> if m = 0 || not (affine d) then 0 else dims.(d).out.(m - 1))
+        (indices checked);
     fz_factor = pick fz (fun (f, _, _) -> f);
     fz_axis = pick fz (fun (_, a, _) -> a);
     fz_stride = pick fz (fun (_, _, s) -> s);
@@ -365,6 +374,7 @@ type state = {
   last : int array;  (* per checked dim: its index at the last clip *)
   mutable seen : bool;  (* [last], [rlo], [rext] and [verdict] are set *)
   mutable verdict : clip;
+  mutable next : int;  (* the flat output after the last one located *)
   mutable o : int;  (* the flat output being summed *)
 }
 
@@ -384,29 +394,44 @@ let state n =
     last = Array.make (Array.length n.checked) 0;
     seen = false;
     verdict = Inside;
+    next = -1;
     o = 0;
   }
 
 (* The output at [pos]: each checked dim's index and each factor's
    offset at the all-zero reduction point, then its box clipped
    ({!clip}).  Only residue dims, and closure dims later, read [env]. *)
-let locate n s pos =
+let locate n s pos w =
   let base = s.base and offs = s.offs in
-  for f = 0 to Array.length offs - 1 do
-    offs.(f) <- n.f_const.(f)
-  done;
-  for t = 0 to Array.length n.fz_factor - 1 do
-    let f = n.fz_factor.(t) in
-    offs.(f) <- offs.(f) + (n.fz_stride.(t) * pos.(n.fz_axis.(t)))
-  done;
-  for i = 0 to Array.length n.checked - 1 do
-    let d = n.checked.(i) in
-    base.(d) <- n.consts.(d)
-  done;
-  for t = 0 to Array.length n.nz_dim - 1 do
-    let d = n.nz_dim.(t) in
-    base.(d) <- base.(d) + (n.nz_stride.(t) * pos.(n.nz_axis.(t)))
-  done;
+  let last = n.m - 1 in
+  if w = s.next && last >= 0 && pos.(last) > 0 && Array.length n.env_dims = 0 then begin
+    (* One step along the innermost output axis from the last output. *)
+    for f = 0 to Array.length offs - 1 do
+      offs.(f) <- offs.(f) + n.f_last.(f)
+    done;
+    for i = 0 to Array.length n.checked - 1 do
+      let d = n.checked.(i) in
+      base.(d) <- base.(d) + n.c_last.(i)
+    done
+  end
+  else begin
+    for f = 0 to Array.length offs - 1 do
+      offs.(f) <- n.f_const.(f)
+    done;
+    for t = 0 to Array.length n.fz_factor - 1 do
+      let f = n.fz_factor.(t) in
+      offs.(f) <- offs.(f) + (n.fz_stride.(t) * pos.(n.fz_axis.(t)))
+    done;
+    for i = 0 to Array.length n.checked - 1 do
+      let d = n.checked.(i) in
+      base.(d) <- n.consts.(d)
+    done;
+    for t = 0 to Array.length n.nz_dim - 1 do
+      let d = n.nz_dim.(t) in
+      base.(d) <- base.(d) + (n.nz_stride.(t) * pos.(n.nz_axis.(t)))
+    done
+  end;
+  s.next <- w + 1;
   if n.any_closure || Array.length n.env_dims > 0 then begin
     for a = 0 to Array.length n.out_ids - 1 do
       s.env.(n.out_ids.(a)) <- pos.(a)
@@ -466,6 +491,12 @@ let interior n s inner =
   let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
   let rext = s.rext and rv = s.rv and woffs = s.woffs in
   let xo = ref (origin n s s.rlo) in
+  if k = 1 then begin
+    (* One reduction axis, one run: every stage nest. *)
+    let n0 = match !armed with Some Short_run -> rext.(0) - 1 | _ -> rext.(0) in
+    inner !xo 1 0 n0 n.x_steps.(0) s.zeros n.w_steps.(0)
+  end
+  else
   (* An axis of extent 1 takes no step, so only the others are walked:
      the inner two of them as the runs, the rest by the odometer. *)
   let act = s.act and na = ref 0 in
@@ -597,7 +628,7 @@ let guarded n s point =
    dim runs unchecked, anything else [partial pos w]. *)
 let run_output n s ~inner ~partial pos w =
   s.o <- w;
-  match locate n s pos with
+  match locate n s pos w with
   | Empty -> ()
   | Inside when not n.any_closure -> interior n s inner
   | Inside | Partial -> partial pos w
