@@ -274,6 +274,7 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
   let factor =
     Array.concat (Array.to_list (Array.mapi (fun f ds -> Array.map (fun _ -> f) ds) factors))
   in
+  let extents = Array.map (fun d -> d.extent) dims in
   let fstride =
     Array.concat
       (Array.to_list (Array.map (fun ds -> row_major (Array.map (fun d -> d.extent) ds)) factors))
@@ -321,7 +322,7 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
     fstride;
     n_factors = Array.length factors;
     listed;
-    extents = Array.map (fun d -> d.extent) dims;
+    extents;
     consts = Array.map (fun d -> d.const) dims;
     nz_dim = pick nz (fun (d, _, _) -> d);
     nz_axis = pick nz (fun (_, a, _) -> a);
@@ -348,9 +349,8 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
     red_total = Array.fold_left ( * ) 1 red_doms;
     env_size;
     clipper =
-      clipper ~doms:red_doms
-        ~extents:(Array.map (fun d -> d.extent) dims)
-        (Array.mapi (fun i d -> if listed.(i) && d.kind <> Closure then Some d.red else None) dims);
+      clipper ~doms:red_doms ~extents
+        (Array.mapi (fun i d -> if checked i then Some d.red else None) dims);
     x_steps = Array.init k (fun j -> step j 0);
     w_steps = Array.init k (fun j -> Array.init n_w (fun q -> step j (q + 1)));
   }
