@@ -275,11 +275,17 @@ let test_lint_dead_axis () =
     (List.exists (fun f -> f.Lint.lint_rule = "dead-axis") (Lint.errors findings))
 
 (* [guarded-nest] fires when some nest does not clip exactly, for either
-   reason; conv2d clips exactly and stays silent. *)
-let test_lint_guarded_nest () =
+   reason below; conv2d clips exactly and stays silent. *)
+let check_guarded_nest what op =
   let rule findings = List.exists (fun f -> f.Lint.lint_rule = "guarded-nest") findings in
   Alcotest.(check bool) "conv2d: silent" false (rule (Lint.check ~valuations:[ tiny ] conv));
-  (* [(2 * r) / 2] takes the same values as [r], but a [Div] over a
+  let findings = Lint.check ~valuations:[ tiny ] op in
+  Alcotest.(check bool) (what ^ ": guarded-nest reported") true (rule findings);
+  Alcotest.(check bool) (what ^ ": only a warning") false (rule (Lint.errors findings))
+
+let test_lint_guarded_interior () =
+  (* [(2 * r) / 2] takes the same values as [r], so every access stays in
+     window and the certificate keeps its interior; but a [Div] over a
      reduction iterator has no constant stride: a closure dim, so every
      output of the final nest runs guarded. *)
   let two = Size.of_int 2 in
@@ -292,23 +298,19 @@ let test_lint_guarded_nest () =
     | Ast.Mod (e, n) -> Ast.Mod (hide e, n)
     | (Ast.Iter _ | Ast.Const _ | Ast.Size_const _) as e -> e
   in
-  let closure = { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs } in
+  check_guarded_nest "closure dim"
+    { conv with Graph.op_input_exprs = List.map hide conv.Graph.op_input_exprs }
+
+let test_lint_guarded_border () =
   (* A row coordinate that moves with both window axes cannot be clipped
-     per axis, so an output whose row leaves the input somewhere in its
-     window runs the guarded loop. *)
-  let diagonal =
-    match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
-    | [ n; c; h; w ], [ _; _; r_w ] ->
-        let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
+     per axis, so a border output whose row leaves the input somewhere
+     in its window runs the guarded loop. *)
+  match (conv.Graph.op_input_exprs, conv.Graph.op_reductions) with
+  | [ n; c; h; w ], [ _; _; r_w ] ->
+      let half = Ast.Div (Ast.Size_const (Size.of_var Zoo.Vars.k), Size.of_int 2) in
+      check_guarded_nest "two-axis dim"
         { conv with Graph.op_input_exprs = [ n; c; Ast.Sub (Ast.Add (h, Ast.iter r_w), half); w ] }
-    | _ -> Alcotest.fail "conv2d: unexpected gather"
-  in
-  List.iter
-    (fun (what, op) ->
-      let findings = Lint.check ~valuations:[ tiny ] op in
-      Alcotest.(check bool) (what ^ ": guarded-nest reported") true (rule findings);
-      Alcotest.(check bool) (what ^ ": only a warning") false (rule (Lint.errors findings)))
-    [ ("closure dim", closure); ("two-axis dim", diagonal) ]
+  | _ -> Alcotest.fail "conv2d: unexpected gather"
 
 let test_lint_cost_cross_check () =
   List.iter
@@ -362,7 +364,8 @@ let () =
           Alcotest.test_case "futile reduction" `Quick test_lint_futile_reduction;
           Alcotest.test_case "unknown iterator" `Quick test_lint_unknown_iterator;
           Alcotest.test_case "dead axis" `Quick test_lint_dead_axis;
-          Alcotest.test_case "guarded nest" `Quick test_lint_guarded_nest;
+          Alcotest.test_case "guarded interior" `Quick test_lint_guarded_interior;
+          Alcotest.test_case "guarded border" `Quick test_lint_guarded_border;
           Alcotest.test_case "cost cross-check" `Quick test_lint_cost_cross_check;
         ] );
     ]

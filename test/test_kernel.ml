@@ -51,6 +51,10 @@ let certified name op v =
   | Error _ -> Alcotest.failf "%s: unexpected guard kind" name);
   (st, cert)
 
+let clips name op v =
+  let st, cert = certified name op v in
+  Specialize.clips_exactly (Specialize.compile st cert.Regions.rc_plan)
+
 let forward_pair ?cancel name op v =
   let st, cert = certified name op v in
   let sp = Specialize.compile st cert.Regions.rc_plan in
@@ -188,6 +192,34 @@ let test_pool_sizes_bit_identical () =
                 (bits reference) (bits b))
             [ 1; 2; 4 ])
         [ Zoo.conv2d; Zoo.operator1 ])
+
+(* --- The path the plan runs ------------------------------------------------ *)
+
+(* Guarded execution is bit-identical by design, so only whether the
+   nests clip exactly shows whether the certified interior actually runs
+   checkless.  With clip sets the checkless volume is every output of a
+   nest that clips exactly, border included, so "checkless volume =
+   certified interior" holds as: the certificate has an interior, and
+   none of it runs guarded.  The shapes are the kernel bench's. *)
+let test_checkless_volume () =
+  let conv_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
+  let matmul_v = Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64 in
+  List.iter
+    (fun (e, v) ->
+      let _, cert = certified e.Zoo.name e.Zoo.operator v in
+      Alcotest.(check bool) (e.Zoo.name ^ ": has an interior") true
+        (cert.Regions.rc_interior_fraction > 0.0);
+      Alcotest.(check bool)
+        (e.Zoo.name ^ ": every nest clips exactly")
+        true
+        (clips e.Zoo.name e.Zoo.operator v))
+    (List.map (fun e -> (e, conv_v)) Zoo.conv_like @ [ (Zoo.matmul, matmul_v) ]);
+  let _, cert = certified "conv2d/guarded-interior" guarded_interior_conv valuation in
+  Alcotest.(check bool) "conv2d/guarded-interior: has an interior" true
+    (cert.Regions.rc_interior_fraction > 0.0);
+  Alcotest.(check bool)
+    "conv2d/guarded-interior: part of the certified interior runs guarded" false
+    (clips "conv2d/guarded-interior" guarded_interior_conv valuation)
 
 (* --- Cancellation --------------------------------------------------------- *)
 
@@ -520,22 +552,15 @@ let test_border_fixtures () =
     ]
 
 (* [clips_exactly] is what the guarded-nest lint and the kernel bench
-   read: true for every nest of the catalog, at the test shapes and the
-   bench's full ones; false for a dim that moves with two window axes
-   and for a reduction hidden behind a [Div]. *)
+   read: true for every nest of the catalog at the test shapes; false
+   for a dim that moves with two window axes and for a reduction hidden
+   behind a [Div]. *)
 let test_clips_exactly () =
-  let clips name op v =
-    let st, cert = certified name op v in
-    Specialize.clips_exactly (Specialize.compile st cert.Regions.rc_plan)
-  in
-  let full = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
   List.iter
-    (fun (e, v, shape) ->
-      Alcotest.(check bool) (Printf.sprintf "%s %s clips exactly" e.Zoo.name shape) true
+    (fun (e, v) ->
+      Alcotest.(check bool) (e.Zoo.name ^ " hw10 clips exactly") true
         (clips e.Zoo.name e.Zoo.operator v))
-    (List.map (fun (e, v) -> (e, v, "hw10")) catalog
-    @ List.map (fun e -> (e, full, "c32/hw28")) Zoo.conv_like
-    @ [ (Zoo.matmul, Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64, "64^3") ]);
+    catalog;
   Alcotest.(check bool) "conv2d/diagonal-window does not" false
     (clips "conv2d/diagonal-window" diagonal_window_conv valuation);
   Alcotest.(check bool) "conv2d/guarded-interior does not" false
@@ -824,6 +849,8 @@ let () =
           Alcotest.test_case "scalar output" `Quick test_scalar_output;
           Alcotest.test_case "all-padded program" `Quick test_all_padded_program;
           Alcotest.test_case "proved program" `Quick test_proved_program_single_interior;
+          Alcotest.test_case "checkless volume = certified interior" `Quick
+            test_checkless_volume;
         ] );
       ( "certification",
         [
