@@ -1777,7 +1777,9 @@ let serve_bench ~smoke () =
 
 (* Gates the specializing compiler end to end: over the whole catalog,
    the certified specialized executor must compute bit-identical
-   outputs to the staged interpreter while beating the best interpreter
+   outputs to the staged interpreter, also with a NaN and an infinity
+   planted (where the interpreter must match the reference on plans
+   with no stage), while beating the best interpreter
    (einsum program or staged) by >= 3.0x geomean in the full run
    (>= 1.4x in the smoke, whose small shapes are mostly border);
    every nest of every catalog operator must clip its outputs exactly
@@ -1910,6 +1912,51 @@ let kernel_bench ~smoke () =
     exp (List.fold_left (fun a s -> a +. log s) 0.0 speedups
          /. float_of_int (max 1 (List.length speedups)))
   in
+  (* 1b) Non-finite values: a NaN and an infinity planted in the input
+     and in one weight, if any.  A point whose access leaves its window adds
+     nothing in every nest, so the specialized kernel still matches the
+     interpreter bit for bit, and so does the reference on a plan with
+     no stage, which forms the same products in the same order. *)
+  let plant rng t =
+    let d = Nd.Tensor.unsafe_data t in
+    d.(Nd.Rng.int rng (Array.length d)) <- Float.nan;
+    d.(Nd.Rng.int rng (Array.length d)) <- Float.infinity
+  in
+  let non_finite =
+    List.filter_map
+      (fun (name, staged, _, sp) ->
+        Option.map
+          (fun sp ->
+            let compiled = Staged.reference staged in
+            let rng = Nd.Rng.create ~seed:31 in
+            let input =
+              Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0
+                (Lower.Reference.input_shape compiled)
+            in
+            let weights = Lower.Reference.init_weights compiled rng in
+            plant rng input;
+            if weights <> [] then
+              plant rng (List.nth weights (Nd.Rng.int rng (List.length weights)));
+            let a = bits (Staged.forward staged ~input ~weights) in
+            let spec_ok = a = bits (Specialize.forward sp ~input ~weights) in
+            let zero_stage = Staged.num_stages staged = 0 in
+            let ref_ok =
+              (not zero_stage) || a = bits (Lower.Reference.forward compiled ~input ~weights)
+            in
+            if not spec_ok then note "%-28s non-finite: specialized <> staged" name;
+            if not ref_ok then note "%-28s non-finite: staged <> reference" name;
+            (spec_ok, zero_stage, ref_ok))
+          sp)
+      cases
+  in
+  let count p = List.length (List.filter p non_finite) in
+  let zero_stage = count (fun (_, z, _) -> z) in
+  note "non-finite values: %d/%d specialized = staged, %d/%d zero-stage plans staged = reference"
+    (count (fun (s, _, _) -> s))
+    (List.length non_finite)
+    (count (fun (_, z, r) -> z && r))
+    zero_stage;
+  let non_finite_ok = List.for_all (fun (s, _, r) -> s && r) non_finite in
   let speedup_gate = if smoke then 1.4 else 3.0 in
   let speedup_ok = geomean >= speedup_gate in
   note "geomean speedup vs best interpreter over %d operators: %.2fx (gate >= %.1fx, %s)"
@@ -2024,6 +2071,9 @@ let kernel_bench ~smoke () =
   gates
     [
       ("specialized kernels bit-identical to the staged interpreter", all_identical);
+      ( "with a NaN and an infinity planted: specialized = staged, and staged = reference \
+         without stages",
+        non_finite_ok );
       ("every catalog operator certified", all_specialized);
       ("every catalog nest clips exactly", unclipped = []);
       ("certification allocates no tensor", certify_allocs = 0);

@@ -16,9 +16,15 @@
     closures, splitter, strides or clip), so a bug there still shows
     as a mismatch against this backend.
 
-    The result is numerically identical to {!Reference.forward} and is
-    differential-tested against it.  [to_pytorch] and [to_te] print the
-    equivalent PyTorch-style and TVM-TE/Halide-style programs. *)
+    The result is numerically identical to {!Reference.forward} on
+    finite values and is differential-tested against it.  Like the
+    PyTorch program it prints, the contraction multiplies a clipped
+    point's gathered [0.0] in, so an infinite or NaN weight there gives
+    NaN: this is the one backend where a clipped point does not simply
+    add nothing, and it differs from the others on non-finite values
+    ([Validate.Differential] draws only finite ones).  [to_pytorch] and
+    [to_te] print the equivalent PyTorch-style and TVM-TE/Halide-style
+    programs. *)
 
 type t
 

@@ -625,13 +625,13 @@ let guarded n s point =
   done
 
 (* One output: clip its box; an [Inside] box of a nest with no closure
-   dim runs unchecked, anything else [partial pos w]. *)
-let run_output n s ~inner ~partial pos w =
+   dim runs unchecked, anything else [guarded ()]. *)
+let run_output n s ~inner ~guarded pos w =
   s.o <- w;
   match locate n s pos w with
   | Empty -> ()
   | Inside when not n.any_closure -> interior n s inner
-  | Inside | Partial -> partial pos w
+  | Inside | Partial -> guarded ()
 
 (* [f pos w] for every position [pos] of a box of dims [shape], in
    row-major order, [w] its flat offset. *)
@@ -732,14 +732,14 @@ let check_shape fn what actual expected =
       (Printf.sprintf "%s: %s has shape %s, expected %s" fn what (shape_to_string actual)
          (shape_to_string expected))
 
-let check_arguments fn t ~input ~weights =
-  check_shape fn "input" (Tensor.shape input) t.in_shape;
-  let given = List.length weights and expected = List.length t.weight_shapes in
+let check_arguments fn ~input_shape ~weight_shapes ~input ~weights =
+  check_shape fn "input" (Tensor.shape input) input_shape;
+  let given = List.length weights and expected = List.length weight_shapes in
   if given <> expected then
     invalid_arg (Printf.sprintf "%s: %d weights given, expected %d" fn given expected);
   List.iteri
     (fun i (w, sh) -> check_shape fn (Printf.sprintf "weight %d" i) (Tensor.shape w) sh)
-    (List.combine weights t.weight_shapes)
+    (List.combine weights weight_shapes)
 
 (* --- Forward ------------------------------------------------------------------- *)
 
@@ -798,7 +798,7 @@ let fwd_n od o xd ~n1 ~xs1 ~n0 ~xs0 xo (wd : float array array) offs ~st1 ~st0 =
   done;
   od.(o) <- !acc
 
-let forward_element n datas out ~partial () =
+let forward_element n datas out () =
   let s = state n in
   let xd = datas.(0) and wd = Array.sub datas 1 (Array.length datas - 1) in
   let woffs = s.woffs in
@@ -815,29 +815,25 @@ let forward_element n datas out ~partial () =
             woffs.(1) ~s11:st1.(1) ~s10:st0.(1)
     | _ -> fun xo n1 xs1 n0 xs0 st1 st0 -> fwd_n out s.o xd ~n1 ~xs1 ~n0 ~xs0 xo wd woffs ~st1 ~st0
   in
-  let partial =
-    match partial with
-    | Some p -> p
-    | None ->
-        let point x =
-          let v = ref xd.(x) in
-          for q = 0 to Array.length wd - 1 do
-            v := !v *. wd.(q).(woffs.(q))
-          done;
-          out.(s.o) <- out.(s.o) +. !v
-        in
-        fun _ _ -> guarded n s point
+  let point x =
+    let v = ref xd.(x) in
+    for q = 0 to Array.length wd - 1 do
+      v := !v *. wd.(q).(woffs.(q))
+    done;
+    out.(s.o) <- out.(s.o) +. !v
   in
-  fun pos w -> run_output n s ~inner ~partial pos w
+  let guarded () = guarded n s point in
+  fun pos w -> run_output n s ~inner ~guarded pos w
 
 (* Compiled once by {!compile}; see the interface for the contract. *)
 let forward t ~input ~weights =
-  check_arguments "Reference.forward" t ~input ~weights;
+  check_arguments "Reference.forward" ~input_shape:t.in_shape ~weight_shapes:t.weight_shapes ~input
+    ~weights;
   let out = Tensor.create t.out_shape in
   let datas = Array.of_list (List.map Tensor.unsafe_data (input :: weights)) in
   if t.nest.red_total > 0 then
     each_position t.out_shape
-      (forward_element t.nest datas (Tensor.unsafe_data out) ~partial:None ());
+      (forward_element t.nest datas (Tensor.unsafe_data out) ());
   out
 
 (* --- Backward ------------------------------------------------------------------ *)
@@ -917,7 +913,8 @@ let back_n gi xd g ~n1 ~xs1 ~n0 ~xs0 xo wd gw offs ~st1 ~st0 =
 (* Compiled once by {!compile}; see the interface for the contract.
    Outputs whose [grad_out] is 0 are skipped. *)
 let backward t ~input ~weights ~grad_out =
-  check_arguments "Reference.backward" t ~input ~weights;
+  check_arguments "Reference.backward" ~input_shape:t.in_shape ~weight_shapes:t.weight_shapes ~input
+    ~weights;
   check_shape "Reference.backward" "grad_out" (Tensor.shape grad_out) t.out_shape;
   let wd = Array.of_list (List.map Tensor.unsafe_data weights) in
   let xd = Tensor.unsafe_data input in
@@ -944,8 +941,8 @@ let backward t ~input ~weights ~grad_out =
           back_n gi xd go.(s.o) ~n1 ~xs1 ~n0 ~xs0 xo wd gw woffs ~st1 ~st0
   in
   let point x = back_point gi xd go.(s.o) x wd gw woffs in
-  let partial _ _ = guarded n s point in
+  let guarded () = guarded n s point in
   if n.red_total > 0 then
     each_position t.out_shape (fun pos w ->
-        if go.(w) <> 0.0 then run_output n s ~inner ~partial pos w);
+        if go.(w) <> 0.0 then run_output n s ~inner ~guarded pos w);
   (grad_in, grad_ws)

@@ -83,27 +83,20 @@ val nest :
 val exact : nest -> bool
 (** Every output's clip is exact: the nest has no closure dim, and no
     listed dim moves with two or more reduction axes.  Otherwise some
-    output may take its [partial] fallback. *)
+    output runs the nest's guarded odometer. *)
 
 val forward_element :
-  nest ->
-  float array array ->
-  float array ->
-  partial:(int array -> int -> unit) option ->
-  unit ->
-  int array ->
-  int ->
-  unit
-(** [forward_element n datas out ~partial ()] builds, with its own
-    scratch, the per-output body [element pos w] of the forward over
-    the factors' data [datas]: it adds, to [out.(w)] (which must hold
-    [+0.0]), each reduction point of output [pos]'s clipped box in
-    row-major order, the product built from factor 0's value in factor
-    order.  An output the clip cannot bound exactly, or any output of a
-    nest with a closure dim, runs [partial pos w] instead; [None] runs
-    the nest's own guarded odometer, which visits the whole box and
-    skips the points where a listed dim leaves its window.  Allocates
-    nothing per output. *)
+  nest -> float array array -> float array -> unit -> int array -> int -> unit
+(** [forward_element n datas out ()] builds, with its own scratch, the
+    per-output body [element pos w] of the forward over the factors'
+    data [datas]: it adds, to [out.(w)] (which must hold [+0.0]), each
+    reduction point of output [pos]'s clipped box in row-major order,
+    the product built from factor 0's value in factor order.  An output
+    the clip cannot bound exactly, or any output of a nest with a
+    closure dim, runs the nest's guarded odometer, which visits the
+    whole box and skips the points where a listed dim leaves its
+    window.  A clipped point adds nothing, whatever the factors hold.
+    Allocates nothing per output. *)
 
 (** {2 Seeded mutants}
 
@@ -138,12 +131,19 @@ val init_weights : t -> Nd.Rng.t -> Nd.Tensor.t list
     variance budget [2 / reduction extent] is split evenly across the
     weight groups so the accumulated output keeps unit-order scale. *)
 
-val check_arguments : string -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> unit
-(** [check_arguments fn t ~input ~weights] raises [Invalid_argument]
-    prefixed with [fn] and naming the bad argument when the input's
-    shape differs from {!input_shape}, the weight count from
-    {!weight_shapes}, or a weight's shape from its group's.  The one
-    argument check of {!forward}, {!backward} and
+val check_arguments :
+  string ->
+  input_shape:int array ->
+  weight_shapes:int array list ->
+  input:Nd.Tensor.t ->
+  weights:Nd.Tensor.t list ->
+  unit
+(** [check_arguments fn ~input_shape ~weight_shapes ~input ~weights]
+    raises [Invalid_argument] prefixed with [fn] and naming the bad
+    argument when the input's shape differs from [input_shape], the
+    weight count from [weight_shapes]'s length, or a weight's shape
+    from its group's.  The one argument check of {!forward} and
+    {!backward} (against {!input_shape} and {!weight_shapes}) and of
     [Staged_exec.initial_factors]. *)
 
 val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t

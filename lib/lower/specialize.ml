@@ -16,8 +16,6 @@ type t = {
   sp_staged : Staged.t;
   sp_stages : (Staged.stage_sym * Reference.nest) array;
   sp_final : Reference.nest;
-  sp_final_clips : bool;  (* the final clip set is not empty *)
-  sp_accs : Staged.final_access array array;
 }
 
 let staged t = t.sp_staged
@@ -97,69 +95,31 @@ let compile staged plan =
            (fun k sym -> (sym, stage_nest ~what:(Printf.sprintf "stage %d" k) sym plan.(k)))
            syms);
     sp_final = final;
-    sp_final_clips = plan.(n_nests - 1) <> [];
-    sp_accs = Staged.final_accesses staged fsym;
   }
 
 (* --- Execution ------------------------------------------------------------ *)
 
-(* A stage runs its nest.  Its own guarded loop zeroes the product of a
-   point where some access leaves its window, which adds +0.0 to an
-   accumulator that starts at +0.0 and so is never -0.0: skipping the
-   point is exact on every value, non-finite ones included, and the
-   stage's one-axis clip never falls back. *)
-let run_stage ?cancel (sym, nest) factors =
-  Staged.materialize sym factors (fun datas out ->
-      Staged.run_box ?cancel ~cost:(sym.Staged.ss_dom + 1) ~extents:sym.Staged.ss_extents
-        (Reference.forward_element nest datas out ~partial:None))
-
-(* The final guarded loop multiplies a clipped access's 0.0 into the
-   product instead.  Skipping that point is exact only when the product
-   there is +-0.0: no factor value may be NaN, and no product of
-   in-window values may overflow before the 0.0 joins it.  The
-   per-factor maxima multiplied in factor order bound every partial
-   product (rounding is monotone), so a finite bound settles both. *)
-let products_bounded datas =
-  let bound = ref 1.0 in
-  match
-    Array.iter
-      (fun d ->
-        let m = ref 0.0 in
-        for i = 0 to Array.length d - 1 do
-          let a = Float.abs (Array.unsafe_get d i) in
-          if a > !m then m := a else if Float.is_nan a then raise Exit
-        done;
-        bound := !bound *. !m)
-      datas
-  with
-  | () -> Float.is_finite !bound
-  | exception Exit -> false
-
-(* The final contraction runs its nest, an output the clip cannot bound
-   exactly falling back to the guarded element; when some access may
-   clip and {!products_bounded} fails, the whole nest runs guarded. *)
-let run_final ?cancel t factors out =
-  let fsym = snd (Staged.symbolic_plan t.sp_staged) in
-  let datas = Array.of_list (List.map (fun f -> Tensor.unsafe_data f.Staged.data) factors) in
-  if t.sp_final_clips && not (products_bounded datas) then
-    Staged.final_loop ?cancel fsym t.sp_accs datas out
-  else
-    Staged.run_box ?cancel
-      ~cost:(Array.fold_left ( * ) 1 fsym.Staged.fs_red_doms + 1)
-      ~extents:fsym.Staged.fs_out_doms
-      (fun () ->
-        let partial = Staged.final_element fsym t.sp_accs datas out () in
-        Reference.forward_element t.sp_final datas out ~partial:(Some partial) ())
+(* One nest over its factors' data [datas] into [out]: every output of
+   the box [extents] through the interpreter's box driver, [red_total]
+   reduction points each at most. *)
+let run_nest ?cancel nest ~extents ~red_total datas out =
+  Staged.run_box ?cancel ~cost:(red_total + 1) ~extents (Reference.forward_element nest datas out)
 
 let forward ?cancel t ~input ~weights =
   let factors =
     Array.fold_left
-      (fun factors stage -> run_stage ?cancel stage factors)
+      (fun factors (sym, nest) ->
+        Staged.materialize sym factors
+          (run_nest ?cancel nest ~extents:sym.Staged.ss_extents ~red_total:sym.Staged.ss_dom))
       (Staged.initial_factors t.sp_staged ~input ~weights)
       t.sp_stages
   in
-  let out = Tensor.create (Reference.output_shape (Staged.reference t.sp_staged)) in
-  run_final ?cancel t factors (Tensor.unsafe_data out);
+  let fsym = snd (Staged.symbolic_plan t.sp_staged) in
+  let out = Tensor.create fsym.Staged.fs_out_doms in
+  run_nest ?cancel t.sp_final ~extents:fsym.Staged.fs_out_doms
+    ~red_total:(Array.fold_left ( * ) 1 fsym.Staged.fs_red_doms)
+    (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.Staged.data) factors))
+    (Tensor.unsafe_data out);
   out
 
 (* --- Seeded clip-set corruption -------------------------------------------- *)

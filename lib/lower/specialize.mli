@@ -1,33 +1,24 @@
 (** Proof-guided kernel specialization.
 
-    {!Staged_exec} window-tests every tensor access and clips
-    out-of-bounds reads to zero.  This module compiles a staged program
-    together with a {e clip-set certificate} into a specialized
-    executor: every nest of the program — each materialized stage, then
-    the final contraction — runs {!Reference}'s compiled nest, the one
-    contraction executor.  Per output, the nest clips its reduction box
-    exactly per axis for the accesses the certificate lists as may-clip,
-    and runs the clipped box as unchecked strided runs; every unlisted
-    access is read unchecked.  An output whose box is empty is left at
-    [+0.0].
+    {!Staged_exec} window-tests every tensor access, and a point where
+    some access leaves its window adds nothing.  This module compiles a
+    staged program together with a {e clip-set certificate} into a
+    specialized executor: every nest of the program — each materialized
+    stage, then the final contraction — runs {!Reference}'s compiled
+    nest, the one contraction executor, one way.  Per output, the nest
+    clips its reduction box exactly per axis for the accesses the
+    certificate lists as may-clip, and runs the clipped box as unchecked
+    strided runs; every unlisted access is read unchecked.  An output
+    whose box is empty is left at [+0.0].
 
-    The rest runs the interpreter's own guarded element loop
-    ({!Staged_exec.final_element}, {!Staged_exec.final_loop}), every
-    access checked:
-    - a final output the clip cannot bound exactly: some listed dim
-      moves with two or more reduction axes and leaves its window
-      inside the clipped box, or some final dim is non-affine in a
-      reduction iterator (then every final output) — {!clips_exactly}
-      says whether that can happen;
-    - the whole final nest of a call whose final factors hold a NaN or
-      an infinity, or values whose products could overflow, when some
-      final access may clip (there, a clipped point's product is NaN,
-      not [+-0.0], and skipping it would change the sum).
-
-    A stage is a contraction over its positions with one reduction
-    axis, so its clip is always exact, and its guarded loop zeroes a
-    clipped point's product outright, so skipping the point is exact on
-    every value: stages never fall back.  Stage dims are always affine.
+    An output the clip cannot bound exactly runs the nest's own guarded
+    odometer, which visits the whole box and skips the points where a
+    listed access leaves its window: some listed dim moves with two or
+    more reduction axes and leaves its window inside the clipped box,
+    or some final dim is non-affine in a reduction iterator (then every
+    final output).  {!clips_exactly} says whether that can happen.  A
+    stage is a contraction over its positions with one reduction axis,
+    and its dims are always affine, so its clip is always exact.
 
     Every nest is driven by {!Staged_exec.run_box}, with private scratch
     per range, so pool use and cancellation polling are the
@@ -36,9 +27,9 @@
     The output is bit-identical to {!Staged_exec.forward} on every
     input, non-finite values included: every output element is computed
     whole by one element, with products formed in factor order and
-    reductions accumulated in the interpreter's order; a clipped box
-    keeps that order and drops only points whose product is [+-0.0],
-    which leave the interpreter's sum unchanged.
+    reductions accumulated in the interpreter's order.  Where the nest
+    skips a clipped point, the interpreter adds [+0.0] to an accumulator
+    that starts at [+0.0], so is never [-0.0], and stays unchanged.
 
     Certificates are produced by [Analysis.Regions] and validated by
     [Analysis.Certify]; {!compile} itself only shape-checks the plan.
@@ -67,20 +58,17 @@ val clips_exactly : t -> bool
 (** Every nest clips every output exactly ({!Reference.exact}): no
     final dim is non-affine in a reduction iterator, and no listed dim
     moves with two or more reduction axes.  When [false], some final
-    outputs (all of them, for a non-affine dim) run the guarded
-    element. *)
+    outputs (all of them, for a non-affine dim) run the nest's guarded
+    odometer. *)
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
 (** Bit-identical to {!Staged_exec.forward} on the same operator, on
     every input, and checks its arguments the same way
-    ({!Staged_exec.initial_factors}).  Once per call, before the final
-    nest, it scans the final factors' values when some final access may
-    clip (a NaN, an infinity, or a product of per-factor maxima that
-    overflows sends the final nest down the guarded loop).  Every nest
-    runs through {!Staged_exec.run_box}: large nests on the default
-    pool, with [cancel] polled every few thousand outputs sequentially
-    and at every pool range claim, exactly like the interpreter. *)
+    ({!Staged_exec.initial_factors}).  Every nest runs through
+    {!Staged_exec.run_box}: large nests on the default pool, with
+    [cancel] polled every few thousand outputs sequentially and at
+    every pool range claim, exactly like the interpreter. *)
 
 (** {2 Seeded clip-set corruption}
 

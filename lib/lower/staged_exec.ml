@@ -71,14 +71,6 @@ type final_sym = {
   fs_factors : (Ast.t * int * int) array array;
 }
 
-type t = {
-  reference : Reference.t;  (* for shapes and the iterator layout *)
-  op : Graph.operator;
-  valuation : Valuation.t;
-  plan : Staging.plan;
-  sym : stage_sym list * final_sym;  (* [symbolic_plan], built once *)
-}
-
 (* The complete symbolic bookkeeping of one materialization stage.
    [materialize] below consumes this for the numeric loop and
    [access_plan] derives the verifier's access lists from it, so the
@@ -261,19 +253,12 @@ let materialize sym factors fill =
 
 type final_access = { fa_eval : int array -> int; fa_lo : int; fa_extent : int }
 
-let final_accesses t fsym =
-  let lookup = Valuation.lookup t.valuation in
-  Array.map
-    (Array.map (fun (expr, lo, extent) ->
-         { fa_eval = Reference.compile_expr lookup expr; fa_lo = lo; fa_extent = extent }))
-    fsym.fs_factors
-
 (* The final contraction's guarded element, with its own environment:
    output [pos]'s sum over the remaining reductions of the product of
    the factors [datas], each indexed through its compiled accessors
-   [accs], written into [out.(w)].  An access that leaves its window
-   makes its factor contribute zero.  The reduction iterators start at
-   0 in [env] and step with a carry, row-major. *)
+   [accs], written into [out.(w)].  Every access is window-tested, and
+   a miss zeroes the product, as in [stage_loop].  The reduction
+   iterators start at 0 in [env] and step with a carry, row-major. *)
 let final_element fsym accs datas out () =
   let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
   let red_doms = fsym.fs_red_doms in
@@ -290,9 +275,9 @@ let final_element fsym accs datas out () =
     done;
     let acc = ref 0.0 in
     for _ = 1 to red_total do
-      let product = ref 1.0 in
-      for fi = 0 to nf - 1 do
-        let fa = accs.(fi) in
+      let product = ref 1.0 and fi = ref 0 in
+      while !fi < nf do
+        let fa = accs.(!fi) in
         let off = ref 0 and j = ref 0 in
         while !j < Array.length fa do
           let a = fa.(!j) in
@@ -303,7 +288,14 @@ let final_element fsym accs datas out () =
             incr j
           end
         done;
-        product := !product *. (if !j = max_int then 0.0 else datas.(fi).(!off))
+        if !j = max_int then begin
+          product := 0.0;
+          fi := nf
+        end
+        else begin
+          product := !product *. datas.(!fi).(!off);
+          incr fi
+        end
       done;
       acc := !acc +. !product;
       let a = ref (n_red - 1) in
@@ -318,11 +310,6 @@ let final_element fsym accs datas out () =
       done
     done;
     out.(w) <- !acc
-
-let final_loop ?cancel fsym accs datas out =
-  let red_total = Array.fold_left ( * ) 1 fsym.fs_red_doms in
-  run_box ?cancel ~cost:(red_total + 1) ~extents:fsym.fs_out_doms
-    (final_element fsym accs datas out)
 
 (* --- Static access structure ------------------------------------------ *)
 
@@ -426,21 +413,39 @@ let build_symbolic_plan op valuation plan =
   in
   (List.rev syms_rev, final)
 
+type t = {
+  op : Graph.operator;
+  valuation : Valuation.t;
+  plan : Staging.plan;
+  sym : stage_sym list * final_sym;  (* [symbolic_plan], built once *)
+  initial : fdim list list;  (* the input's dims, then each weight group's *)
+  accs : final_access array array;  (* the final nest's, per factor, per dim *)
+}
+
+(* The final accessors are compiled once, here: every size an access
+   names is then resolved, or fails, at compile time. *)
 let compile op valuation =
   let plan = Staging.optimize op valuation in
+  let lookup = Valuation.lookup valuation in
+  let sym = build_symbolic_plan op valuation plan in
   {
-    reference = Reference.compile op valuation;
     op;
     valuation;
     plan;
-    sym = build_symbolic_plan op valuation plan;
+    sym;
+    initial = initial_dims op lookup;
+    accs =
+      Array.map
+        (Array.map (fun (expr, lo, extent) ->
+             { fa_eval = Reference.compile_expr lookup expr; fa_lo = lo; fa_extent = extent }))
+        (snd sym).fs_factors;
   }
 
 let plan t = t.plan
 let num_stages t = List.length t.plan.Staging.stages
 let operator t = t.op
 let valuation t = t.valuation
-let reference t = t.reference
+let reference t = Reference.compile t.op t.valuation
 let symbolic_plan t = t.sym
 
 let access_plan t =
@@ -462,11 +467,10 @@ let access_plan t =
    {!Reference.check_arguments}: a tensor of the wrong shape would
    otherwise be read unchecked by the specialized nests. *)
 let initial_factors t ~input ~weights =
-  Reference.check_arguments "forward" t.reference ~input ~weights;
-  List.map2
-    (fun dims data -> { dims; data })
-    (initial_dims t.op (Valuation.lookup t.valuation))
-    (input :: weights)
+  let shape dims = Array.of_list (List.map (fun d -> d.extent) dims) in
+  Reference.check_arguments "forward" ~input_shape:(shape (List.hd t.initial))
+    ~weight_shapes:(List.map shape (List.tl t.initial)) ~input ~weights;
+  List.map2 (fun dims data -> { dims; data }) t.initial (input :: weights)
 
 let forward ?cancel t ~input ~weights =
   let syms, fsym = symbolic_plan t in
@@ -480,8 +484,11 @@ let forward ?cancel t ~input ~weights =
       syms
   in
   (* Final stage: loop over outputs and the remaining reductions. *)
-  let out = Tensor.create (Reference.output_shape t.reference) in
-  final_loop ?cancel fsym (final_accesses t fsym)
-    (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
-    (Tensor.unsafe_data out);
+  let out = Tensor.create fsym.fs_out_doms in
+  run_box ?cancel
+    ~cost:(Array.fold_left ( * ) 1 fsym.fs_red_doms + 1)
+    ~extents:fsym.fs_out_doms
+    (final_element fsym t.accs
+       (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
+       (Tensor.unsafe_data out));
   out

@@ -6,16 +6,18 @@
     the residual coordinate expressions, and the final stage contracts
     what remains over the output/remaining-reduction loops.
 
-    Its guarded element loops (a stage's, and the final nest's
-    {!final_element}, both driven by {!run_box}) are the only ones in
-    the tree: {!forward} runs them over whole nests, and {!Specialize}
-    falls back to the final one where its compiled nest cannot clip
-    exactly.
+    Its guarded element loops, a stage's and the final nest's, both
+    driven by {!run_box}, window-test every access; a point where some
+    access leaves its window adds nothing, the rule of every loop nest
+    in [lib/lower] but [Einsum_program]'s.  {!Specialize} runs the same
+    nests through [Reference]'s compiled nest instead.
 
     The result is numerically identical to {!Reference.forward} (up to
     floating-point association) and is differential-tested against it —
     the staging cost model is thereby validated semantically, not just
-    arithmetically. *)
+    arithmetically.  A plan with no stage forms the same products and
+    sums them in the same order, so there it is bit-identical to
+    {!Reference.forward} on every input. *)
 
 type t
 
@@ -29,7 +31,8 @@ val num_stages : t -> int
 val operator : t -> Pgraph.Graph.operator
 val valuation : t -> Shape.Valuation.t
 val reference : t -> Reference.t
-(** The reference lowering used for shapes and the iterator layout. *)
+(** The reference lowering of the same operator at the same valuation,
+    compiled on each call: {!compile} does not build it. *)
 
 type fdim = { expr : Coord.Ast.t; extent : int; lo : int }
 (** A runtime factor dimension: the coordinate expression that indexes
@@ -44,8 +47,8 @@ val initial_factors : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> fact
     where both {!forward} and [Specialize.forward] check their
     arguments, through {!Reference.check_arguments}: raises
     [Invalid_argument] naming the input or the weight whose shape
-    differs from {!Reference.input_shape} / {!Reference.weight_shapes},
-    or when the weight count is wrong. *)
+    differs from the operator's at this valuation, or when the weight
+    count is wrong. *)
 
 (** {2 Symbolic plan}
 
@@ -93,16 +96,7 @@ val symbolic_plan : t -> stage_sym list * final_sym
     [ss_others] factors in order), then the final contraction.  Pure
     arithmetic, built once by {!compile}: allocates no tensor. *)
 
-(** {2 Guarded element loops}
-
-    The only copies of the interpreter's element loops, every access
-    window-tested: a stage's (internal; an access that leaves its window
-    zeroes the product) and the final nest's.  {!forward} runs them over
-    each nest's whole box;
-    {!Specialize} runs {!final_element} for a final output its clip
-    cannot bound exactly, {!final_loop} for a final nest whose factor
-    values could make a clipped point's product other than [+-0.0], and
-    drives its compiled nests through the same {!run_box}. *)
+(** {2 The box driver and stage bookkeeping} *)
 
 val run_box :
   ?cancel:Robust.Cancel.t ->
@@ -128,36 +122,6 @@ val materialize :
     has [fill datas out] compute its data from the participating
     factors' data, and returns the next factor list. *)
 
-type final_access
-(** One final-nest factor dim, compiled: its evaluator and window. *)
-
-val final_accesses : t -> final_sym -> final_access array array
-(** The final nest's accessors, per factor, per dim. *)
-
-val final_element :
-  final_sym ->
-  final_access array array ->
-  float array array ->
-  float array ->
-  unit ->
-  int array ->
-  int ->
-  unit
-(** [final_element fsym accs datas out ()] builds, with its own
-    scratch, the guarded body [element pos w]: it writes into [out.(w)]
-    output [pos]'s sum over the remaining reductions of the product of
-    the factors [datas].  An access that leaves its window makes its
-    factor contribute zero. *)
-
-val final_loop :
-  ?cancel:Robust.Cancel.t ->
-  final_sym ->
-  final_access array array ->
-  float array array ->
-  float array ->
-  unit
-(** {!final_element} over every output position, through {!run_box}. *)
-
 type access = {
   acc_expr : Coord.Ast.t;  (** the indexing expression *)
   acc_lo : int;  (** start of the in-bounds window *)
@@ -181,8 +145,9 @@ val access_plan : t -> access list list
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Runs each stage's guarded loop over its whole box and then
-    {!final_loop} over the whole output, every access checked.  Nests
+(** Runs each stage's guarded loop over its whole box and then the
+    final nest's over the whole output, every access checked: a point
+    where some access leaves its window adds nothing.  Nests
     whose estimated work is large enough run on the default pool
     ({!Par.Pool.get_default}) through {!run_box}, bit-identically to
     the sequential loop at any pool size.
