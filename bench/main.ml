@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (\u{00a7}9) on the OCaml substrate, and runs the gated
+   evaluation (\u{00a7}9) on the OCaml substrate, and times the
    infrastructure experiments.
 
      dune exec bench/main.exe           -- run every experiment, full size
@@ -8,9 +8,12 @@
      (experiments: see the [experiments] table at the end of this file)
 
    Results are stdout plus the exit status: a gated experiment names each
-   failed gate on stderr and exits 1, and an unknown experiment name exits
-   2 before anything runs.  The committed performance trajectory is
-   bench/perf, not this driver.
+   failed gate with its reading and bound on stderr and exits 1, and an
+   unknown experiment name exits 2 before anything runs.  A gate here
+   reads a clock or needs a forked or killed process; every check that
+   does neither is an alcotest case under test/ (the full sizes of the
+   slow ones run under `dune build @gates-full`).  The committed
+   performance trajectory is bench/perf, not this harness.
 
    Paper-reported numbers are printed alongside the measured ones; the
    hardware/datasets are simulated (see DESIGN.md), so the comparison
@@ -28,10 +31,28 @@ let section title =
 
 let note fmt = Format.printf ("  " ^^ fmt ^^ "@.")
 
-(* Names every failed gate on stderr, then exits 1 if there was one. *)
+(* A gate: its name, what the run read, the bound it had to meet, and
+   whether it did.  A gate over several readings ([holds]) reads true or
+   false; the experiment prints the readings themselves. *)
+type gate = { name : string; read : string; bound : string; ok : bool }
+
+let gate name ~read ~bound ok = { name; read; bound; ok }
+let holds name ok = gate name ~read:(string_of_bool ok) ~bound:"true" ok
+
+let compare_gate op sym name x b =
+  gate name ~read:(Printf.sprintf "%.3g" x) ~bound:(Printf.sprintf "%s %.3g" sym b) (op x b)
+
+let at_least = compare_gate ( >= ) ">="
+let at_most = compare_gate ( <= ) "<="
+let below = compare_gate ( < ) "<"
+
+(* Names every failed gate on stderr with its reading and bound, then
+   exits 1 if there was one. *)
 let gates checks =
-  let failed = List.filter (fun (_, ok) -> not ok) checks in
-  List.iter (fun (name, _) -> Printf.eprintf "gate failed: %s\n" name) failed;
+  let failed = List.filter (fun g -> not g.ok) checks in
+  List.iter
+    (fun g -> Printf.eprintf "gate failed: %s: read %s, bound %s\n" g.name g.read g.bound)
+    failed;
   if failed <> [] then exit 1
 
 (* --- Shared accuracy evaluation ------------------------------------------ *)
@@ -491,17 +512,17 @@ let micro () =
 
 (* --- Parallel evaluation engine ---------------------------------------------- *)
 
-(* Throughput of the two hot paths at 1 domain vs N domains, verifying
-   that the parallel einsum results are exactly the sequential ones and
-   that root-parallel MCTS is deterministic and reduces to the
-   sequential search on a pool of one.  Timing is
+(* Throughput of the two hot paths at 1 domain vs N domains.  Timing is
    interleaved best-of-k so a background hiccup cannot fake a slowdown.
    The speedup gate is hardware-aware: with >= 2 hardware threads every
    case must reach >= 1x at the parallel pool size; on a single
    hardware thread (where the granularity tuner declines to
    parallelize) the gate is no-regression instead.  The smoke variant
    (bench-smoke alias, run from CI and `dune runtest`) uses tiny
-   iteration counts so the gates run on every test run. *)
+   iteration counts so the gates run on every test run.  That the
+   parallel results equal the sequential ones is test_par's "large
+   parallel path" and test_search's "one-domain pool = no pool" and
+   "parallel = sequential". *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -539,49 +560,39 @@ let par_bench ~smoke () =
         in
         let p = Nd.Einsum.plan spec shapes in
         let run pool =
-          let out = ref (Nd.Einsum.run ~pool p tensors) in
           let (), t =
             time (fun () ->
                 for _ = 1 to iters do
-                  out := Nd.Einsum.run ~pool p tensors
+                  ignore (Nd.Einsum.run ~pool p tensors)
                 done)
           in
-          (!out, t +. 1e-12)
+          t +. 1e-12
         in
         (* Warm both pools once, then interleave timed repetitions and
            keep the best of each. *)
-        let out1 = ref (fst (run pool1)) and outn = ref (fst (run pooln)) in
+        ignore (run pool1);
+        ignore (run pooln);
         let t1 = ref infinity and tn = ref infinity in
         for _ = 1 to reps do
-          let o, t = run pool1 in
-          out1 := o;
-          if t < !t1 then t1 := t;
-          let o, t = run pooln in
-          outn := o;
-          if t < !tn then tn := t
+          t1 := Float.min !t1 (run pool1);
+          tn := Float.min !tn (run pooln)
         done;
         let t1 = !t1 and tn = !tn in
-        let identical = Nd.Tensor.unsafe_data !out1 = Nd.Tensor.unsafe_data !outn in
-        note "einsum %-16s %-16s 1-domain %8.1f runs/s  %d-domain %8.1f runs/s  %5.2fx  %s"
+        note "einsum %-16s %-16s 1-domain %8.1f runs/s  %d-domain %8.1f runs/s  %5.2fx"
           name spec
           (float_of_int iters /. t1)
           n_domains
           (float_of_int iters /. tn)
-          (t1 /. tn)
-          (if identical then "bit-identical" else "MISMATCH");
-        (name, t1 /. tn, identical))
+          (t1 /. tn);
+        (name, t1 /. tn))
       einsum_cases
   in
   (* MCTS: sequential search vs root-parallel search on the same total
-     iteration budget and the same seed.  Two determinism gates: (a) a
-     pool of size 1 reproduces the poolless search bit for bit — same
-     operators, same rewards, same visit counts; (b) two runs with the
-     same number of trees are identical, because the trees and their
-     merge depend only on the seed and the tree count.  Each side runs
-     twice anyway, so each side's time is the better of its two runs,
-     and the runs alternate sides so that one slow stretch of the
-     machine cannot hit both runs of a side.  The best rewards are
-     printed, not gated. *)
+     iteration budget and the same seed.  Each side runs twice (the
+     sequential side once more on a pool of 1), its time the better of
+     its two runs, and the runs alternate sides so that one slow
+     stretch of the machine cannot hit both runs of a side.  The best
+     rewards are printed, not gated. *)
   let mcts_iterations = if smoke then 200 else 400 in
   (* Never run more trees than hardware threads: on a 1-core host this
      times one tree, an overhead measurement rather than a fake
@@ -595,7 +606,7 @@ let par_bench ~smoke () =
         (Search.Mcts.search_run ~config:mcts_cfg ?pool cfg ~reward
            ~rng:(Nd.Rng.create ~seed:41) ()).Search.Mcts.results)
   in
-  let (res1, mt1), (resn, mtn), (resp1, mtp1), (resn', mtn') =
+  let (res1, mt1), (resn, mtn), (_, mtp1), (_, mtn') =
     Par.Pool.with_pool ~domains:mcts_trees (fun pool ->
         let seq = search () in
         let par = search ~pool () in
@@ -603,60 +614,41 @@ let par_bench ~smoke () =
         (seq, par, seq', search ~pool ()))
   in
   let mt1 = Float.min mt1 mtp1 and mtn = Float.min mtn mtn' in
-  let fingerprint rs =
-    List.map
-      (fun (r : Search.Mcts.result) ->
-        ( Graph.operator_signature r.Search.Mcts.operator,
-          r.Search.Mcts.reward,
-          r.Search.Mcts.visits ))
-      rs
-  in
-  let pool1_identical = fingerprint res1 = fingerprint resp1 in
-  let trees_deterministic = fingerprint resn = fingerprint resn' in
   let best rs =
     List.fold_left
       (fun acc (r : Search.Mcts.result) ->
         if r.Search.Mcts.quarantined then acc else Float.max acc r.Search.Mcts.reward)
       neg_infinity rs
   in
-  let best1 = best res1 and bestn = best resn in
-  note "mcts   %d iters (root-parallel)  sequential %5.2fs best %.4f   pool of 1 %s   %d trees %5.2fs best %.4f %s  %5.2fx"
-    mcts_iterations mt1 best1
-    (if pool1_identical then "identical" else "MISMATCH")
-    mcts_trees mtn bestn
-    (if trees_deterministic then "deterministic" else "NONDETERMINISTIC")
-    (mt1 /. mtn);
+  note
+    "mcts   %d iters (root-parallel)  sequential %5.2fs best %.4f   %d trees %5.2fs best %.4f  \
+     %5.2fx"
+    mcts_iterations mt1 (best res1) mcts_trees mtn (best resn) (mt1 /. mtn);
   Par.Pool.shutdown pool1;
   Par.Pool.shutdown pooln;
-  let speedup_gate what = Printf.sprintf "%s speedup >= %.2fx" what min_speedup in
+  let speedup_gate what = at_least (Printf.sprintf "%s speedup >= %.2fx" what min_speedup) in
   (* The MCTS speedup gate only makes sense on real parallel hardware:
      with one hardware thread the clamp above runs a single tree, whose
      timing is an overhead measurement, not a speedup claim, so it is
-     printed but informational (the einsum paths fall back to the
-     tuner's sequential run instead, so they still gate). *)
+     printed but not gated (the einsum paths fall back to the tuner's
+     sequential run instead, so they still gate). *)
   gates
-    (List.map (fun (name, _, id) -> ("einsum " ^ name ^ " bit-identical", id)) einsum_rows
-    @ [ ("mcts pool of 1 = no pool", pool1_identical);
-        ("mcts repeated tree runs identical", trees_deterministic) ]
-    @ List.map (fun (name, s, _) -> (speedup_gate ("einsum " ^ name), s >= min_speedup))
-        einsum_rows
-    @ [ (speedup_gate "mcts", hw < 2 || mt1 /. mtn >= min_speedup) ])
+    (List.map (fun (name, s) -> speedup_gate ("einsum " ^ name) s min_speedup) einsum_rows
+    @ if hw >= 2 then [ speedup_gate "mcts" (mt1 /. mtn) min_speedup ] else [])
 
 (* --- Fault-tolerant evaluation ------------------------------------------------ *)
 
 (* Measures what robustness costs: Robust.Guard wrapping overhead per
-   reward call, checkpoint write cost, and end-to-end validation that a
-   fault-injected search (with retries) and a kill/resume cycle both
-   reproduce the fault-free results.  The
-   smoke variant runs inside `dune runtest` via the bench-smoke alias. *)
+   reward call, the wall time of a fault-injected search (with retries)
+   and of a kill/resume cycle next to the fault-free one, and checkpoint
+   write cost.  That the three searches agree is test_robust's
+   "injected = fault-free" and "kill/resume equivalence". *)
 
-let robust_bench ~smoke () =
-  section
-    (Printf.sprintf "Fault-tolerant candidate evaluation (Robust)%s"
-       (if smoke then " [smoke]" else ""));
+let robust_bench () =
+  section "Fault-tolerant candidate evaluation (Robust)";
   (* 1) Guard overhead on a cheap thunk: the worst case, since a real
      reward evaluation dwarfs the wrapper. *)
-  let calls = if smoke then 20_000 else 2_000_000 in
+  let calls = 2_000_000 in
   let acc = ref 0.0 in
   let thunk i _token = Float.of_int (i land 1023) *. 0.5 in
   let never = Robust.Cancel.create () in
@@ -680,8 +672,8 @@ let robust_bench ~smoke () =
     (ns t_guarded)
     (t_guarded /. Float.max 1e-12 t_raw);
   (* 2) A real search, three ways: fault-free, fault-injected with
-     retries, and killed + resumed.  All three must agree. *)
-  let iterations = if smoke then 150 else 600 in
+     retries, and killed + resumed. *)
+  let iterations = 600 in
   let max_prims = 6 in
   let seed = 2024 in
   let run ?guard ?inject ?checkpoint ?resume label =
@@ -693,29 +685,16 @@ let robust_bench ~smoke () =
     in
     note "%-24s %3d operators, %4d evaluations, %4d attempts, %5.2fs" label
       (List.length r.Api.candidates)
-      r.Api.failures.Search.Mcts.evaluations r.Api.failures.Search.Mcts.attempts t;
-    r
+      r.Api.failures.Search.Mcts.evaluations r.Api.failures.Search.Mcts.attempts t
   in
-  let sigs r = List.map (fun (c : Api.candidate) -> (c.Api.signature, c.Api.reward)) r.Api.candidates in
-  let clean = run "fault-free" in
+  run "fault-free";
   let inject = Robust.Inject.create ~seed:7 ~rate:0.25 ~max_failures:2 () in
-  let faulted = run ~guard:(Robust.Guard.policy ~retries:3 ()) ~inject "injected (rate 0.25)" in
-  let injected_delivered = Robust.Inject.injected_count inject in
-  let injected_recorded =
-    Option.value ~default:0
-      (List.assoc_opt "injected" faulted.Api.failures.Search.Mcts.failed_attempts)
-  in
-  let faulted_ok = sigs clean = sigs faulted in
-  let accounted = injected_delivered = injected_recorded in
-  note "injected faults delivered %d, recorded %d (%s); results %s" injected_delivered
-    injected_recorded
-    (if accounted then "accounted" else "LOST")
-    (if faulted_ok then "identical to fault-free" else "DIVERGED");
+  run ~guard:(Robust.Guard.policy ~retries:3 ()) ~inject "injected (rate 0.25)";
   (* Kill/resume: a truncated run checkpoints, then a full run resumes
-     from the snapshot and must replay to the fault-free results. *)
+     from the snapshot. *)
   let ckpt = Filename.temp_file "syno_bench" ".ckpt" in
   let (_ : Api.search_run) =
-    Api.search_conv_operators_run ~iterations:(max 1 (iterations / 3)) ~max_prims
+    Api.search_conv_operators_run ~iterations:(iterations / 3) ~max_prims
       ~checkpoint:ckpt ~checkpoint_every:5 ~rng:(Nd.Rng.create ~seed)
       ~valuations:Api.default_search_valuations ()
   in
@@ -724,13 +703,9 @@ let robust_bench ~smoke () =
     | Ok es -> es
     | Error msg -> failwith ("checkpoint load failed: " ^ msg)
   in
-  let resumed = run ~resume:ckpt "resumed after kill" in
-  let resumed_ok = sigs clean = sigs resumed in
-  note "kill/resume: %d entries preloaded, %d fresh evaluations; results %s"
-    (List.length entries) resumed.Api.failures.Search.Mcts.evaluations
-    (if resumed_ok then "identical to uninterrupted" else "DIVERGED");
+  run ~resume:ckpt "resumed after kill";
   (* 3) Checkpoint write cost at the final table size. *)
-  let writes = if smoke then 5 else 50 in
+  let writes = 50 in
   let (), t_save =
     time (fun () ->
         for _ = 1 to writes do
@@ -740,103 +715,42 @@ let robust_bench ~smoke () =
   let bytes = (Unix.stat ckpt).Unix.st_size in
   note "checkpoint: %d entries, %d bytes, %.2f ms/write" (List.length entries) bytes
     (1000.0 *. t_save /. float_of_int writes);
-  Sys.remove ckpt;
-  gates
-    [
-      ("injected run = fault-free run", faulted_ok);
-      ("resumed run = fault-free run", resumed_ok);
-      ("every injected fault recorded", accounted);
-    ]
+  Sys.remove ckpt
 
 (* --- Candidate admission & differential validation ---------------------------- *)
 
-(* Measures what the Validate layer costs and proves what it catches:
-   over-budget candidates are rejected before any tensor allocation
-   (verified with the Nd.Tensor allocation probe), a seeded miscompile
-   in one lowering backend is caught as backend_mismatch without
-   aborting the search, a fault-free validated search returns exactly
-   the unvalidated top-k, and the per-candidate validation cost stays
-   under 10% of a candidate evaluation. *)
+(* Measures what the Validate layer costs: the admission gate's total
+   time in a validated search, and the per-candidate validation cost,
+   which must stay under 10% of a candidate evaluation.  What the layer
+   catches is test_validate's "budget", "differential", "key grid" and
+   "search" groups. *)
 
 let validate_bench ~smoke () =
   section
     (Printf.sprintf "Candidate admission & differential validation%s"
        (if smoke then " [smoke]" else ""));
   let v0 = List.hd Api.default_search_valuations in
-  (* 1) Budget rejection happens before any allocation. *)
-  let conv = Zoo.conv2d.Zoo.operator in
-  let est = Validate.Budget.estimate conv v0 in
-  note "conv2d at the search shape: %d est. bytes (gather %d elems), %d est. flops"
-    est.Validate.Budget.est_bytes est.Validate.Budget.est_gather_elems
-    est.Validate.Budget.est_flops;
-  let alloc0 = Nd.Tensor.allocations () in
-  let verdict = Validate.Budget.admit ~max_bytes:1 conv [ v0 ] in
-  let allocs_during = Nd.Tensor.allocations () - alloc0 in
-  let rejected_before_alloc =
-    (match verdict with Error (Robust.Guard.Over_budget _) -> true | Ok () | Error _ -> false)
-    && allocs_during = 0
-  in
-  note "budget gate at max-bytes 1: %s, %d tensor allocations during the check"
-    (match verdict with
-    | Error k -> Robust.Guard.kind_label k
-    | Ok () -> "admitted (BUG)")
-    allocs_during;
-  (* 2) Searches: unvalidated baseline, fault-free validated (must agree),
-     seeded-miscompile validated (must catch), starved budget (must
-     reject everything without evaluating anything). *)
+  (* 1) Searches: unvalidated (the candidate set below) and validated
+     (the admission gate's cost). *)
   let iterations = if smoke then 150 else 600 in
-  let max_prims = 6 in
-  let seed = 2024 in
-  let run ?max_bytes ?max_flops ?validate ?validate_config label =
+  let run ?validate label =
     let r, t =
       time (fun () ->
-          Api.search_conv_operators_run ~iterations ~max_prims ?max_bytes ?max_flops
-            ?validate ?validate_config ~rng:(Nd.Rng.create ~seed)
-            ~valuations:Api.default_search_valuations ())
+          Api.search_conv_operators_run ~iterations ~max_prims:6 ?validate
+            ~rng:(Nd.Rng.create ~seed:2024) ~valuations:Api.default_search_valuations ())
     in
     note "%-28s %3d operators, %4d evaluations, %3d quarantined, %5.2fs" label
       (List.length r.Api.candidates)
       r.Api.failures.Search.Mcts.evaluations r.Api.failures.Search.Mcts.quarantined t;
     r
   in
-  let sigs (r : Api.search_run) =
-    List.map (fun (c : Api.candidate) -> (c.Api.signature, c.Api.reward)) r.Api.candidates
-  in
-  let failed_kind (r : Api.search_run) kind =
-    Option.value ~default:0 (List.assoc_opt kind r.Api.failures.Search.Mcts.failed_attempts)
-  in
   let clean = run "unvalidated" in
-  let validated = run ~validate:true "validated (fault-free)" in
-  let same_topk = sigs clean = sigs validated in
-  (match validated.Api.admission with
+  (match (run ~validate:true "validated (fault-free)").Api.admission with
   | Some s ->
       note "admission gate: %d gated, %d rejected, %.3fs total" s.Validate.Admit.calls
         s.Validate.Admit.rejected s.Validate.Admit.seconds
   | None -> ());
-  note "fault-free validated results %s"
-    (if same_topk then "identical to unvalidated" else "DIVERGED");
-  let fault = Validate.Differential.fault ~seed:3 ~rate:0.5 Validate.Differential.Einsum in
-  let mutated =
-    run ~validate:true
-      ~validate_config:(Validate.Differential.config ~fault ())
-      "validated (seeded miscompile)"
-  in
-  let delivered = Validate.Differential.fault_count fault in
-  let mismatches = failed_kind mutated "backend_mismatch" in
-  let caught = delivered > 0 && mismatches = delivered in
-  note "seeded miscompiles (einsum backend, rate 0.5): %d delivered, %d caught as \
-       backend_mismatch (%s)"
-    delivered mismatches
-    (if caught then "all caught" else "MISSED");
-  let starved = run ~max_flops:1 "max-flops 1 (all rejected)" in
-  let over_budget = failed_kind starved "over_budget" in
-  let starved_ok =
-    starved.Api.failures.Search.Mcts.evaluations = 0 && over_budget > 0
-  in
-  note "starved budget: %d over_budget rejections, %d reward evaluations (%s)" over_budget
-    starved.Api.failures.Search.Mcts.evaluations
-    (if starved_ok then "nothing evaluated" else "LEAKED");
-  (* 3) Validator overhead per candidate, against a stand-in for the
+  (* 2) Validator overhead per candidate, against a stand-in for the
      cost of one candidate evaluation: the analytic reward plus one
      einsum-program forward at the search shape.  The search itself
      runs no forward (see reward.mli); the forward stands in for the
@@ -874,57 +788,40 @@ let validate_bench ~smoke () =
   let mean_eval = mean eval_once in
   let mean_validate = mean validate_once in
   let ratio = mean_validate /. Float.max 1e-12 mean_eval in
-  let overhead_ok = ratio <= 0.10 in
-  note "per-candidate cost over %d candidates: evaluation %.3f ms, validation %.3f ms \
-       (%.1f%% %s)"
+  note "per-candidate cost over %d candidates: evaluation %.3f ms, validation %.3f ms (%.1f%%)"
     (List.length candidates) (1000.0 *. mean_eval) (1000.0 *. mean_validate)
-    (100.0 *. ratio)
-    (if overhead_ok then "<= 10% gate" else "OVER the 10% gate");
-  gates
-    [
-      ("over-budget rejected before any allocation", rejected_before_alloc);
-      ("validated top-k = unvalidated", same_topk);
-      ("every seeded miscompile caught", caught);
-      ("starved budget evaluates nothing", starved_ok);
-      ("validation overhead <= 10%", overhead_ok);
-    ]
+    (100.0 *. ratio);
+  gates [ at_most "validation overhead <= 10%" ratio 0.10 ]
 
 (* --- Static analysis gate ----------------------------------------------------- *)
 
-(* Measures what the Analysis layer costs and proves what it catches:
-   every zoo operator's tensor accesses are statically proved in
-   bounds (or exactly characterized as legal zero-padding), seeded
-   out-of-bounds gathers — which every backend zero-clips, so
-   differential validation passes them — are all rejected as
-   static_violation before any tensor allocation, the graph lint and
-   rewrite-soundness sweeps come back clean, and the static gate costs
-   under 20% of the differential gate on the same candidate set.  The
-   smoke variant runs inside `dune runtest` via the bench-smoke alias. *)
+(* Measures what the Analysis layer costs: the bounds verdicts over the
+   whole catalog, and the static gate against the differential gate on
+   the same candidate set, where it must cost under 20%.  What the
+   layer proves and catches is test_analysis's "verify", "rewrite" and
+   "lint" cases. *)
 
 let analysis_bench ~smoke () =
   section
     (Printf.sprintf "Static analysis gate (Analysis)%s" (if smoke then " [smoke]" else ""));
   let module Verify = Analysis.Verify in
-  let module Lint = Analysis.Lint in
-  let module Rewrite = Analysis.Rewrite in
   let vs = Api.default_validation_valuations in
-  (* 1) Bounds verdicts over the whole catalog: never a violation. *)
+  (* 1) Bounds verdicts over the whole catalog. *)
   let conv_v = List.hd vs in
   let matmul_v = Zoo.Vars.matmul_valuation ~m:4 ~n:4 ~k:4 in
   let verdict_of (e : Zoo.entry) =
     let v =
       if Option.is_some (Verify.program_opt e.Zoo.operator conv_v) then conv_v else matmul_v
     in
-    (e.Zoo.name, Verify.program e.Zoo.operator v)
+    Verify.program e.Zoo.operator v
   in
   let verdicts, t_zoo = time (fun () -> List.map verdict_of Zoo.all) in
-  let count p = List.length (List.filter (fun (_, x) -> p x) verdicts) in
-  let proved = count (fun x -> x = Verify.Proved) in
-  let padded = count (function Verify.Padded _ -> true | _ -> false) in
-  let violations = count (function Verify.Violation _ -> true | _ -> false) in
+  let count p = List.length (List.filter p verdicts) in
   note "zoo bounds: %d proved, %d padded, %d violations across %d operators (%.2f ms)"
-    proved padded violations (List.length verdicts) (1000.0 *. t_zoo);
-  let zoo_sound = violations = 0 in
+    (count (fun x -> x = Verify.Proved))
+    (count (function Verify.Padded _ -> true | _ -> false))
+    (count (function Verify.Violation _ -> true | _ -> false))
+    (List.length verdicts) (1000.0 *. t_zoo);
   (* 2) Candidate set: a short unvalidated search at the usual seed. *)
   let iterations = if smoke then 150 else 600 in
   let clean =
@@ -937,34 +834,7 @@ let analysis_bench ~smoke () =
          (fun (c : Api.candidate) -> if c.Api.quarantined then None else Some c.Api.operator)
          clean.Api.candidates)
   in
-  (* 3) Seeded OOB gathers: every backend zero-clips them, so the
-     differential gate passes each one — and the static gate must
-     reject each one before any tensor exists. *)
-  let corrupted = List.map Validate.Differential.corrupt_operator candidates in
-  let alloc0 = Nd.Tensor.allocations () in
-  let static_verdicts =
-    List.map (fun op -> Verify.admit op vs) corrupted
-  in
-  let static_allocs = Nd.Tensor.allocations () - alloc0 in
-  let caught =
-    List.length
-      (List.filter
-         (function Error (Robust.Guard.Static_violation _) -> true | _ -> false)
-         static_verdicts)
-  in
-  let all_caught = caught = List.length corrupted && corrupted <> [] in
-  let differential_passes =
-    List.length
-      (List.filter
-         (fun op ->
-           match Validate.Differential.check op vs with Ok _ -> true | Error _ -> false)
-         corrupted)
-  in
-  note "seeded OOB gathers: %d/%d caught as static_violation (%d tensor allocations), \
-        %d/%d invisible to differential validation"
-    caught (List.length corrupted) static_allocs differential_passes
-    (List.length corrupted);
-  (* 4) Gate cost on the same (healthy) candidate set. *)
+  (* 3) Gate cost on that candidate set. *)
   let repeats = if smoke then 5 else 20 in
   let mean f =
     let (), t =
@@ -977,59 +847,22 @@ let analysis_bench ~smoke () =
     mean (fun op -> ignore (Validate.Differential.check op vs))
   in
   let ratio = mean_static /. Float.max 1e-12 mean_differential in
-  let cost_ok = ratio < 0.20 in
   note "per-candidate gate cost over %d candidates: static %.4f ms, differential %.4f ms \
-        (%.1f%% %s)"
+        (%.1f%%)"
     (List.length candidates) (1000.0 *. mean_static) (1000.0 *. mean_differential)
-    (100.0 *. ratio)
-    (if cost_ok then "< 20% gate" else "OVER the 20% gate");
-  (* 5) Lint + rewrite-soundness sweeps stay clean. *)
-  let lint_errors, lint_warnings =
-    List.fold_left
-      (fun (e, w) (entry : Zoo.entry) ->
-        let v =
-          if Option.is_some (Verify.program_opt entry.Zoo.operator conv_v) then conv_v
-          else matmul_v
-        in
-        let fs = Lint.check ~valuations:[ v ] entry.Zoo.operator in
-        (e + List.length (Lint.errors fs), w + (List.length fs - List.length (Lint.errors fs))))
-      (0, 0) Zoo.all
-  in
-  let rewrites =
-    List.fold_left
-      (fun acc (entry : Zoo.entry) ->
-        let v =
-          if Option.is_some (Verify.program_opt entry.Zoo.operator conv_v) then conv_v
-          else matmul_v
-        in
-        Rewrite.merge_reports acc
-          (Rewrite.check_operator (Coord.Simplify.ctx [ v ]) entry.Zoo.operator))
-      Rewrite.empty_report Zoo.all
-  in
-  let rewrites_sound = rewrites.Rewrite.rp_failures = [] in
-  note "lint: %d errors, %d warnings; rewrites: %d checked (%d approx), %d unsound"
-    lint_errors lint_warnings rewrites.Rewrite.rp_checked rewrites.Rewrite.rp_approx
-    (List.length rewrites.Rewrite.rp_failures);
-  gates
-    [
-      ("every zoo operator passes static bounds verification", zoo_sound);
-      ("every seeded OOB gather caught by the static gate", all_caught);
-      ("the static gate allocates no tensor", static_allocs = 0);
-      ("static gate cost < 20% of the differential gate", cost_ok);
-      ("the zoo lint sweep reports no errors", lint_errors = 0);
-      ("no unsound rewrite fires on a zoo operator", rewrites_sound);
-    ]
+    (100.0 *. ratio);
+  gates [ below "static gate cost < 20% of the differential gate" ratio 0.20 ]
 
 (* --- Cooperative cancellation ------------------------------------------------ *)
 
-(* Measures what cancellation costs and proves what it guarantees:
-   einsum's per-chunk polling sits at the noise floor (<2%, asserted in
-   the full run), Guard's preemptive deadline stops a deliberately slow
-   candidate mid-evaluation with an overrun bounded by one poll
-   interval, and a search cancelled mid-run — the same token path the
-   CLI's SIGINT handler trips — returns partial results, flushes its
-   checkpoint, and resumes to the uninterrupted top-k.  The smoke
-   variant runs inside `dune runtest` via the bench-smoke alias. *)
+(* Measures what cancellation costs: einsum's per-chunk polling sits at
+   the noise floor (<2%, asserted in the full run), and Guard's
+   preemptive deadline stops a deliberately slow candidate
+   mid-evaluation with an overrun bounded by one poll interval.  That a
+   search cancelled mid-run flushes its checkpoint and resumes to the
+   uninterrupted top-k is test_robust's "cancelled search: partial +
+   resume".  The smoke variant runs inside `dune runtest` via the
+   bench-smoke alias. *)
 
 let cancel_bench ~smoke () =
   section
@@ -1101,65 +934,17 @@ let cancel_bench ~smoke () =
     t_full budget !t_preempted
     (if !timed_out then "Timeout" else "NOT TIMEOUT")
     (1000.0 *. !max_overrun) preempt_trials;
-  let preempt_ok = !timed_out && !t_preempted < t_full /. 2.0 in
-  (* 3) Mid-search cancellation + resume: trip the root token after K
-     evaluations (exactly what the CLI's SIGINT handler does), then
-     resume from the flushed checkpoint and compare against the
-     uninterrupted top-k. *)
-  let iterations = if smoke then 150 else 600 in
-  let cfg = search_space_cfg ~max_prims:(if smoke then 5 else 6) () in
-  let mcts_cfg = Search.Mcts.default_config ~iterations () in
-  let reward ~cancel:_ op = Search.Reward.score op (List.hd Api.default_search_valuations) in
-  let sigs rs =
-    List.map
-      (fun r -> (Graph.operator_signature r.Search.Mcts.operator, r.Search.Mcts.reward))
-      rs
-  in
-  let clean, t_clean =
-    time (fun () ->
-        (Search.Mcts.search_run ~config:mcts_cfg cfg ~reward
-           ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
-  in
-  let root = Robust.Cancel.create () in
-  let evals = ref 0 in
-  let trip_after = if smoke then 5 else 8 in
-  let tripping ~cancel op =
-    incr evals;
-    if !evals >= trip_after then Robust.Cancel.cancel ~reason:"SIGINT" root;
-    reward ~cancel op
-  in
-  let ckpt = Filename.temp_file "syno_cancel" ".ckpt" in
-  let sink = Search.Checkpoint.sink ~path:ckpt ~every:5 () in
-  let partial, t_partial =
-    time (fun () ->
-        (Search.Mcts.search_run ~config:mcts_cfg ~checkpoint:sink ~cancel:root cfg
-          ~reward:tripping ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
-  in
-  let entries =
-    match Search.Checkpoint.load ~path:ckpt with
-    | Ok es -> es
-    | Error msg -> failwith ("checkpoint load failed: " ^ msg)
-  in
-  let resumed, t_resumed =
-    time (fun () ->
-        (Search.Mcts.search_run ~config:mcts_cfg ~resume:entries cfg ~reward
-          ~rng:(Nd.Rng.create ~seed:17) ()).Search.Mcts.results)
-  in
-  Sys.remove ckpt;
-  let identical = sigs clean = sigs resumed in
-  note
-    "cancelled search: %d/%d operators after trip at eval %d (%.2fs vs %.2fs clean), %d \
-     checkpoint entries; resumed %.2fs, results %s"
-    (List.length partial) (List.length clean) trip_after t_partial t_clean
-    (List.length entries) t_resumed
-    (if identical then "identical to uninterrupted" else "DIVERGED");
-  let shutdown_ok = partial <> [] && entries <> [] && identical in
+  let preempt_bound = t_full /. 2.0 in
   gates
-    [
-      ("einsum poll overhead < 2%", smoke || poll_overhead < 0.02);
-      ("preemptive deadline stops the slow candidate", preempt_ok);
-      ("cancelled search flushes and resumes to the uninterrupted top-k", shutdown_ok);
-    ]
+    ((if smoke then [] else [ below "einsum poll overhead < 2%" poll_overhead 0.02 ])
+    @ [
+        gate "preemptive deadline stops the slow candidate"
+          ~read:
+            (Printf.sprintf "%s after %.3fs" (if !timed_out then "Timeout" else "no Timeout")
+               !t_preempted)
+          ~bound:(Printf.sprintf "Timeout in < %.3fs" preempt_bound)
+          (!timed_out && !t_preempted < preempt_bound);
+      ])
 
 (* --- Sharded multi-process search --------------------------------------------- *)
 
@@ -1252,11 +1037,11 @@ let shard_bench ~smoke () =
   clear_shards shards;
   gates
     [
-      ("forked merge = inline reference", forked_ok);
-      ("killed+restarted merge = inline reference", killed_ok);
-      ("a killed shard was restarted", restarted);
-      ("exactly the truncated shard quarantined", corrupt_quarantined);
-      ("re-run over the corrupt shard = inline reference", corrupt_ok);
+      holds "forked merge = inline reference" forked_ok;
+      holds "killed+restarted merge = inline reference" killed_ok;
+      gate "a killed shard was restarted" ~read:(string_of_int restarts) ~bound:">= 1" restarted;
+      holds "exactly the truncated shard quarantined" corrupt_quarantined;
+      holds "re-run over the corrupt shard = inline reference" corrupt_ok;
     ]
 
 (* --- Counterexample-guided admission (CEGIS) ----------------------------------- *)
@@ -1417,12 +1202,13 @@ let cegis_bench ~smoke () =
   Sys.remove corpus_path;
   gates
     [
-      ("re-encounter rejected by replay alone", hardened);
-      ("re-encounter top-k identical", identical_topk);
-      ("replay cost <= 25% of differential", replay_cheap);
-      ("a killed shard was restarted", restarts >= 1);
-      ("killed sharded top-k = inline reference", shard_topk_ok);
-      ("killed sharded corpus = inline reference", shard_corpus_ok);
+      holds "re-encounter rejected by replay alone" hardened;
+      holds "re-encounter top-k identical" identical_topk;
+      at_most "replay cost <= 25% of differential" replay_ratio 0.25;
+      gate "a killed shard was restarted" ~read:(string_of_int restarts) ~bound:">= 1"
+        (restarts >= 1);
+      holds "killed sharded top-k = inline reference" shard_topk_ok;
+      holds "killed sharded corpus = inline reference" shard_corpus_ok;
     ]
 
 (* --- serve: the operator daemon under load ------------------------------------- *)
@@ -1765,31 +1551,28 @@ let serve_bench ~smoke () =
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   gates
     [
-      ("cached hits >= 10x faster than cold evals", cache_gate);
-      ("2x overload shed within deadline and queue bounds", overload_gate);
-      ("SIGKILLed daemon restarts warm", restart_gate);
-      ("poisoned operator contained and replayed", poison_gate);
-      ("miscompiled served kernel caught and replayed", spec_poison_gate);
-      ("SIGTERM drains every in-flight request to exit 0", drain_gate);
+      at_least "cached hits >= 10x faster than cold evals" speedup 10.0;
+      holds "2x overload shed within deadline and queue bounds" overload_gate;
+      gate "SIGKILLed daemon restarts warm" ~read:(string_of_int first_pass_hits)
+        ~bound:">= 1 first-pass hit" restart_gate;
+      holds "poisoned operator contained and replayed" poison_gate;
+      holds "miscompiled served kernel caught and replayed" spec_poison_gate;
+      holds "SIGTERM drains every in-flight request to exit 0" drain_gate;
     ]
 
 (* --- Proof-guided kernel specialization ---------------------------------------- *)
 
-(* Gates the specializing compiler end to end: over the whole catalog,
-   the certified specialized executor must compute bit-identical
-   outputs to the staged interpreter, also with a NaN and an infinity
-   planted (where the interpreter must match the reference on plans
-   with no stage), while beating the best interpreter
+(* Times the specializing compiler end to end: over the whole catalog,
+   the certified specialized executor must beat the best interpreter
    (einsum program or staged) by >= 3.0x geomean in the full run
-   (>= 1.4x in the smoke, whose small shapes are mostly border);
-   every nest of every catalog operator must clip its outputs exactly
-   ([Specialize.clips_exactly] — guarded execution is bit-identical, so
-   only this gate sees the clipped nest go unused); certificate
-   construction plus translation validation allocates zero tensors;
-   and 100% of seeded clip-set corruptions are rejected by Certify,
-   including the two execution-invisible ones that still compute
-   bit-identical outputs when run.  The smoke variant runs inside
-   `dune runtest` via the kernel-smoke alias. *)
+   (>= 1.4x in the smoke, whose small shapes are mostly border); then
+   the train path's reference backward at the proxy-layer shapes.  What
+   the compiler guarantees (bit-identity with the staged interpreter,
+   also with non-finite values, exact clipping, rejection of seeded
+   clip-set corruptions, allocation-free certification) is
+   test_kernel's "bit-identity", "certification" and "border" groups,
+   and the backward's adjoint identity test_lower's.  The smoke variant
+   runs inside `dune runtest` via the kernel-smoke alias. *)
 
 let kernel_bench ~smoke () =
   section
@@ -1809,9 +1592,6 @@ let kernel_bench ~smoke () =
     else Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64
   in
   let repeats = if smoke then 3 else 10 in
-  let bits t =
-    Array.map Int64.bits_of_float (Nd.Tensor.unsafe_data (Nd.Tensor.copy t))
-  in
   (* The warm-up run also sizes the repeat count: slow interpreter
      baselines (full-shape einsum materializes the whole gather) get
      fewer repeats so the full run stays in minutes, fast kernels get
@@ -1824,9 +1604,9 @@ let kernel_bench ~smoke () =
     let (), t = time (fun () -> for _ = 1 to reps do ignore (f ()) done) in
     t /. float_of_int reps
   in
-  (* 1) Per-operator: compile all three executors, certify the plan,
-     time each forward, and require bit-identity spec vs staged. *)
-  let cases =
+  (* 1) Per-operator: compile all three executors, certify the plan and
+     time each forward. *)
+  let speedups =
     List.filter_map
       (fun (e : Zoo.entry) ->
         let op = e.Zoo.operator in
@@ -1835,33 +1615,6 @@ let kernel_bench ~smoke () =
         in
         let staged = Staged.compile op v in
         let cert = Regions.of_staged staged in
-        match Certify.compile staged cert.Regions.rc_plan with
-        | Error k ->
-            note "%-28s certification REJECTED: %s" e.Zoo.name (Robust.Guard.kind_label k);
-            Some (e.Zoo.name, staged, cert, None)
-        | Ok sp -> Some (e.Zoo.name, staged, cert, Some sp))
-      Zoo.all
-  in
-  (* Every nest clips every output exactly, so no output of a finite
-     call runs the guarded loop.  Guarded execution is bit-identical, so
-     only this gate sees the clipped nest go unused. *)
-  let unclipped =
-    List.filter_map
-      (fun (name, _, _, sp) ->
-        match sp with
-        | Some sp when Specialize.clips_exactly sp -> None
-        | _ ->
-            note "%-28s some nest does not clip exactly" name;
-            Some name)
-      cases
-  in
-  note "every nest clips exactly on %d/%d catalog operators"
-    (List.length cases - List.length unclipped)
-    (List.length cases);
-  let results =
-    List.map
-      (fun (name, staged, cert, sp) ->
-        let op = Staged.operator staged and v = Staged.valuation staged in
         let compiled = Staged.reference staged in
         let rng = Nd.Rng.create ~seed:17 in
         let input =
@@ -1874,183 +1627,29 @@ let kernel_bench ~smoke () =
           mean_seconds (fun () -> Lower.Einsum_program.forward ep ~input ~weights)
         in
         let t_staged = mean_seconds (fun () -> Staged.forward staged ~input ~weights) in
-        match sp with
-        | None -> (name, cert, t_einsum, t_staged, None, false)
-        | Some sp ->
+        match Certify.compile staged cert.Regions.rc_plan with
+        | Error k ->
+            note "%-28s certification REJECTED: %s" e.Zoo.name (Robust.Guard.kind_label k);
+            None
+        | Ok sp ->
             let t_spec = mean_seconds (fun () -> Specialize.forward sp ~input ~weights) in
-            let identical =
-              bits (Staged.forward staged ~input ~weights)
-              = bits (Specialize.forward sp ~input ~weights)
-            in
-            (name, cert, t_einsum, t_staged, Some t_spec, identical))
-      cases
-  in
-  let speedups =
-    List.filter_map
-      (fun (name, cert, t_einsum, t_staged, t_spec, identical) ->
-        match t_spec with
-        | None -> None
-        | Some t_spec ->
-            let best = Float.min t_einsum t_staged in
-            let s = best /. Float.max 1e-12 t_spec in
+            let s = Float.min t_einsum t_staged /. Float.max 1e-12 t_spec in
             note "%-28s einsum %8.3f ms  staged %8.3f ms  spec %8.3f ms  %5.2fx  \
-                  interior %.3f%s"
-              name (1000.0 *. t_einsum) (1000.0 *. t_staged) (1000.0 *. t_spec) s
-              cert.Regions.rc_interior_fraction
-              (if identical then "" else "  NOT BIT-IDENTICAL");
+                  interior %.3f"
+              e.Zoo.name (1000.0 *. t_einsum) (1000.0 *. t_staged) (1000.0 *. t_spec) s
+              cert.Regions.rc_interior_fraction;
             Some s)
-      results
+      Zoo.all
   in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, sp, id) -> sp = None || id) results
-  in
-  let all_specialized = List.for_all (fun (_, _, _, _, sp, _) -> sp <> None) results in
-  note "%d/%d catalog operators certified, %d bit-identical to the staged interpreter"
-    (List.length speedups) (List.length results)
-    (List.length (List.filter (fun (_, _, _, _, sp, id) -> sp <> None && id) results));
   let geomean =
     exp (List.fold_left (fun a s -> a +. log s) 0.0 speedups
          /. float_of_int (max 1 (List.length speedups)))
   in
-  (* 1b) Non-finite values: a NaN and an infinity planted in the input
-     and in one weight, if any.  A point whose access leaves its window adds
-     nothing in every nest, so the specialized kernel still matches the
-     interpreter bit for bit, and so does the reference on a plan with
-     no stage, which forms the same products in the same order. *)
-  let plant rng t =
-    let d = Nd.Tensor.unsafe_data t in
-    d.(Nd.Rng.int rng (Array.length d)) <- Float.nan;
-    d.(Nd.Rng.int rng (Array.length d)) <- Float.infinity
-  in
-  let non_finite =
-    List.filter_map
-      (fun (name, staged, _, sp) ->
-        Option.map
-          (fun sp ->
-            let compiled = Staged.reference staged in
-            let rng = Nd.Rng.create ~seed:31 in
-            let input =
-              Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0
-                (Lower.Reference.input_shape compiled)
-            in
-            let weights = Lower.Reference.init_weights compiled rng in
-            plant rng input;
-            if weights <> [] then
-              plant rng (List.nth weights (Nd.Rng.int rng (List.length weights)));
-            let a = bits (Staged.forward staged ~input ~weights) in
-            let spec_ok = a = bits (Specialize.forward sp ~input ~weights) in
-            let zero_stage = Staged.num_stages staged = 0 in
-            let ref_ok =
-              (not zero_stage) || a = bits (Lower.Reference.forward compiled ~input ~weights)
-            in
-            if not spec_ok then note "%-28s non-finite: specialized <> staged" name;
-            if not ref_ok then note "%-28s non-finite: staged <> reference" name;
-            (spec_ok, zero_stage, ref_ok))
-          sp)
-      cases
-  in
-  let count p = List.length (List.filter p non_finite) in
-  let zero_stage = count (fun (_, z, _) -> z) in
-  note "non-finite values: %d/%d specialized = staged, %d/%d zero-stage plans staged = reference"
-    (count (fun (s, _, _) -> s))
-    (List.length non_finite)
-    (count (fun (_, z, r) -> z && r))
-    zero_stage;
-  let non_finite_ok = List.for_all (fun (s, _, r) -> s && r) non_finite in
   let speedup_gate = if smoke then 1.4 else 3.0 in
-  let speedup_ok = geomean >= speedup_gate in
-  note "geomean speedup vs best interpreter over %d operators: %.2fx (gate >= %.1fx, %s)"
-    (List.length speedups) geomean speedup_gate
-    (if speedup_ok then "pass" else "FAIL");
-  (* 2) Certification is pure arithmetic: certificate construction plus
-     translation validation allocates zero tensors. *)
-  let alloc0 = Nd.Tensor.allocations () in
-  List.iter
-    (fun (_, staged, _, _) ->
-      let cert = Regions.of_staged staged in
-      ignore (Certify.validate staged cert.Regions.rc_plan))
-    cases;
-  let certify_allocs = Nd.Tensor.allocations () - alloc0 in
-  note "certificate + validation over the catalog: %d tensor allocations" certify_allocs;
-  (* 3) Seeded clip-set corruption: every applicable fault on every
-     operator must be rejected by translation validation; the
-     execution-invisible ones must also run bit-identically, proving
-     Certify is the only line of defense.  [Dropped_clip] would read
-     out of bounds and is never run. *)
-  let faults = [ Specialize.Dropped_clip; Specialize.Spurious_clip; Specialize.Duplicate_clip ] in
-  let seeded = ref 0 and rejected = ref 0 in
-  let invisible_checked = ref 0 and invisible_identical = ref 0 in
-  List.iter
-    (fun (_, staged, cert, sp) ->
-      List.iter
-        (fun fault ->
-          match Specialize.corrupt fault staged cert.Regions.rc_plan with
-          | None -> ()
-          | Some bad ->
-              incr seeded;
-              (match Certify.validate staged bad with
-              | Error (Robust.Guard.Static_violation _) -> incr rejected
-              | Error _ | Ok _ -> ());
-              if sp <> None && fault <> Specialize.Dropped_clip then begin
-                incr invisible_checked;
-                let compiled = Staged.reference staged in
-                let rng = Nd.Rng.create ~seed:23 in
-                let input =
-                  Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0
-                    (Lower.Reference.input_shape compiled)
-                in
-                let weights = Lower.Reference.init_weights compiled rng in
-                let corrupted = Specialize.compile staged bad in
-                if
-                  bits (Specialize.forward corrupted ~input ~weights)
-                  = bits (Staged.forward staged ~input ~weights)
-                then incr invisible_identical
-              end)
-        faults)
-    cases;
-  let faults_ok = !seeded > 0 && !rejected = !seeded in
-  let invisible_ok = !invisible_identical = !invisible_checked in
-  note "seeded clip-set corruptions: %d/%d rejected by Certify; %d/%d invisible faults \
-        executed bit-identically"
-    !rejected !seeded !invisible_identical !invisible_checked;
-  (* 4) The train path's reference backward.  The operator is linear in
-     the input and in each weight group, so [<grad_in, x>] and every
-     [<grad_w, w>] must equal [<grad_out, out>]; then the backward's
-     time at the two proxy-layer shapes [Api.proxy_layer] trains. *)
-  let dot a b =
-    let b = Nd.Tensor.unsafe_data b and s = ref 0.0 in
-    Array.iteri (fun i v -> s := !s +. (v *. b.(i))) (Nd.Tensor.unsafe_data a);
-    !s
-  in
-  let backward_args compiled =
-    let rng = Nd.Rng.create ~seed:29 in
-    let input =
-      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
-    in
-    let weights = Lower.Reference.init_weights compiled rng in
-    let grad_out =
-      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.output_shape compiled)
-    in
-    (input, weights, grad_out)
-  in
-  let adjoint_failures =
-    List.filter
-      (fun (name, staged, _, _) ->
-        let compiled = Staged.reference staged in
-        let input, weights, grad_out = backward_args compiled in
-        let expected = dot grad_out (Lower.Reference.forward compiled ~input ~weights) in
-        let grad_in, grad_ws = Lower.Reference.backward compiled ~input ~weights ~grad_out in
-        let close got = Float.abs (got -. expected) <= 1e-9 *. Float.abs expected in
-        let ok =
-          close (dot grad_in input) && List.for_all2 (fun g w -> close (dot g w)) grad_ws weights
-        in
-        if not ok then note "%-28s adjoint identity violated" name;
-        not ok)
-      cases
-  in
-  note "adjoint identity <grad, arg> = <grad_out, out> holds on %d/%d catalog operators"
-    (List.length cases - List.length adjoint_failures)
-    (List.length cases);
+  note "geomean speedup vs best interpreter over %d operators: %.2fx (gate >= %.1fx)"
+    (List.length speedups) geomean speedup_gate;
+  (* 2) The train path's reference backward at the two proxy-layer
+     shapes [Api.proxy_layer] trains. *)
   List.iter
     (fun (e : Zoo.entry) ->
       List.iter
@@ -2060,7 +1659,16 @@ let kernel_bench ~smoke () =
               (Zoo.Vars.conv_valuation ~n:Syno.Api.proxy_batch_size ~c_in ~c_out:8 ~hw:10 ~k:3
                  ~g:2 ~s:2 ())
           in
-          let input, weights, grad_out = backward_args compiled in
+          let rng = Nd.Rng.create ~seed:29 in
+          let input =
+            Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0
+              (Lower.Reference.input_shape compiled)
+          in
+          let weights = Lower.Reference.init_weights compiled rng in
+          let grad_out =
+            Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0
+              (Lower.Reference.output_shape compiled)
+          in
           note "%-28s proxy backward c%d->8 hw10 n%d: %8.3f ms" e.Zoo.name c_in
             Syno.Api.proxy_batch_size
             (1000.0
@@ -2068,22 +1676,7 @@ let kernel_bench ~smoke () =
                    Lower.Reference.backward compiled ~input ~weights ~grad_out)))
         [ 4; 8 ])
     [ Zoo.conv2d; Zoo.operator1 ];
-  gates
-    [
-      ("specialized kernels bit-identical to the staged interpreter", all_identical);
-      ( "with a NaN and an infinity planted: specialized = staged, and staged = reference \
-         without stages",
-        non_finite_ok );
-      ("every catalog operator certified", all_specialized);
-      ("every catalog nest clips exactly", unclipped = []);
-      ("certification allocates no tensor", certify_allocs = 0);
-      (Printf.sprintf "geomean speedup >= %.1fx" speedup_gate, speedup_ok);
-      ("every seeded clip-set corruption rejected by Certify", faults_ok);
-      ("invisible faults execute bit-identically", invisible_ok);
-      ("the backward's adjoint identity holds on every catalog operator", adjoint_failures = []);
-    ]
-
-(* --- Driver ------------------------------------------------------------------ *)
+  gates [ at_least (Printf.sprintf "geomean speedup >= %.1fx" speedup_gate) geomean speedup_gate ]
 
 (* --- Differential validation: per-backend forward cost ------------------------ *)
 
@@ -2092,16 +1685,12 @@ let kernel_bench ~smoke () =
    at n1, c_in and c_out in {4, 6, 8}, hw 4..8 and k in {1, 3}, each
    shape in four (g, s) variants, wherever the verifier finds no
    violation.  Per key, the inputs are drawn as the daemon draws them
-   and each backend's forward is timed once, compile excluded.  Gates:
-   every backend agrees with the reference within the differential
-   tolerance, the specialized kernel is bit-identical to the staged
-   interpreter, and each seeded mutant of the compiled nest
-   ([Reference.mutants]) is caught as a backend mismatch on some key.
-   The smoke runs every 40th key. *)
-let differential_bench ~smoke () =
-  section
-    (Printf.sprintf "Differential validation backends (forward ms per key)%s"
-       (if smoke then " [smoke]" else ""));
+   and each backend's forward is timed once, compile excluded.  That
+   the backends agree on these keys, and that every seeded mutant of
+   the compiled nest is caught on one, is test_validate's "key grid"
+   cases. *)
+let differential_bench () =
+  section "Differential validation backends (forward ms per key)";
   let module Reference = Lower.Reference in
   let module Einsum_program = Lower.Einsum_program in
   let module Staged = Lower.Staged_exec in
@@ -2125,24 +1714,12 @@ let differential_bench ~smoke () =
     let v = Zoo.Vars.conv_valuation ~n:1 ~c_in ~c_out ~hw ~k ~g ~s () in
     match Analysis.Verify.program_opt e.Zoo.operator v with
     | None | Some (Analysis.Verify.Violation _) -> []
-    | Some _ ->
-        [ (e, v, Printf.sprintf "%s@ci%d.co%d.hw%d.k%d.g%d.s%d" e.Zoo.name c_in c_out hw k g s) ]
-  in
-  let keys = if smoke then List.filteri (fun i _ -> i mod 40 = 0) keys else keys in
-  let tolerance = Validate.Differential.default_config.Validate.Differential.tolerance in
-  let bits t = Array.map Int64.bits_of_float (Nd.Tensor.unsafe_data t) in
-  let agrees ~expected got =
-    Nd.Tensor.shape expected = Nd.Tensor.shape got
-    && Array.for_all2
-         (fun r c -> Float.abs (c -. r) <= tolerance *. (1.0 +. Float.abs r))
-         (Nd.Tensor.unsafe_data expected) (Nd.Tensor.unsafe_data got)
+    | Some _ -> [ (e.Zoo.operator, v) ]
   in
   let t_ref = ref 0.0 and t_gather = ref 0.0 and t_einsum = ref 0.0 in
   let t_staged = ref 0.0 and t_spec = ref 0.0 and n_spec = ref 0 in
-  let disagree = ref [] and not_identical = ref [] in
   List.iter
-    (fun ((e : Zoo.entry), v, name) ->
-      let op = e.Zoo.operator in
+    (fun (op, v) ->
       let compiled = Reference.compile op v in
       let rng =
         Nd.Rng.create
@@ -2152,91 +1729,44 @@ let differential_bench ~smoke () =
       let input =
         Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape compiled)
       in
-      let timed acc f =
-        let r, t = time f in
-        acc := !acc +. t;
-        r
-      in
-      let reference = timed t_ref (fun () -> Reference.forward compiled ~input ~weights) in
+      let timed acc f = acc := !acc +. snd (time f) in
+      timed t_ref (fun () -> Reference.forward compiled ~input ~weights);
       let ep = Einsum_program.compile op v in
-      ignore (timed t_gather (fun () -> Einsum_program.gather ep ~input));
-      let einsum = timed t_einsum (fun () -> Einsum_program.forward ep ~input ~weights) in
+      timed t_gather (fun () -> Einsum_program.gather ep ~input);
+      timed t_einsum (fun () -> Einsum_program.forward ep ~input ~weights);
       let st = Staged.compile op v in
-      let staged = timed t_staged (fun () -> Staged.forward st ~input ~weights) in
-      if not (agrees ~expected:reference einsum && agrees ~expected:reference staged) then
-        disagree := name :: !disagree;
+      timed t_staged (fun () -> Staged.forward st ~input ~weights);
       match Analysis.Certify.specialize st with
       | Ok (Some sp) ->
           incr n_spec;
-          let spec = timed t_spec (fun () -> Specialize.forward sp ~input ~weights) in
-          if not (agrees ~expected:reference spec) then disagree := name :: !disagree;
-          if bits spec <> bits staged then not_identical := name :: !not_identical
+          timed t_spec (fun () -> Specialize.forward sp ~input ~weights)
       | Ok None | Error _ -> ())
     keys;
-  let n = List.length keys and disagree = List.sort_uniq compare !disagree in
+  let n = List.length keys in
   let per_key t count = 1000.0 *. t /. float_of_int (max 1 count) in
   note "%d keys over %d operators" n (List.length ops);
   note "reference  %7.3f ms/key" (per_key !t_ref n);
   note "einsum     %7.3f ms/key (gather %.3f ms/key)" (per_key !t_einsum n) (per_key !t_gather n);
   note "staged     %7.3f ms/key" (per_key !t_staged n);
-  note "specialize %7.3f ms/key over the %d keys that certify" (per_key !t_spec !n_spec) !n_spec;
-  List.iter (fun name -> note "%s: a backend disagrees with the reference" name) disagree;
-  List.iter (fun name -> note "%s: specialize is not bit-identical to staged" name) !not_identical;
-  note "%d/%d keys agree within %.0e; specialize = staged bit for bit on %d/%d"
-    (n - List.length disagree) n tolerance
-    (!n_spec - List.length !not_identical) !n_spec;
-  (* Seeded mutants in the compiled nest's shared routines, which the
-     reference and the specialized kernel both run: each must surface
-     as a typed backend mismatch on some key, and the backend that first
-     disagrees with the reference names the pair that exposed it. *)
-  let uncaught =
-    List.filter
-      (fun m ->
-        let caught =
-          Reference.with_mutant m (fun () ->
-              List.find_map
-                (fun ((e : Zoo.entry), v, name) ->
-                  match Validate.Differential.check_full e.Zoo.operator [ v ] with
-                  | Error { Validate.Differential.fl_kind = Robust.Guard.Backend_mismatch _; fl_backend; _ }
-                    ->
-                      Some (name, fl_backend)
-                  | Ok _ | Error _ -> None)
-                keys)
-        in
-        (match caught with
-        | Some (name, backend) ->
-            note "mutant %-16s caught at %s: reference vs %s" (Reference.mutant_to_string m) name
-              (match backend with
-              | Some b -> Validate.Differential.backend_label b
-              | None -> "(none)")
-        | None -> note "mutant %-16s NOT caught on any key" (Reference.mutant_to_string m));
-        caught = None)
-      Reference.mutants
-  in
-  gates
-    [
-      ("every backend agrees with the reference", disagree = []);
-      ("specialize bit-identical to staged", !not_identical = []);
-      ("some keys certify", !n_spec > 0);
-      ("every seeded nest mutant caught as a backend mismatch", uncaught = []);
-    ]
+  note "specialize %7.3f ms/key over the %d keys that certify" (per_key !t_spec !n_spec) !n_spec
 
-(* A [Gated] experiment asserts its gates and also runs as [<name>-smoke],
-   at sizes small enough for every `dune runtest`. *)
-type experiment = Paper of (unit -> unit) | Gated of (smoke:bool -> unit -> unit)
+(* A [Gated] experiment exits 1 naming each failed gate, and also runs
+   as [<name>-smoke], at sizes small enough for every `dune runtest`; a
+   [Measured] one only prints. *)
+type experiment = Measured of (unit -> unit) | Gated of (smoke:bool -> unit -> unit)
 
 let experiments =
   [
-    ("fig5", Paper fig5);
-    ("fig6", Paper fig6);
-    ("fig8", Paper fig8);
-    ("fig9", Paper fig9);
-    ("fig10", Paper fig10);
-    ("tab3", Paper tab3);
-    ("ablation", Paper ablation);
-    ("micro", Paper micro);
+    ("fig5", Measured fig5);
+    ("fig6", Measured fig6);
+    ("fig8", Measured fig8);
+    ("fig9", Measured fig9);
+    ("fig10", Measured fig10);
+    ("tab3", Measured tab3);
+    ("ablation", Measured ablation);
+    ("micro", Measured micro);
     ("par", Gated par_bench);
-    ("robust", Gated robust_bench);
+    ("robust", Measured robust_bench);
     ("validate", Gated validate_bench);
     ("analysis", Gated analysis_bench);
     ("cancel", Gated cancel_bench);
@@ -2244,14 +1774,14 @@ let experiments =
     ("cegis", Gated cegis_bench);
     ("serve", Gated serve_bench);
     ("kernel", Gated kernel_bench);
-    ("differential", Gated differential_bench);
+    ("differential", Measured differential_bench);
   ]
 
 let runnable =
   List.concat_map
     (fun (name, e) ->
       match e with
-      | Paper f -> [ (name, f) ]
+      | Measured f -> [ (name, f) ]
       | Gated f -> [ (name, f ~smoke:false); (name ^ "-smoke", f ~smoke:true) ])
     experiments
 

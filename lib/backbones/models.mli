@@ -4,8 +4,6 @@ type t = { name : string; specs : Convspec.t list }
 
 val resnet18 : t
 val resnet34 : t
-val densenet121 : t
-val resnext29_2x64d : t
 val efficientnet_v2_s : t
 val vision_models : t list
 

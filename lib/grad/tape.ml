@@ -65,5 +65,3 @@ let backward t seed =
               | Some _ | None -> ())
             node.inputs cotangents)
     t.nodes
-
-let num_nodes t = List.length t.nodes

@@ -37,5 +37,3 @@ val custom :
 val backward : t -> v -> unit
 (** Seed the given (scalar or any-shape) value with ones and propagate.
     Raises [Invalid_argument] if the value is not on this tape. *)
-
-val num_nodes : t -> int

@@ -37,7 +37,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choose t = function
-  | [] -> invalid_arg "Rng.choose: empty list"
-  | l -> List.nth l (int t (List.length l))

@@ -22,5 +22,3 @@ val normal : t -> float
 
 val bool : t -> bool
 val shuffle : t -> 'a array -> unit
-val choose : t -> 'a list -> 'a
-(** Uniform choice; raises [Invalid_argument] on an empty list. *)

@@ -14,8 +14,6 @@ val causal_self_attention :
 
 val layer_norm : Nd.Rng.t -> dim:int -> Layer.t
 
-val mlp : Nd.Rng.t -> embed:int -> hidden:int -> Layer.t
-
 val transformer_block :
   Nd.Rng.t ->
   embed:int ->

@@ -33,14 +33,11 @@ type sentinel = {
   divergence_patience : int;  (** consecutive over-threshold epochs *)
 }
 
-val default_sentinel : sentinel
-(** Finite check on, factor 10, patience 2. *)
-
 val sentinel :
   ?check_finite:bool -> ?divergence_factor:float -> ?divergence_patience:int -> unit -> sentinel
-(** {!default_sentinel} with fields overridden.  Raises
-    [Invalid_argument] unless [divergence_factor > 0] and
-    [divergence_patience >= 1]. *)
+(** The default sentinel (finite check on, factor 10, patience 2) with
+    fields overridden.  Raises [Invalid_argument] unless
+    [divergence_factor > 0] and [divergence_patience >= 1]. *)
 
 type history = {
   epoch_losses : float list;  (** completed epochs only *)
@@ -65,8 +62,8 @@ val fit :
   history
 (** Cosine learning-rate schedule over the full run.  [clip_norm]
     applies global gradient-norm clipping on every step
-    ({!Optimizer.clip_global_norm}).  The [sentinel] (default
-    {!default_sentinel}) may abort the run early; the divergence
+    ({!Optimizer.clip_global_norm}).  The [sentinel] (default: finite
+    check on, factor 10, patience 2) may abort the run early; the divergence
     baseline is the first completed epoch's mean loss.  [cancel] is
     polled before every training step: a trip ends the run with
     [Aborted_cancelled] (no exception), keeping the stats of every

@@ -42,4 +42,3 @@ let by_name name =
   | None -> invalid_arg ("Compiler_model.by_name: unknown compiler " ^ name)
 
 let effective_gflops t p k = t.rate p k
-let efficiency t p k = t.rate p k /. p.Platform.peak_gflops

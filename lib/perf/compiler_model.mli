@@ -22,5 +22,3 @@ val by_name : string -> t
 val effective_gflops : t -> Platform.t -> Kernel.t -> float
 (** Sustained compute throughput for this kernel on this platform. *)
 
-val efficiency : t -> Platform.t -> Kernel.t -> float
-(** [effective / platform peak] (can exceed 1 with tensor cores). *)

@@ -20,7 +20,6 @@
 
 type verb = Eval | Lint | Search | Status | Ping | Drain
 
-val verb_label : verb -> string
 val verb_of_label : string -> verb option
 
 type request = {

@@ -91,8 +91,8 @@ val train_entry :
   Nn.Train.history
 (** Train the proxy backbone with the entry substituted into both
     operator stages.  [clip_norm] enables global gradient-norm
-    clipping; [sentinel] (default {!Nn.Train.default_sentinel}) aborts
-    on NaN/Inf loss or sustained divergence — check
+    clipping; [sentinel] (default: finite check on, factor 10,
+    patience 2) aborts on NaN/Inf loss or sustained divergence — check
     [history.Nn.Train.outcome]. *)
 
 (** {1 Search} *)

@@ -27,7 +27,6 @@
 type origin = Differential | Static
 
 val origin_label : origin -> string
-val origin_of_label : string -> origin option
 
 type entry = {
   ce_operator : Pgraph.Graph.operator;  (** the operator that failed *)

@@ -60,21 +60,31 @@ let test_interval_eval_tighter_than_bounds () =
 
 (* --- Bounds verification over the zoo --------------------------------------- *)
 
-let valuation_for (entry : Zoo.entry) =
-  (* Operators over the conv signature instantiate under [tiny]; the
+(* The shape the analysis bench checks the zoo at: the differential
+   validation shape, c8/hw4. *)
+let validation_v = List.hd Syno.Api.default_validation_valuations
+
+let valuation_for ?(conv_v = tiny) (entry : Zoo.entry) =
+  (* Operators over the conv signature instantiate under [conv_v]; the
      matmul entry needs its own variables. *)
-  if Option.is_some (Verify.program_opt entry.Zoo.operator tiny) then tiny else foreign
+  if Option.is_some (Verify.program_opt entry.Zoo.operator conv_v) then conv_v else foreign
+
+(* Each zoo operator at [tiny] and at [validation_v], matmul at [foreign]. *)
+let zoo_at_both_shapes =
+  List.concat_map
+    (fun conv_v ->
+      List.map (fun (entry : Zoo.entry) -> (entry, valuation_for ~conv_v entry)) Zoo.all)
+    [ tiny; validation_v ]
 
 let test_zoo_never_violates () =
   List.iter
-    (fun (entry : Zoo.entry) ->
-      let v = valuation_for entry in
+    (fun ((entry : Zoo.entry), v) ->
       match Verify.program_opt entry.Zoo.operator v with
       | None -> Alcotest.failf "%s: not instantiable under either valuation" entry.Zoo.name
       | Some (Verify.Violation d) ->
           Alcotest.failf "%s: violation: %s" entry.Zoo.name (Verify.diagnostic_to_string d)
       | Some Verify.Proved | Some (Verify.Padded _) -> ())
-    Zoo.all
+    zoo_at_both_shapes
 
 let test_zoo_verdict_shapes () =
   (* conv2d unfolds with a centering offset: padded, not proved. *)
@@ -141,25 +151,48 @@ let corrupt op =
       | _ -> assert false);
   }
 
+(* The analysis bench's seeded OOB gathers: the first 6 healthy
+   candidates (12 with [--full]) of its conv search, each with its
+   input gather shifted out of the window. *)
+let corrupted_candidates =
+  lazy
+    (List.filteri
+       (fun i _ -> i < if Bench_inputs.full then 12 else 6)
+       (List.filter_map
+          (fun (c : Syno.Api.candidate) ->
+            if c.quarantined then None
+            else Some (Validate.Differential.corrupt_operator c.operator))
+          (Bench_inputs.conv_search ()).candidates))
+
 let test_corrupt_is_violation () =
   let bad = corrupt conv in
   (match Verify.program bad tiny with
   | Verify.Violation _ -> ()
   | v -> Alcotest.failf "corrupted conv: expected violation, got %s" (Verify.verdict_to_string v));
-  match Verify.admit bad [ tiny ] with
+  (match Verify.admit bad [ tiny ] with
   | Error (Guard.Static_violation msg) ->
       Alcotest.(check bool) "diagnostic names the window" true
         (Astring.String.is_infix ~affix:"window" msg)
   | Error k -> Alcotest.failf "wrong kind %s" (Guard.kind_label k)
-  | Ok () -> Alcotest.fail "corrupted operator admitted"
+  | Ok () -> Alcotest.fail "corrupted operator admitted");
+  let candidates = Lazy.force corrupted_candidates in
+  Alcotest.(check bool) "the search found candidates to corrupt" true (candidates <> []);
+  List.iteri
+    (fun i op ->
+      match Verify.admit op [ validation_v ] with
+      | Error (Guard.Static_violation _) -> ()
+      | Error k -> Alcotest.failf "corrupted candidate %d: wrong kind %s" i (Guard.kind_label k)
+      | Ok () -> Alcotest.failf "corrupted candidate %d admitted" i)
+    candidates
 
 let test_admit_allocates_nothing () =
+  let candidates = Lazy.force corrupted_candidates in
   let before = Tensor.allocations () in
   List.iter
-    (fun (entry : Zoo.entry) ->
-      ignore (Verify.admit entry.Zoo.operator [ valuation_for entry ]))
-    Zoo.all;
+    (fun ((entry : Zoo.entry), v) -> ignore (Verify.admit entry.Zoo.operator [ v ]))
+    zoo_at_both_shapes;
   (match Verify.admit (corrupt conv) [ tiny ] with Error _ -> () | Ok () -> ());
+  List.iter (fun op -> ignore (Verify.admit op [ validation_v ])) candidates;
   Alcotest.(check int) "static verification allocates no tensor" 0
     (Tensor.allocations () - before)
 
@@ -175,8 +208,8 @@ let approx_ctx vals = Simplify.ctx vals
 
 let test_zoo_rewrites_sound () =
   List.iter
-    (fun (entry : Zoo.entry) ->
-      let vals = [ valuation_for entry ] in
+    (fun ((entry : Zoo.entry), v) ->
+      let vals = [ v ] in
       List.iter
         (fun ctx ->
           let report = Rewrite.check_operator ctx entry.Zoo.operator in
@@ -185,7 +218,7 @@ let test_zoo_rewrites_sound () =
           | f :: _ ->
               Alcotest.failf "%s: %s" entry.Zoo.name (Rewrite.failure_to_string f))
         [ exact_ctx vals; approx_ctx vals ])
-    Zoo.all
+    zoo_at_both_shapes
 
 let test_rewrite_checker_catches_unsound () =
   (* Plant the classic broken rule: (i + j) / B = i / B without any
@@ -231,14 +264,11 @@ let test_traced_simplify_agrees () =
 
 let test_zoo_lint_clean () =
   List.iter
-    (fun (entry : Zoo.entry) ->
-      let findings =
-        Lint.check ~valuations:[ valuation_for entry ] entry.Zoo.operator
-      in
-      match Lint.errors findings with
+    (fun ((entry : Zoo.entry), v) ->
+      match Lint.errors (Lint.check ~valuations:[ v ] entry.Zoo.operator) with
       | [] -> ()
       | f :: _ -> Alcotest.failf "%s: %s" entry.Zoo.name (Lint.finding_to_string f))
-    Zoo.all
+    zoo_at_both_shapes
 
 let test_lint_futile_reduction () =
   (* Blank conv2d's input gather: its reduction iterators then reach only
@@ -332,7 +362,7 @@ let test_lint_cost_cross_check () =
     Zoo.all
 
 let () =
-  Alcotest.run "analysis"
+  Alcotest.run ~argv:Bench_inputs.argv "analysis"
     [
       ( "interval",
         [

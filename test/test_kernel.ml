@@ -18,7 +18,8 @@ module Verify = Analysis.Verify
 module Cancel = Robust.Cancel
 module Ast = Coord.Ast
 
-let valuation = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 ()
+(* The kernel bench's smoke shapes: c8/hw10, matmul 6x5x7. *)
+let valuation, matmul_valuation = Bench_inputs.kernel_small
 
 let zoo_cases =
   [
@@ -55,20 +56,43 @@ let clips name op v =
   let st, cert = certified name op v in
   Specialize.clips_exactly (Specialize.compile st cert.Regions.rc_plan)
 
-let forward_pair ?cancel name op v =
+(* An input for [r] drawn from [seed], normal or with [uniform] on
+   [-1, 1] as the kernel bench draws it, then the weights; and the
+   generator, for what is drawn next. *)
+let draw ?(uniform = false) ~seed r =
+  let rng = Rng.create ~seed in
+  let shape = Reference.input_shape r in
+  let x =
+    if uniform then Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 shape
+    else Tensor.rand_normal rng ~scale:1.0 shape
+  in
+  (x, Reference.init_weights r rng, rng)
+
+(* The staged and the specialized forward of one draw. *)
+let forward_pair ?cancel ?uniform ?(seed = 13) name op v =
   let st, cert = certified name op v in
   let sp = Specialize.compile st cert.Regions.rc_plan in
-  let r = Staged.reference st in
-  let rng = Rng.create ~seed:13 in
-  let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
-  let w = Reference.init_weights r rng in
+  let x, w, _ = draw ?uniform ~seed (Staged.reference st) in
   let a = Staged.forward st ~input:x ~weights:w in
   let b = Specialize.forward ?cancel sp ~input:x ~weights:w in
   (a, b)
 
-let check_identical name op v =
-  let a, b = forward_pair name op v in
+let check_identical ?uniform ?seed name op v =
+  let a, b = forward_pair ?uniform ?seed name op v in
   Alcotest.(check (array int64)) (name ^ ": bit-identical") (bits a) (bits b)
+
+(* Every catalog operator, matmul at its own shapes, named: at the
+   kernel bench's smoke shapes, and with [--full] also at its full ones
+   (c32/hw28, matmul 64^3), named "<operator> full". *)
+let catalog =
+  List.concat_map
+    (fun ((conv_v, matmul_v) as size) ->
+      let tag = if size == Bench_inputs.kernel_full then " full" else "" in
+      List.map
+        (fun e ->
+          (e.Zoo.name ^ tag, e.Zoo.operator, if e == Zoo.matmul then matmul_v else conv_v))
+        (zoo_cases @ [ Zoo.matmul ]))
+    Bench_inputs.kernel_sizes
 
 (* --- Bit-identity over the zoo -------------------------------------------- *)
 
@@ -161,11 +185,14 @@ let test_zoo_bit_identity () =
         (fun e -> check_identical (Printf.sprintf "%s %s" e.Zoo.name shape) e.Zoo.operator v)
         zoo_cases)
     proxy_valuations;
-  check_identical "conv2d/guarded-interior" guarded_interior_conv valuation
+  check_identical "conv2d/guarded-interior" guarded_interior_conv valuation;
+  (* The kernel bench's draw. *)
+  List.iter
+    (fun (name, op, v) -> check_identical ~uniform:true ~seed:17 (name ^ " uniform") op v)
+    catalog
 
 let test_matmul_bit_identity () =
-  let v = Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7 in
-  check_identical "matmul" Zoo.matmul.Zoo.operator v
+  check_identical "matmul" Zoo.matmul.Zoo.operator matmul_valuation
 
 (* At valuation's shapes every nest's work is above [Staged_exec.run_box]'s
    parallel threshold, so at 2 and 4 domains the outputs are split into
@@ -202,8 +229,7 @@ let test_pool_sizes_bit_identical () =
    certified interior" holds as: the certificate has an interior, and
    none of it runs guarded.  The shapes are the kernel bench's. *)
 let test_checkless_volume () =
-  let conv_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
-  let matmul_v = Zoo.Vars.matmul_valuation ~m:64 ~n:64 ~k:64 in
+  let conv_v, matmul_v = Bench_inputs.kernel_full in
   List.iter
     (fun (e, v) ->
       let _, cert = certified e.Zoo.name e.Zoo.operator v in
@@ -325,26 +351,25 @@ let test_zero_tensor_allocations () =
   Alcotest.(check int)
     "certificate construction and validation allocate no tensor" 0
     (Tensor.allocations () - before);
-  match validated with
+  (match validated with
   | Ok stats ->
       Alcotest.(check bool) "has accesses" true (stats.Certify.ct_accesses > 0);
       Alcotest.(check bool)
         "clips within accesses" true
         (stats.Certify.ct_clips <= stats.Certify.ct_accesses)
-  | Error _ -> Alcotest.fail "sound certificate rejected"
+  | Error _ -> Alcotest.fail "sound certificate rejected");
+  let plans = List.map (fun (_, op, v) -> Staged.compile op v) catalog in
+  let before = Tensor.allocations () in
+  List.iter (fun st -> ignore (Certify.validate st (Regions.of_staged st).Regions.rc_plan)) plans;
+  Alcotest.(check int) "over the catalog, too" 0 (Tensor.allocations () - before)
 
 let invisible_faults = [ Specialize.Spurious_clip; Specialize.Duplicate_clip ]
 let faults = Specialize.Dropped_clip :: invisible_faults
 
-(* Every catalog operator, matmul at its own shapes. *)
-let catalog =
-  List.map (fun e -> (e, valuation)) zoo_cases
-  @ [ (Zoo.matmul, Zoo.Vars.matmul_valuation ~m:6 ~n:5 ~k:7) ]
-
 let test_corrupt_plans_rejected () =
   List.iter
-    (fun (e, v) ->
-      let st, cert = certified e.Zoo.name e.Zoo.operator v in
+    (fun (name, op, v) ->
+      let st, cert = certified name op v in
       List.iter
         (fun fault ->
           match Specialize.corrupt fault st cert.Regions.rc_plan with
@@ -354,35 +379,35 @@ let test_corrupt_plans_rejected () =
               | Error (Robust.Guard.Static_violation _) -> ()
               | Error _ -> Alcotest.fail "unexpected guard kind"
               | Ok _ ->
-                  Alcotest.failf "%s: %s not rejected" e.Zoo.name
-                    (Specialize.fault_to_string fault)))
+                  Alcotest.failf "%s: %s not rejected" name (Specialize.fault_to_string fault)))
         faults)
     catalog
 
 let test_corrupt_plans_execute_invisibly () =
   (* The whole point of translation validation: these faults produce a
      plan that runs to completion with bit-identical outputs — without
-     Certify, nothing notices. *)
+     Certify, nothing notices.  Two draws: a normal one, and the kernel
+     bench's uniform one. *)
   List.iter
-    (fun (e, v) ->
-      let st, cert = certified e.Zoo.name e.Zoo.operator v in
-      let r = Staged.reference st in
-      let rng = Rng.create ~seed:7 in
-      let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
-      let w = Reference.init_weights r rng in
-      let reference = Staged.forward st ~input:x ~weights:w in
+    (fun (name, op, v) ->
+      let st, cert = certified name op v in
       List.iter
-        (fun fault ->
-          match Specialize.corrupt fault st cert.Regions.rc_plan with
-          | None -> ()
-          | Some corrupted ->
-              let sp = Specialize.compile st corrupted in
-              let b = Specialize.forward sp ~input:x ~weights:w in
-              Alcotest.(check (array int64))
-                (Printf.sprintf "%s: %s invisible" e.Zoo.name
-                   (Specialize.fault_to_string fault))
-                (bits reference) (bits b))
-        invisible_faults)
+        (fun (uniform, seed) ->
+          let x, w, _ = draw ~uniform ~seed (Staged.reference st) in
+          let reference = Staged.forward st ~input:x ~weights:w in
+          List.iter
+            (fun fault ->
+              match Specialize.corrupt fault st cert.Regions.rc_plan with
+              | None -> ()
+              | Some corrupted ->
+                  let sp = Specialize.compile st corrupted in
+                  let b = Specialize.forward sp ~input:x ~weights:w in
+                  Alcotest.(check (array int64))
+                    (Printf.sprintf "%s seed %d: %s invisible" name seed
+                       (Specialize.fault_to_string fault))
+                    (bits reference) (bits b))
+            invisible_faults)
+        [ (false, 7); (true, 23) ])
     catalog
 
 let test_faults_available () =
@@ -569,14 +594,19 @@ let test_border_fixtures () =
    behind a [Div]. *)
 let test_clips_exactly () =
   List.iter
-    (fun (e, v) ->
-      Alcotest.(check bool) (e.Zoo.name ^ " hw10 clips exactly") true
-        (clips e.Zoo.name e.Zoo.operator v))
+    (fun (name, op, v) ->
+      Alcotest.(check bool) (name ^ " clips exactly") true (clips name op v))
     catalog;
   Alcotest.(check bool) "conv2d/diagonal-window does not" false
     (clips "conv2d/diagonal-window" diagonal_window_conv valuation);
   Alcotest.(check bool) "conv2d/guarded-interior does not" false
     (clips "conv2d/guarded-interior" guarded_interior_conv valuation)
+
+(* One NaN and one infinity at drawn offsets of [t]. *)
+let plant rng t =
+  let d = Tensor.unsafe_data t in
+  d.(Rng.int rng (Array.length d)) <- Float.nan;
+  d.(Rng.int rng (Array.length d)) <- Float.infinity
 
 (* One infinite weight: the corner tap of the window, which every
    output in the top row or the left column reads from padding.  A
@@ -608,7 +638,26 @@ let test_non_finite_weight () =
   Alcotest.(check (array int64)) "conv2d with an infinite weight: staged = reference" (bits a)
     (bits (Reference.forward r ~input:x ~weights:w));
   Alcotest.(check (array int64)) "conv2d with an infinite weight: staged = specialized" (bits a)
-    (bits (Specialize.forward sp ~input:x ~weights:w))
+    (bits (Specialize.forward sp ~input:x ~weights:w));
+  (* The kernel bench's plant over the catalog: a NaN and an infinity in
+     the input and in one weight, if any.  The specialized kernel
+     matches the interpreter, and so does the reference on a plan with
+     no stage. *)
+  List.iter
+    (fun (name, op, v) ->
+      let st, cert = certified name op v in
+      let sp = Specialize.compile st cert.Regions.rc_plan in
+      let r = Staged.reference st in
+      let x, w, rng = draw ~uniform:true ~seed:31 r in
+      plant rng x;
+      if w <> [] then plant rng (List.nth w (Rng.int rng (List.length w)));
+      let a = Staged.forward st ~input:x ~weights:w in
+      Alcotest.(check (array int64)) (name ^ " planted: specialized = staged") (bits a)
+        (bits (Specialize.forward sp ~input:x ~weights:w));
+      if Staged.num_stages st = 0 then
+        Alcotest.(check (array int64)) (name ^ " planted: staged = reference") (bits a)
+          (bits (Reference.forward r ~input:x ~weights:w)))
+    catalog
 
 (* The zoo operators whose staged plan materializes a stage at the test
    shapes: operator1, operator2, stacked_conv, nas_pte_bottleneck and
@@ -649,12 +698,6 @@ let random_or_fixture seed =
   if seed mod 3 = 0 then
     Some (snd (List.nth border_fixtures (seed / 3 mod List.length border_fixtures)))
   else random_operator seed
-
-(* One NaN and one infinity at drawn offsets of [t]. *)
-let plant rng t =
-  let d = Tensor.unsafe_data t in
-  d.(Rng.int rng (Array.length d)) <- Float.nan;
-  d.(Rng.int rng (Array.length d)) <- Float.infinity
 
 (* Random synthesized operators, the border fixtures and the multi-stage
    zoo operators, at random valuations: the specialized kernel against
@@ -870,7 +913,7 @@ let random_forwards_agree =
               && close ~expected:staged (Lower.Einsum_program.forward ep ~input:x ~weights:w)))
 
 let () =
-  Alcotest.run "kernel"
+  Alcotest.run ~argv:Bench_inputs.argv "kernel"
     [
       ( "bit-identity",
         [

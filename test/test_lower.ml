@@ -191,29 +191,47 @@ let dot a b =
 (* The operator is linear in the input and in each weight group, so
    [<grad_in, x>] and every [<grad_w_g, w_g>] equal [<grad_out, out>]:
    a check of the gradients that neither backward implementation
-   enters into. *)
+   enters into.  Every zoo operator at n2/c4->8 (matmul 16x12x20) with
+   a normal draw and a ReLU-style gradient; then at the kernel bench's
+   shapes (with [--full] its full ones too) with its uniform draw. *)
 let test_adjoint_identity () =
+  let check_adjoint name r ~x ~w ~grad_out =
+    let expected = dot grad_out (Reference.forward r ~input:x ~weights:w) in
+    let grad_in, grad_ws = Reference.backward r ~input:x ~weights:w ~grad_out in
+    let check what got =
+      if Float.abs (got -. expected) > 1e-9 *. Float.abs expected then
+        Alcotest.failf "%s: <%s> = %.17g, <grad_out, out> = %.17g" name what got expected
+    in
+    check "grad_in, x" (dot grad_in x);
+    List.iteri (fun i (gw, wt) -> check (Printf.sprintf "grad_w%d, w%d" i i) (dot gw wt))
+      (List.combine grad_ws w)
+  in
+  let each ?(tag = "") (conv_v, matmul_v) f =
+    List.iter
+      (fun (e : Zoo.entry) ->
+        f (e.Zoo.name ^ tag)
+          (Reference.compile e.Zoo.operator (if e == Zoo.matmul then matmul_v else conv_v)))
+      Zoo.all
+  in
   let conv_v = Zoo.Vars.conv_valuation ~n:2 ~c_in:4 ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 () in
-  List.iter
-    (fun (e : Zoo.entry) ->
-      let v = if e == Zoo.matmul then Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20 else conv_v in
-      let r = Reference.compile e.Zoo.operator v in
+  each (conv_v, Zoo.Vars.matmul_valuation ~m:16 ~n:12 ~k:20) (fun name r ->
       let rng = Rng.create ~seed:23 in
       let x = Tensor.rand_normal rng ~scale:1.0 (Reference.input_shape r) in
       let w = Reference.init_weights r rng in
       let grad_out =
         Tensor.map (Float.max 0.0) (Tensor.rand_normal rng ~scale:1.0 (Reference.output_shape r))
       in
-      let expected = dot grad_out (Reference.forward r ~input:x ~weights:w) in
-      let grad_in, grad_ws = Reference.backward r ~input:x ~weights:w ~grad_out in
-      let check what got =
-        if Float.abs (got -. expected) > 1e-9 *. Float.abs expected then
-          Alcotest.failf "%s: <%s> = %.17g, <grad_out, out> = %.17g" e.Zoo.name what got expected
-      in
-      check "grad_in, x" (dot grad_in x);
-      List.iteri (fun i (gw, wt) -> check (Printf.sprintf "grad_w%d, w%d" i i) (dot gw wt))
-        (List.combine grad_ws w))
-    Zoo.all
+      check_adjoint name r ~x ~w ~grad_out);
+  List.iter
+    (fun size ->
+      let tag = if size == Bench_inputs.kernel_full then " full" else " kernel bench" in
+      each ~tag size (fun name r ->
+          let rng = Rng.create ~seed:29 in
+          let x = Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.input_shape r) in
+          let w = Reference.init_weights r rng in
+          let grad_out = Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Reference.output_shape r) in
+          check_adjoint name r ~x ~w ~grad_out))
+    Bench_inputs.kernel_sizes
 
 (* --- Argument checks ------------------------------------------------------- *)
 
@@ -288,7 +306,7 @@ let test_codegen_text () =
   Alcotest.(check bool) "te has RDom" true (Astring.String.is_infix ~affix:"RDom" te)
 
 let () =
-  Alcotest.run "lower"
+  Alcotest.run ~argv:Bench_inputs.argv "lower"
     [
       ( "reference",
         [

@@ -428,17 +428,40 @@ let test_einsum_bit_identical () =
               done)
             einsum_specs))
 
+(* The par bench's shapes, drawn in this order from seed 2025. *)
+let bench_einsum_specs =
+  [
+    ("matmul-128", "ik,kj->ij", [ [| 128; 128 |]; [| 128; 128 |] ]);
+    ("batched-matmul", "bik,kj->bij", [ [| 8; 64; 64 |]; [| 64; 64 |] ]);
+    ("pointwise-conv", "nchw,dc->ndhw", [ [| 2; 32; 24; 24 |]; [| 32; 32 |] ]);
+  ]
+
 let test_einsum_large_parallel_path () =
-  (* Big enough to cross the sequential-work threshold, so the 4-domain
-     run really exercises chunked execution. *)
+  (* Big enough to cross the sequential-work threshold, so the 2- and
+     4-domain runs really exercise chunked execution. *)
   with_pools (fun p1 p4 ->
-      let rng = Rng.create ~seed:5 in
-      let a = Tensor.rand_normal rng ~scale:1.0 [| 64; 48 |] in
-      let b = Tensor.rand_normal rng ~scale:1.0 [| 48; 64 |] in
-      let p = Einsum.plan "ik,kj->ij" [ [| 64; 48 |]; [| 48; 64 |] ] in
-      let r1 = Einsum.run ~pool:p1 p [ a; b ] in
-      let r4 = Einsum.run ~pool:p4 p [ a; b ] in
-      Alcotest.(check (array int64)) "matmul bit-identical" (bits r1) (bits r4))
+      Pool.with_pool ~domains:2 (fun p2 ->
+          let rng = Rng.create ~seed:5 in
+          let a = Tensor.rand_normal rng ~scale:1.0 [| 64; 48 |] in
+          let b = Tensor.rand_normal rng ~scale:1.0 [| 48; 64 |] in
+          let p = Einsum.plan "ik,kj->ij" [ [| 64; 48 |]; [| 48; 64 |] ] in
+          let r1 = Einsum.run ~pool:p1 p [ a; b ] in
+          let r4 = Einsum.run ~pool:p4 p [ a; b ] in
+          Alcotest.(check (array int64)) "matmul bit-identical" (bits r1) (bits r4);
+          let rng = Rng.create ~seed:2025 in
+          List.iter
+            (fun (name, spec, shapes) ->
+              let tensors = List.map (fun sh -> Tensor.rand_normal rng ~scale:1.0 sh) shapes in
+              let p = Einsum.plan spec shapes in
+              let r1 = Einsum.run ~pool:p1 p tensors in
+              List.iter
+                (fun (domains, pool) ->
+                  Alcotest.(check (array int64))
+                    (Printf.sprintf "einsum %s bit-identical, 1 vs %d domains" name domains)
+                    (bits r1)
+                    (bits (Einsum.run ~pool p tensors)))
+                [ (2, p2); (4, p4) ])
+            bench_einsum_specs))
 
 let () =
   Alcotest.run "par"

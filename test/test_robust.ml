@@ -432,6 +432,11 @@ let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations)
 let config = Mcts.default_config ~iterations:120 ()
 let top r = List.map (fun (x : Mcts.result) -> (Graph.operator_signature x.operator, x.reward)) r
 
+let api_clean = lazy (Bench_inputs.(top (conv_search ())))
+
+let injected_recorded (stats : Mcts.failure_stats) =
+  Option.value ~default:0 (List.assoc_opt "injected" stats.Mcts.failed_attempts)
+
 let test_injected_search_matches_fault_free () =
   let clean = (Mcts.search_run ~config (matmul_cfg ()) ~reward
                  ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results in
@@ -447,14 +452,19 @@ let test_injected_search_matches_fault_free () =
   Alcotest.(check bool) "nothing quarantined" true
     (faulted.Mcts.stats.Mcts.quarantined = 0);
   (* Every injected fault shows up in the failure accounting. *)
-  let recorded =
-    Option.value ~default:0 (List.assoc_opt "injected" faulted.Mcts.stats.Mcts.failed_attempts)
-  in
   Alcotest.(check bool) "some faults were delivered" true (Inject.injected_count inject > 0);
-  Alcotest.(check int) "all faults accounted" (Inject.injected_count inject) recorded;
+  Alcotest.(check int) "all faults accounted" (Inject.injected_count inject)
+    (injected_recorded faulted.Mcts.stats);
   Alcotest.(check int) "retries = extra attempts"
     (faulted.Mcts.stats.Mcts.attempts - faulted.Mcts.stats.Mcts.evaluations)
-    faulted.Mcts.stats.Mcts.retries
+    faulted.Mcts.stats.Mcts.retries;
+  (* The same through the Api, on the robust bench's search. *)
+  let inject = Inject.create ~seed:7 ~rate:0.25 ~max_failures:2 () in
+  let faulted = Bench_inputs.conv_search ~guard:(Guard.policy ~retries:3 ()) ~inject () in
+  Alcotest.(check bool) "conv search: same top-K" true
+    (Lazy.force api_clean = Bench_inputs.top faulted);
+  Alcotest.(check int) "conv search: all faults accounted" (Inject.injected_count inject)
+    (injected_recorded faulted.Syno.Api.failures)
 
 let test_persistent_faults_quarantine () =
   (* retries = 0 and every key fails at least once: every candidate is
@@ -808,46 +818,58 @@ let test_sink_cadence () =
       | Ok loaded ->
           Alcotest.(check int) "all entries on disk" (List.length ops) (List.length loaded))
 
-let test_cancelled_search_partial_and_resume () =
+(* An uninterrupted search, the same search cancelled ("SIGINT") after
+   [trip_after] reward evaluations with a sink flushing every [every],
+   and a search resumed from what the sink flushed: (uninterrupted,
+   partial, flushed entries, resumed).  A cancelled search must return
+   its partial results, not raise. *)
+let cancel_and_resume ~config cfg ~reward ~seed ~trip_after ~every =
   with_temp (fun path ->
-      (* Uninterrupted baseline. *)
-      let clean =
-        (Mcts.search_run ~config (matmul_cfg ()) ~reward
-           ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
+      let run ?checkpoint ?cancel ?resume reward =
+        (Mcts.search_run ~config ?checkpoint ?cancel ?resume cfg ~reward
+           ~rng:(Nd.Rng.create ~seed) ()).Mcts.results
       in
-      Alcotest.(check bool) "baseline finds operators" true (clean <> []);
-      (* "SIGINT": trip the root token after K reward evaluations.  The
-         search must RETURN partial results (no exception) and the sink
-         must still flush. *)
       let root = Cancel.create () in
       let evals = ref 0 in
       let tripping ~cancel op =
         incr evals;
-        if !evals >= 3 then Cancel.cancel ~reason:"test SIGINT" root;
+        if !evals >= trip_after then Cancel.cancel ~reason:"test SIGINT" root;
         reward ~cancel op
       in
-      let sink = Checkpoint.sink ~path ~every:2 () in
-      let partial =
-        (Mcts.search_run ~config ~checkpoint:sink ~cancel:root (matmul_cfg ()) ~reward:tripping
-          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
-      in
-      Alcotest.(check bool) "partial results returned" true (partial <> []);
-      Alcotest.(check bool)
-        (Printf.sprintf "stopped early (%d < %d distinct)" (List.length partial)
-           (List.length clean))
-        true
-        (List.length partial < List.length clean);
-      (* The flushed checkpoint resumes to the uninterrupted results. *)
+      let partial = run ~checkpoint:(Checkpoint.sink ~path ~every ()) ~cancel:root tripping in
       let entries =
         match Checkpoint.load ~path with Ok e -> e | Error msg -> Alcotest.fail msg
       in
-      Alcotest.(check bool) "flushed checkpoint has entries" true (entries <> []);
-      let resumed =
-        (Mcts.search_run ~config ~resume:entries (matmul_cfg ()) ~reward
-          ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
-      in
-      Alcotest.(check bool) "resumed replays to identical top-K" true
-        (top clean = top resumed))
+      let clean = run reward in
+      (clean, partial, entries, run ~resume:entries reward))
+
+let test_cancelled_search_partial_and_resume () =
+  let clean, partial, entries, resumed =
+    cancel_and_resume ~config (matmul_cfg ()) ~reward ~seed:7 ~trip_after:3 ~every:2
+  in
+  Alcotest.(check bool) "baseline finds operators" true (clean <> []);
+  Alcotest.(check bool) "partial results returned" true (partial <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped early (%d < %d distinct)" (List.length partial)
+       (List.length clean))
+    true
+    (List.length partial < List.length clean);
+  (* The flushed checkpoint resumes to the uninterrupted results. *)
+  Alcotest.(check bool) "flushed checkpoint has entries" true (entries <> []);
+  Alcotest.(check bool) "resumed replays to identical top-K" true (top clean = top resumed);
+  (* The cancel bench's search. *)
+  let clean, partial, entries, resumed =
+    cancel_and_resume
+      ~config:(Mcts.default_config ~iterations:Bench_inputs.search_iterations ())
+      (Bench_inputs.conv_space ~max_prims:(if Bench_inputs.full then 6 else 5))
+      ~reward:Bench_inputs.conv_reward ~seed:17
+      ~trip_after:(if Bench_inputs.full then 8 else 5)
+      ~every:5
+  in
+  Alcotest.(check bool) "conv search: partial results returned" true (partial <> []);
+  Alcotest.(check bool) "conv search: flushed checkpoint has entries" true (entries <> []);
+  Alcotest.(check bool) "conv search: resumed replays to identical top-K" true
+    (top clean = top resumed)
 
 let test_kill_resume_equivalence () =
   with_temp (fun path ->
@@ -883,10 +905,19 @@ let test_kill_resume_equivalence () =
       Alcotest.(check bool) "resumed top-K identical" true (top clean = top resumed);
       Alcotest.(check bool)
         (Printf.sprintf "fewer fresh evaluations (%d < %d)" !calls clean_calls)
-        true (!calls < clean_calls))
+        true (!calls < clean_calls));
+  (* The same through the Api, on the robust bench's search: killed after
+     a third of its budget, then resumed from the checkpoint file. *)
+  with_temp (fun path ->
+      let (_ : Syno.Api.search_run) =
+        Bench_inputs.conv_search ~iterations:(Bench_inputs.search_iterations / 3)
+          ~checkpoint:path ~checkpoint_every:5 ()
+      in
+      Alcotest.(check bool) "conv search: resumed top-K identical" true
+        (Lazy.force api_clean = Bench_inputs.(top (conv_search ~resume:path ()))))
 
 let () =
-  Alcotest.run "robust"
+  Alcotest.run ~argv:Bench_inputs.argv "robust"
     [
       ( "cancel",
         [

@@ -182,26 +182,36 @@ let fingerprint rs =
         r.Mcts.quarantined ))
     rs
 
+(* The par bench's search: the conv space at max_prims 6 from seed 41,
+   at its smoke and full budgets. *)
+let conv_cfg = Bench_inputs.conv_space ~max_prims:6
+let conv_budgets = [ 200; 400 ]
+
 let test_mcts_pool_of_one_is_poolless () =
   (* A pool of size 1 is one tree on the calling domain driven by the
      caller's generator: bit for bit the poolless search, statistics
      included. *)
-  let cfg = matmul_cfg () in
+  let check what cfg ~reward ~iterations seed =
+    let config = Mcts.default_config ~iterations () in
+    let seq = Mcts.search_run ~config cfg ~reward ~rng:(Nd.Rng.create ~seed) () in
+    let pooled =
+      Par.Pool.with_pool ~domains:1 (fun pool ->
+          Mcts.search_run ~config ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ())
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s seed %d: pool of 1 = no pool" what seed)
+      true
+      (fingerprint seq.Mcts.results = fingerprint pooled.Mcts.results
+      && seq.Mcts.stats = pooled.Mcts.stats)
+  in
   let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
-  let config = Mcts.default_config ~iterations:120 () in
+  List.iter (check "matmul" (matmul_cfg ()) ~reward ~iterations:120) [ 13; 17; 29 ];
   List.iter
-    (fun seed ->
-      let seq = Mcts.search_run ~config cfg ~reward ~rng:(Nd.Rng.create ~seed) () in
-      let pooled =
-        Par.Pool.with_pool ~domains:1 (fun pool ->
-            Mcts.search_run ~config ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ())
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: pool of 1 = no pool" seed)
-        true
-        (fingerprint seq.Mcts.results = fingerprint pooled.Mcts.results
-        && seq.Mcts.stats = pooled.Mcts.stats))
-    [ 13; 17; 29 ]
+    (fun iterations ->
+      check
+        (Printf.sprintf "conv %d iterations" iterations)
+        conv_cfg ~reward:Bench_inputs.conv_reward ~iterations 41)
+    conv_budgets
 
 (* The [k] trees a pool of size [k] runs, replayed one after another
    without a pool: tree 0 keeps the generator, trees 1..k-1 split theirs
@@ -220,44 +230,55 @@ let test_mcts_parallel_matches_sequential_pool () =
   (* Running the [k] trees concurrently on a pool changes nothing: the
      merged result is the trees replayed one after another without a
      pool and merged by signature (best reward, summed visits, a
-     quarantine only when every tree quarantined), rewards bit for bit. *)
-  let cfg = matmul_cfg () in
-  let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
+     quarantine only when every tree quarantined), rewards bit for bit.
+     On the par bench's search the pooled run is also run twice. *)
   let by_signature rs = List.sort compare (fingerprint rs) in
+  let check what cfg ~reward ~iterations ~repeat (k, seed) =
+    let pooled () =
+      Par.Pool.with_pool ~domains:k (fun pool ->
+          (Mcts.search_run
+            ~config:(Mcts.default_config ~iterations ())
+            ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ()).Mcts.results)
+    in
+    let pooled = pooled () :: (if repeat then [ pooled () ] else []) in
+    let merged = Hashtbl.create 64 in
+    Array.iter
+      (List.iter (fun r ->
+           let key = Graph.operator_signature r.Mcts.operator in
+           let entry = (r.Mcts.reward, r.Mcts.visits, r.Mcts.quarantined) in
+           Hashtbl.replace merged key
+             (match Hashtbl.find_opt merged key with
+             | None -> entry
+             | Some (reward, visits, quarantined) ->
+                 ( Float.max reward r.Mcts.reward,
+                   visits + r.Mcts.visits,
+                   quarantined && r.Mcts.quarantined ))))
+      (replay_trees ~k ~iterations ~seed cfg ~reward);
+    let sequential =
+      List.sort compare
+        (Hashtbl.fold
+           (fun key (reward, visits, quarantined) acc ->
+             (key, Int64.bits_of_float reward, visits, quarantined) :: acc)
+           merged [])
+    in
+    List.iter
+      (fun pooled ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s k=%d seed %d: pool = trees in sequence" what k seed)
+          true
+          (by_signature pooled = sequential))
+      pooled
+  in
+  let reward ~cancel:_ op = Reward.score op (List.hd matmul_valuations) in
   List.iter
-    (fun (k, seed) ->
-      let iterations = 100 in
-      let pooled =
-        Par.Pool.with_pool ~domains:k (fun pool ->
-            (Mcts.search_run
-              ~config:(Mcts.default_config ~iterations ())
-              ~pool cfg ~reward ~rng:(Nd.Rng.create ~seed) ()).Mcts.results)
-      in
-      let merged = Hashtbl.create 64 in
-      Array.iter
-        (List.iter (fun r ->
-             let key = Graph.operator_signature r.Mcts.operator in
-             let entry = (r.Mcts.reward, r.Mcts.visits, r.Mcts.quarantined) in
-             Hashtbl.replace merged key
-               (match Hashtbl.find_opt merged key with
-               | None -> entry
-               | Some (reward, visits, quarantined) ->
-                   ( Float.max reward r.Mcts.reward,
-                     visits + r.Mcts.visits,
-                     quarantined && r.Mcts.quarantined ))))
-        (replay_trees ~k ~iterations ~seed cfg ~reward);
-      let sequential =
-        List.sort compare
-          (Hashtbl.fold
-             (fun key (reward, visits, quarantined) acc ->
-               (key, Int64.bits_of_float reward, visits, quarantined) :: acc)
-             merged [])
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "k=%d seed %d: pool = trees in sequence" k seed)
-        true
-        (by_signature pooled = sequential))
-    [ (2, 13); (3, 17); (3, 29) ]
+    (check "matmul" (matmul_cfg ()) ~reward ~iterations:100 ~repeat:false)
+    [ (2, 13); (3, 17); (3, 29) ];
+  List.iter
+    (fun iterations ->
+      check
+        (Printf.sprintf "conv %d iterations" iterations)
+        conv_cfg ~reward:Bench_inputs.conv_reward ~iterations ~repeat:true (2, 41))
+    conv_budgets
 
 let test_mcts_parallel_merges_trees () =
   (* A pool of size 4 runs exactly the four trees the contract names and

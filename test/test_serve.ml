@@ -109,6 +109,70 @@ let test_protocol_rejects_junk () =
   | Ok 7 -> ()
   | _ -> Alcotest.fail "default not applied"
 
+(* Generated round-trips: ids and keys are tokens, values arbitrary
+   bytes with the framing's own separators and high bytes drawn often. *)
+let gen_token =
+  QCheck.Gen.(
+    string_size ~gen:(map Char.chr (int_range 0x21 0x7e)) (int_range 1 8)
+    |> map (String.map (fun c -> if c = '=' then '_' else c)))
+
+let gen_value =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (3, char); (2, oneofl [ ' '; '='; '%'; '\n'; '\x80'; '\xff' ]) ])
+      (int_range 0 24))
+
+let gen_params = QCheck.Gen.(list_size (int_range 0 5) (pair gen_token gen_value))
+
+let gen_request =
+  QCheck.Gen.(
+    map3
+      (fun rq_id rq_verb rq_params -> { P.rq_id; rq_verb; rq_params })
+      gen_token
+      (oneofl [ P.Eval; P.Lint; P.Search; P.Status; P.Ping; P.Drain ])
+      gen_params)
+
+(* [retry-after] renders with [%g], so only values [%g] prints exactly:
+   quarters below 10^4. *)
+let gen_response =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun ps -> P.Resp_ok ps) gen_params;
+        map3
+          (fun err_kind err_detail err_retry_after ->
+            P.Resp_error { err_kind; err_detail; err_retry_after })
+          (map (String.map (fun c -> if c = '%' then '_' else c)) gen_token)
+          gen_value
+          (opt (map (fun q -> float_of_int q /. 4.0) (int_range 0 39_999)));
+      ])
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"parse_request (render_request r) = Ok r" ~count:500
+    (QCheck.make ~print:P.render_request gen_request)
+    (fun rq -> P.parse_request (P.render_request rq) = Ok rq)
+
+let prop_response_roundtrip =
+  QCheck.Test.make ~name:"parse_response (render_response ~id r) = Ok (id, r)" ~count:500
+    (QCheck.make
+       ~print:(fun (id, r) -> P.render_response ~id r)
+       QCheck.Gen.(pair gen_token gen_response))
+    (fun (id, r) -> P.parse_response (P.render_response ~id r) = Ok (id, r))
+
+let prop_parsers_total =
+  QCheck.Test.make ~name:"parse_request and parse_response never raise" ~count:1000
+    QCheck.(make ~print:Print.string Gen.(string_size ~gen:char (int_range 0 64)))
+    (fun line ->
+      (match P.parse_request line with Ok _ | Error _ -> ());
+      match P.parse_response line with Ok _ | Error _ -> true)
+
+let prop_line_cap =
+  QCheck.Test.make ~name:"a line of max_line + 1 bytes is refused by both parsers" ~count:20
+    (QCheck.make
+       ~print:(fun s -> String.sub s 0 32 ^ "...")
+       QCheck.Gen.(string_size ~gen:char (return (P.max_line + 1))))
+    (fun line -> Result.is_error (P.parse_request line) && Result.is_error (P.parse_response line))
+
 (* --- Cache ------------------------------------------------------------------ *)
 
 let entry ?(checksum = 1.5) ?(spec = -1.0) key =
@@ -630,7 +694,10 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_protocol_request_roundtrip;
           Alcotest.test_case "response round-trip" `Quick test_protocol_response_roundtrip;
           Alcotest.test_case "junk rejected" `Quick test_protocol_rejects_junk;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_request_roundtrip; prop_response_roundtrip; prop_parsers_total; prop_line_cap ]
+      );
       ( "cache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;

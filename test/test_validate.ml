@@ -108,6 +108,114 @@ let test_differential_catches_nest_mutants () =
       | Error k -> Alcotest.failf "after %s: %s" (Lower.Reference.mutant_to_string m) (Guard.kind_label k))
     Lower.Reference.mutants
 
+(* The keys a cold [syno serve] request evaluates, as the differential
+   bench builds them: the distinct conv-like zoo operators at n1, c_in
+   and c_out in {4, 6, 8}, hw 4..8 and k in {1, 3}, each shape in four
+   (g, s) variants, wherever the verifier finds no violation; every
+   40th of them, or with [--full] all. *)
+let key_grid =
+  lazy
+    (let seen = Hashtbl.create 16 in
+     let ops =
+       List.filter
+         (fun (e : Zoo.entry) ->
+           let s = Graph.operator_signature e.Zoo.operator in
+           (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true))
+         Zoo.conv_like
+     in
+     let keys =
+       let ( let* ) l f = List.concat_map f l in
+       let* (e : Zoo.entry) = ops in
+       let* c_in = [ 4; 6; 8 ] in
+       let* c_out = [ 4; 6; 8 ] in
+       let* hw = [ 4; 5; 6; 7; 8 ] in
+       let* k = [ 1; 3 ] in
+       let* g, s = [ (1, 1); (1, 2); (2, 1); (2, 2) ] in
+       let v = Zoo.Vars.conv_valuation ~n:1 ~c_in ~c_out ~hw ~k ~g ~s () in
+       match Analysis.Verify.program_opt e.Zoo.operator v with
+       | None | Some (Analysis.Verify.Violation _) -> []
+       | Some _ ->
+           [ (Printf.sprintf "%s@ci%d.co%d.hw%d.k%d.g%d.s%d" e.Zoo.name c_in c_out hw k g s,
+              e.Zoo.operator, v) ]
+     in
+     if Bench_inputs.full then keys else List.filteri (fun i _ -> i mod 40 = 0) keys)
+
+(* Every backend's forward on each key, the inputs drawn as the daemon
+   draws them: per key its name, whether the einsum program, the staged
+   interpreter and (when the key certifies) the specialized kernel agree
+   with the reference within the differential tolerance, and whether the
+   specialized kernel is bit-identical to the staged one ([None] when
+   the key does not certify). *)
+let key_grid_forwards =
+  lazy
+    (let tolerance = Differential.default_config.Differential.tolerance in
+     let agrees ~expected got =
+       Tensor.shape expected = Tensor.shape got
+       && Array.for_all2
+            (fun r c -> Float.abs (c -. r) <= tolerance *. (1.0 +. Float.abs r))
+            (Tensor.unsafe_data expected) (Tensor.unsafe_data got)
+     in
+     let bits t = Array.map Int64.bits_of_float (Tensor.unsafe_data t) in
+     List.map
+       (fun (name, op, v) ->
+         let compiled = Lower.Reference.compile op v in
+         let rng =
+           Nd.Rng.create ~seed:(Differential.derive_seed ~seed:0 (Graph.operator_signature op))
+         in
+         let weights = Lower.Reference.init_weights compiled rng in
+         let input =
+           Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+         in
+         let expected = Lower.Reference.forward compiled ~input ~weights in
+         let ep = Lower.Einsum_program.compile op v in
+         let st = Lower.Staged_exec.compile op v in
+         let staged = Lower.Staged_exec.forward st ~input ~weights in
+         let spec =
+           match Analysis.Certify.specialize st with
+           | Ok (Some sp) -> Some (Lower.Specialize.forward sp ~input ~weights)
+           | Ok None | Error _ -> None
+         in
+         ( name,
+           agrees ~expected (Lower.Einsum_program.forward ep ~input ~weights)
+           && agrees ~expected staged
+           && Option.fold ~none:true ~some:(agrees ~expected) spec,
+           Option.map (fun spec -> bits spec = bits staged) spec ))
+       (Lazy.force key_grid))
+
+let test_key_grid_backends_agree () =
+  List.iter
+    (fun (name, agree, _) ->
+      Alcotest.(check bool) (name ^ ": every backend agrees with the reference") true agree)
+    (Lazy.force key_grid_forwards)
+
+let test_key_grid_specialize_bit_identical () =
+  List.iter
+    (fun (name, _, identical) ->
+      Alcotest.(check bool) (name ^ ": specialize bit-identical to staged") true
+        (identical <> Some false))
+    (Lazy.force key_grid_forwards)
+
+let test_key_grid_some_keys_certify () =
+  Alcotest.(check bool) "some keys certify" true
+    (List.exists (fun (_, _, identical) -> identical <> None) (Lazy.force key_grid_forwards))
+
+(* Each seeded mutant of the compiled nest surfaces as a typed backend
+   mismatch of the full check on some key of the grid. *)
+let test_key_grid_catches_nest_mutants () =
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Lower.Reference.mutant_to_string m ^ " caught as a backend mismatch on some key")
+        true
+        (Lower.Reference.with_mutant m (fun () ->
+             List.exists
+               (fun (_, op, v) ->
+                 match Differential.check_full op [ v ] with
+                 | Error { Differential.fl_kind = Guard.Backend_mismatch _; _ } -> true
+                 | Ok _ | Error _ -> false)
+               (Lazy.force key_grid))))
+    Lower.Reference.mutants
+
 let test_differential_catches_fault () =
   (* The specialized backend runs only when certification accepts, so
      the operator must certify at this valuation for its fault to be
@@ -340,6 +448,9 @@ let reward ~cancel:_ op = Reward.score op matmul_v
 let config = Mcts.default_config ~iterations:120 ()
 let top r = List.map (fun (x : Mcts.result) -> (Graph.operator_signature x.operator, x.reward)) r
 
+let failed_kind (r : Api.search_run) kind =
+  Option.value ~default:0 (List.assoc_opt kind r.Api.failures.Mcts.failed_attempts)
+
 let test_search_admit_reject_all () =
   let r =
     Mcts.search_run ~config ~admit:(fun _ -> Error (Guard.Over_budget "cap 0"))
@@ -356,7 +467,13 @@ let test_search_admit_reject_all () =
     Option.value ~default:0 (List.assoc_opt "over_budget" r.Mcts.stats.Mcts.failed_attempts)
   in
   Alcotest.(check int) "rejections recorded as over_budget"
-    r.Mcts.stats.Mcts.attempts over_budget
+    r.Mcts.stats.Mcts.attempts over_budget;
+  (* A real budget no candidate meets, on the validate bench's search. *)
+  let starved = Bench_inputs.conv_search ~max_flops:1 () in
+  Alcotest.(check int) "conv search at max-flops 1: nothing evaluated" 0
+    starved.Api.failures.Mcts.evaluations;
+  Alcotest.(check bool) "conv search at max-flops 1: over_budget rejections recorded" true
+    (failed_kind starved "over_budget" > 0)
 
 let test_search_admit_passthrough () =
   let clean = (Mcts.search_run ~config (matmul_cfg ()) ~reward
@@ -365,7 +482,23 @@ let test_search_admit_passthrough () =
     (Mcts.search_run ~config ~admit:(fun _ -> Ok ()) (matmul_cfg ()) ~reward
       ~rng:(Nd.Rng.create ~seed:7) ()).Mcts.results
   in
-  Alcotest.(check bool) "admit Ok is invisible" true (top clean = top gated)
+  Alcotest.(check bool) "admit Ok is invisible" true (top clean = top gated);
+  (* Real validation of a fault-free search admits every candidate. *)
+  Alcotest.(check bool) "conv search: validated top-K = unvalidated" true
+    (Bench_inputs.(top (conv_search ()) = top (conv_search ~validate:true ())))
+
+(* A seeded miscompile in the einsum backend, delivered to half the
+   validated candidates of the validate bench's search: each one is
+   quarantined as a backend mismatch. *)
+let test_search_catches_every_miscompile () =
+  let fault = Differential.fault ~seed:3 ~rate:0.5 Differential.Einsum in
+  let r =
+    Bench_inputs.conv_search ~validate:true ~validate_config:(Differential.config ~fault ()) ()
+  in
+  let delivered = Differential.fault_count fault in
+  Alcotest.(check bool) "some miscompiles delivered" true (delivered > 0);
+  Alcotest.(check int) "every one caught as backend_mismatch" delivered
+    (failed_kind r "backend_mismatch")
 
 (* --- Corrupt-resume handling at the API level -------------------------------- *)
 
@@ -393,7 +526,7 @@ let test_api_resume_corrupt () =
       Alcotest.(check bool) "restart ignores the damaged file" true (r.Api.candidates <> []))
 
 let () =
-  Alcotest.run "validate"
+  Alcotest.run ~argv:Bench_inputs.argv "validate"
     [
       ( "budget",
         [
@@ -412,6 +545,16 @@ let () =
           Alcotest.test_case "config validation" `Quick test_differential_config_validation;
           Alcotest.test_case "catches seeded nest mutants" `Quick
             test_differential_catches_nest_mutants;
+        ] );
+      ( "key grid",
+        [
+          Alcotest.test_case "every backend agrees with the reference" `Quick
+            test_key_grid_backends_agree;
+          Alcotest.test_case "specialize bit-identical to staged" `Quick
+            test_key_grid_specialize_bit_identical;
+          Alcotest.test_case "some keys certify" `Quick test_key_grid_some_keys_certify;
+          Alcotest.test_case "every seeded nest mutant caught as a backend mismatch" `Quick
+            test_key_grid_catches_nest_mutants;
         ] );
       ( "gate",
         [
@@ -432,6 +575,8 @@ let () =
           Alcotest.test_case "reject-all quarantines everything" `Quick
             test_search_admit_reject_all;
           Alcotest.test_case "admit Ok is invisible" `Quick test_search_admit_passthrough;
+          Alcotest.test_case "every seeded miscompile caught" `Quick
+            test_search_catches_every_miscompile;
           Alcotest.test_case "corrupt resume: fail or restart" `Quick test_api_resume_corrupt;
         ] );
     ]
