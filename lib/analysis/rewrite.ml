@@ -154,6 +154,7 @@ let check_rewrite valuations (rw : Simplify.rewrite) =
                   end
                 in
                 match run (fun values -> check_at ~lookup ~rw valuation iters values) with
+                | exception Failure _ -> None (* a size in the rule does not evaluate *)
                 | Some _ as f -> f
                 | None -> (
                     match

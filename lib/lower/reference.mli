@@ -14,16 +14,16 @@ type t
 val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
 (** Compile a coordinate expression into a closure over the iterator
     environment (indexed by iterator id), with sizes resolved through
-    the lookup.  Shared with {!Staged_exec}. *)
+    the lookup. *)
 
 (** {2 The compiled nest}
 
     The one contraction executor: {!forward}, {!backward} and every nest
-    of [Specialize] (each materialized stage and the final contraction)
-    run it.  A nest sums, per output, over a box of reduction points,
-    the product of N factors in factor order.  Each factor dim's index
-    (its window low subtracted) is split at [Add]/[Sub] into additive
-    terms: an affine dim (an iterator-free [Div]/[Mod], such as
+    of [Staged_exec] and [Specialize] (each materialized stage and the
+    final contraction) run it.  A nest sums, per output, over a box of
+    reduction points, the product of N factors in factor order.  Each
+    factor dim's index (its window low subtracted) is split at
+    [Add]/[Sub] into additive terms: an affine dim (an iterator-free [Div]/[Mod], such as
     [Unfold]'s [k / 2] centring offset, is a constant) becomes a
     constant plus a stride per output and per reduction axis; a dim
     whose non-affine terms mention output iterators only evaluates its

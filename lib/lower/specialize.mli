@@ -1,15 +1,14 @@
 (** Proof-guided kernel specialization.
 
-    {!Staged_exec} window-tests every tensor access, and a point where
-    some access leaves its window adds nothing.  This module compiles a
-    staged program together with a {e clip-set certificate} into a
-    specialized executor: every nest of the program — each materialized
-    stage, then the final contraction — runs {!Reference}'s compiled
-    nest, the one contraction executor, one way.  Per output, the nest
-    clips its reduction box exactly per axis for the accesses the
-    certificate lists as may-clip, and runs the clipped box as unchecked
-    strided runs; every unlisted access is read unchecked.  An output
-    whose box is empty is left at [+0.0].
+    {!Staged_exec.forward} runs every nest of a staged program — each
+    materialized stage, then the final contraction — through
+    {!Reference}'s compiled nest with every access in its clip set.
+    This module runs the very same nests ({!Staged_exec.nests},
+    {!Staged_exec.run_nests}) with a {e clip-set certificate} instead:
+    per output, each nest clips its reduction box exactly per axis for
+    the accesses the certificate lists as may-clip, and runs the
+    clipped box as unchecked strided runs; every unlisted access is
+    read unchecked.  An output whose box is empty is left at [+0.0].
 
     An output the clip cannot bound exactly runs the nest's own guarded
     odometer, which visits the whole box and skips the points where a
@@ -20,16 +19,12 @@
     stage is a contraction over its positions with one reduction axis,
     and its dims are always affine, so its clip is always exact.
 
-    Every nest is driven by {!Staged_exec.run_box}, with private scratch
-    per range, so pool use and cancellation polling are the
-    interpreter's own.
-
     The output is bit-identical to {!Staged_exec.forward} on every
-    input, non-finite values included: every output element is computed
-    whole by one element, with products formed in factor order and
-    reductions accumulated in the interpreter's order.  Where the nest
-    skips a clipped point, the interpreter adds [+0.0] to an accumulator
-    that starts at [+0.0], so is never [-0.0], and stays unchanged.
+    input, non-finite values included: a clip on an access that stays
+    in its window never trims a point, so both visit the same points in
+    the same order and form the same products.  Comparing the two
+    therefore checks the certificate alone: a dropped clip reads out of
+    window unchecked, where the full clip set adds nothing.
 
     Certificates are produced by [Analysis.Regions] and validated by
     [Analysis.Certify]; {!compile} itself only shape-checks the plan.
@@ -46,10 +41,10 @@ type plan = int list array
 type t
 
 val compile : Staged_exec.t -> plan -> t
-(** Compiles each nest.  Raises [Invalid_argument] if the plan's shape
-    does not match the executor (wrong number of clip sets, a clip
-    index outside its nest's accesses) — semantic soundness is
-    [Analysis.Certify]'s job.  A listed index is a set member: listing
+(** Compiles each nest ({!Staged_exec.nests}).  Raises
+    [Invalid_argument] if the plan's shape does not match the executor
+    (wrong number of clip sets, a clip index outside its nest's
+    accesses) — semantic soundness is [Analysis.Certify]'s job.  A listed index is a set member: listing
     it twice changes nothing. *)
 
 val staged : t -> Staged_exec.t
@@ -63,12 +58,10 @@ val clips_exactly : t -> bool
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Bit-identical to {!Staged_exec.forward} on the same operator, on
-    every input, and checks its arguments the same way
-    ({!Staged_exec.initial_factors}).  Every nest runs through
-    {!Staged_exec.run_box}: large nests on the default pool, with
-    [cancel] polled every few thousand outputs sequentially and at
-    every pool range claim, exactly like the interpreter. *)
+(** {!Staged_exec.run_nests} over the certificate's nests:
+    bit-identical to {!Staged_exec.forward} on the same operator, on
+    every input, with the same argument checks, pool use and [cancel]
+    polling. *)
 
 (** {2 Seeded clip-set corruption}
 

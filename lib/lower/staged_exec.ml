@@ -142,7 +142,7 @@ let stage_sym lookup it dom (dims_list : fdim list list) =
     ss_new_dims = dims;
   }
 
-(* --- Guarded element loops -------------------------------------------- *)
+(* --- The box driver ---------------------------------------------------- *)
 
 (* Cancellation poll cadence of a sequential box run: coarse enough to
    stay off the per-element profile, fine enough to bound preemption
@@ -201,45 +201,6 @@ let run_box ?cancel ~cost ~extents make =
     Par.Pool.parallel_for pool ?cancel ~n:volume (range ~polled:false)
   else range ~polled:true 0 volume
 
-(* A stage's guarded loop over its materialized tensor: the sum over the
-   reduced iterator of the product of the participating factors
-   [datas], written into [out].  Every access is window-tested, and a
-   miss zeroes the product. *)
-let stage_loop ?cancel sym datas out =
-  let uses = sym.ss_uses and lows = sym.ss_lows and dom = sym.ss_dom in
-  let nf = Array.length datas in
-  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents (fun () pos w ->
-      let acc = ref 0.0 in
-      for r = 0 to dom - 1 do
-        let product = ref 1.0 and fi = ref 0 in
-        while !fi < nf do
-          let fuses = uses.(!fi) in
-          let off = ref 0 and j = ref 0 in
-          while !j < Array.length fuses do
-            let u = fuses.(!j) in
-            let idx =
-              (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
-              + (u.u_coef * r) - u.u_lo
-            in
-            if idx < 0 || idx >= u.u_extent then j := max_int
-            else begin
-              off := (!off * u.u_extent) + idx;
-              incr j
-            end
-          done;
-          if !j = max_int then begin
-            product := 0.0;
-            fi := nf
-          end
-          else begin
-            product := !product *. datas.(!fi).(!off);
-            incr fi
-          end
-        done;
-        acc := !acc +. !product
-      done;
-      out.(w) <- !acc)
-
 (* Run one materialization stage: [fill datas out] computes the new
    tensor's data [out] from the participating factors' data [datas]. *)
 let materialize sym factors fill =
@@ -250,66 +211,6 @@ let materialize sym factors fill =
     (Tensor.unsafe_data tensor);
   { dims = sym.ss_new_dims; data = tensor }
   :: List.map (fun i -> arr.(i)) (Array.to_list sym.ss_others)
-
-type final_access = { fa_eval : int array -> int; fa_lo : int; fa_extent : int }
-
-(* The final contraction's guarded element, with its own environment:
-   output [pos]'s sum over the remaining reductions of the product of
-   the factors [datas], each indexed through its compiled accessors
-   [accs], written into [out.(w)].  Every access is window-tested, and
-   a miss zeroes the product, as in [stage_loop].  The reduction
-   iterators start at 0 in [env] and step with a carry, row-major. *)
-let final_element fsym accs datas out () =
-  let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
-  let red_doms = fsym.fs_red_doms in
-  let red_total = Array.fold_left ( * ) 1 red_doms in
-  let n_out = Array.length out_ids and n_red = Array.length red_ids in
-  let nf = Array.length datas in
-  let env = Array.make fsym.fs_env_size 0 in
-  fun pos w ->
-    for i = 0 to n_out - 1 do
-      env.(out_ids.(i)) <- pos.(i)
-    done;
-    for i = 0 to n_red - 1 do
-      env.(red_ids.(i)) <- 0
-    done;
-    let acc = ref 0.0 in
-    for _ = 1 to red_total do
-      let product = ref 1.0 and fi = ref 0 in
-      while !fi < nf do
-        let fa = accs.(!fi) in
-        let off = ref 0 and j = ref 0 in
-        while !j < Array.length fa do
-          let a = fa.(!j) in
-          let idx = a.fa_eval env - a.fa_lo in
-          if idx < 0 || idx >= a.fa_extent then j := max_int
-          else begin
-            off := (!off * a.fa_extent) + idx;
-            incr j
-          end
-        done;
-        if !j = max_int then begin
-          product := 0.0;
-          fi := nf
-        end
-        else begin
-          product := !product *. datas.(!fi).(!off);
-          incr fi
-        end
-      done;
-      acc := !acc +. !product;
-      let a = ref (n_red - 1) in
-      while !a >= 0 do
-        let id = red_ids.(!a) in
-        env.(id) <- env.(id) + 1;
-        if env.(id) < red_doms.(!a) then a := -1
-        else begin
-          env.(id) <- 0;
-          decr a
-        end
-      done
-    done;
-    out.(w) <- !acc
 
 (* --- Static access structure ------------------------------------------ *)
 
@@ -419,26 +320,17 @@ type t = {
   plan : Staging.plan;
   sym : stage_sym list * final_sym;  (* [symbolic_plan], built once *)
   initial : fdim list list;  (* the input's dims, then each weight group's *)
-  accs : final_access array array;  (* the final nest's, per factor, per dim *)
 }
 
-(* The final accessors are compiled once, here: every size an access
-   names is then resolved, or fails, at compile time. *)
 let compile op valuation =
   let plan = Staging.optimize op valuation in
   let lookup = Valuation.lookup valuation in
-  let sym = build_symbolic_plan op valuation plan in
   {
     op;
     valuation;
     plan;
-    sym;
+    sym = build_symbolic_plan op valuation plan;
     initial = initial_dims op lookup;
-    accs =
-      Array.map
-        (Array.map (fun (expr, lo, extent) ->
-             { fa_eval = Reference.compile_expr lookup expr; fa_lo = lo; fa_extent = extent }))
-        (snd sym).fs_factors;
   }
 
 let plan t = t.plan
@@ -452,7 +344,7 @@ let access_plan t =
   let syms, final = symbolic_plan t in
   (* Final stage: every remaining factor dim is indexed by evaluating
      its expression over the output / remaining-reduction loops. *)
-  let final_accesses =
+  let contraction =
     List.concat_map
       (fun dims ->
         List.map
@@ -461,34 +353,125 @@ let access_plan t =
           (Array.to_list dims))
       (Array.to_list final.fs_factors)
   in
-  List.map stage_sym_accesses syms @ [ final_accesses ]
+  List.map stage_sym_accesses syms @ [ contraction ]
 
-(* Both forwards check their arguments here, through
+(* Every run of the nests checks its arguments here, through
    {!Reference.check_arguments}: a tensor of the wrong shape would
-   otherwise be read unchecked by the specialized nests. *)
+   otherwise be read unchecked by a nest's unlisted accesses. *)
 let initial_factors t ~input ~weights =
   let shape dims = Array.of_list (List.map (fun d -> d.extent) dims) in
   Reference.check_arguments "forward" ~input_shape:(shape (List.hd t.initial))
     ~weight_shapes:(List.map shape (List.tl t.initial)) ~input ~weights;
   List.map2 (fun dims data -> { dims; data }) t.initial (input :: weights)
 
-let forward ?cancel t ~input ~weights =
-  let syms, fsym = symbolic_plan t in
+(* --- The nests ------------------------------------------------------------ *)
+
+(* One nest's clip set as per-factor, per-dim flags, given the
+   per-factor dim counts; an index outside the nest's accesses is a
+   shape error. *)
+let clip_flags ~what counts clips =
+  let accesses = Array.fold_left ( + ) 0 counts in
+  List.iter
+    (fun c ->
+      if c < 0 || c >= accesses then
+        invalid_arg
+          (Printf.sprintf "Staged_exec.nests: %s: clip index %d outside the nest's %d accesses"
+             what c accesses))
+    clips;
+  let first = ref 0 in
+  Array.map
+    (fun n ->
+      let f = !first in
+      first := f + n;
+      Array.init n (fun j -> List.mem (f + j) clips))
+    counts
+
+(* A stage is a contraction over the positions of its materialized
+   tensor with one reduction axis, its reduced iterator: a use's index
+   is its slot's position plus that slot's low (or its constant base),
+   plus its coefficient times the step, its window low subtracted. *)
+let stage_nest sym clips =
+  let n_axes = Array.length sym.ss_extents in
+  let dims =
+    Array.map
+      (Array.map (fun u ->
+           let out = Array.make n_axes 0 in
+           let base =
+             if u.u_slot >= 0 then begin
+               out.(u.u_slot) <- 1;
+               sym.ss_lows.(u.u_slot)
+             end
+             else u.u_base
+           in
+           Reference.affine_dim ~const:(base - u.u_lo) ~out ~red:[| u.u_coef |]
+             ~extent:u.u_extent))
+      sym.ss_uses
+  in
+  Reference.nest ~out_ids:[||] ~red_ids:[| 0 |] ~red_doms:[| sym.ss_dom |] ~env_size:1 dims ~clips
+
+let final_nest lookup fsym clips =
+  let out_ids = fsym.fs_out_ids and red_ids = fsym.fs_red_ids in
+  let env_size = fsym.fs_env_size in
+  Reference.nest ~out_ids ~red_ids ~red_doms:fsym.fs_red_doms ~env_size
+    (Array.map
+       (Array.map (fun (expr, lo, extent) ->
+            Reference.expr_dim lookup ~out_ids ~red_ids ~env_size expr ~lo ~extent))
+       fsym.fs_factors)
+    ~clips
+
+(* Every nest of [t], each stage's in plan order and then the final
+   contraction's, nest [k]'s clip flags being [clips k counts] for its
+   per-factor dim counts [counts]. *)
+let build_nests t clips =
+  let syms, fsym = t.sym in
+  let stages =
+    List.mapi (fun k sym -> stage_nest sym (clips k (Array.map Array.length sym.ss_uses))) syms
+  in
+  let final =
+    final_nest (Valuation.lookup t.valuation) fsym
+      (clips (List.length syms) (Array.map Array.length fsym.fs_factors))
+  in
+  Array.of_list (stages @ [ final ])
+
+let nests t plan =
+  let n_nests = num_stages t + 1 in
+  if Array.length plan <> n_nests then
+    invalid_arg
+      (Printf.sprintf "Staged_exec.nests: plan has %d clip sets, executor has %d nests"
+         (Array.length plan) n_nests);
+  build_nests t (fun k counts ->
+      let what = if k = n_nests - 1 then "final" else Printf.sprintf "stage %d" k in
+      clip_flags ~what counts plan.(k))
+
+(* One nest over its factors' data [datas] into [out]: every output of
+   the box [extents] through the box driver, [red_total] reduction
+   points each at most. *)
+let run_nest ?cancel nest ~extents ~red_total datas out =
+  run_box ?cancel ~cost:(red_total + 1) ~extents (Reference.forward_element nest datas out)
+
+let run_nests ?cancel t nests ~input ~weights =
+  let syms, fsym = t.sym in
   (* Early stages in plan order; each stage boundary is a safe point. *)
   let factors =
     List.fold_left
-      (fun factors sym ->
+      (fun factors (k, sym) ->
         poll cancel;
-        materialize sym factors (stage_loop ?cancel sym))
+        materialize sym factors
+          (run_nest ?cancel nests.(k) ~extents:sym.ss_extents ~red_total:sym.ss_dom))
       (initial_factors t ~input ~weights)
-      syms
+      (List.mapi (fun k sym -> (k, sym)) syms)
   in
   (* Final stage: loop over outputs and the remaining reductions. *)
   let out = Tensor.create fsym.fs_out_doms in
-  run_box ?cancel
-    ~cost:(Array.fold_left ( * ) 1 fsym.fs_red_doms + 1)
-    ~extents:fsym.fs_out_doms
-    (final_element fsym t.accs
-       (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
-       (Tensor.unsafe_data out));
+  run_nest ?cancel nests.(List.length syms) ~extents:fsym.fs_out_doms
+    ~red_total:(Array.fold_left ( * ) 1 fsym.fs_red_doms)
+    (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
+    (Tensor.unsafe_data out);
   out
+
+(* The full-clip nests are built per call: [compile] serves callers
+   that only certify or analyse, and builds none. *)
+let forward ?cancel t ~input ~weights =
+  run_nests ?cancel t
+    (build_nests t (fun _ counts -> Array.map (fun n -> Array.make n true) counts))
+    ~input ~weights

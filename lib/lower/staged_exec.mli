@@ -6,18 +6,21 @@
     the residual coordinate expressions, and the final stage contracts
     what remains over the output/remaining-reduction loops.
 
-    Its guarded element loops, a stage's and the final nest's, both
-    driven by {!run_box}, window-test every access; a point where some
-    access leaves its window adds nothing, the rule of every loop nest
-    in [lib/lower] but [Einsum_program]'s.  {!Specialize} runs the same
-    nests through [Reference]'s compiled nest instead.
+    Every nest of the plan, each stage's and the final contraction's,
+    runs {!Reference}'s compiled nest under the one box driver
+    {!run_box}; {!nests} builds them for a clip set per nest, and
+    {!run_nests} runs them.  {!forward} clips every access, so a point
+    where some access leaves its window adds nothing, the rule of every
+    loop nest in [lib/lower] but [Einsum_program]'s; {!Specialize} runs
+    the same nests with a certificate's clip sets instead.
 
     The result is numerically identical to {!Reference.forward} (up to
     floating-point association) and is differential-tested against it —
     the staging cost model is thereby validated semantically, not just
     arithmetically.  A plan with no stage forms the same products and
     sums them in the same order, so there it is bit-identical to
-    {!Reference.forward} on every input. *)
+    {!Reference.forward} on every input: it runs the same nest, so
+    there the comparison checks nothing but the plan's bookkeeping. *)
 
 type t
 
@@ -44,8 +47,8 @@ type factor = { dims : fdim list; data : Nd.Tensor.t }
 val initial_factors : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> factor list
 (** The factor list the first stage starts from: the input gather
     followed by one factor per weight group, in operator order.  This is
-    where both {!forward} and [Specialize.forward] check their
-    arguments, through {!Reference.check_arguments}: raises
+    where {!run_nests}, and so both {!forward} and [Specialize.forward],
+    check their arguments, through {!Reference.check_arguments}: raises
     [Invalid_argument] naming the input or the weight whose shape
     differs from the operator's at this valuation, or when the weight
     count is wrong. *)
@@ -53,9 +56,8 @@ val initial_factors : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> fact
 (** {2 Symbolic plan}
 
     The complete loop-nest structure of {!forward}, exported so the
-    static layer ([Analysis.Regions], [Analysis.Certify]) and the
-    specializing compiler ({!Specialize}) consume the very same
-    bookkeeping the executor runs — they cannot drift. *)
+    static layer ([Analysis.Regions], [Analysis.Certify]) consumes the
+    very bookkeeping {!nests} compiles — they cannot drift. *)
 
 type use = {
   u_expr : Coord.Ast.t;  (** the original indexing expression *)
@@ -143,14 +145,38 @@ val access_plan : t -> access list list
     contraction stage.  Mirrors the executor's factor bookkeeping
     exactly but allocates no tensor. *)
 
+(** {2 The nests} *)
+
+val nests : t -> int list array -> Reference.nest array
+(** [nests t plan] compiles every nest of the plan, each stage's in plan
+    order and then the final contraction's, nest [k] with clip set
+    [plan.(k)]: the flat indices of the nest's accesses that may leave
+    their window, numbered factor-major in {!access_plan}'s order.  An
+    unlisted access is read unchecked.  Raises [Invalid_argument] when
+    [plan] does not hold one clip set per nest or lists an index
+    outside its nest's accesses. *)
+
+val run_nests :
+  ?cancel:Robust.Cancel.t ->
+  t ->
+  Reference.nest array ->
+  input:Nd.Tensor.t ->
+  weights:Nd.Tensor.t list ->
+  Nd.Tensor.t
+(** Runs nests built by {!nests} for [t]: from {!initial_factors},
+    which checks the arguments, each stage's nest over its box through
+    {!run_box} into the stage's tensor ({!materialize}), then the final
+    nest over the whole output.  [cancel] is polled at every stage
+    boundary and as {!run_box} polls it. *)
+
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
-(** Runs each stage's guarded loop over its whole box and then the
-    final nest's over the whole output, every access checked: a point
-    where some access leaves its window adds nothing.  Nests
-    whose estimated work is large enough run on the default pool
-    ({!Par.Pool.get_default}) through {!run_box}, bit-identically to
-    the sequential loop at any pool size.
+(** {!run_nests} over nests that list every access, built on each call
+    ({!compile} builds none, so callers that only certify or analyse do
+    not pay for them): a point where some access leaves its window adds
+    nothing.  Nests whose estimated work is large enough run on the
+    default pool ({!Par.Pool.get_default}) through {!run_box},
+    bit-identically to the sequential loop at any pool size.
 
     [cancel] makes the executor a cancellation safe point: the token is
     polled at every stage boundary, every few thousand elements inside

@@ -206,19 +206,62 @@ let test_admit_skips_non_instantiable () =
 let exact_ctx vals = Simplify.ctx ~approx_factor:None vals
 let approx_ctx vals = Simplify.ctx vals
 
+(* Conv-shaped operators built by seeded raw walks: from the empty
+   pGraph, each step applies one uniformly drawn action of
+   [Enumerate.candidate_actions] with no [Canon] filter, until the
+   frontier completes to [n; c_in; h; w].  Their fresh expressions need
+   not be in normal form, so the rewrite checker has fired rules to
+   verify; the zoo's expressions are already normal.  The completed
+   walks among the first [seeds], each at most [steps] actions long. *)
+let raw_walk_operators ~seeds ~steps =
+  let open Zoo.Vars in
+  let sz = Size.of_var in
+  let desired = [ sz n; sz c_in; sz h; sz w ] in
+  let cfg =
+    {
+      (Search.Enumerate.default_config
+         ~output_shape:[ sz n; sz c_out; sz h; sz w ]
+         ~desired_shape:desired ~valuations:[ tiny ] ())
+      with
+      Search.Enumerate.coefficient_candidates = [ sz k; sz s ];
+      reduce_candidates = [ sz c_in; sz k ];
+      frozen_sizes = [ sz n ];
+    }
+  in
+  let rec walk rng g steps =
+    match Graph.complete g ~desired with
+    | Ok op -> Some op
+    | Error _ when steps = 0 -> None
+    | Error _ -> (
+        let actions = Array.of_list (Search.Enumerate.candidate_actions cfg g) in
+        match Graph.apply g actions.(Nd.Rng.int rng (Array.length actions)) with
+        | Ok g' -> walk rng g' (steps - 1)
+        | Error _ -> walk rng g (steps - 1))
+  in
+  List.filter_map
+    (fun seed -> walk (Nd.Rng.create ~seed) (Graph.init cfg.Search.Enumerate.output_shape) steps)
+    (List.init seeds Fun.id)
+
 let test_zoo_rewrites_sound () =
+  let walks = raw_walk_operators ~seeds:10000 ~steps:10 in
+  let checked = ref 0 in
   List.iter
-    (fun ((entry : Zoo.entry), v) ->
+    (fun (name, op, v) ->
       let vals = [ v ] in
       List.iter
         (fun ctx ->
-          let report = Rewrite.check_operator ctx entry.Zoo.operator in
+          let report = Rewrite.check_operator ctx op in
+          checked := !checked + report.Rewrite.rp_checked;
           match report.Rewrite.rp_failures with
           | [] -> ()
-          | f :: _ ->
-              Alcotest.failf "%s: %s" entry.Zoo.name (Rewrite.failure_to_string f))
+          | f :: _ -> Alcotest.failf "%s: %s" name (Rewrite.failure_to_string f))
         [ exact_ctx vals; approx_ctx vals ])
-    zoo_at_both_shapes
+    (List.map (fun ((e : Zoo.entry), v) -> (e.Zoo.name, e.Zoo.operator, v)) zoo_at_both_shapes
+    @ List.concat_map
+        (fun v ->
+          List.mapi (fun i op -> (Printf.sprintf "raw walk %d" i, op, v)) walks)
+        [ tiny; validation_v ]);
+  Alcotest.(check bool) "some fired rewrite checked" true (!checked > 0)
 
 let test_rewrite_checker_catches_unsound () =
   (* Plant the classic broken rule: (i + j) / B = i / B without any

@@ -85,9 +85,9 @@ let test_differential_skips_non_instantiable () =
   | Ok r -> Alcotest.(check int) "skipped" 0 r.Differential.rep_valuations
   | Error k -> Alcotest.failf "skip expected, got %s" (Guard.kind_label k)
 
-(* Each seeded mutant of the compiled nest, which the reference and the
-   specialized kernel share, moves the reference away from the einsum
-   program and the staged interpreter, which share none of it: a typed
+(* Each seeded mutant of the compiled nest, which the reference, the
+   staged executor and the specialized kernel share, moves the reference
+   away from the einsum program, which shares none of it: a typed
    backend mismatch on some catalog operator at [tiny]. *)
 let test_differential_catches_nest_mutants () =
   List.iter
@@ -200,18 +200,28 @@ let test_key_grid_some_keys_certify () =
     (List.exists (fun (_, _, identical) -> identical <> None) (Lazy.force key_grid_forwards))
 
 (* Each seeded mutant of the compiled nest surfaces as a typed backend
-   mismatch of the full check on some key of the grid. *)
+   mismatch of the full check on some key of the grid, with the einsum
+   program as the witness: the mutant moves the reference, the staged
+   executor and the specialized kernel together, so only the backend
+   that shares none of the nest can show it. *)
 let test_key_grid_catches_nest_mutants () =
   List.iter
     (fun m ->
       Alcotest.(check bool)
-        (Lower.Reference.mutant_to_string m ^ " caught as a backend mismatch on some key")
+        (Lower.Reference.mutant_to_string m
+        ^ " caught as an einsum backend mismatch on some key")
         true
         (Lower.Reference.with_mutant m (fun () ->
              List.exists
                (fun (_, op, v) ->
                  match Differential.check_full op [ v ] with
-                 | Error { Differential.fl_kind = Guard.Backend_mismatch _; _ } -> true
+                 | Error
+                     {
+                       Differential.fl_kind = Guard.Backend_mismatch _;
+                       fl_backend = Some Differential.Einsum;
+                       _;
+                     } ->
+                     true
                  | Ok _ | Error _ -> false)
                (Lazy.force key_grid))))
     Lower.Reference.mutants
