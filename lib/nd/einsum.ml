@@ -218,7 +218,7 @@ let run ?pool ?cancel p tensors =
   let work = total_out * total_sum * max 1 n_inputs in
   if work < par_threshold then polled_body 0 total_out
   else begin
-    (* The pool polls the token at every claim/steal and between the
+    (* The pool polls the token at every claim and between the
        slices of its sequential fallbacks, so the raw body goes in:
        the pool's auto-tuned grain (~tens of microseconds) bounds
        preemption latency tighter than [poll_quantum] would. *)

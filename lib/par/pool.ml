@@ -1,16 +1,16 @@
-(* Work-stealing pool with granularity auto-tuning.
+(* Data-parallel pool with granularity auto-tuning.
 
    One loop runs at a time.  The submitting domain reserves the pool
    ([busy]), probes a prefix of the body to estimate per-element cost,
    and either finishes sequentially (when the measured grain says
-   parallelism cannot pay) or distributes the remainder: one
-   contiguous slice per participant deque, split lazily in half down
-   to the tuned grain, with idle participants stealing the oldest —
-   largest — range from a random victim.  Completion is detected by an
-   atomic count of elements executed or discarded, so an aborting loop
-   (first body exception, or a tripped cancellation token observed at
-   a claim) drains in-flight grains, discards the rest quickly, and
-   leaves the pool reusable. *)
+   parallelism cannot pay) or distributes the remainder: every
+   participant, the caller and the workers alike, claims the next
+   grain-sized range from one atomic cursor until the cursor passes
+   the end.  Completion is detected by an atomic count of elements
+   executed or discarded, so an aborting loop (first body exception,
+   or a tripped cancellation token observed at a claim) drains
+   in-flight grains, discards the rest quickly, and leaves the pool
+   reusable. *)
 
 let parse_domains s =
   let s = String.trim s in
@@ -53,8 +53,7 @@ type loop = {
   lp_body : int -> int -> unit;
   lp_grain : int;
   lp_n : int;  (* the loop covers [0, lp_n) *)
-  lp_deques : (int * int) list ref array;  (* one per participant slot *)
-  lp_locks : Mutex.t array;  (* one per deque *)
+  lp_next : int Atomic.t;  (* claim cursor: first index not yet handed out *)
   lp_accounted : int Atomic.t;  (* elements executed or discarded *)
   lp_aborted : bool Atomic.t;
   lp_cancel : Robust.Cancel.t option;
@@ -71,7 +70,6 @@ type t = {
   mutable error : exn option;  (* first body exception of the busy loop *)
   mutable stop : bool;
   mutable retired : bool;  (* shutdown requested; honored once idle *)
-  mutable active : int;  (* submitters between reserve and release *)
   mutable workers : unit Domain.t list;
   mutable worker_ids : Domain.id list;
 }
@@ -79,62 +77,11 @@ type t = {
 let size t = t.size
 let inside_pool t = List.mem (Domain.self ()) t.worker_ids
 
-(* --- Deques ---------------------------------------------------------------- *)
-
-let pop_own lp slot =
-  let m = lp.lp_locks.(slot) in
-  Mutex.lock m;
-  let q = lp.lp_deques.(slot) in
-  let r =
-    match !q with
-    | [] -> None
-    | x :: tl ->
-        q := tl;
-        Some x
-  in
-  Mutex.unlock m;
-  r
-
-let push_own lp slot r =
-  let m = lp.lp_locks.(slot) in
-  Mutex.lock m;
-  let q = lp.lp_deques.(slot) in
-  q := r :: !q;
-  Mutex.unlock m
-
-(* Steal the oldest (bottom) range — the largest unsplit remainder —
-   from the first non-empty victim, scanning from a random start. *)
-let steal lp ~self ~start =
-  let k = Array.length lp.lp_deques in
-  let rec last_and_rest acc = function
-    | [ x ] -> (List.rev acc, x)
-    | x :: tl -> last_and_rest (x :: acc) tl
-    | [] -> assert false
-  in
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < k do
-    let v = (start + !i) mod k in
-    if v <> self then begin
-      let m = lp.lp_locks.(v) in
-      Mutex.lock m;
-      (match !(lp.lp_deques.(v)) with
-      | [] -> ()
-      | q ->
-          let rest, x = last_and_rest [] q in
-          lp.lp_deques.(v) := rest;
-          found := Some x);
-      Mutex.unlock m
-    end;
-    incr i
-  done;
-  !found
-
 (* --- Executing one loop ---------------------------------------------------- *)
 
 let account lp len = ignore (Atomic.fetch_and_add lp.lp_accounted len)
 
-(* Polled at every claim and between grains of a split range. *)
+(* Polled at every claim. *)
 let loop_cancelled lp =
   Atomic.get lp.lp_aborted
   ||
@@ -144,58 +91,31 @@ let loop_cancelled lp =
       true
   | Some _ | None -> false
 
-let rec exec t lp slot (lo, hi) =
-  if loop_cancelled lp then
-    (* abort drain: the range was never started, discard it whole *)
-    account lp (hi - lo)
-  else if hi - lo > lp.lp_grain then begin
-    let mid = lo + ((hi - lo) / 2) in
-    push_own lp slot (mid, hi);
-    exec t lp slot (lo, mid)
-  end
-  else begin
-    (match lp.lp_body lo hi with
-    | () -> ()
-    | exception e ->
-        Mutex.lock t.mutex;
-        if t.error = None then t.error <- Some e;
-        Mutex.unlock t.mutex;
-        Atomic.set lp.lp_aborted true);
-    account lp (hi - lo)
-  end
-
-let run_loop t lp slot =
-  let k = Array.length lp.lp_deques in
-  let seed = ref ((slot * 0x9e3779b1) lor 1) in
-  let random_start () =
-    seed := (!seed * 1103515245) + 12345;
-    (!seed lsr 17) mod k
+(* Claim grains from the cursor until it passes [lp_n].  A claimed
+   grain runs, or, once the loop is aborted, is only accounted: the
+   abort drain discards the unclaimed rest one claim at a time. *)
+let run_loop t lp =
+  let rec go () =
+    let lo = Atomic.fetch_and_add lp.lp_next lp.lp_grain in
+    if lo < lp.lp_n then begin
+      let hi = min lp.lp_n (lo + lp.lp_grain) in
+      (if not (loop_cancelled lp) then
+         match lp.lp_body lo hi with
+         | () -> ()
+         | exception e ->
+             Mutex.lock t.mutex;
+             if t.error = None then t.error <- Some e;
+             Mutex.unlock t.mutex;
+             Atomic.set lp.lp_aborted true);
+      account lp (hi - lo);
+      go ()
+    end
   in
-  let rec go idle =
-    if Atomic.get lp.lp_accounted >= lp.lp_n then ()
-    else
-      match pop_own lp slot with
-      | Some r ->
-          exec t lp slot r;
-          go 0
-      | None -> (
-          match steal lp ~self:slot ~start:(random_start ()) with
-          | Some r ->
-              exec t lp slot r;
-              go 0
-          | None ->
-              (* every deque is momentarily empty but elements are still
-                 unaccounted: a participant inside a grain may push
-                 splits; spin briefly, then back off so an oversubscribed
-                 machine can run whoever holds the work *)
-              if idle > 4 then Unix.sleepf 50e-6 else Domain.cpu_relax ();
-              go (min 16 (idle + 1)))
-  in
-  go 0
+  go ()
 
 (* --- Workers ---------------------------------------------------------------- *)
 
-let worker_main t slot () =
+let worker_main t () =
   let last_gen = ref 0 in
   Mutex.lock t.mutex;
   let rec loop () =
@@ -205,7 +125,7 @@ let worker_main t slot () =
       match t.current with
       | Some lp ->
           Mutex.unlock t.mutex;
-          run_loop t lp slot;
+          run_loop t lp;
           Mutex.lock t.mutex;
           loop ()
       | None -> loop ()
@@ -231,12 +151,11 @@ let create ?domains () =
       error = None;
       stop = false;
       retired = false;
-      active = 0;
       workers = [];
       worker_ids = [];
     }
   in
-  t.workers <- List.init (size - 1) (fun i -> Domain.spawn (worker_main t (i + 1)));
+  t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker_main t));
   t.worker_ids <- List.map Domain.get_id t.workers;
   t
 
@@ -262,12 +181,12 @@ let shutdown t =
   join_opt to_join
 
 (* Deferred shutdown: stop now when idle, otherwise mark and let the
-   last releasing submitter perform the join.  Never blocks on
-   in-flight loops. *)
+   submitter holding the pool perform the join on release.  Never
+   blocks on in-flight loops. *)
 let retire t =
   Mutex.lock t.mutex;
   t.retired <- true;
-  let to_join = if t.active = 0 then halt_locked t else None in
+  let to_join = if t.busy then None else halt_locked t in
   Mutex.unlock t.mutex;
   join_opt to_join
 
@@ -277,13 +196,12 @@ let with_pool ?domains f =
 
 (* --- Submitting loops -------------------------------------------------------- *)
 
-(* Release the reservation taken by [parallel_for]; the last submitter
-   out of a retired pool performs the deferred shutdown. *)
+(* Release the reservation taken by [parallel_for]; releasing a
+   retired pool performs the deferred shutdown. *)
 let release t =
   Mutex.lock t.mutex;
   t.busy <- false;
-  t.active <- t.active - 1;
-  let to_join = if t.retired && t.active = 0 then halt_locked t else None in
+  let to_join = if t.retired then halt_locked t else None in
   Mutex.unlock t.mutex;
   join_opt to_join
 
@@ -322,34 +240,36 @@ let probe body n =
   in
   go 0 1
 
-(* Install the loop, participate as slot 0, tear down, re-raise. *)
+(* Install the loop, claim grains beside the workers, wait for the
+   grains still in flight elsewhere, tear down, re-raise. *)
 let launch t ?cancel ~start ~n ~grain body =
-  let k = t.size in
   let lp =
     {
       lp_body = body;
       lp_grain = grain;
       lp_n = n;
-      lp_deques = Array.init k (fun _ -> ref []);
-      lp_locks = Array.init k (fun _ -> Mutex.create ());
+      lp_next = Atomic.make start;
       lp_accounted = Atomic.make start;
       lp_aborted = Atomic.make false;
       lp_cancel = cancel;
     }
   in
-  (* one contiguous slice per participant; lazy splitting does the rest *)
-  let remaining = n - start in
-  for i = 0 to k - 1 do
-    let lo = start + (i * remaining / k) and hi = start + ((i + 1) * remaining / k) in
-    if hi > lo then lp.lp_deques.(i) := [ (lo, hi) ]
-  done;
   Mutex.lock t.mutex;
   t.current <- Some lp;
   t.error <- None;
   t.generation <- t.generation + 1;
   Condition.broadcast t.work_ready;
   Mutex.unlock t.mutex;
-  run_loop t lp 0;
+  run_loop t lp;
+  (* the cursor has passed n; spin briefly, then back off so an
+     oversubscribed machine can run whoever still holds a grain *)
+  let rec await idle =
+    if Atomic.get lp.lp_accounted < n then begin
+      if idle > 4 then Unix.sleepf 50e-6 else Domain.cpu_relax ();
+      await (idle + 1)
+    end
+  in
+  await 0;
   (* accounted = n: every grain has returned, nothing is in flight *)
   Mutex.lock t.mutex;
   t.current <- None;
@@ -378,7 +298,6 @@ let parallel_for t ?cancel ~n ?chunks body =
       end
       else begin
         t.busy <- true;
-        t.active <- t.active + 1;
         Mutex.unlock t.mutex;
         match chunks with
         | Some c ->
@@ -421,34 +340,16 @@ let parallel_for t ?cancel ~n ?chunks body =
     end
   end
 
+(* One element per claim: the only library caller maps a few heavy
+   jobs (root-parallel search trees), which this balances best. *)
 let map t ?cancel f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    (match cancel with Some c -> Robust.Cancel.check c | None -> ());
-    if n <= max 2 (2 * t.size) then begin
-      (* few, potentially heavy elements (parallel search trees, say):
-         one element per task balances best, and the boxing is
-         negligible at this size *)
-      let out = Array.make n None in
-      parallel_for t ?cancel ~n ~chunks:n (fun lo hi ->
-          for i = lo to hi - 1 do
-            out.(i) <- Some (f arr.(i))
-          done);
-      Array.map (function Some x -> x | None -> assert false) out
-    end
-    else begin
-      (* many elements: seed the result with the first and let the
-         granularity tuner pick chunking — no per-element boxing *)
-      let first = f arr.(0) in
-      let out = Array.make n first in
-      parallel_for t ?cancel ~n:(n - 1) (fun lo hi ->
-          for i = lo to hi - 1 do
-            out.(i + 1) <- f arr.(i + 1)
-          done);
-      out
-    end
-  end
+  let out = Array.make n None in
+  parallel_for t ?cancel ~n ~chunks:n (fun lo hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- Some (f arr.(i))
+      done);
+  Array.map Option.get out
 
 (* --- Default pool -------------------------------------------------------- *)
 

@@ -1,16 +1,16 @@
-(** Work-stealing pool of worker domains for data-parallel loops.
+(** Pool of worker domains for data-parallel loops.
 
     The pool is built on [Domain], [Mutex], and [Condition] only — no
     external dependencies.  A pool of size [n] owns [n - 1] worker
     domains; the calling domain participates in every loop, so size 1
     degenerates to a plain sequential loop with no synchronization.
 
-    Scheduling is work-stealing with lazy binary splitting: each
-    participant owns a deque of index ranges, pops from its own head,
-    splits ranges larger than the loop's grain in half (pushing the
-    upper half back for thieves), and steals the oldest — largest —
-    range from a random victim when its own deque runs dry.  The grain
-    is auto-tuned per loop: the submitting domain times a small probe
+    The pool runs one flat loop at a time (a nested call runs
+    sequentially), so scheduling is one shared claim cursor: every
+    participant, the caller and the workers alike, takes the next
+    grain-sized range [lo, lo + grain) with an atomic fetch-and-add
+    until the cursor passes the end of the loop.  The grain is
+    auto-tuned per loop: the submitting domain times a small probe
     prefix of the body, derives the per-element cost, and picks a chunk
     size that amortizes claim overhead; when the measured grain says
     parallelism cannot pay (the remaining work is tiny, or only one
@@ -63,9 +63,8 @@ val parallel_for :
     never stranded.
 
     [cancel] makes the loop cooperatively cancellable with exactly the
-    same discipline: the token is polled at every range claim and
-    steal (and between grains of a split range), a trip discards the
-    unclaimed remainder, in-flight grains drain, and
+    same discipline: the token is polled at every range claim, a trip
+    discards the unclaimed remainder, in-flight grains drain, and
     [Robust.Cancel.Cancelled] is raised in the caller after the drain
     (an exception from the body takes priority over cancellation).
     Every sequential fallback — size 1, nested, contended, and
@@ -75,12 +74,11 @@ val parallel_for :
 
 val map : t -> ?cancel:Robust.Cancel.t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] with elements computed on
-    the pool.  Small arrays (up to twice the pool size) get one
-    element per task, so a handful of heavy jobs — parallel search
-    trees, say — balance perfectly; larger arrays compute the first
-    element on the caller to seed the result and let the granularity
-    tuner pick chunking, with no per-element boxing.  Order is
-    preserved.  [cancel] as in {!parallel_for}. *)
+    the pool, one element per claim, so a handful of heavy jobs —
+    parallel search trees, say — balance perfectly.  It skips the
+    granularity tuner and boxes each result, so it suits few, heavy
+    elements, not large arrays of cheap ones.  Order is preserved.
+    [cancel] as in {!parallel_for}. *)
 
 val shutdown : t -> unit
 (** Join and free the worker domains.  Idempotent.  Later loops on the

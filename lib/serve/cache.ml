@@ -40,12 +40,10 @@ let render buf e =
   (* The key travels percent-encoded: signatures contain characters the
      space-separated line format cannot carry raw. *)
   Buffer.add_string buf
-    (Printf.sprintf "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h"
+    (Printf.sprintf
+       "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h spec %h\n"
        (Protocol.encode e.e_key) e.e_verdict e.e_flops e.e_params e.e_elements e.e_checksum
-       e.e_cold_seconds);
-  if not (e.e_spec_seconds < 0.0) then
-    Buffer.add_string buf (Printf.sprintf " spec %h" e.e_spec_seconds);
-  Buffer.add_char buf '\n'
+       e.e_cold_seconds e.e_spec_seconds)
 
 let parse line _continuation =
   let bad () = Error (Corrupt (Printf.sprintf "bad entry line %S" line)) in

@@ -159,6 +159,220 @@ let test_writer_cadence () =
       | Ok loaded -> Alcotest.(check int) "snapshot on disk" (List.length es) (List.length loaded)
       | Error e -> Alcotest.fail (Durable.string_of_error Cache.codec e))
 
+(* --- Round trip on generated entries ----------------------------------------- *)
+
+(* Each codec must carry every value the program can put in an entry:
+   floats by bits (a NaN only has to load as a NaN), including the
+   non-finite, negative-zero, subnormal and extreme ones; integers up
+   to [max_int]; operators from the zoo and from random synthesis.  The
+   codecs sort on load, so a draw is sorted the same way first. *)
+
+let float_same a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0;
+            Float.max_float; -.Float.max_float; Float.min_float; 5e-324; -5e-324;
+            Int64.float_of_bits 0x000fffffffffffffL; Float.epsilon;
+          ];
+        map Int64.float_of_bits ui64;
+        float;
+      ])
+
+let gen_count = QCheck.Gen.(oneof [ oneofl [ 0; 1; max_int; max_int - 1 ]; int_bound max_int ])
+
+let gen_seed = QCheck.Gen.(oneof [ oneofl [ 0; min_int; max_int; -1 ]; int ])
+
+(* Operators the program persists: the zoo and random synthesis
+   completions over the conv search space. *)
+let random_operators =
+  lazy
+    (let open Syno.Zoo.Vars in
+     let sz = Shape.Size.of_var in
+     let base =
+       Search.Enumerate.default_config
+         ~output_shape:[ sz n; sz c_out; sz h; sz w ]
+         ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
+         ~valuations:[ conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:8 ~k:3 ~g:2 ~s:2 () ]
+         ()
+     in
+     let cfg =
+       {
+         base with
+         Search.Enumerate.max_prims = 7;
+         coefficient_candidates = [ sz k; sz s ];
+         reduce_candidates = [ sz c_in; sz k ];
+         frozen_sizes = [ sz n ];
+       }
+     in
+     List.init 40 (fun seed ->
+         Search.Enumerate.random_completion cfg (Nd.Rng.create ~seed) ~use_distance:true)
+     |> List.filter_map Fun.id)
+
+let gen_operator =
+  QCheck.Gen.(
+    let* zoo = bool in
+    if zoo then map (fun (z : Syno.Zoo.entry) -> z.Syno.Zoo.operator) (oneofl Syno.Zoo.all)
+    else oneofl (Lazy.force random_operators))
+
+let gen_dims = QCheck.Gen.(array_size (return 7) (int_range 1 64))
+
+(* The server's cache key: operator signature, then the valuation token
+   of the request. *)
+let gen_key =
+  QCheck.Gen.(
+    let* op = gen_operator in
+    let* d = gen_dims in
+    return
+      (Printf.sprintf "%s@n%d.ci%d.co%d.hw%d.k%d.g%d.s%d"
+         (Pgraph.Graph.operator_signature op)
+         d.(0) d.(1) d.(2) d.(3) d.(4) d.(5) d.(6)))
+
+let gen_valuation =
+  QCheck.Gen.map
+    (fun d ->
+      Syno.Zoo.Vars.conv_valuation ~n:d.(0) ~c_in:d.(1) ~c_out:d.(2) ~hw:d.(3) ~k:d.(4) ~g:d.(5)
+        ~s:d.(6) ())
+    gen_dims
+
+let gen_checkpoint_entry =
+  QCheck.Gen.(
+    let* op = gen_operator in
+    let* reward = gen_float in
+    let* visits = gen_count in
+    let* quarantined = bool in
+    let* reason =
+      opt
+        (oneofl
+           (List.map Robust.Guard.kind_label
+              Robust.Guard.
+                [
+                  Eval_error ""; Non_finite; Timeout; Injected; Over_budget ""; Backend_mismatch "";
+                  Diverged ""; Static_violation ""; Counterexample "";
+                ]))
+    in
+    return
+      {
+        Checkpoint.signature = Pgraph.Graph.operator_signature op;
+        operator = op;
+        reward;
+        visits;
+        quarantined;
+        reason;
+      })
+
+let gen_corpus_entry =
+  QCheck.Gen.(
+    let* op = gen_operator in
+    let* origin = oneofl [ Corpus.Differential; Corpus.Static ] in
+    let* valuation = gen_valuation in
+    let* seed = gen_seed in
+    let* tolerance = gen_float in
+    let* backend = opt (oneofl Differential.backends) in
+    let* detail =
+      oneofl
+        [
+          "";
+          "non-finite result";
+          "injected fault";
+          "specialize[3] = 0x1.8p+1 but einsum[3] = nan";
+          "out-of-window access in stage 1: [0, 9) not within [0, 8)";
+        ]
+    in
+    let* abs_err = gen_float in
+    let* fail = opt (triple gen_count gen_float gen_float) in
+    return
+      {
+        Corpus.ce_operator = op;
+        ce_signature = Pgraph.Graph.operator_signature op;
+        ce_fingerprint = Corpus.fingerprint op;
+        ce_origin = origin;
+        ce_valuation = valuation;
+        ce_seed = seed;
+        ce_tolerance = tolerance;
+        ce_backend = backend;
+        ce_detail = detail;
+        ce_abs_err = abs_err;
+        ce_fail = fail;
+      })
+
+let gen_cache_entry =
+  QCheck.Gen.(
+    let* key = gen_key in
+    let* verdict = oneofl [ "proved"; "padded" ] in
+    let* flops = gen_count in
+    let* params = gen_count in
+    let* elements = gen_count in
+    let* checksum = gen_float in
+    let* cold = gen_float in
+    let* spec = gen_float in
+    return
+      {
+        Cache.e_key = key;
+        e_verdict = verdict;
+        e_flops = flops;
+        e_params = params;
+        e_elements = elements;
+        e_checksum = checksum;
+        e_cold_seconds = cold;
+        e_spec_seconds = spec;
+      })
+
+let same_operator a b = Pgraph.Trace_io.to_string a = Pgraph.Trace_io.to_string b
+
+let same_checkpoint (a : Checkpoint.entry) (b : Checkpoint.entry) =
+  a.signature = b.signature && same_operator a.operator b.operator
+  && float_same a.reward b.reward && a.visits = b.visits && a.quarantined = b.quarantined
+  && a.reason = b.reason
+
+let same_corpus (a : Corpus.entry) (b : Corpus.entry) =
+  let same_fail =
+    match (a.ce_fail, b.ce_fail) with
+    | None, None -> true
+    | Some (i, e, g), Some (i', e', g') -> i = i' && float_same e e' && float_same g g'
+    | _ -> false
+  in
+  same_operator a.ce_operator b.ce_operator
+  && a.ce_signature = b.ce_signature && a.ce_fingerprint = b.ce_fingerprint
+  && a.ce_origin = b.ce_origin
+  && Shape.Valuation.bindings a.ce_valuation = Shape.Valuation.bindings b.ce_valuation
+  && a.ce_seed = b.ce_seed && float_same a.ce_tolerance b.ce_tolerance
+  && a.ce_backend = b.ce_backend && a.ce_detail = b.ce_detail
+  && float_same a.ce_abs_err b.ce_abs_err && same_fail
+
+let same_cache (a : Cache.entry) (b : Cache.entry) =
+  a.e_key = b.e_key && a.e_verdict = b.e_verdict && a.e_flops = b.e_flops
+  && a.e_params = b.e_params && a.e_elements = b.e_elements
+  && float_same a.e_checksum b.e_checksum
+  && float_same a.e_cold_seconds b.e_cold_seconds
+  && float_same a.e_spec_seconds b.e_spec_seconds
+
+let round_trip name codec gen ~order ~same =
+  QCheck.Test.make ~name:(name ^ ": generated entries round-trip") ~count:100
+    (QCheck.make
+       ~print:(fun es -> Durable.to_string codec es)
+       QCheck.Gen.(map (List.stable_sort order) (list_size (int_range 0 6) gen)))
+    (fun es ->
+      match Durable.of_string codec (Durable.to_string codec es) with
+      | Error e -> QCheck.Test.fail_reportf "refused: %s" (Durable.string_of_error codec e)
+      | Ok loaded -> List.length loaded = List.length es && List.for_all2 same es loaded)
+
+let round_trips =
+  [
+    round_trip "checkpoint" Checkpoint.codec gen_checkpoint_entry
+      ~order:(fun (a : Checkpoint.entry) b -> compare a.signature b.signature)
+      ~same:same_checkpoint;
+    round_trip "corpus" Corpus.codec gen_corpus_entry
+      ~order:(fun a b -> compare (Corpus.ident a) (Corpus.ident b))
+      ~same:same_corpus;
+    round_trip "cache" Cache.codec gen_cache_entry ~order:(fun _ _ -> 0) ~same:same_cache;
+  ]
+
 let () =
   Alcotest.run "durable"
     [
@@ -173,4 +387,5 @@ let () =
           Alcotest.test_case "load rules and their order" `Quick test_load_rules;
           Alcotest.test_case "write cadence" `Quick test_writer_cadence;
         ] );
+      ("round trip", List.map QCheck_alcotest.to_alcotest round_trips);
     ]

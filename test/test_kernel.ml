@@ -744,6 +744,74 @@ let random_border_agreement =
                    if w <> [] then plant data_rng (List.nth w (Rng.int data_rng (List.length w)));
                    agree ()))))
 
+(* --- Certificate soundness against concrete values ---------------------------- *)
+
+(* [Regions] proves a final-nest access in-window with interval
+   arithmetic; here every such proof meets the values the nest really
+   computes.  For each final access the certificate leaves out of the
+   clip set, evaluate its expression at every point of the final nest
+   (outputs times remaining reductions) and check [lo <= v < lo +
+   extent].  Stage accesses are left out: [Regions] and the executor
+   derive their values from the same positional formula, so
+   enumerating it would check nothing.  Returns the first unsound
+   access, as (access index, value). *)
+let unsound_final_access st =
+  let cert = Regions.of_staged st in
+  let nests = Regions.nests st in
+  let last = Array.length nests - 1 in
+  match nests.(last) with
+  | Regions.Stage _ -> Alcotest.fail "the last nest is not the final contraction"
+  | Regions.Final f ->
+      let lookup = Valuation.lookup (Staged.valuation st) in
+      let proved =
+        Array.to_list (Array.concat (Array.to_list f.Staged.fs_factors))
+        |> List.mapi (fun idx acc -> (idx, acc))
+        |> List.filter (fun (idx, _) -> not (List.mem idx cert.Regions.rc_plan.(last)))
+      in
+      let ids = Array.append f.Staged.fs_out_ids f.Staged.fs_red_ids in
+      let doms = Array.append f.Staged.fs_out_doms f.Staged.fs_red_doms in
+      let env = Array.make f.Staged.fs_env_size 0 in
+      let found = ref None in
+      (* every point of the nest, the last axis fastest *)
+      let rec visit axis =
+        if !found <> None then ()
+        else if axis = Array.length ids then
+          List.iter
+            (fun (idx, (expr, lo, extent)) ->
+              let v = Ast.eval ~env:(Array.get env) ~lookup expr in
+              if (v < lo || v >= lo + extent) && !found = None then found := Some (idx, v))
+            proved
+        else
+          for x = 0 to doms.(axis) - 1 do
+            env.(ids.(axis)) <- x;
+            visit (axis + 1)
+          done
+      in
+      if proved <> [] then visit 0;
+      !found
+
+let test_final_certificates_sound () =
+  let check name op v =
+    match Staged.compile op v with
+    | exception Failure _ -> ()
+    | st -> (
+        match unsound_final_access st with
+        | None -> ()
+        | Some (idx, value) ->
+            Alcotest.failf "%s: final access %d proved in-window, but takes the value %d" name
+              idx value)
+  in
+  let small = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:6 ~k:3 ~g:2 ~s:2 () in
+  List.iter
+    (fun e ->
+      check e.Zoo.name e.Zoo.operator (if e == Zoo.matmul then matmul_valuation else small))
+    (zoo_cases @ [ Zoo.matmul ]);
+  for seed = 0 to 39 do
+    match random_or_fixture seed with
+    | None -> ()
+    | Some op -> check (Printf.sprintf "draw %d" seed) op (random_valuation (seed + 101))
+  done
+
 (* --- Backward: the compiled nest against the per-point oracle ---------------- *)
 
 (* A ReLU-style upstream gradient: about half of it is exactly 0, so the
@@ -959,6 +1027,8 @@ let () =
           Alcotest.test_case "non-finite weight" `Quick test_non_finite_weight;
           Alcotest.test_case "non-finite stage input" `Quick test_non_finite_stage_input;
           QCheck_alcotest.to_alcotest random_border_agreement;
+          Alcotest.test_case "final certificates sound on concrete values" `Quick
+            test_final_certificates_sound;
         ] );
       ( "backward",
         [

@@ -241,9 +241,9 @@ let test_contended_fallback_polls_cancellation () =
             true (ran < 1000)))
 
 let test_skewed_workload () =
-  (* One element 100x heavier than the rest: lazy splitting plus
-     stealing must still cover every index exactly once and produce the
-     sequential result. *)
+  (* One element 100x heavier than the rest: while one participant
+     holds it, the others must keep claiming from the cursor, cover
+     every index and produce the sequential result. *)
   with_pools (fun p1 p4 ->
       let n = 512 in
       let weight i = if i = 0 then 40_000 else 400 in
@@ -288,9 +288,9 @@ let test_nested_distinct_pools () =
             results))
 
 let test_steal_under_cancellation () =
-  (* Trip the token while distributed ranges are still waiting in other
-     deques: the steals must observe the trip and discard, never
-     execute, the stolen ranges — and the drain still terminates. *)
+  (* Trip the token while distributed ranges are still unclaimed: the
+     later claims must observe the trip and discard, never execute,
+     their ranges — and the drain still terminates. *)
   with_pools (fun _ p4 ->
       for round = 1 to 5 do
         let tok = Robust.Cancel.create () in
@@ -321,8 +321,8 @@ let test_steal_under_cancellation () =
       done)
 
 let test_map_large_cheap () =
-  (* The large-array path: no per-element scheduling, order preserved,
-     and the result matches Array.map exactly even for a cheap f. *)
+  (* A large array of cheap elements, one claim each: order preserved,
+     and the result matches Array.map exactly. *)
   with_pools (fun p1 p4 ->
       let arr = Array.init 50_000 (fun i -> i) in
       let expect = Array.map (fun i -> (i * 7) + 1) arr in
@@ -330,7 +330,7 @@ let test_map_large_cheap () =
         (Pool.map p1 (fun i -> (i * 7) + 1) arr);
       Alcotest.(check (array int)) "4-domain large map" expect
         (Pool.map p4 (fun i -> (i * 7) + 1) arr);
-      (* boundary between the small (per-element) and large path *)
+      (* around twice the pool size *)
       for n = 7 to 10 do
         let arr = Array.init n (fun i -> i) in
         Alcotest.(check (array int))
@@ -384,6 +384,125 @@ let test_set_default_domains_racing () =
       done);
   Alcotest.(check int) "new default works" 137 out3.(127)
 
+(* --- Exactly once ------------------------------------------------------------ *)
+
+(* Every test above writes an idempotent value per index, so an index
+   that ran twice would pass them all.  Here the body bumps a per-index
+   counter instead.  A clean draw must leave every count at exactly 1.
+   A faulted draw (a raise, or a trip of the loop's token, at one
+   index) must leave every count at most 1, the failure must reach the
+   caller, and the pool must come out reusable.  One exception to the
+   trip rule: a sequential fallback polls the token only between
+   slices, so a trip in its last slice lets the loop finish, and then
+   every index has run exactly once. *)
+
+type fault = Clean | Raise_at of int | Trip_at of int
+
+exception Planted
+
+(* One pool at a time, reused across draws of the same size, so no
+   more than 4 domains ever exist at once. *)
+let cached_pool = ref None
+
+let pool_of_size domains =
+  match !cached_pool with
+  | Some p when Pool.size p = domains -> p
+  | prev ->
+      Option.iter Pool.shutdown prev;
+      let p = Pool.create ~domains () in
+      cached_pool := Some p;
+      p
+
+let exactly_once_draw =
+  let open QCheck.Gen in
+  let* n = int_range 0 3000 in
+  let* domains = int_range 1 4 in
+  let* chunks = opt (int_range 1 4000) in
+  let* spin = int_range 0 64 in
+  let* fault =
+    if n = 0 then return Clean
+    else
+      frequency
+        [
+          (2, return Clean);
+          (1, map (fun k -> Raise_at k) (int_bound (n - 1)));
+          (1, map (fun k -> Trip_at k) (int_bound (n - 1)));
+        ]
+  in
+  return (n, domains, chunks, spin, fault)
+
+let print_draw (n, domains, chunks, spin, fault) =
+  Printf.sprintf "n=%d domains=%d chunks=%s spin=%d fault=%s" n domains
+    (match chunks with Some c -> string_of_int c | None -> "tuned")
+    spin
+    (match fault with
+    | Clean -> "none"
+    | Raise_at k -> Printf.sprintf "raise@%d" k
+    | Trip_at k -> Printf.sprintf "trip@%d" k)
+
+(* Run one loop over [0, n) and return the per-index counts and how
+   the loop ended. *)
+let count_runs pool ?cancel ?chunks ~n ~spin on_index =
+  let counts = Array.init n (fun _ -> Atomic.make 0) in
+  let outcome =
+    match
+      Pool.parallel_for pool ?cancel ~n ?chunks (fun lo hi ->
+          for i = lo to hi - 1 do
+            Atomic.incr counts.(i);
+            for _ = 1 to spin do
+              Domain.cpu_relax ()
+            done;
+            on_index i
+          done)
+    with
+    | () -> Ok ()
+    | exception e -> Error e
+  in
+  (Array.map Atomic.get counts, outcome)
+
+let exactly_once =
+  QCheck.Test.make ~name:"every index exactly once" ~count:150
+    (QCheck.make ~print:print_draw exactly_once_draw)
+    (fun (n, domains, chunks, spin, fault) ->
+      let pool = pool_of_size domains in
+      let all_once counts = Array.for_all (fun c -> c = 1) counts in
+      let at_most_once counts = Array.for_all (fun c -> c <= 1) counts in
+      let faulted_ok =
+        match fault with
+        | Clean -> (
+            match count_runs pool ?chunks ~n ~spin ignore with
+            | counts, Ok () -> all_once counts
+            | _, Error e -> QCheck.Test.fail_reportf "clean loop raised %s" (Printexc.to_string e))
+        | Raise_at k -> (
+            match count_runs pool ?chunks ~n ~spin (fun i -> if i = k then raise Planted) with
+            | counts, Error Planted -> at_most_once counts
+            | _, Ok () -> QCheck.Test.fail_report "the planted raise never reached the caller"
+            | _, Error e -> QCheck.Test.fail_reportf "wrong exception %s" (Printexc.to_string e))
+        | Trip_at k -> (
+            let tok = Robust.Cancel.create () in
+            match
+              count_runs pool ~cancel:tok ?chunks ~n ~spin (fun i ->
+                  if i = k then Robust.Cancel.cancel ~reason:"planted" tok)
+            with
+            | counts, Error (Robust.Cancel.Cancelled _) -> at_most_once counts
+            | counts, Ok () -> all_once counts
+            | _, Error e -> QCheck.Test.fail_reportf "wrong exception %s" (Printexc.to_string e))
+      in
+      (* the pool is reusable: a clean loop right after still runs every
+         index exactly once *)
+      faulted_ok
+      && match count_runs pool ?chunks ~n ~spin ignore with
+         | counts, Ok () -> all_once counts
+         | _, Error e ->
+             QCheck.Test.fail_reportf "loop after the fault raised %s" (Printexc.to_string e))
+
+let test_exactly_once =
+  let name, speed, run = QCheck_alcotest.to_alcotest exactly_once in
+  Alcotest.test_case name speed (fun () ->
+      Fun.protect run ~finally:(fun () ->
+          Option.iter Pool.shutdown !cached_pool;
+          cached_pool := None))
+
 (* --- Einsum determinism across pool sizes -------------------------------- *)
 
 (* Bit-identical means exactly equal float arrays, not within-epsilon. *)
@@ -401,8 +520,8 @@ let einsum_specs =
 
 let test_einsum_bit_identical () =
   (* Across 1/2/4-domain pools AND across repeated runs on the same
-     pool: the work-stealing schedule varies run to run, the results
-     must not. *)
+     pool: which participant claims which grain varies run to run, the
+     results must not. *)
   with_pools (fun p1 p4 ->
       Pool.with_pool ~domains:2 (fun p2 ->
           let rng = Rng.create ~seed:99 in
@@ -488,6 +607,7 @@ let () =
           Alcotest.test_case "map large cheap f" `Quick test_map_large_cheap;
           Alcotest.test_case "set_default_domains racing" `Quick
             test_set_default_domains_racing;
+          test_exactly_once;
         ] );
       ( "einsum",
         [
