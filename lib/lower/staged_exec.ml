@@ -323,8 +323,14 @@ type t = {
 }
 
 let compile op valuation =
-  let plan = Staging.optimize op valuation in
   let lookup = Valuation.lookup valuation in
+  (* Every size the operator uses, evaluated once ([Ast.bounds] evaluates
+     each size of an expression): an operator that is not instantiable
+     under [valuation] fails here with [Size.eval]'s [Failure], as
+     [Reference.compile] does, not later in a nest. *)
+  List.iter (fun s -> ignore (Size.eval s lookup)) op.Graph.op_output_shape;
+  List.iter (fun e -> ignore (Ast.bounds ~lookup e)) op.Graph.op_input_exprs;
+  let plan = Staging.optimize op valuation in
   {
     op;
     valuation;

@@ -25,7 +25,11 @@
 type t
 
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
-(** Compiles the operator together with its optimal staging plan. *)
+(** Compiles the operator together with its optimal staging plan.
+    Evaluates every size the operator uses, those inside its coordinate
+    expressions included, so it raises [Failure] exactly when
+    {!Reference.compile} would: when the operator is not instantiable
+    under the valuation. *)
 
 val plan : t -> Staging.plan
 val num_stages : t -> int

@@ -208,7 +208,8 @@ let release t =
 (* Sequential execution with periodic cancellation polls — used by
    every fallback path (size 1, nested, contended, tuner-declined), so
    preemptive deadlines keep their granularity even when the pool
-   cannot parallelize. *)
+   cannot parallelize.  The poll after the last slice makes a trip
+   inside it raise, as a distributed loop's poll after its drain does. *)
 let seq_run ?cancel ~grain body lo n =
   match cancel with
   | None -> if lo < n then body lo n
@@ -219,7 +220,8 @@ let seq_run ?cancel ~grain body lo n =
         let j = min n (!i + grain) in
         body !i j;
         i := j
-      done
+      done;
+      Robust.Cancel.check c
 
 let fallback_grain ~n chunks =
   match chunks with

@@ -70,7 +70,10 @@ val parallel_for :
     Every sequential fallback — size 1, nested, contended, and
     tuner-declined loops alike — also polls the token periodically
     between slices, so preemption latency stays bounded even when the
-    pool cannot parallelize. *)
+    pool cannot parallelize.  Every path polls once more after its last
+    element has run, so a loop whose token trips at any point before it
+    returns raises [Cancelled], whatever the pool's size or load; it
+    returns normally only if the token never tripped. *)
 
 val map : t -> ?cancel:Robust.Cancel.t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] with elements computed on

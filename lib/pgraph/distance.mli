@@ -21,7 +21,16 @@
 type t
 
 val create : unit -> t
-(** A distance calculator with an internal memo table. *)
+(** A distance calculator with its own memo table, keyed by the sorted
+    current and desired multisets, and its own scratch for the DP, which
+    grows to the largest frontier seen and is reused.  Nothing is shared
+    between two [t]s, so a [t] belongs to one domain: MCTS makes one per
+    tree, the exhaustive and random syntheses one per call.  The memo is
+    deliberately not shared across searches: the distance of a frontier
+    never changes, but a process-wide table would make a search's cost
+    depend on the searches run before it in the same process (a
+    benchmark that repeats each seed would time the table, not the
+    search), and a one-shot [syno search] would gain nothing from it. *)
 
 val distance :
   t -> current:Shape.Size.t list -> desired:Shape.Size.t list -> int option
@@ -38,5 +47,8 @@ val group_cost : Shape.Size.t list -> Shape.Size.t list -> int option
     turns the current dimensions [lhs] into the desired dimensions
     [rhs] — [#lhs + #rhs - 2] regroupings (Merge/Split), at least one
     elimination when the group's product shrinks, one Reduce when
-    [lhs] is empty.  [None] when the group's product cannot shrink to
-    [rhs]'s by eliminations. *)
+    [lhs] is empty, nothing when [lhs] and [rhs] are the same multiset.
+    [None] when the group's product cannot shrink to [rhs]'s by
+    eliminations.  {!distance} charges its groups by the same rule,
+    computed from integer summaries of each group (dim counts, constant
+    products, an exponent vector) instead of these lists. *)

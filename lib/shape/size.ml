@@ -63,6 +63,7 @@ let pow s k =
 
 let constant s = s.const
 let exponent s v = try List.assoc v s.pows with Not_found -> 0
+let pows s = s.pows
 let vars s = List.map fst s.pows
 let is_one s = s.const = 1 && s.pows = []
 let is_constant s = s.pows = []
@@ -103,7 +104,13 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let hash s = Hashtbl.hash (s.const, List.map (fun (v, e) -> (Var.to_string v, e)) s.pows)
+
+(* Allocates nothing: the shape-distance memo hashes every size of every
+   frontier it looks up. *)
+let hash s =
+  List.fold_left
+    (fun h (v, e) -> (((h * 31) + Hashtbl.hash (Var.to_string v)) * 31) + e)
+    s.const s.pows
 
 let pp ppf s =
   let pp_pow ppf (v, e) =

@@ -30,6 +30,10 @@ val inv : t -> t option
 
 val constant : t -> int
 val exponent : t -> Var.t -> int
+val pows : t -> (Var.t * int) list
+(** Each variable with a non-zero exponent, with that exponent, sorted
+    by variable. *)
+
 val vars : t -> Var.t list
 (** Variables with non-zero exponent, sorted. *)
 
@@ -52,6 +56,8 @@ val eval_opt : t -> (Var.t -> int) -> int option
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** Consistent with {!equal}; allocates nothing. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

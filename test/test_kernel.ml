@@ -985,6 +985,22 @@ let random_forwards_agree =
               && (Staged.num_stages st > 0
                  || bits staged = bits (Naive_forward.forward op v ~input:x ~weights:w))))
 
+(* The draw (8216, 196) of the property above: an operator whose
+   coordinate expressions use a size that is not a positive integer at
+   its valuation.  [Staged.compile] must refuse it with the same
+   [Failure] as [Reference.compile], not hand back a program whose
+   reference lowering fails later. *)
+let test_uninstantiable_refused () =
+  match random_or_fixture 8216 with
+  | None -> Alcotest.fail "draw 8216 yields no operator"
+  | Some op ->
+      let v = random_valuation 196 in
+      let failure f = match f () with exception Failure m -> Some m | _ -> None in
+      let expected = failure (fun () -> ignore (Reference.compile op v)) in
+      Alcotest.(check bool) "the reference refuses it" true (expected <> None);
+      Alcotest.(check (option string)) "compile refuses it the same way" expected
+        (failure (fun () -> ignore (Staged.compile op v)))
+
 let () =
   Alcotest.run ~argv:Bench_inputs.argv "kernel"
     [
@@ -1046,5 +1062,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest random_gather_agreement;
           QCheck_alcotest.to_alcotest random_forwards_agree;
+          Alcotest.test_case "uninstantiable operator refused" `Quick
+            test_uninstantiable_refused;
         ] );
     ]

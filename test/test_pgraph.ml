@@ -398,7 +398,15 @@ let test_distance_oracle_cases () =
   agree "coefficients on both sides" ~current:[ Size.mul (sz c_in) (sz k); sz k ]
     ~desired:[ sz c_in; sz k ] (Some 2);
   agree "a desired coefficient without a unit is unreachable" ~current:[ sz s ] ~desired:[ sz k ]
-    None
+    None;
+  (* Constant factors, which no conv frontier carries. *)
+  let times c size = Size.mul (Size.of_int c) size in
+  agree "a shrinking constant needs an elimination" ~current:[ times 4 (sz h) ]
+    ~desired:[ times 2 (sz h) ] (Some 1);
+  agree "a constant that does not divide is unreachable" ~current:[ times 2 (sz h) ]
+    ~desired:[ times 3 (sz h) ] None;
+  agree "equal products, different multisets" ~current:[ times 2 (sz h); sz w ]
+    ~desired:[ sz h; times 2 (sz w) ] (Some 2)
 
 let test_distance_wide_frontier () =
   (* Five units and four current coefficient dims: all 21,147 set
@@ -409,6 +417,62 @@ let test_distance_wide_frontier () =
   let expected, schemes = oracle_distance ~current ~desired in
   Alcotest.(check int) "schemes" 21_147 schemes;
   Alcotest.(check (option int)) "exact minimum" expected (fresh_distance ~current ~desired)
+
+(* Search traffic: every frontier whose distance a seeded guided walk
+   of the conv search space (max_prims 7, desired [N; C_in; H; W])
+   asks for, once each.  Unlike the pool above, these reach 8 current
+   dims, 8 items and [s^-1] and [g^-1] exponents.  One memo serves every
+   walk, as one serves a whole MCTS tree. *)
+let walk_frontiers ~walks =
+  let space = Bench_inputs.conv_space ~max_prims:7 in
+  let max_prims = space.Search.Enumerate.max_prims in
+  let shared = Pgraph.Distance.create () in
+  let seen = Hashtbl.create 1024 and frontiers = ref [] in
+  for seed = 1 to walks do
+    let rng = Nd.Rng.create ~seed in
+    let rec go depth g =
+      List.iter
+        (fun (_, g') ->
+          let current = Graph.frontier_sizes g' in
+          let key = List.sort Size.compare current in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            frontiers := current :: !frontiers
+          end)
+        (Search.Enumerate.children space g);
+      if depth < max_prims then
+        match Search.Enumerate.guided_children space shared g ~budget:(max_prims - depth - 1) with
+        | [] -> ()
+        | options -> go (depth + 1) (Search.Enumerate.pick_guided rng options)
+    in
+    go 0 (Graph.init space.Search.Enumerate.output_shape)
+  done;
+  (space.Search.Enumerate.desired_shape, shared, List.rev !frontiers)
+
+(* Items of the DP: units plus coefficient-only dims. *)
+let items ~current ~desired =
+  let dims = List.map (fun s -> (true, s)) current @ List.map (fun s -> (false, s)) desired in
+  let with_primary, coeff = List.partition (fun d -> primaries d <> []) dims in
+  List.length (units_of with_primary) + List.length coeff
+
+let test_distance_search_traffic () =
+  let desired, shared, frontiers = walk_frontiers ~walks:(if Bench_inputs.full then 300 else 20) in
+  let show dims = "[" ^ String.concat "; " (List.map Size.to_string dims) ^ "]" in
+  let show_d = function Some d -> string_of_int d | None -> "none" in
+  List.iter
+    (fun current ->
+      let expected = fst (oracle_distance ~current ~desired) in
+      let fresh = fresh_distance ~current ~desired in
+      let warm = Pgraph.Distance.distance shared ~current:(List.rev current) ~desired in
+      if fresh <> expected || warm <> expected then
+        Alcotest.failf "%s: oracle %s, fresh memo %s, warm shared memo %s" (show current)
+          (show_d expected) (show_d fresh) (show_d warm))
+    frontiers;
+  (* The walks still reach the frontiers the comment above promises. *)
+  Alcotest.(check bool) "some frontier has 8 items" true
+    (List.exists (fun current -> items ~current ~desired >= 8) frontiers);
+  Alcotest.(check bool) "some frontier has an s^-1 exponent" true
+    (List.exists (List.exists (fun size -> Size.exponent size Syno.Zoo.Vars.s < 0)) frontiers)
 
 (* --- FLOPs ---------------------------------------------------------------- *)
 
@@ -435,7 +499,7 @@ let test_budgets_flops () =
     (Pgraph.Flops.within_budgets ~max_flops:1000 op [ conv_valuation ])
 
 let () =
-  Alcotest.run "pgraph"
+  Alcotest.run ~argv:Bench_inputs.argv "pgraph"
     [
       ( "operators",
         [
@@ -475,6 +539,7 @@ let () =
           Alcotest.test_case "oracle cases" `Quick test_distance_oracle_cases;
           Alcotest.test_case "wide frontier" `Quick test_distance_wide_frontier;
           QCheck_alcotest.to_alcotest prop_distance_is_oracle_minimum;
+          Alcotest.test_case "search traffic" `Quick test_distance_search_traffic;
         ] );
       ( "flops",
         [
