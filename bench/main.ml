@@ -480,6 +480,26 @@ let micro () =
   let conv_weights = Lower.Reference.init_weights compiled rng in
   let mat_a = Nd.Tensor.rand_normal rng ~scale:1.0 [| 32; 32 |] in
   let mat_b = Nd.Tensor.rand_normal rng ~scale:1.0 [| 32; 32 |] in
+  (* A full serve cache: 1024 entries keyed like the daemon's
+     ([signature@valuation]).  The snapshot row times the render the
+     daemon's writer runs outside the cache lock; the write and the
+     fsync are not in it. *)
+  let signature = Graph.operator_signature conv in
+  let cache_entries =
+    List.init 1024 (fun i ->
+        {
+          Serve.Cache.e_key =
+            Printf.sprintf "%s@n1.ci%d.co%d.hw%d.k3.g1.s1" signature (4 + (i mod 5)) (i / 5)
+              (4 + (i mod 7));
+          e_verdict = "padded";
+          e_flops = 1_000_000 + i;
+          e_params = 1000;
+          e_elements = 1000;
+          e_checksum = float_of_int i /. 7.0;
+          e_cold_seconds = 0.01;
+          e_spec_seconds = 0.001;
+        })
+  in
   let tests =
     Test.make_grouped ~name:"syno" ~fmt:"%s/%s"
       [
@@ -498,6 +518,10 @@ let micro () =
           (Staged.stage (fun () -> Nd.Einsum.einsum "ik,kj->ij" [ mat_a; mat_b ]));
         Test.make ~name:"reference-conv-8ch-8x8"
           (Staged.stage (fun () -> Lower.Reference.forward compiled ~input:x ~weights:conv_weights));
+        Test.make ~name:"serve/cache-snapshot (1024 entries)"
+          (Staged.stage (fun () -> Robust.Durable.to_string Serve.Cache.codec cache_entries));
+        Test.make ~name:"serve/encode-signature"
+          (Staged.stage (fun () -> Serve.Protocol.encode signature));
       ]
   in
   let benchmark_cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
@@ -510,7 +534,7 @@ let micro () =
       let ns =
         match Analyze.OLS.estimates est with Some [ t ] -> t | Some _ | None -> nan
       in
-      Format.printf "  %-32s %12.1f ns/run@." name ns)
+      Format.printf "  %-42s %12.1f ns/run@." name ns)
     (List.sort compare rows)
 
 (* --- Parallel evaluation engine ---------------------------------------------- *)

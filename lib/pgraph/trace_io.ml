@@ -46,11 +46,18 @@ let parse_factor token =
       else Ok (Size.var_pow (Var.coefficient name) power)
     else if String.for_all (fun c -> c >= '0' && c <= '9') base then
       match int_of_string_opt base with
-      | Some n when n > 0 && power = 1 -> Ok (Size.of_int n)
-      | Some n when n > 0 -> (
-          match Size.pow (Size.of_int n) power with
-          | Some s -> Ok s
-          | None -> fail "non-integer constant power in %S" token)
+      | Some 1 -> Ok Size.one
+      | Some n when n > 0 && power >= 0 -> (
+          (* Multiplied out here, refusing a value past [max_int]: a
+             written power is untrusted input, and [Size.pow] would
+             wrap, and recurse once per unit of the power. *)
+          let rec go acc k =
+            if k = 0 then Ok (Size.of_int acc)
+            else if acc > max_int / n then fail "constant power overflows in %S" token
+            else go (acc * n) (k - 1)
+          in
+          go 1 power)
+      | Some n when n > 0 -> fail "non-integer constant power in %S" token
       | Some _ | None -> fail "bad integer literal %S" base
     else if String.for_all is_ident_char base then
       if power < 0 then fail "primary variable %S cannot have a negative power" base

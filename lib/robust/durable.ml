@@ -190,28 +190,73 @@ let merge_shards c ~merge ~base ~shards =
 
 (* --- Write cadence ----------------------------------------------------------- *)
 
+(* Two locks share a writer.  [w_changes] is the owning store's: it
+   changes only under the store's lock, where snapshots are taken.
+   [w_mutex] serializes writes; [w_saved] and [w_writes] change only
+   under it, and [w_taken] is lowered under it when a write fails, so
+   the store side reads those three as atomics. *)
 type 'a writer = {
   w_codec : 'a codec;
   w_path : string;
   w_every : int;
-  mutable w_pending : int;
-  mutable w_writes : int;
+  w_mutex : Mutex.t;
+  mutable w_changes : int;  (* changes counted: the next snapshot's generation *)
+  w_taken : int Atomic.t;  (* generation of the newest snapshot the cadence took *)
+  w_saved : int Atomic.t;  (* generation on disk; -1 before the first save *)
+  w_writes : int Atomic.t;
 }
 
+type 'a snapshot = { sn_writer : 'a writer; sn_gen : int; sn_entries : 'a list }
+
 let writer c ~path ~every =
-  { w_codec = c; w_path = path; w_every = max 1 every; w_pending = 0; w_writes = 0 }
+  {
+    w_codec = c;
+    w_path = path;
+    w_every = max 1 every;
+    w_mutex = Mutex.create ();
+    w_changes = 0;
+    w_taken = Atomic.make 0;
+    w_saved = Atomic.make (-1);
+    w_writes = Atomic.make 0;
+  }
 
-let commit w snapshot =
-  save w.w_codec ~path:w.w_path (snapshot ());
-  w.w_writes <- w.w_writes + 1;
-  w.w_pending <- 0
+let take w entries =
+  Atomic.set w.w_taken w.w_changes;
+  Some { sn_writer = w; sn_gen = w.w_changes; sn_entries = entries () }
 
-let mark w = w.w_pending <- w.w_pending + 1
+let mark w = w.w_changes <- w.w_changes + 1
 
-let note w snapshot =
+(* The cadence counts from the newest snapshot taken, so a worker does
+   not retake one another worker is still writing; [sync] and [flush]
+   count from the one on disk, so their caller returns only once what
+   it asked for is saved. *)
+let note w entries =
   mark w;
-  if w.w_pending >= w.w_every then commit w snapshot
+  if w.w_changes - Atomic.get w.w_taken >= w.w_every then take w entries else None
 
-let sync w snapshot = if w.w_pending > 0 then commit w snapshot
-let flush w snapshot = if w.w_pending > 0 || w.w_writes = 0 then commit w snapshot
-let writes w = w.w_writes
+let sync w entries =
+  if w.w_changes > max 0 (Atomic.get w.w_saved) then take w entries else None
+
+let flush w entries = if w.w_changes > Atomic.get w.w_saved then take w entries else None
+
+(* A snapshot no newer than the one on disk is skipped: it is already
+   covered.  A failed save lowers [w_taken] to what is on disk, so its
+   changes stay pending and the next change retries. *)
+let write s =
+  let w = s.sn_writer in
+  Mutex.protect w.w_mutex (fun () ->
+      if s.sn_gen > Atomic.get w.w_saved then begin
+        (try save w.w_codec ~path:w.w_path s.sn_entries
+         with e ->
+           Atomic.set w.w_taken (Atomic.get w.w_saved);
+           raise e);
+        Atomic.set w.w_saved s.sn_gen;
+        Atomic.incr w.w_writes
+      end)
+
+let writes w = Atomic.get w.w_writes
+
+let update lock f =
+  let result, snapshot = Mutex.protect lock f in
+  Option.iter write snapshot;
+  result

@@ -107,28 +107,66 @@ val merge_shards :
     to [merge] (the format's dedup policy).  Never raises on damaged
     files. *)
 
-(** {1 Write cadence} *)
+(** {1 Write cadence}
+
+    A file-backed store writes in two steps, so that rendering and
+    writing a snapshot never happen under the store's own lock:
+
+    {ol
+    {- {b Under the store's lock}, count the change with {!note} (or
+       {!mark}, then {!sync}; or {!flush}).  When a write is due, the
+       call takes the store's entry list, stamped with a generation
+       (the number of changes counted so far), and returns it.  This
+       costs the [entries] thunk: one fold and one sort.}
+    {- {b After releasing the lock}, pass what was returned to
+       {!write}, on the same thread.  The writer's own mutex serializes
+       writes, and a snapshot no newer than the one already saved is
+       skipped, so a slow older write never replaces a newer file.}}
+
+    When {!write} returns, a snapshot at least as new as the one it was
+    given is on disk.  Entries must be immutable: the list is rendered
+    after the store's lock is released.
+
+    {b What a SIGKILL can lose}: the changes counted since the last
+    completed write, which is at most [every - 1] changes plus those
+    made while a write was in flight.  The file itself is always either
+    the previous snapshot or the new one. *)
 
 type 'a writer
-(** A file-backed store's write schedule.  Not synchronized: call it
-    under the owning store's lock. *)
+(** A file-backed store's write schedule.  {!note}, {!mark}, {!sync}
+    and {!flush} must be called under the owning store's lock;
+    {!write} and {!writes} must not need it. *)
+
+type 'a snapshot
+(** A store's entries taken under its lock, stamped with a generation,
+    waiting for {!write}. *)
 
 val writer : 'a codec -> path:string -> every:int -> 'a writer
 (** Rewrite [path] after every [every] changes (clamped to >= 1). *)
 
-val note : 'a writer -> (unit -> 'a list) -> unit
-(** Count one change; when [every] changes are pending, save the
-    snapshot the thunk returns. *)
+val note : 'a writer -> (unit -> 'a list) -> 'a snapshot option
+(** Count one change; when [every] changes have been counted since the
+    newest snapshot taken, take one from the thunk. *)
 
 val mark : 'a writer -> unit
-(** Count one change without writing; see {!sync}. *)
+(** Count one change without taking a snapshot; see {!sync}. *)
 
-val sync : 'a writer -> (unit -> 'a list) -> unit
-(** Save if any change is pending. *)
+val sync : 'a writer -> (unit -> 'a list) -> 'a snapshot option
+(** Take a snapshot if any change is not yet on disk. *)
 
-val flush : 'a writer -> (unit -> 'a list) -> unit
-(** Save if any change is pending or nothing was ever written, so the
-    file always exists after a flush. *)
+val flush : 'a writer -> (unit -> 'a list) -> 'a snapshot option
+(** Take a snapshot if any change is not yet on disk or nothing was
+    ever written, so the file exists once the snapshot is written. *)
+
+val write : 'a snapshot -> unit
+(** Save the snapshot atomically ({!save}) unless a newer or equal one
+    is already saved.  A failed save raises, and leaves its changes
+    pending: the next {!note} past the cadence, {!sync} or {!flush}
+    takes them again. *)
 
 val writes : 'a writer -> int
 (** Snapshots saved so far. *)
+
+val update : Mutex.t -> (unit -> 'b * 'a snapshot option) -> 'b
+(** The recipe in one call: [update lock f] runs [f] under the store's
+    [lock], releases it, then writes the snapshot [f] took, if any. *)

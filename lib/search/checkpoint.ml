@@ -108,10 +108,15 @@ let preload s entries =
           if not (Hashtbl.mem s.sk_table e.signature) then Hashtbl.add s.sk_table e.signature e)
         entries)
 
+(* The snapshot is taken under the lock and written after it is
+   released, on the calling thread. *)
 let note s e =
-  locked s (fun () ->
+  Robust.Durable.update s.sk_mutex (fun () ->
       Hashtbl.replace s.sk_table e.signature e;
-      Robust.Durable.note s.sk_writer (snapshot_locked s))
+      ((), Robust.Durable.note s.sk_writer (snapshot_locked s)))
 
-let flush s = locked s (fun () -> Robust.Durable.flush s.sk_writer (snapshot_locked s))
-let writes s = locked s (fun () -> Robust.Durable.writes s.sk_writer)
+let flush s =
+  Robust.Durable.update s.sk_mutex (fun () ->
+      ((), Robust.Durable.flush s.sk_writer (snapshot_locked s)))
+
+let writes s = Robust.Durable.writes s.sk_writer

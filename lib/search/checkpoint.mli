@@ -70,7 +70,9 @@ val load : path:string -> (entry list, string) result
     The sink accumulates every newly evaluated candidate and rewrites
     the snapshot once [every] new entries have arrived (plus a final
     {!flush}).  It is safe to share across the domains of a parallel
-    search: notes are serialized by an internal mutex. *)
+    search: notes are serialized by an internal mutex.  The snapshot
+    is taken under that mutex and written after it is released, by the
+    domain whose {!note} took it ({!Robust.Durable.update}). *)
 
 type sink
 

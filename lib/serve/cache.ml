@@ -39,11 +39,25 @@ type error = Robust.Durable.error =
 let render buf e =
   (* The key travels percent-encoded: signatures contain characters the
      space-separated line format cannot carry raw. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "entry: key %s verdict %s flops %d params %d elements %d checksum %h cold %h spec %h\n"
-       (Protocol.encode e.e_key) e.e_verdict e.e_flops e.e_params e.e_elements e.e_checksum
-       e.e_cold_seconds e.e_spec_seconds)
+  let add = Buffer.add_string buf in
+  let add_float f = Printf.bprintf buf "%h" f in
+  add "entry: key ";
+  add (Protocol.encode e.e_key);
+  add " verdict ";
+  add e.e_verdict;
+  add " flops ";
+  add (string_of_int e.e_flops);
+  add " params ";
+  add (string_of_int e.e_params);
+  add " elements ";
+  add (string_of_int e.e_elements);
+  add " checksum ";
+  add_float e.e_checksum;
+  add " cold ";
+  add_float e.e_cold_seconds;
+  add " spec ";
+  add_float e.e_spec_seconds;
+  Buffer.add_char buf '\n'
 
 let parse line _continuation =
   let bad () = Error (Corrupt (Printf.sprintf "bad entry line %S" line)) in
@@ -109,7 +123,7 @@ let size t = locked t (fun () -> Hashtbl.length t.table)
 let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)
 let evictions t = locked t (fun () -> t.evict_count)
-let writes t = locked t (fun () -> Option.fold ~none:0 ~some:Robust.Durable.writes t.writer)
+let writes t = Option.fold ~none:0 ~some:Robust.Durable.writes t.writer
 
 let find t key =
   locked t (fun () ->
@@ -146,7 +160,7 @@ let snapshot_locked t =
   |> List.map (fun s -> s.s_entry)
 
 let string_of_error = Robust.Durable.string_of_error codec
-let save ~path t = locked t (fun () -> Robust.Durable.save codec ~path (snapshot_locked t))
+let save ~path t = Robust.Durable.save codec ~path (locked t (fun () -> snapshot_locked t))
 
 let put_locked t e =
   t.clock <- t.clock + 1;
@@ -156,14 +170,17 @@ let put_locked t e =
       if Hashtbl.length t.table >= t.cap then evict_lru_locked t;
       Hashtbl.add t.table e.e_key { s_entry = e; s_stamp = t.clock })
 
-let put t e =
-  locked t (fun () ->
-      put_locked t e;
-      Option.iter (fun w -> Robust.Durable.note w (fun () -> snapshot_locked t)) t.writer)
+(* The snapshot is taken under the lock and written after it is
+   released, on the calling thread: [find] and the other workers wait
+   only for the fold and sort, never for the render and the fsync. *)
+let snapshot_due t step = Option.bind t.writer (fun w -> step w (fun () -> snapshot_locked t))
 
-let flush t =
-  locked t (fun () ->
-      Option.iter (fun w -> Robust.Durable.flush w (fun () -> snapshot_locked t)) t.writer)
+let put t e =
+  Robust.Durable.update t.mutex (fun () ->
+      put_locked t e;
+      ((), snapshot_due t Robust.Durable.note))
+
+let flush t = Robust.Durable.update t.mutex (fun () -> ((), snapshot_due t Robust.Durable.flush))
 
 let of_entries ?capacity ?backing ?every entries =
   let t = make ?capacity ?backing ?every () in

@@ -14,7 +14,14 @@
     SIGKILLed daemon restarts warm from its last snapshot.
 
     All operations are thread-safe (one mutex); worker domains hit the
-    cache concurrently. *)
+    cache concurrently.  A snapshot is taken under that mutex (a fold
+    and a sort) and rendered, written and fsynced after it is released,
+    by the caller of the [put] or [flush] that took it
+    ({!Robust.Durable.update}): [find] and the other workers never wait
+    for a write.  When that [put] returns, a snapshot at least as new
+    is on disk.  A SIGKILL loses at most the [put]s since the last
+    completed write (fewer than [every], plus any made while a write
+    was in flight); the file is always a whole snapshot. *)
 
 type entry = {
   e_key : string;  (** [signature ^ "@" ^ valuation-token] *)
@@ -43,7 +50,9 @@ val find : t -> string -> entry option
 
 val put : t -> entry -> unit
 (** Insert or refresh; counts toward the write cadence when the cache
-    is file-backed. *)
+    is file-backed.  The [put] that crosses the cadence writes the
+    snapshot, outside the mutex, before it returns; a failed write
+    raises and stays pending for the next [put]. *)
 
 val size : t -> int
 val hits : t -> int
@@ -66,7 +75,8 @@ val string_of_error : error -> string
 val of_string_result : ?capacity:int -> string -> (t, error) result
 
 val save : path:string -> t -> unit
-(** Atomic + durable ({!Robust.Durable.save}). *)
+(** Atomic + durable ({!Robust.Durable.save}); the entries are taken
+    under the mutex and written after it is released. *)
 
 type open_report = Robust.Durable.open_report = {
   or_loaded : int;
@@ -80,6 +90,8 @@ val open_file : ?capacity:int -> ?every:int -> string -> t * open_report
 
 val flush : t -> unit
 (** Write pending entries now (and an initial snapshot for a fresh
-    file-backed cache).  No-op for in-memory caches. *)
+    file-backed cache), outside the mutex; returns once a snapshot
+    holding every earlier [put] is on disk.  No-op for in-memory
+    caches. *)
 
 val writes : t -> int

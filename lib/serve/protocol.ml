@@ -27,18 +27,33 @@ let max_line = 65536
 
 (* Percent-encoding keeps every value a single printable token, so the
    line framing never has to quote: a space, newline, '%' or any
-   non-printable byte inside a value becomes %XX. *)
+   non-printable byte inside a value becomes %XX, uppercase hex.  The
+   escapes are counted first, so the output is allocated once. *)
+let plain c = c > ' ' && c <= '~' && c <> '%'
+let hex_digits = "0123456789ABCDEF"
+
 let encode s =
-  let plain c = c > ' ' && c <= '~' && c <> '%' in
-  if String.for_all plain s then s
+  let escapes = ref 0 in
+  String.iter (fun c -> if not (plain c) then incr escapes) s;
+  if !escapes = 0 then s
   else begin
-    let buf = Buffer.create (String.length s + 8) in
+    let out = Bytes.create (String.length s + (2 * !escapes)) in
+    let j = ref 0 in
     String.iter
       (fun c ->
-        if plain c then Buffer.add_char buf c
-        else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
+        if plain c then begin
+          Bytes.set out !j c;
+          incr j
+        end
+        else begin
+          let code = Char.code c in
+          Bytes.set out !j '%';
+          Bytes.set out (!j + 1) hex_digits.[code lsr 4];
+          Bytes.set out (!j + 2) hex_digits.[code land 15];
+          j := !j + 3
+        end)
       s;
-    Buffer.contents buf
+    Bytes.unsafe_to_string out
   end
 
 let decode s =

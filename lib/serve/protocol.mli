@@ -44,8 +44,8 @@ val max_line : int
 
 val encode : string -> string
 (** Percent-encode: ['%'] and every byte outside the printable
-    non-space ASCII range becomes [%XX].  Idempotent-safe inverse of
-    {!decode}. *)
+    non-space ASCII range becomes [%XX], in uppercase hex.  A string
+    with no such byte is returned as is.  {!decode} inverts it. *)
 
 val decode : string -> (string, string) result
 

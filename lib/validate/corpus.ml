@@ -307,8 +307,9 @@ let entries_locked t =
 let entries t = locked t (fun () -> entries_locked t)
 let size t = locked t (fun () -> t.count)
 
-let persist_locked t step =
-  Option.iter (fun w -> step w (fun () -> entries_locked t)) t.writer
+(* Under the lock: the snapshot [step] takes, if any.  [Durable.update]
+   writes it after the lock is released, on the calling thread. *)
+let snapshot_due t step = Option.bind t.writer (fun w -> step w (fun () -> entries_locked t))
 
 (* Preloaded entries (a resumed corpus, a seeding corpus) populate the
    index without counting as additions or triggering writes. *)
@@ -318,18 +319,17 @@ let preload t entries =
 let add t e =
   if t.readonly then false
   else
-    locked t (fun () ->
+    Robust.Durable.update t.mutex (fun () ->
         if insert_locked t e then begin
           t.added <- t.added + 1;
-          persist_locked t Robust.Durable.note;
-          true
+          (true, snapshot_due t Robust.Durable.note)
         end
-        else false)
+        else (false, None))
 
 let merge_into t entries =
   if t.readonly then 0
   else
-    locked t (fun () ->
+    Robust.Durable.update t.mutex (fun () ->
         let added =
           List.fold_left
             (fun n e ->
@@ -341,12 +341,10 @@ let merge_into t entries =
               else n)
             0 entries
         in
-        persist_locked t Robust.Durable.sync;
-        added)
+        (added, snapshot_due t Robust.Durable.sync))
 
-let flush t = locked t (fun () -> persist_locked t Robust.Durable.flush)
-let writes_locked t = Option.fold ~none:0 ~some:Robust.Durable.writes t.writer
-let writes t = locked t (fun () -> writes_locked t)
+let flush t = Robust.Durable.update t.mutex (fun () -> ((), snapshot_due t Robust.Durable.flush))
+let writes t = Option.fold ~none:0 ~some:Robust.Durable.writes t.writer
 
 let stats t =
   locked t (fun () ->
@@ -357,7 +355,7 @@ let stats t =
         st_matched = t.matched;
         st_executed = t.executed;
         st_rejected = t.rejected;
-        st_writes = writes_locked t;
+        st_writes = writes t;
       })
 
 (* --- Opening (crash tolerance) ----------------------------------------------- *)

@@ -107,7 +107,8 @@ val preload : t -> entry list -> unit
 val add : t -> entry -> bool
 (** Record a distilled counterexample.  Returns [false] (and writes
     nothing) for a duplicate ({!ident}) or a readonly corpus.
-    Thread-safe. *)
+    Thread-safe; a snapshot the addition takes is written after the
+    corpus lock is released ({!Robust.Durable.update}). *)
 
 val merge_into : t -> entry list -> int
 (** {!add} in bulk; returns how many entries were new.  Flushes once at

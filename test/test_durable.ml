@@ -134,30 +134,161 @@ let test_load_rules () =
 
 (* --- Write cadence ----------------------------------------------------------- *)
 
+(* The two-step recipe with no store around it: take, then write. *)
+let write_taken = Option.iter Durable.write
+
 let test_writer_cadence () =
   with_temp_path (fun path ->
       Sys.remove path;
       let es = cache_entries () in
       let w = Durable.writer Cache.codec ~path ~every:2 in
       let snapshot () = es in
-      Durable.note w snapshot;
+      write_taken (Durable.note w snapshot);
       Alcotest.(check int) "below cadence: no write" 0 (Durable.writes w);
-      Durable.note w snapshot;
+      write_taken (Durable.note w snapshot);
       Alcotest.(check int) "cadence reached: one write" 1 (Durable.writes w);
-      Durable.sync w snapshot;
+      write_taken (Durable.sync w snapshot);
       Alcotest.(check int) "sync with nothing pending: no write" 1 (Durable.writes w);
-      Durable.flush w snapshot;
+      write_taken (Durable.flush w snapshot);
       Alcotest.(check int) "flush with nothing pending: no write" 1 (Durable.writes w);
       Durable.mark w;
       Alcotest.(check int) "mark defers the write" 1 (Durable.writes w);
-      Durable.sync w snapshot;
+      write_taken (Durable.sync w snapshot);
       Alcotest.(check int) "sync writes what is pending" 2 (Durable.writes w);
       let fresh = Durable.writer Cache.codec ~path:(path ^ ".tmp") ~every:5 in
-      Durable.flush fresh snapshot;
+      write_taken (Durable.flush fresh snapshot);
       Alcotest.(check int) "flush of a never-written store writes" 1 (Durable.writes fresh);
-      match Durable.load Cache.codec ~path with
+      (match Durable.load Cache.codec ~path with
       | Ok loaded -> Alcotest.(check int) "snapshot on disk" (List.length es) (List.length loaded)
+      | Error e -> Alcotest.fail (Durable.string_of_error Cache.codec e));
+      (* Two snapshots written out of order: the older one is skipped. *)
+      Durable.mark w;
+      let older = Durable.sync w snapshot in
+      Durable.mark w;
+      let newer = Durable.sync w (fun () -> [ List.hd es ]) in
+      write_taken newer;
+      write_taken older;
+      Alcotest.(check int) "an older snapshot after a newer one: skipped" 3 (Durable.writes w);
+      match Durable.load Cache.codec ~path with
+      | Ok loaded -> Alcotest.(check int) "the newer snapshot stays on disk" 1 (List.length loaded)
       | Error e -> Alcotest.fail (Durable.string_of_error Cache.codec e))
+
+(* A save that fails leaves its changes pending: the next change past
+   the cadence takes them again. *)
+let test_failed_write_retried () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "syno_durable_%d" (Unix.getpid ()))
+  in
+  let path = Filename.concat dir "cache.snap" in
+  let es = cache_entries () in
+  let w = Durable.writer Cache.codec ~path ~every:2 in
+  write_taken (Durable.note w (fun () -> es));
+  (match write_taken (Durable.note w (fun () -> es)) with
+  | () -> Alcotest.fail "a save into a missing directory succeeded"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check int) "failed save: no write" 0 (Durable.writes w);
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; path ^ ".tmp" ];
+      Unix.rmdir dir)
+    (fun () ->
+      write_taken (Durable.note w (fun () -> es));
+      Alcotest.(check int) "the next change retries" 1 (Durable.writes w);
+      Alcotest.(check bool) "file on disk" true (Sys.file_exists path))
+
+(* [poll ~seconds f]: whether [f] held before the deadline. *)
+let poll ~seconds f =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () = f () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ())) in
+  go ()
+
+(* Domains [put] into one file-backed cache with a snapshot per put.
+   After each [put] returns, its snapshot (or a newer one) is on disk;
+   a load that starts after another finished never sees fewer
+   entries; after [flush], the file loads to exactly the store. *)
+let test_concurrent_puts () =
+  with_temp_path (fun path ->
+      Sys.remove path;
+      let domains = 3 and per_domain = 30 in
+      let cache, _ = Cache.open_file ~capacity:1000 ~every:1 path in
+      let floor = Atomic.make 0 in
+      let failures = Atomic.make [] in
+      let fail msg =
+        let rec push () =
+          let old = Atomic.get failures in
+          if not (Atomic.compare_and_set failures old (msg :: old)) then push ()
+        in
+        push ()
+      in
+      let worker d () =
+        for j = 0 to per_domain - 1 do
+          let key = Printf.sprintf "d%d-%d" d j in
+          let e = { (List.hd (cache_entries ())) with Cache.e_key = key } in
+          let seen = Atomic.get floor in
+          Cache.put cache e;
+          match Durable.load Cache.codec ~path with
+          | Error err -> fail (Durable.string_of_error Cache.codec err)
+          | Ok loaded ->
+              let n = List.length loaded in
+              if n < seen then fail (Printf.sprintf "%s: %d entries after %d" key n seen);
+              if not (List.exists (fun e -> e.Cache.e_key = key) loaded) then
+                fail (key ^ ": put returned before its snapshot was saved");
+              let rec raise_floor () =
+                let old = Atomic.get floor in
+                if n > old && not (Atomic.compare_and_set floor old n) then raise_floor ()
+              in
+              raise_floor ()
+        done
+      in
+      List.init domains (fun d -> Domain.spawn (worker d)) |> List.iter Domain.join;
+      Cache.flush cache;
+      Alcotest.(check (list string))
+        "no snapshot went back or lagged its put" [] (Atomic.get failures);
+      let store = path ^ ".store" in
+      Cache.save ~path:store cache;
+      let expected = read_file store in
+      Sys.remove store;
+      Alcotest.(check int) "every put kept" (domains * per_domain) (Cache.size cache);
+      Alcotest.(check string) "the file loads to exactly the final store" expected
+        (match Durable.load Cache.codec ~path with
+        | Ok loaded -> Durable.to_string Cache.codec loaded
+        | Error e -> Alcotest.fail (Durable.string_of_error Cache.codec e)))
+
+(* The render runs after the store's lock is released: while it waits
+   on a latch, another domain takes the lock (the test's own mutex
+   standing in for the store's).  Both waits have deadlines, so a
+   render under the lock fails the test instead of hanging it. *)
+let test_render_outside_store_lock () =
+  with_temp_path (fun path ->
+      let entered = Atomic.make false and release = Atomic.make false in
+      let codec =
+        Durable.codec ~header:"latch v1" ~noun:"latch"
+          ~render:(fun buf e ->
+            Atomic.set entered true;
+            ignore (poll ~seconds:10.0 (fun () -> Atomic.get release));
+            Buffer.add_string buf ("entry: " ^ e ^ "\n"))
+          ~parse:(fun line _ -> Ok line)
+          ()
+      in
+      let w = Durable.writer codec ~path ~every:1 in
+      let store_lock = Mutex.create () in
+      let writer =
+        Domain.spawn (fun () ->
+            Durable.update store_lock (fun () -> ((), Durable.note w (fun () -> [ "a" ]))))
+      in
+      let rendering = poll ~seconds:10.0 (fun () -> Atomic.get entered) in
+      let lock_free =
+        rendering
+        && poll ~seconds:2.0 (fun () ->
+               Mutex.try_lock store_lock && (Mutex.unlock store_lock; true))
+      in
+      Atomic.set release true;
+      Domain.join writer;
+      Alcotest.(check bool) "render started" true rendering;
+      Alcotest.(check bool) "store lock free while the render waits" true lock_free;
+      Alcotest.(check int) "written" 1 (Durable.writes w))
 
 (* --- Round trip on generated entries ----------------------------------------- *)
 
@@ -386,6 +517,9 @@ let () =
         [
           Alcotest.test_case "load rules and their order" `Quick test_load_rules;
           Alcotest.test_case "write cadence" `Quick test_writer_cadence;
+          Alcotest.test_case "failed write retried" `Quick test_failed_write_retried;
+          Alcotest.test_case "concurrent puts" `Quick test_concurrent_puts;
+          Alcotest.test_case "render outside the store lock" `Quick test_render_outside_store_lock;
         ] );
       ("round trip", List.map QCheck_alcotest.to_alcotest round_trips);
     ]

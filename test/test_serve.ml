@@ -173,6 +173,43 @@ let prop_line_cap =
        QCheck.Gen.(string_size ~gen:char (return (P.max_line + 1))))
     (fun line -> Result.is_error (P.parse_request line) && Result.is_error (P.parse_response line))
 
+(* The encoder as it was first written, one [Printf] call per escape:
+   [P.encode] must match it byte for byte. *)
+let encode_oracle s =
+  let plain c = c > ' ' && c <= '~' && c <> '%' in
+  String.to_seq s
+  |> Seq.map (fun c ->
+         if plain c then String.make 1 c else Printf.sprintf "%%%02X" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+(* Every byte value, drawn uniformly, and the boundaries of the plain
+   range drawn often. *)
+let gen_bytes =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, char);
+             (1, oneofl [ '\x00'; '\x1f'; ' '; '!'; '%'; '='; '~'; '\x7f'; '\x80'; '\xff' ]);
+           ])
+      (int_range 0 64))
+
+let prop_encode_oracle =
+  QCheck.Test.make ~name:"encode s = the Printf encoder's output, byte for byte" ~count:1000
+    (QCheck.make ~print:String.escaped gen_bytes)
+    (fun s -> P.encode s = encode_oracle s)
+
+let prop_encode_decode =
+  QCheck.Test.make ~name:"decode (encode s) = Ok s" ~count:1000
+    (QCheck.make ~print:String.escaped gen_bytes)
+    (fun s -> P.decode (P.encode s) = Ok s)
+
+let test_encode_every_byte () =
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "all 256 bytes" (encode_oracle all) (P.encode all);
+  Alcotest.(check string) "uppercase hex" "a%20b%25%0A%FF" (P.encode "a b%\n\xff")
+
 (* --- Cache ------------------------------------------------------------------ *)
 
 let entry ?(checksum = 1.5) ?(spec = -1.0) key =
@@ -686,6 +723,82 @@ let test_daemon_external_cancel_drains () =
           Alcotest.failf "connect: %s" e);
       Alcotest.(check int) "external cancel drains to 0" 0 (Domain.join d))
 
+(* Raw socket ends for frames the client library never sends: a line
+   written in pieces, and a line that never ends. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let raw_send fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+(* Everything [fd] delivers until [settle] seconds after the first
+   newline, or until [timeout] seconds pass without one. *)
+let raw_read fd ~timeout ~settle =
+  let buf = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let has_line () = String.contains (Buffer.contents buf) '\n' in
+  let rec go deadline =
+    let remaining = deadline -. Unix.gettimeofday () in
+    match if remaining > 0.0 then Unix.select [ fd ] [] [] remaining else ([], [], []) with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            let had_line = has_line () in
+            Buffer.add_subbytes buf chunk 0 n;
+            go (if has_line () && not had_line then Unix.gettimeofday () +. settle else deadline))
+  in
+  go (Unix.gettimeofday () +. timeout);
+  Buffer.contents buf
+
+(* Frames split across writes: a request written in pieces, with pauses,
+   gets exactly one answer; a connection that sends half a line and
+   stops does not hold up another connection's ping, nor the drain. *)
+let test_daemon_split_frames () =
+  with_temp_dir (fun dir ->
+      let cfg = { (daemon_config dir) with Server.cache_path = None; corpus_path = None } in
+      let raw = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !raw)
+        (fun () ->
+          with_daemon cfg (fun conn ->
+              let split = raw_connect cfg.Server.socket_path in
+              let stalled = raw_connect cfg.Server.socket_path in
+              raw := [ split; stalled ];
+              raw_send stalled "x1 pi";
+              List.iter
+                (fun piece ->
+                  raw_send split piece;
+                  Unix.sleepf 0.05)
+                [ "s1 st"; "a"; "tus"; " note=a%2"; "0b"; "\n" ];
+              let answers =
+                String.split_on_char '\n' (raw_read split ~timeout:10.0 ~settle:0.3)
+                |> List.filter (fun l -> l <> "")
+              in
+              (match answers with
+              | [ line ] -> (
+                  match P.parse_response line with
+                  | Ok ("s1", P.Resp_ok _) -> ()
+                  | _ -> Alcotest.failf "split request answered %S" line)
+              | lines ->
+                  Alcotest.failf "split request: %d answers (%s)" (List.length lines)
+                    (String.concat " | " lines));
+              let t0 = Unix.gettimeofday () in
+              let ping = { P.rq_id = "p1"; rq_verb = P.Ping; rq_params = [] } in
+              (match Client.call ~timeout:5.0 conn ping with
+              | Ok (P.Resp_ok _) -> ()
+              | Ok (P.Resp_error { err_kind; _ }) -> Alcotest.failf "ping: %s" err_kind
+              | Error e -> Alcotest.failf "ping beside a stalled line: %s" e);
+              let waited = Unix.gettimeofday () -. t0 in
+              Alcotest.(check bool)
+                (Printf.sprintf "ping beside a stalled line answered in %.3f s (< 1 s)" waited)
+                true (waited < 1.0))))
+
 let () =
   Alcotest.run "serve"
     [
@@ -694,9 +807,17 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_protocol_request_roundtrip;
           Alcotest.test_case "response round-trip" `Quick test_protocol_response_roundtrip;
           Alcotest.test_case "junk rejected" `Quick test_protocol_rejects_junk;
+          Alcotest.test_case "encode every byte" `Quick test_encode_every_byte;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_request_roundtrip; prop_response_roundtrip; prop_parsers_total; prop_line_cap ]
+            [
+              prop_request_roundtrip;
+              prop_response_roundtrip;
+              prop_parsers_total;
+              prop_line_cap;
+              prop_encode_oracle;
+              prop_encode_decode;
+            ]
       );
       ( "cache",
         [
@@ -731,6 +852,7 @@ let () =
           Alcotest.test_case "older snapshot answers the same checksum" `Quick
             test_daemon_legacy_snapshot;
           Alcotest.test_case "warm restart from snapshot" `Quick test_daemon_warm_restart;
+          Alcotest.test_case "split frames" `Quick test_daemon_split_frames;
           Alcotest.test_case "external cancel drains" `Quick
             test_daemon_external_cancel_drains;
         ] );

@@ -27,13 +27,16 @@ let test_size_roundtrip () =
     cases
 
 let test_size_errors () =
-  let bad = [ ""; "H^x"; "-3"; "0"; "H^-1"; "a b" ] in
+  (* A constant power past [max_int] is refused, not wrapped. *)
+  let bad = [ ""; "H^x"; "-3"; "0"; "H^-1"; "a b"; "2^62"; "3^40"; "2^99999999999" ] in
   List.iter
     (fun t ->
       match Trace_io.size_of_string t with
       | Error _ -> ()
       | Ok s -> Alcotest.failf "%S should not parse (got %s)" t (Size.to_string s))
-    bad
+    bad;
+  Alcotest.(check (result size string)) "2^61 is in range" (Ok (Size.of_int (1 lsl 61)))
+    (Trace_io.size_of_string "2^61")
 
 let test_prim_roundtrip () =
   let k = Size.of_var (Var.coefficient "k") in
@@ -133,6 +136,83 @@ let roundtrip_property =
       | None -> true
       | Some op -> Trace_io.roundtrip_exact op)
 
+(* Parser totality: what a damaged checkpoint or a request can hand the
+   parsers comes back as a value, never as an exception.  Arbitrary
+   bytes are refused; a mutated zoo trace may still parse (a mutation
+   can keep it valid), so for those only the absence of a raise is
+   checked. *)
+let total f s =
+  match f s with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let refused f s =
+  match f s with
+  | Ok _ -> QCheck.Test.fail_report "accepted"
+  | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let prop_arbitrary_bytes_refused =
+  QCheck.Test.make ~name:"parse and of_string refuse arbitrary bytes" ~count:1000
+    QCheck.(make ~print:String.escaped Gen.(string_size ~gen:char (int_range 0 200)))
+    (fun s -> refused Trace_io.parse s && refused (Trace_io.of_string ~allow_strided:true) s)
+
+(* Bytes a mutation plants: the grammar's own separators and digits,
+   signs and huge numbers, and any byte. *)
+let gen_splice =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              "("; ")"; ","; ";"; "*"; "^"; ":"; "'"; "\n"; " "; "#"; "-"; "0"; "1"; "9"; "^-1";
+              "^0"; "^99999999999"; "2^99999999999"; "*3^40"; "4611686018427387903";
+              "-4611686018427387904"; "new"; "cur"; "Split(0,0)"; "Merge(0,"; "Reduce(";
+              "Share(9,new)"; "Match(0)"; "trace:"; "output:"; "input:";
+            ] );
+        (1, map (String.make 1) char);
+      ])
+
+(* One mutation at a position in the text, past the header line most
+   of the time: delete a span, plant a splice, or cut the text there. *)
+let mutate text =
+  QCheck.Gen.(
+    let body = 1 + Option.value (String.index_opt text '\n') ~default:(-1) in
+    let* pos =
+      frequency
+        [
+          (1, int_bound (String.length text));
+          (9, int_range body (max body (String.length text)));
+        ]
+    in
+    let before = String.sub text 0 pos
+    and after = String.sub text pos (String.length text - pos) in
+    frequency
+      [
+        ( 2,
+          let* len = int_range 1 4 in
+          let drop = min len (String.length after) in
+          return (before ^ String.sub after drop (String.length after - drop)) );
+        (3, map (fun splice -> before ^ splice ^ after) gen_splice);
+        (1, return before);
+      ])
+
+let gen_mutated_zoo =
+  QCheck.Gen.(
+    let* entry = oneofl Zoo.all in
+    let* rounds = int_range 1 3 in
+    let rec go text n = if n = 0 then return text else mutate text >>= fun t -> go t (n - 1) in
+    go (Trace_io.to_string entry.Zoo.operator) rounds)
+
+let prop_mutated_zoo_total =
+  QCheck.Test.make ~name:"parse and of_string never raise on mutated zoo traces" ~count:2000
+    (QCheck.make ~print:String.escaped gen_mutated_zoo)
+    (fun s ->
+      total Trace_io.parse s
+      && total (Trace_io.of_string ~allow_strided:true) s
+      && total (Trace_io.of_string ~allow_strided:false) s)
+
 let () =
   Alcotest.run "trace_io"
     [
@@ -152,5 +232,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_parse_with_comments;
           Alcotest.test_case "errors" `Quick test_parse_errors;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest roundtrip_property ]);
+      ( "property",
+        List.map QCheck_alcotest.to_alcotest
+          [ roundtrip_property; prop_arbitrary_bytes_refused; prop_mutated_zoo_total ] );
     ]
