@@ -807,18 +807,11 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_protocol_request_roundtrip;
           Alcotest.test_case "response round-trip" `Quick test_protocol_response_roundtrip;
           Alcotest.test_case "junk rejected" `Quick test_protocol_rejects_junk;
-          Alcotest.test_case "encode every byte" `Quick test_encode_every_byte;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [
-              prop_request_roundtrip;
-              prop_response_roundtrip;
-              prop_parsers_total;
-              prop_line_cap;
-              prop_encode_oracle;
-              prop_encode_decode;
-            ]
-      );
+            [ prop_request_roundtrip; prop_response_roundtrip; prop_parsers_total; prop_line_cap ]
+        @ Alcotest.test_case "encode every byte" `Quick test_encode_every_byte
+          :: List.map QCheck_alcotest.to_alcotest [ prop_encode_oracle; prop_encode_decode ] );
       ( "cache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
