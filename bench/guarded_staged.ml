@@ -19,37 +19,39 @@ module Tensor = Nd.Tensor
 let stage_loop ?cancel sym datas out =
   let uses = sym.ss_uses and lows = sym.ss_lows and dom = sym.ss_dom in
   let nf = Array.length datas in
-  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents (fun () pos w ->
-      let acc = ref 0.0 in
-      for r = 0 to dom - 1 do
-        let product = ref 1.0 and fi = ref 0 in
-        while !fi < nf do
-          let fuses = uses.(!fi) in
-          let off = ref 0 and j = ref 0 in
-          while !j < Array.length fuses do
-            let u = fuses.(!j) in
-            let idx =
-              (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
-              + (u.u_coef * r) - u.u_lo
-            in
-            if idx < 0 || idx >= u.u_extent then j := max_int
-            else begin
-              off := (!off * u.u_extent) + idx;
-              incr j
-            end
-          done;
-          if !j = max_int then begin
-            product := 0.0;
-            fi := nf
-          end
+  let element pos w =
+    let acc = ref 0.0 in
+    for r = 0 to dom - 1 do
+      let product = ref 1.0 and fi = ref 0 in
+      while !fi < nf do
+        let fuses = uses.(!fi) in
+        let off = ref 0 and j = ref 0 in
+        while !j < Array.length fuses do
+          let u = fuses.(!j) in
+          let idx =
+            (if u.u_slot >= 0 then pos.(u.u_slot) + lows.(u.u_slot) else u.u_base)
+            + (u.u_coef * r) - u.u_lo
+          in
+          if idx < 0 || idx >= u.u_extent then j := max_int
           else begin
-            product := !product *. datas.(!fi).(!off);
-            incr fi
+            off := (!off * u.u_extent) + idx;
+            incr j
           end
         done;
-        acc := !acc +. !product
+        if !j = max_int then begin
+          product := 0.0;
+          fi := nf
+        end
+        else begin
+          product := !product *. datas.(!fi).(!off);
+          incr fi
+        end
       done;
-      out.(w) <- !acc)
+      acc := !acc +. !product
+    done;
+    out.(w) <- !acc
+  in
+  run_box ?cancel ~cost:(dom + 1) ~extents:sym.ss_extents (fun () -> (element, ignore))
 
 type final_access = { fa_eval : int array -> int; fa_lo : int; fa_extent : int }
 
@@ -137,7 +139,9 @@ let forward g ~input ~weights =
   run_box
     ~cost:(Array.fold_left ( * ) 1 fsym.fs_red_doms + 1)
     ~extents:fsym.fs_out_doms
-    (final_element fsym g.accs
-       (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
-       (Tensor.unsafe_data out));
+    (fun () ->
+      ( final_element fsym g.accs
+          (Array.of_list (List.map (fun f -> Tensor.unsafe_data f.data) factors))
+          (Tensor.unsafe_data out) (),
+        ignore ));
   out

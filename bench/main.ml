@@ -458,6 +458,45 @@ let ablation () =
 
 (* --- Microbenchmarks --------------------------------------------------------- *)
 
+(* The first nest of [op]'s certified plan at [v], run alone, in ns per
+   multiply-add (outputs times reduction points, clipped ones included),
+   best of [runs] at pool size 1: the forward's per-nest cost without
+   the staging around it. *)
+let first_nest_ns ?(runs = 20) op v =
+  let module St = Lower.Staged_exec in
+  let st = St.compile op v in
+  let plan = (Analysis.Regions.of_staged st).Analysis.Regions.rc_plan in
+  let nest = (St.nests st plan).(0) in
+  let r = St.reference st in
+  let rng = Nd.Rng.create ~seed:17 in
+  let x = Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape r) in
+  let weights = Lower.Reference.init_weights r rng in
+  let factors = Array.of_list (St.initial_factors st ~input:x ~weights) in
+  let data f = Nd.Tensor.unsafe_data f.St.data in
+  let extents, points, datas =
+    match St.symbolic_plan st with
+    | sym :: _, _ ->
+        ( sym.St.ss_extents,
+          sym.St.ss_dom,
+          Array.map (fun i -> data factors.(i)) sym.St.ss_participating )
+    | [], fsym ->
+        (fsym.St.fs_out_doms, Array.fold_left ( * ) 1 fsym.St.fs_red_doms, Array.map data factors)
+  in
+  let volume = Array.fold_left ( * ) 1 extents in
+  let out = Array.make volume 0.0 in
+  let best = ref infinity in
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.set_default_domains (Par.Pool.num_domains ()))
+    (fun () ->
+      Par.Pool.set_default_domains 1;
+      for _ = 1 to runs do
+        Array.fill out 0 volume 0.0;
+        let t0 = Unix.gettimeofday () in
+        St.run_box ~cost:(points + 1) ~extents (Lower.Reference.forward_element nest datas out);
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      done);
+  !best *. 1e9 /. float_of_int (volume * points)
+
 let micro () =
   section "Microbenchmarks of the core machinery (Bechamel)";
   let open Bechamel in
@@ -535,7 +574,15 @@ let micro () =
         match Analyze.OLS.estimates est with Some [ t ] -> t | Some _ | None -> nan
       in
       Format.printf "  %-42s %12.1f ns/run@." name ns)
-    (List.sort compare rows)
+    (List.sort compare rows);
+  let kernel_v = Zoo.Vars.conv_valuation ~n:1 ~c_in:32 ~c_out:32 ~hw:28 ~k:3 ~g:2 ~s:2 () in
+  List.iter
+    (fun (name, (e : Zoo.entry)) ->
+      Format.printf "  %-42s %12.2f ns/multiply-add@." name (first_nest_ns e.Zoo.operator kernel_v))
+    [
+      ("kernel/conv2d final nest (c32 hw28)", Zoo.conv2d);
+      ("kernel/operator1 stage 1 (c32 hw28)", Zoo.operator1);
+    ]
 
 (* --- Parallel evaluation engine ---------------------------------------------- *)
 

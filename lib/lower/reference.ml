@@ -233,6 +233,65 @@ let expr_dim lookup ~out_ids ~red_ids ~env_size expr ~lo ~extent =
       let red = snd (strides eval ~env_size red_ids) in
       { kind = Residue; eval; const = 0; out = Array.make m 0; red; extent }
 
+(* Up to this many outputs with one box share a walk of it. *)
+let block = 4
+
+(* A walk's private scratch: per output, each checked or residue dim's
+   index and each factor's offset at the all-zero reduction point, and
+   the clipped box; a box's runs and outer steps; the pending block.
+   Nothing in it depends on the data, so a nest keeps one between
+   calls. *)
+type state = {
+  env : int array;
+  base : int array;
+  rlo : int array;
+  rext : int array;
+  act : int array;  (* the walked box's axes of extent above 1, outermost first *)
+  rv : int array;
+  coord : int array;
+  offs : int array;  (* per factor: its offset at the all-zero reduction point *)
+  woffs : int array;
+  zeros : int array;
+  last : int array;  (* per checked dim: its index at the last clip *)
+  mutable seen : bool;  (* [last], [rlo], [rext] and [verdict] are set *)
+  mutable verdict : clip;
+  mutable fresh : bool;  (* the last {!locate} clipped anew *)
+  mutable next : int;  (* the flat output after the last one located *)
+  step : int array;  (* per output axis [j], once [stepped.(j)]: each factor's offset *)
+  stepped : bool array;  (*   step and each checked dim's, at a step of [j] *)
+  mutable o : int;  (* the flat output being summed *)
+  (* The walk of one box ({!walk}): [n1] rows of [n0] points, a point
+     stepping factor 0 by [xs0] and the others by [st0], a row by [xs1]
+     and [st1], at each of [outer] steps of the axes outside the rows;
+     [xo] and [woffs] hold the offsets at the box's low corner, [wbase]
+     the others' while [woffs] steps. *)
+  mutable n0 : int;
+  mutable n1 : int;
+  mutable xs0 : int;
+  mutable xs1 : int;
+  mutable st0 : int array;
+  mutable st1 : int array;
+  mutable outer : int;
+  mutable xo : int;
+  wbase : int array;
+  (* The pending block: [nb] located [Inside] outputs whose box is
+     [blo, blo + bext), slot [i] being flat output [bo.(i)] with factor
+     0's offset [bx.(i)] and weight [q]'s [bw.(q * block + i)] at the
+     all-zero reduction point. *)
+  blo : int array;
+  bext : int array;
+  bo : int array;
+  bx : int array;
+  bw : int array;
+  mutable nb : int;
+  (* The extents [tab] of the last {!walk} once [walked], and its
+     outer steps. *)
+  tab : int array;
+  mutable walked : bool;
+  mutable ox : int array;
+  mutable ow : int array;
+}
+
 (* One contraction compiled: its factors' dims, factor-major, and what
    the per-output walk needs of them.  Factor 0 is summed against the
    others as [x] against weights [w_0 .. w_last]. *)
@@ -249,8 +308,6 @@ type nest = {
   nz_stride : int array;
   m : int;  (* output axes *)
   f_const : int array;  (* per factor: its offset at all-zero iterators *)
-  f_last : int array;  (* per factor: its offset step along the innermost output axis *)
-  c_last : int array;  (* per checked dim: its index step along that axis *)
   fz_factor : int array;  (* the non-zero output strides of the factors' *)
   fz_axis : int array;  (*   affine parts: factor, output axis and stride *)
   fz_stride : int array;
@@ -266,6 +323,7 @@ type nest = {
   clipper : clipper;
   x_steps : int array;  (* per reduction axis: factor 0's offset step *)
   w_steps : int array array;  (* per reduction axis: each other factor's offset step *)
+  spare : state option Atomic.t;  (* a forward's scratch, kept for the next call *)
 }
 
 let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
@@ -331,11 +389,6 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
     f_const =
       Array.init (Array.length factors) (fun f ->
           sum_over f (fun d dim -> if affine d then dim.const * fstride.(d) else 0));
-    f_last = Array.map (fun row -> if m = 0 then 0 else row.(m - 1)) f_out;
-    c_last =
-      Array.map
-        (fun d -> if m = 0 || not (affine d) then 0 else dims.(d).out.(m - 1))
-        (indices checked);
     fz_factor = pick fz (fun (f, _, _) -> f);
     fz_axis = pick fz (fun (_, a, _) -> a);
     fz_stride = pick fz (fun (_, _, s) -> s);
@@ -353,33 +406,14 @@ let nest ~out_ids ~red_ids ~red_doms ~env_size factors ~clips =
         (Array.mapi (fun i d -> if checked i then Some d.red else None) dims);
     x_steps = Array.init k (fun j -> step j 0);
     w_steps = Array.init k (fun j -> Array.init n_w (fun q -> step j (q + 1)));
+    spare = Atomic.make None;
   }
 
 let exact n = (not n.any_closure) && Array.length n.clipper.cl_others = 0
 
-(* A walk's private scratch: per output, each checked or residue dim's
-   index and each factor's offset at the all-zero reduction point, and
-   the clipped box; the odometers' state. *)
-type state = {
-  env : int array;
-  base : int array;
-  rlo : int array;
-  rext : int array;
-  act : int array;
-  rv : int array;
-  coord : int array;
-  offs : int array;  (* per factor: its offset at the all-zero reduction point *)
-  woffs : int array;
-  zeros : int array;
-  last : int array;  (* per checked dim: its index at the last clip *)
-  mutable seen : bool;  (* [last], [rlo], [rext] and [verdict] are set *)
-  mutable verdict : clip;
-  mutable next : int;  (* the flat output after the last one located *)
-  mutable o : int;  (* the flat output being summed *)
-}
-
 let state n =
   let nd = Array.length n.dims and k = Array.length n.red_doms and n_w = n.n_factors - 1 in
+  let zeros = Array.make (max 0 n_w) 0 in
   {
     env = Array.make (max 1 n.env_size) 0;
     base = Array.make nd 0;
@@ -390,46 +424,96 @@ let state n =
     coord = Array.make nd 0;
     offs = Array.make n.n_factors 0;
     woffs = Array.make (max 0 n_w) 0;
-    zeros = Array.make (max 0 n_w) 0;
+    zeros;
     last = Array.make (Array.length n.checked) 0;
     seen = false;
     verdict = Inside;
+    fresh = true;
     next = -1;
+    step = Array.make (n.m * (n.n_factors + Array.length n.checked)) 0;
+    stepped = Array.make n.m false;
     o = 0;
+    n0 = 1;
+    n1 = 1;
+    xs0 = 0;
+    xs1 = 0;
+    st0 = zeros;
+    st1 = zeros;
+    outer = 1;
+    xo = 0;
+    wbase = Array.make (max 0 n_w) 0;
+    blo = Array.make k 0;
+    bext = Array.make k 0;
+    bo = Array.make block 0;
+    bx = Array.make block 0;
+    bw = Array.make (max 0 n_w * block) 0;
+    nb = 0;
+    tab = Array.make k 0;
+    walked = false;
+    ox = [||];
+    ow = [||];
   }
 
 (* The output at [pos]: each checked dim's index and each factor's
    offset at the all-zero reduction point, then its box clipped
    ({!clip}).  Only residue dims, and closure dims later, read [env]. *)
 let locate n s pos w =
-  let base = s.base and offs = s.offs in
-  let last = n.m - 1 in
-  if w = s.next && last >= 0 && pos.(last) > 0 && Array.length n.env_dims = 0 then begin
-    (* One step along the innermost output axis from the last output. *)
-    for f = 0 to Array.length offs - 1 do
-      offs.(f) <- offs.(f) + n.f_last.(f)
+  let base = s.base and offs = s.offs and nf = n.n_factors and checked = n.checked in
+  let width = nf + Array.length checked in
+  (* From the last output, [pos] stepped axis [j] and reset the axes
+     after it: a step that depends on [j] alone. *)
+  let j = ref (-1) in
+  if w = s.next && Array.length n.env_dims = 0 then begin
+    j := n.m - 1;
+    while !j >= 0 && pos.(!j) = 0 do
+      decr j
+    done
+  end;
+  let j = !j in
+  if j >= 0 && s.stepped.(j) then begin
+    let row = j * width in
+    for f = 0 to nf - 1 do
+      offs.(f) <- offs.(f) + s.step.(row + f)
     done;
-    for i = 0 to Array.length n.checked - 1 do
-      let d = n.checked.(i) in
-      base.(d) <- base.(d) + n.c_last.(i)
+    for i = 0 to Array.length checked - 1 do
+      let d = checked.(i) in
+      base.(d) <- base.(d) + s.step.(row + nf + i)
     done
   end
   else begin
-    for f = 0 to Array.length offs - 1 do
+    let row = j * width in
+    if j >= 0 then begin
+      for f = 0 to nf - 1 do
+        s.step.(row + f) <- -offs.(f)
+      done;
+      for i = 0 to Array.length checked - 1 do
+        s.step.(row + nf + i) <- -base.(checked.(i))
+      done
+    end;
+    for f = 0 to nf - 1 do
       offs.(f) <- n.f_const.(f)
     done;
     for t = 0 to Array.length n.fz_factor - 1 do
       let f = n.fz_factor.(t) in
       offs.(f) <- offs.(f) + (n.fz_stride.(t) * pos.(n.fz_axis.(t)))
     done;
-    for i = 0 to Array.length n.checked - 1 do
-      let d = n.checked.(i) in
+    for i = 0 to Array.length checked - 1 do
+      let d = checked.(i) in
       base.(d) <- n.consts.(d)
     done;
     for t = 0 to Array.length n.nz_dim - 1 do
       let d = n.nz_dim.(t) in
       base.(d) <- base.(d) + (n.nz_stride.(t) * pos.(n.nz_axis.(t)))
-    done
+    done;
+    if j >= 0 then begin
+      for f = 0 to nf - 1 do
+        s.step.(row + f) <- s.step.(row + f) + offs.(f)
+      done;
+      for i = 0 to Array.length checked - 1 do
+        s.step.(row + nf + i) <- s.step.(row + nf + i) + base.(checked.(i))
+      done;
+      s.stepped.(j) <- true
+    end
   end;
   s.next <- w + 1;
   if n.any_closure || Array.length n.env_dims > 0 then begin
@@ -453,93 +537,138 @@ let locate n s pos w =
       s.last.(i) <- base.(d)
     end
   done;
+  s.fresh <- not !same;
   if not !same then begin
     s.verdict <- clip n.clipper base ~lo:s.rlo ~ext:s.rext;
     s.seen <- true
   end;
   s.verdict
 
-(* Each factor's offset at the reduction point [rlo]: factor 0's
-   returned, the others' written to [woffs].  A closure dim adds nothing
-   here; [guarded] adds it per point. *)
-let origin n s rlo =
-  let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
-  let woffs = s.woffs in
-  let xo = ref s.offs.(0) in
+(* Each factor's offset step from the all-zero reduction point to [lo]:
+   factor 0's in [xo], the others' in [woffs]. *)
+let corner n s lo =
+  let n_w = n.n_factors - 1 and woffs = s.woffs in
+  s.xo <- 0;
   for q = 0 to n_w - 1 do
-    woffs.(q) <- s.offs.(q + 1)
+    woffs.(q) <- 0
   done;
-  for j = 0 to k - 1 do
-    let r = rlo.(j) in
+  for j = 0 to Array.length lo - 1 do
+    let r = lo.(j) in
     if r <> 0 then begin
-      xo := !xo + (r * n.x_steps.(j));
+      s.xo <- s.xo + (r * n.x_steps.(j));
       for q = 0 to n_w - 1 do
         woffs.(q) <- woffs.(q) + (r * n.w_steps.(j).(q))
       done
     end
-  done;
-  !xo
+  done
 
-(* The unchecked nest over the box [rlo, rlo + rext):
-   [inner xo n1 xs1 n0 xs0 st1 st0] runs the two innermost axes, [n1]
-   rows of [n0] points from factor 0's offset [xo] and the other
-   factors' offsets [woffs]; a point steps factor 0 by [xs0] and the
-   others by [st0], a row by [xs1] and [st1].  The axes outside them
-   step an odometer over the running offsets, a carry takes back
-   [extent * stride]. *)
-let interior n s inner =
-  let n_w = n.n_factors - 1 and k = Array.length n.red_doms in
-  let rext = s.rext and rv = s.rv and woffs = s.woffs in
-  let xo = ref (origin n s s.rlo) in
-  if k = 1 then begin
-    (* One reduction axis, one run: every stage nest. *)
-    let n0 = match !armed with Some Short_run -> rext.(0) - 1 | _ -> rext.(0) in
-    inner !xo 1 0 n0 n.x_steps.(0) s.zeros n.w_steps.(0)
-  end
-  else
-  (* An axis of extent 1 takes no step, so only the others are walked:
-     the inner two of them as the runs, the rest by the odometer. *)
-  let act = s.act and na = ref 0 in
-  for j = 0 to k - 1 do
-    if rext.(j) > 1 then begin
-      act.(!na) <- j;
-      incr na
-    end
+(* Each factor's offset at the located output's reduction point [lo]:
+   factor 0's in [xo], the others' in [woffs].  A closure dim adds
+   nothing here; [guarded] adds it per point. *)
+let origin n s lo =
+  corner n s lo;
+  s.xo <- s.xo + s.offs.(0);
+  for q = 0 to n.n_factors - 2 do
+    s.woffs.(q) <- s.woffs.(q) + s.offs.(q + 1)
+  done
+
+(* The walk of a box of extents [ext] into [s]'s run fields, kept while
+   the next box has the same extents: an axis of extent 1 takes no
+   step, so only the others are walked, the inner two as rows of runs
+   and the rest, the outer axes, unrolled in row-major order into a
+   table: for each outer step [t], factor 0's offset from the box's low
+   corner in [ox.(t)] and weight [q]'s in [ow.(q * outer + t)]. *)
+let walk n s ext =
+  let same = ref s.walked and j = ref 0 in
+  while !same && !j < Array.length ext do
+    same := ext.(!j) = s.tab.(!j);
+    incr j
   done;
-  let na = !na in
-  let j0 = if na >= 1 then act.(na - 1) else -1 and j1 = if na >= 2 then act.(na - 2) else -1 in
-  let n0 = if j0 >= 0 then rext.(j0) else 1 and n1 = if j1 >= 0 then rext.(j1) else 1 in
-  let n0 = match !armed with Some Short_run -> n0 - 1 | _ -> n0 in
-  let xs0 = if j0 >= 0 then n.x_steps.(j0) else 0 and xs1 = if j1 >= 0 then n.x_steps.(j1) else 0 in
-  let st0 = if j0 >= 0 then n.w_steps.(j0) else s.zeros in
-  let st1 = if j1 >= 0 then n.w_steps.(j1) else s.zeros in
-  if na <= 2 then inner !xo n1 xs1 n0 xs0 st1 st0
-  else begin
+  if not !same then begin
+    let act = s.act and na = ref 0 in
+    for j = 0 to Array.length ext - 1 do
+      if ext.(j) > 1 then begin
+        act.(!na) <- j;
+        incr na
+      end
+    done;
+    let na = !na in
+    let j0 = if na >= 1 then act.(na - 1) else -1 and j1 = if na >= 2 then act.(na - 2) else -1 in
+    let n0 = if j0 >= 0 then ext.(j0) else 1 in
+    s.n0 <- (match !armed with Some Short_run -> n0 - 1 | _ -> n0);
+    s.n1 <- (if j1 >= 0 then ext.(j1) else 1);
+    s.xs0 <- (if j0 >= 0 then n.x_steps.(j0) else 0);
+    s.xs1 <- (if j1 >= 0 then n.x_steps.(j1) else 0);
+    s.st0 <- (if j0 >= 0 then n.w_steps.(j0) else s.zeros);
+    s.st1 <- (if j1 >= 0 then n.w_steps.(j1) else s.zeros);
     let outer = ref 1 in
     for i = 0 to na - 3 do
-      outer := !outer * rext.(act.(i))
+      outer := !outer * ext.(act.(i))
     done;
-    for _ = 1 to !outer do
-      inner !xo n1 xs1 n0 xs0 st1 st0;
+    let outer = !outer and n_w = n.n_factors - 1 in
+    s.outer <- outer;
+    if Array.length s.ox < outer then begin
+      s.ox <- Array.make outer 0;
+      s.ow <- Array.make (n_w * outer) 0
+    end;
+    (* An odometer over the outer axes, from the all-zero point, where
+       [rv] rests, back to it; [wbase] holds the running weight
+       offsets. *)
+    let rv = s.rv and wb = s.wbase and x = ref 0 in
+    for q = 0 to n_w - 1 do
+      wb.(q) <- 0
+    done;
+    for t = 0 to outer - 1 do
+      s.ox.(t) <- !x;
+      for q = 0 to n_w - 1 do
+        s.ow.((q * outer) + t) <- wb.(q)
+      done;
       let a = ref (na - 3) in
       while !a >= 0 do
         let ax = act.(!a) in
-        let ws = n.w_steps.(ax) in
+        let ws = n.w_steps.(ax) and e = ext.(ax) in
         rv.(ax) <- rv.(ax) + 1;
-        xo := !xo + n.x_steps.(ax);
+        x := !x + n.x_steps.(ax);
         for q = 0 to n_w - 1 do
-          woffs.(q) <- woffs.(q) + ws.(q)
+          wb.(q) <- wb.(q) + ws.(q)
         done;
-        if rv.(ax) < rext.(ax) then a := -1
+        if rv.(ax) < e then a := -1
         else begin
           rv.(ax) <- 0;
-          xo := !xo - (rext.(ax) * n.x_steps.(ax));
+          x := !x - (e * n.x_steps.(ax));
           for q = 0 to n_w - 1 do
-            woffs.(q) <- woffs.(q) - (rext.(ax) * ws.(q))
+            wb.(q) <- wb.(q) - (e * ws.(q))
           done;
           decr a
         end
       done
+    done;
+    for j = 0 to Array.length ext - 1 do
+      s.tab.(j) <- ext.(j)
+    done;
+    s.walked <- true
+  end
+
+(* The unchecked nest over the box of the last {!walk} from factor 0's
+   offset [s.xo] and the others' [s.woffs] at its low corner:
+   [inner xo n1 xs1 n0 xs0 st1 st0] runs the two innermost axes, [n1]
+   rows of [n0] points from factor 0's offset [xo] and the other
+   factors' offsets [woffs], once per outer step. *)
+let interior n s inner =
+  let outer = s.outer in
+  if outer = 1 then inner s.xo s.n1 s.xs1 s.n0 s.xs0 s.st1 s.st0
+  else begin
+    let n_w = n.n_factors - 1 and woffs = s.woffs and wbase = s.wbase and x0 = s.xo in
+    let n1 = s.n1 and xs1 = s.xs1 and n0 = s.n0 and xs0 = s.xs0 and st1 = s.st1 and st0 = s.st0 in
+    let ox = s.ox and ow = s.ow in
+    for q = 0 to n_w - 1 do
+      wbase.(q) <- woffs.(q)
+    done;
+    for t = 0 to outer - 1 do
+      for q = 0 to n_w - 1 do
+        woffs.(q) <- wbase.(q) + ow.((q * outer) + t)
+      done;
+      inner (x0 + ox.(t)) n1 xs1 n0 xs0 st1 st0
     done
   end
 
@@ -555,7 +684,8 @@ let guarded n s point =
   let checked = n.checked and closures = n.closures in
   Array.blit s.base 0 coord 0 (Array.length coord);
   (* The odometer rests at the all-zero point between walks. *)
-  let xo = ref (origin n s rv) in
+  origin n s rv;
+  let xo = ref s.xo in
   for _ = 1 to n.red_total do
     let inside = ref true and i = ref 0 in
     while !inside && !i < Array.length checked do
@@ -630,7 +760,10 @@ let run_output n s ~inner ~guarded pos w =
   s.o <- w;
   match locate n s pos w with
   | Empty -> ()
-  | Inside when not n.any_closure -> interior n s inner
+  | Inside when not n.any_closure ->
+      walk n s s.rext;
+      origin n s s.rlo;
+      interior n s inner
   | Inside | Partial -> guarded ()
 
 (* [f pos w] for every position [pos] of a box of dims [shape], in
@@ -798,12 +931,209 @@ let fwd_n od o xd ~n1 ~xs1 ~n0 ~xs0 xo (wd : float array array) offs ~st1 ~st0 =
   done;
   od.(o) <- !acc
 
+(* The blocked kernels: one walk of the pending block's box, its rows
+   and outer steps from {!walk}, summing its four outputs at once, for
+   0, 1 and 2 weight factors.  Slot [i] keeps its own accumulator, from
+   its own output's [+0.0], and its own offsets ([x_i], [a_i], [b_i]),
+   to which the walk's offsets from the box's low corner are added; it
+   adds the points in the order the per-output runs do, and forms the
+   same products, so its sum is theirs bit for bit.  A slot padded with
+   a copy of the last one writes that output's sum twice.  No call
+   inside, so the accumulators stay in registers. *)
+let blk0 s od xd =
+  let x0 = s.bx.(0) and x1 = s.bx.(1) and x2 = s.bx.(2) and x3 = s.bx.(3) in
+  let n0 = s.n0 and n1 = s.n1 and xs0 = s.xs0 and xs1 = s.xs1 and ox = s.ox and cx = s.xo in
+  let c0 = ref od.(s.bo.(0)) and c1 = ref od.(s.bo.(1)) in
+  let c2 = ref od.(s.bo.(2)) and c3 = ref od.(s.bo.(3)) in
+  for t = 0 to s.outer - 1 do
+    for r1 = 0 to n1 - 1 do
+      let rx = cx + Array.unsafe_get ox t + (r1 * xs1) in
+      let p0 = ref (x0 + rx) and p1 = ref (x1 + rx) and p2 = ref (x2 + rx) and p3 = ref (x3 + rx) in
+      for _ = 1 to n0 do
+        c0 := !c0 +. Array.unsafe_get xd !p0;
+        c1 := !c1 +. Array.unsafe_get xd !p1;
+        c2 := !c2 +. Array.unsafe_get xd !p2;
+        c3 := !c3 +. Array.unsafe_get xd !p3;
+        p0 := !p0 + xs0;
+        p1 := !p1 + xs0;
+        p2 := !p2 + xs0;
+        p3 := !p3 + xs0
+      done
+    done
+  done;
+  od.(s.bo.(0)) <- !c0;
+  od.(s.bo.(1)) <- !c1;
+  od.(s.bo.(2)) <- !c2;
+  od.(s.bo.(3)) <- !c3
+
+let blk1 s od xd w0 =
+  let x0 = s.bx.(0) and x1 = s.bx.(1) and x2 = s.bx.(2) and x3 = s.bx.(3) in
+  let a0 = s.bw.(0) and a1 = s.bw.(1) and a2 = s.bw.(2) and a3 = s.bw.(3) in
+  let n0 = s.n0 and n1 = s.n1 and xs0 = s.xs0 and xs1 = s.xs1 in
+  let s00 = s.st0.(0) and s01 = s.st1.(0) and ox = s.ox and ow = s.ow in
+  let cx = s.xo and ca = s.woffs.(0) in
+  let c0 = ref od.(s.bo.(0)) and c1 = ref od.(s.bo.(1)) in
+  let c2 = ref od.(s.bo.(2)) and c3 = ref od.(s.bo.(3)) in
+  for t = 0 to s.outer - 1 do
+    for r1 = 0 to n1 - 1 do
+      let rx = cx + Array.unsafe_get ox t + (r1 * xs1) in
+      let ra = ca + Array.unsafe_get ow t + (r1 * s01) in
+      let p0 = ref (x0 + rx) and p1 = ref (x1 + rx) and p2 = ref (x2 + rx) and p3 = ref (x3 + rx) in
+      let q0 = ref (a0 + ra) and q1 = ref (a1 + ra) and q2 = ref (a2 + ra) and q3 = ref (a3 + ra) in
+      for _ = 1 to n0 do
+        c0 := !c0 +. (Array.unsafe_get xd !p0 *. Array.unsafe_get w0 !q0);
+        c1 := !c1 +. (Array.unsafe_get xd !p1 *. Array.unsafe_get w0 !q1);
+        c2 := !c2 +. (Array.unsafe_get xd !p2 *. Array.unsafe_get w0 !q2);
+        c3 := !c3 +. (Array.unsafe_get xd !p3 *. Array.unsafe_get w0 !q3);
+        p0 := !p0 + xs0;
+        p1 := !p1 + xs0;
+        p2 := !p2 + xs0;
+        p3 := !p3 + xs0;
+        q0 := !q0 + s00;
+        q1 := !q1 + s00;
+        q2 := !q2 + s00;
+        q3 := !q3 + s00
+      done
+    done
+  done;
+  od.(s.bo.(0)) <- !c0;
+  od.(s.bo.(1)) <- !c1;
+  od.(s.bo.(2)) <- !c2;
+  od.(s.bo.(3)) <- !c3
+
+(* [blk1] where the four slots read one weight element per point (the
+   outputs of a row of a convolution) or one input element (the outputs
+   along a weight-only axis): one load of it per point. *)
+let blk1_one_w s od xd w0 =
+  let x0 = s.bx.(0) and x1 = s.bx.(1) and x2 = s.bx.(2) and x3 = s.bx.(3) and a0 = s.bw.(0) in
+  let n0 = s.n0 and n1 = s.n1 and xs0 = s.xs0 and xs1 = s.xs1 in
+  let s00 = s.st0.(0) and s01 = s.st1.(0) and ox = s.ox and ow = s.ow in
+  let cx = s.xo and ca = s.woffs.(0) in
+  let c0 = ref od.(s.bo.(0)) and c1 = ref od.(s.bo.(1)) in
+  let c2 = ref od.(s.bo.(2)) and c3 = ref od.(s.bo.(3)) in
+  for t = 0 to s.outer - 1 do
+    for r1 = 0 to n1 - 1 do
+      let rx = cx + Array.unsafe_get ox t + (r1 * xs1) in
+      let p0 = ref (x0 + rx) and p1 = ref (x1 + rx) and p2 = ref (x2 + rx) and p3 = ref (x3 + rx) in
+      let q = ref (a0 + ca + Array.unsafe_get ow t + (r1 * s01)) in
+      for _ = 1 to n0 do
+        let v = Array.unsafe_get w0 !q in
+        c0 := !c0 +. (Array.unsafe_get xd !p0 *. v);
+        c1 := !c1 +. (Array.unsafe_get xd !p1 *. v);
+        c2 := !c2 +. (Array.unsafe_get xd !p2 *. v);
+        c3 := !c3 +. (Array.unsafe_get xd !p3 *. v);
+        p0 := !p0 + xs0;
+        p1 := !p1 + xs0;
+        p2 := !p2 + xs0;
+        p3 := !p3 + xs0;
+        q := !q + s00
+      done
+    done
+  done;
+  od.(s.bo.(0)) <- !c0;
+  od.(s.bo.(1)) <- !c1;
+  od.(s.bo.(2)) <- !c2;
+  od.(s.bo.(3)) <- !c3
+
+let blk1_one_x s od xd w0 =
+  let x0 = s.bx.(0) and a0 = s.bw.(0) and a1 = s.bw.(1) and a2 = s.bw.(2) and a3 = s.bw.(3) in
+  let n0 = s.n0 and n1 = s.n1 and xs0 = s.xs0 and xs1 = s.xs1 in
+  let s00 = s.st0.(0) and s01 = s.st1.(0) and ox = s.ox and ow = s.ow in
+  let cx = s.xo and ca = s.woffs.(0) in
+  let c0 = ref od.(s.bo.(0)) and c1 = ref od.(s.bo.(1)) in
+  let c2 = ref od.(s.bo.(2)) and c3 = ref od.(s.bo.(3)) in
+  for t = 0 to s.outer - 1 do
+    for r1 = 0 to n1 - 1 do
+      let ra = ca + Array.unsafe_get ow t + (r1 * s01) in
+      let p = ref (x0 + cx + Array.unsafe_get ox t + (r1 * xs1)) in
+      let q0 = ref (a0 + ra) and q1 = ref (a1 + ra) and q2 = ref (a2 + ra) and q3 = ref (a3 + ra) in
+      for _ = 1 to n0 do
+        let v = Array.unsafe_get xd !p in
+        c0 := !c0 +. (v *. Array.unsafe_get w0 !q0);
+        c1 := !c1 +. (v *. Array.unsafe_get w0 !q1);
+        c2 := !c2 +. (v *. Array.unsafe_get w0 !q2);
+        c3 := !c3 +. (v *. Array.unsafe_get w0 !q3);
+        p := !p + xs0;
+        q0 := !q0 + s00;
+        q1 := !q1 + s00;
+        q2 := !q2 + s00;
+        q3 := !q3 + s00
+      done
+    done
+  done;
+  od.(s.bo.(0)) <- !c0;
+  od.(s.bo.(1)) <- !c1;
+  od.(s.bo.(2)) <- !c2;
+  od.(s.bo.(3)) <- !c3
+
+let blk2 s od xd w0 w1 =
+  let x0 = s.bx.(0) and x1 = s.bx.(1) and x2 = s.bx.(2) and x3 = s.bx.(3) in
+  let a0 = s.bw.(0) and a1 = s.bw.(1) and a2 = s.bw.(2) and a3 = s.bw.(3) in
+  let b0 = s.bw.(block) and b1 = s.bw.(block + 1) in
+  let b2 = s.bw.(block + 2) and b3 = s.bw.(block + 3) in
+  let n0 = s.n0 and n1 = s.n1 and xs0 = s.xs0 and xs1 = s.xs1 in
+  let s00 = s.st0.(0) and s01 = s.st1.(0) and s10 = s.st0.(1) and s11 = s.st1.(1) in
+  let outer = s.outer and ox = s.ox and ow = s.ow in
+  let cx = s.xo and ca = s.woffs.(0) and cb = s.woffs.(1) in
+  let c0 = ref od.(s.bo.(0)) and c1 = ref od.(s.bo.(1)) in
+  let c2 = ref od.(s.bo.(2)) and c3 = ref od.(s.bo.(3)) in
+  for t = 0 to outer - 1 do
+    for r1 = 0 to n1 - 1 do
+      let rx = cx + Array.unsafe_get ox t + (r1 * xs1) in
+      let ra = ca + Array.unsafe_get ow t + (r1 * s01) in
+      let rb = cb + Array.unsafe_get ow (outer + t) + (r1 * s11) in
+      let p0 = ref (x0 + rx) and p1 = ref (x1 + rx) and p2 = ref (x2 + rx) and p3 = ref (x3 + rx) in
+      let q0 = ref (a0 + ra) and q1 = ref (a1 + ra) and q2 = ref (a2 + ra) and q3 = ref (a3 + ra) in
+      let u0 = ref (b0 + rb) and u1 = ref (b1 + rb) and u2 = ref (b2 + rb) and u3 = ref (b3 + rb) in
+      for _ = 1 to n0 do
+        c0 := !c0 +. (Array.unsafe_get xd !p0 *. Array.unsafe_get w0 !q0 *. Array.unsafe_get w1 !u0);
+        c1 := !c1 +. (Array.unsafe_get xd !p1 *. Array.unsafe_get w0 !q1 *. Array.unsafe_get w1 !u1);
+        c2 := !c2 +. (Array.unsafe_get xd !p2 *. Array.unsafe_get w0 !q2 *. Array.unsafe_get w1 !u2);
+        c3 := !c3 +. (Array.unsafe_get xd !p3 *. Array.unsafe_get w0 !q3 *. Array.unsafe_get w1 !u3);
+        p0 := !p0 + xs0;
+        p1 := !p1 + xs0;
+        p2 := !p2 + xs0;
+        p3 := !p3 + xs0;
+        q0 := !q0 + s00;
+        q1 := !q1 + s00;
+        q2 := !q2 + s00;
+        q3 := !q3 + s00;
+        u0 := !u0 + s10;
+        u1 := !u1 + s10;
+        u2 := !u2 + s10;
+        u3 := !u3 + s10
+      done
+    done
+  done;
+  od.(s.bo.(0)) <- !c0;
+  od.(s.bo.(1)) <- !c1;
+  od.(s.bo.(2)) <- !c2;
+  od.(s.bo.(3)) <- !c3
+
+let same_box s =
+  let same = ref true and j = ref 0 in
+  while !same && !j < Array.length s.rlo do
+    same := s.rlo.(!j) = s.blo.(!j) && s.rext.(!j) = s.bext.(!j);
+    incr j
+  done;
+  !same
+
 let forward_element n datas out () =
-  let s = state n in
+  (* The nest's spare scratch if no other range holds it: what it caches
+     holds for any call of the nest, but its walk is worked out again,
+     since a mutant may have been armed since. *)
+  let s =
+    match Atomic.exchange n.spare None with
+    | Some s ->
+        s.walked <- false;
+        s
+    | None -> state n
+  in
   let xd = datas.(0) and wd = Array.sub datas 1 (Array.length datas - 1) in
+  let n_w = Array.length wd in
   let woffs = s.woffs in
   let inner =
-    match Array.length wd with
+    match n_w with
     | 1 ->
         let w0 = wd.(0) in
         fun xo n1 xs1 n0 xs0 st1 st0 ->
@@ -817,13 +1147,76 @@ let forward_element n datas out () =
   in
   let point x =
     let v = ref xd.(x) in
-    for q = 0 to Array.length wd - 1 do
+    for q = 0 to n_w - 1 do
       v := !v *. wd.(q).(woffs.(q))
     done;
     out.(s.o) <- out.(s.o) +. !v
   in
   let guarded () = guarded n s point in
-  fun pos w -> run_output n s ~inner ~guarded pos w
+  (* The pending block, walked once: a lone output runs the per-output
+     path, two or three are padded with copies of the last. *)
+  let flush () =
+    let nb = s.nb in
+    if nb > 0 then begin
+      s.nb <- 0;
+      walk n s s.bext;
+      corner n s s.blo;
+      if nb = 1 then begin
+        s.o <- s.bo.(0);
+        s.xo <- s.xo + s.bx.(0);
+        for q = 0 to n_w - 1 do
+          woffs.(q) <- woffs.(q) + s.bw.(q * block)
+        done;
+        interior n s inner
+      end
+      else begin
+        for i = nb to block - 1 do
+          s.bo.(i) <- s.bo.(nb - 1);
+          s.bx.(i) <- s.bx.(nb - 1);
+          for q = 0 to n_w - 1 do
+            s.bw.((q * block) + i) <- s.bw.((q * block) + nb - 1)
+          done
+        done;
+        match n_w with
+        | 0 -> blk0 s out xd
+        | 1 ->
+            let one a = a.(0) = a.(1) && a.(1) = a.(2) && a.(2) = a.(3) in
+            if one s.bw then blk1_one_w s out xd wd.(0)
+            else if one s.bx then blk1_one_x s out xd wd.(0)
+            else blk1 s out xd wd.(0)
+        | _ -> blk2 s out xd wd.(0) wd.(1)
+      end
+    end
+  in
+  let element =
+    if n.any_closure || n_w > 2 then run_output n s ~inner ~guarded
+    else fun pos w ->
+      s.o <- w;
+      match locate n s pos w with
+      | Empty -> ()
+      | Inside ->
+          (* A box clipped anew may differ from the block's. *)
+          if s.nb > 0 && s.fresh && not (same_box s) then flush ();
+          let i = s.nb in
+          if i = 0 then
+            for j = 0 to Array.length s.rlo - 1 do
+              s.blo.(j) <- s.rlo.(j);
+              s.bext.(j) <- s.rext.(j)
+            done;
+          s.bo.(i) <- w;
+          s.bx.(i) <- s.offs.(0);
+          for q = 0 to n_w - 1 do
+            s.bw.((q * block) + i) <- s.offs.(q + 1)
+          done;
+          s.nb <- i + 1;
+          if i + 1 = block then flush ()
+      | Partial -> guarded ()
+  in
+  let finish () =
+    flush ();
+    Atomic.set n.spare (Some s)
+  in
+  (element, finish)
 
 (* Compiled once by {!compile}; see the interface for the contract. *)
 let forward t ~input ~weights =
@@ -831,9 +1224,11 @@ let forward t ~input ~weights =
     ~weights;
   let out = Tensor.create t.out_shape in
   let datas = Array.of_list (List.map Tensor.unsafe_data (input :: weights)) in
-  if t.nest.red_total > 0 then
-    each_position t.out_shape
-      (forward_element t.nest datas (Tensor.unsafe_data out) ());
+  if t.nest.red_total > 0 then begin
+    let element, finish = forward_element t.nest datas (Tensor.unsafe_data out) () in
+    each_position t.out_shape element;
+    finish ()
+  end;
   out
 
 (* --- Backward ------------------------------------------------------------------ *)

@@ -40,7 +40,22 @@ val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
     (axes of extent 1 skipped, the inner two as rows of runs,
     specialized for 2 and 3 factors with a general fallback).  An
     unlisted dim is read unchecked, so a dim may be left out only where
-    it is proved in-window over the whole box. *)
+    it is proved in-window over the whole box.
+
+    The forward runs such boxes in blocks: up to four consecutive
+    outputs of one range whose boxes clip exactly alike walk that box
+    once, with four accumulators (kernels for 1, 2 and 3 factors, and
+    for one weight element or one input element shared by the four).
+    Each output keeps its own factor offsets, so a block may cross a
+    row end; the walk covers every axis of the box in one call (the
+    inner two as runs, the rest from the odometer unrolled once per box
+    extents).  A lone output, an output that is not [Inside], and any
+    output of a nest with a closure dim or of 4 or more factors take
+    the per-output path.  The bits do not move: each output still sums
+    from its own [+0.0], over the same points in the same row-major
+    order, the same products in the same association
+    ([x *. w0 *. w1]), and an output's sum never depends on another's.  The backward stays per output: its
+    scatter into shared gradients is ordered across outputs. *)
 
 type dim
 (** One factor dim, compiled. *)
@@ -86,17 +101,25 @@ val exact : nest -> bool
     output runs the nest's guarded odometer. *)
 
 val forward_element :
-  nest -> float array array -> float array -> unit -> int array -> int -> unit
-(** [forward_element n datas out ()] builds, with its own scratch, the
-    per-output body [element pos w] of the forward over the factors'
-    data [datas]: it adds, to [out.(w)] (which must hold [+0.0]), each
-    reduction point of output [pos]'s clipped box in row-major order,
-    the product built from factor 0's value in factor order.  An output
-    the clip cannot bound exactly, or any output of a nest with a
+  nest -> float array array -> float array -> unit -> (int array -> int -> unit) * (unit -> unit)
+(** [forward_element n datas out ()] is the forward over the factors'
+    data [datas] as a per-output body [element pos w] and a [finish ()]
+    that ends the range: output [w] at [pos] gets, added to [out.(w)]
+    (which must hold [+0.0]), each reduction point of its clipped box in
+    row-major order, the product built from factor 0's value in factor
+    order.  [element] may defer an output to a block it walks with later
+    ones (see the nest above); [finish ()] runs what is pending, so it
+    must follow the last [element] of a range, before [out] is read.  An
+    output the clip cannot bound exactly, or any output of a nest with a
     closure dim, runs the nest's guarded odometer, which visits the
-    whole box and skips the points where a listed dim leaves its
-    window.  A clipped point adds nothing, whatever the factors hold.
-    Allocates nothing per output. *)
+    whole box and skips the points where a listed dim leaves its window.
+    A clipped point adds nothing, whatever the factors hold.
+
+    The scratch is the nest's, kept from its last call ([finish] hands
+    it back), or its own when another range holds that one: it allocates
+    nothing per output, and nothing per call once the nest has run.
+    The scratch learns each output axis's offset step, so every call on
+    one nest must cover outputs of the same extents. *)
 
 (** {2 Seeded mutants}
 

@@ -161,8 +161,9 @@ let poll cancel = Option.iter Robust.Cancel.check cancel
 
 (* The one box driver: [element pos w] for every position [pos] of a
    nest with the given [extents], where [w] is [pos]'s row-major
-   offset.  [make] builds one element closure, with its own private
-   scratch, per range run; each element writes only its own output
+   offset, then [finish ()].  [make] builds one [(element, finish)]
+   pair, with private scratch, per range run, so work an element defers
+   never crosses a range; each element writes only its own output
    cell, so results are bit-identical at any pool size.  A range
    decodes its first position once and then steps [pos] and [w] with a
    carry, so an element must not write [pos].  Sequential runs poll
@@ -172,7 +173,7 @@ let run_box ?cancel ~cost ~extents make =
   let n = Array.length extents in
   let volume = Array.fold_left ( * ) 1 extents in
   let range ~polled first last =
-    let element = make () in
+    let element, finish = make () in
     let pos = Array.make (max 1 n) 0 in
     if first < last then begin
       let rem = ref first in
@@ -194,7 +195,8 @@ let run_box ?cancel ~cost ~extents make =
           decr i
         end
       done
-    done
+    done;
+    finish ()
   in
   let pool = Par.Pool.get_default () in
   if volume * cost >= par_threshold && Par.Pool.size pool > 1 && volume > 1 then

@@ -108,15 +108,17 @@ val run_box :
   ?cancel:Robust.Cancel.t ->
   cost:int ->
   extents:int array ->
-  (unit -> int array -> int -> unit) ->
+  (unit -> (int array -> int -> unit) * (unit -> unit)) ->
   unit
 (** [run_box ~cost ~extents make] calls [element pos w] for every
     position [pos] of a nest of dims [extents], where [w] is [pos]'s
-    row-major offset; [make ()] builds one [element], with private
-    scratch, per range run; a range decodes its first position once and
-    steps [pos] and [w] with a carry, so [element] must not write
-    [pos].  Nests whose volume times [cost] (estimated scalar work per
-    element) is large enough run on the default pool, others
+    row-major offset; [make ()] builds one [(element, finish)], with
+    private scratch, per range run, and [finish ()] ends the range, so
+    work that [element] defers (the forward's blocks) never crosses a
+    range.  A range decodes its first position once and steps [pos]
+    and [w] with a carry, so [element] must not write [pos].  Nests
+    whose volume times [cost] (estimated scalar work per element) is
+    large enough run on the default pool, others
     sequentially on the caller; each element must write only its own
     output cell, so results are bit-identical at any pool size.
     [cancel] is polled every few thousand elements of a sequential run

@@ -64,13 +64,30 @@ let parse_factor token =
       else Ok (Size.var_pow (Var.primary base) power)
     else fail "bad size factor %S" token
 
+(* [acc * f] for the factor written [token], refusing what [Size.mul]
+   would wrap: a constant past [max_int], or an exponent sum past the
+   int range or below 0 for a primary variable. *)
+let checked_mul token acc f =
+  let a = Size.constant acc and b = Size.constant f in
+  let bad_power (v, e) =
+    let e0 = Size.exponent acc v in
+    (e > 0 && e0 > max_int - e)
+    || (e < 0 && e0 < min_int - e)
+    || (Var.is_primary v && e0 + e < 0)
+  in
+  if a > max_int / b then fail "constant product overflows at %S" (String.trim token)
+  else
+    match List.find_opt bad_power (Size.pows f) with
+    | Some (v, _) -> fail "power of %s overflows at %S" (Var.name v) (String.trim token)
+    | None -> Ok (Size.mul acc f)
+
 let size_of_string text =
   let tokens = String.split_on_char '*' text in
   List.fold_left
     (fun acc token ->
       let* acc = acc in
       let* f = parse_factor token in
-      Ok (Size.mul acc f))
+      checked_mul token acc f)
     (Ok Size.one) tokens
 
 (* --- Primitives ----------------------------------------------------------- *)

@@ -17,6 +17,11 @@ val of_var : Var.t -> t
 val var_pow : Var.t -> int -> t
 
 val mul : t -> t -> t
+(** [mul a b] is [a * b], unchecked: the constant and each exponent
+    wrap on overflow, as [int] arithmetic does, because search
+    multiplies sizes in its hot loop.  A parser of untrusted input must
+    check each product itself (as [Pgraph.Trace_io] does). *)
+
 val div : t -> t -> t option
 (** [div a b] is [Some (a / b)] when the quotient is a well-formed size
     (integer constant part, no primary variable left in a denominator),

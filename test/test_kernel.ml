@@ -932,6 +932,129 @@ let random_forward_agreement =
           | exception Failure _ -> true
           | _ -> not (forward_differs ~seed:(seed + 1) op v)))
 
+(* --- Forward: blocks of outputs that share a walk ---------------------------- *)
+
+(* conv2d with a second weight group over the output channel: two
+   weights per point, the two-weight blocked kernel. *)
+let two_group_conv =
+  let conv = Zoo.conv2d.Zoo.operator in
+  match conv.Graph.op_output_iters with
+  | [ _; co; _; _ ] -> { conv with Graph.op_weights = conv.Graph.op_weights @ [ [ co ] ] }
+  | _ -> Alcotest.fail "conv2d: unexpected iterators"
+
+(* conv2d whose row coordinate moves with both window axes and whose
+   column coordinate is shifted 3 right: at hw5 the outputs of a row
+   are [Inside] (row 1) or [Partial] (every other row) on the left and
+   [Empty] from column 3 on, so four consecutive outputs mix all
+   three. *)
+let mixed_box_conv =
+  let conv = diagonal_window_conv in
+  let exprs = conv.Graph.op_input_exprs in
+  let last = List.length exprs - 1 in
+  {
+    conv with
+    Graph.op_input_exprs =
+      List.mapi (fun i e -> if i = last then Ast.Add (e, Ast.Const 3) else e) exprs;
+  }
+
+(* Innermost output extents 1, 2, 3, 5 and 7 over each blocked kernel:
+   conv2d (one weight, shared along a row), conv1x1 (blocks that cross
+   channels), the two-weight conv, avgpool (no weight) and matmul (one
+   input element shared along a row); and the mixed-box conv at hw5. *)
+let block_fixtures =
+  List.concat_map
+    (fun e ->
+      let conv = Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:e ~k:3 ~g:2 ~s:2 () in
+      let tag name = Printf.sprintf "%s/extent %d" name e in
+      [
+        (tag "conv2d", Zoo.conv2d.Zoo.operator, conv);
+        (tag "conv1x1", Zoo.conv1x1.Zoo.operator, conv);
+        (tag "conv2d/two-groups", two_group_conv, conv);
+        ( tag "avgpool",
+          Zoo.avgpool.Zoo.operator,
+          Zoo.Vars.conv_valuation ~n:1 ~c_in:1 ~c_out:1 ~hw:(2 * e) ~k:1 ~g:1 ~s:2 () );
+        (tag "matmul", Zoo.matmul.Zoo.operator, Zoo.Vars.matmul_valuation ~m:3 ~n:e ~k:5);
+      ])
+    [ 1; 2; 3; 5; 7 ]
+  @ [
+      ( "conv2d/mixed-boxes hw5",
+        mixed_box_conv,
+        Zoo.Vars.conv_valuation ~n:1 ~c_in:4 ~c_out:4 ~hw:5 ~k:3 ~g:2 ~s:2 () );
+      ( "conv2d c8 hw7",
+        Zoo.conv2d.Zoo.operator,
+        Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:7 ~k:3 ~g:2 ~s:2 () );
+    ]
+
+(* A plan's one nest over output ranges cut at every [cut]-th output,
+   each range with its own element and finish, as the pool's ranges of
+   [Staged_exec.run_box] run: a cut falls mid-row and mid-block. *)
+let forward_in_ranges nest ~extents ~cut datas =
+  let volume = Array.fold_left ( * ) 1 extents in
+  let out = Array.make volume 0.0 in
+  let m = Array.length extents in
+  let first = ref 0 in
+  while !first < volume do
+    let last = min volume (!first + cut) in
+    let element, finish = Reference.forward_element nest datas out () in
+    for w = !first to last - 1 do
+      let pos = Array.make (max 1 m) 0 and rem = ref w in
+      for i = m - 1 downto 0 do
+        pos.(i) <- !rem mod extents.(i);
+        rem := !rem / extents.(i)
+      done;
+      element pos w
+    done;
+    finish ();
+    first := last
+  done;
+  Array.map Int64.bits_of_float out
+
+(* Every fixture, finite and then with a NaN and an infinity planted in
+   the input and in one weight: the specialized kernel at pool sizes 1
+   and 2, the staged interpreter, the reference, the per-point oracle
+   and the nest run in cut ranges agree bit for bit.  None of these
+   plans has a stage, so all of them sum the same points in the same
+   order. *)
+let test_block_edges () =
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.set_default_domains (Par.Pool.num_domains ()))
+    (fun () ->
+      List.iter
+        (fun (name, op, v) ->
+          let st, cert = certified name op v in
+          Alcotest.(check int) (name ^ ": no stage") 0 (Staged.num_stages st);
+          let sp = Specialize.compile st cert.Regions.rc_plan in
+          let nest = (Staged.nests st cert.Regions.rc_plan).(0) in
+          let r = Staged.reference st in
+          List.iter
+            (fun planted ->
+              let x, w, rng = draw ~uniform:true ~seed:37 r in
+              if planted then begin
+                plant rng x;
+                if w <> [] then plant rng (List.nth w (Rng.int rng (List.length w)))
+              end;
+              let name = if planted then name ^ " planted" else name in
+              let expected = bits (Naive_forward.forward op v ~input:x ~weights:w) in
+              let check what got = Alcotest.(check (array int64)) (name ^ ": " ^ what) expected got in
+              check "reference" (bits (Reference.forward r ~input:x ~weights:w));
+              check "staged" (bits (Staged.forward st ~input:x ~weights:w));
+              List.iter
+                (fun domains ->
+                  Par.Pool.set_default_domains domains;
+                  check
+                    (Printf.sprintf "specialized, %d domains" domains)
+                    (bits (Specialize.forward sp ~input:x ~weights:w)))
+                [ 1; 2 ];
+              let datas = Array.of_list (List.map Tensor.unsafe_data (x :: w)) in
+              List.iter
+                (fun cut ->
+                  check
+                    (Printf.sprintf "ranges of %d" cut)
+                    (forward_in_ranges nest ~extents:(Reference.output_shape r) ~cut datas))
+                [ 1; 2; 3; 5; 7 ])
+            [ false; true ])
+        block_fixtures)
+
 (* --- Einsum program: the gather, and every forward against Staged_exec ------ *)
 
 let random_gather_agreement =
@@ -1057,6 +1180,7 @@ let () =
           Alcotest.test_case "zoo at proxy shapes" `Quick test_forward_zoo_proxy_shapes;
           Alcotest.test_case "closure, padding, size-1" `Quick test_forward_closure_and_padding;
           QCheck_alcotest.to_alcotest random_forward_agreement;
+          Alcotest.test_case "block edges" `Quick test_block_edges;
         ] );
       ( "einsum",
         [

@@ -27,8 +27,24 @@ let test_size_roundtrip () =
     cases
 
 let test_size_errors () =
-  (* A constant power past [max_int] is refused, not wrapped. *)
-  let bad = [ ""; "H^x"; "-3"; "0"; "H^-1"; "a b"; "2^62"; "3^40"; "2^99999999999" ] in
+  (* A constant power, a constant product or an exponent sum past
+     [max_int] is refused, not wrapped. *)
+  let bad =
+    [
+      "";
+      "H^x";
+      "-3";
+      "0";
+      "H^-1";
+      "a b";
+      "2^62";
+      "3^40";
+      "2^99999999999";
+      "2^61*2^61";
+      "3037000500*3037000500";
+      "H^4611686018427387903*H";
+    ]
+  in
   List.iter
     (fun t ->
       match Trace_io.size_of_string t with

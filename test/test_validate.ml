@@ -108,6 +108,53 @@ let test_differential_catches_nest_mutants () =
       | Error k -> Alcotest.failf "after %s: %s" (Lower.Reference.mutant_to_string m) (Guard.kind_label k))
     Lower.Reference.mutants
 
+(* At [tiny] (hw4) no four outputs of a row share a box, so the case
+   above never reaches the forward's blocked kernels.  At hw10 they
+   carry every output two or more columns from the edges: under each
+   mutant that acts on a walk, some such output of conv2d's reference
+   forward moves off its disarmed bits.  The dropped residue acts on
+   the splitter instead, and conv2d's affine gather has no residue, so
+   it must move shift_conv's output.  Under each, the full check still
+   names the einsum program as the witness. *)
+let blocked = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:10 ~k:3 ~g:2 ~s:2 ()
+
+let test_nest_mutants_reach_blocked_kernels () =
+  (* The output bits, or with [interior] only those two or more from
+     every edge of the last two axes. *)
+  let forward_bits ~interior op =
+    let r = Lower.Reference.compile op blocked in
+    let rng = Nd.Rng.create ~seed:5 in
+    let x = Tensor.rand_normal rng ~scale:1.0 (Lower.Reference.input_shape r) in
+    let w = Lower.Reference.init_weights r rng in
+    let out = Lower.Reference.forward r ~input:x ~weights:w in
+    let shape = Tensor.shape out in
+    let m = Array.length shape in
+    let hh = shape.(m - 2) and ww = shape.(m - 1) in
+    let inner i n = i >= 2 && i < n - 2 in
+    List.filteri
+      (fun i _ -> (not interior) || (inner (i mod ww) ww && inner (i / ww mod hh) hh))
+      (List.map Int64.bits_of_float (Array.to_list (Tensor.unsafe_data out)))
+  in
+  List.iter
+    (fun m ->
+      let name = Lower.Reference.mutant_to_string m in
+      let op, interior =
+        match m with
+        | Lower.Reference.Dropped_residue -> (Zoo.shift_conv.Zoo.operator, false)
+        | Clip_upper | Stride_sign | Short_run -> (conv, true)
+      in
+      let disarmed = forward_bits ~interior op in
+      Lower.Reference.with_mutant m (fun () ->
+          Alcotest.(check bool) (name ^ ": the reference forward moves") true
+            (forward_bits ~interior op <> disarmed);
+          match Differential.check_full op [ blocked ] with
+          | Error { Differential.fl_kind = Guard.Backend_mismatch _; fl_backend = Some Differential.Einsum; _ }
+            ->
+              ()
+          | Ok _ -> Alcotest.failf "%s: not caught" name
+          | Error f -> Alcotest.failf "%s: %s" name (Guard.kind_label f.Differential.fl_kind)))
+    Lower.Reference.mutants
+
 (* The keys a cold [syno serve] request evaluates, as the differential
    bench builds them: the distinct conv-like zoo operators at n1, c_in
    and c_out in {4, 6, 8}, hw 4..8 and k in {1, 3}, each shape in four
@@ -555,6 +602,8 @@ let () =
           Alcotest.test_case "config validation" `Quick test_differential_config_validation;
           Alcotest.test_case "catches seeded nest mutants" `Quick
             test_differential_catches_nest_mutants;
+          Alcotest.test_case "nest mutants reach the blocked kernels" `Quick
+            test_nest_mutants_reach_blocked_kernels;
         ] );
       ( "key grid",
         [
